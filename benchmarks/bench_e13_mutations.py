@@ -182,11 +182,14 @@ def test_e13_ingest_parity_with_rebuild(base_db, ingest_objects):
 
 
 def test_e13_warm_hit_rate_above_50_percent_under_writes(base_db):
-    """Acceptance: scoped invalidation keeps the top-k cache >50% warm."""
+    """Acceptance: even without a skyband (Δ=0, drop-on-write scoped by
+    the batch summary) the top-k cache stays >50% warm."""
     engine = YaskEngine(
         SpatialDatabase(base_db.objects, dataspace=base_db.dataspace)
     )
-    executor = QueryExecutor(engine, cache_capacity=256, max_workers=1)
+    executor = QueryExecutor(
+        engine, cache_capacity=256, max_workers=1, skyband_delta=0
+    )
     queries = list(
         QueryWorkload(
             base_db, seed=21, k=10, keywords_per_query=(1, 2),
@@ -232,7 +235,7 @@ def test_e13_warm_hit_rate_above_50_percent_under_writes(base_db):
             )
             next_oid += 1
         report = engine.apply_mutations(batch)
-        executor.invalidate_scoped(report.change.summary)
+        executor.maintain(report.change)
         for query in queries:
             execution = executor.execute(query)
             post_write_reads += 1
@@ -252,12 +255,13 @@ def test_e13_warm_hit_rate_above_50_percent_under_writes(base_db):
     table.add_row("post-write cache hits", post_write_hits)
     table.add_row(f"hit rate {hit_rate:.0%} (floor {WARM_HIT_RATE_FLOOR:.0%})", "")
     table.add_row(
-        f"scoped: dropped {stats.scoped_dropped}, kept {stats.scoped_kept}",
+        f"maintain: dropped {stats.maintained_dropped}, "
+        f"kept {stats.maintained_kept}",
         "",
     )
     table.print()
-    assert stats.scoped_dropped > 0, "writes must drop the local entries"
-    assert stats.scoped_kept > 0, "distant entries must survive"
+    assert stats.maintained_dropped > 0, "writes must drop the local entries"
+    assert stats.maintained_kept > 0, "distant entries must survive"
     assert hit_rate > WARM_HIT_RATE_FLOOR, (
         f"warm hit rate {hit_rate:.0%} under write traffic "
         f"(floor {WARM_HIT_RATE_FLOOR:.0%})"
@@ -317,10 +321,7 @@ def _hit_rate_under_write_rate(
             )
             next_oid += 1
             report = engine.apply_mutations([Mutation.insert(obj)])
-            if maintained:
-                executor.maintain(report.change)
-            else:
-                executor.invalidate_scoped(report.change.summary)
+            executor.maintain(report.change)
         for query in queries:
             reads += 1
             if executor.execute(query).source == "cache":

@@ -283,7 +283,10 @@ def bench_e13() -> dict:
     engine = YaskEngine(
         SpatialDatabase(base.objects, dataspace=base.dataspace)
     )
-    executor = QueryExecutor(engine, cache_capacity=256, max_workers=1)
+    # Δ=0: no skyband to patch from, i.e. the drop-on-write baseline.
+    executor = QueryExecutor(
+        engine, cache_capacity=256, max_workers=1, skyband_delta=0
+    )
     queries = list(
         QueryWorkload(
             base, seed=21, k=10, keywords_per_query=(1, 2),
@@ -317,7 +320,7 @@ def bench_e13() -> dict:
             )
             next_oid += 1
         report = engine.apply_mutations(batch)
-        executor.invalidate_scoped(report.change.summary)
+        executor.maintain(report.change)
         for query in queries:
             reads += 1
             if executor.execute(query).source == "cache":
@@ -377,9 +380,9 @@ def bench_e13() -> dict:
         "hit_rate_floor": 0.5,
         "cache_hits": stats.hits,
         "cache_misses": stats.misses,
-        "scoped_invalidations": stats.scoped_invalidations,
-        "scoped_dropped": stats.scoped_dropped,
-        "scoped_kept": stats.scoped_kept,
+        "drop_on_write_passes": stats.maintenance_passes,
+        "drop_on_write_dropped": stats.maintained_dropped,
+        "drop_on_write_kept": stats.maintained_kept,
         "maintained_post_write_hit_rate": maintained_hits / maintained_reads,
         "maintained_warmth_floor_vs_drop": 2.0,
         "maintained_cache_hits": maintained_stats.hits,
@@ -585,8 +588,8 @@ def main() -> int:
         ),
         "BENCH_E13.json": _snapshot(
             "E13",
-            "live mutation: incremental ingest vs rebuild + scoped "
-            "invalidation and answer-maintenance warm rates (20k synthetic)",
+            "live mutation: incremental ingest vs rebuild + drop-on-write "
+            "(skyband 0) and answer-maintenance warm rates (20k synthetic)",
             bench_e13(),
         ),
         "BENCH_E14.json": _snapshot(

@@ -7,9 +7,9 @@ and shows the two properties the live-mutation tier promises:
 
 * new objects are queryable the moment the batch returns (and answers
   match a fresh engine built from the new object set), and
-* *scoped* cache invalidation keeps cached results the batch provably
-  cannot affect: the distant query is still served warm after the
-  write.
+* cache maintenance keeps cached results the batch provably cannot
+  affect and patches the ones it does: the distant query is still
+  served warm after the write.
 
     python examples/yask_live_updates.py
 """
@@ -45,11 +45,12 @@ def main() -> None:
             {"oid": 910003, "x": 114.1710, "y": 22.2985,
              "keywords": ["rooftop", "pool"], "name": "Pool Deck Inn"},
         ])
-        tally = report["cache_invalidation"]
+        tally = report["cache_maintenance"]
         print(f"\ningested 3 places (generation {report['generation']}, "
               f"{report['response_ms']:.1f} ms server-side)")
-        print(f"scoped invalidation: dropped {tally['dropped']} affected "
-              f"cached result(s), kept {tally['kept']} warm")
+        print(f"cache maintenance: patched {tally['patched']} affected "
+              f"cached result(s) in place, kept {tally['kept']} untouched, "
+              f"dropped {tally['dropped'] + tally['rescans']}")
 
         # Immediately queryable …
         top = client.query(x=114.1722, y=22.2975, keywords=["rooftop"], k=2)

@@ -12,7 +12,6 @@ service plumbing.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
@@ -461,30 +460,6 @@ class YaskEngine:
         """Convenience: build and execute a top-k query in one step."""
         return self.query(self.make_query(loc, keywords, k, weights=weights))
 
-    def query_batch(
-        self,
-        queries: Sequence[SpatialKeywordQuery],
-        *,
-        max_workers: int = 8,
-    ) -> list[TimedResult]:
-        """Execute many queries against a one-shot worker pool, in order.
-
-        The cache-free batch entry point for embedding applications that
-        drive the engine directly; every index is immutable after
-        construction, so concurrent traversals are safe.  Each
-        :class:`TimedResult` carries that query's own execution time.
-        The service does not use this: its transports share a
-        :class:`repro.service.executor.QueryExecutor`, which adds
-        result caching and in-flight dedup over a persistent pool.
-        """
-        if not queries:
-            return []
-        workers = min(max_workers, len(queries))
-        if workers <= 1:
-            return [self.timed_query(query) for query in queries]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.timed_query, queries))
-
     def timed_query(self, query: SpatialKeywordQuery) -> TimedResult:
         """Execute a query and report the response time (query log panel)."""
         started = time.perf_counter()
@@ -541,10 +516,8 @@ class YaskEngine:
         new object set would produce.  Serving-tier caches are *not*
         touched here — the caller holds them; pass ``report.change``
         to :meth:`repro.service.executor.QueryExecutor.maintain`
-        (patch-on-write: cached answers are carried through the batch
-        arithmetically) or ``report.change.summary`` to
-        :meth:`repro.service.executor.QueryExecutor.invalidate_scoped`
-        (drop-on-write).
+        (cached answers are carried through the batch arithmetically,
+        or dropped when they cannot be).
 
         ``batch_token`` makes the call idempotent: a token already seen
         (committed, or a committed no-op) short-circuits under the same
@@ -800,7 +773,7 @@ class YaskEngine:
             )
 
     # ------------------------------------------------------------------
-    # Why-not dispatch and batching (executor/service substrate)
+    # Why-not dispatch (executor/service substrate)
     # ------------------------------------------------------------------
     def resolve_missing_oids(
         self, references: Sequence[int | str]
@@ -842,35 +815,3 @@ class YaskEngine:
         if question.model == "combined":
             return self.refine_combined(query, missing, lam=lam)
         raise ValueError(f"unknown why-not model {question.model!r}")
-
-    def whynot_batch(
-        self,
-        questions: Sequence["WhyNotQuestion"],
-        *,
-        max_workers: int = 8,
-    ) -> list[TimedResult]:
-        """Answer many why-not questions against a one-shot pool, in order.
-
-        The cache-free batch entry point for embedding applications
-        (mirror of :meth:`query_batch`); every index is immutable after
-        construction, so concurrent why-not answering is safe.  The
-        service does not use this: its transports share a
-        :class:`repro.service.executor.WhyNotExecutor`, which adds
-        answer caching, in-flight dedup and top-k result reuse.
-        """
-        if not questions:
-            return []
-
-        def timed(question: "WhyNotQuestion") -> TimedResult:
-            started = time.perf_counter()
-            answer = self.answer_whynot(question)
-            return TimedResult(
-                value=answer,
-                response_ms=(time.perf_counter() - started) * 1000.0,
-            )
-
-        workers = min(max_workers, len(questions))
-        if workers <= 1:
-            return [timed(question) for question in questions]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(timed, questions))

@@ -232,13 +232,11 @@ class YaskClient:
         """Ingest new objects: ``[{"oid", "x", "y", "keywords", "name"?}]``.
 
         Returns the mutation report: generation, per-op counts, kernel
-        column occupancy and the answer-maintenance tallies —
-        ``cache_maintenance`` breaks the patch-on-write pass down into
+        column occupancy and the answer-maintenance tally —
+        ``cache_maintenance`` breaks the maintenance pass down into
         kept / patched / dropped / rescans (and the ``linked_*``
-        why-not equivalents); ``cache_invalidation`` summarises the
-        same pass in the legacy dropped/kept shape
-        (``cache_invalidation.kept`` is the number of warm results that
-        provably survived the write).  Passing a ``batch_token`` (any
+        why-not equivalents; ``kept + patched`` is the number of warm
+        results that survived the write).  Passing a ``batch_token`` (any
         unique string) makes the request idempotent: a retry of an
         already-committed batch is deduplicated server-side and
         acknowledges the original generation with
@@ -379,6 +377,7 @@ class YaskClient:
         questions: Sequence[Mapping[str, Any]],
         *,
         min_generation: int | None = None,
+        timeout_ms: float | None = None,
     ) -> dict[str, Any]:
         """Answer many why-not questions in one round trip (stateless).
 
@@ -392,13 +391,17 @@ class YaskClient:
         freshly computed answer's initial top-k result came from, and an
         ill-posed question yields ``{"error": ...}`` for its entry
         without failing the rest of the batch.  ``min_generation``
-        applies to the whole batch (see :meth:`query`).
+        applies to the whole batch (see :meth:`query`); ``timeout_ms``
+        is a shared budget for the whole batch — a member it runs out
+        on comes back ``degraded`` (see :meth:`explain`), never partial.
         """
         payload: dict[str, Any] = {
             "questions": [dict(question) for question in questions]
         }
         if min_generation is not None:
             payload["min_generation"] = min_generation
+        if timeout_ms is not None:
+            payload["timeout_ms"] = timeout_ms
         return self._call("POST", "/api/whynot/batch", payload)
 
     def explain(

@@ -43,7 +43,10 @@ import time
 from bisect import insort
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace as dc_replace
+from functools import partial
+from itertools import repeat
 from typing import Any, Callable, Protocol, Sequence
 
 from repro import concurrency, faults
@@ -183,20 +186,15 @@ class SupportsWhyNot(Protocol):
 class CacheStats:
     """A point-in-time snapshot of the executor's cache counters.
 
-    ``scoped_*`` count the live-mutation tier's scoped invalidations:
-    ``scoped_dropped`` entries failed the could-this-batch-affect-you
-    test and were evicted, ``scoped_kept`` provably could not change
-    and survived the write — the counter that shows warm caches staying
-    warm under write traffic.
-
-    ``maintained_*`` and ``skyband_rescans`` count the patch-on-write
-    tier (:meth:`QueryExecutor.maintain`): per maintenance pass an
-    entry is ``maintained_kept`` (provably unchanged, restamped),
+    ``maintained_*`` and ``skyband_rescans`` count the write side
+    (:meth:`QueryExecutor.maintain`): per maintenance pass an entry is
+    ``maintained_kept`` (provably unchanged — the counter that shows
+    warm caches staying warm under write traffic),
     ``maintained_patched`` (skyband merge or rank repair produced the
     post-batch answer in O(Δ)), ``maintained_dropped`` (no proof and no
-    repair — evicted exactly like drop-on-write), or counted in
-    ``skyband_rescans`` (deletes underflowed the skyband below ``k``;
-    the entry is evicted and the next fetch re-primes the buffer).
+    repair — evicted), or counted in ``skyband_rescans`` (deletes
+    underflowed the skyband below ``k``; the entry is evicted and the
+    next fetch re-primes the buffer).
     """
 
     hits: int
@@ -206,9 +204,6 @@ class CacheStats:
     inflight_waits: int
     size: int
     capacity: int
-    scoped_invalidations: int = 0
-    scoped_dropped: int = 0
-    scoped_kept: int = 0
     maintenance_passes: int = 0
     maintained_kept: int = 0
     maintained_patched: int = 0
@@ -237,9 +232,6 @@ class CacheStats:
             "size": self.size,
             "capacity": self.capacity,
             "hit_rate": self.hit_rate,
-            "scoped_invalidations": self.scoped_invalidations,
-            "scoped_dropped": self.scoped_dropped,
-            "scoped_kept": self.scoped_kept,
             "maintenance_passes": self.maintenance_passes,
             "maintained_kept": self.maintained_kept,
             "maintained_patched": self.maintained_patched,
@@ -388,9 +380,9 @@ class _ResultCache:
         # Leaf of the lock hierarchy: taken after the domain lock
         # during invalidation, never while acquiring anything else.
         self._lock = concurrency.ordered_lock(name, concurrency.LEVEL_LEAF)
-        # key → (value, meta).  ``meta`` is the caller's invalidation
-        # descriptor (see ``fetch``'s ``meta_of``); None when the caller
-        # supplied none — such entries never survive a scoped drop.
+        # key → (value, meta).  ``meta`` is the maintenance descriptor
+        # ``compute`` returned with the value; None when it supplied
+        # none — such entries never survive a mutation batch.
         self._cache: "OrderedDict[str, tuple[Any, Any]]" = OrderedDict()
         self.inflight: dict[str, _Inflight] = {}
         self._generation = 0
@@ -399,9 +391,6 @@ class _ResultCache:
         self._evictions = 0
         self._invalidations = 0
         self._inflight_waits = 0
-        self._scoped_invalidations = 0
-        self._scoped_dropped = 0
-        self._scoped_kept = 0
         self._maintenance_passes = 0
         self._maintained_kept = 0
         self._maintained_patched = 0
@@ -411,15 +400,20 @@ class _ResultCache:
     def fetch(
         self,
         key: str,
-        compute: Callable[[], Any],
-        meta_of: Callable[[Any], Any] | None = None,
+        compute: Callable[[], tuple[Any, Any, bool]],
+        *,
+        rendezvous: bool = True,
     ) -> tuple[Any, str]:
         """Return ``(value, source)``, computing at most once per key.
 
-        ``meta_of`` derives the cached entry's invalidation descriptor
-        from a freshly computed value; scoped invalidation
-        (:meth:`invalidate_where`) tests it to decide which entries a
-        mutation batch could have affected.
+        ``compute`` returns ``(value, meta, cacheable)``: the value, the
+        descriptor :meth:`maintain` hands back to decide what a mutation
+        batch does to the entry, and whether the value may be cached at
+        all (a partial result computed under an expired deadline may
+        not).  With ``rendezvous`` off a miss neither joins nor leads an
+        in-flight rendezvous — a caller on a budget must not wait on
+        another request's open-ended computation, nor publish a value
+        that may turn out partial to waiters who asked for an exact one.
         """
         while True:
             with self._lock:
@@ -428,24 +422,20 @@ class _ResultCache:
                     self._cache.move_to_end(key)
                     self._hits += 1
                     return cached[0], "cache"
-                flight = self.inflight.get(key)
-                if flight is None or flight.generation != self._generation:
+                flight = self.inflight.get(key) if rendezvous else None
+                leader = flight is None or flight.generation != self._generation
+                if leader:
                     # No flight, or only one from before an invalidation —
                     # its result may reflect the old dataset, so this
                     # request starts a fresh computation (stale waiters
                     # keep their reference and still get the old flight's
                     # result, which was current when *they* asked).
                     flight = _Inflight(self._generation)
-                    self.inflight[key] = flight
-                    leader = True
-                else:
-                    leader = False
+                    if rendezvous:
+                        self.inflight[key] = flight
 
             if leader:
-                return (
-                    self._compute_as_leader(key, flight, compute, meta_of),
-                    "engine",
-                )
+                return self._compute_as_leader(key, flight, compute), "engine"
             flight.event.wait()
             if flight.error is not None or flight.result is None:
                 # The leader failed; this follower retries on its own
@@ -459,11 +449,10 @@ class _ResultCache:
         self,
         key: str,
         flight: _Inflight,
-        compute: Callable[[], Any],
-        meta_of: Callable[[Any], Any] | None = None,
+        compute: Callable[[], tuple[Any, Any, bool]],
     ) -> Any:
         try:
-            result = compute()
+            result, meta, cacheable = compute()
         except BaseException as exc:
             with self._lock:
                 if self.inflight.get(key) is flight:
@@ -471,65 +460,28 @@ class _ResultCache:
             flight.error = exc
             flight.event.set()
             raise
-        meta = meta_of(result) if meta_of is not None else None
         with self._lock:
             self._misses += 1
             # Only cache when no invalidation raced this computation: a
             # result computed against the old dataset must not survive.
-            if self.capacity > 0 and flight.generation == self._generation:
+            if (
+                cacheable
+                and self.capacity > 0
+                and flight.generation == self._generation
+            ):
                 self._cache[key] = (result, meta)
                 self._cache.move_to_end(key)
                 while len(self._cache) > self.capacity:
                     self._cache.popitem(last=False)
                     self._evictions += 1
             # A post-invalidation request may have replaced this flight
-            # with a fresh-generation one; only deregister our own.
+            # with a fresh-generation one (and a no-rendezvous flight
+            # was never registered); only deregister our own.
             if self.inflight.get(key) is flight:
                 del self.inflight[key]
         flight.result = result
         flight.event.set()
         return result
-
-    def peek(self, key: str) -> tuple[Any, str] | None:
-        """Cache-only lookup: ``(value, "cache")`` on a hit, else None.
-
-        The deadline-bounded execution path uses this instead of
-        :meth:`fetch`: a cached value is exact and free, but a miss must
-        neither join nor lead an open-ended in-flight rendezvous — the
-        caller computes under its own deadline and decides afterwards
-        (via :meth:`put`) whether the result is exact enough to cache.
-        A miss is counted here; :meth:`put` adds no second count.
-        """
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self._cache.move_to_end(key)
-                self._hits += 1
-                return cached[0], "cache"
-            self._misses += 1
-            return None
-
-    def generation(self) -> int:
-        """The current invalidation generation (pair with :meth:`put`)."""
-        with self._lock:
-            return self._generation
-
-    def put(self, key: str, value: Any, meta: Any, generation: int) -> bool:
-        """Insert a value computed outside :meth:`fetch`; True if stored.
-
-        ``generation`` is the :meth:`generation` observed before the
-        computation began: if an invalidation landed in between, the
-        value may reflect the old dataset and is discarded.
-        """
-        with self._lock:
-            if self.capacity <= 0 or generation != self._generation:
-                return False
-            self._cache[key] = (value, meta)
-            self._cache.move_to_end(key)
-            while len(self._cache) > self.capacity:
-                self._cache.popitem(last=False)
-                self._evictions += 1
-            return True
 
     def invalidate(self) -> int:
         """Drop every cached value; returns how many were dropped.
@@ -544,31 +496,6 @@ class _ResultCache:
             self._invalidations += 1
             return dropped
 
-    def invalidate_where(self, affected: Callable[[Any], bool]) -> tuple[int, int]:
-        """Drop entries whose meta tests affected; returns (dropped, kept).
-
-        Entries without a meta descriptor are dropped unconditionally —
-        absence of evidence is not evidence of safety.  The generation
-        still advances: an in-flight computation may have read the
-        pre-mutation dataset, and by the time it lands the batch summary
-        it would need testing against is gone, so it must not populate
-        the cache even under an unaffected key.
-        """
-        with self._lock:
-            survivors: "OrderedDict[str, tuple[Any, Any]]" = OrderedDict()
-            dropped = 0
-            for key, (value, meta) in self._cache.items():
-                if meta is None or affected(meta):
-                    dropped += 1
-                else:
-                    survivors[key] = (value, meta)
-            self._cache = survivors
-            self._generation += 1
-            self._scoped_invalidations += 1
-            self._scoped_dropped += dropped
-            self._scoped_kept += len(survivors)
-            return dropped, len(survivors)
-
     def peek_entry(self, key: str) -> tuple[Any, Any] | None:
         """Introspective ``(value, meta)`` lookup: no counters, no LRU move.
 
@@ -579,66 +506,61 @@ class _ResultCache:
         with self._lock:
             return self._cache.get(key)
 
-    def entries_snapshot(self) -> tuple[int, tuple[tuple[str, Any, Any], ...]]:
-        """``(generation, ((key, value, meta), ...))`` under the leaf lock.
+    def maintain(
+        self,
+        decide: Callable[[Any, Any], tuple[str, Any, Any]],
+        batch_generation: int,
+    ) -> dict[str, int]:
+        """Carry every entry through one mutation batch; returns the tally.
 
-        First half of the two-phase maintenance protocol: the caller
-        computes per-entry patches *outside* this cache's leaf lock
-        (patching may consult the engine under its read lock, which
-        ranks below the leaf level) and applies them atomically with
-        :meth:`apply_maintenance`.
+        ``decide(value, meta) -> (action, new_value, new_meta)`` is the
+        executor's pure per-entry decision, ``action`` one of
+        ``"kept"``, ``"patched"``, ``"dropped"`` or ``"rescan"``.  The
+        pass is two-phase: entries are snapshotted under the leaf lock,
+        ``decide`` runs *outside* it (a decision may consult the engine
+        under its read lock, which ranks below the leaf level), and the
+        decisions are applied atomically under the lock again.  A
+        decision only applies when the entry still holds the
+        snapshotted value (an eviction + fresh recompute in the window
+        must not be clobbered with a patch of the evicted value).
+        Entries that appeared after the snapshot are kept only when
+        their meta is stamped with ``batch_generation`` or later, which
+        proves they were computed against the post-batch dataset;
+        anything else in the window raced the mutation and is dropped.
+
+        The cache generation advances even when every entry is kept: an
+        in-flight computation may have read the pre-mutation dataset,
+        and by the time it lands the batch it would need testing
+        against is gone, so it must not populate the cache.
         """
         with self._lock:
-            return self._generation, tuple(
-                (key, value, meta) for key, (value, meta) in self._cache.items()
-            )
-
-    def apply_maintenance(
-        self,
-        snapshot_generation: int,
-        patches: dict[str, tuple[Any, str, Any, Any]],
-        *,
-        current: Callable[[Any], bool],
-    ) -> dict[str, int]:
-        """Apply patch-on-write decisions; returns the action tally.
-
-        ``patches`` maps each snapshotted key to ``(snapshot_value,
-        action, new_value, new_meta)`` where ``action`` is ``"kept"``,
-        ``"patched"``, ``"dropped"`` or ``"rescan"``.  A patch only
-        applies when the entry still holds the snapshotted value (an
-        eviction + fresh recompute in the window must not be clobbered
-        with a patch of the evicted value).  Entries that appeared
-        after the snapshot are kept only when ``current(meta)`` proves
-        they were computed against the post-batch dataset; anything
-        else in the window raced the mutation and is dropped.
-
-        The generation advances exactly as in :meth:`invalidate_where`,
-        for the same reason: an in-flight computation that read the
-        pre-mutation dataset must not land afterwards.
-        """
+            snapshot_generation = self._generation
+            snapshot = tuple(self._cache.items())
+        decisions = {
+            key: (value,) + decide(value, meta)
+            for key, (value, meta) in snapshot
+        }
         tally = {"kept": 0, "patched": 0, "dropped": 0, "rescans": 0}
         with self._lock:
             if self._generation != snapshot_generation:
-                # A whole-domain invalidation raced the patch
-                # computation; it already cleared everything the
-                # patches describe, so there is nothing left to fix.
+                # A whole-domain invalidation raced the decisions; it
+                # already cleared everything they describe, so there is
+                # nothing left to fix.
                 return tally
             survivors: "OrderedDict[str, tuple[Any, Any]]" = OrderedDict()
             for key, (value, meta) in self._cache.items():
-                patch = patches.get(key)
-                if patch is None or patch[0] is not value:
-                    if current(meta):
+                decision = decisions.get(key)
+                if decision is None or decision[0] is not value:
+                    stamp = getattr(meta, "generation", None)
+                    if stamp is not None and stamp >= batch_generation:
                         survivors[key] = (value, meta)
                     else:
                         tally["dropped"] += 1
                     continue
-                _, action, new_value, new_meta = patch
-                if action == "kept":
+                _, action, new_value, new_meta = decision
+                if action in ("kept", "patched"):
                     survivors[key] = (new_value, new_meta)
-                    tally["kept"] += 1
-                elif action == "patched":
-                    survivors[key] = (new_value, new_meta)
-                    tally["patched"] += 1
+                    tally[action] += 1
                 elif action == "rescan":
                     tally["rescans"] += 1
                 else:
@@ -662,9 +584,6 @@ class _ResultCache:
                 inflight_waits=self._inflight_waits,
                 size=len(self._cache),
                 capacity=self.capacity,
-                scoped_invalidations=self._scoped_invalidations,
-                scoped_dropped=self._scoped_dropped,
-                scoped_kept=self._scoped_kept,
                 maintenance_passes=self._maintenance_passes,
                 maintained_kept=self._maintained_kept,
                 maintained_patched=self._maintained_patched,
@@ -680,12 +599,14 @@ class _ResultCache:
 
 @dataclass(frozen=True, slots=True)
 class _QueryMeta:
-    """Invalidation descriptor of one cached top-k result.
+    """Maintenance descriptor of one cached top-k result.
 
     Exactly what :meth:`repro.core.mutations.BatchSummary.affects_topk`
     needs to decide whether a mutation batch could change the result:
     the query's parameters, the member ids, the k-th (lowest) score and
-    whether the result is full (``len(entries) == k``).
+    whether the result is full (``len(entries) == k``).  ``generation``
+    stamps the engine generation the result was computed under (None
+    when the engine exposes none).
     """
 
     loc: Any
@@ -695,14 +616,17 @@ class _QueryMeta:
     kth_score: float
     result_oids: frozenset[int]
     full: bool
+    generation: int | None = None
 
     @classmethod
-    def of(cls, result: QueryResult) -> "_QueryMeta | None":
+    def of(
+        cls, result: QueryResult, generation: int | None = None, **extra: Any
+    ) -> "_QueryMeta | None":
         """Derive a descriptor, or None for non-result values.
 
         Test doubles (and any engine stub) may return arbitrary
-        objects; entries without a descriptor are simply dropped
-        unconditionally by scoped invalidation.
+        objects; entries without a descriptor are simply dropped by
+        the next maintenance pass.
         """
         query = getattr(result, "query", None)
         entries = getattr(result, "entries", None)
@@ -716,6 +640,8 @@ class _QueryMeta:
             kth_score=entries[-1].score if entries else float("-inf"),
             result_oids=frozenset(entry.obj.oid for entry in entries),
             full=len(entries) >= query.k,
+            generation=generation,
+            **extra,
         )
 
 
@@ -728,21 +654,20 @@ class _SkybandMeta(_QueryMeta):
     them), ``complete`` records whether the buffer exhausted the
     database (the extended query returned fewer than ``k + delta``
     entries — then membership of any insertion is decidable without a
-    tail threshold), and ``generation`` stamps the engine generation
-    the buffer was computed under, so :meth:`QueryExecutor.maintain`
-    can apply exactly the one mutation batch that advances it.
+    tail threshold), and the inherited ``generation`` stamp lets
+    :meth:`QueryExecutor.maintain` apply exactly the one mutation batch
+    that advances it.
 
     The inherited ``kth_score`` / ``result_oids`` / ``full`` fields
-    describe the **buffer**, not the served prefix: a scoped
-    invalidation keep then proves the whole buffer (and a fortiori the
-    served result) unchanged, which keeps a later restamp sound.
+    describe the **buffer**, not the served prefix (the descriptor is
+    derived from the extended result): a bound-test keep then proves
+    the whole buffer (and a fortiori the served result) unchanged,
+    which keeps a later restamp sound.
     """
 
     query: SpatialKeywordQuery = None  # type: ignore[assignment]
     entries: tuple[RankedObject, ...] = ()
     complete: bool = False
-    generation: int | None = None
-    delta: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -769,7 +694,131 @@ class _WhyNotMeta:
     generation: int | None
 
 
-class QueryExecutor:
+def _score_rows(rows: Sequence, scalars: tuple, summary) -> list:
+    """Score a batch's delta ``rows`` against one cached query.
+
+    ``scalars`` is the kernel's ``_query_scalars(query)``, encoded
+    against the *current* vocabulary: bit positions are append-only, so
+    the mask is correct for this batch's rows no matter how many
+    batches interned keywords since the entry was cached.
+    """
+    if not rows:
+        return []
+    return score_delta_rows(
+        rows,
+        *scalars,
+        normaliser=summary.normaliser,
+        model_code=summary.model_code,
+    )
+
+
+def _armed(deadline: "faults.Deadline | None", scope: Callable[..., Any]) -> Any:
+    """``scope(deadline)``, or a null context when there is no deadline."""
+    return nullcontext() if deadline is None else scope(deadline)
+
+
+class _Executor:
+    """The shell both executors extend: cache, worker pool, batching.
+
+    Subclasses define ``execute(item, *, deadline=None)`` and name their
+    batch type in ``_batch_type``.
+    """
+
+    _batch_type: Callable[..., Any]
+
+    def __init__(
+        self, engine: Any, cache: _ResultCache, max_workers: int, thread_name: str
+    ) -> None:
+        if max_workers < 1:
+            raise ValueError("max_workers must be at least 1")
+        self._engine = engine
+        self._cache = cache
+        # One pool for the executor's lifetime (threads spawn lazily on
+        # first use), not one per batch: a per-request pool would pay
+        # thread startup/teardown on the serving hot path.
+        self._pool: ThreadPoolExecutor | None = (
+            ThreadPoolExecutor(
+                max_workers=max_workers, thread_name_prefix=thread_name
+            )
+            if max_workers > 1
+            else None
+        )
+
+    @property
+    def engine(self) -> Any:
+        return self._engine
+
+    @property
+    def capacity(self) -> int:
+        return self._cache.capacity
+
+    @property
+    def _inflight(self) -> dict[str, _Inflight]:
+        """The in-flight registry (exposed for tests and introspection)."""
+        return self._cache.inflight
+
+    def execute(
+        self, item: Any, *, deadline: "faults.Deadline | None" = None
+    ) -> Any:
+        """Execute one item through the cache (each executor defines it)."""
+        raise NotImplementedError
+
+    def _execute_member(
+        self, item: Any, deadline: "faults.Deadline | None"
+    ) -> Any:
+        return self.execute(item, deadline=deadline)
+
+    def execute_batch(
+        self,
+        items: Sequence[Any],
+        *,
+        deadline: "faults.Deadline | None" = None,
+    ) -> Any:
+        """Fan a list of items across the worker pool, order-preserving.
+
+        Duplicates inside a batch flow through the same cache and
+        in-flight dedup as everything else, so a batch of one popular
+        query repeated a hundred times costs one index traversal.  A
+        ``deadline`` is one budget *shared* across the whole batch; the
+        batch then runs sequentially (deterministic member order — the
+        budget runs out at the same member every time).
+
+        In a why-not batch, engine rejections (e.g. one question's
+        object is not actually missing) are captured per member as
+        ``source == "error"`` executions instead of failing the whole
+        batch — a batch mixes unrelated users' questions, and one
+        ill-posed question must not void the others' answers.
+        """
+        started = time.perf_counter()
+        if not items:
+            return self._batch_type(executions=(), total_ms=0.0)
+        if deadline is not None or self._pool is None or len(items) == 1:
+            executions = tuple(
+                self._execute_member(item, deadline) for item in items
+            )
+        else:
+            executions = tuple(
+                self._pool.map(self._execute_member, items, repeat(None))
+            )
+        return self._batch_type(
+            executions=executions,
+            total_ms=(time.perf_counter() - started) * 1000.0,
+        )
+
+    def close(self) -> None:
+        """Shut down the worker pool (idempotent; the cache survives)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=False)
+
+    def stats(self) -> CacheStats:
+        return self._cache.stats()
+
+    def cached_fingerprints(self) -> tuple[str, ...]:
+        """Cached keys in eviction order (least recently used first)."""
+        return self._cache.keys()
+
+
+class QueryExecutor(_Executor):
     """Thread-safe caching/deduplicating/batching front of a query engine.
 
     Parameters
@@ -786,11 +835,14 @@ class QueryExecutor:
     skyband_delta:
         Width Δ of the k-skyband buffer each cached entry keeps below
         the served ``k`` (requires an engine exposing ``read_view`` /
-        ``generation``; 0 keeps plain entries).  A wider skyband
-        absorbs more member-deletes before a
-        :attr:`CacheStats.skyband_rescans` eviction; inserts are merged
-        in O(Δ) regardless.
+        ``generation``).  A wider skyband absorbs more member-deletes
+        before a :attr:`CacheStats.skyband_rescans` eviction; inserts
+        are merged in O(Δ) regardless.  At 0 there is no buffer to
+        patch, so :meth:`maintain` keeps an entry a batch provably
+        cannot change and drops every other one (drop-on-write).
     """
+
+    _batch_type = BatchExecution
 
     def __init__(
         self,
@@ -800,58 +852,25 @@ class QueryExecutor:
         max_workers: int = 8,
         skyband_delta: int = 0,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         if skyband_delta < 0:
             raise ValueError("skyband_delta must be non-negative")
-        self._engine = engine
-        self._cache = _ResultCache(cache_capacity)
-        self._max_workers = max_workers
-        self._skyband_delta = skyband_delta
-        # One pool for the executor's lifetime (threads spawn lazily on
-        # first use), not one per batch: a per-request pool would pay
-        # thread startup/teardown on the serving hot path.
-        self._pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="yask-executor"
-            )
-            if max_workers > 1
-            else None
+        super().__init__(
+            engine, _ResultCache(cache_capacity), max_workers, "yask-executor"
         )
-        # Caches living in the same invalidation domain (the why-not
-        # executor registers here): invalidating this executor drops
-        # them too, because their values derive from the same dataset.
-        # Each record is (drop, scoped, maintain); scoped/maintain are
-        # None for caches that only support wholesale drops.
-        self._linked_invalidations: list[
-            tuple[
-                Callable[[], int],
-                Callable[[Any], tuple[int, int]] | None,
-                Callable[[Any, int | None], dict[str, int]] | None,
-            ]
-        ] = []
+        self._skyband_delta = skyband_delta
+        # The why-not executor over this one, once constructed: its
+        # answers derive from the same dataset, so the two caches form
+        # one invalidation domain and stale (or are maintained) together.
+        self._whynot: "WhyNotExecutor | None" = None
         # Serialises a whole-domain invalidation against whole-domain
         # stats snapshots: holding it across both cache drops (and, in
         # consistent_stats, across both stats reads) means no reader
-        # can observe this cache from one generation and a linked cache
-        # from another.  Per-cache locks are acquired inside it, never
-        # the other way around, so there is no ordering hazard.
+        # can observe this cache from one generation and the why-not
+        # cache from another.  Per-cache locks are acquired inside it,
+        # never the other way around, so there is no ordering hazard.
         self._domain_lock = concurrency.ordered_lock(
             "executor.domain", concurrency.LEVEL_DOMAIN
         )
-
-    @property
-    def engine(self) -> SupportsQuery:
-        return self._engine
-
-    @property
-    def capacity(self) -> int:
-        return self._cache.capacity
-
-    @property
-    def _inflight(self) -> dict[str, _Inflight]:
-        """The in-flight registry (exposed for tests and introspection)."""
-        return self._cache.inflight
 
     # ------------------------------------------------------------------
     # Single-query execution
@@ -875,214 +894,70 @@ class QueryExecutor:
         """
         fingerprint = query_fingerprint(query)
         started = time.perf_counter()
-        if deadline is None:
-            holder: list[tuple[QueryResult, int | None]] = []
+        degraded: dict | None = None
 
-            def compute() -> QueryResult:
-                del holder[:]
-                read_view = getattr(self._engine, "read_view", None)
-                if read_view is None:
-                    # Stub engines: plain entry, drop-on-write semantics.
-                    return self._engine.query(query)
-                delta = self._skyband_delta
-                extended_query = (
+        def compute() -> tuple[QueryResult, Any, bool]:
+            nonlocal degraded
+            view = getattr(self._engine, "read_view", None)
+            # Stub engines without a read view get no skyband buffer.
+            delta = self._skyband_delta if view is not None else 0
+            with (view or nullcontext)(), _armed(deadline, faults.deadline_scope):
+                generation = getattr(self._engine, "generation", None)
+                extended = self._engine.query(
                     query.with_k(query.k + delta) if delta > 0 else query
                 )
-                with read_view():
-                    generation = getattr(self._engine, "generation", None)
-                    extended = self._engine.query(extended_query)
-                if delta > 0:
-                    # The served result is the exact top-k prefix of the
-                    # extended buffer (same floats, same tie order).
-                    result = QueryResult(query, extended.entries[: query.k])
-                else:
-                    result = extended
-                holder.append((extended, generation))
-                return result
-
-            def meta_of(result: QueryResult) -> Any:
-                if not holder:
-                    return _QueryMeta.of(result)
-                extended, generation = holder[0]
-                return self._skyband_meta(query, result, extended, generation)
-
-            result, source = self._cache.fetch(fingerprint, compute, meta_of)
-            return Execution(
+            if deadline is not None and deadline.degraded:
+                degraded = deadline.to_dict()
+            exact = degraded is None
+            if delta == 0:
+                return extended, _QueryMeta.of(extended, generation), exact
+            # The served result is the exact top-k prefix of the
+            # extended buffer (same floats, same tie order).
+            entries = extended.entries
+            meta = _SkybandMeta.of(
+                extended,
+                generation,
                 query=query,
-                result=result,
-                response_ms=(time.perf_counter() - started) * 1000.0,
-                source=source,
-                fingerprint=fingerprint,
+                entries=entries,
+                complete=len(entries) < query.k + delta,
             )
-        peeked = self._cache.peek(fingerprint)
-        if peeked is not None:
-            return Execution(
-                query=query,
-                result=peeked[0],
-                response_ms=(time.perf_counter() - started) * 1000.0,
-                source="cache",
-                fingerprint=fingerprint,
-            )
-        generation = self._cache.generation()
-        with faults.deadline_scope(deadline):
-            result = self._engine.query(query)
-        if not deadline.degraded:
-            self._cache.put(
-                fingerprint, result, _QueryMeta.of(result), generation
-            )
+            return QueryResult(query, entries[: query.k]), meta, exact
+
+        result, source = self._cache.fetch(
+            fingerprint, compute, rendezvous=deadline is None
+        )
         return Execution(
             query=query,
             result=result,
             response_ms=(time.perf_counter() - started) * 1000.0,
-            source="engine",
+            source=source,
             fingerprint=fingerprint,
-            degraded=deadline.to_dict() if deadline.degraded else None,
+            degraded=degraded,
         )
-
-    # ------------------------------------------------------------------
-    # Batched execution
-    # ------------------------------------------------------------------
-    def execute_batch(
-        self,
-        queries: Sequence[SpatialKeywordQuery],
-        *,
-        deadline: "faults.Deadline | None" = None,
-    ) -> BatchExecution:
-        """Fan a list of queries across the worker pool, order-preserving.
-
-        Duplicates inside a batch flow through the same cache and
-        in-flight dedup as everything else, so a batch of one popular
-        query repeated a hundred times costs one index traversal.  A
-        ``deadline`` is one budget *shared* across the whole batch; the
-        batch then runs sequentially (deterministic member order — the
-        budget runs out at the same member every time).
-        """
-        started = time.perf_counter()
-        if not queries:
-            return BatchExecution(executions=(), total_ms=0.0)
-        if deadline is not None or self._pool is None or len(queries) == 1:
-            executions = tuple(
-                self.execute(query, deadline=deadline) for query in queries
-            )
-        else:
-            executions = tuple(self._pool.map(self.execute, queries))
-        return BatchExecution(
-            executions=executions,
-            total_ms=(time.perf_counter() - started) * 1000.0,
-        )
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; the cache survives)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # Cache management and introspection
     # ------------------------------------------------------------------
-    def link_invalidation(
-        self,
-        drop: Callable[[], int],
-        *,
-        scoped: Callable[[Any], tuple[int, int]] | None = None,
-        maintain: Callable[[Any, int | None], dict[str, int]] | None = None,
-    ) -> None:
-        """Register a dependent cache to drop whenever this one drops.
-
-        The why-not executor's answers are derived from the same dataset
-        as the top-k results, so both caches form one invalidation
-        domain: :meth:`invalidate` here cascades into every linked
-        ``drop`` callable (and :meth:`WhyNotExecutor.invalidate`
-        delegates back here).  ``scoped`` (called with a
-        :class:`~repro.core.mutations.BatchSummary`, returning a
-        ``(dropped, kept)`` pair) lets the linked cache apply its own
-        could-this-affect-you test during :meth:`invalidate_scoped`
-        instead of dropping wholesale; ``maintain`` (called with the
-        summary and the current engine generation) cascades
-        :meth:`maintain` passes the same way.
-        """
-        self._linked_invalidations.append((drop, scoped, maintain))
-
     def invalidate(self) -> int:
         """Drop every cached result (the dataset changed); returns count.
 
         Executions already in flight complete normally but are barred
-        from (re)populating the cache.  Linked caches (see
-        :meth:`link_invalidation`) are dropped too; the returned count
-        covers only this executor's own entries.  The domain lock makes
-        the cascade atomic with respect to :func:`consistent_stats`
-        snapshots.
+        from (re)populating the cache.  The why-not executor's cache is
+        dropped too; the returned count covers only this executor's own
+        entries.  The domain lock makes the cascade atomic with respect
+        to :func:`consistent_stats` snapshots.  This is the policy for a
+        dataset change that comes without a batch summary (follower log
+        replay); a batch applied here goes through :meth:`maintain`.
         """
         with self._domain_lock:
             dropped = self._cache.invalidate()
-            for drop, _, _ in self._linked_invalidations:
-                drop()
+            if self._whynot is not None:
+                self._whynot._cache.invalidate()
             return dropped
-
-    def invalidate_scoped(self, summary) -> dict[str, int]:
-        """Drop only the cached results a mutation batch could affect.
-
-        ``summary`` is the applied batch's
-        :class:`~repro.core.mutations.BatchSummary`; an entry survives
-        only when the summary *proves* the batch cannot change it (no
-        removed/added id in the result, and every added object's score
-        bound strictly below the cached k-th score).  Linked why-not
-        caches apply their own scoped test
-        (:meth:`~repro.core.mutations.BatchSummary.affects_whynot`'s
-        dominance argument) when they registered one; caches without a
-        scoped callback are dropped wholesale — conservatism over
-        staleness.
-
-        Returns the drop/keep tally for the mutation report and stats.
-        """
-        with self._domain_lock:
-            dropped, kept = self._cache.invalidate_where(summary.affects_topk)
-            linked_dropped = 0
-            linked_kept = 0
-            for drop, scoped, _ in self._linked_invalidations:
-                if scoped is not None:
-                    scoped_dropped, scoped_kept = scoped(summary)
-                    linked_dropped += scoped_dropped
-                    linked_kept += scoped_kept
-                else:
-                    linked_dropped += drop()
-            return {
-                "dropped": dropped,
-                "kept": kept,
-                "linked_dropped": linked_dropped,
-                "linked_kept": linked_kept,
-            }
 
     # ------------------------------------------------------------------
     # Patch-on-write maintenance
     # ------------------------------------------------------------------
-    def _skyband_meta(
-        self,
-        query: SpatialKeywordQuery,
-        result: QueryResult,
-        extended: QueryResult,
-        generation: int | None,
-    ) -> "_SkybandMeta | None":
-        entries = getattr(extended, "entries", None)
-        if entries is None or getattr(result, "entries", None) is None:
-            return None
-        delta = self._skyband_delta
-        return _SkybandMeta(
-            loc=query.loc,
-            doc=query.doc,
-            ws=query.ws,
-            wt=query.wt,
-            # kth_score/result_oids/full describe the buffer (see class
-            # docstring): a scoped keep must prove the skyband intact.
-            kth_score=entries[-1].score if entries else float("-inf"),
-            result_oids=frozenset(entry.obj.oid for entry in entries),
-            full=len(entries) >= query.k + delta,
-            query=query,
-            entries=entries,
-            complete=len(entries) < query.k + delta,
-            generation=generation,
-            delta=delta,
-        )
-
     def maintain(self, change) -> dict[str, int]:
         """Patch cached answers through a mutation batch (patch-on-write).
 
@@ -1097,77 +972,35 @@ class QueryExecutor:
         own query scalars and merged in O(Δ) — so the maintained answer
         is bit-for-bit the answer a cold rescan would produce.  Entries
         the arithmetic cannot carry (skyband underflow, missing
-        generation stamp, batches without kernel rows) are dropped
-        exactly as :meth:`invalidate_scoped` would drop them.
+        generation stamp, batches without kernel rows, no skyband at
+        ``skyband_delta=0``) are kept when the batch summary *proves*
+        it cannot change them and dropped otherwise.
 
-        Linked why-not caches registered with a ``maintain`` callback
-        are repaired in the same pass under the same domain lock.
-        Returns the combined action tally.
-
-        With ``skyband_delta=0`` the pass degrades to exactly the
-        scoped drop-on-write of :meth:`invalidate_scoped` — affected
-        entries drop, provably-unaffected entries keep, nothing is
-        patched — so the knob is a true ablation switch.
+        The why-not executor's cache is repaired in the same pass under
+        the same domain lock.  Returns the combined action tally.
         """
-        if self._skyband_delta == 0:
-            scoped = self.invalidate_scoped(change.summary)
-            return {
-                "kept": scoped["kept"],
-                "patched": 0,
-                "dropped": scoped["dropped"],
-                "rescans": 0,
-                "linked_kept": scoped["linked_kept"],
-                "linked_patched": 0,
-                "linked_dropped": scoped["linked_dropped"],
-            }
-        read_view = getattr(self._engine, "read_view", None)
-        if read_view is None:
-            return self._maintain_locked(change, None)
+        summary = change.summary
+        read_view = getattr(self._engine, "read_view", nullcontext)
         # The engine read lock (level below the domain lock) is held
         # across the whole pass: the engine generation cannot advance
         # mid-maintenance, so engine-consulting repairs (why-not weight
         # intervals) see exactly the post-batch dataset.
-        with read_view():
+        with read_view(), self._domain_lock:
             engine_generation = getattr(self._engine, "generation", None)
-            return self._maintain_locked(change, engine_generation)
-
-    def _maintain_locked(
-        self, change, engine_generation: int | None
-    ) -> dict[str, int]:
-        summary = change.summary
-        with self._domain_lock:
-            snapshot_generation, entries = self._cache.entries_snapshot()
-            patch = self._topk_patch(change)
-            patches = {
-                key: (value,) + patch(value, meta)
-                for key, value, meta in entries
-            }
-
-            def is_current(meta: Any) -> bool:
-                stamp = getattr(meta, "generation", None)
-                return stamp is not None and stamp >= summary.generation
-
-            tally = self._cache.apply_maintenance(
-                snapshot_generation, patches, current=is_current
+            tally = self._cache.maintain(
+                self._topk_patch(change), summary.generation
             )
-            result = {
-                "kept": tally["kept"],
-                "patched": tally["patched"],
-                "dropped": tally["dropped"],
-                "rescans": tally["rescans"],
-                "linked_kept": 0,
-                "linked_patched": 0,
-                "linked_dropped": 0,
+            linked = (
+                self._whynot.maintain(summary, engine_generation)
+                if self._whynot is not None
+                else {"kept": 0, "patched": 0, "dropped": 0}
+            )
+            return {
+                **tally,
+                "linked_kept": linked["kept"],
+                "linked_patched": linked["patched"],
+                "linked_dropped": linked["dropped"],
             }
-            for drop, _, linked_maintain in self._linked_invalidations:
-                if linked_maintain is not None:
-                    linked = linked_maintain(summary, engine_generation)
-                    result["linked_kept"] += linked["kept"]
-                    result["linked_patched"] += linked["patched"]
-                    result["linked_dropped"] += linked["dropped"]
-                else:
-                    result["linked_dropped"] += drop()
-            return result
 
     def _topk_patch(
         self, change
@@ -1177,9 +1010,10 @@ class QueryExecutor:
 
         def patch(value: Any, meta: Any) -> tuple[str, Any, Any]:
             if not isinstance(meta, _SkybandMeta):
-                # Plain entries (deadline path, pre-maintenance caches):
-                # keep-if-provably-unaffected, drop otherwise — exactly
-                # the scoped-invalidation decision.
+                # Plain entries (no skyband buffer): keep when the
+                # summary proves the batch cannot change the result (no
+                # removed/added id in it, every added object's score
+                # bound strictly below the k-th score), drop otherwise.
                 if meta is not None and not summary.affects_topk(meta):
                     return ("kept", value, meta)
                 return ("dropped", None, None)
@@ -1222,21 +1056,8 @@ class QueryExecutor:
             buffer = [e for e in buffer if e.obj.oid not in removed]
         complete = meta.complete
         if summary.added_rows:
-            # Re-encode the query mask against the *current* vocabulary:
-            # bit positions are append-only, so the mask is correct for
-            # this batch's rows no matter how many batches interned
-            # keywords since the buffer was cached.
-            qmask, _ = kernel.vocabulary.encode_query(query.doc)
-            scored = score_delta_rows(
-                summary.added_rows,
-                query.loc.x,
-                query.loc.y,
-                qmask,
-                len(query.doc),
-                query.ws,
-                query.wt,
-                normaliser=summary.normaliser,
-                model_code=summary.model_code,
+            scored = _score_rows(
+                summary.added_rows, kernel._query_scalars(query), summary
             )
             keyed = [((-e.score, e.obj.oid), e) for e in buffer]
             for (oid, score, sdist, tsim), obj in zip(scored, change.appended):
@@ -1251,7 +1072,7 @@ class QueryExecutor:
                 )
                 insort(keyed, (key, entry))
             buffer = [entry for _, entry in keyed]
-        cap = k + meta.delta
+        cap = k + self._skyband_delta
         if len(buffer) > cap:
             del buffer[cap:]
             complete = False
@@ -1279,13 +1100,6 @@ class QueryExecutor:
             return ("kept", value, new_meta)
         return ("patched", QueryResult(query, served), new_meta)
 
-    def stats(self) -> CacheStats:
-        return self._cache.stats()
-
-    def cached_fingerprints(self) -> tuple[str, ...]:
-        """Cached keys in eviction order (least recently used first)."""
-        return self._cache.keys()
-
     def audit(self, query: SpatialKeywordQuery):
         """Execute (possibly from cache) and cross-check against the oracle.
 
@@ -1305,7 +1119,7 @@ class QueryExecutor:
         return execution, audit_execution(scorer, execution)
 
 
-class WhyNotExecutor:
+class WhyNotExecutor(_Executor):
     """Caching/deduplicating/batching front of the why-not engine.
 
     Sits beside the :class:`QueryExecutor` the transports already share
@@ -1319,9 +1133,9 @@ class WhyNotExecutor:
       charges zero index traversals for it (``topk_source == "cache"``).
       A cold question primes the top-k cache as a side effect.
     * **Shared invalidation.** Why-not answers are derived from the same
-      dataset as top-k results; on construction this executor links
-      itself into the top-k executor's invalidation domain, so
-      invalidating either drops both caches.
+      dataset as top-k results; on construction this executor joins the
+      top-k executor's invalidation domain, so invalidating either
+      drops both caches and :meth:`QueryExecutor.maintain` repairs both.
 
     Parameters
     ----------
@@ -1330,12 +1144,15 @@ class WhyNotExecutor:
         ``answer_whynot`` — in the service, the :class:`YaskEngine`.
     topk:
         The :class:`QueryExecutor` to source initial top-k results from
-        and to share the invalidation domain with.
+        and to share the invalidation domain with (it holds one why-not
+        executor: the latest constructed over it).
     cache_capacity:
         Bound on cached why-not answers (LRU; 0 disables caching).
     max_workers:
         Worker-pool width for :meth:`execute_batch`.
     """
+
+    _batch_type = WhyNotBatchExecution
 
     def __init__(
         self,
@@ -1345,40 +1162,18 @@ class WhyNotExecutor:
         cache_capacity: int = 256,
         max_workers: int = 8,
     ) -> None:
-        if max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
-        self._engine = engine
+        super().__init__(
+            engine,
+            _ResultCache(cache_capacity, name="whynot.cache"),
+            max_workers,
+            "yask-whynot",
+        )
         self._topk = topk
-        self._cache = _ResultCache(cache_capacity, name="whynot.cache")
-        self._pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="yask-whynot"
-            )
-            if max_workers > 1
-            else None
-        )
-        topk.link_invalidation(
-            self._cache.invalidate,
-            scoped=self._scoped_invalidate,
-            maintain=self.maintain,
-        )
-
-    @property
-    def engine(self) -> SupportsWhyNot:
-        return self._engine
+        topk._whynot = self
 
     @property
     def topk_executor(self) -> QueryExecutor:
         return self._topk
-
-    @property
-    def capacity(self) -> int:
-        return self._cache.capacity
-
-    @property
-    def _inflight(self) -> dict[str, _Inflight]:
-        """The in-flight registry (exposed for tests and introspection)."""
-        return self._cache.inflight
 
     # ------------------------------------------------------------------
     # Single-question execution
@@ -1423,85 +1218,48 @@ class WhyNotExecutor:
         started = time.perf_counter()
         topk_source: str | None = None
 
-        if deadline is None:
-            holder: list[Any] = []
-
-            def compute() -> object:
-                nonlocal topk_source
-                del holder[:]
-                initial_result: QueryResult | None = None
-                initial_generation: int | None = None
-                if question.model in _MODELS_USING_INITIAL:
-                    initial = self._topk.execute(question.query)
-                    initial_result = initial.result
-                    initial_generation = self._topk_result_generation(
-                        question.query, initial.result
-                    )
-                    topk_source = initial.source
-                read_view = getattr(self._engine, "read_view", None)
-                if read_view is None:
-                    return self._engine.answer_whynot(
-                        question, initial_result=initial_result
-                    )
-                with read_view():
-                    generation = getattr(self._engine, "generation", None)
-                    if (
-                        initial_result is not None
-                        and initial_generation != generation
-                    ):
-                        # The cached initial cannot be proven to match
-                        # this read view (it predates a mutation, or
-                        # carries no stamp): recompute it inside the
-                        # same snapshot so explanation and initial
-                        # describe one dataset.
-                        query_fn = getattr(self._engine, "query", None)
-                        if query_fn is not None:
-                            initial_result = query_fn(question.query)
-                            topk_source = "engine"
+        def compute() -> tuple[object, Any, bool]:
+            nonlocal topk_source
+            read_view = getattr(self._engine, "read_view", None)
+            initial_result: QueryResult | None = None
+            initial_generation: int | None = None
+            if question.model in _MODELS_USING_INITIAL:
+                initial = self._topk.execute(question.query)
+                initial_result = initial.result
+                initial_generation = self._topk_result_generation(
+                    question.query, initial.result
+                )
+                topk_source = initial.source
+            with (read_view or nullcontext)():
+                generation = getattr(self._engine, "generation", None)
+                if (
+                    read_view is not None
+                    and initial_result is not None
+                    and initial_generation != generation
+                ):
+                    # The cached initial cannot be proven to match
+                    # this read view (it predates a mutation, or
+                    # carries no stamp): recompute it inside the
+                    # same snapshot so explanation and initial
+                    # describe one dataset.
+                    query_fn = getattr(self._engine, "query", None)
+                    if query_fn is not None:
+                        initial_result = query_fn(question.query)
+                        topk_source = "engine"
+                with _armed(deadline, faults.strict_deadline_scope):
                     answer = self._engine.answer_whynot(
                         question, initial_result=initial_result
                     )
-                    holder.append(
-                        self._whynot_meta(question, initial_result, generation)
-                    )
-                return answer
+                meta = self._whynot_meta(question, initial_result, generation)
+            return answer, meta, True
 
-            def meta_of(answer: object) -> Any:
-                return holder[0] if holder else None
-
-            answer, source = self._cache.fetch(fingerprint, compute, meta_of)
-            return WhyNotExecution(
-                question=question,
-                answer=answer,
-                response_ms=(time.perf_counter() - started) * 1000.0,
-                source=source,
-                fingerprint=fingerprint,
-                # topk_source is only meaningful when *this* call computed:
-                # cache/inflight responses charged no top-k fetch at all.
-                topk_source=topk_source if source == "engine" else None,
-            )
-
-        peeked = self._cache.peek(fingerprint)
-        if peeked is not None:
-            return WhyNotExecution(
-                question=question,
-                answer=peeked[0],
-                response_ms=(time.perf_counter() - started) * 1000.0,
-                source="cache",
-                fingerprint=fingerprint,
-            )
-        generation = self._cache.generation()
-        initial_result: QueryResult | None = None
-        if question.model in _MODELS_USING_INITIAL:
-            initial = self._topk.execute(question.query)
-            initial_result = initial.result
-            topk_source = initial.source
         try:
-            with faults.strict_deadline_scope(deadline):
-                answer = self._engine.answer_whynot(
-                    question, initial_result=initial_result
-                )
+            answer, source = self._cache.fetch(
+                fingerprint, compute, rendezvous=deadline is None
+            )
         except faults.DeadlineExceeded as exc:
+            if deadline is None:
+                raise
             deadline.note_failed("why-not refinement exceeded the deadline")
             return WhyNotExecution(
                 question=question,
@@ -1513,53 +1271,23 @@ class WhyNotExecutor:
                 error=str(exc),
                 degraded=deadline.to_dict(),
             )
-        self._cache.put(fingerprint, answer, None, generation)
         return WhyNotExecution(
             question=question,
             answer=answer,
             response_ms=(time.perf_counter() - started) * 1000.0,
-            source="engine",
+            source=source,
             fingerprint=fingerprint,
-            topk_source=topk_source,
+            # topk_source is only meaningful when *this* call computed:
+            # cache/inflight responses charged no top-k fetch at all.
+            topk_source=topk_source if source == "engine" else None,
         )
 
-    # ------------------------------------------------------------------
-    # Batched execution
-    # ------------------------------------------------------------------
-    def execute_batch(
-        self, questions: Sequence[WhyNotQuestion]
-    ) -> WhyNotBatchExecution:
-        """Fan independent questions across the worker pool, in order.
-
-        Engine rejections (e.g. one question's object is not actually
-        missing) are captured per member as ``source == "error"``
-        executions instead of failing the whole batch — a batch mixes
-        unrelated users' questions, and one ill-posed question must not
-        void the others' answers.
-        """
-        started = time.perf_counter()
-        if not questions:
-            return WhyNotBatchExecution(executions=(), total_ms=0.0)
-        if self._pool is None or len(questions) == 1:
-            executions = tuple(
-                self._execute_capturing_errors(question)
-                for question in questions
-            )
-        else:
-            executions = tuple(
-                self._pool.map(self._execute_capturing_errors, questions)
-            )
-        return WhyNotBatchExecution(
-            executions=executions,
-            total_ms=(time.perf_counter() - started) * 1000.0,
-        )
-
-    def _execute_capturing_errors(
-        self, question: WhyNotQuestion
+    def _execute_member(
+        self, question: WhyNotQuestion, deadline: "faults.Deadline | None"
     ) -> WhyNotExecution:
         started = time.perf_counter()
         try:
-            return self.execute(question)
+            return self.execute(question, deadline=deadline)
         except WhyNotError as exc:
             return WhyNotExecution(
                 question=question,
@@ -1569,11 +1297,6 @@ class WhyNotExecutor:
                 fingerprint="",
                 error=str(exc),
             )
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; the cache survives)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
 
     # ------------------------------------------------------------------
     # Cache management and introspection
@@ -1639,44 +1362,26 @@ class WhyNotExecutor:
             generation=generation,
         )
 
-    def _scoped_invalidate(self, summary) -> tuple[int, int]:
-        """Scoped drop for the shared-domain cascade: (dropped, kept).
-
-        Applies :meth:`BatchSummary.affects_whynot`'s dominance test to
-        every cached answer; entries without a descriptor drop
-        unconditionally.  Runs under the top-k executor's domain lock
-        (the caller holds it).
-        """
-        return self._cache.invalidate_where(summary.affects_whynot)
-
     def maintain(
         self, summary, engine_generation: int | None = None
     ) -> dict[str, int]:
         """Repair cached why-not answers through a mutation batch.
 
-        Registered as the top-k executor's linked ``maintain`` callback
-        and called under its domain lock and (when the engine has one)
-        its read view, with ``engine_generation`` the generation read
-        inside that view.  An entry survives when the dominance test
-        proves the batch irrelevant (kept + restamped) or, for the
-        ``explain`` model, when rank arithmetic over the batch's delta
-        rows reproduces exactly what a cold re-explanation would
-        compute (patched).  Everything else drops.
+        Called by :meth:`QueryExecutor.maintain` under its domain lock
+        and (when the engine has one) its read view, with
+        ``engine_generation`` the generation read inside that view.  An
+        entry survives when the dominance test proves the batch
+        irrelevant (kept + restamped) or, for the ``explain`` model,
+        when rank arithmetic over the batch's delta rows reproduces
+        exactly what a cold re-explanation would compute (patched).
+        Everything else drops.
         """
-        snapshot_generation, entries = self._cache.entries_snapshot()
-        patches: dict[str, tuple[Any, str, Any, Any]] = {}
-        for key, value, meta in entries:
-            patches[key] = (value,) + self._maintenance_action(
-                value, meta, summary, engine_generation
-            )
-
-        def is_current(meta: Any) -> bool:
-            stamp = getattr(meta, "generation", None)
-            return stamp is not None and stamp >= summary.generation
-
-        return self._cache.apply_maintenance(
-            snapshot_generation, patches, current=is_current
+        decide = partial(
+            self._maintenance_action,
+            summary=summary,
+            engine_generation=engine_generation,
         )
+        return self._cache.maintain(decide, summary.generation)
 
     def _maintenance_action(
         self, value: Any, meta: Any, summary, engine_generation: int | None
@@ -1760,37 +1465,9 @@ class WhyNotExecutor:
         if needs_intervals and adjuster is None:
             return None
         query = question.query
-        qmask, _ = kernel.vocabulary.encode_query(query.doc)
-        scored_added = (
-            score_delta_rows(
-                summary.added_rows,
-                query.loc.x,
-                query.loc.y,
-                qmask,
-                len(query.doc),
-                query.ws,
-                query.wt,
-                normaliser=summary.normaliser,
-                model_code=summary.model_code,
-            )
-            if summary.added_rows
-            else []
-        )
-        scored_removed = (
-            score_delta_rows(
-                summary.removed_rows,
-                query.loc.x,
-                query.loc.y,
-                qmask,
-                len(query.doc),
-                query.ws,
-                query.wt,
-                normaliser=summary.normaliser,
-                model_code=summary.model_code,
-            )
-            if summary.removed_rows
-            else []
-        )
+        scalars = kernel._query_scalars(query)
+        scored_added = _score_rows(summary.added_rows, scalars, summary)
+        scored_removed = _score_rows(summary.removed_rows, scalars, summary)
         hypot = math.hypot
         qx, qy = query.loc.x, query.loc.y
         new_explanations = []
@@ -1864,13 +1541,6 @@ class WhyNotExecutor:
         dropped = self._cache.stats().size
         self._topk.invalidate()
         return dropped
-
-    def stats(self) -> CacheStats:
-        return self._cache.stats()
-
-    def cached_fingerprints(self) -> tuple[str, ...]:
-        """Cached keys in eviction order (least recently used first)."""
-        return self._cache.keys()
 
 
 def consistent_stats(

@@ -331,25 +331,6 @@ class ShardWorkerPool:
             raise RuntimeError("worker pool is closed")
         return self._handles[shard_id]
 
-    def scan_one(
-        self, shard: "Shard", k: int, scalars: Sequence
-    ) -> list[tuple[float, int]]:
-        """One shard's ``(−score, oid)`` top-k from its worker process."""
-        with self._lock:
-            handle = self._require(shard.shard_id)
-            try:
-                handle.conn.send_bytes(self._scan_payload(handle, k, scalars))
-                status, _gen, result = pickle.loads(handle.conn.recv_bytes())
-            except _PIPE_ERRORS as exc:
-                detail = repr(exc)
-                self._restart(handle, detail)
-                raise WorkerCrashedError(handle.shard_id, detail) from exc
-            if status != "ok":
-                self._restart(handle, str(result))
-                raise WorkerCrashedError(handle.shard_id, str(result))
-            self.scans += 1
-            return result
-
     def scan_many(
         self, requests: Sequence[tuple["Shard", int, Sequence]]
     ) -> dict[int, list[tuple[float, int]]]:

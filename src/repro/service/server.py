@@ -26,9 +26,9 @@ request flow:
 * ``POST /api/objects`` — live-ingest one object or a list of objects.
 * ``DELETE /api/objects/<oid-or-name>`` — retire one object.
 * ``POST /api/mutations`` — a mixed insert/update/delete batch; applied
-  atomically under the engine's write lock, followed by *scoped* cache
-  invalidation (only cached results the batch could affect are
-  dropped).
+  atomically under the engine's write lock, followed by cache
+  maintenance (cached answers the batch could affect are patched or
+  dropped, the rest stay warm).
 * ``GET /api/log?session_id=…`` — the query-log panel (Fig. 4, Panel 5).
 * ``GET /api/stats`` — cache hit/miss/eviction counters for both
   executor tiers (top-k and why-not).
@@ -691,13 +691,13 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
     def _apply_and_invalidate(
         self, mutations, *, batch_token: str | None = None
     ) -> dict:
-        """Apply a batch through the engine, then invalidate *scoped*.
+        """Apply a batch through the engine, then maintain the caches.
 
-        Only cached top-k results the batch could actually affect are
-        dropped (spatial-region + keyword-overlap + k-th-score test
-        against the batch summary); unaffected entries stay warm.  The
-        response reports both the engine-side report and the cache
-        tally.
+        Cached answers are carried through the batch by
+        :meth:`QueryExecutor.maintain`: kept when the batch summary
+        proves them unaffected, patched from the skyband / by rank
+        repair when it can, dropped otherwise.  The response reports
+        both the engine-side report and the cache tally.
 
         The WAL circuit breaker fronts the whole path: while OPEN the
         server is in advertised read-only degraded mode and mutations
@@ -748,20 +748,7 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             return report.to_dict()
         maintenance = self.server.executor.maintain(report.change)
         snapshot = self.server.maybe_snapshot()
-        response = {
-            **report.to_dict(),
-            # Kept for response compatibility with the drop-on-write
-            # tier: "dropped" counts evictions (including skyband
-            # rescans), "kept" everything maintenance preserved.
-            "cache_invalidation": {
-                "dropped": maintenance["dropped"] + maintenance["rescans"],
-                "kept": maintenance["kept"] + maintenance["patched"],
-                "linked_dropped": maintenance["linked_dropped"],
-                "linked_kept": maintenance["linked_kept"]
-                + maintenance["linked_patched"],
-            },
-            "cache_maintenance": maintenance,
-        }
+        response = {**report.to_dict(), "cache_maintenance": maintenance}
         if snapshot is not None:
             response["snapshot"] = snapshot
         return response
@@ -953,7 +940,9 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
         questions = batch_whynot_questions_from_dict(
             payload, default_weights=engine.default_weights
         )
-        batch = self.server.whynot_executor.execute_batch(questions)
+        batch = self.server.whynot_executor.execute_batch(
+            questions, deadline=self._deadline_of(payload)
+        )
         return 200, whynot_batch_execution_to_dict(batch)
 
     def _handle_close(self, payload: Mapping[str, Any]) -> tuple[int, dict]:

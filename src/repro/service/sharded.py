@@ -22,13 +22,14 @@ The gather is *bound-ordered and threshold-adaptive*:
    cannot place an object in the result, even by tie-break, which
    requires score equality.
 
-With more than one worker the scatter instead fans the post-threshold
-shard scans across a persistent thread pool: the best-bound shard is
-scanned first to establish the threshold, survivors run concurrently,
-and the merge is unchanged.  On a single-core host (the reference
-container) the default is the sequential adaptive gather, whose wins
-come from work elimination, not parallelism; the thread-pool path
-exists for multicore deployments and is parity-tested either way.
+One loop issues the scans in *waves* against whichever scan backend
+is configured.  Inline scans (one worker) go one shard per wave, so
+every scan tightens the threshold for the next: on a single-core host
+the wins come from work elimination, not parallelism.  A thread pool
+or a process worker pool instead scans the best-bound shard first to
+establish the threshold and then fans every survivor out in one wave;
+the prune test and the merge are the same code either way, and every
+configuration is parity-tested.
 
 Bit-for-bit parity with the unsharded oracle — same entries, same
 scores/components, same tie order — is asserted by
@@ -42,7 +43,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from heapq import nsmallest
 from itertools import chain
-from operator import neg
 from typing import Sequence
 
 from repro import faults
@@ -105,6 +105,16 @@ class ShardedEngine:
             if workers > 1 and worker_pool is None
             else None
         )
+        # The scan backend, ``scan(shards, query, k) -> pieces``, and
+        # whether it runs a wave's scans concurrently.
+        self._fans = worker_pool is not None or self._pool is not None
+        self._scan = (
+            self._scan_workers
+            if worker_pool is not None
+            else self._scan_threads
+            if self._pool is not None
+            else self._scan_inline
+        )
 
     @property
     def router(self) -> ShardRouter:
@@ -144,29 +154,33 @@ class ShardedEngine:
         ``(score desc, oid asc)`` order, so candidate lists from
         different shards merge with plain heap selection.
         """
-        faults.trip(f"shard.scan.{shard.shard_id}")
-        scores = shard.kernel._score_list(query)
-        return nsmallest(k, zip(map(neg, scores), shard.kernel.oids))
+        return shard.kernel.scan_top_k(k, *shard.kernel._query_scalars(query))
 
-    def _scan_one(
-        self, shard: Shard, query: SpatialKeywordQuery, k: int
-    ) -> list[tuple[float, int]]:
-        """One shard's candidates via whichever scan tier is configured.
+    def _scan_inline(self, shards, query, k):
+        return [self._scan_shard(shard, query, k) for shard in shards]
 
-        The fault site trips in the *parent* either way, so seeded
-        plans and deadline bookkeeping are process-transparent; the
-        worker receives the prepared query scalars and runs the same
-        ``scan_top_k`` the in-process path runs.
-        """
-        if self._worker_pool is None:
-            return self._scan_shard(shard, query, k)
-        faults.trip(f"shard.scan.{shard.shard_id}")
-        return self._worker_pool.scan_one(
-            shard, k, shard.kernel._query_scalars(query)
+    def _scan_threads(self, shards, query, k):
+        if len(shards) == 1:  # nothing to fan: stay on the calling thread
+            return self._scan_inline(shards, query, k)
+        return self._pool.map(
+            lambda shard: self._scan_shard(shard, query, k), shards
         )
+
+    def _scan_workers(self, shards, query, k):
+        """The worker processes run the same ``scan_top_k`` on query
+        scalars the parent prepared against each shard's vocabulary."""
+        return self._worker_pool.scan_many(
+            [(shard, k, shard.kernel._query_scalars(query)) for shard in shards]
+        ).values()
 
     def search(self, query: SpatialKeywordQuery) -> QueryResult:
         """Exact top-k by scatter-gather with shard-bound skipping.
+
+        Shards go out in *waves*, in descending bound order.  A wave is
+        one shard when scans run inline or a deadline is in scope (each
+        scan tightens the threshold for the next); otherwise the
+        best-bound shard alone sets the threshold and every survivor of
+        the prune goes out at once.
 
         Under an absorbing deadline scope
         (:func:`repro.faults.deadline_scope`) the gather degrades
@@ -184,90 +198,54 @@ class ShardedEngine:
         k = query.k
 
         bounds = router.score_upper_bounds(query)
-        order = sorted(
+        shards = router.shards
+        pending = sorted(
             range(len(router)), key=bounds.__getitem__, reverse=True
         )
-        shards = router.shards
         best: list[tuple[float, int]] = []
         scanned = 0
         skipped = 0
 
         scope = faults.current_scope()
         deadline = scope[0] if scope is not None and not scope[1] else None
-        if deadline is not None:
-            # Degradable sequential gather: deterministic visit order
-            # (bound-descending), deadline checked between shard scans.
-            for position, index in enumerate(order):
+        fans = self._fans and deadline is None
+        while pending:
+            take = len(pending) if fans and scanned else 1
+            wave = []
+            for index in pending[:take]:
                 if (
                     len(best) == k
                     and bounds[index] < -best[k - 1][0] - _SKIP_MARGIN
                 ):
                     skipped += 1
-                    deadline.note_answered()
-                    continue
-                if deadline.expired():
-                    deadline.note_skipped(len(order) - position, "deadline")
-                    break
-                shard = shards[index]
-                try:
-                    piece = self._scan_one(shard, query, k)
-                except Exception as exc:
-                    deadline.note_failed(f"shard {shard.shard_id}: {exc}")
-                    continue
-                scanned += 1
-                deadline.note_answered()
-                best = nsmallest(k, chain(best, piece))
-        elif self._worker_pool is not None:
-            # Process scatter: same shape as the thread fan below (the
-            # best-bound shard sets the threshold, survivors fan), so
-            # scanned/skipped stats match the thread oracle exactly.
-            first, rest = order[0], order[1:]
-            scanned += 1
-            best = self._scan_one(shards[first], query, k)
-            requests = []
-            for index in rest:
-                if len(best) == k and bounds[index] < -best[k - 1][0] - _SKIP_MARGIN:
-                    skipped += 1
-                    continue
-                shard = shards[index]
-                faults.trip(f"shard.scan.{shard.shard_id}")
-                requests.append(
-                    (shard, k, shard.kernel._query_scalars(query))
-                )
-            scanned += len(requests)
-            if requests:
-                pieces = self._worker_pool.scan_many(requests)
-                best = nsmallest(k, chain(best, *pieces.values()))
-        elif self._pool is None or len(order) == 1:
-            # Sequential adaptive gather: every scanned shard tightens
-            # the threshold for the ones after it.
-            for index in order:
-                if len(best) == k and bounds[index] < -best[k - 1][0] - _SKIP_MARGIN:
-                    skipped += 1
-                    continue
-                scanned += 1
-                best = nsmallest(
-                    k, chain(best, self._scan_shard(shards[index], query, k))
-                )
-        else:
-            # Parallel scatter: the best-bound shard runs first to set
-            # the threshold, survivors fan across the pool.
-            first, rest = order[0], order[1:]
-            scanned += 1
-            best = self._scan_shard(shards[first], query, k)
-            survivors = []
-            for index in rest:
-                if len(best) == k and bounds[index] < -best[k - 1][0] - _SKIP_MARGIN:
-                    skipped += 1
+                    if deadline is not None:
+                        deadline.note_answered()
                 else:
-                    survivors.append(index)
-            scanned += len(survivors)
-            if survivors:
-                pieces = self._pool.map(
-                    lambda index: self._scan_shard(shards[index], query, k),
-                    survivors,
+                    wave.append(shards[index])
+            del pending[:take]
+            if not wave:
+                continue
+            if deadline is not None and deadline.expired():
+                deadline.note_skipped(len(wave) + len(pending), "deadline")
+                break
+            try:
+                # The fault sites trip in the *parent*, in visit order,
+                # whichever tier scans: seeded plans and deadline
+                # bookkeeping are process-transparent.
+                for shard in wave:
+                    faults.trip(f"shard.scan.{shard.shard_id}")
+                best = nsmallest(
+                    k, chain(best, *self._scan(wave, query, k))
                 )
-                best = nsmallest(k, chain(best, *pieces))
+            except Exception as exc:
+                if deadline is None:
+                    raise
+                # Under a deadline a wave is exactly one shard.
+                deadline.note_failed(f"shard {wave[0].shard_id}: {exc}")
+                continue
+            scanned += len(wave)
+            if deadline is not None:
+                deadline.note_answered(len(wave))
 
         scatter_done = time.perf_counter()
         entries = self._materialise(query, best)

@@ -2,7 +2,7 @@
 
 
 def poke(executor, key, value):
-    executor._cache.put(key, value, None, 0)
+    executor._cache.maintain(lambda cached, meta: ("kept", value, meta), 0)
     executor._cache.pop(key)
     executor._cache.clear()
     executor._cache.move_to_end(key)
@@ -13,8 +13,8 @@ def poke(executor, key, value):
 def sanctioned(executor, change, query):
     # The executor-tier protocol: these receivers are not caches.
     executor.maintain(change)
-    executor.invalidate_scoped(change.summary)
+    executor.invalidate()
     execution = executor.execute(query)
     # Reads are fine — only entry mutation is fenced.
-    peeked = executor._cache.peek(key="k")
+    peeked = executor._cache.peek_entry("k")
     return execution, peeked, executor._cache.stats()

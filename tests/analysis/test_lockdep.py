@@ -189,7 +189,7 @@ def test_engine_stack_runs_clean(
             )
         ]
     )
-    topk.invalidate_scoped(report.change.summary)
+    topk.maintain(report.change)
     consistent_stats(topk, whynot)
     engine.snapshot()
     whynot.close()

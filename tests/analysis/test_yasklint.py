@@ -145,7 +145,7 @@ def test_yask107_executor_protocol_and_reads_exempt() -> None:
         for v in lint_fixture("repro/service/bad_cache_poke.py")
         if v.rule_id == "YASK107"
     ]
-    # maintain/invalidate_scoped/execute calls and cache reads are clean.
+    # maintain/invalidate/execute calls and cache reads are clean.
     assert not any(v.line >= 13 for v in violations)
 
 

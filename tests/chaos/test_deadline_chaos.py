@@ -109,21 +109,10 @@ class TestStrictWhyNot:
             with running_server(chaos_engine) as server:
                 client = YaskClient(server.endpoint, retries=0)
                 session = client.query(0.5, 0.5, ["food", "cafe"], 10)
-                # Invalidate the query cache so the why-not's initial
-                # top-k re-executes (and burns virtual time).  The new
-                # object matches the query keywords near its location —
-                # scoped invalidation cannot keep the warm result.
-                client.mutate(
-                    [
-                        {
-                            "op": "insert",
-                            "oid": 900,
-                            "x": 0.5,
-                            "y": 0.52,
-                            "keywords": ["food", "cafe"],
-                        }
-                    ]
-                )
+                # Drop the query cache so the why-not's initial top-k
+                # re-executes (and burns virtual time).  A mutation
+                # would not do: maintenance patches the warm result.
+                server.executor.invalidate()
                 body = client.explain(
                     session["session_id"], [FAR_OID], timeout_ms=100.0
                 )

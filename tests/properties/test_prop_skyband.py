@@ -235,7 +235,7 @@ def test_underflow_falls_back_to_rescan_and_recovers():
 
 
 def test_delta_zero_degrades_to_scoped_drop_on_write():
-    """``skyband_delta=0`` is a true ablation: maintain() never patches."""
+    """``skyband_delta=0`` leaves nothing to patch from: affected drops."""
     objects = [
         SpatialObject(i, Point(0.1 * i, 0.1 * i), frozenset({"t0", "t1"}))
         for i in range(8)
@@ -264,8 +264,8 @@ def test_delta_zero_degrades_to_scoped_drop_on_write():
     assert tally["patched"] == 0 and tally["rescans"] == 0
     assert tally["dropped"] == 1
     stats = executor.stats()
-    assert stats.scoped_invalidations == 1
-    assert stats.maintenance_passes == 0
+    assert stats.maintenance_passes == 1
+    assert stats.maintained_dropped == 1
     assert stats.maintained_patched == 0
     refreshed = executor.execute(query)
     assert refreshed.source == "engine"

@@ -281,20 +281,33 @@ class TestRealEngine:
         assert execution.cached
         assert report.ok
 
-    def test_engine_query_batch_matches_single_queries(self, small_db):
-        engine = YaskEngine(small_db, max_entries=8)
-        queries = [
-            engine.make_query(Point(0.2 + 0.1 * i, 0.5), {"kw000", "kw001"}, 3)
-            for i in range(5)
-        ]
-        timed = engine.query_batch(queries, max_workers=4)
-        assert len(timed) == 5
-        for query, entry in zip(queries, timed):
-            expected = engine.query(query)
-            assert [e.obj.oid for e in entry.value] == [
-                e.obj.oid for e in expected
-            ]
-            assert entry.response_ms >= 0.0
+
+    def test_entry_cached_under_a_deadline_is_patched_by_the_next_batch(self):
+        """A deadline that did not bite caches the full skyband entry."""
+        from repro.core.mutations import Mutation
+        from repro.core.objects import SpatialObject
+        from repro.datasets.generators import SyntheticDatasetBuilder
+        from repro.faults import Deadline
+
+        database = SyntheticDatasetBuilder(seed=11).build(
+            120, vocabulary_size=30, doc_length=(2, 6)
+        )
+        engine = YaskEngine(database, max_entries=8)
+        executor = QueryExecutor(engine, skyband_delta=4)
+        query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 4)
+        first = executor.execute(query, deadline=Deadline(600000.0))
+        assert first.source == "engine" and first.degraded is None
+        report = engine.apply_mutations(
+            [Mutation.insert(SpatialObject(9000, Point(0.5, 0.5), query.doc))]
+        )
+        tally = executor.maintain(report.change)
+        assert tally["patched"] == 1 and tally["dropped"] == 0
+        warm = executor.execute(query)
+        assert warm.source == "cache"
+        assert warm.result.entries == engine.query(query).entries
+        assert warm.result.entries[0].obj.oid == 9000
+        executor.close()
+        engine.close()
 
 
 class TestValidation:

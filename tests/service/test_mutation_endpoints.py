@@ -189,9 +189,7 @@ class TestAnswerMaintenance:
         maintenance = report["cache_maintenance"]
         assert maintenance["patched"] >= 1
         assert maintenance["patched"] + maintenance["kept"] == 2
-        # The legacy invalidation summary counts maintained entries kept.
-        assert report["cache_invalidation"]["kept"] == 2
-        assert report["cache_invalidation"]["dropped"] == 0
+        assert maintenance["dropped"] == 0 and maintenance["rescans"] == 0
         # The distant, keyword-disjoint query is still served warm...
         assert client.query(0.05, 0.05, ["chinese"], 2)["cached"]
         # ...and so is the nearby one — its cached entry was *patched*

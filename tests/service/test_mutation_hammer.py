@@ -1,8 +1,8 @@
 """Concurrent mutation vs. query/stats hammer (torn-read detector).
 
-Writer threads apply mutation batches through the engine (with scoped
-executor invalidation, exactly as the HTTP tier does) while reader
-threads run ``query_batch``, ``whynot_batch`` and ``consistent_stats``.
+Writer threads apply mutation batches through the engine (followed by
+executor maintenance, exactly as the HTTP tier does) while reader
+threads run both executors' ``execute_batch`` and ``consistent_stats``.
 The engine's read/write lock promises each reader a *consistent
 snapshot*: every result it sees must be internally coherent (ranks
 contiguous, members distinct, each entry's score recomputable from its
@@ -93,7 +93,7 @@ def test_mutation_query_hammer():
                         next_oid += 1
                         batch.append(Mutation.insert(obj))
                 report = engine.apply_mutations(batch)
-                topk.invalidate_scoped(report.change.summary)
+                topk.maintain(report.change)
                 generations.append(report.generation)
             except Exception as exc:  # noqa: BLE001 - the test's whole point
                 fail(f"writer raised: {exc!r}")
@@ -160,17 +160,17 @@ def test_mutation_query_hammer():
         while not stop.is_set():
             try:
                 topk_stats, whynot_stats = consistent_stats(topk, whynot)
-                # Every domain invalidation hits the linked why-not
-                # cache exactly once — full invalidations cascade a full
-                # drop, scoped invalidations a scoped one — so the
-                # invalidation totals move in lockstep; a
-                # mixed-generation snapshot would break this identity.
+                # Every domain pass hits the linked why-not cache
+                # exactly once — full invalidations cascade a full
+                # drop, maintenance passes a maintenance pass — so the
+                # totals move in lockstep; a mixed-generation snapshot
+                # would break this identity.
                 expected = (
-                    topk_stats.invalidations + topk_stats.scoped_invalidations
+                    topk_stats.invalidations + topk_stats.maintenance_passes
                 )
                 observed = (
                     whynot_stats.invalidations
-                    + whynot_stats.scoped_invalidations
+                    + whynot_stats.maintenance_passes
                 )
                 if observed != expected:
                     fail(

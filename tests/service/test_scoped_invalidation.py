@@ -1,4 +1,9 @@
-"""Executor-tier scoped invalidation + the index rebuild fallback."""
+"""Executor maintenance without a skyband (Δ=0) + the index rebuild fallback.
+
+At ``skyband_delta=0`` there is no buffer to patch from, so
+``maintain`` keeps exactly the entries the batch summary proves
+unaffected and drops the rest — drop-on-write, scoped by the summary.
+"""
 
 from __future__ import annotations
 
@@ -16,7 +21,7 @@ def query_at(x: float, y: float, *keywords: str, k: int = 2):
     return SpatialKeywordQuery(loc=Point(x, y), doc=frozenset(keywords), k=k)
 
 
-class TestScopedInvalidation:
+class TestMaintainWithoutSkyband:
     def make(self):
         engine = YaskEngine(make_tiny_db(), max_entries=4)
         executor = QueryExecutor(engine, cache_capacity=16)
@@ -35,20 +40,23 @@ class TestScopedInvalidation:
                 )
             ]
         )
-        tally = executor.invalidate_scoped(report.change.summary)
+        tally = executor.maintain(report.change)
         assert tally == {
-            "dropped": 1,
             "kept": 1,
-            "linked_dropped": 0,
+            "patched": 0,
+            "dropped": 1,
+            "rescans": 0,
             "linked_kept": 0,
+            "linked_patched": 0,
+            "linked_dropped": 0,
         }
         assert executor.execute(near_sw).source == "cache"
         refreshed = executor.execute(near_ne)
         assert refreshed.source == "engine"
         assert 10 in [e.obj.oid for e in refreshed.result.entries]
         stats = executor.stats()
-        assert stats.scoped_invalidations == 1
-        assert stats.scoped_dropped == 1 and stats.scoped_kept == 1
+        assert stats.maintenance_passes == 1
+        assert stats.maintained_dropped == 1 and stats.maintained_kept == 1
         executor.close()
         engine.close()
 
@@ -59,7 +67,7 @@ class TestScopedInvalidation:
         executor.execute(member_query)
         executor.execute(other_query)
         report = engine.apply_mutations([Mutation.delete(0)])
-        tally = executor.invalidate_scoped(report.change.summary)
+        tally = executor.maintain(report.change)
         assert tally["dropped"] == 1 and tally["kept"] == 1
         assert executor.execute(other_query).source == "cache"
         refreshed = executor.execute(member_query)
@@ -68,15 +76,15 @@ class TestScopedInvalidation:
         executor.close()
         engine.close()
 
-    def test_linked_whynot_cache_scoped_keep_for_disjoint_batch(self):
+    def test_linked_whynot_cache_kept_for_disjoint_batch(self):
         """A batch provably unable to affect a why-not answer keeps it.
 
         The inserted object sits in the far corner with a keyword
         outside the question's keyword universe: the dominance test in
         ``BatchSummary.affects_whynot`` proves it cannot cross any
-        missing object at any weight, so the linked scoped invalidation
-        keeps the entry (``scoped_kept > 0``) instead of dropping the
-        why-not cache wholesale.
+        missing object at any weight, so the linked maintenance pass
+        keeps the entry (``maintained_kept > 0``) instead of dropping
+        the why-not cache wholesale.
         """
         engine, executor = self.make()
         whynot = WhyNotExecutor(engine, executor, cache_capacity=8)
@@ -94,10 +102,10 @@ class TestScopedInvalidation:
                 )
             ]
         )
-        tally = executor.invalidate_scoped(report.change.summary)
+        tally = executor.maintain(report.change)
         assert tally["linked_kept"] == 1 and tally["linked_dropped"] == 0
         stats = whynot.stats()
-        assert stats.size == 1 and stats.scoped_kept > 0
+        assert stats.size == 1 and stats.maintained_kept > 0
         # The kept answer is still exactly what a cold computation gives.
         kept = whynot.execute(question)
         assert kept.source == "cache"
@@ -117,22 +125,22 @@ class TestScopedInvalidation:
         )
         whynot.execute(question)
         report = engine.apply_mutations([Mutation.delete(4)])
-        tally = executor.invalidate_scoped(report.change.summary)
+        tally = executor.maintain(report.change)
         assert tally["linked_dropped"] == 1
         assert whynot.stats().size == 0
         whynot.close()
         executor.close()
         engine.close()
 
-    def test_inflight_result_not_cached_across_scoped_invalidation(self):
+    def test_inflight_result_not_cached_across_maintenance(self):
         """A computation racing a mutation must not populate the cache."""
         engine, executor = self.make()
         query = query_at(0.5, 0.5, "restaurant")
         cache = executor._cache
         flight_result = engine.query(query)
 
-        # Simulate the race: a leader computed pre-mutation, the scoped
-        # invalidation lands, then the leader tries to publish.
+        # Simulate the race: a leader computed pre-mutation, the
+        # maintenance pass lands, then the leader tries to publish.
         from repro.service.executor import _Inflight, _QueryMeta, query_fingerprint
 
         key = query_fingerprint(query)
@@ -145,9 +153,11 @@ class TestScopedInvalidation:
                 )
             ]
         )
-        executor.invalidate_scoped(report.change.summary)
+        executor.maintain(report.change)
         published = cache._compute_as_leader(
-            key, flight, lambda: flight_result, _QueryMeta.of
+            key,
+            flight,
+            lambda: (flight_result, _QueryMeta.of(flight_result), True),
         )
         assert published is flight_result  # the waiter still gets a value
         assert executor.stats().size == 0  # but the cache stayed clean

@@ -362,6 +362,32 @@ class TestWhyNotBatchEndpoint:
         assert bad["source"] == "error"
         assert "No Such Hotel" in bad["error"]
 
+    def test_timeout_ms_is_one_budget_for_the_batch(self, small_db, scenario):
+        """A hopeless budget degrades every member; headroom changes nothing.
+
+        Rank scans poll the deadline only on the sharded path, hence
+        the two-shard engine.
+        """
+        from tests.service.conftest import running_server
+
+        payloads = [
+            self.make_question_payload(scenario, model="explain"),
+            self.make_question_payload(scenario, model="preference"),
+        ]
+        with running_server(
+            YaskEngine(small_db, max_entries=8, shards=2)
+        ) as sharded:
+            batch_client = YaskClient(sharded.endpoint)
+            starved = batch_client.whynot_batch(payloads, timeout_ms=0.001)
+            roomy = batch_client.whynot_batch(payloads, timeout_ms=600000.0)
+            unbounded = batch_client.whynot_batch(payloads)
+        for entry in starved["results"]:
+            assert entry["source"] == "degraded" and entry["answer"] is None
+            assert entry["degraded"]["budget_ms"] == 0.001
+        for entry, exact in zip(roomy["results"], unbounded["results"]):
+            assert entry["source"] == "engine" and "degraded" not in entry
+            assert entry["answer"] == exact["answer"]
+
     def test_stats_report_both_caches(self, client):
         full = client._call("GET", "/api/stats")
         assert {"cache", "whynot_cache", "kernel"} <= set(full)

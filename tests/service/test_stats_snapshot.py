@@ -98,20 +98,14 @@ class TestConsistentStats:
         topk, whynot = make_executors()
         mid_cascade = threading.Event()
         release = threading.Event()
-        original_drop, original_scoped, original_maintain = (
-            topk._linked_invalidations[0]
-        )
+        original_drop = whynot._cache.invalidate
 
         def parked_drop() -> int:
             mid_cascade.set()
             release.wait(timeout=5.0)
             return original_drop()
 
-        topk._linked_invalidations[0] = (
-            parked_drop,
-            original_scoped,
-            original_maintain,
-        )
+        whynot._cache.invalidate = parked_drop
         invalidator = threading.Thread(target=topk.invalidate)
         invalidator.start()
         assert mid_cascade.wait(timeout=5.0)

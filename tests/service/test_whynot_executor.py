@@ -426,21 +426,48 @@ class TestRealEngine:
         )
         assert report.ok, report.describe()
 
-    def test_engine_whynot_batch_matches_single_answers(self, small_db):
-        engine = YaskEngine(small_db, max_entries=8)
+
+    def test_deadline_explain_never_pairs_a_stale_initial_topk(self):
+        """Between ``apply_mutations`` and ``maintain`` the cached top-k
+        is one generation behind; an ``explain`` under a deadline must
+        recompute it inside its read view like any other explain, or
+        the answer mixes two generations."""
+        from repro.core.mutations import Mutation
+        from repro.core.objects import SpatialObject
+        from repro.datasets.generators import SyntheticDatasetBuilder
+        from repro.faults import Deadline
+
+        database = SyntheticDatasetBuilder(seed=11).build(
+            120, vocabulary_size=30, doc_length=(2, 6)
+        )
+        engine = YaskEngine(database, max_entries=8)
+        topk = QueryExecutor(engine)
+        executor = WhyNotExecutor(engine, topk)
         query = engine.make_query(Point(0.5, 0.5), {"kw000", "kw001"}, 3)
-        ranking = engine.scorer.rank_all(query)
-        questions = [
-            WhyNotQuestion(query=query, missing=(ranking[r].obj.oid,))
-            for r in (5, 6, 7)
-        ]
-        timed = engine.whynot_batch(questions, max_workers=3)
-        assert len(timed) == 3
-        for question, entry in zip(questions, timed):
-            expected = engine.why_not(question.query, list(question.missing))
-            assert entry.value.best_model == expected.best_model
-            assert entry.value.preference.penalty == expected.preference.penalty
-            assert entry.response_ms >= 0.0
+        missing_oid = engine.scorer.rank_all(query)[8].obj.oid
+        stale = topk.execute(query).result
+        # A perfect match on the query point takes rank 1 — applied
+        # without maintain(), so the cached result stays at generation g.
+        engine.apply_mutations(
+            [
+                Mutation.insert(
+                    SpatialObject(9000, Point(0.5, 0.5), query.doc)
+                )
+            ]
+        )
+        question = WhyNotQuestion(
+            query=query, missing=(missing_oid,), model="explain"
+        )
+        execution = executor.execute(question, deadline=Deadline(600000.0))
+        assert execution.degraded is None
+        assert execution.topk_source == "engine"
+        assert execution.answer == engine.answer_whynot(question)
+        assert execution.answer != engine.answer_whynot(
+            question, initial_result=stale
+        )
+        executor.close()
+        topk.close()
+        engine.close()
 
 
 class TestValidation:

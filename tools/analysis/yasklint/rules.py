@@ -414,7 +414,6 @@ def check_swallowed_exceptions(file: File) -> Iterator[Violation]:
 # YASK107 — result-cache entries are written only by the executor tier
 
 _CACHE_MUTATORS = {
-    "put",
     "pop",
     "popitem",
     "clear",
@@ -422,8 +421,7 @@ _CACHE_MUTATORS = {
     "setdefault",
     "update",
     "invalidate",
-    "invalidate_where",
-    "apply_maintenance",
+    "maintain",
 }
 
 
@@ -443,13 +441,14 @@ def check_cache_entry_mutation(file: File) -> Iterator[Violation]:
     """Answer maintenance depends on a single writer for cache entries.
 
     ``_ResultCache`` entries carry skyband metadata stamped with the
-    engine generation; the two-phase snapshot/apply protocol in
-    ``service/executor.py`` is the only code allowed to create, patch
-    or drop them.  A ``cache.put(...)`` / ``cache.pop(...)`` /
-    subscript write anywhere else can install an entry whose stamp lies
-    about the generation it reflects — the next maintenance pass would
-    then "patch" it into a wrong answer served as a warm hit.  Route
-    writes through ``QueryExecutor`` / ``WhyNotExecutor`` methods.
+    engine generation; ``_ResultCache.fetch`` / ``maintain`` /
+    ``invalidate`` in ``service/executor.py`` are the only code allowed
+    to create, patch or drop them.  A ``cache.maintain(...)`` /
+    ``cache.pop(...)`` / subscript write anywhere else can install an
+    entry whose stamp lies about the generation it reflects — the next
+    maintenance pass would then "patch" it into a wrong answer served
+    as a warm hit.  Route writes through ``QueryExecutor`` /
+    ``WhyNotExecutor`` methods.
     """
     for node in ast.walk(file.tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
