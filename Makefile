@@ -26,6 +26,11 @@
 #                      with >=4 cores)
 #   make bench-json  — refresh BENCH_E9/…/E15.json at the repo root
 #                      (machine-readable perf trajectory)
+#   make bench-e16-smoke — the end-to-end HTTP benchmark at smoke size
+#                      (2k objects, 1 s windows, ~20 s): a real server
+#                      over loopback with every oracle check on, so a
+#                      transport change that corrupts a reused
+#                      connection fails here (its own CI job)
 #   make lint        — byte-compile every source, test and benchmark
 #                      file, then run yasklint (the project-invariant
 #                      static analyser in tools/analysis/yasklint —
@@ -55,7 +60,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-chaos test-lockdep test-procpool bench-smoke bench-json lint docs-check
+.PHONY: test test-recovery test-chaos test-lockdep test-procpool bench-smoke bench-json bench-e16-smoke lint docs-check
 
 # Re-enables @pytest.mark.slow suites that pytest.ini's default
 # deselects; the dedicated tiers below must run them.
@@ -79,8 +84,11 @@ bench-smoke:
 bench-json:
 	$(PYTHON) benchmarks/bench_json.py
 
+bench-e16-smoke:
+	$(PYTHON) benchmarks/e16/run.py --smoke
+
 test-lockdep:
-	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_follower.py tests/properties/test_prop_skyband.py -q $(ALL_MARKS)
+	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_skyband.py -q $(ALL_MARKS)
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools

@@ -12,7 +12,9 @@ Asserted acceptance thresholds:
 
 * warm-cache why-not latency at least 5x lower than cold,
 * batched why-not throughput at least 2x sequential single-question
-  HTTP requests on the same workload, and
+  HTTP requests on the same workload (over a kept-alive connection:
+  what is left of the ratio is per-request work, not connection
+  set-up), and
 * zero top-k re-executions for questions whose underlying query is
   already cached.
 
@@ -141,6 +143,14 @@ def test_e10_batch_endpoint_2x_sequential_http(hotels_engine):
     both begin with cold caches; sequential mode then pays one HTTP
     round trip per question while batch mode amortises the whole
     workload over a few requests.
+
+    The sequential arm is the shipped :class:`YaskClient` as shipped,
+    which keeps its connection alive.  Ten runs on the 2-core box: batch
+    11.9-16.1 ms against sequential 35.7-54.8 ms, ratio 2.6-4.2 (median
+    3.5); with a connection per request the same ten read 58.1-95.9 ms
+    sequential, ratio 3.1-7.5 (median 5.2).  The 2x floor still holds,
+    with less room: about a third of the old ratio was connection
+    set-up.
     """
     import random
 
@@ -177,6 +187,7 @@ def test_e10_batch_endpoint_2x_sequential_http(hotels_engine):
             outcome = run(client)
             return outcome, time.perf_counter() - started
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
 

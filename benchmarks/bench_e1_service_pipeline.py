@@ -76,5 +76,6 @@ def test_e1_http_round_trip(benchmark, hotels_engine):
     try:
         benchmark.pedantic(interaction, rounds=5, iterations=1, warmup_rounds=1)
     finally:
+        client.close()
         server.shutdown()
         server.server_close()

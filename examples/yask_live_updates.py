@@ -25,8 +25,8 @@ def main() -> None:
     server.start_background()
     print(f"server up at {server.endpoint}")
 
+    client = YaskClient(server.endpoint)
     try:
-        client = YaskClient(server.endpoint)
         before = client.health()["objects"]
         print(f"objects at startup: {before}")
 
@@ -81,6 +81,7 @@ def main() -> None:
         print(f"objects now: {after} (started with {before})")
         assert after == before + 2  # 3 inserted, 1 deleted
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
 

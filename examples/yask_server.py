@@ -22,8 +22,8 @@ def main() -> None:
     server.start_background()
     print(f"server up at {server.endpoint}")
 
+    client = YaskClient(server.endpoint)
     try:
-        client = YaskClient(server.endpoint)
         print("health:", client.health())
 
         # Initial query — the server caches it and returns a session id.
@@ -121,6 +121,7 @@ def main() -> None:
         print(f"why-not cache: {wstats['hits']} hits, {wstats['misses']} misses, "
               f"hit rate {wstats['hit_rate']:.0%}")
     finally:
+        client.close()
         server.shutdown()
         server.server_close()
         print("server stopped")

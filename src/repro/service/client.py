@@ -3,7 +3,10 @@
 Plays the role of the paper's browser front end (Section 3.2): it issues
 the initial top-k query, keeps the returned ``session_id`` and sends the
 follow-up why-not requests against it.  Transport is the standard
-library's ``urllib`` so the client works wherever the server does.
+library's ``http.client`` so the client works wherever the server does,
+and a client keeps its connection open between requests (the server
+speaks HTTP/1.1 keep-alive): :meth:`YaskClient.close`, or using the
+client as a context manager, releases it.
 
 Resilience: every request carries a socket timeout, retriable failures
 (load-shedding/degraded-mode 503s, and connection errors on idempotent
@@ -16,12 +19,15 @@ the original generation instead of applying it twice.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import selectors
 import time
 from typing import Any, Callable, Iterable, Mapping, Sequence
-from urllib import error, request
-from urllib.parse import quote
+from urllib.parse import quote, urlsplit
+
+from repro import concurrency
 
 __all__ = ["YaskClientError", "YaskClient"]
 
@@ -46,8 +52,27 @@ class YaskClientError(RuntimeError):
         self.retry_after = retry_after
 
 
+def _peer_closed(connection: http.client.HTTPConnection) -> bool:
+    """Whether an idle kept-alive connection can no longer be used.
+
+    An idle socket has nothing to read; if it is readable the server
+    closed it (its idle timeout, a restart) and the read is EOF.
+    Checking before reuse keeps that from surfacing as a status-0
+    failure of the *next* request, which for a mutation without a
+    ``batch_token`` could not be retried.
+    """
+    with selectors.DefaultSelector() as selector:
+        selector.register(connection.sock, selectors.EVENT_READ)
+        return bool(selector.select(timeout=0))
+
+
 class YaskClient:
     """Thin JSON-over-HTTP client mirroring the server's endpoints.
+
+    Connections are kept alive and reused; threads sharing one client
+    each get their own while their requests overlap.  ``close()`` (or
+    leaving a ``with`` block) closes the idle ones; the client stays
+    usable and reconnects on the next call.
 
     Parameters
     ----------
@@ -90,7 +115,23 @@ class YaskClient:
             raise ValueError(
                 "backoff_ms must be positive and at most max_backoff_ms"
             )
-        self._base_url = base_url.rstrip("/")
+        url = urlsplit(base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(
+                f"base_url must be http(s)://host[:port], got {base_url!r}"
+            )
+        self._connect = (
+            http.client.HTTPSConnection
+            if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host = url.hostname
+        self._port = url.port
+        self._prefix = url.path.rstrip("/")
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = concurrency.ordered_lock(
+            "client.connections", concurrency.LEVEL_LEAF
+        )
         self._timeout = timeout
         self._retries = retries
         self._backoff_ms = backoff_ms
@@ -101,6 +142,31 @@ class YaskClient:
     # ------------------------------------------------------------------
     # Transport
     # ------------------------------------------------------------------
+    def close(self) -> None:
+        """Close the idle connections (a later call reconnects)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "YaskClient":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+    def _checkout(self) -> http.client.HTTPConnection:
+        """An idle connection the server has not closed, else a new one."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                connection = self._idle.pop()
+            if not _peer_closed(connection):
+                return connection
+            connection.close()
+        return self._connect(self._host, self._port, timeout=self._timeout)
+
     def _call_once(
         self,
         method: str,
@@ -108,40 +174,42 @@ class YaskClient:
         payload: Mapping[str, Any] | None = None,
         accept_statuses: frozenset[int] = frozenset(),
     ) -> dict[str, Any]:
-        url = f"{self._base_url}{path}"
         data = None
         headers = {"Accept": "application/json"}
         if payload is not None:
             data = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        req = request.Request(url, data=data, headers=headers, method=method)
+        connection = self._checkout()
         try:
-            with request.urlopen(req, timeout=self._timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
-        except error.HTTPError as exc:
-            raw = exc.read()
-            if exc.code in accept_statuses:
-                return json.loads(raw.decode("utf-8"))
+            connection.request(method, self._prefix + path, data, headers)
+            response = connection.getresponse()
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            connection.close()
+            raise YaskClientError(0, f"connection failed: {exc}") from None
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        if 200 <= response.status < 300 or response.status in accept_statuses:
+            return json.loads(raw.decode("utf-8"))
+        try:
+            message = json.loads(raw.decode("utf-8")).get(
+                "error", response.reason
+            )
+        except Exception:  # body not JSON
+            message = str(response.reason)
+        retry_after: float | None = None
+        advised = response.getheader("Retry-After")
+        if advised is not None:
             try:
-                message = json.loads(raw.decode("utf-8")).get(
-                    "error", exc.reason
-                )
-            except Exception:  # body not JSON
-                message = str(exc.reason)
-            retry_after: float | None = None
-            advised = exc.headers.get("Retry-After") if exc.headers else None
-            if advised is not None:
-                try:
-                    retry_after = float(advised)
-                except ValueError:
-                    retry_after = None
-            raise YaskClientError(
-                exc.code, message, retry_after=retry_after
-            ) from None
-        except error.URLError as exc:
-            raise YaskClientError(0, f"connection failed: {exc.reason}") from None
-        except TimeoutError:
-            raise YaskClientError(0, "connection failed: socket timeout") from None
+                retry_after = float(advised)
+            except ValueError:
+                retry_after = None
+        raise YaskClientError(
+            response.status, message, retry_after=retry_after
+        )
 
     def _backoff_seconds(self, attempt: int) -> float:
         """Full-jitter exponential backoff for retry ``attempt`` (0-based)."""
@@ -209,6 +277,13 @@ class YaskClient:
         """The resilience section of ``/api/stats`` — in-flight gauge,
         WAL circuit breaker, and the advertised read-only flag."""
         return self._call("GET", "/api/stats")["resilience"]
+
+    def transport_stats(self) -> dict[str, Any]:
+        """The transport section of ``/api/stats`` — connections
+        accepted and open, requests served, idle timeouts.
+        ``requests_served / connections_accepted`` is how many requests
+        a connection carried on average."""
+        return self._call("GET", "/api/stats")["transport"]
 
     def objects(self) -> list[dict[str, Any]]:
         """All objects — the grey markers of the map panel (Fig. 3)."""

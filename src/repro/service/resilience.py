@@ -1,7 +1,7 @@
-"""Server-side resilience primitives: admission control + circuit breaking.
+"""Server-side resilience primitives: admission, circuit breaking, connections.
 
-Two small, independently testable state machines the HTTP server wires
-in front of its handlers:
+Three small, independently testable state machines the HTTP server
+wires in front of its handlers:
 
 * :class:`InflightGauge` — a bounded concurrent-request counter.  When
   the bound is reached, further requests are *shed* with a structured
@@ -17,16 +17,24 @@ in front of its handlers:
   After a cooldown the breaker admits exactly one *probe* mutation
   (HALF_OPEN); the probe's success closes the breaker, its failure
   re-opens it for another cooldown.
+* :class:`ConnectionTracker` — the open keep-alive connections (each
+  one holds a handler thread) and the transport counters, so the
+  server can end them at shutdown and ``GET /api/stats`` can report
+  how many requests each connection carried.
 
-Both read time through :func:`repro.faults.now`, so chaos tests drive
-cooldown expiry with a seeded virtual clock — no wall-clock sleeps.
+The first two read time through :func:`repro.faults.now`, so chaos
+tests drive cooldown expiry with a seeded virtual clock — no wall-clock
+sleeps.
 """
 
 from __future__ import annotations
 
+import socket
+import time
+
 from repro import concurrency, faults
 
-__all__ = ["CircuitBreaker", "InflightGauge"]
+__all__ = ["CircuitBreaker", "ConnectionTracker", "InflightGauge"]
 
 
 class InflightGauge:
@@ -86,6 +94,71 @@ class InflightGauge:
                 "admitted": self._admitted,
                 "shed": self._shed,
             }
+
+
+class ConnectionTracker:
+    """The server's open connections and its transport counters.
+
+    The server speaks HTTP/1.1 keep-alive, so one handler thread serves
+    one connection for as long as it stays open and the server, not the
+    request, owns that lifetime: sockets are registered from accept to
+    close, and :meth:`drain` ends the ones still open at shutdown.  The
+    counters are the ``transport`` section of ``GET /api/stats``;
+    ``requests_served / connections_accepted`` is the reuse factor.
+    """
+
+    COUNTERS = (
+        "connections_accepted",
+        "requests_served",
+        "idle_timeouts",
+        "closed_unread_body",
+    )
+
+    def __init__(self) -> None:
+        self._lock = concurrency.ordered_lock(
+            "server.connections", concurrency.LEVEL_LEAF
+        )
+        self._open: set[socket.socket] = set()
+        self._counts = dict.fromkeys(self.COUNTERS, 0)
+
+    def opened(self, connection: socket.socket) -> None:
+        with self._lock:
+            self._open.add(connection)
+            self._counts["connections_accepted"] += 1
+
+    def closed(self, connection: socket.socket) -> None:
+        with self._lock:
+            self._open.discard(connection)
+
+    def count(self, counter: str) -> None:
+        with self._lock:
+            self._counts[counter] += 1
+
+    def drain(self, timeout_s: float) -> None:
+        """End every open connection; wait for their handlers to finish.
+
+        ``SHUT_RD`` lets a reply in flight still go out: the handler's
+        next read sees EOF, it returns, and the server closes the
+        socket.  A handler still busy after ``timeout_s`` is left to its
+        (daemon) thread.
+        """
+        with self._lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # its handler closed it since the snapshot above
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            with self._lock:
+                if not self._open:
+                    return
+            time.sleep(0.001)
+
+    def to_dict(self) -> dict[str, int]:
+        with self._lock:
+            return {**self._counts, "connections_open": len(self._open)}
 
 
 #: Breaker states (string-valued for direct use in JSON payloads).

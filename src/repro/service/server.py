@@ -51,6 +51,11 @@ search.
 Every why-not response carries the fields the demonstration GUI shows:
 the refined parameters, the penalty against the initial query and the
 server-side response time.
+
+Transport is HTTP/1.1 with persistent connections: a client asks its
+top-k query and its why-not questions over one socket, served by one
+handler thread for as long as the connection stays open (docs/API.md,
+"Connections").
 """
 
 from __future__ import annotations
@@ -95,7 +100,12 @@ from repro.service.protocol import (
 )
 from repro.service.protocol import min_generation_from_dict
 from repro.service.procpool import WorkerCrashedError
-from repro.service.resilience import CLOSED, CircuitBreaker, InflightGauge
+from repro.service.resilience import (
+    CLOSED,
+    CircuitBreaker,
+    ConnectionTracker,
+    InflightGauge,
+)
 from repro.service.session import SessionManager
 from repro.service.wal import FollowerEngine, FollowerLagError, WalWriteError
 from repro.whynot.errors import WhyNotError
@@ -103,6 +113,9 @@ from repro.whynot.errors import WhyNotError
 __all__ = ["YaskHTTPServer", "serve_forever"]
 
 _MAX_BODY_BYTES = 1 << 20  # defensive cap on request bodies
+# Socket timeout of every connection: how long an idle keep-alive peer,
+# or one that stalls mid-request, may hold its handler thread.
+_IDLE_TIMEOUT_S = 30.0
 
 
 class _RequestError(Exception):
@@ -267,6 +280,9 @@ class YaskHTTPServer(ThreadingHTTPServer):
             max_workers=batch_workers,
         )
         self.sessions = SessionManager(capacity=session_capacity)
+        # Every accepted socket, from accept to shutdown_request, plus
+        # the ``transport`` counters of ``GET /api/stats``.
+        self.connections = ConnectionTracker()
         super().__init__((host, port), _YaskRequestHandler)
         if self._snapshot_timer is not None:
             self._snapshot_timer.start()
@@ -300,6 +316,14 @@ class YaskHTTPServer(ThreadingHTTPServer):
                 or (breaker is not None and breaker.state != CLOSED)
             ),
         }
+
+    def process_request(self, request, client_address) -> None:
+        self.connections.opened(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        self.connections.closed(request)
 
     def maybe_snapshot(self) -> dict | None:
         """Checkpoint the log when the configured cadence is due.
@@ -383,6 +407,9 @@ class YaskHTTPServer(ThreadingHTTPServer):
             self._snapshot_timer_stop.set()
             self._snapshot_timer.join(timeout=5.0)
         super().server_close()
+        # A handler thread lives as long as its connection: end the open
+        # ones before closing what their handlers use.
+        self.connections.drain(timeout_s=5.0)
         self.executor.close()
         self.whynot_executor.close()
         self.engine.close()
@@ -391,10 +418,48 @@ class YaskHTTPServer(ThreadingHTTPServer):
 class _YaskRequestHandler(BaseHTTPRequestHandler):
     server: YaskHTTPServer  # narrowed type
 
+    # Persistent connections: one handler (and thread) per connection,
+    # serving requests until either side closes or the timeout expires.
+    protocol_version = "HTTP/1.1"
+    timeout = _IDLE_TIMEOUT_S
+    # A reply leaves as one segment: headers and body are buffered and
+    # flushed together, never held back by Nagle's algorithm waiting for
+    # the peer's delayed ACK of the previous reply (43 ms each, measured).
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
+    _POST_ROUTES: Mapping[str, str] = {
+        "/api/query": "_handle_query",
+        "/api/query/batch": "_handle_query_batch",
+        "/api/objects": "_handle_insert_objects",
+        "/api/mutations": "_handle_mutations",
+        "/api/whynot/explain": "_handle_explain",
+        "/api/whynot/preference": "_handle_preference",
+        "/api/whynot/keywords": "_handle_keywords",
+        "/api/whynot/combined": "_handle_combined",
+        "/api/whynot/batch": "_handle_whynot_batch",
+        "/api/session/close": "_handle_close",
+    }
+
     # Silence per-request stderr logging; the query log panel is the
     # user-visible log.
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass
+
+    def log_error(self, format: str, *args: Any) -> None:  # noqa: A002
+        # The only place the stdlib reports that the socket timeout ran
+        # out while it waited for a request line or headers.
+        if args and isinstance(args[0], TimeoutError):
+            self.server.connections.count("idle_timeouts")
+
+    def parse_request(self) -> bool:
+        self._body_read = False  # per request: set once _read_json has it
+        return super().parse_request()
+
+    def handle_expect_100(self) -> bool:
+        proceed = super().handle_expect_100()
+        self.wfile.flush()  # the client sends no body before it sees this
+        return proceed
 
     # ------------------------------------------------------------------
     # Routing
@@ -489,6 +554,10 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                         # WAL circuit breaker and the advertised
                         # read-only flag.
                         "resilience": self.server.resilience_stats(),
+                        # Connections accepted/open and requests served:
+                        # requests_served / connections_accepted is the
+                        # keep-alive reuse factor.
+                        "transport": self.server.connections.to_dict(),
                         # Process worker tier (None unless the engine
                         # runs shard_workers="proc"): worker count,
                         # start method, scan/delta/restart tallies and
@@ -515,23 +584,28 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             self._send_json(500, {"error": f"internal error: {exc}"})
 
     def do_POST(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        handlers: Mapping[str, Callable[[Mapping[str, Any]], tuple[int, dict]]] = {
-            "/api/query": self._handle_query,
-            "/api/query/batch": self._handle_query_batch,
-            "/api/objects": self._handle_insert_objects,
-            "/api/mutations": self._handle_mutations,
-            "/api/whynot/explain": self._handle_explain,
-            "/api/whynot/preference": self._handle_preference,
-            "/api/whynot/keywords": self._handle_keywords,
-            "/api/whynot/combined": self._handle_combined,
-            "/api/whynot/batch": self._handle_whynot_batch,
-            "/api/session/close": self._handle_close,
-        }
-        handler = handlers.get(parsed.path)
-        if handler is None:
-            self._send_json(404, {"error": f"unknown path {parsed.path}"})
+        path = urlparse(self.path).path
+        name = self._POST_ROUTES.get(path)
+        if name is None:
+            self._send_json(404, {"error": f"unknown path {path}"})
             return
+        handler = getattr(self, name)
+        self._admitted(lambda: handler(self._read_json()))
+
+    def do_DELETE(self) -> None:  # noqa: N802
+        path = urlparse(self.path).path
+        if not path.startswith("/api/objects/"):
+            self._send_json(404, {"error": f"unknown path {path}"})
+            return
+
+        def retire() -> tuple[int, dict]:
+            obj = self._resolve_object(path)
+            return 200, self._apply_and_invalidate([Mutation.delete(obj.oid)])
+
+        self._admitted(retire)
+
+    def _admitted(self, action: Callable[[], tuple[int, dict]]) -> None:
+        """Run a POST/DELETE under admission control and answer it."""
         if not self.server.inflight.try_enter():
             # Load-shedding: beyond the in-flight bound the request is
             # refused *before* any body is read or lock is touched, so
@@ -547,8 +621,7 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            payload = self._read_json()
-            status, body = handler(payload)
+            status, body = action()
             self._send_json(status, body)
         except _RequestError as exc:
             self._send_json(
@@ -579,41 +652,6 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             self._send_json(409, {"error": str(exc)})
         except WhyNotError as exc:
             self._send_json(422, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - last-resort guard
-            self._send_json(500, {"error": f"internal error: {exc}"})
-        finally:
-            self.server.inflight.exit()
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        parsed = urlparse(self.path)
-        if not self.server.inflight.try_enter():
-            self._send_json(
-                503,
-                {
-                    "error": "server overloaded: too many requests in "
-                    "flight; retry after the advertised delay",
-                    "shed": True,
-                },
-                retry_after=1.0,
-            )
-            return
-        try:
-            if not parsed.path.startswith("/api/objects/"):
-                self._send_json(404, {"error": f"unknown path {parsed.path}"})
-                return
-            obj = self._resolve_object(parsed.path)
-            report = self._apply_and_invalidate([Mutation.delete(obj.oid)])
-            self._send_json(200, report)
-        except _RequestError as exc:
-            self._send_json(
-                exc.status, {"error": str(exc)}, retry_after=exc.retry_after
-            )
-        except WalWriteError as exc:
-            self._send_json(503, {"error": str(exc)}, retry_after=1.0)
-        except MissingTargetError as exc:
-            self._send_json(404, {"error": str(exc)})
-        except MutationError as exc:
-            self._send_json(409, {"error": str(exc)})
         except Exception as exc:  # pragma: no cover - last-resort guard
             self._send_json(500, {"error": f"internal error: {exc}"})
         finally:
@@ -986,12 +1024,20 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             raise _RequestError(404, _keyerror_message(exc)) from None
 
     def _read_json(self) -> Mapping[str, Any]:
-        length = int(self.headers.get("Content-Length", "0") or "0")
-        if length <= 0:
+        declared = self.headers.get("Content-Length", "0").strip() or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise _RequestError(400, "Content-Length must be a byte count")
+        length = int(declared)
+        if length == 0:
             raise _RequestError(400, "request body required")
         if length > _MAX_BODY_BYTES:
             raise _RequestError(413, "request body too large")
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            self.server.connections.count("idle_timeouts")
+            raise _RequestError(408, "request body timed out") from None
+        self._body_read = True
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as exc:
@@ -1038,6 +1084,16 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
         retry_after: float | None = None,
     ) -> None:
         body = json.dumps(payload).encode("utf-8")
+        if not (self._body_read or self.close_connection) and (
+            self.command == "POST"
+            or self.headers.get("Content-Length", "0").strip() != "0"
+            or "Transfer-Encoding" in self.headers
+        ):
+            # The request's body is still in the socket and would be
+            # parsed as the next request line: this reply is the last.
+            self.close_connection = True
+            self.server.connections.count("closed_unread_body")
+        self.server.connections.count("requests_served")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -1045,8 +1101,11 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             # An integral number of seconds, rounded up: "Retry-After: 0"
             # would invite an immediate hammer.
             self.send_header("Retry-After", str(max(1, math.ceil(retry_after))))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
 
 def serve_forever(

@@ -1,10 +1,15 @@
-"""Unit tests for admission control and the WAL circuit breaker.
+"""Unit tests for admission control, the WAL circuit breaker and the
+connection tracker.
 
-Both primitives read :func:`repro.faults.now`, so every cooldown test
+The first two read :func:`repro.faults.now`, so every cooldown test
 here runs on an armed plan's virtual clock — no wall-clock sleeps.
 """
 
 from __future__ import annotations
+
+import socket
+import threading
+import time
 
 import pytest
 
@@ -15,6 +20,7 @@ from repro.service.resilience import (
     HALF_OPEN,
     OPEN,
     CircuitBreaker,
+    ConnectionTracker,
     InflightGauge,
 )
 
@@ -48,6 +54,57 @@ class TestInflightGauge:
             "admitted": 1,
             "shed": 1,
         }
+
+
+class TestConnectionTracker:
+    def test_counters(self):
+        tracker = ConnectionTracker()
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            tracker.opened(ours)
+            tracker.count("requests_served")
+            tracker.count("requests_served")
+            tracker.count("idle_timeouts")
+            assert tracker.to_dict() == {
+                "connections_accepted": 1,
+                "connections_open": 1,
+                "requests_served": 2,
+                "idle_timeouts": 1,
+                "closed_unread_body": 0,
+            }
+            tracker.closed(ours)
+            assert tracker.to_dict()["connections_open"] == 0
+            assert tracker.to_dict()["connections_accepted"] == 1
+
+    def test_drain_wakes_a_blocked_reader_and_waits_for_it(self):
+        tracker = ConnectionTracker()
+        ours, theirs = socket.socketpair()
+        seen: list[bytes] = []
+
+        def handler() -> None:
+            seen.append(ours.recv(16))  # blocks: the peer sends nothing
+            ours.close()
+            tracker.closed(ours)
+
+        with theirs:
+            tracker.opened(ours)
+            thread = threading.Thread(target=handler)
+            thread.start()
+            tracker.drain(timeout_s=5.0)
+            assert tracker.to_dict()["connections_open"] == 0
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert seen == [b""]  # EOF, not an error
+
+    def test_drain_gives_up_on_a_busy_handler(self):
+        tracker = ConnectionTracker()
+        ours, theirs = socket.socketpair()
+        with ours, theirs:
+            tracker.opened(ours)  # nobody ever reports it closed
+            started = time.monotonic()
+            tracker.drain(timeout_s=0.05)
+            assert 0.05 <= time.monotonic() - started < 2.0
+            assert tracker.to_dict()["connections_open"] == 1
 
 
 class TestCircuitBreaker:

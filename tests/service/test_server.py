@@ -5,7 +5,6 @@ driven through the YaskClient, covering every endpoint and the error
 paths (bad JSON, unknown sessions, not-missing objects).
 """
 
-import json
 from urllib import request
 
 import pytest
@@ -25,7 +24,8 @@ def server(small_db):
 
 @pytest.fixture(scope="module")
 def client(server):
-    return YaskClient(server.endpoint)
+    with YaskClient(server.endpoint) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -459,10 +459,7 @@ class TestSessionWhyNotCaching:
 
 class TestDurabilityOverHTTP:
     def test_stats_report_durability_disabled_by_default(self, client):
-        response = json.loads(
-            request.urlopen(client._base_url + "/api/stats").read()
-        )
-        assert response["durability"] == {"enabled": False}
+        assert client.durability_stats() == {"enabled": False}
 
     def test_min_generation_on_a_primary(self, client, scenario):
         q = scenario.query

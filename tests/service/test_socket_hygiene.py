@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import socket
+import threading
 import warnings
 
 import pytest
@@ -29,11 +30,34 @@ def test_lifecycle_emits_no_resource_warning():
         with running_server(
             YaskEngine(make_tiny_db(), max_entries=4), port=0
         ) as server:
-            client = YaskClient(server.endpoint)
-            assert client.query(x=0.1, y=0.1, keywords=["chinese"], k=2)
+            with YaskClient(server.endpoint) as client:
+                assert client.query(x=0.1, y=0.1, keywords=["chinese"], k=2)
         # Unclosed sockets surface as ResourceWarning at collection
         # time; force a full pass so a leak fails *this* test, not an
         # unrelated later one.
+        gc.collect()
+
+
+def test_connection_still_held_at_server_close_is_ended():
+    """A keep-alive client that never hung up must not outlive the
+    server: ``server_close`` ends the connection, its handler thread
+    finishes and the accepted socket is closed."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with running_server(
+            YaskEngine(make_tiny_db(), max_entries=4), port=0
+        ) as server:
+            before = set(threading.enumerate())
+            client = YaskClient(server.endpoint)
+            assert client.query(x=0.1, y=0.1, keywords=["chinese"], k=2)
+            handlers = set(threading.enumerate()) - before
+            accepted = list(server.connections._open)
+            assert len(handlers) == len(accepted) == 1
+        assert server.connections.to_dict()["connections_open"] == 0
+        assert not any(thread.is_alive() for thread in handlers)
+        assert all(sock.fileno() == -1 for sock in accepted)
+        client.close()
+        del accepted
         gc.collect()
 
 

@@ -7,16 +7,23 @@ already invalidated while the why-not side is not — a mixed-generation
 view.  :func:`repro.service.executor.consistent_stats` closes that
 window; these tests hammer it with a concurrent invalidator and assert
 the invariant, plus pin the plain-read race shape it guards against.
+
+The ``transport`` section is read off a live server: the counters must
+let an operator tell how many requests each connection carried.
 """
 
 import threading
 
 from repro.core.query import QueryResult
+from repro.service.api import YaskEngine
+from repro.service.client import YaskClient
 from repro.service.executor import (
     QueryExecutor,
     WhyNotExecutor,
     consistent_stats,
 )
+from tests.conftest import make_tiny_db
+from tests.service.conftest import running_server
 
 
 class _StubEngine:
@@ -126,3 +133,24 @@ class TestConsistentStats:
         reader.join(timeout=5.0)
         invalidator.join(timeout=5.0)
         assert observed == [(1, 1)]
+
+
+class TestTransportSection:
+    def test_counters_show_connection_reuse(self):
+        with running_server(YaskEngine(make_tiny_db(), max_entries=4)) as server:
+            with YaskClient(server.endpoint) as client:
+                for _ in range(5):
+                    client.query(0.1, 0.1, ["chinese"], 2)
+                transport = client._call("GET", "/api/stats")["transport"]
+            assert transport == {
+                "connections_accepted": 1,
+                "connections_open": 1,
+                "requests_served": 5,
+                "idle_timeouts": 0,
+                "closed_unread_body": 0,
+            }
+            # A second client is a second connection, not a fifth.
+            with YaskClient(server.endpoint) as other:
+                transport = other.transport_stats()
+            assert transport["connections_accepted"] == 2
+            assert transport["requests_served"] == 6

@@ -34,6 +34,7 @@ import traceback
 from contextlib import redirect_stdout
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
@@ -93,13 +94,21 @@ class SnippetFailure:
         )
 
 
-def execute_snippet(label: str, runnable: str) -> SnippetFailure | None:
+def execute_snippet(
+    label: str, runnable: str, *, hang_up: Callable[[], None] | None = None
+) -> SnippetFailure | None:
     """Run one snippet; ``None`` on success, a failure record otherwise.
 
     Failures *inside snippet-spawned threads* count: a thread-scoped
     ``threading.excepthook`` collects them, and every thread the
     snippet started is joined (bounded) before the verdict, so a
     slow-failing worker cannot outlive its snippet and be missed.
+
+    ``hang_up`` runs once the snippet's code has: a reader's script
+    would exit here and close its connections, so the live server's
+    handler threads for those kept-alive connections (which appeared
+    while the snippet ran, but are not its threads) are ended rather
+    than waited on until their idle timeout.
     """
     namespace: dict[str, object] = {"__name__": "__docs_check__"}
     stdout = io.StringIO()
@@ -128,6 +137,8 @@ def execute_snippet(label: str, runnable: str) -> SnippetFailure | None:
                 traceback_text=traceback.format_exc(),
                 in_thread=False,
             )
+        if hang_up is not None:
+            hang_up()
         for thread in set(threading.enumerate()) - threads_before:
             thread.join(timeout=30.0)
     finally:
@@ -159,7 +170,11 @@ def main() -> int:
             for line, source in extract_snippets(path):
                 executed += 1
                 runnable = source.replace(DOCUMENTED_ENDPOINT, server.endpoint)
-                failure = execute_snippet(f"{name}:{line}", runnable)
+                failure = execute_snippet(
+                    f"{name}:{line}",
+                    runnable,
+                    hang_up=lambda: server.connections.drain(timeout_s=5.0),
+                )
                 if failure is not None:
                     failures += 1
                     print(failure.report(source))
