@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from repro import concurrency
 from repro.core.hotpath import hot_path
-from repro.core.objects import SpatialDatabase, SpatialObject
+from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.text.similarity import (
     DiceSimilarity,
@@ -81,7 +81,8 @@ _MODEL_CODES: dict[type, str] = {
 #: * an empty mask makes every TSim 0 (all formulas gate on shared > 0);
 #: * hence its score is exactly 0.0 under any query and weights, which
 #:   can never *strictly* beat anything, and
-#: * the oid sentinel — larger than any real id — loses every
+#: * the oid sentinel — ``OID_LIMIT``, which ``SpatialObject`` refuses as
+#:   an id, so it is larger than any real one — loses every
 #:   (score desc, oid asc) tie-break, so a dead row is never counted as
 #:   a beater even against a true score of 0.0.
 #:
@@ -89,7 +90,7 @@ _MODEL_CODES: dict[type, str] = {
 #: candidate scan, which would otherwise emit rows, and ``DualView``
 #: point materialisation) need an explicit liveness filter; every
 #: counting scan is tombstone-oblivious by the argument above.
-_DEAD_OID = 1 << 62
+_DEAD_OID = OID_LIMIT
 _DEAD_COORD = 1e300
 
 #: Default tombstone fraction beyond which a mutation batch triggers

@@ -13,6 +13,7 @@ that normalises Euclidean distances into ``[0, 1]`` as Eqn. (1) requires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -20,7 +21,12 @@ from repro.core.geometry import Point, Rect
 from repro.text.tokenize import document_frequencies
 from repro.text.vocabulary import Vocabulary
 
-__all__ = ["SpatialObject", "SpatialDatabase"]
+__all__ = ["OID_LIMIT", "SpatialObject", "SpatialDatabase"]
+
+#: Exclusive upper bound on object ids.  The scoring kernel keeps ids in
+#: a signed 64-bit column and marks a deleted row with this value, which
+#: must lose every (score desc, oid asc) tie-break against a real id.
+OID_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,11 +36,12 @@ class SpatialObject:
     Parameters
     ----------
     oid:
-        Unique non-negative identifier within a database.  All engines
-        break score ties deterministically by ascending ``oid`` so that
-        results and ranks are total orders.
+        Unique identifier within a database, ``0 <= oid < OID_LIMIT``.
+        All engines break score ties deterministically by ascending
+        ``oid`` so that results and ranks are total orders.
     loc:
-        Object location (``o.loc``).
+        Object location (``o.loc``); both coordinates must be finite —
+        a NaN has no place in an R-tree and no distance to anything.
     doc:
         Keyword set (``o.doc``).  Stored as a ``frozenset`` so objects
         are hashable and keyword sets can never drift under an index.
@@ -49,8 +56,15 @@ class SpatialObject:
     name: str | None = None
 
     def __post_init__(self) -> None:
-        if self.oid < 0:
-            raise ValueError(f"object id must be non-negative, got {self.oid}")
+        if not 0 <= self.oid < OID_LIMIT:
+            raise ValueError(
+                f"object id must lie in [0, 2**62), got {self.oid}"
+            )
+        if not (math.isfinite(self.loc.x) and math.isfinite(self.loc.y)):
+            raise ValueError(
+                f"object coordinates must be finite, got "
+                f"({self.loc.x}, {self.loc.y})"
+            )
         if not isinstance(self.doc, frozenset):
             # Accept any iterable of keywords for convenience.
             object.__setattr__(self, "doc", frozenset(self.doc))

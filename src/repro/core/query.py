@@ -101,6 +101,10 @@ class SpatialKeywordQuery:
     def __post_init__(self) -> None:
         if not isinstance(self.doc, frozenset):
             object.__setattr__(self, "doc", frozenset(self.doc))
+        if not (math.isfinite(self.loc.x) and math.isfinite(self.loc.y)):
+            raise ValueError(
+                f"query location must be finite, got ({self.loc.x}, {self.loc.y})"
+            )
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
         if not self.doc:

@@ -13,36 +13,30 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence, cast
 
 from repro import concurrency
 from repro.core.geometry import Point
+from repro.core.kernel import ScoringKernel
 from repro.core.mutations import (
     AppliedBatch,
     MutableDatabase,
     Mutation,
-    MutationError,
     ReadWriteLock,
 )
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import DEFAULT_WEIGHTS, QueryResult, SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.core.sharding import ShardRouter
-from repro.core.topk import BestFirstTopK, BruteForceTopK, TopKEngine
-from repro.index.irtree import IRTree
+from repro.core.topk import BestFirstTopK, TopKEngine
 from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
-from repro.text.similarity import (
-    JACCARD,
-    CosineTfIdfSimilarity,
-    JaccardSimilarity,
-    SetSimilarityModel,
-    TextSimilarityModel,
-)
+from repro.text.similarity import JACCARD, SetSimilarityModel
 from repro.whynot.engine import WhyNotAnswer, WhyNotEngine
 
 if TYPE_CHECKING:  # imported lazily: the executor fronts this module
     from repro.service.executor import WhyNotQuestion
+    from repro.service.procpool import ShardWorkerPool
     from repro.service.wal import WriteAheadLog
 from repro.whynot.explanation import WhyNotExplanation
 from repro.whynot.keyword import KeywordRefinement
@@ -111,16 +105,20 @@ class MutationReport:
 class YaskEngine:
     """The complete YASK server-side query processor.
 
+    One shape, always — a columnar scoring kernel, a SetR-tree, a
+    KcR-tree and a mutable database — so every engine queries, mutates,
+    logs and recovers; anything outside docs/OPERATIONS.md's "Supported
+    configurations" table is refused at construction, with the reason.
+
     Parameters
     ----------
     database:
         The spatial object database ``D``.
     text_model:
-        Textual similarity model; Jaccard (the paper's Eqn. 2 default)
-        enables the SetR-tree engine and both why-not modules.  A
-        :class:`CosineTfIdfSimilarity` switches the top-k engine to the
-        IR-tree of [4]; the why-not keyword module then falls back to
-        exhaustive ranking (its KcR-tree bounds are Jaccard-specific).
+        Textual similarity model: Jaccard (the paper's Eqn. 2 default),
+        Dice or Overlap — the models with an exact columnar kernel
+        (:meth:`ScoringKernel.supports`).  Any other model is refused:
+        its scores could not be maintained under mutation.
     default_weights:
         The server-side preference parameter: "the system ... leaves the
         weighting vector ~w as a system parameter on the server.  In the
@@ -128,21 +126,19 @@ class YaskEngine:
     max_entries:
         R-tree fanout for every index built.
     shards:
-        ``None`` (default) keeps the single-index engine.  An integer
-        partitions the database into that many disjoint spatial shards
-        (:mod:`repro.core.sharding`): top-k queries run scatter-gather
-        with shard-bound skipping
-        (:class:`~repro.service.sharded.ShardedEngine` replaces the
-        best-first engine) and the why-not modules' full-database rank
-        scans prune whole shards — all bit-for-bit identical to the
-        unsharded engine.  ``shards=1`` exercises the sharded machinery
-        with a single shard (the E12 scatter baseline).  Requires a
-        text model with a columnar kernel (Jaccard/Dice/Overlap) and is
-        mutually exclusive with ``use_index=False`` (the brute-force
-        oracle ablation).
+        ``None`` (default): top-k runs best-first over the SetR-tree.
+        An integer partitions the database into that many disjoint
+        spatial shards (:mod:`repro.core.sharding`): top-k queries run
+        scatter-gather with shard-bound skipping
+        (:class:`~repro.service.sharded.ShardedEngine`) and the why-not
+        modules' full-database rank scans prune whole shards — all
+        bit-for-bit identical to the unsharded engine.  ``shards=1``
+        exercises the sharded machinery with a single shard (the E12
+        scatter baseline).
     partitioner:
-        ``"grid"`` (spatial quantile tiles, default) or
-        ``"round-robin"`` (the spatially incoherent ablation).
+        ``"grid"`` (spatial quantile tiles, default), ``"round-robin"``
+        (the spatially incoherent ablation) or a callable; anything but
+        the default requires ``shards``.
     shard_workers:
         Scatter pool width for the sharded engine (``None`` = one per
         shard, capped by the CPU count; single-core hosts therefore run
@@ -151,7 +147,7 @@ class YaskEngine:
         (:mod:`repro.service.procpool`): one long-lived worker process
         per shard scanning shared-memory kernel columns, escaping the
         GIL entirely.  Results are bit-for-bit identical on every
-        path.
+        path.  Requires ``shards``.
     index_rebuild_slack:
         Live-mutation rebuild fallback sensitivity: after a mutation
         batch, any R-tree taller than its STR bulk-load ideal by more
@@ -163,10 +159,9 @@ class YaskEngine:
         A :class:`~repro.service.wal.WriteAheadLog` to attach: every
         mutation batch is durably appended *before* it is applied, so a
         crash at any point reconstructs this engine exactly
-        (:func:`repro.service.wal.recover_engine`).  Requires a
-        mutation-capable (non-IR-tree) configuration, and the log's
-        last generation must equal this engine's — recovery replays the
-        log *before* attaching.
+        (:func:`repro.service.wal.recover_engine`).  The log's last
+        generation must equal this engine's — recovery replays the log
+        *before* attaching.
     base_generation:
         The generation this engine's state already embodies — the
         snapshot generation when recovering.  The mutation counter
@@ -182,12 +177,9 @@ class YaskEngine:
         self,
         database: SpatialDatabase,
         *,
-        text_model: TextSimilarityModel = JACCARD,
+        text_model: SetSimilarityModel = JACCARD,
         default_weights: Weights = DEFAULT_WEIGHTS,
         max_entries: int = 32,
-        use_index: bool = True,
-        max_edit_count: int | None = None,
-        candidate_budget: int | None = None,
         shards: int | None = None,
         partitioner: str = "grid",
         shard_workers: int | str | None = None,
@@ -196,23 +188,32 @@ class YaskEngine:
         base_generation: int = 0,
         batch_tokens: Mapping[str, int] | None = None,
     ) -> None:
+        if not ScoringKernel.supports(text_model):
+            raise ValueError(
+                f"{type(text_model).__name__} has no columnar kernel: "
+                "YaskEngine serves Jaccard, Dice and Overlap, whose scores "
+                "it can maintain under mutation; search other models with "
+                "BestFirstTopK over a library index such as IRTree"
+            )
+        if shards is None and (shard_workers is not None or partitioner != "grid"):
+            raise ValueError(
+                "shard_workers and partitioner configure the sharded "
+                "engine and would be ignored without shards; pass "
+                "shards=N (shards=1 keeps one shard) or drop them"
+            )
+        if index_rebuild_slack < 0:
+            raise ValueError("index_rebuild_slack must be non-negative")
+        if base_generation < 0:
+            raise ValueError("base_generation must be non-negative")
         self._database = database
         self._text_model = text_model
         self._default_weights = default_weights
+        self._max_entries = max_entries
+        self._index_rebuild_slack = index_rebuild_slack
+        self._indexes_rebuilt = 0
 
         self._shard_router: ShardRouter | None = None
         if shards is not None:
-            if not use_index:
-                # The two requests contradict: use_index=False asks for
-                # the brute-force oracle engine, shards for the pruned
-                # scatter-gather.  Silently preferring either would
-                # corrupt ablation measurements, so refuse.
-                raise ValueError(
-                    "shards and use_index=False are mutually exclusive; "
-                    "benchmark the scatter baseline with shards=1 instead"
-                )
-            # Raises for models without a columnar kernel — sharded
-            # scans are built on the kernel's flat columns.
             self._shard_router = ShardRouter(
                 database,
                 shards=shards,
@@ -222,12 +223,41 @@ class YaskEngine:
         self._scorer = Scorer(
             database, text_model=text_model, shard_router=self._shard_router
         )
+        # Never None: supports() was checked above.
+        self._kernel = cast(ScoringKernel, self._scorer.kernel)
+        # The SetR-tree serves best-first top-k and the explanation
+        # generator's counting queries; the KcR-tree the keyword module.
+        self._set_rtree = SetRTree.build(
+            database, text_model=text_model, max_entries=max_entries
+        )
+        self._kcr_tree = KcRTree.build(database, max_entries=max_entries)
+        self._whynot = WhyNotEngine(
+            self._scorer, set_rtree=self._set_rtree, kcr_tree=self._kcr_tree
+        )
 
-        self._set_rtree: SetRTree | None = None
-        self._ir_tree: IRTree | None = None
+        # ---- Live-mutation tier -------------------------------------
+        # Readers (queries, why-not answering) share the lock; mutation
+        # batches are exclusive, so a search never observes a
+        # half-applied batch.  Level 20 in the documented hierarchy:
+        # above the snapshot and follower locks, below the WAL lock
+        # (apply_mutations holds the write side across wal.append —
+        # fsync there is the write-ahead guarantee, hence fsync_safe).
+        self._lock = ReadWriteLock(
+            name="engine.rw", level=concurrency.LEVEL_ENGINE, fsync_safe=True
+        )
+        self._mutable = MutableDatabase(
+            database,
+            model_code=self._kernel.model_code,
+            start_generation=base_generation,
+            tokens=batch_tokens,
+        )
+        self._mutable.register_listener(self._kernel)
+
         self._sharded_engine = None
         self._topk_engine: TopKEngine
-        if self._shard_router is not None:
+        if self._shard_router is None:
+            self._topk_engine = BestFirstTopK(self._set_rtree, self._scorer)
+        else:
             from repro.service.sharded import ShardedEngine
 
             worker_pool = None
@@ -249,86 +279,12 @@ class YaskEngine:
                 worker_pool=worker_pool,
             )
             self._topk_engine = self._sharded_engine
-        elif not use_index:
-            self._topk_engine = BruteForceTopK(self._scorer)
-        elif isinstance(text_model, SetSimilarityModel):
-            self._set_rtree = SetRTree.build(
-                database, text_model=text_model, max_entries=max_entries
-            )
-            self._topk_engine = BestFirstTopK(self._set_rtree, self._scorer)
-        elif isinstance(text_model, CosineTfIdfSimilarity):
-            self._ir_tree = IRTree.build(
-                database, text_model=text_model, max_entries=max_entries
-            )
-            self._topk_engine = BestFirstTopK(self._ir_tree, self._scorer)
-        else:
-            self._topk_engine = BruteForceTopK(self._scorer)
-
-        # The explanation generator's counting queries are served by a
-        # SetR-tree when the ranking model is set-based (the counts must
-        # agree with the ranking model's similarities); otherwise the
-        # generator falls back to database scans.
-        if self._set_rtree is None and isinstance(text_model, SetSimilarityModel):
-            self._set_rtree = SetRTree.build(
-                database, text_model=text_model, max_entries=max_entries
-            )
-
-        self._max_entries = max_entries
-        self._kcr_tree = KcRTree.build(database, max_entries=max_entries)
-        self._whynot = WhyNotEngine(
-            self._scorer,
-            set_rtree=self._set_rtree,
-            kcr_tree=self._kcr_tree,
-            use_kcr_bounds=isinstance(text_model, JaccardSimilarity),
-            max_edit_count=max_edit_count,
-            candidate_budget=candidate_budget,
-        )
-
-        # ---- Live-mutation tier -------------------------------------
-        # Readers (queries, why-not answering) share the lock; mutation
-        # batches are exclusive, so a search never observes a
-        # half-applied batch.  The IR-tree path is the one structure
-        # that cannot be maintained incrementally — its tf-idf weights
-        # depend on corpus-wide document frequencies, so every insert
-        # would reweigh every node — and mutations are refused there.
-        # Level 20 in the documented hierarchy: above the snapshot and
-        # follower locks, below the WAL lock (apply_mutations holds the
-        # write side across wal.append — fsync there is the write-ahead
-        # guarantee, hence fsync_safe).
-        self._lock = ReadWriteLock(
-            name="engine.rw", level=concurrency.LEVEL_ENGINE, fsync_safe=True
-        )
-        self._indexes_rebuilt = 0
-        if index_rebuild_slack < 0:
-            raise ValueError("index_rebuild_slack must be non-negative")
-        self._index_rebuild_slack = index_rebuild_slack
-        if base_generation < 0:
-            raise ValueError("base_generation must be non-negative")
-        if self._ir_tree is None:
-            kernel = self._scorer.kernel
-            self._mutable: MutableDatabase | None = MutableDatabase(
-                database,
-                model_code=kernel.model_code if kernel is not None else None,
-                start_generation=base_generation,
-                tokens=batch_tokens,
-            )
-            if kernel is not None:
-                self._mutable.register_listener(kernel)
-            if self._shard_router is not None:
-                self._mutable.register_listener(self._shard_router)
-                # The worker pool replays the router's per-shard deltas,
-                # so it must observe each batch *after* the router has
-                # routed it (listener order is delivery order).
-                pool = self.worker_pool
-                if pool is not None:
-                    self._mutable.register_listener(pool)
-        else:
-            self._mutable = None
-            if base_generation:
-                raise MutationError(
-                    "an IR-tree engine cannot resume a mutation history: "
-                    "it does not support mutations"
-                )
+            # Listener order is delivery order: after the kernel, the
+            # router routes each batch to its shards, then the worker
+            # pool replays the router's per-shard deltas.
+            self._mutable.register_listener(self._shard_router)
+            if worker_pool is not None:
+                self._mutable.register_listener(worker_pool)
         self._wal: "WriteAheadLog | None" = None
         if wal is not None:
             self.attach_wal(wal)
@@ -357,14 +313,14 @@ class YaskEngine:
         return self._scorer
 
     @property
-    def kernel(self):
-        """The scorer's columnar kernel (None for non-set text models).
+    def kernel(self) -> ScoringKernel:
+        """The scorer's columnar kernel.
 
         Its :class:`~repro.core.kernel.KernelStats` counters surface
         through ``GET /api/stats`` so operators can see how much work
         the compute tier under the result caches actually performs.
         """
-        return self._scorer.kernel
+        return self._kernel
 
     @property
     def shard_router(self) -> ShardRouter | None:
@@ -377,7 +333,7 @@ class YaskEngine:
         return self._shard_router
 
     @property
-    def worker_pool(self):
+    def worker_pool(self) -> "ShardWorkerPool | None":
         """The process worker pool (None unless ``shard_workers="proc"``).
 
         Its :meth:`~repro.service.procpool.ShardWorkerPool.to_dict`
@@ -401,16 +357,12 @@ class YaskEngine:
         return self._topk_engine
 
     @property
-    def set_rtree(self) -> SetRTree | None:
+    def set_rtree(self) -> SetRTree:
         return self._set_rtree
 
     @property
     def kcr_tree(self) -> KcRTree:
         return self._kcr_tree
-
-    @property
-    def ir_tree(self) -> IRTree | None:
-        return self._ir_tree
 
     # ------------------------------------------------------------------
     # Query construction
@@ -484,19 +436,9 @@ class YaskEngine:
     # Live mutation (insert / update / delete through every layer)
     # ------------------------------------------------------------------
     @property
-    def supports_mutations(self) -> bool:
-        """Whether this engine accepts :meth:`apply_mutations`.
-
-        False only for the IR-tree (cosine tf-idf) configuration, whose
-        corpus-frequency-dependent weights cannot be maintained
-        incrementally — rebuild the engine instead.
-        """
-        return self._mutable is not None
-
-    @property
     def generation(self) -> int:
         """Mutation batches applied so far (0 for a fresh engine)."""
-        return self._mutable.generation if self._mutable is not None else 0
+        return self._mutable.generation
 
     def apply_mutations(
         self,
@@ -526,12 +468,6 @@ class YaskEngine:
         nothing.  The token rides the WAL record, so deduplication
         survives recovery and follower re-bootstrap.
         """
-        if self._mutable is None:
-            raise MutationError(
-                "this engine cannot apply mutations: the IR-tree's tf-idf "
-                "weights depend on corpus-wide document frequencies; "
-                "rebuild the engine with the new object set instead"
-            )
         started = time.perf_counter()
         pre_commit = None
         if self._wal is not None:
@@ -572,8 +508,6 @@ class YaskEngine:
                 rebuilt: tuple[str, ...] = ()
             else:
                 for tree in (self._set_rtree, self._kcr_tree):
-                    if tree is None:
-                        continue
                     for obj in change.removed:
                         tree.delete(obj, obj.loc)
                     # Batched: one deferred summary pass per tree instead
@@ -583,11 +517,10 @@ class YaskEngine:
                         (obj, obj.loc) for obj in change.appended
                     )
                 rebuilt = self._rebuild_degraded_indexes()
-        kernel = self._scorer.kernel
         return MutationReport(
             change=change,
             objects=len(self._database),
-            kernel=kernel.mutation_info() if kernel is not None else None,
+            kernel=self._kernel.mutation_info(),
             indexes_rebuilt=rebuilt,
             response_ms=(time.perf_counter() - started) * 1000.0,
         )
@@ -601,9 +534,7 @@ class YaskEngine:
         """
         slack = self._index_rebuild_slack
         rebuilt: list[str] = []
-        if self._set_rtree is not None and self._set_rtree.balance_degraded(
-            slack=slack
-        ):
+        if self._set_rtree.balance_degraded(slack=slack):
             self._set_rtree.adopt_structure(
                 SetRTree.build(
                     self._database,
@@ -622,13 +553,9 @@ class YaskEngine:
 
     def mutation_stats(self) -> dict:
         """The ``GET /api/stats`` mutations section."""
-        if self._mutable is None:
-            return {"supported": False}
-        kernel = self._scorer.kernel
         return {
-            "supported": True,
             **self._mutable.to_dict(),
-            "kernel": kernel.mutation_info() if kernel is not None else None,
+            "kernel": self._kernel.mutation_info(),
             "indexes_rebuilt": self._indexes_rebuilt,
         }
 
@@ -649,11 +576,6 @@ class YaskEngine:
         would log a gap.  :func:`repro.service.wal.recover_engine`
         establishes the invariant by replaying before attaching.
         """
-        if self._mutable is None:
-            raise MutationError(
-                "an IR-tree engine cannot attach a write-ahead log: "
-                "it does not support mutations"
-            )
         if self._wal is not None:
             raise ValueError("a write-ahead log is already attached")
         if wal.last_generation != self.generation:

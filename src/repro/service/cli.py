@@ -381,13 +381,24 @@ def _shard_workers_arg(value: str) -> "int | str":
     return workers
 
 
+def _engine_options(args: argparse.Namespace) -> dict:
+    """The engine keywords of the ``add_shard_args`` flags, spelled once."""
+    if args.shards is None and (
+        args.shard_workers is not None or args.partitioner != "grid"
+    ):
+        raise SystemExit(
+            "--shard-workers and --partitioner configure the sharded "
+            "engine; add --shards N (or drop them)"
+        )
+    return {
+        "shards": args.shards,
+        "partitioner": args.partitioner,
+        "shard_workers": args.shard_workers,
+    }
+
+
 def _make_engine(args: argparse.Namespace) -> YaskEngine:
-    return YaskEngine(
-        load_dataset(args.dataset),
-        shards=getattr(args, "shards", None),
-        partitioner=getattr(args, "partitioner", "grid"),
-        shard_workers=getattr(args, "shard_workers", None),
-    )
+    return YaskEngine(load_dataset(args.dataset), **_engine_options(args))
 
 
 def _make_durable_engine(args: argparse.Namespace) -> YaskEngine:
@@ -401,9 +412,7 @@ def _make_durable_engine(args: argparse.Namespace) -> YaskEngine:
             args.wal_dir,
             database=load_dataset(args.dataset),
             fsync=args.fsync,
-            shards=getattr(args, "shards", None),
-            partitioner=getattr(args, "partitioner", "grid"),
-            shard_workers=getattr(args, "shard_workers", None),
+            **_engine_options(args),
         )
     except WalError as exc:
         raise SystemExit(f"recovery failed: {exc}")
@@ -716,11 +725,7 @@ def _run_follow(args: argparse.Namespace) -> int:
     database = load_dataset(args.dataset) if args.dataset else None
     try:
         follower = FollowerEngine(
-            args.wal_dir,
-            database=database,
-            shards=args.shards,
-            partitioner=args.partitioner,
-            shard_workers=getattr(args, "shard_workers", None),
+            args.wal_dir, database=database, **_engine_options(args)
         )
     except WalError as exc:
         print(f"follower bootstrap failed: {exc}", file=sys.stderr)

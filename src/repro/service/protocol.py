@@ -119,7 +119,10 @@ def query_from_dict(
         keywords = _require(payload, "keywords")
         if isinstance(keywords, str) or not hasattr(keywords, "__iter__"):
             raise ProtocolError("'keywords' must be a list of strings")
-        k = int(_require(payload, "k"))
+        k = _require(payload, "k")
+        if isinstance(k, bool):
+            raise ProtocolError("'k' must be a positive integer, not a boolean")
+        k = int(k)
         if "ws" in payload:
             ws = float(payload["ws"])
             wt = float(payload.get("wt", 1.0 - ws))
@@ -131,7 +134,7 @@ def query_from_dict(
         )
     except ProtocolError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed query payload: {exc}") from None
 
 
@@ -191,7 +194,7 @@ def spatial_object_from_dict(payload: Mapping[str, Any]) -> SpatialObject:
         )
     except ProtocolError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed object payload: {exc}") from None
 
 
@@ -213,9 +216,11 @@ def mutation_from_dict(payload: Mapping[str, Any]) -> "Mutation":
             return Mutation.delete(int(_require(payload, "oid")))
         obj = spatial_object_from_dict(payload)
         return Mutation.insert(obj) if op == "insert" else Mutation.update(obj)
+    except ProtocolError:
+        raise
     except MutationError as exc:
         raise ProtocolError(str(exc)) from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed mutation payload: {exc}") from None
 
 

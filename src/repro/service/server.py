@@ -12,9 +12,8 @@ request flow:
   request through the shared :class:`QueryExecutor` (worker-pool
   fan-out, result cache, in-flight dedup); stateless, no sessions.
 * ``POST /api/whynot/explain`` — the explanation generator.
-* ``POST /api/whynot/preference`` — preference-adjusted refinement; the
-  refined query is executed and its result returned alongside.
-* ``POST /api/whynot/keywords`` — keyword-adapted refinement, ditto.
+* ``POST /api/whynot/preference|keywords|combined`` — a refinement
+  model; the refined query is executed and its result returned alongside.
 * ``POST /api/whynot/batch`` — answer a list of independent why-not
   questions in one request through the shared
   :class:`WhyNotExecutor`; stateless, each question carries its own
@@ -84,19 +83,16 @@ from repro.service.protocol import (
     batch_queries_from_dict,
     batch_token_from_dict,
     batch_whynot_questions_from_dict,
-    combined_refinement_to_dict,
-    explanation_to_dict,
-    keyword_refinement_to_dict,
     lambda_from_dict,
     missing_refs_from_dict,
     mutations_from_dict,
     object_to_dict,
     spatial_object_from_dict,
-    preference_refinement_to_dict,
     query_from_dict,
     result_to_dict,
     timeout_ms_from_dict,
     whynot_batch_execution_to_dict,
+    whynot_value_to_dict,
 )
 from repro.service.protocol import min_generation_from_dict
 from repro.service.procpool import WorkerCrashedError
@@ -162,11 +158,52 @@ class _FollowerEngineProxy:
         return self._follower.engine.scorer
 
 
-def _keyerror_message(exc: KeyError) -> str:
-    """The human-readable message of a database lookup ``KeyError``.
+# Session-bound why-not models, keyed by the last segment of
+# ``/api/whynot/<model>``: the query-log label, the response key the
+# answer goes under, and the refinement parameters the log records
+# (None for the explanation, which refines nothing).
+_WHYNOT_MODELS: Mapping[
+    str, tuple[str, str, Callable[[Any], dict[str, Any]] | None]
+] = {
+    "explain": ("why-not explanation", "explanation", None),
+    "preference": (
+        "preference adjustment",
+        "refinement",
+        lambda refinement: {
+            "refined_ws": refinement.refined_query.ws,
+            "refined_k": refinement.refined_query.k,
+        },
+    ),
+    "keywords": (
+        "keyword adaption",
+        "refinement",
+        lambda refinement: {
+            "added": ",".join(sorted(refinement.added)),
+            "removed": ",".join(sorted(refinement.removed)),
+            "refined_k": refinement.refined_query.k,
+        },
+    ),
+    "combined": (
+        "combined refinement",
+        "refinement",
+        lambda refinement: {
+            "order": refinement.order,
+            "refined_k": refinement.refined_query.k,
+        },
+    ),
+}
 
-    ``SpatialDatabase.get``/``resolve`` raise with a full sentence as
-    the sole argument; ``str(KeyError)`` would wrap it in quotes.
+
+def _reject_constant(literal: str) -> None:
+    """``json.loads`` hook: NaN, Infinity and -Infinity are not JSON."""
+    raise json.JSONDecodeError(f"{literal} is not valid JSON", literal, 0)
+
+
+def _keyerror_message(exc: KeyError) -> str:
+    """The human-readable message of a lookup ``KeyError``.
+
+    The database and session lookups raise with a full sentence as the
+    sole argument; ``str(KeyError)`` would wrap it in quotes.
     """
     return str(exc.args[0]) if exc.args else str(exc)
 
@@ -433,10 +470,10 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
         "/api/query/batch": "_handle_query_batch",
         "/api/objects": "_handle_insert_objects",
         "/api/mutations": "_handle_mutations",
-        "/api/whynot/explain": "_handle_explain",
-        "/api/whynot/preference": "_handle_preference",
-        "/api/whynot/keywords": "_handle_keywords",
-        "/api/whynot/combined": "_handle_combined",
+        "/api/whynot/explain": "_handle_whynot",
+        "/api/whynot/preference": "_handle_whynot",
+        "/api/whynot/keywords": "_handle_whynot",
+        "/api/whynot/combined": "_handle_whynot",
         "/api/whynot/batch": "_handle_whynot_batch",
         "/api/session/close": "_handle_close",
     }
@@ -505,8 +542,9 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                 ]
                 self._send_json(200, {"session_id": session_id, "entries": entries})
             elif parsed.path == "/api/stats":
-                kernel = self.server.engine.kernel
-                router = self.server.engine.shard_router
+                engine = self.server.engine
+                router = engine.shard_router
+                worker_pool = engine.worker_pool
                 # Both executor snapshots come from one cache
                 # generation: a stats read racing invalidate() must
                 # never show the top-k side invalidated and the linked
@@ -521,18 +559,12 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                         "whynot_cache": whynot_stats.to_dict(),
                         # Live-mutation tier: generation, batch/op
                         # tallies, kernel column occupancy and index
-                        # rebuilds (supported=False for IR-tree
-                        # engines, which cannot mutate incrementally).
-                        "mutations": self.server.engine.mutation_stats(),
-                        # Columnar-kernel hit counters (None when the
-                        # text model has no kernel): how many batch
+                        # rebuilds.
+                        "mutations": engine.mutation_stats(),
+                        # Columnar-kernel hit counters: how many batch
                         # passes / point scorings the compute tier under
                         # the caches actually ran.
-                        "kernel": (
-                            kernel.stats.to_dict()
-                            if kernel is not None
-                            else None
-                        ),
+                        "kernel": engine.kernel.stats.to_dict(),
                         # Scatter-gather counters (None when the engine
                         # is unsharded): per-shard object counts plus
                         # scatter/merge timings and shard scan/skip
@@ -548,7 +580,7 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                         "durability": (
                             self.server.follower.to_dict()
                             if self.server.follower is not None
-                            else self.server.engine.durability_stats()
+                            else engine.durability_stats()
                         ),
                         # Graceful-degradation tier: in-flight gauge,
                         # WAL circuit breaker and the advertised
@@ -563,14 +595,7 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                         # start method, scan/delta/restart tallies and
                         # per-shard generations.
                         "procpool": (
-                            worker_pool.to_dict()
-                            if (
-                                worker_pool := getattr(
-                                    self.server.engine, "worker_pool", None
-                                )
-                            )
-                            is not None
-                            else None
+                            worker_pool.to_dict() if worker_pool is not None else None
                         ),
                     },
                 )
@@ -752,12 +777,6 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                 "this server is a read-only follower; send mutations to "
                 "the primary that owns the write-ahead log",
             )
-        if not engine.supports_mutations:
-            raise _RequestError(
-                501,
-                "this engine cannot apply mutations (IR-tree/cosine "
-                "configuration); rebuild the engine with the new objects",
-            )
         breaker = self.server.breaker
         if breaker is not None:
             admitted, retry_after = breaker.allow()
@@ -829,146 +848,60 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             mutations, batch_token=batch_token_from_dict(payload)
         )
 
-    def _ask_whynot(
-        self, payload: Mapping[str, Any], model: str
-    ) -> tuple["Session", WhyNotQuestion, "WhyNotExecution"]:
-        """Run a session-bound why-not question through the executor.
+    def _handle_whynot(self, payload: Mapping[str, Any]) -> tuple[int, dict]:
+        """``POST /api/whynot/<model>``: a session-bound why-not question.
 
         Repeated questions (same session query, missing set, model and
         λ — from this user or any other) are why-not cache hits and
         never recompute the refinement pipeline.
         """
+        model = urlparse(self.path).path.rpartition("/")[2]
+        label, answer_key, refinement_params = _WHYNOT_MODELS[model]
         session = self._get_session(str(payload.get("session_id", "")))
-        # The explanation has no refinement to weigh, so /explain keeps
-        # its historical contract of ignoring a "lambda" field entirely.
-        lam = 0.5 if model == "explain" else lambda_from_dict(payload)
         question = WhyNotQuestion(
             query=session.initial_query,
             missing=tuple(missing_refs_from_dict(payload)),
             model=model,
-            lam=lam,
+            # /explain weighs no refinement: a "lambda" field is ignored.
+            lam=0.5 if refinement_params is None else lambda_from_dict(payload),
         )
         execution = self.server.whynot_executor.execute(
             question, deadline=self._deadline_of(payload)
         )
-        return session, question, execution
-
-    def _degraded_whynot_body(
-        self, session, execution: "WhyNotExecution"
-    ) -> dict:
-        """The response body of a deadline-degraded why-not execution.
-
-        Why-not arithmetic is count-exact or worthless, so there is no
-        partial answer to return — only the honest envelope.  The
-        status stays 200: the request was handled as asked, within the
-        budget the client itself set.
-        """
-        return {
-            "session_id": session.session_id,
-            "response_ms": execution.response_ms,
-            "cached": False,
-            "degraded": execution.degraded,
-            "error": execution.error,
-        }
-
-    def _handle_explain(self, payload: Mapping[str, Any]) -> tuple[int, dict]:
-        session, question, execution = self._ask_whynot(payload, "explain")
-        if execution.degraded is not None:
-            return 200, self._degraded_whynot_body(session, execution)
-        session.log.record(
-            "why-not explanation",
-            {"missing": len(question.missing)},
-            execution.response_ms,
-            cached=execution.cached,
-        )
-        return 200, {
+        body = {
             "session_id": session.session_id,
             "response_ms": execution.response_ms,
             "cached": execution.cached,
-            "explanation": explanation_to_dict(execution.answer),
         }
-
-    def _refined_result(self, refinement) -> dict:
-        """Execute a refinement's refined query through the top-k cache."""
-        return result_to_dict(
-            self.server.executor.execute(refinement.refined_query).result
-        )
-
-    def _handle_preference(self, payload: Mapping[str, Any]) -> tuple[int, dict]:
-        session, question, execution = self._ask_whynot(payload, "preference")
         if execution.degraded is not None:
-            return 200, self._degraded_whynot_body(session, execution)
-        refinement = execution.answer
+            # Why-not arithmetic is count-exact or worthless, so there
+            # is no partial answer to return — only the honest envelope.
+            # The status stays 200: the request was handled as asked,
+            # within the budget the client itself set.
+            body.update(
+                cached=False, degraded=execution.degraded, error=execution.error
+            )
+            return 200, body
+        answer = execution.answer
+        params: dict[str, Any] = {"missing": len(question.missing)}
+        penalty = None
+        if refinement_params is not None:
+            params.update({"lambda": question.lam}, **refinement_params(answer))
+            penalty = answer.penalty
         session.log.record(
-            "preference adjustment",
-            {
-                "missing": len(question.missing),
-                "lambda": question.lam,
-                "refined_ws": refinement.refined_query.ws,
-                "refined_k": refinement.refined_query.k,
-            },
+            label,
+            params,
             execution.response_ms,
-            penalty=refinement.penalty,
+            penalty=penalty,
             cached=execution.cached,
         )
-        return 200, {
-            "session_id": session.session_id,
-            "response_ms": execution.response_ms,
-            "cached": execution.cached,
-            "refinement": preference_refinement_to_dict(refinement),
-            "refined_result": self._refined_result(refinement),
-        }
-
-    def _handle_keywords(self, payload: Mapping[str, Any]) -> tuple[int, dict]:
-        session, question, execution = self._ask_whynot(payload, "keywords")
-        if execution.degraded is not None:
-            return 200, self._degraded_whynot_body(session, execution)
-        refinement = execution.answer
-        session.log.record(
-            "keyword adaption",
-            {
-                "missing": len(question.missing),
-                "lambda": question.lam,
-                "added": ",".join(sorted(refinement.added)),
-                "removed": ",".join(sorted(refinement.removed)),
-                "refined_k": refinement.refined_query.k,
-            },
-            execution.response_ms,
-            penalty=refinement.penalty,
-            cached=execution.cached,
-        )
-        return 200, {
-            "session_id": session.session_id,
-            "response_ms": execution.response_ms,
-            "cached": execution.cached,
-            "refinement": keyword_refinement_to_dict(refinement),
-            "refined_result": self._refined_result(refinement),
-        }
-
-    def _handle_combined(self, payload: Mapping[str, Any]) -> tuple[int, dict]:
-        session, question, execution = self._ask_whynot(payload, "combined")
-        if execution.degraded is not None:
-            return 200, self._degraded_whynot_body(session, execution)
-        refinement = execution.answer
-        session.log.record(
-            "combined refinement",
-            {
-                "missing": len(question.missing),
-                "lambda": question.lam,
-                "order": refinement.order,
-                "refined_k": refinement.refined_query.k,
-            },
-            execution.response_ms,
-            penalty=refinement.penalty,
-            cached=execution.cached,
-        )
-        return 200, {
-            "session_id": session.session_id,
-            "response_ms": execution.response_ms,
-            "cached": execution.cached,
-            "refinement": combined_refinement_to_dict(refinement),
-            "refined_result": self._refined_result(refinement),
-        }
+        body[answer_key] = whynot_value_to_dict(model, answer)
+        if refinement_params is not None:
+            # The refined query runs through the shared top-k cache.
+            body["refined_result"] = result_to_dict(
+                self.server.executor.execute(answer.refined_query).result
+            )
+        return 200, body
 
     def _handle_whynot_batch(
         self, payload: Mapping[str, Any]
@@ -1039,8 +972,8 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             raise _RequestError(408, "request body timed out") from None
         self._body_read = True
         try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
+            payload = json.loads(raw, parse_constant=_reject_constant)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise _RequestError(400, f"invalid JSON body: {exc}") from None
         if not isinstance(payload, dict):
             raise _RequestError(400, "request body must be a JSON object")
@@ -1052,7 +985,7 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
         try:
             return self.server.sessions.get(session_id)
         except KeyError as exc:
-            raise _RequestError(404, str(exc)) from None
+            raise _RequestError(404, _keyerror_message(exc)) from None
 
     def _readiness(self) -> tuple[int, dict]:
         """``GET /api/health/ready``: can this server serve *fully*?

@@ -19,6 +19,7 @@ from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import Scorer
 from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
+from repro.text.similarity import JaccardSimilarity
 from repro.whynot.combined import CombinedRefinement, CombinedRefiner
 from repro.whynot.errors import UnknownObjectError
 from repro.whynot.explanation import ExplanationGenerator, WhyNotExplanation
@@ -62,32 +63,26 @@ class WhyNotAnswer:
 
 
 class WhyNotEngine:
-    """Server-side why-not engine over one database and text model."""
+    """Server-side why-not engine over one database and text model.
+
+    The keyword adapter prunes with KcR-tree rank bounds when the
+    scorer's model is Jaccard (they are derived for it) and ranks
+    candidates exhaustively otherwise; the ablation parameters live on
+    :class:`PreferenceAdjuster` and :class:`KeywordAdapter`.
+    """
 
     def __init__(
-        self,
-        scorer: Scorer,
-        *,
-        set_rtree: SetRTree | None,
-        kcr_tree: KcRTree,
-        use_dual_index: bool = True,
-        use_kcr_bounds: bool = True,
-        max_edit_count: int | None = None,
-        candidate_budget: int | None = None,
+        self, scorer: Scorer, *, set_rtree: SetRTree, kcr_tree: KcRTree
     ) -> None:
         self._scorer = scorer
-        self._preference = PreferenceAdjuster(
-            scorer, use_dual_index=use_dual_index
-        )
+        self._preference = PreferenceAdjuster(scorer)
         self._explainer = ExplanationGenerator(
             scorer, set_rtree, preference_adjuster=self._preference
         )
         self._keyword = KeywordAdapter(
             scorer,
             kcr_tree,
-            use_bounds=use_kcr_bounds,
-            max_edit_count=max_edit_count,
-            candidate_budget=candidate_budget,
+            use_bounds=isinstance(scorer.text_model, JaccardSimilarity),
         )
         self._combined = CombinedRefiner(scorer, self._preference, self._keyword)
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.geometry import Point
 from repro.core.query import Weights
+from repro.core.topk import BruteForceTopK
 from repro.datasets.hotels import GRAND_VICTORIA, STARBUCKS_CENTRAL
 from repro.service.api import YaskEngine
 
@@ -141,12 +142,12 @@ class TestLambdaEffectiveness:
 class TestCrossModelConsistency:
     def test_indexes_and_brute_force_agree_on_hotels(self, hotels_db):
         indexed = YaskEngine(hotels_db)
-        brute = YaskEngine(hotels_db, use_index=False)
+        brute = BruteForceTopK(indexed.scorer)
         from repro.bench.workloads import QueryWorkload
 
         for q in QueryWorkload(hotels_db, seed=190, k=5).queries(10):
             assert [e.obj.oid for e in indexed.query(q)] == [
-                e.obj.oid for e in brute.query(q)
+                e.obj.oid for e in brute.search(q)
             ]
 
     def test_whynot_after_index_maintenance(self, small_db):
@@ -156,7 +157,6 @@ class TestCrossModelConsistency:
         from repro.index.kcrtree import KcRTree
         from repro.whynot.keyword import KeywordAdapter
         from repro.bench.workloads import generate_whynot_scenarios
-        from repro.core.topk import BruteForceTopK
 
         scorer = Scorer(small_db)
         tree = KcRTree(database=small_db, max_entries=4)

@@ -64,3 +64,50 @@ class TestDocumentation:
         assert refined.contains(
             engine.database.resolve("Grand Victoria Harbour Hotel")
         )
+
+
+class TestFacadeOptionsArePinned:
+    """The serving facade's options are a deliberate, documented list.
+
+    Adding a constructor option means editing the expected names here
+    *and* giving it a row in docs/OPERATIONS.md, "Supported
+    configurations" — each option multiplies what every tier must
+    support.
+    """
+
+    ENGINE_OPTIONS = (
+        "text_model", "default_weights", "max_entries", "shards",
+        "partitioner", "shard_workers", "index_rebuild_slack", "wal",
+        "base_generation", "batch_tokens",
+    )
+    WHYNOT_OPTIONS = ("set_rtree", "kcr_tree")
+
+    @staticmethod
+    def _names(callable_, kind):
+        return tuple(
+            name
+            for name, parameter in inspect.signature(callable_).parameters.items()
+            if parameter.kind is kind
+        )
+
+    def test_constructor_signatures(self):
+        from repro.service.api import YaskEngine
+        from repro.whynot.engine import WhyNotEngine
+
+        positional = inspect.Parameter.POSITIONAL_OR_KEYWORD
+        keyword = inspect.Parameter.KEYWORD_ONLY
+        assert self._names(YaskEngine.__init__, positional) == ("self", "database")
+        assert self._names(YaskEngine.__init__, keyword) == self.ENGINE_OPTIONS
+        assert self._names(WhyNotEngine.__init__, positional) == ("self", "scorer")
+        assert self._names(WhyNotEngine.__init__, keyword) == self.WHYNOT_OPTIONS
+
+    def test_every_option_has_a_row_in_the_operations_table(self):
+        from pathlib import Path
+
+        text = (
+            Path(__file__).resolve().parents[2] / "docs" / "OPERATIONS.md"
+        ).read_text(encoding="utf-8")
+        start = text.index("## Supported configurations")
+        section = text[start : text.index("\n## ", start + 1)]
+        for name in self.ENGINE_OPTIONS + self.WHYNOT_OPTIONS + ("scorer",):
+            assert f"`{name}`" in section, f"{name} is not documented"

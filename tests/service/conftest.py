@@ -11,8 +11,10 @@ contract is pinned under ``-W error::ResourceWarning`` by
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from typing import Any, Iterator
+from urllib import error, request
 
 from repro.service.server import YaskHTTPServer
 
@@ -38,3 +40,24 @@ def running_server(engine: Any, **kwargs: Any) -> Iterator[YaskHTTPServer]:
                 server.shutdown()
         finally:
             server.server_close()
+
+
+def post_raw(endpoint: str, route: str, body: bytes) -> tuple[int, Any]:
+    """POST ``body`` byte-for-byte; ``(status, parsed JSON reply)``.
+
+    For payloads ``YaskClient`` cannot produce (non-JSON literals,
+    out-of-range number spellings, non-UTF-8 bytes).  The reply must
+    itself be strict JSON: a bare ``NaN`` in it fails the parse.
+    """
+
+    def strict(literal: str) -> None:
+        raise ValueError(f"reply carries the non-JSON literal {literal}")
+
+    req = request.Request(f"{endpoint}{route}", data=body, method="POST")
+    try:
+        with request.urlopen(req) as response:
+            status, raw = response.status, response.read()
+    except error.HTTPError as exc:
+        with exc:
+            status, raw = exc.code, exc.read()
+    return status, json.loads(raw, parse_constant=strict)

@@ -7,7 +7,11 @@ from repro.core.query import Weights
 from repro.core.scoring import Scorer
 from repro.core.topk import BruteForceTopK
 from repro.service.api import YaskEngine
-from repro.text.similarity import CosineTfIdfSimilarity, DiceSimilarity
+from repro.text.similarity import (
+    CosineTfIdfSimilarity,
+    DiceSimilarity,
+    WeightedJaccardSimilarity,
+)
 
 
 @pytest.fixture(scope="module")
@@ -52,31 +56,46 @@ class TestTopK:
 
 
 class TestEngineVariants:
-    def test_unindexed_engine_matches_indexed(self, small_db):
+    def test_indexed_engine_matches_brute_force(self, small_db):
         indexed = YaskEngine(small_db, max_entries=8)
-        brute = YaskEngine(small_db, use_index=False)
+        brute = BruteForceTopK(indexed.scorer)
         q = indexed.make_query(Point(0.4, 0.6), {"kw001", "kw002"}, 5)
         assert [e.obj.oid for e in indexed.query(q)] == [
-            e.obj.oid for e in brute.query(q)
+            e.obj.oid for e in brute.search(q)
         ]
-        assert brute.set_rtree is None or brute.set_rtree is not None  # smoke
 
-    def test_cosine_model_uses_ir_tree(self, small_db):
-        model = CosineTfIdfSimilarity(
+    def test_kernel_free_model_refused_with_the_reason(self, small_db):
+        cosine = CosineTfIdfSimilarity(
             small_db.keyword_document_frequencies(), len(small_db)
         )
-        engine = YaskEngine(small_db, text_model=model)
-        assert engine.ir_tree is not None
-        q = engine.make_query(Point(0.5, 0.5), {"kw000"}, 3)
-        scorer = Scorer(small_db, text_model=model)
-        assert [e.obj.oid for e in engine.query(q)] == [
-            e.obj.oid for e in BruteForceTopK(scorer).search(q)
-        ]
+        with pytest.raises(ValueError, match="no columnar kernel") as excinfo:
+            YaskEngine(small_db, text_model=cosine)
+        # The message names the model and the library route that still
+        # serves it (parity: tests/core/test_topk.py).
+        assert "CosineTfIdfSimilarity" in str(excinfo.value)
+        assert "IRTree" in str(excinfo.value)
+        with pytest.raises(ValueError, match="no columnar kernel"):
+            YaskEngine(small_db, text_model=WeightedJaccardSimilarity({}))
 
-    def test_dice_model_falls_back_gracefully(self, small_db):
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"shard_workers": 2},
+            {"shard_workers": "proc"},
+            {"partitioner": "round-robin"},
+        ],
+    )
+    def test_shard_options_without_shards_refused(self, small_db, options):
+        with pytest.raises(ValueError, match="without shards"):
+            YaskEngine(small_db, **options)
+
+    def test_dice_model_has_the_one_shape(self, small_db):
         engine = YaskEngine(small_db, text_model=DiceSimilarity())
         q = engine.make_query(Point(0.5, 0.5), {"kw000"}, 3)
-        assert len(engine.query(q)) == 3
+        assert [e.obj.oid for e in engine.query(q)] == [
+            e.obj.oid for e in BruteForceTopK(engine.scorer).search(q)
+        ]
+        assert engine.kernel.model_code == "dice"
 
     def test_indexes_exposed(self, engine, small_db):
         assert engine.kcr_tree is not None

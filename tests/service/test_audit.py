@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.query import QueryResult, RankedObject
+from repro.core.topk import BruteForceTopK
 from repro.service.api import YaskEngine
 from repro.service.audit import audit_result
 
@@ -21,10 +22,10 @@ class TestCleanAudits:
             assert report.ok, report.describe()
             assert report.findings == ()
 
-    def test_brute_force_results_pass_audit(self, small_db):
-        brute = YaskEngine(small_db, use_index=False)
+    def test_brute_force_results_pass_audit(self, small_db, engine):
+        brute = BruteForceTopK(engine.scorer)
         for q in random_queries(small_db, 4, seed=251, k=7):
-            assert brute.audit(brute.query(q)).ok
+            assert engine.audit(brute.search(q)).ok
 
     def test_describe_mentions_ok(self, small_db, engine):
         q = random_queries(small_db, 1, seed=252, k=3)[0]

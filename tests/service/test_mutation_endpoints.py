@@ -9,7 +9,6 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.service.api import YaskEngine
 from repro.service.client import YaskClient, YaskClientError
 from repro.service.server import YaskHTTPServer
-from repro.text.similarity import CosineTfIdfSimilarity
 from tests.conftest import make_tiny_db
 
 
@@ -209,7 +208,7 @@ class TestAnswerMaintenance:
             [{"oid": 50, "x": 0.3, "y": 0.3, "keywords": ["k"]}]
         )
         stats = client.mutation_stats()
-        assert stats["supported"] is True
+        assert "supported" not in stats  # every engine mutates
         assert stats["generation"] == 1
         assert stats["inserted"] == 1
         assert stats["kernel"]["live_rows"] == 6
@@ -288,23 +287,85 @@ class TestMutateCli:
             main(["mutate", "--dataset", "coffee", "--file", str(ops)])
 
 
-class TestUnsupportedEngine:
-    def test_ir_tree_engine_reports_unsupported(self):
-        database = make_tiny_db()
-        engine = YaskEngine(
-            database,
-            text_model=CosineTfIdfSimilarity(
-                database.keyword_document_frequencies(), len(database)
-            ),
-            max_entries=4,
-        )
-        from tests.service.conftest import running_server
+#: Bodies whose object cannot be built over: sent byte-for-byte because
+#: ``1e999`` is valid JSON that parses to infinity, and an id the kernel's
+#: signed 64-bit column (or its tombstone sentinel) cannot hold.
+_UNBUILDABLE_OBJECTS = {
+    "nan-literal": b'{"oid": 60, "x": NaN, "y": 0.5, "keywords": ["x"]}',
+    "infinity-literal": b'{"oid": 60, "x": 0.5, "y": -Infinity, "keywords": ["x"]}',
+    "overflowing-float": b'{"oid": 60, "x": 1e999, "y": 0.5, "keywords": ["x"]}',
+    "oid-past-int64": b'{"oid": 9223372036854775808, "x": 0.5, "y": 0.5, "keywords": ["x"]}',
+    "oid-is-the-tombstone": b'{"oid": 4611686018427387904, "x": 0.5, "y": 0.5, "keywords": ["x"]}',
+    "oid-overflows-int": b'{"oid": 1e999, "x": 0.5, "y": 0.5, "keywords": ["x"]}',
+}
 
+
+class TestRejectedBeforeAnythingMoves:
+    """Regression: these answered 500 *after* the database (and the WAL)
+    had committed the batch, leaving the kernel and trees a batch behind
+    and a log record no recovery could build over."""
+
+    @staticmethod
+    def _state(engine):
+        return (
+            len(engine.database),
+            engine.generation,
+            engine.kernel.live_count,
+            len(engine.set_rtree),
+            len(engine.kcr_tree),
+            engine.wal.last_generation,
+        )
+
+    @pytest.mark.parametrize("route", ["/api/objects", "/api/mutations"])
+    @pytest.mark.parametrize("case", sorted(_UNBUILDABLE_OBJECTS))
+    def test_unbuildable_object_is_400_and_nothing_moves(
+        self, tmp_path, case, route
+    ):
+        from repro.service.wal import WriteAheadLog, recover_engine
+        from tests.service.conftest import post_raw, running_server
+
+        body = _UNBUILDABLE_OBJECTS[case]
+        if route == "/api/mutations":
+            body = b'{"mutations": [{"op": "insert", ' + body[1:] + b"]}"
+        engine = YaskEngine(
+            make_tiny_db(),
+            max_entries=4,
+            wal=WriteAheadLog(tmp_path, fsync="never"),
+        )
         with running_server(engine, port=0) as server:
-            client = YaskClient(server.endpoint)
-            assert client.mutation_stats() == {"supported": False}
-            with pytest.raises(YaskClientError) as excinfo:
+            with YaskClient(server.endpoint) as client:
                 client.insert_objects(
-                    [{"oid": 60, "x": 0.5, "y": 0.5, "keywords": ["x"]}]
+                    [{"oid": 50, "x": 0.3, "y": 0.3, "keywords": ["k"]}]
                 )
-            assert excinfo.value.status == 501
+                before = self._state(engine)
+                status, reply = post_raw(server.endpoint, route, body)
+                assert status == 400, reply
+                assert self._state(engine) == before
+                # ...and the server still serves whole-generation answers.
+                client.insert_objects(
+                    [{"oid": 51, "x": 0.4, "y": 0.4, "keywords": ["k"]}]
+                )
+                assert self._state(engine) == (7, 2, 7, 7, 7, 2)
+        recovered, report = recover_engine(
+            tmp_path, database=make_tiny_db(), fsync="never", max_entries=4
+        )
+        try:
+            assert report.generation == 2
+            assert sorted(o.oid for o in recovered.database) == sorted(
+                o.oid for o in engine.database
+            )
+        finally:
+            recovered.close()
+
+    def test_object_bounds_are_enforced_at_construction(self):
+        from repro.core.kernel import _DEAD_OID
+        from repro.core.objects import OID_LIMIT
+
+        assert _DEAD_OID == OID_LIMIT == 2**62
+        SpatialObject(oid=OID_LIMIT - 1, loc=Point(0.0, 0.0), doc=frozenset())
+        for oid in (-1, OID_LIMIT, 2**63):
+            with pytest.raises(ValueError, match="object id"):
+                SpatialObject(oid=oid, loc=Point(0.0, 0.0), doc=frozenset())
+        for x, y in ((float("nan"), 0.0), (0.0, float("inf"))):
+            with pytest.raises(ValueError, match="finite"):
+                SpatialObject(oid=1, loc=Point(x, y), doc=frozenset())

@@ -86,6 +86,36 @@ class TestQueryEndpoint:
             request.urlopen(req)
         assert exc.value.code == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b'{"x": NaN, "y": 0.5, "keywords": ["kw000"], "k": 3}',
+            b'{"x": 0.5, "y": Infinity, "keywords": ["kw000"], "k": 3}',
+            b'{"x": 0.5, "y": -Infinity, "keywords": ["kw000"], "k": 3}',
+            # Valid JSON that parses to infinity: caught by the query.
+            b'{"x": 1e999, "y": 0.5, "keywords": ["kw000"], "k": 3}',
+            b'{"x": 0.5, "y": 0.5, "keywords": ["kw000"], "k": true}',
+            b'{"x": 0.5, "y": 0.5, "keywords": ["kw000"], "k": 1e999}',
+            b'{"x": 0.5, "y": 0.5, "keywords": ["caf\xe9"], "k": 3}',
+        ],
+        ids=["nan", "inf", "neg-inf", "1e999", "bool-k", "inf-k", "latin-1"],
+    )
+    def test_values_that_are_not_a_query_are_400(self, server, body):
+        """Regression: NaN/Infinity answered 200 with a non-JSON body,
+        ``"k": true`` ran as k=1, a non-UTF-8 body was a 500."""
+        from tests.service.conftest import post_raw
+
+        status, reply = post_raw(server.endpoint, "/api/query", body)
+        assert status == 400, reply
+        assert reply["error"]
+
+    def test_non_finite_query_location_refused_in_process(self):
+        from repro.core.geometry import Point
+        from repro.core.query import SpatialKeywordQuery
+
+        with pytest.raises(ValueError, match="finite"):
+            SpatialKeywordQuery(Point(float("nan"), 0.0), frozenset({"a"}), 1)
+
     def test_missing_fields_is_400(self, client):
         with pytest.raises(YaskClientError) as exc:
             client._call("POST", "/api/query", {"x": 0})
@@ -143,6 +173,10 @@ class TestWhyNotEndpoints:
         with pytest.raises(YaskClientError) as exc:
             client.explain("s999999", [1])
         assert exc.value.status == 404
+        # The plain sentence, not str(KeyError)'s quoted repr of it.
+        assert str(exc.value) == (
+            "HTTP 404: unknown or expired session 's999999'"
+        )
 
     def test_bad_lambda_is_400(self, client, scenario):
         session_id = open_session(client, scenario)["session_id"]

@@ -80,10 +80,6 @@ class TestEngineFacade:
         with pytest.raises(ValueError, match="columnar kernel"):
             YaskEngine(hotels, text_model=cosine, shards=2)
 
-    def test_shards_excludes_use_index_false(self, hotels):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            YaskEngine(hotels, shards=2, use_index=False)
-
     def test_close_releases_scatter_pool(self, hotels):
         engine = YaskEngine(hotels, shards=2, shard_workers=2)
         pool = engine.topk_engine._pool
@@ -192,3 +188,31 @@ class TestCli:
                  "--keywords", "coffee", "--shards", "2",
                  "--partitioner", "hash"]
             )
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["serve", "--port", "0"],
+            ["follow", "--wal-dir", "unused", "--port", "0"],
+            ["query", "--x", "0", "--y", "0", "--keywords", "coffee"],
+        ],
+        ids=["serve", "follow", "query"],
+    )
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shard-workers", "proc"], ["--partitioner", "round-robin"]],
+        ids=["shard-workers", "partitioner"],
+    )
+    def test_shard_flags_without_shards_exit_non_zero(
+        self, command, flags, monkeypatch
+    ):
+        """Regression: these quietly ran unsharded (``yask serve
+        --shard-workers proc`` served without a single worker process)."""
+        monkeypatch.setattr(
+            "repro.service.cli.serve_forever",
+            lambda *args, **kwargs: pytest.fail("served an unsharded engine"),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--dataset", "coffee"] + flags)
+        assert excinfo.value.code not in (0, None)
+        assert "--shards" in str(excinfo.value.code)
