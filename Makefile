@@ -17,7 +17,9 @@
 #                      E12 (sharding: >=1.8x cold top-k, >=1.5x
 #                      cold why-not at 4 shards vs 1), E13 (live
 #                      mutation: >=5x incremental ingest vs rebuild,
-#                      >50% warm top-k hit rate under writes) and E14
+#                      >50% warm top-k hit rate under writes, a
+#                      maintenance pass over 64 cached explain answers
+#                      <=3x a pass over none) and E14
 #                      (durability: logged ingest >=0.7x unlogged,
 #                      snapshot recovery >=5x vs full-log rebuild)
 #                      and E15 (process workers: top-k parity with the

@@ -16,6 +16,11 @@ Acceptance floors at 20k objects:
 * **Warm caches under writes**: in a mixed read/write workload, the
   post-write top-k cache hit rate stays **above 50%** — scoped
   invalidation only drops the results a batch could actually affect.
+* **Maintenance costs O(batch)**: a ``maintain()`` pass over 64 cached
+  ``explain`` answers takes at most **3x** a pass over none (same
+  top-k cache, same batches) — repairing a why-not answer reads the
+  batch's delta rows, never the engine.  A ratio, so it holds on any
+  host.
 
 Workload notes (documented, deliberate):
 
@@ -44,12 +49,12 @@ import time
 import pytest
 
 from repro.bench.harness import Table
-from repro.bench.workloads import QueryWorkload
+from repro.bench.workloads import QueryWorkload, generate_whynot_scenarios
 from repro.core.geometry import Point
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.service.api import YaskEngine
-from repro.service.executor import QueryExecutor
+from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
 
 #: Acceptance floors (ISSUE 5).
 INGEST_SPEEDUP_FLOOR = 5.0
@@ -62,6 +67,11 @@ MAINTAINED_WARMTH_FLOOR = 2.0
 #: Writes applied between read rounds — 10x to 50x the per-round reads
 #: of a single query's refresh.
 WRITE_RATE_SWEEP = (10, 30, 50)
+
+#: Acceptance ceiling (PR 15): cached ``explain`` answers may cost a
+#: maintenance pass at most this many times a pass without them.
+MAINTAIN_PASS_RATIO_CEILING = 3.0
+EXPLAIN_ENTRIES = 64
 
 OBJECTS = 20_000
 INGEST_FRACTION = 0.05
@@ -383,4 +393,129 @@ def test_e13_write_rate_sweep_maintained_vs_drop_on_write(base_db):
     )
     assert warm >= WARM_HIT_RATE_FLOOR, (
         f"maintained cache went cold at {top_rate}x writes ({warm:.0%})"
+    )
+
+
+def maintenance_pass_cost(base_db, *, rounds: int = 3) -> dict:
+    """Best ``maintain()`` time without and with cached ``explain`` answers.
+
+    Both sides hold the same top-k entries (E16's ``mixed_rw`` shape:
+    200 hot queries plus the questions' initial queries) and see
+    batches of the same shape: ten objects with vocabulary keywords at
+    random locations, so nearly every why-not entry fails the dominance
+    keep and goes through the repair path.  Entries a batch evicts are
+    re-primed before the next timed pass — every pass on the
+    ``explain`` side runs over all 64.  Also what ``bench_json.py``
+    records in ``BENCH_E13.json``.
+    """
+    engine = YaskEngine(
+        SpatialDatabase(base_db.objects, dataspace=base_db.dataspace)
+    )
+    executor = QueryExecutor(
+        engine, cache_capacity=512, max_workers=1, skyband_delta=8
+    )
+    whynot = WhyNotExecutor(engine, executor, cache_capacity=256, max_workers=1)
+    questions = [
+        WhyNotQuestion(
+            query=scenario.query,
+            missing=tuple(obj.oid for obj in scenario.missing),
+            model="explain",
+        )
+        for scenario in generate_whynot_scenarios(
+            engine.scorer, count=EXPLAIN_ENTRIES, k=10, seed=57
+        )
+    ]
+    hot_queries = list(
+        QueryWorkload(
+            base_db, seed=58, k=10, keywords_per_query=(1, 2),
+            location_jitter=0.01,
+        ).queries(200)
+    ) + [question.query for question in questions]
+    rng = random.Random(15)
+    vocabulary = sorted(base_db.vocabulary())
+    next_oid = 4_000_000
+
+    def timed_pass() -> float:
+        nonlocal next_oid
+        batch = [
+            Mutation.insert(
+                SpatialObject(
+                    next_oid + index,
+                    Point(rng.random(), rng.random()),
+                    frozenset(rng.sample(vocabulary, 5)),
+                )
+            )
+            for index in range(10)
+        ]
+        next_oid += len(batch)
+        report = engine.apply_mutations(batch)
+        started = time.perf_counter()
+        executor.maintain(report.change)
+        return time.perf_counter() - started
+
+    def best_pass(prime) -> float:
+        best = float("inf")
+        for _ in range(rounds):
+            prime()
+            best = min(best, timed_pass())
+        return best
+
+    def prime_topk() -> None:
+        for query in hot_queries:
+            executor.execute(query)
+
+    def prime_explain() -> None:
+        prime_topk()
+        for question in questions:
+            whynot.execute(question)
+        assert whynot.stats().size == len(questions)
+
+    none_s = best_pass(prime_topk)
+    explain_s = best_pass(prime_explain)
+    linked = whynot.stats()
+    topk_entries = executor.stats().size
+    whynot.close()
+    executor.close()
+    engine.close()
+    return {
+        "maintain_pass_topk_entries": topk_entries,
+        "maintain_pass_explain_entries": len(questions),
+        "maintain_pass_none_ms": none_s * 1000.0,
+        "maintain_pass_explain_ms": explain_s * 1000.0,
+        "maintain_pass_ratio": explain_s / none_s,
+        "maintain_pass_ratio_ceiling": MAINTAIN_PASS_RATIO_CEILING,
+        "maintain_pass_linked_patched": linked.maintained_patched,
+        "maintain_pass_linked_dropped": linked.maintained_dropped,
+    }
+
+
+def test_e13_maintenance_pass_over_explain_answers_costs_o_batch(base_db):
+    """Acceptance (PR 15): 64 cached ``explain`` answers cost a
+    maintenance pass at most 3x a pass over none."""
+    cost = maintenance_pass_cost(base_db)
+    table = Table(
+        "why-not cache", "best maintain() ms",
+        title=(
+            "E13: one maintenance pass, 10-insert batch, "
+            f"{cost['maintain_pass_topk_entries']} top-k entries"
+        ),
+    )
+    table.add_row("empty", cost["maintain_pass_none_ms"])
+    table.add_row(
+        f"{cost['maintain_pass_explain_entries']} explain answers",
+        cost["maintain_pass_explain_ms"],
+    )
+    table.add_row(
+        f"ratio {cost['maintain_pass_ratio']:.2f}x "
+        f"(ceiling {MAINTAIN_PASS_RATIO_CEILING}x)",
+        "",
+    )
+    table.print()
+    assert (
+        cost["maintain_pass_linked_patched"] + cost["maintain_pass_linked_dropped"]
+        > 0
+    ), "the batches never reached the repair path"
+    assert cost["maintain_pass_ratio"] <= MAINTAIN_PASS_RATIO_CEILING, (
+        f"a pass over {EXPLAIN_ENTRIES} explain answers costs "
+        f"{cost['maintain_pass_ratio']:.1f}x a pass over none"
     )

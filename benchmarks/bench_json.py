@@ -367,7 +367,13 @@ def bench_e13() -> dict:
     maintained_stats = executor.stats()
     executor.close()
     engine.close()
+
+    # Run as a script, so benchmarks/ is on sys.path: the ratio is the
+    # one `make bench-smoke` asserts, measured by the same function.
+    from bench_e13_mutations import maintenance_pass_cost
+
     return {
+        **maintenance_pass_cost(base),
         "objects": 20_000,
         "ingest_objects": len(ingest),
         "ingest_batches": 4,
@@ -589,7 +595,8 @@ def main() -> int:
         "BENCH_E13.json": _snapshot(
             "E13",
             "live mutation: incremental ingest vs rebuild + drop-on-write "
-            "(skyband 0) and answer-maintenance warm rates (20k synthetic)",
+            "(skyband 0), answer-maintenance warm rates and the cost of a "
+            "maintenance pass over cached explain answers (20k synthetic)",
             bench_e13(),
         ),
         "BENCH_E14.json": _snapshot(

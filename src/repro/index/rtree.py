@@ -236,7 +236,7 @@ class RTree(Generic[T]):
             node.summary = self._summarise_inner(node.children)
 
     def _refresh_mbr(self, node: RTreeNode[T]) -> None:
-        """Recompute only the MBR (batch insertion's structural phase)."""
+        """Recompute only the MBR (the structural phase of a batch)."""
         rects = list(node.iter_rects())
         node.rect = Rect.union_all(rects) if rects else None
 
@@ -386,10 +386,15 @@ class RTree(Generic[T]):
             )
             count += 1
         self._size += count
-        if not dirty:
-            return
-        # Every touched node and its ancestors, deepest first, so child
-        # summaries exist before their parents merge them.
+        self._refresh_dirty(dirty)
+
+    def _refresh_dirty(self, dirty: set[RTreeNode[T]]) -> None:
+        """Refresh every touched node and its ancestors once, bottom-up.
+
+        The deferred half of a structural phase that maintained MBRs
+        only (:meth:`insert_batch`, :meth:`_condense`): deepest nodes
+        first, so child summaries exist before their parents merge them.
+        """
         pending: dict[RTreeNode[T], int] = {}
         for node in dirty:
             walk: RTreeNode[T] | None = node
@@ -425,11 +430,12 @@ class RTree(Generic[T]):
 
         With a ``dirty`` set (batch mode) only MBRs are maintained —
         choose-leaf needs current rectangles — and touched nodes are
-        recorded for :meth:`insert_batch`'s single deferred summary
-        pass.  Pure insertion can only *grow* an ancestor's MBR to
-        absorb the new rectangle, so the no-split fast path extends
-        rects in O(1) per level instead of rescanning members; split
-        nodes take their MBRs straight from the split's group bounds.
+        recorded for the caller's single deferred summary pass
+        (:meth:`_refresh_dirty`).  Pure insertion can only *grow* an
+        ancestor's MBR to absorb the new rectangle, so the no-split
+        fast path extends rects in O(1) per level instead of rescanning
+        members; split nodes take their MBRs straight from the split's
+        group bounds.
         """
         refresh = self._refresh if dirty is None else self._refresh_mbr
         while True:
@@ -669,7 +675,8 @@ class RTree(Generic[T]):
 
         Returns True when an entry was removed.  Underfull nodes along
         the path are dissolved and their members re-inserted (Guttman's
-        CondenseTree).
+        CondenseTree), with one deferred summary pass over the touched
+        paths.
         """
         rect = Rect.from_point(shape) if isinstance(shape, Point) else shape
         leaf = self._find_leaf(self._root, rect, item)
@@ -700,24 +707,38 @@ class RTree(Generic[T]):
         return None
 
     def _condense(self, node: RTreeNode[T]) -> None:
+        """Dissolve underfull nodes up the path and re-insert their members.
+
+        Like :meth:`insert_batch`, the whole pass maintains MBRs only —
+        the orphans' choose-leaf descents need nothing else — and every
+        node it touched gets its summary recomputed once at the end, not
+        once per orphan per level.  The tree is node-for-node the one
+        per-item re-insertion builds.
+        """
         orphans: list[RTreeEntry[T]] = []
+        dirty: set[RTreeNode[T]] = set()
         while node.parent is not None:
             parent = node.parent
             if len(node) < self._min_entries:
                 parent.children.remove(node)
                 orphans.extend(self._collect_entries(node))
             else:
-                self._refresh(node)
+                self._refresh_mbr(node)
+                dirty.add(node)
             node = parent
-        self._refresh(node)
+        self._refresh_mbr(node)
+        dirty.add(node)
         # Shrink the root when it has a single inner child.
         while not self._root.is_leaf and len(self._root.children) == 1:
+            dirty.discard(self._root)
             self._root = self._root.children[0]
             self._root.parent = None
         if not self._root.is_leaf and not self._root.children:
+            dirty.discard(self._root)
             self._root = RTreeNode[T](is_leaf=True)
         for entry in orphans:
-            self._insert_entry(entry)
+            self._insert_entry(entry, dirty=dirty)
+        self._refresh_dirty(dirty)
 
     @staticmethod
     def _collect_entries(node: RTreeNode[T]) -> list[RTreeEntry[T]]:

@@ -46,12 +46,13 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace as dc_replace
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Any, Callable, Protocol, Sequence
 
 from repro import concurrency, faults
 from repro.core.kernel import score_delta_rows
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery
+from repro.core.scoring import DualPoint
 from repro.whynot.errors import WhyNotError
 
 __all__ = [
@@ -712,6 +713,11 @@ def _score_rows(rows: Sequence, scalars: tuple, summary) -> list:
     )
 
 
+def _shift(added: Sequence, removed: Sequence, test: Callable) -> int:
+    """Net count of a batch's delta rows passing ``test`` (added − removed)."""
+    return sum(map(test, added)) - sum(map(test, removed))
+
+
 def _armed(deadline: "faults.Deadline | None", scope: Callable[..., Any]) -> Any:
     """``scope(deadline)``, or a null context when there is no deadline."""
     return nullcontext() if deadline is None else scope(deadline)
@@ -982,16 +988,14 @@ class QueryExecutor(_Executor):
         summary = change.summary
         read_view = getattr(self._engine, "read_view", nullcontext)
         # The engine read lock (level below the domain lock) is held
-        # across the whole pass: the engine generation cannot advance
-        # mid-maintenance, so engine-consulting repairs (why-not weight
-        # intervals) see exactly the post-batch dataset.
+        # across the whole pass: scoring the delta rows encodes each
+        # cached query against the live vocabulary.
         with read_view(), self._domain_lock:
-            engine_generation = getattr(self._engine, "generation", None)
             tally = self._cache.maintain(
                 self._topk_patch(change), summary.generation
             )
             linked = (
-                self._whynot.maintain(summary, engine_generation)
+                self._whynot.maintain(summary)
                 if self._whynot is not None
                 else {"kept": 0, "patched": 0, "dropped": 0}
             )
@@ -1051,14 +1055,30 @@ class QueryExecutor(_Executor):
         query = meta.query
         k = query.k
         removed = summary.removed_oids
-        buffer = list(meta.entries)
-        if removed:
-            buffer = [e for e in buffer if e.obj.oid not in removed]
+        entries = meta.entries
         complete = meta.complete
-        if summary.added_rows:
-            scored = _score_rows(
+        scored = (
+            _score_rows(
                 summary.added_rows, kernel._query_scalars(query), summary
             )
+            if summary.added_rows
+            else []
+        )
+        if removed.isdisjoint(meta.result_oids) and (
+            not scored
+            or (
+                not complete
+                and entries
+                and min((-score, oid) for oid, score, _, _ in scored)
+                >= (-entries[-1].score, entries[-1].obj.oid)
+            )
+        ):
+            # Nothing left the buffer and nothing can enter it (every
+            # added row sorts at or after an incomplete buffer's tail):
+            # the entry is already its post-batch answer — restamp.
+            return ("kept", value, dc_replace(meta, generation=summary.generation))
+        buffer = [e for e in entries if e.obj.oid not in removed]
+        if scored:
             keyed = [((-e.score, e.obj.oid), e) for e in buffer]
             for (oid, score, sdist, tsim), obj in zip(scored, change.appended):
                 key = (-score, oid)
@@ -1362,29 +1382,22 @@ class WhyNotExecutor(_Executor):
             generation=generation,
         )
 
-    def maintain(
-        self, summary, engine_generation: int | None = None
-    ) -> dict[str, int]:
+    def maintain(self, summary) -> dict[str, int]:
         """Repair cached why-not answers through a mutation batch.
 
         Called by :meth:`QueryExecutor.maintain` under its domain lock
-        and (when the engine has one) its read view, with
-        ``engine_generation`` the generation read inside that view.  An
-        entry survives when the dominance test proves the batch
-        irrelevant (kept + restamped) or, for the ``explain`` model,
-        when rank arithmetic over the batch's delta rows reproduces
-        exactly what a cold re-explanation would compute (patched).
-        Everything else drops.
+        and (when the engine has one) its read view.  An entry survives
+        when the dominance test proves the batch irrelevant (kept +
+        restamped) or, for the ``explain`` model, when arithmetic over
+        the batch's delta rows alone reproduces exactly what a cold
+        re-explanation would compute (patched).  Everything else drops:
+        the pass costs O(entries × batch) and never calls the engine.
         """
-        decide = partial(
-            self._maintenance_action,
-            summary=summary,
-            engine_generation=engine_generation,
-        )
+        decide = partial(self._maintenance_action, summary=summary)
         return self._cache.maintain(decide, summary.generation)
 
     def _maintenance_action(
-        self, value: Any, meta: Any, summary, engine_generation: int | None
+        self, value: Any, meta: Any, summary
     ) -> tuple[str, Any, Any]:
         if not isinstance(meta, _WhyNotMeta):
             return ("dropped", None, None)
@@ -1403,29 +1416,32 @@ class WhyNotExecutor(_Executor):
                 value,
                 dc_replace(meta, generation=summary.generation),
             )
-        repaired = self._repair_explain(value, meta, summary, engine_generation)
+        repaired = self._repair_explain(value, meta, summary)
         if repaired is not None:
             new_value, new_meta = repaired
             return ("patched", new_value, new_meta)
         return ("dropped", None, None)
 
-    def _repair_explain(
-        self, value: Any, meta: _WhyNotMeta, summary, engine_generation: int | None
-    ):
-        """Rank-arithmetic repair of an ``explain`` answer, or None.
+    def _repair_explain(self, value: Any, meta: _WhyNotMeta, summary):
+        """Delta-row repair of an ``explain`` answer, or None.
 
         Preconditions (any failure → caller drops the entry):
 
-        * the engine generation equals the batch's — the weight-interval
-          recompute below reads live index state, which must describe
-          exactly the post-batch dataset;
         * the batch touches no missing object (their breakdowns, and so
           the reasons and ``min_missing_prox``, would change);
         * the initial top-k is provably unaffected — then every
           surviving member still outranks each missing object, so the
           k-th breakdown, the reason classification and the
-          rank ≥ k+1 invariant all carry over; and
-        * the batch carries kernel rows for its delta objects.
+          rank ≥ k+1 invariant all carry over;
+        * the batch carries kernel rows for its delta objects; and
+        * for a missing object whose answer carries viable weight
+          intervals, no delta row can ever outrank it
+          (:meth:`~repro.core.scoring.DualPoint.never_outranks`).  Such
+          rows are invisible to the interval sweep before and after the
+          batch, so the intervals carry over unchanged; any other row
+          could move them, and recomputing them is a full dual view per
+          entry per batch — the entry is evicted instead, like a
+          skyband underflow, and the next fetch recomputes cold.
 
         Under those conditions the missing object's rank changes by
         exactly (added beaters − removed beaters): tombstoned rows
@@ -1442,8 +1458,6 @@ class WhyNotExecutor(_Executor):
             value, WhyNotExplanation
         ):
             return None
-        if engine_generation is None or engine_generation != summary.generation:
-            return None
         touched = summary.removed_oids | summary.added_oids
         if touched & meta.missing_oids:
             return None
@@ -1456,18 +1470,14 @@ class WhyNotExecutor(_Executor):
         kernel = getattr(getattr(self._engine, "scorer", None), "kernel", None)
         if kernel is None:
             return None
-        whynot_engine = getattr(self._engine, "whynot", None)
-        adjuster = getattr(whynot_engine, "preference_adjuster", None)
-        needs_intervals = any(
-            explanation.viable_ws_intervals is not None
-            for explanation in value.explanations
-        )
-        if needs_intervals and adjuster is None:
-            return None
         query = question.query
         scalars = kernel._query_scalars(query)
         scored_added = _score_rows(summary.added_rows, scalars, summary)
         scored_removed = _score_rows(summary.removed_rows, scalars, summary)
+        delta_points = [
+            DualPoint(oid, 1.0 - sdist, tsim)
+            for oid, _, sdist, tsim in chain(scored_added, scored_removed)
+        ]
         hypot = math.hypot
         qx, qy = query.loc.x, query.loc.y
         new_explanations = []
@@ -1477,49 +1487,37 @@ class WhyNotExecutor(_Executor):
             # sorts before the target's — same tie rule as count_better.
             target_key = (-explanation.breakdown.score, explanation.obj.oid)
             target_tsim = explanation.breakdown.tsim
+            target = DualPoint(
+                explanation.obj.oid,
+                1.0 - explanation.breakdown.sdist,
+                target_tsim,
+            )
+            if explanation.viable_ws_intervals is not None and not all(
+                point.never_outranks(target) for point in delta_points
+            ):
+                return None
             raw_distance = explanation.obj.loc.distance_to(query.loc)
-            added_beaters = sum(
-                1
-                for oid, score, _, _ in scored_added
-                if (-score, oid) < target_key
-            )
-            removed_beaters = sum(
-                1
-                for oid, score, _, _ in scored_removed
-                if (-score, oid) < target_key
-            )
-            added_closer = sum(
-                1
-                for x, y, _, _, _ in summary.added_rows
-                if hypot(x - qx, y - qy) < raw_distance
-            )
-            removed_closer = sum(
-                1
-                for x, y, _, _, _ in summary.removed_rows
-                if hypot(x - qx, y - qy) < raw_distance
-            )
-            added_similar = sum(
-                1 for _, _, _, tsim in scored_added if tsim > target_tsim
-            )
-            removed_similar = sum(
-                1 for _, _, _, tsim in scored_removed if tsim > target_tsim
-            )
-            intervals = explanation.viable_ws_intervals
-            if intervals is not None:
-                intervals = tuple(
-                    adjuster.viable_weight_intervals(query, explanation.obj)
-                )
             new_explanations.append(
                 dc_replace(
                     explanation,
-                    rank=explanation.rank + added_beaters - removed_beaters,
+                    rank=explanation.rank
+                    + _shift(
+                        scored_added,
+                        scored_removed,
+                        lambda row: (-row[1], row[0]) < target_key,
+                    ),
                     closer_objects=explanation.closer_objects
-                    + added_closer
-                    - removed_closer,
+                    + _shift(
+                        summary.added_rows,
+                        summary.removed_rows,
+                        lambda row: hypot(row[0] - qx, row[1] - qy) < raw_distance,
+                    ),
                     more_similar_objects=explanation.more_similar_objects
-                    + added_similar
-                    - removed_similar,
-                    viable_ws_intervals=intervals,
+                    + _shift(
+                        scored_added,
+                        scored_removed,
+                        lambda row: row[3] > target_tsim,
+                    ),
                 )
             )
         new_value = dc_replace(

@@ -94,12 +94,6 @@ class WhyNotEngine:
     def scorer(self) -> Scorer:
         return self._scorer
 
-    @property
-    def preference_adjuster(self):
-        """The preference adjuster (executor-tier answer maintenance
-        recomputes viable weight intervals through it)."""
-        return self._preference
-
     # ------------------------------------------------------------------
     # Missing-object resolution
     # ------------------------------------------------------------------

@@ -434,7 +434,7 @@ class PreferenceAdjuster:
         m_score = w * m_dual.a + (1.0 - w) * m_dual.b
         if other_score != m_score:  # yasklint: disable=YASK103 -- dual-space comparator mirrors the kernel operation-for-operation; equality means a true permanent tie
             return other_score > m_score
-        return other.oid < m_dual.oid
+        return other.wins_ties_against(m_dual)
 
     def _past_crossing_candidate(
         self,

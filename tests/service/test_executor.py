@@ -309,6 +309,44 @@ class TestRealEngine:
         executor.close()
         engine.close()
 
+    def test_batch_that_cannot_enter_the_skyband_only_restamps(self):
+        """Nothing removed from the buffer, every added row behind its
+        tail: the entry keeps its buffer object and takes the stamp."""
+        from repro.core.mutations import Mutation
+        from repro.core.objects import SpatialObject
+        from repro.datasets.generators import SyntheticDatasetBuilder
+
+        database = SyntheticDatasetBuilder(seed=11).build(
+            120, vocabulary_size=30, doc_length=(2, 6)
+        )
+        engine = YaskEngine(database, max_entries=8)
+        executor = QueryExecutor(engine, skyband_delta=4)
+        query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 4)
+        served = executor.execute(query).result
+        key = query_fingerprint(query)
+        buffer = executor._cache.peek_entry(key)[1].entries
+        outsider = next(
+            obj.oid
+            for obj in database.objects
+            if obj.oid not in {entry.obj.oid for entry in buffer}
+        )
+        report = engine.apply_mutations(
+            [
+                Mutation.delete(outsider),
+                Mutation.insert(
+                    SpatialObject(9000, Point(0.99, 0.01), frozenset({"zzz"}))
+                ),
+            ]
+        )
+        tally = executor.maintain(report.change)
+        assert tally["kept"] == 1 and tally["patched"] == 0
+        value, meta = executor._cache.peek_entry(key)
+        assert value is served and meta.entries is buffer
+        assert meta.generation == engine.generation
+        assert executor.execute(query).result.entries == engine.query(query).entries
+        executor.close()
+        engine.close()
+
 
 class TestValidation:
     def test_bad_capacity_rejected(self):
