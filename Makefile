@@ -13,9 +13,11 @@
 #                      the default budget)
 #   make bench-smoke — the floor-asserting experiments: E9 + E10
 #                      (executor tiers: cold/warm and batch floors),
-#                      E11 (kernel: >=3x rank_all, >=2x cold why-not),
-#                      E12 (sharding: >=1.8x cold top-k, >=1.5x
-#                      cold why-not at 4 shards vs 1), E13 (live
+#                      E11 (kernel: >=3x rank_all, >=2x cold why-not;
+#                      levelled dual view: ranks_at >=10x the linear
+#                      pass at 20k, refine >=2x its linear ablation),
+#                      E12 (sharding: >=1.8x cold top-k, cold why-not
+#                      no slower than 0.9x at 4 shards vs 1), E13 (live
 #                      mutation: >=5x incremental ingest vs rebuild,
 #                      >50% warm top-k hit rate under writes, a
 #                      maintenance pass over 64 cached explain answers
@@ -90,7 +92,7 @@ bench-e16-smoke:
 	$(PYTHON) benchmarks/e16/run.py --smoke
 
 test-lockdep:
-	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_skyband.py -q $(ALL_MARKS)
+	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_skyband.py tests/whynot/test_context.py -q $(ALL_MARKS)
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools

@@ -10,6 +10,15 @@ objects:
 * full-scan ``rank_all`` at least 3x faster, and
 * a cold why-not question (preference model) at least 2x faster,
 
+and, as ratios between two kernel-backed paths that hold on any host,
+the TSim-levelled dual view against the O(n) reference that stays in
+the tree as the kernel-less path:
+
+* ``DualView.ranks_at`` at 20k objects at least 10x a
+  ``PreferenceAdjuster._ranks_at_weights`` pass over the dual points, and
+* ``PreferenceAdjuster.refine`` at least 2x its ``use_dual_index=False``
+  ablation (DualPoint list, linear crossover retrieval, linear ranks),
+
 with bit-for-bit parity assertions — identical scores, tie order and
 refinements — plus a SearchStats check that best-first search does the
 *same* index work either way (the kernel changes how leaf entries are
@@ -21,10 +30,14 @@ Run with ``PYTHONPATH=src python -m pytest benchmarks/bench_e11_kernel.py -q``
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from benchmarks.conftest import build_database
 from repro.bench.harness import Table, time_call
 from repro.bench.workloads import QueryWorkload, generate_whynot_scenarios
+from repro.core.query import Weights
 from repro.core.scoring import Scorer
 from repro.core.topk import BestFirstTopK
 from repro.whynot.preference import PreferenceAdjuster
@@ -32,6 +45,10 @@ from repro.whynot.preference import PreferenceAdjuster
 #: Acceptance floors (ISSUE 3): kernel speedup over the pre-kernel path.
 RANK_ALL_FLOOR = 3.0
 WHYNOT_FLOOR = 2.0
+#: Acceptance floors (ISSUE 17): levelled dual view over the linear
+#: reference, both on the kernel's columns.
+LEVELLED_RANKS_FLOOR = 10.0
+LEVELLED_REFINE_FLOOR = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +130,77 @@ def test_e11_cold_whynot_preference_2x(fast_scorer, slow_scorer):
     assert speedup >= WHYNOT_FLOOR, (
         f"kernel cold why-not only {speedup:.2f}x faster "
         f"({fast_timing.best_ms:.1f}ms vs {slow_timing.best_ms:.1f}ms)"
+    )
+
+
+def test_e11_levelled_ranks_at_10x(kernel_queries):
+    """Acceptance: a levelled rank at 20k >= 10x the linear pass."""
+    scorer = Scorer(build_database(20_000))
+    query = kernel_queries[0]
+    view = scorer.kernel.dual_view(query)
+    duals = view.dual_points()
+    targets = duals[:: len(duals) // 3][:3]
+    oids = [dual.oid for dual in targets]
+    weightings = [Weights.from_spatial(step / 18) for step in range(1, 18)]
+
+    levelled, levelled_timing = time_call(
+        lambda: [view.ranks_at(w.ws, w.wt, oids) for w in weightings], repeat=5
+    )
+    linear, linear_timing = time_call(
+        lambda: [
+            dict(PreferenceAdjuster._ranks_at_weights(w, targets, duals))
+            for w in weightings
+        ],
+        repeat=3,
+    )
+    assert levelled == linear
+
+    speedup = linear_timing.best / levelled_timing.best
+    table = Table(
+        "path", "best_ms", "median_ms",
+        title="E11: 17 rank evaluations x 3 targets in dual space (20k)",
+    )
+    table.add_row("linear reference", linear_timing.best_ms, linear_timing.median_ms)
+    table.add_row("levelled view", levelled_timing.best_ms, levelled_timing.median_ms)
+    table.add_row(f"speedup {speedup:.1f}x (floor {LEVELLED_RANKS_FLOOR}x)", "", "")
+    table.print()
+    assert speedup >= LEVELLED_RANKS_FLOOR, (
+        f"levelled ranks_at only {speedup:.1f}x the linear pass "
+        f"({levelled_timing.best_ms:.2f}ms vs {linear_timing.best_ms:.1f}ms)"
+    )
+
+
+def test_e11_refine_2x_linear_ablation(fast_scorer):
+    """Acceptance: refine >= 2x its use_dual_index=False ablation."""
+    scenarios = generate_whynot_scenarios(
+        fast_scorer, count=2, k=10, missing_count=2, rank_window=40, seed=99
+    )
+    levelled = PreferenceAdjuster(fast_scorer)
+    ablation = PreferenceAdjuster(fast_scorer, use_dual_index=False)
+
+    def run(adjuster):
+        return [
+            adjuster.refine(s.query, s.missing, lam=0.5) for s in scenarios
+        ]
+
+    refined, timing = time_call(lambda: run(levelled), repeat=5)
+    ablated, ablation_timing = time_call(lambda: run(ablation), repeat=3)
+    # Same refinement; only the reported retrieval method differs.
+    assert refined == [replace(r, method="weight-sweep") for r in ablated]
+
+    speedup = ablation_timing.best / timing.best
+    table = Table(
+        "path", "best_ms", "median_ms",
+        title="E11: PreferenceAdjuster.refine (10k x 2 scenarios)",
+    )
+    table.add_row("use_dual_index=False", ablation_timing.best_ms,
+                  ablation_timing.median_ms)
+    table.add_row("levelled view", timing.best_ms, timing.median_ms)
+    table.add_row(f"speedup {speedup:.2f}x (floor {LEVELLED_REFINE_FLOOR}x)", "", "")
+    table.print()
+    assert speedup >= LEVELLED_REFINE_FLOOR, (
+        f"refine only {speedup:.2f}x its linear ablation "
+        f"({timing.best_ms:.1f}ms vs {ablation_timing.best_ms:.1f}ms)"
     )
 
 

@@ -13,7 +13,10 @@ Acceptance floors at 4 shards / 20k objects, against the same engine
 configured with 1 shard (the scatter baseline: one full columnar scan):
 
 * cold top-k at least 1.8x faster, and
-* a cold why-not question (preference model) at least 1.5x faster,
+* a cold why-not question (preference model) no slower than 0.9x: its
+  rank evaluations run over the global columns' TSim-levelled dual view
+  (two bisects per level), which does less work than shard skipping at
+  any shard count, so shards must merely not cost it anything,
 
 with bit-for-bit parity against the *unsharded* production engine
 asserted first.
@@ -31,10 +34,9 @@ Workload notes (documented, deliberate):
   answer).
 * The why-not scenarios keep the missing objects within 20 ranks of
   the result ("the cafe down the street"), where the refinement
-  sweep's crossover structure stays small.  Sharding prunes the
-  *scan-bound* part of a why-not answer (rank verifications); the
-  crossover sweep itself is rank arithmetic on events and is
-  unaffected by partitioning.
+  sweep's crossover structure stays small.  Neither the rank
+  verifications (bisects in the levelled view) nor the crossover sweep
+  (rank arithmetic on events) depends on the partitioning.
 
 Run with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_e12_sharding.py -q``
@@ -51,9 +53,11 @@ from repro.datasets.generators import SyntheticDatasetBuilder
 from repro.service.api import YaskEngine
 from repro.whynot.preference import PreferenceAdjuster
 
-#: Acceptance floors (ISSUE 4): 4 shards vs 1 shard at 20k objects.
+#: Acceptance floors: 4 shards vs 1 shard at 20k objects (ISSUE 4 for
+#: top-k; ISSUE 17 replaced "why-not >= 1.5x", which measured shard
+#: skipping inside ``ranks_at``, by "shards cost dual space nothing").
 TOPK_FLOOR = 1.8
-WHYNOT_FLOOR = 1.5
+WHYNOT_FLOOR = 0.9
 
 OBJECTS = 20_000
 SHARDS = 4
@@ -171,10 +175,10 @@ def whynot_scenarios(unsharded_engine):
     )
 
 
-def test_e12_cold_whynot_preference_1_5x(
+def test_e12_cold_whynot_preference_not_slower(
     unsharded_engine, baseline_engine, sharded_engine, whynot_scenarios
 ):
-    """Acceptance: cold preference why-not >= 1.5x, identical answers."""
+    """Acceptance: cold preference why-not >= 0.9x, identical answers."""
     oracle = PreferenceAdjuster(unsharded_engine.scorer)
     baseline = PreferenceAdjuster(baseline_engine.scorer)
     sharded = PreferenceAdjuster(sharded_engine.scorer)
@@ -201,14 +205,14 @@ def test_e12_cold_whynot_preference_1_5x(
             f"({OBJECTS} objects x {len(whynot_scenarios)} scenarios)"
         ),
     )
-    table.add_row("1 shard (full scans)", baseline_timing.best_ms,
+    table.add_row("1 shard", baseline_timing.best_ms,
                   baseline_timing.median_ms)
-    table.add_row(f"{SHARDS} shards (pruned scans)", sharded_timing.best_ms,
+    table.add_row(f"{SHARDS} shards", sharded_timing.best_ms,
                   sharded_timing.median_ms)
     table.add_row(f"speedup {speedup:.2f}x (floor {WHYNOT_FLOOR}x)", "", "")
     table.print()
     assert speedup >= WHYNOT_FLOOR, (
-        f"sharded cold why-not only {speedup:.2f}x faster "
+        f"sharded cold why-not at {speedup:.2f}x the 1-shard speed "
         f"({sharded_timing.best_ms:.1f}ms vs {baseline_timing.best_ms:.1f}ms)"
     )
 

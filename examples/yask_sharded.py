@@ -121,7 +121,7 @@ def latency_comparison() -> None:
     )
     print(
         f"  shard scans skipped so far: {stats['topk_shards_skipped']} "
-        f"(top-k), {stats['dual_shards_skipped']} (dual sweep)"
+        f"(top-k), {stats['count_shards_skipped']} (rank counts)"
     )
 
 

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from heapq import nsmallest
 from operator import neg
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
-from repro import concurrency
+from repro import concurrency, faults
 from repro.core.hotpath import hot_path
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
@@ -241,7 +242,6 @@ class DocContext:
     def tsim_oid(self, oid: int) -> float:
         return self.tsim_row(self._kernel._row_of[oid])
 
-    @hot_path
     def rank_scan(
         self,
         ws: float,
@@ -257,19 +257,40 @@ class DocContext:
         """
         kernel = self._kernel
         kernel.stats.bump("doc_rank_scans")
+        target_row = kernel._row_of[target_oid]
+        theta = ws * proximities[target_row] + wt * self.tsim_row(target_row)
+        return 1 + self.count_beaters(
+            range(kernel._n), ws, wt, proximities, theta, target_oid
+        )
+
+    @hot_path
+    def count_beaters(
+        self,
+        rows: Iterable[int],
+        ws: float,
+        wt: float,
+        proximities: Sequence[float],
+        theta: float,
+        target_oid: int,
+    ) -> int:
+        """How many of ``rows`` beat ``(theta, target_oid)`` under this doc.
+
+        One columnar call per row set — the whole database for
+        :meth:`rank_scan`, one uncertain KcR-tree leaf for the keyword
+        module's bound-and-prune descent.  The target's own row scores
+        exactly ``theta`` and does not precede itself, so it needs no
+        skip.
+        """
+        kernel = self._kernel
         masks = kernel._masks
         lens = kernel._lens
         oids = kernel._oids
         qmask = self.mask
         qlen = self.length
         code = self._code
-        target_row = kernel._row_of[target_oid]
-        theta = ws * proximities[target_row] + wt * self.tsim_row(target_row)
         beaters = 0
         if code == "jaccard":
-            for row in range(kernel._n):
-                if row == target_row:
-                    continue
+            for row in rows:
                 shared = (masks[row] & qmask).bit_count()
                 tsim = (
                     shared / (lens[row] + qlen - shared) if shared else 0.0
@@ -278,24 +299,20 @@ class DocContext:
                 if score > theta or (score == theta and oids[row] < target_oid):
                     beaters += 1
         elif code == "dice":
-            for row in range(kernel._n):
-                if row == target_row:
-                    continue
+            for row in rows:
                 shared = (masks[row] & qmask).bit_count()
                 tsim = 2.0 * shared / (lens[row] + qlen) if shared else 0.0
                 score = ws * proximities[row] + wt * tsim
                 if score > theta or (score == theta and oids[row] < target_oid):
                     beaters += 1
         else:
-            for row in range(kernel._n):
-                if row == target_row:
-                    continue
+            for row in rows:
                 shared = (masks[row] & qmask).bit_count()
                 tsim = shared / min(lens[row], qlen) if shared else 0.0
                 score = ws * proximities[row] + wt * tsim
                 if score > theta or (score == theta and oids[row] < target_oid):
                     beaters += 1
-        return beaters + 1
+        return beaters
 
 
 class KernelQuery:
@@ -356,16 +373,24 @@ class KernelQuery:
 
 
 class DualView:
-    """Database-aligned dual coordinates ``(a, b)`` under one query.
+    """Dual coordinates ``(a, b)`` under one query, indexed by TSim level.
 
-    The flat-array substrate of the preference-adjustment module: rank
-    evaluations at candidate weights (``score = w·a + (1−w)·b``) run
-    over two ``array('d')`` columns instead of a list of
-    :class:`~repro.core.scoring.DualPoint` objects.
+    The substrate of the preference-adjustment module.  Under a set
+    text model ``b = TSim`` takes few distinct values per query (at
+    most ``(|q.doc| + 1) · max doc length``, never a function of n), and
+    within one level the score ``ws·a + wt·b`` is float-monotone in
+    ``a`` (multiply and add by non-negative weights are monotone).  So
+    besides the row-aligned columns the view keeps, per level, the
+    proximities sorted ascending with their rows alongside: a rank is
+    two bisects per level, exact with no margin, and the quadrant and
+    counting queries of Section 3.3 are slices and lengths.  Tombstoned
+    rows sit inert at ``(0, 0)`` of level 0 with the losing oid
+    sentinel, exactly as in the flat scans.
     """
 
-    __slots__ = ("oids", "a", "b", "_row_of")
+    __slots__ = ("oids", "a", "b", "_row_of", "_levels")
 
+    @hot_path
     def __init__(
         self,
         oids: Sequence[int],
@@ -373,24 +398,34 @@ class DualView:
         b: Sequence[float],
         row_of: Mapping[int, int],
     ) -> None:
+        groups: dict[float, list[int]] = {}
+        for row, level in enumerate(b):
+            rows = groups.get(level)
+            if rows is None:
+                groups[level] = [row]
+            else:
+                rows.append(row)
+        proximity = a.__getitem__
+        levels = []
+        for level in sorted(groups, reverse=True):
+            rows = groups[level]
+            rows.sort(key=proximity)
+            levels.append(
+                (level, array("d", map(proximity, rows)), array("q", rows))
+            )
         self.oids = oids
-        self.a = a
-        self.b = b
+        self.a = array("d", a)
+        self.b = array("d", b)
         self._row_of = row_of
+        #: ``(b, proximities ascending, their rows)`` by descending ``b``.
+        self._levels = tuple(levels)
 
-    def row_of(self, oid: int) -> int:
-        return self._row_of[oid]
-
-    def dual_point_of(self, oid: int) -> "DualPoint":
-        """The one object's :class:`DualPoint` — no full materialisation.
-
-        The preference module needs materialised points only for the
-        missing objects; the sweep itself runs over the flat columns.
-        """
+    def dual_points_of(self, oids: Sequence[int]) -> "list[DualPoint]":
+        """These objects' :class:`DualPoint`s — no full materialisation."""
         from repro.core.scoring import DualPoint
 
-        row = self._row_of[oid]
-        return DualPoint(oid=oid, a=self.a[row], b=self.b[row])
+        a, b, row_of = self.a, self.b, self._row_of
+        return [DualPoint(oid, a[row_of[oid]], b[row_of[oid]]) for oid in oids]
 
     def dual_points(self) -> "list[DualPoint]":
         """Materialise :class:`DualPoint` objects (live rows, row order)."""
@@ -402,27 +437,36 @@ class DualView:
             if point.oid != _DEAD_OID
         ]
 
-    def crossing_candidates(self, target_oid: int) -> "list[DualPoint]":
+    def crossing_candidates(
+        self, target_oid: int
+    ) -> list[tuple[float, array, list[int]]]:
         """Objects whose score lines cross the target's inside ``(0, 1)``.
 
-        The columnar form of the two dual-space range queries of
-        Section 3.3 (see :class:`repro.index.dualspace.DualSpaceIndex`):
-        lines cross exactly when the dual points sit in opposite open
-        quadrants, ``(a_o − a_m)(b_o − b_m) < 0``, so one pass over the
-        flat columns returns the identical candidate set without
-        building a per-query R-tree over 2n floats first.
+        The two dual-space range queries of Section 3.3 (see
+        :class:`repro.index.dualspace.DualSpaceIndex`): lines cross
+        exactly when the dual points sit in opposite open quadrants,
+        ``(a_o − a_m)(b_o − b_m) < 0`` — per level, the proximities
+        below ``a_m`` where ``b > b_m`` and above it where ``b < b_m``
+        (differences of these columns are multiples of 2⁻⁵³ and ratios
+        of doc lengths: the float product cannot underflow to ±0).
+        Returned as ``(b, proximities, oids)`` per level with any.
         """
-        from repro.core.scoring import DualPoint
-
         row = self._row_of[target_oid]
         am = self.a[row]
         bm = self.b[row]
-        oids = self.oids
-        return [
-            DualPoint(oid=oids[i], a=x, b=y)
-            for i, (x, y) in enumerate(zip(self.a, self.b))
-            if (x - am) * (y - bm) < 0.0
-        ]
+        oid_of = self.oids.__getitem__
+        found = []
+        for level, proximities, rows in self._levels:
+            if level > bm:
+                span = slice(0, bisect_left(proximities, am))
+            elif level < bm:
+                span = slice(bisect_right(proximities, am), None)
+            else:
+                continue
+            crossing = proximities[span]
+            if crossing:
+                found.append((level, crossing, list(map(oid_of, rows[span]))))
+        return found
 
     @hot_path
     def ranks_at(
@@ -431,60 +475,70 @@ class DualView:
         """Exact float-semantics ranks of the targets at weights (ws, wt).
 
         Mirrors ``PreferenceAdjuster._ranks_at_weights``: scores are
-        ``ws·a + wt·b`` with the (score desc, oid asc) tie-break.
+        ``ws·a + wt·b`` (non-negative weights) with the (score desc,
+        oid asc) tie-break, which only the run of rows scoring exactly
+        the target's score needs.
         """
         a = self.a
         b = self.b
         oids = self.oids
-        scores = [ws * x + wt * y for x, y in zip(a, b)]
-        out: dict[int, int] = {}
-        for target_oid in target_oids:
-            target_row = self._row_of[target_oid]
-            target_score = scores[target_row]
-            beaten = 0
-            for row, score in enumerate(scores):
-                if score > target_score:
-                    beaten += 1
-                elif (
-                    score == target_score
-                    and row != target_row
-                    and oids[row] < target_oid
-                ):
-                    beaten += 1
-            out[target_oid] = beaten + 1
-        return out
+        target_rows = [self._row_of[oid] for oid in target_oids]
+        scores = [ws * a[row] + wt * b[row] for row in target_rows]
+        beaten = [0] * len(scores)
+        for level, proximities, rows in self._levels:
+            faults.check_deadline()
+            offset = wt * level
+            score_of = lambda x: ws * x + offset
+            size = len(proximities)
+            for index, score in enumerate(scores):
+                above = bisect_right(proximities, score, key=score_of)
+                tied = bisect_left(proximities, score, 0, above, key=score_of)
+                count = size - above
+                if tied < above:
+                    target_oid = target_oids[index]
+                    count += sum(
+                        1 for row in rows[tied:above] if oids[row] < target_oid
+                    )
+                beaten[index] += count
+        return {
+            oid: count + 1 for oid, count in zip(target_oids, beaten)
+        }
 
-    @hot_path
     def strictly_above_at_zero(self, target_oid: int) -> int:
         """Objects strictly outranking the target as ``w → 0+``.
 
         Mirrors ``PreferenceAdjuster._strictly_above_at_zero``: order by
-        ``b`` (TSim) with ``a`` as the tie-break.  The target's own row
-        never satisfies either strict inequality, so no id check is
-        needed.
+        ``b`` (TSim) with ``a`` as the tie-break.
         """
         row = self._row_of[target_oid]
         am = self.a[row]
         bm = self.b[row]
         above = 0
-        for x, y in zip(self.a, self.b):
-            if y > bm or (y == bm and x > am):
-                above += 1
+        for level, proximities, _ in self._levels:
+            if level > bm:
+                above += len(proximities)
+            elif level == bm:
+                above += len(proximities) - bisect_right(proximities, am)
         return above
 
-    @hot_path
     def permanent_ties_smaller(self, target_oid: int) -> int:
         """Objects with an identical score line and a smaller object id."""
         row = self._row_of[target_oid]
         am = self.a[row]
         bm = self.b[row]
-        a = self.a
-        b = self.b
         oids = self.oids
+        for level, proximities, rows in self._levels:
+            if level == bm:
+                run = rows[bisect_left(proximities, am) : bisect_right(proximities, am)]
+                return sum(1 for other in run if oids[other] < target_oid)
+        return 0
+
+    def count_more_similar(self, tsim: float) -> int:
+        """Objects with ``TSim > tsim`` (``SetRTree.count_more_similar``)."""
         return sum(
-            1
-            for i in range(len(oids))
-            if a[i] == am and b[i] == bm and oids[i] < target_oid
+            len(proximities)
+            for level, proximities, _ in self._levels
+            if level > tsim
         )
 
 
@@ -1048,12 +1102,13 @@ class ScoringKernel:
     # ------------------------------------------------------------------
     @hot_path
     def dual_view(self, query: SpatialKeywordQuery) -> DualView:
-        """Flat ``(a, b) = (1 − SDist, TSim)`` columns under ``query``.
+        """``(a, b) = (1 − SDist, TSim)`` under ``query``, levelled by ``b``.
 
         A dedicated pass: the score column would be dead weight here (the
         sweep evaluates ``w·a + (1−w)·b`` at *candidate* weights), so
         this neither runs nor gets counted as a full component pass.
         """
+        faults.check_deadline()
         self.stats.bump("dual_views")
         qx, qy, qmask, qlen, ws, wt = self._query_scalars(query)
         del ws, wt  # dual coordinates are weight-free

@@ -2,9 +2,9 @@
 
 The ROADMAP's "sharding" direction, grounded in the paper's rank
 arithmetic: every quantity the why-not pipeline computes — ranks,
-beater counts, dual-space sweeps — is a *count of objects* satisfying a
-per-object predicate, so it decomposes exactly over any disjoint
-partition of ``D``:
+beater counts — is a *count of objects* satisfying a per-object
+predicate, so it decomposes exactly over any disjoint partition of
+``D``:
 
 ``rank_of(m, q) = 1 + Σ_shard count_better(shard, m, q)``
 
@@ -26,8 +26,10 @@ This module provides
   :class:`ShardStats` (surfaced through ``GET /api/stats``).
 * :class:`ShardedKernel` — a drop-in :class:`ScoringKernel` whose
   whole-database rank primitives (``count_better``, ``rank_of_many``,
-  ``dual_view``, ``doc_context`` rank scans) *skip entire shards* that
-  provably cannot contain a better-ranked object.
+  ``doc_context`` rank scans) *skip entire shards* that provably cannot
+  contain a better-ranked object.  Dual space is deliberately not among
+  them: :class:`~repro.core.kernel.DualView` indexes the global columns
+  by TSim level, and two bisects per level beat any per-shard skip.
 
 Why pruning, not just parallelism
 ---------------------------------
@@ -47,21 +49,15 @@ Exactness contract
 Skipping is an optimisation, never a semantics change.  A shard is
 skipped only when its *score upper bound* is strictly below the target
 score, so no object in it can rank above the target — not even via the
-``(score desc, oid asc)`` tie-break, which needs score equality.  Two
-kinds of bounds are used:
-
-* **Static bounds** (:meth:`Shard.proximity_upper_bound` +
-  :meth:`Shard.tsim_upper_bound`): MBR MINDIST for the spatial term and
-  a keyword-union/doc-length bound for the text term.  The text bound
-  is a single correctly-rounded integer division, hence exactly
-  monotone; the MINDIST arithmetic is monotone too, but ``math.hypot``
-  is only guaranteed faithful, so static skips retain a defensive
-  ``1e-12`` margin.
-* **Exact per-query maxima** (:class:`ShardedDualView`): the dual-space
-  sweep skips shards via each shard's Pareto front over ``(a, b)`` —
-  the float maximum of ``ws·a + wt·b`` over a shard *is attained on the
-  front*, so the skip test compares against the true shard maximum and
-  needs no margin.
+``(score desc, oid asc)`` tie-break, which needs score equality.  The
+bounds are static (:meth:`Shard.proximity_upper_bound` +
+:meth:`Shard.tsim_upper_bound`): MBR MINDIST for the spatial term and a
+keyword-union/doc-length bound for the text term.  The text bound is a
+single correctly-rounded integer division, hence exactly monotone; the
+MINDIST arithmetic is monotone too, but ``math.hypot`` is only
+guaranteed faithful, so static skips retain a defensive ``1e-12``
+margin.  Candidate rank scans (:class:`ShardedDocContext`) use each
+shard's exact proximity-column maximum instead and need none.
 
 ``tests/properties/test_prop_sharding.py`` asserts bit-for-bit parity
 of every primitive — and of whole why-not answers — against the
@@ -72,7 +68,7 @@ counts.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Sequence
+from typing import AbstractSet, Callable, Iterable, Sequence
 
 from dataclasses import dataclass
 
@@ -84,16 +80,12 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.text.similarity import TextSimilarityModel
 
-if TYPE_CHECKING:  # pragma: no cover - scoring imports this module
-    from repro.core.scoring import DualPoint
-
 __all__ = [
     "PARTITIONERS",
     "Shard",
     "ShardRouter",
     "ShardStats",
     "ShardedDocContext",
-    "ShardedDualView",
     "ShardedKernel",
     "ShardedProximityColumn",
     "grid_partition",
@@ -210,10 +202,6 @@ class ShardStats:
         "count_passes",
         "count_shards_scanned",
         "count_shards_skipped",
-        "dual_views",
-        "dual_rank_passes",
-        "dual_shards_scanned",
-        "dual_shards_skipped",
         "doc_rank_scans",
         "doc_shards_scanned",
         "doc_shards_skipped",
@@ -765,235 +753,6 @@ class ShardedDocContext(DocContext):
         return beaters + 1
 
 
-class ShardedDualView:
-    """Per-shard dual columns with shard bounding boxes for the sweep.
-
-    Drop-in for :class:`~repro.core.kernel.DualView` as the preference
-    module consumes it.  Each shard carries its own ``(a, b)`` columns
-    plus its dual bounding box: since weights are non-negative, the box
-    corner ``w_s·a_max + w_t·b_max`` dominates every shard point in
-    float arithmetic (the maxima are exact column maxima and float
-    multiply/add are monotone), so a rank evaluation skips every shard
-    whose corner bound is strictly below the target score — no margin,
-    no approximation risk.  With spatially coherent shards the corner
-    is nearly attained (dense shards hold a near-corner object), so
-    little pruning power is lost over an exact per-weight maximum while
-    the box costs four C-speed ``min``/``max`` passes per query.
-    """
-
-    __slots__ = (
-        "_kernel",
-        "_views",
-        "_fronts",
-        "_a_min",
-        "_a_max",
-        "_b_min",
-        "_b_max",
-    )
-
-    def __init__(self, kernel: "ShardedKernel", views: Sequence[DualView]) -> None:
-        self._kernel = kernel
-        self._views = tuple(views)
-        if len(self._views) == 1:
-            # Single-shard routers (the E12 scatter baseline) cannot
-            # skip anything: every evaluation scans the one shard, so
-            # bounding boxes would be pure build overhead.
-            self._fronts = None
-            self._a_min = self._a_max = self._b_min = self._b_max = None
-            return
-        # Lazily-built Pareto fronts (see _front_max).
-        self._fronts: list[tuple[tuple[float, float], ...] | None] | None = (
-            [None] * len(self._views)
-        )
-        self._a_min = [min(view.a) for view in self._views]
-        self._a_max = [max(view.a) for view in self._views]
-        self._b_min = [min(view.b) for view in self._views]
-        self._b_max = [max(view.b) for view in self._views]
-
-    def _front_max(self, index: int, ws: float, wt: float) -> float:
-        """Exact float maximum of ``ws·a + wt·b`` over shard ``index``.
-
-        The maximum over a shard is attained on its Pareto front (a
-        dominated point's float score never exceeds its dominator's —
-        multiply/add by non-negative weights are monotone), so this is
-        the true shard maximum, not a bound.  Fronts are built lazily,
-        once per view, and only for shards the O(1) box-corner test
-        could not skip — the sort is paid where it can pay off.
-        """
-        front = self._fronts[index]
-        if front is None:
-            view = self._views[index]
-            pairs = sorted(zip(view.a, view.b), reverse=True)
-            built: list[tuple[float, float]] = []
-            best_b = -math.inf
-            for a, b in pairs:
-                if b > best_b:
-                    built.append((a, b))
-                    best_b = b
-            front = tuple(built)
-            self._fronts[index] = front
-        return max(ws * a + wt * b for a, b in front)
-
-    # ------------------------------------------------------------------
-    # Lookup and materialisation
-    # ------------------------------------------------------------------
-    def _locate_oid(self, oid: int) -> tuple[int, int]:
-        kernel = self._kernel
-        return kernel.router.locate(kernel.row_of(oid))
-
-    def row_of(self, oid: int) -> int:
-        """Global database row of ``oid`` (mirrors ``DualView.row_of``)."""
-        return self._kernel.row_of(oid)
-
-    def dual_point_of(self, oid: int) -> "DualPoint":
-        """The one object's :class:`DualPoint` (mirrors ``DualView``)."""
-        from repro.core.scoring import DualPoint
-
-        shard_index, local = self._locate_oid(oid)
-        view = self._views[shard_index]
-        return DualPoint(oid=oid, a=view.a[local], b=view.b[local])
-
-    def dual_points(self) -> "list[DualPoint]":
-        """Materialise every object's :class:`DualPoint`, database order."""
-        from repro.core.scoring import DualPoint
-
-        out: list[DualPoint | None] = [None] * len(self._kernel)
-        for shard, view in zip(self._kernel.router.shards, self._views):
-            points = map(DualPoint._make, zip(view.oids, view.a, view.b))
-            for row, point in zip(shard.rows, points):
-                out[row] = point
-        return out  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
-    # Sweep primitives (DualView interface, shard-pruned)
-    # ------------------------------------------------------------------
-    @hot_path
-    def ranks_at(
-        self, ws: float, wt: float, target_oids: Sequence[int]
-    ) -> dict[int, int]:
-        """Exact ranks at weights ``(ws, wt)``; skips hopeless shards."""
-        router = self._kernel.router
-        stats = router.stats
-        stats.bump("dual_rank_passes")
-        views = self._views
-        targets: list[tuple[int, float, int, int]] = []
-        for oid in target_oids:
-            shard_index, local = self._locate_oid(oid)
-            view = views[shard_index]
-            targets.append(
-                (oid, ws * view.a[local] + wt * view.b[local], shard_index, local)
-            )
-        beaten = {oid: 0 for oid, _, _, _ in targets}
-        scanned = 0
-        skipped = 0
-        a_max = self._a_max
-        b_max = self._b_max
-        for index, view in enumerate(views):
-            faults.check_deadline()
-            if a_max is not None:
-                corner = ws * a_max[index] + wt * b_max[index]
-                live = [t for t in targets if corner >= t[1]]
-                if live:
-                    # Box corner could not rule the shard out — decide
-                    # with the exact per-weight shard maximum.
-                    front_max = self._front_max(index, ws, wt)
-                    live = [t for t in live if front_max >= t[1]]
-                if not live:
-                    skipped += 1
-                    continue
-            else:
-                live = targets
-            scanned += 1
-            scores = [ws * a + wt * b for a, b in zip(view.a, view.b)]
-            oids = view.oids
-            for oid, target_score, target_shard, target_local in live:
-                # Strictly-greater count at C speed; the (rare) exact
-                # score ties fall back to an explicit oid-ordered walk.
-                count = sum(map(target_score.__lt__, scores))
-                ties = scores.count(target_score)
-                if index == target_shard:
-                    ties -= 1  # the target's own row
-                if ties:
-                    skip_local = target_local if index == target_shard else -1
-                    count += sum(
-                        1
-                        for local, score in enumerate(scores)
-                        if score == target_score
-                        and local != skip_local
-                        and oids[local] < oid
-                    )
-                beaten[oid] += count
-        stats.bump("dual_shards_scanned", scanned)
-        stats.bump("dual_shards_skipped", skipped)
-        return {oid: count + 1 for oid, count in beaten.items()}
-
-    def crossing_candidates(self, target_oid: int) -> "list[DualPoint]":
-        """Objects whose score lines cross the target's — database order.
-
-        A shard is skipped when its ``(a, b)`` bounding box cannot reach
-        either open quadrant of the target point; the per-point product
-        test inside scanned shards is the oracle's own expression.
-        """
-        from repro.core.scoring import DualPoint
-
-        kernel = self._kernel
-        router = kernel.router
-        shard_index, local = self._locate_oid(target_oid)
-        view = self._views[shard_index]
-        am = view.a[local]
-        bm = view.b[local]
-        found: list[tuple[int, DualPoint]] = []
-        for index, shard_view in enumerate(self._views):
-            if self._a_max is not None:
-                low_high = self._a_max[index] > am and self._b_min[index] < bm
-                high_low = self._a_min[index] < am and self._b_max[index] > bm
-                if not (low_high or high_low):
-                    continue
-            rows = router.shards[index].rows
-            oids = shard_view.oids
-            for pos, (a, b) in enumerate(zip(shard_view.a, shard_view.b)):
-                if (a - am) * (b - bm) < 0.0:
-                    found.append((rows[pos], DualPoint(oid=oids[pos], a=a, b=b)))
-        found.sort()
-        return [point for _, point in found]
-
-    @hot_path
-    def strictly_above_at_zero(self, target_oid: int) -> int:
-        """Objects strictly outranking the target as ``w → 0+``."""
-        shard_index, local = self._locate_oid(target_oid)
-        view = self._views[shard_index]
-        am = view.a[local]
-        bm = view.b[local]
-        above = 0
-        for index, shard_view in enumerate(self._views):
-            if self._b_max is not None and self._b_max[index] < bm:
-                continue
-            for a, b in zip(shard_view.a, shard_view.b):
-                if b > bm or (b == bm and a > am):
-                    above += 1
-        return above
-
-    @hot_path
-    def permanent_ties_smaller(self, target_oid: int) -> int:
-        """Objects with an identical score line and a smaller object id."""
-        shard_index, local = self._locate_oid(target_oid)
-        view = self._views[shard_index]
-        am = view.a[local]
-        bm = view.b[local]
-        ties = 0
-        for index, shard_view in enumerate(self._views):
-            if self._a_min is not None and not (
-                self._a_min[index] <= am <= self._a_max[index]
-                and self._b_min[index] <= bm <= self._b_max[index]
-            ):
-                continue
-            oids = shard_view.oids
-            for pos, (a, b) in enumerate(zip(shard_view.a, shard_view.b)):
-                if a == am and b == bm and oids[pos] < target_oid:
-                    ties += 1
-        return ties
-
-
 class ShardedKernel(ScoringKernel):
     """A :class:`ScoringKernel` whose rank primitives scan shard-wise.
 
@@ -1004,8 +763,6 @@ class ShardedKernel(ScoringKernel):
 
     * :meth:`count_better` / :meth:`rank_of_many` — per-shard counts
       behind the static score upper bounds;
-    * :meth:`dual_view` — a :class:`ShardedDualView` whose sweep
-      evaluations skip shards via exact Pareto-front maxima;
     * :meth:`proximities` — a :class:`ShardedProximityColumn` carrying
       the per-shard maxima the candidate rank scans prune with;
     * :meth:`doc_context` — a :class:`ShardedDocContext`.
@@ -1128,13 +885,14 @@ class ShardedKernel(ScoringKernel):
     # ------------------------------------------------------------------
     # Dual-space and candidate substrates
     # ------------------------------------------------------------------
-    def dual_view(self, query: SpatialKeywordQuery) -> ShardedDualView:  # type: ignore[override]
-        self.stats.bump("dual_views")
-        self.router.stats.bump("dual_views")
-        views = [
-            shard.kernel.dual_view(query) for shard in self.router.shards
-        ]
-        return ShardedDualView(self, views)
+    def dual_view(self, query: SpatialKeywordQuery) -> DualView:
+        """The global columns' levelled view — a named seam, not a scatter.
+
+        A rank in a :class:`DualView` is two bisects per TSim level,
+        less work than any per-shard skip test, so dual space is the
+        one rank substrate shards do not prune.
+        """
+        return super().dual_view(query)
 
     def proximities(self, query: SpatialKeywordQuery) -> ShardedProximityColumn:  # type: ignore[override]
         slices = [

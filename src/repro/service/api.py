@@ -252,6 +252,8 @@ class YaskEngine:
             tokens=batch_tokens,
         )
         self._mutable.register_listener(self._kernel)
+        # Ends the why-not contexts of the generation a batch replaces.
+        self._mutable.register_listener(self._whynot)
 
         self._sharded_engine = None
         self._topk_engine: TopKEngine

@@ -3,6 +3,7 @@
 Modules:
 
 * :mod:`repro.whynot.penalty` — Eqns. (3) and (4).
+* :mod:`repro.whynot.context` — what one session's questions share.
 * :mod:`repro.whynot.preference` — Definition 2 via the weight-plane
   crossover sweep and rank update theorem.
 * :mod:`repro.whynot.keyword` — Definition 3 via KcR-tree bound-and-prune.
@@ -13,6 +14,7 @@ Modules:
 
 from repro.whynot.baselines import SamplingPreferenceAdjuster, exhaustive_keyword_adapter
 from repro.whynot.combined import CombinedRefinement, CombinedRefiner
+from repro.whynot.context import WhyNotContext
 from repro.whynot.engine import WhyNotAnswer, WhyNotEngine
 from repro.whynot.errors import NotMissingError, UnknownObjectError, WhyNotError
 from repro.whynot.explanation import (
@@ -35,6 +37,7 @@ __all__ = [
     "exhaustive_keyword_adapter",
     "CombinedRefinement",
     "CombinedRefiner",
+    "WhyNotContext",
     "WhyNotAnswer",
     "WhyNotEngine",
     "NotMissingError",

@@ -28,19 +28,19 @@ single-model answers are also reported for that purpose).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.core.scoring import Scorer
+from repro.whynot.context import WhyNotContext
+from repro.whynot.errors import NotMissingError
 from repro.whynot.keyword import KeywordAdapter, KeywordRefinement
 from repro.whynot.penalty import missing_doc_union
 from repro.whynot.preference import PreferenceAdjuster, PreferenceRefinement
 
 __all__ = ["CombinedRefinement", "CombinedRefiner"]
-
-from typing import Sequence
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,6 +94,7 @@ class CombinedRefiner:
         missing: Sequence[SpatialObject],
         *,
         lam: float = 0.5,
+        context: WhyNotContext | None = None,
     ) -> CombinedRefinement:
         """Return the cheaper of the two model-composition orders.
 
@@ -104,71 +105,47 @@ class CombinedRefiner:
         :class:`NotMissingError` mean the first stage alone already
         revived the objects within the original ``k`` — the composition
         degenerates to that single stage.
+
+        Both first stages share one ``context`` (built here when the
+        caller holds none); ``R(M, q)`` comes from it and ``R(M, q'')``
+        is the last stage's own ``refined_worst_rank``.
         """
         if not missing:
             raise ValueError("the missing object set M must not be empty")
-        initial_worst = self._scorer.worst_rank(missing, query)
-
-        candidates = [
-            self._keyword_then_preference(query, missing, lam),
-            self._preference_then_keyword(query, missing, lam),
-        ]
-        best = min(
-            candidates,
+        if context is None:
+            context = WhyNotContext(self._scorer, query, missing)
+        return min(
+            (
+                self._keyword_then_preference(query, context, lam),
+                self._preference_then_keyword(query, context, lam),
+            ),
             key=lambda c: (c.penalty, c.delta_doc + c.delta_k, c.order),
-        )
-        return CombinedRefinement(
-            refined_query=best.refined_query,
-            penalty=best.penalty,
-            delta_k=best.delta_k,
-            delta_w=best.delta_w,
-            delta_doc=best.delta_doc,
-            refined_worst_rank=best.refined_worst_rank,
-            initial_worst_rank=initial_worst,
-            lam=lam,
-            order=best.order,
-            keyword_stage=best.keyword_stage,
-            preference_stage=best.preference_stage,
         )
 
     # ------------------------------------------------------------------
-    def _combined_penalty(
+    def _finalise(
         self,
         query: SpatialKeywordQuery,
-        missing: Sequence[SpatialObject],
-        initial_worst: int,
-        final_query: SpatialKeywordQuery,
-        final_worst: int,
+        context: WhyNotContext,
         lam: float,
-    ) -> tuple[float, int, float, int]:
-        """Evaluate the combined penalty; returns (penalty, Δk, Δw, Δdoc)."""
+        order: str,
+        keyword_stage: KeywordRefinement | None,
+        preference_stage: PreferenceRefinement | None,
+        last_stage: KeywordRefinement | PreferenceRefinement,
+    ) -> CombinedRefinement:
+        """Price ``q → q''`` where ``q''`` is the last stage's refined query."""
+        initial_worst = context.initial_worst_rank
+        final_worst = last_stage.refined_worst_rank
+        final_query = last_stage.refined_query.with_k(max(query.k, final_worst))
         delta_k = max(0, final_worst - query.k)
         delta_w = query.weights.distance_to(final_query.weights)
         delta_doc = len(query.doc ^ final_query.doc)
         k_normaliser = float(initial_worst - query.k)
-        doc_normaliser = float(len(query.doc | missing_doc_union(missing)))
+        doc_normaliser = float(len(query.doc | missing_doc_union(context.missing)))
         penalty = (
             lam * delta_k / k_normaliser
             + (1.0 - lam) / 2.0 * delta_w / query.weights.penalty_normaliser
             + (1.0 - lam) / 2.0 * delta_doc / doc_normaliser
-        )
-        return penalty, delta_k, delta_w, delta_doc
-
-    def _finalise(
-        self,
-        query: SpatialKeywordQuery,
-        missing: Sequence[SpatialObject],
-        lam: float,
-        order: str,
-        final_query: SpatialKeywordQuery,
-        keyword_stage: KeywordRefinement | None,
-        preference_stage: PreferenceRefinement | None,
-    ) -> CombinedRefinement:
-        initial_worst = self._scorer.worst_rank(missing, query)
-        final_worst = self._scorer.worst_rank(missing, final_query)
-        final_query = final_query.with_k(max(query.k, final_worst))
-        penalty, delta_k, delta_w, delta_doc = self._combined_penalty(
-            query, missing, initial_worst, final_query, final_worst, lam
         )
         return CombinedRefinement(
             refined_query=final_query,
@@ -185,46 +162,44 @@ class CombinedRefiner:
         )
 
     def _keyword_then_preference(
-        self,
-        query: SpatialKeywordQuery,
-        missing: Sequence[SpatialObject],
-        lam: float,
+        self, query: SpatialKeywordQuery, context: WhyNotContext, lam: float
     ) -> CombinedRefinement:
-        from repro.whynot.errors import NotMissingError
-
-        keyword_stage = self._keyword.refine(query, missing, lam=lam)
+        missing = context.missing
+        keyword_stage = self._keyword.refine(query, missing, lam=lam, context=context)
         intermediate = keyword_stage.refined_query.with_k(query.k)
-        preference_stage: PreferenceRefinement | None = None
         try:
-            preference_stage = self._preference.refine(
-                intermediate, missing, lam=lam
+            # A k-only keyword stage leaves q itself: same context.
+            preference_stage: PreferenceRefinement | None = self._preference.refine(
+                intermediate,
+                missing,
+                lam=lam,
+                context=context if intermediate == query else None,
             )
-            final_query = preference_stage.refined_query
         except NotMissingError:
             # Keyword adaption alone already brought M inside k.
-            final_query = intermediate
+            preference_stage = None
         return self._finalise(
-            query, missing, lam, "keyword-first", final_query,
-            keyword_stage, preference_stage,
+            query, context, lam, "keyword-first", keyword_stage, preference_stage,
+            preference_stage or keyword_stage,
         )
 
     def _preference_then_keyword(
-        self,
-        query: SpatialKeywordQuery,
-        missing: Sequence[SpatialObject],
-        lam: float,
+        self, query: SpatialKeywordQuery, context: WhyNotContext, lam: float
     ) -> CombinedRefinement:
-        from repro.whynot.errors import NotMissingError
-
-        preference_stage = self._preference.refine(query, missing, lam=lam)
+        missing = context.missing
+        preference_stage = self._preference.refine(query, missing, lam=lam, context=context)
         intermediate = preference_stage.refined_query.with_k(query.k)
-        keyword_stage: KeywordRefinement | None = None
         try:
-            keyword_stage = self._keyword.refine(intermediate, missing, lam=lam)
-            final_query = keyword_stage.refined_query
+            # Same (loc, doc), new weights: the dual view carries over.
+            keyword_stage: KeywordRefinement | None = self._keyword.refine(
+                intermediate,
+                missing,
+                lam=lam,
+                context=context.reweighted(intermediate),
+            )
         except NotMissingError:
-            final_query = intermediate
+            keyword_stage = None
         return self._finalise(
-            query, missing, lam, "preference-first", final_query,
-            keyword_stage, preference_stage,
+            query, context, lam, "preference-first", keyword_stage, preference_stage,
+            keyword_stage or preference_stage,
         )

@@ -1,0 +1,157 @@
+"""What the why-not questions about one ``(loc, doc, ~w, M)`` share.
+
+A why-not session asks several questions about the same initial query
+and missing set — an explanation, then one or more refinements — and
+every module starts from the same facts: the dual coordinates of the
+database under ``(loc, doc)``, the missing objects' dual points and
+initial ranks, and (per missing object) the crossover events the weight
+sweep walks.  None depends on ``k`` or ``λ``.  :class:`WhyNotContext`
+computes each once, on first use, and the modules take it as an
+argument instead of re-deriving it.
+
+A context is a snapshot of one database generation: whoever keeps one
+across requests (:class:`repro.whynot.engine.WhyNotEngine`) drops it
+when a mutation batch applies.  Nothing in it is a cursor — a sweep
+keeps its position in local variables — so concurrent readers may share
+one; two racing to fill the same slot compute the same value twice.
+"""
+
+from __future__ import annotations
+
+from array import array
+from typing import Mapping, NamedTuple, Sequence
+
+from repro.core.kernel import DualView
+from repro.core.objects import SpatialObject
+from repro.core.query import SpatialKeywordQuery
+from repro.core.scoring import DualPoint, Scorer
+
+__all__ = ["SweepInputs", "WhyNotContext"]
+
+
+class SweepInputs(NamedTuple):
+    """One missing object's crossover structure (Section 3.3, step 2).
+
+    The events are parallel arrays sorted by ``(weight, oid)``;
+    ``directions[i]`` is +1 when the other object rises above ``m`` past
+    the crossover and −1 when it drops below.
+    """
+
+    dual: DualPoint
+    weights: array
+    oids: array
+    directions: array
+    #: Objects strictly above ``m`` as ``w → 0+``.
+    above: int
+    #: Objects identical to ``m``'s line with a smaller oid.
+    permanent_tie_smaller: int
+
+
+class WhyNotContext:
+    """Lazily memoised facts about one initial query and missing set.
+
+    ``view`` is the kernel's levelled :class:`DualView` — ``None`` when
+    the scorer has no kernel, a missing object is not the database's own
+    copy (the set path scores the *passed* object) or the caller asked
+    for the O(n) reference (``indexed=False``); consumers then take
+    their :class:`DualPoint`-list and tree-walk arms.
+
+    ``query.k`` is that of whichever request built the context: read
+    ``loc``, ``doc`` and the weights from it, ``k`` from the request.
+    """
+
+    __slots__ = (
+        "scorer", "query", "missing", "_indexed", "_view",
+        "_duals", "_missing_duals", "_initial_ranks", "sweeps",
+        "candidate_weights",
+    )
+
+    def __init__(
+        self,
+        scorer: Scorer,
+        query: SpatialKeywordQuery,
+        missing: Sequence[SpatialObject],
+        *,
+        indexed: bool = True,
+        view: DualView | None = None,
+    ) -> None:
+        self.scorer = scorer
+        self.query = query
+        self.missing = tuple(missing)
+        #: Whether ``view`` is still to be built on first use.
+        self._indexed = indexed and view is None
+        self._view = view
+        self._duals: list[DualPoint] | None = None
+        self._missing_duals: list[DualPoint] | None = None
+        self._initial_ranks: Mapping[int, int] | None = None
+        #: Per missing object, filled by ``PreferenceAdjuster``.
+        self.sweeps: list[SweepInputs | None] = [None] * len(self.missing)
+        #: The sweep's candidate weights, ascending (likewise).
+        self.candidate_weights: array | None = None
+
+    def reweighted(self, query: SpatialKeywordQuery) -> "WhyNotContext":
+        """The context of ``query`` = this one's with other weights.
+
+        Dual coordinates are weight-free, so the view (and with it the
+        proximity column) is shared; ranks and candidates are not.
+        """
+        return WhyNotContext(
+            self.scorer, query, self.missing,
+            indexed=self.view is not None, view=self.view,
+        )
+
+    @property
+    def view(self) -> DualView | None:
+        if self._indexed:
+            kernel = self.scorer.kernel
+            if kernel is not None and all(
+                obj in self.scorer.database for obj in self.missing
+            ):
+                self._view = kernel.dual_view(self.query)
+            self._indexed = False
+        return self._view
+
+    def dual_points_of(self, oids: Sequence[int]) -> list[DualPoint]:
+        """The dual points of any objects of the database."""
+        if self.view is not None:
+            return self.view.dual_points_of(oids)
+        by_oid = {dual.oid: dual for dual in self.duals}
+        return [by_oid[oid] for oid in oids]
+
+    @property
+    def duals(self) -> list[DualPoint]:
+        """Every object's dual point — the reference arms' substrate."""
+        if self._duals is None:
+            self._duals = (
+                self.view.dual_points()
+                if self.view is not None
+                else self.scorer.dual_points(self.query)
+            )
+        return self._duals
+
+    @property
+    def missing_duals(self) -> list[DualPoint]:
+        if self._missing_duals is None:
+            self._missing_duals = self.dual_points_of([m.oid for m in self.missing])
+        return self._missing_duals
+
+    @property
+    def initial_ranks(self) -> Mapping[int, int]:
+        """Exact rank of each missing object under the initial query."""
+        if self._initial_ranks is None:
+            query = self.query
+            if self.view is not None:
+                self._initial_ranks = self.view.ranks_at(
+                    query.ws, query.wt, [obj.oid for obj in self.missing]
+                )
+            else:
+                self._initial_ranks = {
+                    obj.oid: self.scorer.rank_of(obj, query)
+                    for obj in self.missing
+                }
+        return self._initial_ranks
+
+    @property
+    def initial_worst_rank(self) -> int:
+        """``R(M, q)``: the lowest rank among the missing objects."""
+        return max(self.initial_ranks.values())

@@ -11,9 +11,12 @@ models and reports them side by side.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Hashable, Iterator, Sequence
 
+from repro import concurrency
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import Scorer
@@ -21,12 +24,18 @@ from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
 from repro.text.similarity import JaccardSimilarity
 from repro.whynot.combined import CombinedRefinement, CombinedRefiner
+from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import UnknownObjectError
 from repro.whynot.explanation import ExplanationGenerator, WhyNotExplanation
 from repro.whynot.keyword import KeywordAdapter, KeywordRefinement
 from repro.whynot.preference import PreferenceAdjuster, PreferenceRefinement
 
 __all__ = ["WhyNotAnswer", "WhyNotEngine"]
+
+#: Recent ``(loc, doc, ~w, M)`` contexts an engine keeps (~0.7 MB each
+#: per 20k objects): a session asks its questions back to back, so a
+#: few cover the serving tier's concurrent sessions.
+CONTEXT_MEMO_SIZE = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,6 +78,12 @@ class WhyNotEngine:
     scorer's model is Jaccard (they are derived for it) and ranks
     candidates exhaustively otherwise; the ablation parameters live on
     :class:`PreferenceAdjuster` and :class:`KeywordAdapter`.
+
+    The questions of one session share a :class:`WhyNotContext`: the
+    engine keeps the last :data:`CONTEXT_MEMO_SIZE` and, as a
+    :class:`~repro.core.mutations.MutableDatabase` listener
+    (:class:`~repro.service.api.YaskEngine` registers it), drops them
+    with every mutation batch.
     """
 
     def __init__(
@@ -85,6 +100,11 @@ class WhyNotEngine:
             use_bounds=isinstance(scorer.text_model, JaccardSimilarity),
         )
         self._combined = CombinedRefiner(scorer, self._preference, self._keyword)
+        # Guards the dict only: contexts are built outside it.
+        self._contexts_lock = concurrency.ordered_lock(
+            "whynot.contexts", concurrency.LEVEL_LEAF
+        )
+        self._contexts: OrderedDict[Hashable, WhyNotContext] = OrderedDict()
 
     @property
     def database(self) -> SpatialDatabase:
@@ -117,6 +137,39 @@ class WhyNotEngine:
                 resolved.append(obj)
         return resolved
 
+    @contextmanager
+    def _context(
+        self,
+        query: SpatialKeywordQuery,
+        references: Sequence[int | str | SpatialObject],
+    ) -> Iterator[WhyNotContext]:
+        """The memoised context of ``query`` and the resolved references
+        (its ``missing``); neither ``k`` nor ``λ`` is part of the key.
+        A context is kept once the block has answered from it: a refused
+        question (empty M, nothing missing, deadline) raises past the
+        memo and takes no slot."""
+        missing = self.resolve_missing(references)
+        key = (
+            query.loc, query.doc, query.weights,
+            tuple(obj.oid for obj in missing),
+        )
+        with self._contexts_lock:
+            context = self._contexts.get(key)
+        if context is None:
+            context = WhyNotContext(self._scorer, query, missing)
+        yield context
+        with self._contexts_lock:
+            self._contexts[key] = context
+            self._contexts.move_to_end(key)
+            while len(self._contexts) > CONTEXT_MEMO_SIZE:
+                self._contexts.popitem(last=False)
+
+    def apply_mutations(self, change: object) -> None:
+        """Mutation listener (runs under the engine's write lock, so no
+        reader is building one): a context describes one generation."""
+        with self._contexts_lock:
+            self._contexts.clear()
+
     # ------------------------------------------------------------------
     # The three modules
     # ------------------------------------------------------------------
@@ -134,9 +187,10 @@ class WhyNotEngine:
         the explanation's starting point; without it the generator
         re-derives the result from scratch.
         """
-        return self._explainer.explain(
-            query, self.resolve_missing(missing), result=initial_result
-        )
+        with self._context(query, missing) as context:
+            return self._explainer.explain(
+                query, context.missing, result=initial_result, context=context
+            )
 
     def refine_preference(
         self,
@@ -146,9 +200,10 @@ class WhyNotEngine:
         lam: float = 0.5,
     ) -> PreferenceRefinement:
         """Run the preference-adjusted refinement model (Definition 2)."""
-        return self._preference.refine(
-            query, self.resolve_missing(missing), lam=lam
-        )
+        with self._context(query, missing) as context:
+            return self._preference.refine(
+                query, context.missing, lam=lam, context=context
+            )
 
     def refine_keywords(
         self,
@@ -158,9 +213,10 @@ class WhyNotEngine:
         lam: float = 0.5,
     ) -> KeywordRefinement:
         """Run the keyword-adapted refinement model (Definition 3)."""
-        return self._keyword.refine(
-            query, self.resolve_missing(missing), lam=lam
-        )
+        with self._context(query, missing) as context:
+            return self._keyword.refine(
+                query, context.missing, lam=lam, context=context
+            )
 
     def refine_combined(
         self,
@@ -170,7 +226,10 @@ class WhyNotEngine:
         lam: float = 0.5,
     ) -> CombinedRefinement:
         """Apply both refinement functions together (Section 3.2)."""
-        return self._combined.refine(query, self.resolve_missing(missing), lam=lam)
+        with self._context(query, missing) as context:
+            return self._combined.refine(
+                query, context.missing, lam=lam, context=context
+            )
 
     def refine_both(
         self,
@@ -187,12 +246,13 @@ class WhyNotEngine:
         re-deriving it; the refiners rank in dual space and need no
         materialised result either way.
         """
-        resolved = self.resolve_missing(missing)
-        explanation = self._explainer.explain(
-            query, resolved, result=initial_result
-        )
-        preference = self._preference.refine(query, resolved, lam=lam)
-        keyword = self._keyword.refine(query, resolved, lam=lam)
-        return WhyNotAnswer(
-            explanation=explanation, preference=preference, keyword=keyword
-        )
+        with self._context(query, missing) as context:
+            resolved = context.missing
+            explanation = self._explainer.explain(
+                query, resolved, result=initial_result, context=context
+            )
+            preference = self._preference.refine(query, resolved, lam=lam, context=context)
+            keyword = self._keyword.refine(query, resolved, lam=lam, context=context)
+            return WhyNotAnswer(
+                explanation=explanation, preference=preference, keyword=keyword
+            )

@@ -27,6 +27,7 @@ from repro.core.objects import SpatialObject
 from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import ScoreBreakdown, Scorer
 from repro.index.setrtree import SetRTree
+from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import NotMissingError
 
 __all__ = ["MissingReason", "ObjectExplanation", "WhyNotExplanation", "ExplanationGenerator"]
@@ -189,10 +190,12 @@ class ExplanationGenerator:
         missing: Sequence[SpatialObject],
         *,
         result: QueryResult | None = None,
+        context: WhyNotContext | None = None,
     ) -> WhyNotExplanation:
         """Explain why every object in ``missing`` is absent from the result.
 
-        ``result`` (the cached initial result) is recomputed when absent.
+        ``result`` (the cached initial result) is recomputed when absent,
+        ``context`` (the shared facts about ``(query, missing)``) built.
         Raises :class:`NotMissingError` when any object already appears.
         """
         if not missing:
@@ -202,6 +205,8 @@ class ExplanationGenerator:
         already = [obj.oid for obj in missing if result.contains(obj)]
         if already:
             raise NotMissingError(already)
+        if context is None:
+            context = WhyNotContext(self._scorer, query, missing)
 
         kth = result.entries[-1] if len(result) else None
         kth_breakdown = (
@@ -213,18 +218,20 @@ class ExplanationGenerator:
         explanations = []
         worst_rank = 0
         for obj in missing:
-            rank = self._scorer.rank_of(obj, query)
+            rank = context.initial_ranks[obj.oid]
             worst_rank = max(worst_rank, rank)
             breakdown = self._scorer.breakdown(obj, query)
             raw_distance = obj.loc.distance_to(query.loc)
             closer, more_similar = self._component_counts(
-                query, raw_distance, breakdown.tsim
+                context, raw_distance, breakdown.tsim
             )
             reason = self._classify(breakdown, kth_breakdown)
             intervals: tuple[tuple[float, float], ...] | None = None
             if self._preference_adjuster is not None:
                 intervals = tuple(
-                    self._preference_adjuster.viable_weight_intervals(query, obj)
+                    self._preference_adjuster.viable_weight_intervals(
+                        query, obj, context=context
+                    )
                 )
             explanations.append(
                 ObjectExplanation(
@@ -249,21 +256,34 @@ class ExplanationGenerator:
 
     # ------------------------------------------------------------------
     def _component_counts(
-        self, query: SpatialKeywordQuery, raw_distance: float, tsim: float
+        self, context: WhyNotContext, raw_distance: float, tsim: float
     ) -> tuple[int, int]:
-        """(#objects strictly closer, #objects strictly more similar)."""
-        if self._index is not None:
-            return (
-                self._index.count_within_distance(query.loc, raw_distance),
-                self._index.count_more_similar(query.doc, tsim),
+        """(#objects strictly closer, #objects strictly more similar).
+
+        The similarity count is a sum of level sizes when the context
+        carries a dual view; the SetR-tree answers it otherwise, and
+        the raw-distance count always (proximity is clamped and
+        normalised, so the view cannot order raw distances).
+        """
+        query = context.query
+        if context.view is not None:
+            more_similar = context.view.count_more_similar(tsim)
+        elif self._index is not None:
+            more_similar = self._index.count_more_similar(query.doc, tsim)
+        else:
+            more_similar = sum(
+                1
+                for other in self._scorer.database
+                if self._scorer.tsim(other, query.doc) > tsim
             )
-        closer = 0
-        more_similar = 0
-        for other in self._scorer.database:
-            if other.loc.distance_to(query.loc) < raw_distance:
-                closer += 1
-            if self._scorer.tsim(other, query.doc) > tsim:
-                more_similar += 1
+        if self._index is not None:
+            closer = self._index.count_within_distance(query.loc, raw_distance)
+        else:
+            closer = sum(
+                1
+                for other in self._scorer.database
+                if other.loc.distance_to(query.loc) < raw_distance
+            )
         return closer, more_similar
 
     # ------------------------------------------------------------------

@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Callable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
@@ -51,6 +51,7 @@ from repro.core.scoring import Scorer
 from repro.index.kcrtree import KcRTree, KcSummary
 from repro.index.rtree import RTreeNode
 from repro.text.similarity import JaccardSimilarity
+from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import KeywordPenalty
 
@@ -179,26 +180,35 @@ class KeywordAdapter:
         missing: Sequence[SpatialObject],
         *,
         lam: float = 0.5,
+        context: WhyNotContext | None = None,
     ) -> KeywordRefinement:
-        """Answer Definition 3 for missing set ``missing`` under ``λ``."""
+        """Answer Definition 3 for missing set ``missing`` under ``λ``.
+
+        ``context`` (the shared facts about ``(query, missing)``) is
+        built here when the caller holds none.
+        """
         if not missing:
             raise ValueError("the missing object set M must not be empty")
-        initial_worst = self._scorer.worst_rank(missing, query)
+        if context is None:
+            context = WhyNotContext(self._scorer, query, missing)
+        initial_worst = context.initial_worst_rank
         if initial_worst <= query.k:
-            ranks = [
-                obj.oid
-                for obj in missing
-                if self._scorer.rank_of(obj, query) <= query.k
-            ]
-            raise NotMissingError(ranks)
+            ranks = context.initial_ranks
+            raise NotMissingError([oid for oid in ranks if ranks[oid] <= query.k])
 
         penalty = KeywordPenalty(query, missing, initial_worst, lam)
         stats = AdaptionStats()
 
-        # Spatial proximities are shared by every candidate; the ranker
-        # caches them once and scores candidates through the columnar
-        # kernel (bitmask TSim) when the scorer carries one.
-        ranker = _CandidateRanker(self._scorer, query)
+        # Spatial proximities are shared by every candidate, and they
+        # are the dual view's ``a`` column: the descent indexes it by
+        # row.  The exhaustive ablation's full rank scans want the
+        # kernel's own (shard-annotated) column instead.
+        view = context.view
+        ranker = _CandidateRanker(
+            self._scorer,
+            query,
+            view.a if view is not None and self._use_bounds else None,
+        )
 
         best_doc: frozenset[str] | None = None
         best_worst: int | None = None
@@ -369,9 +379,9 @@ class KeywordAdapter:
         """Exact rank via KcR-tree descent, or None once provably ≥ cap.
 
         Nodes whose beater bounds coincide are credited without descent;
-        leaves in the uncertain band are scored exactly.  ``beaters`` is
-        a monotone lower bound of the final count throughout, so the cap
-        check is sound at every step.
+        leaves in the uncertain band are scored exactly, a leaf at a
+        time.  ``beaters`` is a monotone lower bound of the final count
+        throughout, so the cap check is sound at every step.
         """
         theta = ranker.score(missing_obj)
         beaters = 0
@@ -381,7 +391,7 @@ class KeywordAdapter:
             if node.rect is None:
                 continue
             lower, upper = self._node_beater_bounds(
-                node, query, candidate, theta
+                node, query, candidate, theta, ranker
             )
             if upper == 0:
                 stats.nodes_resolved_by_bounds += 1
@@ -390,16 +400,9 @@ class KeywordAdapter:
                 stats.nodes_resolved_by_bounds += 1
                 beaters += lower
             elif node.is_leaf:
-                for entry in node.entries:
-                    other = entry.item
-                    if other.oid == missing_obj.oid:
-                        continue
-                    stats.objects_scored += 1
-                    score = ranker.score(other)
-                    if score > theta or (
-                        score == theta and other.oid < missing_obj.oid  # yasklint: disable=YASK103 -- the documented (score desc, oid asc) tie rule; scores are bit-identical by the kernel parity contract
-                    ):
-                        beaters += 1
+                scored, beating = ranker.leaf_beaters(node, theta, missing_obj)
+                stats.objects_scored += scored
+                beaters += beating
             else:
                 stats.nodes_expanded += 1
                 stack.extend(node.children)
@@ -413,6 +416,7 @@ class KeywordAdapter:
         query: SpatialKeywordQuery,
         candidate: frozenset[str],
         theta: float,
+        ranker: "_CandidateRanker",
     ) -> tuple[int, int]:
         """Bounds on how many objects under ``node`` outrank the missing object.
 
@@ -429,7 +433,7 @@ class KeywordAdapter:
         all outrank the missing object.
         """
         summary: KcSummary = node.summary
-        prox_min, prox_max = self._index.proximity_bounds(node, query.loc)
+        prox_min, prox_max = ranker.node_proximity_bounds(self._index, node)
         ws, wt = query.ws, query.wt
 
         # ---------------- upper bound ----------------
@@ -487,11 +491,12 @@ class _CandidateRanker:
 
     Every candidate keyword set shares the query's spatial term, so the
     proximities are cached once per refine run.  With a columnar kernel
-    on the scorer, proximities live in a row-indexed ``array('d')`` and
-    each candidate is encoded to a bitmask :class:`DocContext` — ``TSim``
-    per object is then bit arithmetic.  Without one (non-set models),
-    the original oid-keyed dict and ``similarity`` calls apply.  Both
-    paths produce identical floats.
+    on the scorer, proximities live in a row-indexed column and each
+    candidate is encoded to a bitmask :class:`DocContext` — ``TSim`` per
+    object is then bit arithmetic, and a whole leaf or the whole
+    database is counted in one kernel call.  Without one (non-set
+    models), the original oid-keyed dict and ``similarity`` calls apply.
+    Both paths produce identical floats.
     """
 
     __slots__ = (
@@ -503,15 +508,30 @@ class _CandidateRanker:
         "_proximity",
         "_candidate",
         "_ctx",
+        "_loc",
+        "_leaf_rows",
+        "_node_bounds",
     )
 
-    def __init__(self, scorer: Scorer, query: SpatialKeywordQuery) -> None:
+    def __init__(
+        self,
+        scorer: Scorer,
+        query: SpatialKeywordQuery,
+        proximities: Sequence[float] | None = None,
+    ) -> None:
+        """``proximities``: a row-aligned ``1 − SDist`` column the caller
+        already holds (the kernel computes one otherwise)."""
         self._scorer = scorer
         self._ws = query.ws
         self._wt = query.wt
+        self._loc = query.loc
         self._kernel = scorer.kernel
         if self._kernel is not None:
-            self._prox = self._kernel.proximities(query)
+            self._prox = (
+                proximities
+                if proximities is not None
+                else self._kernel.proximities(query)
+            )
             self._proximity: dict[int, float] | None = None
         else:
             self._prox = None
@@ -521,6 +541,10 @@ class _CandidateRanker:
             }
         self._candidate: AbstractSet[str] | None = None
         self._ctx = None
+        #: Per-refinement memos keyed by ``id(node)``: a leaf's kernel
+        #: rows, a node's (min, max) proximity.
+        self._leaf_rows: dict[int, list[int]] = {}
+        self._node_bounds: dict[int, tuple[float, float]] = {}
 
     def set_candidate(self, candidate: AbstractSet[str]) -> None:
         """Bind the candidate keyword set subsequent scores are under."""
@@ -539,6 +563,45 @@ class _CandidateRanker:
         tsim = self._scorer.text_model.similarity(obj.doc, self._candidate)
         return self._ws * self._proximity[obj.oid] + self._wt * tsim
 
+    def node_proximity_bounds(
+        self, index: KcRTree, node: RTreeNode[SpatialObject]
+    ) -> tuple[float, float]:
+        """``index.proximity_bounds(node, q.loc)``, shared by every
+        candidate and missing object of the refinement."""
+        bounds = self._node_bounds.get(id(node))
+        if bounds is None:
+            bounds = self._node_bounds[id(node)] = index.proximity_bounds(
+                node, self._loc
+            )
+        return bounds
+
+    def leaf_beaters(
+        self,
+        leaf: RTreeNode[SpatialObject],
+        theta: float,
+        missing_obj: SpatialObject,
+    ) -> tuple[int, int]:
+        """``(objects scored, beaters of (theta, missing_obj))`` in ``leaf``."""
+        if self._ctx is None:
+            others = [
+                entry.item
+                for entry in leaf.entries
+                if entry.item.oid != missing_obj.oid
+            ]
+            return len(others), self._count_beaters(others, theta, missing_obj.oid)
+        rows = self._leaf_rows.get(id(leaf))
+        if rows is None:
+            row_of = self._kernel.row_of
+            rows = self._leaf_rows[id(leaf)] = [
+                row_of(entry.item.oid) for entry in leaf.entries
+            ]
+        return (
+            len(rows) - rows.count(self._kernel.row_of(missing_obj.oid)),
+            self._ctx.count_beaters(
+                rows, self._ws, self._wt, self._prox, theta, missing_obj.oid
+            ),
+        )
+
     def rank_by_scan(
         self, missing_obj: SpatialObject, stats: AdaptionStats
     ) -> int:
@@ -548,13 +611,19 @@ class _CandidateRanker:
             return self._ctx.rank_scan(
                 self._ws, self._wt, self._prox, missing_obj.oid
             )
-        theta = self.score(missing_obj)
-        missing_oid = missing_obj.oid
+        return 1 + self._count_beaters(
+            self._scorer.database, self.score(missing_obj), missing_obj.oid
+        )
+
+    def _count_beaters(
+        self, objects: Iterable[SpatialObject], theta: float, missing_oid: int
+    ) -> int:
+        """The set path's (score desc, oid asc) beater count."""
         beaters = 0
-        for other in self._scorer.database:
+        for other in objects:
             if other.oid == missing_oid:
                 continue
             score = self.score(other)
             if score > theta or (score == theta and other.oid < missing_oid):  # yasklint: disable=YASK103 -- the documented (score desc, oid asc) tie rule; scores are bit-identical by the kernel parity contract
                 beaters += 1
-        return beaters + 1
+        return beaters

@@ -45,13 +45,18 @@ missing object.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from heapq import nsmallest
+from typing import Iterable, Mapping, Sequence
 
+from repro.core.hotpath import hot_path
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint, Scorer
 from repro.index.dualspace import DualSpaceIndex
+from repro.whynot.context import SweepInputs, WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
 
@@ -105,6 +110,16 @@ class _SweepState:
     permanent_tie_smaller: int
     cursor: int = 0
 
+    @classmethod
+    def start(cls, sweep: SweepInputs) -> "_SweepState":
+        """A fresh cursor over shared inputs (one per call, per thread)."""
+        return cls(
+            dual=sweep.dual,
+            events=list(zip(sweep.weights, sweep.oids, sweep.directions)),
+            above=sweep.above,
+            permanent_tie_smaller=sweep.permanent_tie_smaller,
+        )
+
 
 class PreferenceAdjuster:
     """The preference-adjustment module of YASK's why-not engine."""
@@ -148,32 +163,20 @@ class PreferenceAdjuster:
         missing: Sequence[SpatialObject],
         *,
         lam: float = 0.5,
+        context: WhyNotContext | None = None,
     ) -> PreferenceRefinement:
-        """Answer Definition 2 for missing set ``missing`` under ``λ``."""
+        """Answer Definition 2 for missing set ``missing`` under ``λ``.
+
+        ``context`` (the shared facts about ``(query, missing)``) is
+        built here when the caller holds none.
+        """
         if not missing:
             raise ValueError("the missing object set M must not be empty")
-        # The kernel's dual view carries (a, b) as flat columns; rank
-        # evaluations during the sweep then run over arrays instead of
-        # DualPoint attribute loops (identical floats either way).
-        kernel = self._scorer.kernel
-        view = kernel.dual_view(query) if kernel is not None else None
-        if view is not None and self._use_dual_index:
-            # The sweep runs over the view's flat columns; only the
-            # missing objects need materialised dual points — skipping
-            # the n-point list (and its oid dict) is a measurable win
-            # on the cold why-not path.
-            duals: list[DualPoint] = []
-            missing_duals = [view.dual_point_of(obj.oid) for obj in missing]
-        else:
-            duals = (
-                view.dual_points()
-                if view is not None
-                else self._scorer.dual_points(query)
+        if context is None:
+            context = WhyNotContext(
+                self._scorer, query, missing, indexed=self._use_dual_index
             )
-            by_oid: dict[int, DualPoint] = {dual.oid: dual for dual in duals}
-            missing_duals = [by_oid[obj.oid] for obj in missing]
-
-        initial_ranks = self._ranks(query.weights, missing_duals, duals, view)
+        initial_ranks = self._ranks(context, query.weights)
         initial_worst = max(initial_ranks.values())
         if initial_worst <= query.k:
             already = [
@@ -183,63 +186,15 @@ class PreferenceAdjuster:
 
         penalty = PreferencePenalty(query, initial_worst, lam)
 
-        # Step 2: crossover events via the two dual-space range queries —
-        # served, with a kernel, by the equivalent columnar quadrant scan
-        # (same candidate set, no per-query R-tree over the dual points).
-        # ``use_dual_index=False`` remains the E8 ablation: a plain
-        # linear scan over the materialised dual points on either path.
-        dual_index = (
-            DualSpaceIndex(duals)
-            if self._use_dual_index and view is None
-            else None
-        )
-        states: list[_SweepState] = []
-        candidate_ws: set[float] = {query.ws}
-        total_crossovers = 0
-        for m_dual in missing_duals:
-            if not self._use_dual_index:
-                crossing = DualSpaceIndex.crossing_candidates_linear(duals, m_dual)
-            elif view is not None:
-                crossing = view.crossing_candidates(m_dual.oid)
-            else:
-                crossing = dual_index.crossing_candidates(m_dual)
-            events: list[tuple[float, int, int]] = []
-            for other in crossing:
-                w_star = m_dual.crossover_with(other)
-                if w_star is None or not self._valid_weight(w_star):
-                    continue
-                direction = 1 if other.slope > m_dual.slope else -1
-                events.append((w_star, other.oid, direction))
-                total_crossovers += 1
-                candidate_ws.add(w_star)
-                neighbour = self._past_crossing_candidate(
-                    m_dual, other, w_star, query.ws
-                )
-                if neighbour is not None:
-                    candidate_ws.add(neighbour)
-            events.sort()
-            states.append(
-                _SweepState(
-                    dual=m_dual,
-                    events=events,
-                    above=(
-                        view.strictly_above_at_zero(m_dual.oid)
-                        if view is not None
-                        else self._strictly_above_at_zero(m_dual, duals)
-                    ),
-                    permanent_tie_smaller=(
-                        view.permanent_ties_smaller(m_dual.oid)
-                        if view is not None
-                        else self._permanent_ties_smaller(m_dual, duals)
-                    ),
-                )
-            )
+        # Step 2: crossover events via the two dual-space range queries.
+        sweeps = self._sweeps(context, range(len(context.missing)))
+        ordered_ws = self._candidate_weights(context, sweeps).tolist()
 
         # Steps 3-4: ascending sweep with the rank-update theorem.
         # ``value_at`` evaluates Eqn. (3) without allocating a Weights
         # per candidate — identical floats to the verification's
         # ``penalty(worst, Weights.from_spatial(w))``.
-        ordered_ws = sorted(candidate_ws)
+        states = [_SweepState.start(sweep) for sweep in sweeps]
         scored: list[tuple[float, float, int]] = []  # (penalty, w, worst rank)
         for w in ordered_ws:
             worst = 0
@@ -250,15 +205,17 @@ class PreferenceAdjuster:
             scored.append((penalty.value_at(worst, w), w, worst))
 
         # Floating-point verification of the best candidates.
-        scored.sort(key=lambda item: (item[0], abs(item[1] - query.ws), item[1]))
-        window = scored[: self._verification_window]
+        window = nsmallest(
+            self._verification_window,
+            scored,
+            key=lambda item: (item[0], abs(item[1] - query.ws), item[1]),
+        )
         best: tuple[float, float, int] | None = None
         for _, w, _ in window:
             weights = (
                 query.weights if w == query.ws else Weights.from_spatial(w)
             )
-            ranks = self._ranks(weights, missing_duals, duals, view)
-            worst = max(ranks.values())
+            worst = max(self._ranks(context, weights).values())
             pen = penalty(worst, weights)
             key = (pen, abs(w - query.ws), w)
             if best is None or key < (best[0], abs(best[1] - query.ws), best[1]):
@@ -279,10 +236,10 @@ class PreferenceAdjuster:
             refined_worst_rank=best_worst,
             initial_worst_rank=initial_worst,
             lam=lam,
-            crossovers=total_crossovers,
+            crossovers=sum(len(sweep.weights) for sweep in sweeps),
             candidates_evaluated=len(ordered_ws),
             # The sweep strategy, not the retrieval substrate: the
-            # columnar quadrant scan serves the same two range queries.
+            # levelled view serves the same two range queries.
             method="weight-sweep" if self._use_dual_index else "weight-sweep-linear",
         )
 
@@ -295,6 +252,7 @@ class PreferenceAdjuster:
         missing_obj: SpatialObject,
         *,
         target_k: int | None = None,
+        context: WhyNotContext | None = None,
     ) -> list[tuple[float, float]]:
         """Spatial-weight intervals where ``missing_obj`` enters the top-k.
 
@@ -312,102 +270,143 @@ class PreferenceAdjuster:
         crossover tie goes against the object still reports that
         crossover as its (single-point over-inclusive) endpoint —
         callers probing the intervals should sample their interiors.
+        ``context`` must hold ``missing_obj`` in its missing set.
         """
         k = target_k if target_k is not None else query.k
-        kernel = self._scorer.kernel
-        view = kernel.dual_view(query) if kernel is not None else None
-        if view is not None and self._use_dual_index:
-            duals = []
-            m_dual = view.dual_point_of(missing_obj.oid)
-        else:
-            duals = (
-                view.dual_points()
-                if view is not None
-                else self._scorer.dual_points(query)
+        if context is None:
+            context = WhyNotContext(
+                self._scorer, query, [missing_obj], indexed=self._use_dual_index
             )
-            by_oid = {dual.oid: dual for dual in duals}
-            m_dual = by_oid[missing_obj.oid]
-
-        if not self._use_dual_index:
-            crossing = DualSpaceIndex.crossing_candidates_linear(duals, m_dual)
-        elif view is not None:
-            crossing = view.crossing_candidates(m_dual.oid)
-        else:
-            crossing = DualSpaceIndex(duals).crossing_candidates(m_dual)
-        events: list[tuple[float, int, int]] = []
-        for other in crossing:
-            w_star = m_dual.crossover_with(other)
-            if w_star is None or not self._valid_weight(w_star):
-                continue
-            direction = 1 if other.slope > m_dual.slope else -1
-            events.append((w_star, other.oid, direction))
-        events.sort()
-
-        state = _SweepState(
-            dual=m_dual,
-            events=events,
-            above=(
-                view.strictly_above_at_zero(m_dual.oid)
-                if view is not None
-                else self._strictly_above_at_zero(m_dual, duals)
-            ),
-            permanent_tie_smaller=(
-                view.permanent_ties_smaller(m_dual.oid)
-                if view is not None
-                else self._permanent_ties_smaller(m_dual, duals)
-            ),
-        )
-        # Evaluate the rank on every open interval between consecutive
-        # crossovers (probed at the interval's left-open representative)
-        # and at every crossover point, then merge viable stretches.
-        boundaries = [0.0] + [event[0] for event in events] + [1.0]
-        viable: list[tuple[float, float]] = []
-        current_start: float | None = None
-
-        def extend(lo: float, hi: float) -> None:
-            nonlocal current_start
-            if current_start is None:
-                current_start = lo
-            # Merged on the fly: contiguous viable pieces share endpoints.
-            del hi
-
-        def close(at: float) -> None:
-            nonlocal current_start
-            if current_start is not None:
-                viable.append((current_start, at))
-                current_start = None
-
+        index = [obj.oid for obj in context.missing].index(missing_obj.oid)
+        (sweep,) = self._sweeps(context, [index])
+        state = _SweepState.start(sweep)
+        events = state.events
+        # The rank on every open interval between consecutive crossovers
+        # and at every crossover point, as (left end, viable) pieces.
+        pieces: list[tuple[float, bool]] = []
         previous = 0.0
-        for index, (w_event, _, _) in enumerate(events):
-            # Open interval (previous, w_event): rank is the state's rank
-            # just before the event; probe exactly at the event weight
-            # minus nothing — _advance_and_rank at w_event applies events
-            # strictly before it, which *is* the open-interval rank, then
-            # handles the event ties for the point itself.
-            interval_rank_probe = self._advance_and_rank(state, w_event)
-            # interval_rank_probe is the rank AT w_event (ties included);
-            # reconstruct the open-interval rank from the pre-event state:
+        for w_event, _, _ in events:
+            # _advance_and_rank applies the events strictly before
+            # w_event, which leaves the state at the open interval
+            # (previous, w_event), and returns the rank AT w_event.
+            rank_at_event = self._advance_and_rank(state, w_event)
             open_rank = 1 + state.above + state.permanent_tie_smaller
-            if open_rank <= k:
-                extend(previous, w_event)
-            else:
-                close(previous)
-            if interval_rank_probe <= k:
-                extend(w_event, w_event)
-            else:
-                close(w_event)
+            pieces.append((previous, open_rank <= k))
+            pieces.append((w_event, rank_at_event <= k))
             # Consume the event(s) at this weight before moving on.
             while state.cursor < len(events) and events[state.cursor][0] == w_event:
                 state.above += events[state.cursor][2]
                 state.cursor += 1
             previous = w_event
         final_rank = 1 + state.above + state.permanent_tie_smaller
-        if final_rank <= k:
-            extend(previous, 1.0)
-            close(1.0)
-        else:
-            close(previous)
+        pieces.append((previous, final_rank <= k))
+        pieces.append((1.0, False))
+        # A viable stretch runs from its first piece's left end to the
+        # left end of the piece that breaks it.
+        viable: list[tuple[float, float]] = []
+        start: float | None = None
+        for left, is_viable in pieces:
+            if is_viable and start is None:
+                start = left
+            elif not is_viable and start is not None:
+                viable.append((start, left))
+                start = None
         return viable
+
+    # ------------------------------------------------------------------
+    # Sweep inputs (memoised on the context)
+    # ------------------------------------------------------------------
+    def _sweeps(
+        self, context: WhyNotContext, indices: Sequence[int]
+    ) -> list[SweepInputs]:
+        """The crossover structure of ``context.missing[i]`` per index.
+
+        Crossing lines come from the levelled view's quadrant slices;
+        without a view from the paper's two R-tree range queries over
+        the dual points, or (``use_dual_index=False``, the E8 ablation)
+        a linear scan of them.
+        """
+        view = context.view if self._use_dual_index else None
+        find = None
+        for index in indices:
+            if context.sweeps[index] is not None:
+                continue
+            m_dual = context.missing_duals[index]
+            if view is not None:
+                groups = view.crossing_candidates(m_dual.oid)
+                above = view.strictly_above_at_zero(m_dual.oid)
+                ties = view.permanent_ties_smaller(m_dual.oid)
+            else:
+                duals = context.duals
+                if find is None:  # one dual R-tree per call, not per object
+                    find = (
+                        DualSpaceIndex(duals).crossing_candidates
+                        if self._use_dual_index
+                        else partial(DualSpaceIndex.crossing_candidates_linear, duals)
+                    )
+                groups = [(p.b, (p.a,), (p.oid,)) for p in find(m_dual)]
+                above = self._strictly_above_at_zero(m_dual, duals)
+                ties = self._permanent_ties_smaller(m_dual, duals)
+            context.sweeps[index] = self._sweep_inputs(m_dual, groups, above, ties)
+        return [context.sweeps[index] for index in indices]
+
+    @hot_path
+    def _sweep_inputs(
+        self,
+        m_dual: DualPoint,
+        groups: Iterable[tuple[float, Sequence[float], Sequence[int]]],
+        above: int,
+        ties: int,
+    ) -> SweepInputs:
+        """Crossover events of ``(b, proximities, oids)`` groups against m.
+
+        Operation for operation ``m_dual.crossover_with(other)`` and the
+        slope comparison of the rank update theorem, with the level's
+        ``b`` hoisted out of the per-object loop.
+        """
+        m_slope = m_dual.slope
+        valid = self._valid_weight
+        events: list[tuple[float, int, int]] = []
+        for b, proximities, oids in groups:
+            numerator = b - m_dual.b
+            for a, oid in zip(proximities, oids):
+                slope = a - b
+                denominator = m_slope - slope
+                if denominator == 0.0:
+                    continue  # parallel lines never change relative order
+                w_star = numerator / denominator
+                if valid(w_star):
+                    events.append((w_star, oid, 1 if slope > m_slope else -1))
+        events.sort()
+        weights, oids, directions = zip(*events) if events else ((),) * 3
+        return SweepInputs(
+            dual=m_dual,
+            weights=array("d", weights),
+            oids=array("q", oids),
+            directions=array("b", directions),
+            above=above,
+            permanent_tie_smaller=ties,
+        )
+
+    def _candidate_weights(
+        self, context: WhyNotContext, sweeps: Sequence[SweepInputs]
+    ) -> array:
+        """Ascending candidate weights: ``q.ws`` (pure k-enlargement),
+        every crossover and its past-the-crossing float neighbour."""
+        if context.candidate_weights is None:
+            initial_ws = context.query.ws
+            candidates = {initial_ws}
+            for sweep in sweeps:
+                candidates.update(sweep.weights)
+                others = context.dual_points_of(sweep.oids)
+                for w_star, other in zip(sweep.weights, others):
+                    neighbour = self._past_crossing_candidate(
+                        sweep.dual, other, w_star, initial_ws
+                    )
+                    if neighbour is not None:
+                        candidates.add(neighbour)
+            context.candidate_weights = array("d", sorted(candidates))
+        return context.candidate_weights
 
     # ------------------------------------------------------------------
     # Sweep internals
@@ -558,20 +557,21 @@ class PreferenceAdjuster:
     # Floating-point rank oracle (shared with the sampling baseline)
     # ------------------------------------------------------------------
     def _ranks(
-        self,
-        weights: Weights,
-        missing_duals: Sequence[DualPoint],
-        duals: Sequence[DualPoint],
-        view: "object | None",
+        self, context: WhyNotContext, weights: Weights
     ) -> Mapping[int, int]:
-        """Exact missing-object ranks, over the kernel's dual columns
-        when available (a :class:`repro.core.kernel.DualView`) and the
-        DualPoint list otherwise — identical floats either way."""
-        if view is not None:
-            return view.ranks_at(
-                weights.ws, weights.wt, [m.oid for m in missing_duals]
+        """Exact missing-object ranks under ``weights``: over the
+        levelled view when there is one and the DualPoint list
+        otherwise — identical floats either way."""
+        view = context.view if self._use_dual_index else None
+        if view is None:
+            return self._ranks_at_weights(
+                weights, context.missing_duals, context.duals
             )
-        return self._ranks_at_weights(weights, missing_duals, duals)
+        if weights == context.query.weights:
+            return context.initial_ranks
+        return view.ranks_at(
+            weights.ws, weights.wt, [m.oid for m in context.missing_duals]
+        )
 
     @staticmethod
     def _ranks_at_weights(

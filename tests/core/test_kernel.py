@@ -212,7 +212,11 @@ class TestDualView:
         view = fast.kernel.dual_view(q)
         duals = view.dual_points()
         for dual in duals:
-            columnar = {d.oid for d in view.crossing_candidates(dual.oid)}
+            columnar = {
+                oid
+                for _, _, oids in view.crossing_candidates(dual.oid)
+                for oid in oids
+            }
             linear = {
                 d.oid
                 for d in DualSpaceIndex.crossing_candidates_linear(duals, dual)

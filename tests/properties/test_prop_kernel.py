@@ -9,14 +9,19 @@ refinements.  Databases here include empty keyword sets and duplicated
 actually exercised, and queries mix in out-of-vocabulary keywords.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import Point, Rect
+from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
+from repro.index.dualspace import DualSpaceIndex
 from repro.index.kcrtree import KcRTree
+from repro.service.api import YaskEngine
 from repro.text.similarity import (
     DiceSimilarity,
     JaccardSimilarity,
@@ -175,3 +180,115 @@ def test_keyword_refinement_parity(database, query):
     assert refined_fast.refined_worst_rank == refined_slow.refined_worst_rank
     assert refined_fast.added == refined_slow.added
     assert refined_fast.removed == refined_slow.removed
+
+
+# ----------------------------------------------------------------------
+# The levelled dual view ≡ the O(n) reference (the kernel-less path)
+# ----------------------------------------------------------------------
+@st.composite
+def tied_databases(draw):
+    """Few distinct locations and docs, shuffled gappy oids: score ties,
+    permanent ties and whole TSim levels of equal proximity are common."""
+    locations = draw(st.lists(points, min_size=1, max_size=4))
+    documents = draw(st.lists(sparse_docs, min_size=1, max_size=4))
+    size = draw(st.integers(min_value=4, max_value=24))
+    oids = draw(st.permutations(range(0, 3 * size, 3)))[:size]
+    objects = [
+        SpatialObject(
+            oid=oid,
+            loc=draw(st.sampled_from(locations)),
+            doc=draw(st.sampled_from(documents)),
+        )
+        for oid in oids
+    ]
+    return SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)), locations, documents
+
+
+def assert_view_matches_reference(engine, query, model):
+    """Every DualView primitive against its O(n) counterpart."""
+    view = engine.kernel.dual_view(query)
+    reference = Scorer(engine.database, text_model=model, use_kernel=False)
+    duals = reference.dual_points(query)
+    assert view.dual_points() == duals
+    targets = duals[:4]
+    oids = [m.oid for m in targets]
+    probe_ws = {query.ws}
+    for m in targets:
+        crossing = DualSpaceIndex.crossing_candidates_linear(duals, m)
+        found = {
+            oid: (a, b)
+            for b, proximities, others in view.crossing_candidates(m.oid)
+            for a, oid in zip(proximities, others)
+        }
+        assert found == {o.oid: (o.a, o.b) for o in crossing}
+        assert view.strictly_above_at_zero(
+            m.oid
+        ) == PreferenceAdjuster._strictly_above_at_zero(m, duals)
+        assert view.permanent_ties_smaller(
+            m.oid
+        ) == PreferenceAdjuster._permanent_ties_smaller(m, duals)
+        assert view.count_more_similar(
+            m.b
+        ) == engine.set_rtree.count_more_similar(query.doc, m.b)
+        for other in crossing:
+            w_star = m.crossover_with(other)
+            if w_star is not None:
+                probe_ws.update(
+                    (w_star, math.nextafter(w_star, 0.0), math.nextafter(w_star, 1.0))
+                )
+    for ws in probe_ws:
+        if not PreferenceAdjuster._valid_weight(ws):
+            continue
+        weights = Weights.from_spatial(ws)
+        assert view.ranks_at(weights.ws, weights.wt, oids) == dict(
+            PreferenceAdjuster._ranks_at_weights(weights, targets, duals)
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tied_databases(),
+    kernel_queries(),
+    models,
+    st.sampled_from([None, 1, 2, 4]),
+    st.data(),
+)
+def test_levelled_view_matches_linear_reference(tied, query, model, shards, data):
+    """ranks_at (at the initial weights, every crossover and its ±1 ulp
+    neighbours), the crossing set, above-at-zero, permanent ties and
+    count_more_similar — before and after batches that leave tombstones
+    in the unsharded kernel's columns."""
+    database, locations, documents = tied
+    engine = YaskEngine(database, text_model=model, shards=shards, max_entries=4)
+    try:
+        assert_view_matches_reference(engine, query, model)
+        for _ in range(2):
+            live = {obj.oid for obj in engine.database}
+            batch = [Mutation.delete(data.draw(st.sampled_from(sorted(live))))]
+            # Newcomers land between live ids, so they win and lose
+            # oid tie-breaks against the objects whose cells they copy.
+            fresh = data.draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=80).filter(
+                        lambda oid: oid not in live
+                    ),
+                    max_size=2,
+                    unique=True,
+                )
+            )
+            for oid in fresh:
+                batch.append(
+                    Mutation.insert(
+                        SpatialObject(
+                            oid=oid,
+                            loc=data.draw(st.sampled_from(locations)),
+                            doc=data.draw(st.sampled_from(documents)),
+                        )
+                    )
+                )
+            if len(live) - 1 + len(fresh) < 2:
+                break
+            engine.apply_mutations(batch)
+            assert_view_matches_reference(engine, query, model)
+    finally:
+        engine.close()

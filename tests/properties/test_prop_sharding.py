@@ -92,8 +92,8 @@ def test_dual_view_primitives_match(data, shards, part, ws):
     assert sharded_view.ranks_at(ws, wt, oids) == plain_view.ranks_at(
         ws, wt, oids
     )
+    assert sharded_view.dual_points_of(oids) == plain_view.dual_points_of(oids)
     for oid in oids:
-        assert sharded_view.dual_point_of(oid) == plain_view.dual_point_of(oid)
         assert sharded_view.crossing_candidates(
             oid
         ) == plain_view.crossing_candidates(oid)

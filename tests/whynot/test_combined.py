@@ -141,3 +141,47 @@ class TestEngineIntegration:
         finally:
             server.shutdown()
             server.server_close()
+
+
+class TestGoldenMultiObject:
+    """``CombinedRefinement`` for |M| > 1, pinned at the commit before the
+    stages began sharing one ``WhyNotContext`` (R(M, q) from the context,
+    R(M, q'') from the last stage): every field, both stages and the
+    keyword stage's work counters must stay what the seven ``worst_rank``
+    scans per answer used to produce."""
+
+    @pytest.fixture(scope="class")
+    def golden(self):
+        import json
+        from pathlib import Path
+
+        path = Path(__file__).with_name("golden_combined_multi.json")
+        return json.loads(path.read_text())
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_equals_pinned_answers(self, medium_db, golden, shards):
+        from dataclasses import asdict
+
+        from repro.service.api import YaskEngine
+        from repro.service.protocol import (
+            combined_refinement_to_dict,
+            query_from_dict,
+        )
+
+        engine = YaskEngine(medium_db, max_entries=16, shards=shards)
+        orders = set()
+        # Shards leave dual space alone: a sample is enough for them.
+        for case in golden if shards is None else golden[1::3]:
+            refinement = engine.refine_combined(
+                query_from_dict(case["query"]), case["missing"], lam=case["lambda"]
+            )
+            answer = combined_refinement_to_dict(refinement)
+            answer["keyword_stage_stats"] = (
+                asdict(refinement.keyword_stage.stats)
+                if refinement.keyword_stage is not None
+                else None
+            )
+            assert answer == case["answer"]
+            orders.add(refinement.order)
+        engine.close()
+        assert orders == {"keyword-first", "preference-first"}
