@@ -15,9 +15,11 @@
 #                      (executor tiers: cold/warm and batch floors),
 #                      E11 (kernel: >=3x rank_all, >=2x cold why-not;
 #                      levelled dual view: ranks_at >=10x the linear
-#                      pass at 20k, refine >=2x its linear ablation),
-#                      E12 (sharding: >=1.8x cold top-k, cold why-not
-#                      no slower than 0.9x at 4 shards vs 1), E13 (live
+#                      pass at 20k, refine >=2x its linear ablation;
+#                      indexed scan_top_k >=5x the full scan at 20k),
+#                      E12 (sharding: cold top-k and cold why-not no
+#                      slower than 0.9x at 4 shards vs 1, shards still
+#                      skipped), E13 (live
 #                      mutation: >=5x incremental ingest vs rebuild,
 #                      >50% warm top-k hit rate under writes, a
 #                      maintenance pass over 64 cached explain answers
@@ -52,7 +54,10 @@
 #                      hammer tests + the analysis test suite
 #   make test-procpool — the process-worker tier: the cross-process
 #                      parity property suite plus the kill -9 /
-#                      fault-plan / mutate-while-scanning chaos suite
+#                      fault-plan / mutate-while-scanning chaos suite,
+#                      and the scan every tier runs at its deep budget
+#                      (indexed scan_top_k vs the full scan through
+#                      long mutation histories)
 #                      (its own CI job across interpreter versions)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
@@ -80,7 +85,7 @@ test-chaos:
 	$(PYTHON) -m pytest tests/chaos -q $(ALL_MARKS)
 
 test-procpool:
-	$(PYTHON) -m pytest tests/properties/test_prop_procpool.py tests/chaos/test_procpool_chaos.py tests/service/test_socket_hygiene.py -q $(ALL_MARKS)
+	$(PYTHON) -m pytest tests/properties/test_prop_procpool.py tests/properties/test_prop_scan_index.py tests/chaos/test_procpool_chaos.py tests/service/test_socket_hygiene.py -q $(ALL_MARKS)
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py benchmarks/bench_e15_procpool.py -q $(ALL_MARKS)

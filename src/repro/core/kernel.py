@@ -35,14 +35,13 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from heapq import nsmallest
-from operator import neg
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from repro import concurrency, faults
 from repro.core.hotpath import hot_path
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
+from repro.core.scanindex import ScanIndex, score_delta_rows
 from repro.text.similarity import (
     DiceSimilarity,
     JaccardSimilarity,
@@ -87,9 +86,10 @@ _MODEL_CODES: dict[type, str] = {
 #:   (score desc, oid asc) tie-break, so a dead row is never counted as
 #:   a beater even against a true score of 0.0.
 #:
-#: Only the materialising entry points (``order_rows`` and the top-k
-#: candidate scan, which would otherwise emit rows, and ``DualView``
-#: point materialisation) need an explicit liveness filter; every
+#: Only the materialising entry points, which would otherwise emit
+#: rows, filter liveness explicitly: ``order_rows`` and ``DualView``
+#: point materialisation skip dead rows, and ``scan_top_k`` reads the
+#: scan index, whose ``alive`` bitmap holds no dead position.  Every
 #: counting scan is tombstone-oblivious by the argument above.
 _DEAD_OID = OID_LIMIT
 _DEAD_COORD = 1e300
@@ -99,74 +99,15 @@ _DEAD_COORD = 1e300
 DEFAULT_COMPACTION_THRESHOLD = 0.25
 
 
-def score_delta_rows(
-    rows: Sequence[tuple[float, float, int, int, int]],
-    qx: float,
-    qy: float,
-    qmask: int,
-    qlen: int,
-    ws: float,
-    wt: float,
-    *,
-    normaliser: float,
-    model_code: str,
-) -> list[tuple[int, float, float, float]]:
-    """Score pre-encoded rows against prepared query scalars.
-
-    ``(oid, score, sdist, tsim)`` per ``(x, y, mask, doc_len, oid)``
-    row — the same hypot / diagonal division / clamp / convex
-    combination as :meth:`ScoringKernel.components_all`, so the floats
-    are bit-identical to what a full column pass (or
-    ``Scorer.breakdown``) produces for the same object.
-
-    This is the cache-maintenance primitive: a mutation batch carries
-    its added and removed objects as pre-encoded rows
-    (:class:`repro.core.mutations.BatchSummary`), and the executor tier
-    scores just those rows against each cached query's scalars instead
-    of rescanning the database.  Deliberately a pure module-level
-    function — no kernel instance, no stats bump, no lock — so it is
-    safe to call while holding a cache leaf lock and gives identical
-    results whether the engine scatters over threads or processes.
-    """
-    hypot = math.hypot
-    out: list[tuple[int, float, float, float]] = []
-    push = out.append
-    if model_code == "jaccard":
-        for x, y, m, length, oid in rows:
-            d = hypot(x - qx, y - qy) / normaliser
-            if d > 1.0:
-                d = 1.0
-            s = (m & qmask).bit_count()
-            t = s / (length + qlen - s) if s else 0.0
-            push((oid, ws * (1.0 - d) + wt * t, d, t))
-    elif model_code == "dice":
-        for x, y, m, length, oid in rows:
-            d = hypot(x - qx, y - qy) / normaliser
-            if d > 1.0:
-                d = 1.0
-            s = (m & qmask).bit_count()
-            t = 2.0 * s / (length + qlen) if s else 0.0
-            push((oid, ws * (1.0 - d) + wt * t, d, t))
-    elif model_code == "overlap":
-        for x, y, m, length, oid in rows:
-            d = hypot(x - qx, y - qy) / normaliser
-            if d > 1.0:
-                d = 1.0
-            s = (m & qmask).bit_count()
-            t = s / min(length, qlen) if s else 0.0
-            push((oid, ws * (1.0 - d) + wt * t, d, t))
-    else:
-        raise ValueError(f"unknown kernel model code: {model_code!r}")
-    return out
-
-
 class KernelStats:
     """Work counters of one kernel (exposed through ``GET /api/stats``).
 
     ``full_passes``/``score_passes`` count whole-database column scans;
     ``point_scores`` counts single-row evaluations (best-first leaf
-    scoring); the remaining counters attribute batch entry points to
-    their consumers.
+    scoring); ``scan_calls`` / ``scan_rows_scored`` / ``scan_index_builds``
+    count indexed top-k scans, the rows they actually scored and the
+    (lazy) index builds they paid for; the remaining counters attribute
+    batch entry points to their consumers.
 
     One kernel is shared by every executor worker thread, so updates go
     through :meth:`bump` under a lock — like the executor-tier cache
@@ -179,6 +120,9 @@ class KernelStats:
         "full_passes",
         "score_passes",
         "point_scores",
+        "scan_calls",
+        "scan_rows_scored",
+        "scan_index_builds",
         "count_better_calls",
         "rank_of_many_calls",
         "dual_views",
@@ -197,6 +141,13 @@ class KernelStats:
         """Atomically add ``amount`` to one counter."""
         with self._lock:
             setattr(self, field, getattr(self, field) + amount)
+
+    def record_scan(self, rows_scored: int, index_builds: int) -> None:
+        """One indexed top-k scan, in one locked update."""
+        with self._lock:
+            self.scan_calls += 1
+            self.scan_rows_scored += rows_scored
+            self.scan_index_builds += index_builds
 
     def reset(self) -> None:
         with self._lock:
@@ -565,6 +516,8 @@ class ScoringKernel:
         "compaction_threshold",
         "compactions",
         "stats",
+        "_scan_index",
+        "_scan_index_lock",
     )
 
     def __init__(
@@ -611,6 +564,14 @@ class ScoringKernel:
         self.compaction_threshold = compaction_threshold
         self.compactions = 0
         self.stats = KernelStats()
+        self._init_scan_index()
+
+    def _init_scan_index(self) -> None:
+        """No index yet: the first ``scan_top_k`` builds it."""
+        self._scan_index: ScanIndex | None = None
+        self._scan_index_lock = concurrency.ordered_lock(
+            "kernel.scan_index", concurrency.LEVEL_LEAF
+        )
 
     @staticmethod
     def supports(text_model: TextSimilarityModel) -> bool:
@@ -736,9 +697,17 @@ class ScoringKernel:
         candidates).  Running the identical cell writes on both sides
         of the process boundary is what keeps a worker's columns
         bit-for-bit equal to the primary's shard kernel.
+
+        The scan index, when one has been built, follows in O(batch):
+        a delete clears its ``alive`` bit, an insert joins its unsorted
+        tail, a compaction re-keys its row map; only a tail grown past
+        its share of the build drops it for the next scan to rebuild.
         """
+        scan_index = self._scan_index
         for oid in removed_oids:
             row = self._row_of.pop(oid)
+            if scan_index is not None:
+                scan_index.delete(row)
             self._xs[row] = _DEAD_COORD
             self._ys[row] = _DEAD_COORD
             self._masks[row] = 0
@@ -757,6 +726,8 @@ class ScoringKernel:
             self._alive.append(True)
             self._row_of[oid] = self._n
             self._n += 1
+            if scan_index is not None:
+                scan_index.append(x, y, mask, doc_len, oid)
             # Incremental oid-order tracking: deletes preserve a
             # rising live sequence, appends keep it only past the
             # highest id ever seen (conservative after the max is
@@ -765,6 +736,8 @@ class ScoringKernel:
                 self._max_seen_oid = oid
             else:
                 self._oids_ascending = False
+        if scan_index is not None and scan_index.tail_overgrown:
+            self._scan_index = None
         if self._dead_count and (
             force_compact
             or self._dead_count > self.compaction_threshold * self._n
@@ -781,6 +754,8 @@ class ScoringKernel:
         self._lens = array("q", (self._lens[row] for row in rows))
         self._oids = array("q", (self._oids[row] for row in rows))
         self._objects = [self._objects[row] for row in rows]
+        if self._scan_index is not None:
+            self._scan_index.compact(rows)
         self._n = len(rows)
         self._alive = [True] * self._n
         self._dead_count = 0
@@ -894,6 +869,7 @@ class ScoringKernel:
         kernel.compaction_threshold = meta["compaction_threshold"]
         kernel.compactions = 0
         kernel.stats = KernelStats()
+        kernel._init_scan_index()
         return kernel
 
     def thaw_columns(self) -> bool:
@@ -1053,19 +1029,53 @@ class ScoringKernel:
         qlen: int,
         ws: float,
         wt: float,
+        floor: float | None = None,
     ) -> list[tuple[float, int]]:
-        """The best ``k`` rows as ``(−score, oid)`` pairs, merge-ready.
+        """The best ``k`` live rows as ``(−score, oid)`` pairs, merge-ready.
 
         ``(−score, oid)`` ascending is exactly the oracle's
         ``(score desc, oid asc)`` order, so candidate lists from
-        different shards merge with plain heap selection.  This is the
-        one scan both scatter tiers run — the thread path through
-        :meth:`ShardedEngine._scan_shard` and the process workers of
-        :mod:`repro.service.procpool` — so their candidates are
+        different shards merge with plain heap selection.  ``floor``,
+        when given, is an *inclusive* score cut: the answer is the top
+        ``k`` minus every pair scoring below it (a pair tying the floor
+        still competes on oid), which is what a scatter that already
+        holds ``k`` candidates needs from a later shard.
+
+        Answered from the kernel's :class:`~repro.core.scanindex.ScanIndex`
+        — only the rows that can still reach the running k-th score are
+        scored — with the reference semantics
+        ``nsmallest(k, zip(map(neg, scalar_scores(…)), oids))`` over the
+        live rows.  This is the one scan every scatter tier runs (the
+        inline and thread paths through
+        :meth:`ShardedEngine._scan_shard`, the process workers of
+        :mod:`repro.service.procpool`), so their candidates are
         bit-identical by construction.
+
+        The index is built here, on first use, under a leaf lock.  A
+        scan runs inside the engine's shared reader lock and a mutation
+        inside its exclusive one, so a build can never race
+        :meth:`apply_raw`.
         """
-        scores = self.scalar_scores(qx, qy, qmask, qlen, ws, wt)
-        return nsmallest(k, zip(map(neg, scores), self._oids))
+        index = self._scan_index
+        builds = 0
+        if index is None:
+            with self._scan_index_lock:
+                index = self._scan_index
+                if index is None:
+                    index = self._scan_index = ScanIndex(
+                        self.model_code,
+                        self._normaliser,
+                        self._xs,
+                        self._ys,
+                        self._masks,
+                        self._lens,
+                        self._oids,
+                        self.live_row_list(),
+                    )
+                    builds = 1
+        pairs, rows_scored = index.scan(k, qx, qy, qmask, qlen, ws, wt, floor)
+        self.stats.record_scan(rows_scored, builds)
+        return pairs
 
     def order_rows(self, scores: Sequence[float]) -> list[int]:
         """Rows in (score desc, oid asc) rank order for a score column.

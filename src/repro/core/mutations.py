@@ -52,6 +52,7 @@ from typing import Callable, Iterator, Mapping, Protocol, Sequence
 from repro import concurrency
 from repro.core.geometry import Rect
 from repro.core.kernel import ScoringKernel
+from repro.core.scanindex import tsim_upper_bound
 from repro.core.objects import SpatialDatabase, SpatialObject
 
 __all__ = [
@@ -224,24 +225,17 @@ class BatchSummary:
     def tsim_upper_bound(self, query_doc: frozenset[str]) -> float:
         """``max TSim(o, q)`` over added objects (keyword-union bound).
 
-        Mirrors :meth:`repro.core.sharding.Shard.tsim_upper_bound` with
-        the batch's keyword union and shortest added doc.
+        :func:`repro.core.scanindex.tsim_upper_bound` of the batch's
+        keyword union and shortest added doc, as a shard bounds its
+        members.
         """
         qlen = len(query_doc)
-        m = len(self.added_keywords & query_doc)
-        if m == 0 or qlen == 0:
-            return 0.0
-        code = self.model_code
-        if code is None:
-            return 1.0
-        floor_len = max(self.min_added_doc_len, m)
-        if code == "jaccard":
-            return m / (floor_len + qlen - m)
-        if code == "dice":
-            return 2.0 * m / (floor_len + qlen)
-        if m >= self.min_added_doc_len:
-            return 1.0
-        return min(1.0, m / min(self.min_added_doc_len, qlen))
+        shared = len(self.added_keywords & query_doc)
+        if self.model_code is None:
+            return 1.0 if shared and qlen else 0.0
+        return tsim_upper_bound(
+            self.model_code, shared, qlen, self.min_added_doc_len
+        )
 
     # ------------------------------------------------------------------
     # Impact tests (executor scoped invalidation)

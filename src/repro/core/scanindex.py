@@ -1,0 +1,436 @@
+"""The top-k scan index: score the rows that can still win.
+
+A cold top-k used to score every row of a kernel and keep the best
+``k``.  Against the final k-th score only a few dozen rows of a
+20 000-row database can still win, so :class:`ScanIndex` finds those
+and scores nothing else (docs/ARCHITECTURE.md, "Top-k is an index, not
+a scan"):
+
+* Rows are laid out in **x-quantile columns** of ``_COLUMN_ROWS`` rows,
+  y-sorted inside each column; a row's *position* is its place in that
+  order.  The index owns position-ordered copies of the five kernel
+  columns, so a scan never touches the kernel and a kernel compaction
+  only renumbers the row → position map.
+* Per vocabulary bit one Python big-int **bitmap** over the positions
+  (the kernel's row-major doc masks, transposed) beside an ``alive``
+  bitmap.  A query folds its keywords' bitmaps into *level sets* —
+  "exactly ``s`` shared keywords" — with a handful of C-speed big-int
+  AND/ORs.
+* Columns are walked outward from the query.  Per column and level the
+  current k-th score θ becomes a y-interval: a level-``s`` row can
+  still win only within distance
+  ``norm · (1 − (θ − SKIP_MARGIN − wt·TSim_ub(s)) / ws)`` of the query,
+  which is two bisects and a shift-and-mask; only the set bits get the
+  exact Eqn. (1) arithmetic, through :func:`score_delta_rows`.
+
+This module sits *below* the kernel (which imports it) and holds no
+reference back to one: the row-level primitives the index shares with
+the kernel and the shard bounds — :func:`score_delta_rows`,
+:func:`tsim_upper_bound`, ``SKIP_MARGIN`` — live here for that reason.
+"""
+
+from __future__ import annotations
+
+import math
+from array import array
+from bisect import bisect_left, bisect_right
+from heapq import heappush, heapreplace
+from typing import Iterable, Iterator, Sequence
+
+from repro.core.hotpath import hot_path
+
+__all__ = ["SKIP_MARGIN", "ScanIndex", "score_delta_rows", "tsim_upper_bound"]
+
+#: Defensive margin for skip decisions built on distance bounds:
+#: ``math.hypot`` is faithful (≤ 1 ulp ≈ 2e-16 here) rather than exactly
+#: monotone, so a skip requires the bound to sit this far below the
+#: threshold.  It is taken on the *score* side (θ − margin), where every
+#: quantity is at most 1, so it dominates the rounding of any bound
+#: derived from it whatever the dataspace's units.  Pruning power loss
+#: is negligible; unsafe skips impossible.
+SKIP_MARGIN = 1e-12
+
+#: Rows per x-quantile column.  A constant, not a knob: small enough
+#: that a column's y-interval is a short run, large enough that a scan
+#: walks tens of columns, not thousands.
+_COLUMN_ROWS = 256
+
+#: Inserts land in an unsorted tail that every scan covers at distance
+#: bound 0; the kernel drops the index (the next scan rebuilds it) once
+#: the tail outgrows ``max(_COLUMN_ROWS, built // _TAIL_DIVISOR)`` rows.
+_TAIL_DIVISOR = 8
+
+Row = tuple[float, float, int, int, int]
+
+
+def score_delta_rows(
+    rows: Iterable[Row],
+    qx: float,
+    qy: float,
+    qmask: int,
+    qlen: int,
+    ws: float,
+    wt: float,
+    *,
+    normaliser: float,
+    model_code: str,
+) -> list[tuple[int, float, float, float]]:
+    """Score pre-encoded rows against prepared query scalars.
+
+    ``(oid, score, sdist, tsim)`` per ``(x, y, mask, doc_len, oid)``
+    row — the same hypot / diagonal division / clamp / convex
+    combination as :meth:`ScoringKernel.components_all`, so the floats
+    are bit-identical to what a full column pass (or
+    ``Scorer.breakdown``) produces for the same object.
+
+    The one row-at-a-time scorer: the cache-maintenance tier scores a
+    mutation batch's added and removed rows
+    (:class:`repro.core.mutations.BatchSummary`) against each cached
+    query's scalars through it, and :class:`ScanIndex` scores its
+    top-k candidates.  Deliberately a pure module-level function — no
+    kernel instance, no stats bump, no lock — so it is safe to call
+    while holding a cache leaf lock and gives identical results whether
+    the engine scatters over threads or processes.
+    """
+    hypot = math.hypot
+    out: list[tuple[int, float, float, float]] = []
+    push = out.append
+    if model_code == "jaccard":
+        for x, y, m, length, oid in rows:
+            d = hypot(x - qx, y - qy) / normaliser
+            if d > 1.0:
+                d = 1.0
+            s = (m & qmask).bit_count()
+            t = s / (length + qlen - s) if s else 0.0
+            push((oid, ws * (1.0 - d) + wt * t, d, t))
+    elif model_code == "dice":
+        for x, y, m, length, oid in rows:
+            d = hypot(x - qx, y - qy) / normaliser
+            if d > 1.0:
+                d = 1.0
+            s = (m & qmask).bit_count()
+            t = 2.0 * s / (length + qlen) if s else 0.0
+            push((oid, ws * (1.0 - d) + wt * t, d, t))
+    elif model_code == "overlap":
+        for x, y, m, length, oid in rows:
+            d = hypot(x - qx, y - qy) / normaliser
+            if d > 1.0:
+                d = 1.0
+            s = (m & qmask).bit_count()
+            t = s / min(length, qlen) if s else 0.0
+            push((oid, ws * (1.0 - d) + wt * t, d, t))
+    else:
+        raise ValueError(f"unknown kernel model code: {model_code!r}")
+    return out
+
+
+def tsim_upper_bound(
+    model_code: str, shared: int, qlen: int, min_doc_len: int
+) -> float:
+    """``max TSim(o, q)`` over docs sharing at most ``shared`` query keywords.
+
+    With ``m = shared`` and ``ℓ = min_doc_len`` (no doc is shorter;
+    a smaller ``ℓ`` than the truth only loosens the bound):
+
+    * Jaccard: ``s/(|o| + qlen − s)`` is maximised at ``s = m`` and
+      ``|o| = max(ℓ, m)`` → ``m / (max(ℓ, m) + qlen − m)``.
+    * Dice: ``2s/(|o| + qlen)`` → ``2m / (max(ℓ, m) + qlen)``.
+    * Overlap: reaches 1 whenever some doc could sit inside the shared
+      keywords (``m ≥ ℓ``); otherwise ``m / min(ℓ, qlen)``.
+
+    Each bound is one correctly-rounded division of exact integers,
+    non-decreasing in ``m``, so float monotonicity against the kernel's
+    per-object values is exact — no margin needed on the text term.
+    The one text bound: shard skipping (``Shard.tsim_upper_bound``),
+    batch impact tests (``BatchSummary.tsim_upper_bound``) and the scan
+    index's per-level bound all call it.
+    """
+    if shared == 0 or qlen == 0:
+        return 0.0
+    floor_len = max(min_doc_len, shared)
+    if model_code == "jaccard":
+        return shared / (floor_len + qlen - shared)
+    if model_code == "dice":
+        return 2.0 * shared / (floor_len + qlen)
+    if shared >= min_doc_len:
+        return 1.0
+    return min(1.0, shared / min(min_doc_len, qlen))
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, each as an isolated power of two."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+class ScanIndex:
+    """Bit-sliced spatial-keyword index over one kernel's live rows.
+
+    Built from a kernel's columns and maintained by the kernel's
+    ``apply_raw`` in O(batch): :meth:`delete` clears an ``alive`` bit,
+    :meth:`append` adds to the unsorted tail, :meth:`compact` follows a
+    kernel compaction.  ``min_doc_len`` only ever goes stale in the
+    loose direction on delete (see :func:`tsim_upper_bound`).
+    """
+
+    __slots__ = (
+        "_model_code",
+        "_normaliser",
+        "_built",
+        "_xs",
+        "_ys",
+        "_masks",
+        "_lens",
+        "_oids",
+        "_pos_of_row",
+        "_col_min_x",
+        "_col_max_x",
+        "_bitmaps",
+        "_alive",
+        "_min_doc_len",
+    )
+
+    def __init__(
+        self,
+        model_code: str,
+        normaliser: float,
+        xs: Sequence[float],
+        ys: Sequence[float],
+        masks: Sequence[int],
+        lens: Sequence[int],
+        oids: Sequence[int],
+        live_rows: Sequence[int],
+    ) -> None:
+        """Index ``live_rows`` (kernel row numbers) of the given columns.
+
+        Copies what it needs: the columns may be ``memoryview`` casts
+        into a shared segment that must stay closable.
+        """
+        self._model_code = model_code
+        self._normaliser = normaliser
+        by_x = sorted(live_rows, key=xs.__getitem__)
+        built = len(by_x)
+        order: list[int] = []
+        col_min_x = array("d")
+        col_max_x = array("d")
+        for start in range(0, built, _COLUMN_ROWS):
+            column = by_x[start : start + _COLUMN_ROWS]
+            col_min_x.append(xs[column[0]])
+            col_max_x.append(xs[column[-1]])
+            column.sort(key=ys.__getitem__)
+            order += column
+        self._built = built
+        self._col_min_x = col_min_x
+        self._col_max_x = col_max_x
+        self._xs = array("d", map(xs.__getitem__, order))
+        self._ys = array("d", map(ys.__getitem__, order))
+        self._masks = list(map(masks.__getitem__, order))
+        self._lens = array("q", map(lens.__getitem__, order))
+        self._oids = array("q", map(oids.__getitem__, order))
+        #: Kernel row → position (−1 for rows dead at build time).
+        pos_of_row = array("q", [-1]) * len(xs)
+        for pos, row in enumerate(order):
+            pos_of_row[row] = pos
+        self._pos_of_row = pos_of_row
+        # Transpose the doc masks: one byte plane per vocabulary bit
+        # (keyed by the isolated bit itself, which is what iterating a
+        # query mask yields), set bit by bit, then frozen to an int.
+        plane_bytes = (built + 7) // 8
+        planes: dict[int, bytearray] = {}
+        for pos, mask in enumerate(self._masks):
+            byte = pos >> 3
+            bit = 1 << (pos & 7)
+            for low in _bits(mask):
+                plane = planes.get(low)
+                if plane is None:
+                    plane = planes[low] = bytearray(plane_bytes)
+                plane[byte] |= bit
+        self._bitmaps = {
+            low: int.from_bytes(plane, "little") for low, plane in planes.items()
+        }
+        self._alive = (1 << built) - 1
+        self._min_doc_len = min(self._lens, default=0)
+
+    # ------------------------------------------------------------------
+    # Maintenance (driven by ScoringKernel.apply_raw)
+    # ------------------------------------------------------------------
+    def delete(self, row: int) -> None:
+        """Kernel row ``row`` was tombstoned: it can no longer win."""
+        self._alive ^= 1 << self._pos_of_row[row]
+
+    def append(self, x: float, y: float, mask: int, doc_len: int, oid: int) -> None:
+        """The kernel appended a row: it joins the unsorted tail."""
+        pos = len(self._xs)
+        self._xs.append(x)
+        self._ys.append(y)
+        self._masks.append(mask)
+        self._lens.append(doc_len)
+        self._oids.append(oid)
+        self._pos_of_row.append(pos)
+        bit = 1 << pos
+        self._alive |= bit
+        bitmaps = self._bitmaps
+        for low in _bits(mask):
+            bitmaps[low] = bitmaps.get(low, 0) | bit
+        if doc_len < self._min_doc_len:
+            self._min_doc_len = doc_len
+
+    def compact(self, surviving_rows: Sequence[int]) -> None:
+        """The kernel renumbered its rows to ``surviving_rows``' order.
+
+        Positions do not move — only the row → position map is re-keyed.
+        """
+        self._pos_of_row = array(
+            "q", map(self._pos_of_row.__getitem__, surviving_rows)
+        )
+
+    @property
+    def tail_overgrown(self) -> bool:
+        """Whether the unsorted tail has outgrown its share of the build."""
+        tail = len(self._xs) - self._built
+        return tail > max(_COLUMN_ROWS, self._built // _TAIL_DIVISOR)
+
+    # ------------------------------------------------------------------
+    # The scan
+    # ------------------------------------------------------------------
+    def _exact_levels(self, qmask: int) -> list[int]:
+        """``levels[s]``: live positions sharing exactly ``s`` query keywords.
+
+        A counting fold over the query's keyword bitmaps builds the
+        nested "≥ s shared" sets (``at_least[s] |= at_least[s−1] & b``);
+        neighbours XOR to the exact sets.  Everything descends from
+        ``alive``, so dead positions are in no level.
+        """
+        at_least = [self._alive]
+        for low in _bits(qmask):
+            bitmap = self._bitmaps.get(low)
+            if bitmap is None:
+                continue
+            at_least.append(0)
+            for s in range(len(at_least) - 1, 0, -1):
+                at_least[s] |= at_least[s - 1] & bitmap
+        at_least.append(0)
+        return [at_least[s] ^ at_least[s + 1] for s in range(len(at_least) - 1)]
+
+    def _columns_outward(self, qx: float) -> Iterator[tuple[int, float]]:
+        """``(column, x-gap to qx)`` by non-decreasing gap, from qx's column."""
+        min_x = self._col_min_x
+        max_x = self._col_max_x
+        last = len(min_x)
+        if not last:
+            return
+        left = max(bisect_right(min_x, qx) - 1, 0)
+        right = left + 1  # every column from here starts right of qx
+        while left >= 0 or right < last:
+            gap_left = (
+                max(min_x[left] - qx, 0.0, qx - max_x[left])
+                if left >= 0
+                else math.inf
+            )
+            gap_right = min_x[right] - qx if right < last else math.inf
+            if gap_left <= gap_right:
+                yield left, gap_left
+                left -= 1
+            else:
+                yield right, gap_right
+                right += 1
+
+    @hot_path
+    def scan(
+        self,
+        k: int,
+        qx: float,
+        qy: float,
+        qmask: int,
+        qlen: int,
+        ws: float,
+        wt: float,
+        floor: float | None,
+    ) -> tuple[list[tuple[float, int]], int]:
+        """``(best ≤ k (−score, oid) pairs scoring ≥ floor, rows scored)``.
+
+        Exactly the full scan's top ``k`` cut at the inclusive ``floor``:
+        θ is the larger of the floor and the running k-th score, a row
+        is passed over only when its score *bound* is below
+        ``θ − SKIP_MARGIN``, and θ only rises — so every row that ends
+        in the answer was scored, with the full scan's own arithmetic.
+        """
+        if k < 1:
+            return [], 0
+        norm = self._normaliser
+        code = self._model_code
+        ys = self._ys
+        built = self._built
+        columns = (
+            self._xs.__getitem__,
+            ys.__getitem__,
+            self._masks.__getitem__,
+            self._lens.__getitem__,
+            self._oids.__getitem__,
+        )
+        # Non-empty levels, best text bound first: (positions, wt·TSim_ub).
+        levels = [
+            (level, wt * tsim_upper_bound(code, s, qlen, self._min_doc_len))
+            for s, level in enumerate(self._exact_levels(qmask))
+            if level
+        ]
+        levels.reverse()
+        best_text = max((text for _, text in levels), default=0.0)
+
+        heap: list[tuple[float, int]] = []  # min-heap: [0] is the k-th best
+        scored = 0
+        theta_m = -math.inf if floor is None else floor - SKIP_MARGIN
+
+        def visit(start: int, stop: int, gap: float) -> None:
+            """Score what can still win among positions ``[start, stop)``,
+            all at least ``gap`` from the query."""
+            nonlocal scored, theta_m
+            for level, text in levels:
+                # A level row wins only with ws·proximity ≥ need.
+                need = theta_m - text
+                lo, hi = start, stop
+                if need > 0.0:
+                    if need > ws:
+                        continue
+                    radius = norm * (1.0 - need / ws)
+                    if gap > radius:
+                        continue
+                    if start < built:  # a y-sorted column: cut to the run
+                        # qy ∓ reach round monotonically, so a y inside
+                        # the real interval is inside the float one too,
+                        # however far the dataspace is from the origin.
+                        reach = math.sqrt(radius * radius - gap * gap)
+                        lo = bisect_left(ys, qy - reach, start, stop)
+                        hi = bisect_right(ys, qy + reach, start, stop)
+                chunk = (level >> lo) & ((1 << (hi - lo)) - 1)
+                if not chunk:
+                    continue
+                positions = [lo + low.bit_length() - 1 for low in _bits(chunk)]
+                scored += len(positions)
+                rows = zip(*(map(column, positions) for column in columns))
+                for oid, score, _sdist, _tsim in score_delta_rows(
+                    rows, qx, qy, qmask, qlen, ws, wt,
+                    normaliser=norm, model_code=code,
+                ):
+                    if len(heap) < k:
+                        if floor is None or score >= floor:
+                            heappush(heap, (score, -oid))
+                    elif (score, -oid) > heap[0]:
+                        heapreplace(heap, (score, -oid))
+                if len(heap) == k:
+                    theta_m = heap[0][0] - SKIP_MARGIN
+
+        for column, gap in self._columns_outward(qx):
+            # Columns only get farther: once one is beyond the best
+            # level's reach, so is every column still to come.
+            need = theta_m - best_text
+            if need > 0.0 and (need > ws or gap > norm * (1.0 - need / ws)):
+                break
+            start = column * _COLUMN_ROWS
+            visit(start, min(start + _COLUMN_ROWS, built), gap)
+        if len(ys) > built:
+            visit(built, len(ys), 0.0)  # the unsorted tail: no distance bound
+        heap.sort(reverse=True)
+        return [(-score, -negoid) for score, negoid in heap], scored

@@ -56,7 +56,7 @@ keyword-union/doc-length bound for the text term.  The text bound is a
 single correctly-rounded integer division, hence exactly monotone; the
 MINDIST arithmetic is monotone too, but ``math.hypot`` is only
 guaranteed faithful, so static skips retain a defensive ``1e-12``
-margin.  Candidate rank scans (:class:`ShardedDocContext`) use each
+margin (:data:`repro.core.scanindex.SKIP_MARGIN`).  Candidate rank scans (:class:`ShardedDocContext`) use each
 shard's exact proximity-column maximum instead and need none.
 
 ``tests/properties/test_prop_sharding.py`` asserts bit-for-bit parity
@@ -78,6 +78,7 @@ from repro.core.hotpath import hot_path
 from repro.core.kernel import DocContext, DualView, ScoringKernel
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
+from repro.core.scanindex import SKIP_MARGIN, tsim_upper_bound
 from repro.text.similarity import TextSimilarityModel
 
 __all__ = [
@@ -91,12 +92,6 @@ __all__ = [
     "grid_partition",
     "round_robin_partition",
 ]
-
-#: Defensive margin for skip decisions built on MBR MINDIST bounds:
-#: ``math.hypot`` is faithful (≤ 1 ulp ≈ 2e-16 here) rather than exactly
-#: monotone, so static skips require the bound to sit this far below the
-#: threshold.  Pruning power loss is negligible; unsafe skips impossible.
-_SKIP_MARGIN = 1e-12
 
 
 # ----------------------------------------------------------------------
@@ -390,32 +385,17 @@ class Shard:
     def tsim_upper_bound(self, qmask: int, qlen: int) -> float:
         """``max_o TSim(o, q)`` bound from keyword union + doc lengths.
 
-        With ``m = |q.doc ∩ shard vocabulary|`` (no shard object can
-        share more than ``m`` keywords with the query) and
-        ``ℓ = min_doc_len``:
-
-        * Jaccard: ``s/(|o| + qlen − s)`` is maximised at ``s = m`` and
-          ``|o| = max(ℓ, m)`` → ``m / (max(ℓ, m) + qlen − m)``.
-        * Dice: ``2s/(|o| + qlen)`` → ``2m / (max(ℓ, m) + qlen)``.
-        * Overlap: reaches 1 whenever some doc could sit inside the
-          shared keywords (``m ≥ ℓ``); otherwise ``m / min(ℓ, qlen)``.
-
-        Each bound is one correctly-rounded division of exact integers,
-        so float monotonicity against the kernel's per-object values is
-        exact — no margin needed on the text term.
+        No shard object can share more than
+        ``|q.doc ∩ shard vocabulary|`` keywords with the query, nor be
+        shorter than ``min_doc_len``:
+        :func:`repro.core.scanindex.tsim_upper_bound` of those two.
         """
-        m = (self.vocab_mask & qmask).bit_count()
-        if m == 0 or qlen == 0:
-            return 0.0
-        code = self.kernel.model_code
-        floor_len = max(self.min_doc_len, m)
-        if code == "jaccard":
-            return m / (floor_len + qlen - m)
-        if code == "dice":
-            return 2.0 * m / (floor_len + qlen)
-        if m >= self.min_doc_len:
-            return 1.0
-        return min(1.0, m / min(self.min_doc_len, qlen))
+        return tsim_upper_bound(
+            self.kernel.model_code,
+            (self.vocab_mask & qmask).bit_count(),
+            qlen,
+            self.min_doc_len,
+        )
 
 
 class ShardRouter:
@@ -824,7 +804,7 @@ class ShardedKernel(ScoringKernel):
         stats = router.stats
         stats.bump("count_passes")
         bounds = router.score_upper_bounds(query)
-        threshold = score - _SKIP_MARGIN
+        threshold = score - SKIP_MARGIN
         better = 0
         scanned = 0
         skipped = 0
@@ -856,7 +836,7 @@ class ShardedKernel(ScoringKernel):
         skipped = 0
         for shard, bound in zip(router.shards, bounds):
             faults.check_deadline()
-            live = [t for t in targets if bound >= t[1] - _SKIP_MARGIN]
+            live = [t for t in targets if bound >= t[1] - SKIP_MARGIN]
             if not live:
                 skipped += 1
                 continue

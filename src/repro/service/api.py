@@ -140,9 +140,11 @@ class YaskEngine:
         (the spatially incoherent ablation) or a callable; anything but
         the default requires ``shards``.
     shard_workers:
-        Scatter pool width for the sharded engine (``None`` = one per
-        shard, capped by the CPU count; single-core hosts therefore run
-        the sequential threshold-adaptive gather).  The string
+        Scatter width for the sharded engine.  ``None`` (default) and
+        ``1`` scan the shards inline, one per wave, each scan handing
+        the next a tighter floor; a larger integer fans each wave over
+        that many threads (measured slower than inline on two cores:
+        ROADMAP item 3).  The string
         ``"proc"`` selects the process worker tier instead
         (:mod:`repro.service.procpool`): one long-lived worker process
         per shard scanning shared-memory kernel columns, escaping the
@@ -323,6 +325,22 @@ class YaskEngine:
         the compute tier under the result caches actually performs.
         """
         return self._kernel
+
+    def kernel_stats(self) -> dict[str, int]:
+        """The ``GET /api/stats`` ``kernel`` section.
+
+        The global kernel's counters, with the shard kernels' top-k
+        scan counters added in: a sharded engine's scans run on its
+        shards' kernels (and, under ``shard_workers="proc"``, in the
+        worker processes, which only ``procpool.scans`` counts).
+        """
+        stats = self._kernel.stats.to_dict()
+        if self._shard_router is not None:
+            for shard in self._shard_router.shards:
+                scans = shard.kernel.stats.to_dict()
+                for field in ("scan_calls", "scan_rows_scored", "scan_index_builds"):
+                    stats[field] += scans[field]
+        return stats
 
     @property
     def shard_router(self) -> ShardRouter | None:

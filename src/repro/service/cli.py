@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
                 "scatter width for the sharded engine: an integer "
                 "thread-pool width, or 'proc' for one worker process "
                 "per shard over shared-memory kernel columns "
-                "(escapes the GIL; default: thread pool sized to the "
-                "CPU count)"
+                "(escapes the GIL; default: shards are scanned inline, "
+                "each scan tightening the next one's threshold)"
             ),
         )
 

@@ -14,9 +14,10 @@ moves the scans into long-lived worker **processes**:
 * The parent talks to each worker over a :class:`multiprocessing.Pipe`
   with a framed, pickled request/response protocol.  Scan requests ship
   the *prepared* query scalars (``qx, qy, qmask, qlen, ws, wt`` — the
-  output of the kernel's query preparation), so the worker runs exactly
-  the same ``scan_top_k`` the threaded path runs and returns the same
-  ``(−score, oid)`` pairs, bit for bit.
+  output of the kernel's query preparation) and the scatter's running
+  k-th score as the scan's inclusive ``floor``, so the worker runs
+  exactly the same ``scan_top_k`` the threaded path runs and returns
+  the same ``(−score, oid)`` pairs, bit for bit.
 * Mutations and the WAL stay on the primary.  After a batch commits,
   the pool broadcasts each shard's slice as a **generation-stamped
   column delta** (removed oids + pre-encoded appended rows) while the
@@ -115,8 +116,9 @@ def _worker_main(
     Messages are pickled tuples over ``Connection.send_bytes`` /
     ``recv_bytes`` (the connection provides framing):
 
-    * ``("scan", gen, k, qx, qy, qmask, qlen, ws, wt)`` →
-      ``("ok", gen, pairs)`` — the shard's ``(−score, oid)`` top-k.
+    * ``("scan", gen, k, floor, qx, qy, qmask, qlen, ws, wt)`` →
+      ``("ok", gen, pairs)`` — the shard's ``(−score, oid)`` top-k
+      scoring at least ``floor`` (``None``: no cut).
     * ``("delta", gen, removed_oids, rows)`` → ``("ok", gen, None)`` —
       a generation-stamped column delta; the kernel thaws its
       shared-segment columns into local arrays on the first one.
@@ -149,7 +151,7 @@ def _worker_main(
                 break
             op = message[0]
             if op == "scan":
-                expect, k, qx, qy, qmask, qlen, ws, wt = message[1:]
+                expect, k, floor, *scalars = message[1:]
                 if expect != generation:
                     conn.send_bytes(
                         pickle.dumps(
@@ -162,7 +164,7 @@ def _worker_main(
                         )
                     )
                     continue
-                pairs = kernel.scan_top_k(k, qx, qy, qmask, qlen, ws, wt)
+                pairs = kernel.scan_top_k(k, *scalars, floor)
                 conn.send_bytes(pickle.dumps(("ok", generation, pairs)))
             elif op == "delta":
                 new_generation, removed_oids, rows = message[1:]
@@ -323,8 +325,10 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    def _scan_payload(self, handle: _WorkerHandle, k: int, scalars) -> bytes:
-        return pickle.dumps(("scan", handle.generation, k, *scalars))
+    def _scan_payload(
+        self, handle: _WorkerHandle, k: int, scalars, floor: float | None
+    ) -> bytes:
+        return pickle.dumps(("scan", handle.generation, k, floor, *scalars))
 
     def _require(self, shard_id: int) -> _WorkerHandle:
         if self._closed:
@@ -332,9 +336,10 @@ class ShardWorkerPool:
         return self._handles[shard_id]
 
     def scan_many(
-        self, requests: Sequence[tuple["Shard", int, Sequence]]
+        self, requests: Sequence[tuple["Shard", int, Sequence, "float | None"]]
     ) -> dict[int, list[tuple[float, int]]]:
-        """Fan a scan across many workers: all sends, then all receives.
+        """Fan ``(shard, k, scalars, floor)`` scans across the workers:
+        all sends, then all receives.
 
         The workers compute concurrently between the send sweep and the
         receive sweep — this is where the multicore win lives.  Every
@@ -349,11 +354,11 @@ class ShardWorkerPool:
             crashed: list[tuple[_WorkerHandle, str]] = []
             pending: list[_WorkerHandle] = []
             results: dict[int, list[tuple[float, int]]] = {}
-            for shard, k, scalars in requests:
+            for shard, k, scalars, floor in requests:
                 handle = self._handles[shard.shard_id]
                 try:
                     handle.conn.send_bytes(
-                        self._scan_payload(handle, k, scalars)
+                        self._scan_payload(handle, k, scalars, floor)
                     )
                 except _PIPE_ERRORS as exc:
                     crashed.append((handle, repr(exc)))

@@ -563,8 +563,9 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                         "mutations": engine.mutation_stats(),
                         # Columnar-kernel hit counters: how many batch
                         # passes / point scorings the compute tier under
-                        # the caches actually ran.
-                        "kernel": engine.kernel.stats.to_dict(),
+                        # the caches actually ran (shard kernels'
+                        # top-k scan counters included).
+                        "kernel": engine.kernel_stats(),
                         # Scatter-gather counters (None when the engine
                         # is unsharded): per-shard object counts plus
                         # scatter/merge timings and shard scan/skip

@@ -12,24 +12,27 @@ The gather is *bound-ordered and threshold-adaptive*:
    keyword-union text bound, see :mod:`repro.core.sharding`), and
    shards are visited in descending bound order — the most promising
    shard first.
-2. Each visited shard runs a columnar top-k scan over its own kernel
-   (one score pass + a bounded ``nsmallest``); its candidates merge
-   into the running global top-k under the oracle's
-   ``(score desc, oid asc)`` order.
-3. Once ``k`` candidates are held, any remaining shard whose upper
-   bound is strictly below the current k-th score (minus the module's
-   defensive ``hypot`` margin) is **skipped entirely** — it provably
-   cannot place an object in the result, even by tie-break, which
-   requires score equality.
+2. Each visited shard answers from its kernel's scan index
+   (:meth:`ScoringKernel.scan_top_k`), which scores only the rows that
+   can still win; its candidates merge into the running global top-k
+   under the oracle's ``(score desc, oid asc)`` order.
+3. Once ``k`` candidates are held, the current k-th score travels with
+   every later scan as its inclusive ``floor`` (a row tying it still
+   competes on oid), so a far shard costs a few bisects and returns
+   nothing; and any remaining shard whose upper bound is strictly
+   below it (minus the module's defensive ``hypot`` margin) is
+   **skipped entirely** — it provably cannot place an object in the
+   result, even by tie-break, which requires score equality.
 
 One loop issues the scans in *waves* against whichever scan backend
-is configured.  Inline scans (one worker) go one shard per wave, so
-every scan tightens the threshold for the next: on a single-core host
-the wins come from work elimination, not parallelism.  A thread pool
-or a process worker pool instead scans the best-bound shard first to
-establish the threshold and then fans every survivor out in one wave;
-the prune test and the merge are the same code either way, and every
-configuration is parity-tested.
+is configured.  Inline scans (the default) go one shard per wave, so
+every scan tightens the floor for the next: with sub-millisecond
+indexed scans that work elimination beats handing the same scans to a
+thread pool (measured: ROADMAP item 3).  A thread pool or a process
+worker pool, when asked for, instead scans the best-bound shard first
+to establish the threshold and then fans every survivor out in one
+wave; the prune test and the merge are the same code either way, and
+every configuration is parity-tested.
 
 Bit-for-bit parity with the unsharded oracle — same entries, same
 scores/components, same tie order — is asserted by
@@ -38,7 +41,6 @@ scores/components, same tie order — is asserted by
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from heapq import nsmallest
@@ -48,7 +50,8 @@ from typing import Sequence
 from repro import faults
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery
 from repro.core.scoring import Scorer
-from repro.core.sharding import Shard, ShardRouter, _SKIP_MARGIN
+from repro.core.scanindex import SKIP_MARGIN
+from repro.core.sharding import Shard, ShardRouter
 
 __all__ = ["ShardedEngine"]
 
@@ -65,10 +68,10 @@ class ShardedEngine:
         score decompositions (identical floats to the scan, per the
         kernel parity contract).
     max_workers:
-        Scatter pool width.  ``None`` (default) uses
-        ``min(len(shards), cpu count)``; ``1`` selects the sequential
-        threshold-adaptive gather.  Results are identical either way —
-        only the wall-clock/pruning trade-off differs.
+        Scatter pool width.  ``None`` (default) and ``1`` select the
+        inline, threshold-adaptive gather; a larger integer fans each
+        wave over that many threads.  Results are identical either way
+        — only the wall-clock/pruning trade-off differs.
     worker_pool:
         A :class:`~repro.service.procpool.ShardWorkerPool`.  When set,
         shard scans dispatch to its worker *processes* instead of the
@@ -93,20 +96,17 @@ class ShardedEngine:
         self._router = router
         self._scorer = scorer
         self._worker_pool = worker_pool
-        workers = (
-            max_workers
-            if max_workers is not None
-            else min(len(router), os.cpu_count() or 1)
-        )
         self._pool: ThreadPoolExecutor | None = (
             ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="yask-shard"
+                max_workers=max_workers, thread_name_prefix="yask-shard"
             )
-            if workers > 1 and worker_pool is None
+            if max_workers is not None
+            and max_workers > 1
+            and worker_pool is None
             else None
         )
-        # The scan backend, ``scan(shards, query, k) -> pieces``, and
-        # whether it runs a wave's scans concurrently.
+        # The scan backend, ``scan(shards, query, k, floor) -> pieces``,
+        # and whether it runs a wave's scans concurrently.
         self._fans = worker_pool is not None or self._pool is not None
         self._scan = (
             self._scan_workers
@@ -146,31 +146,39 @@ class ShardedEngine:
     # ------------------------------------------------------------------
     @staticmethod
     def _scan_shard(
-        shard: Shard, query: SpatialKeywordQuery, k: int
+        shard: Shard,
+        query: SpatialKeywordQuery,
+        k: int,
+        floor: float | None = None,
     ) -> list[tuple[float, int]]:
-        """The shard's best ``k`` candidates as ``(−score, oid)`` pairs.
+        """The shard's best ``k`` candidates scoring at least ``floor``,
+        as ``(−score, oid)`` pairs.
 
         ``(−score, oid)`` ascending is exactly the oracle's
         ``(score desc, oid asc)`` order, so candidate lists from
         different shards merge with plain heap selection.
         """
-        return shard.kernel.scan_top_k(k, *shard.kernel._query_scalars(query))
+        kernel = shard.kernel
+        return kernel.scan_top_k(k, *kernel._query_scalars(query), floor)
 
-    def _scan_inline(self, shards, query, k):
-        return [self._scan_shard(shard, query, k) for shard in shards]
+    def _scan_inline(self, shards, query, k, floor):
+        return [self._scan_shard(shard, query, k, floor) for shard in shards]
 
-    def _scan_threads(self, shards, query, k):
+    def _scan_threads(self, shards, query, k, floor):
         if len(shards) == 1:  # nothing to fan: stay on the calling thread
-            return self._scan_inline(shards, query, k)
+            return self._scan_inline(shards, query, k, floor)
         return self._pool.map(
-            lambda shard: self._scan_shard(shard, query, k), shards
+            lambda shard: self._scan_shard(shard, query, k, floor), shards
         )
 
-    def _scan_workers(self, shards, query, k):
+    def _scan_workers(self, shards, query, k, floor):
         """The worker processes run the same ``scan_top_k`` on query
         scalars the parent prepared against each shard's vocabulary."""
         return self._worker_pool.scan_many(
-            [(shard, k, shard.kernel._query_scalars(query)) for shard in shards]
+            [
+                (shard, k, shard.kernel._query_scalars(query), floor)
+                for shard in shards
+            ]
         ).values()
 
     def search(self, query: SpatialKeywordQuery) -> QueryResult:
@@ -211,12 +219,11 @@ class ShardedEngine:
         fans = self._fans and deadline is None
         while pending:
             take = len(pending) if fans and scanned else 1
+            # The running k-th score: what a later shard must reach.
+            floor = -best[k - 1][0] if len(best) == k else None
             wave = []
             for index in pending[:take]:
-                if (
-                    len(best) == k
-                    and bounds[index] < -best[k - 1][0] - _SKIP_MARGIN
-                ):
+                if floor is not None and bounds[index] < floor - SKIP_MARGIN:
                     skipped += 1
                     if deadline is not None:
                         deadline.note_answered()
@@ -235,7 +242,7 @@ class ShardedEngine:
                 for shard in wave:
                     faults.trip(f"shard.scan.{shard.shard_id}")
                 best = nsmallest(
-                    k, chain(best, *self._scan(wave, query, k))
+                    k, chain(best, *self._scan(wave, query, k, floor))
                 )
             except Exception as exc:
                 if deadline is None:

@@ -59,6 +59,30 @@ def test_parallel_scatter_matches_sequential(data, shards):
         parallel.close()
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=databases_with_queries(), shards=shard_counts, part=partitioners)
+def test_floor_cut_scans_merge_to_the_same_topk(data, shards, part):
+    """What the scatter hands down is sound at every shard.
+
+    A shard scan under the global k-th score as its inclusive floor is
+    the uncut scan minus the pairs below the floor, so ties at the
+    floor still reach the merge and compete on oid.
+    """
+    database, query = data
+    plain, sharded, router = make_pair(database, shards, part)
+    expected = plain.top_k(query)
+    floor = expected[-1].score
+    merged = []
+    for shard in router.shards:
+        uncut = ShardedEngine._scan_shard(shard, query, query.k)
+        cut = ShardedEngine._scan_shard(shard, query, query.k, floor)
+        assert cut == [pair for pair in uncut if -pair[0] >= floor]
+        merged.extend(cut)
+    assert [oid for _, oid in sorted(merged)[: query.k]] == [
+        entry.obj.oid for entry in expected
+    ]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=databases_with_queries(), shards=shard_counts, part=partitioners)
 def test_rank_primitives_match(data, shards, part):

@@ -80,6 +80,13 @@ class TestEngineFacade:
         with pytest.raises(ValueError, match="columnar kernel"):
             YaskEngine(hotels, text_model=cosine, shards=2)
 
+    def test_default_scatter_is_inline(self, hotels):
+        """``shard_workers=None`` scans inline; threads run when asked for."""
+        engine = YaskEngine(hotels, shards=2)
+        assert engine.topk_engine._pool is None
+        assert engine.topk_engine.worker_pool is None
+        engine.close()
+
     def test_close_releases_scatter_pool(self, hotels):
         engine = YaskEngine(hotels, shards=2, shard_workers=2)
         pool = engine.topk_engine._pool
