@@ -26,11 +26,7 @@
 #                      <=3x a pass over none) and E14
 #                      (durability: logged ingest >=0.7x unlogged,
 #                      snapshot recovery >=5x vs full-log rebuild)
-#                      and E15 (process workers: top-k parity with the
-#                      threaded scatter, shared segments freed, and
-#                      >=1.5x proc vs threads at 4 shards on hosts
-#                      with >=4 cores)
-#   make bench-json  — refresh BENCH_E9/…/E15.json at the repo root
+#   make bench-json  — refresh BENCH_E9/…/E14.json at the repo root
 #                      (machine-readable perf trajectory)
 #   make bench-e16-smoke — the end-to-end HTTP benchmark at smoke size
 #                      (2k objects, 1 s windows, ~20 s): a real server
@@ -52,13 +48,10 @@
 #   make test-lockdep — the concurrency suites with the runtime
 #                      lock-order sanitizer enabled (YASK_LOCKDEP=1):
 #                      hammer tests + the analysis test suite
-#   make test-procpool — the process-worker tier: the cross-process
-#                      parity property suite plus the kill -9 /
-#                      fault-plan / mutate-while-scanning chaos suite,
-#                      and the scan every tier runs at its deep budget
-#                      (indexed scan_top_k vs the full scan through
-#                      long mutation histories)
-#                      (its own CI job across interpreter versions)
+#   make test-scan   — the top-k scan at its deep budget: indexed
+#                      scan_top_k vs the full scan through long
+#                      mutation histories, and the sharded engine vs
+#                      the unsharded oracle (its own CI job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /
@@ -69,7 +62,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-chaos test-lockdep test-procpool bench-smoke bench-json bench-e16-smoke lint docs-check
+.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke bench-json bench-e16-smoke lint docs-check
 
 # Re-enables @pytest.mark.slow suites that pytest.ini's default
 # deselects; the dedicated tiers below must run them.
@@ -84,11 +77,11 @@ test-recovery:
 test-chaos:
 	$(PYTHON) -m pytest tests/chaos -q $(ALL_MARKS)
 
-test-procpool:
-	$(PYTHON) -m pytest tests/properties/test_prop_procpool.py tests/properties/test_prop_scan_index.py tests/chaos/test_procpool_chaos.py tests/service/test_socket_hygiene.py -q $(ALL_MARKS)
+test-scan:
+	$(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py -q $(ALL_MARKS)
 
 bench-smoke:
-	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py benchmarks/bench_e15_procpool.py -q $(ALL_MARKS)
+	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)
 
 bench-json:
 	$(PYTHON) benchmarks/bench_json.py

@@ -1,13 +1,12 @@
-"""Machine-readable benchmark snapshots: ``BENCH_E9/…/E15.json``.
+"""Machine-readable benchmark snapshots: ``BENCH_E9/…/E14.json``.
 
 ``make bench-json`` runs this script to refresh the JSON files at the
 repository root, so the perf trajectory of the serving tier (E9: query
 executor, E10: why-not executor), the compute tier (E11: columnar
 scoring kernel), the scatter tier (E12: spatial sharding), the
-live-mutation tier (E13: incremental ingest + scoped invalidation),
-the durability tier (E14: logged ingest + snapshot recovery) and the
-process-worker tier (E15: shared-memory shard workers vs the threaded
-scatter) is tracked across PRs in a diffable form.
+live-mutation tier (E13: incremental ingest + scoped invalidation) and
+the durability tier (E14: logged ingest + snapshot recovery) is tracked
+across PRs in a diffable form.
 
 The numbers here are in-process measurements sized to finish in tens of
 seconds; the assertion-bearing experiments (HTTP batch floors, kernel
@@ -584,63 +583,6 @@ def bench_e14() -> dict:
     }
 
 
-def bench_e15() -> dict:
-    """Process shard workers vs the threaded scatter at 4 shards.
-
-    The ``bench_e15_procpool.py`` shape: same corpus and workload as
-    E12, the threaded engine pinned to its parallel scatter shape, the
-    proc engine scanning through shared-memory worker processes.  The
-    1.5x floor is asserted by the pytest module only on >= 4 cores; the
-    snapshot records the measured ratio (and the core count) wherever
-    it runs, so single-core containers still produce a diffable number.
-    """
-    import os as _os
-
-    database = SyntheticDatasetBuilder(seed=2016).build(
-        20_000,
-        vocabulary_size=50,
-        doc_length=(4, 8),
-        spatial="clustered",
-        clusters=12,
-    )
-    threaded = YaskEngine(database, shards=4, shard_workers=4)
-    proc = YaskEngine(database, shards=4, shard_workers="proc")
-    queries = list(
-        QueryWorkload(
-            database, seed=7, k=10, keywords_per_query=(1, 2),
-            location_jitter=0.01,
-        ).queries(12)
-    )
-    try:
-        parity = all(
-            [tuple(e) for e in proc.query(query)]
-            == [tuple(e) for e in threaded.query(query)]
-            for query in queries
-        )
-        _, threaded_topk = time_call(
-            lambda: [threaded.query(query) for query in queries], repeat=5
-        )
-        _, proc_topk = time_call(
-            lambda: [proc.query(query) for query in queries], repeat=5
-        )
-        pool_stats = proc.worker_pool.to_dict()
-    finally:
-        proc.close()
-        threaded.close()
-    return {
-        "objects": 20_000,
-        "shards": 4,
-        "cpu_count": _os.cpu_count(),
-        "parity": parity,
-        "topk_threaded_ms": threaded_topk.best_ms,
-        "topk_proc_ms": proc_topk.best_ms,
-        "proc_speedup": threaded_topk.best / proc_topk.best,
-        "proc_floor_on_4_cores": 1.5,
-        "worker_scans": pool_stats["scans"],
-        "worker_restarts": pool_stats["restarts"],
-    }
-
-
 def main() -> int:
     engine = YaskEngine(hong_kong_hotels())
     snapshots = {
@@ -676,12 +618,6 @@ def main() -> int:
             "durability: logged ingest overhead + snapshot recovery vs "
             "full-log rebuild (20k synthetic)",
             bench_e14(),
-        ),
-        "BENCH_E15.json": _snapshot(
-            "E15",
-            "process shard workers over shared-memory columns vs the "
-            "threaded scatter (20k synthetic, 4 shards)",
-            bench_e15(),
         ),
     }
     for filename, snapshot in snapshots.items():

@@ -564,10 +564,7 @@ class ScoringKernel:
         self.compaction_threshold = compaction_threshold
         self.compactions = 0
         self.stats = KernelStats()
-        self._init_scan_index()
-
-    def _init_scan_index(self) -> None:
-        """No index yet: the first ``scan_top_k`` builds it."""
+        # No index yet: the first ``scan_top_k`` builds it.
         self._scan_index: ScanIndex | None = None
         self._scan_index_lock = concurrency.ordered_lock(
             "kernel.scan_index", concurrency.LEVEL_LEAF
@@ -663,12 +660,11 @@ class ScoringKernel:
     ) -> tuple[tuple[float, float, int, int, int], ...]:
         """Pre-encode objects as ``(x, y, mask, doc_len, oid)`` rows.
 
-        The one definition of the column-delta wire format: the kernel's
-        own :meth:`apply_mutations`, the mutation tier's
-        :class:`~repro.core.mutations.BatchSummary` row payload and the
-        process pool's delta broadcast all encode through here, so a row
-        means the same thing on every side of a thread or process
-        boundary.
+        The one definition of the column-delta row format: the kernel's
+        own :meth:`apply_mutations` and the mutation tier's
+        :class:`~repro.core.mutations.BatchSummary` row payload both
+        encode through here, so a row means the same thing to the
+        columns and to the answer-maintenance tier.
         """
         encode = vocabulary.encode
         return tuple(
@@ -688,15 +684,9 @@ class ScoringKernel:
 
         ``rows`` are ``(x, y, mask, doc_len, oid)`` tuples with masks in
         *this kernel's* bit space — exactly what
-        :meth:`apply_mutations` encodes, and exactly what the process
-        workers receive over the pipe (a worker holds no vocabulary, so
-        the primary encodes).  ``objects`` optionally supplies the
+        :meth:`apply_mutations` encodes.  ``objects`` supplies the
         row-aligned :class:`SpatialObject` instances for the
-        materialisation column; a worker passes nothing and keeps
-        ``None`` placeholders (it only ever serves ``(score, oid)``
-        candidates).  Running the identical cell writes on both sides
-        of the process boundary is what keeps a worker's columns
-        bit-for-bit equal to the primary's shard kernel.
+        materialisation column (``None`` placeholders without it).
 
         The scan index, when one has been built, follows in O(batch):
         a delete clears its ``alive`` bit, an insert joins its unsorted
@@ -777,117 +767,6 @@ class ScoringKernel:
             "compactions": self.compactions,
             "compaction_threshold": self.compaction_threshold,
         }
-
-    # ------------------------------------------------------------------
-    # Column transport (repro.service.procpool)
-    # ------------------------------------------------------------------
-    def export_columns(self) -> tuple[dict, bytes]:
-        """``(meta, blob)`` — the columns packed for shared memory.
-
-        The blob lays the numeric columns out back to back (``xs``,
-        ``ys`` as float64; ``lens``, ``oids`` as int64) followed by the
-        doc bitmasks as fixed-width little-endian rows, so an attached
-        process can :meth:`from_columns` the numeric columns as
-        zero-copy ``memoryview`` casts.  Requires a compacted kernel:
-        the scatter tiers keep shard kernels dense (``force_compact``),
-        and exporting tombstones would ship rows the attaching side
-        cannot re-tombstone by oid.
-        """
-        if self._dead_count:
-            raise ValueError(
-                "export_columns requires a compacted kernel "
-                f"({self._dead_count} tombstoned row(s) present)"
-            )
-        mask_bits = 1
-        for mask in self._masks:
-            bits = mask.bit_length()
-            if bits > mask_bits:
-                mask_bits = bits
-        mask_width = (mask_bits + 7) // 8
-        parts = [
-            self._xs.tobytes(),
-            self._ys.tobytes(),
-            self._lens.tobytes(),
-            self._oids.tobytes(),
-        ]
-        for mask in self._masks:
-            parts.append(mask.to_bytes(mask_width, "little"))
-        meta = {
-            "n": self._n,
-            "model_code": self.model_code,
-            "normaliser": self._normaliser,
-            "mask_width": mask_width,
-            "compaction_threshold": self.compaction_threshold,
-        }
-        return meta, b"".join(parts)
-
-    @classmethod
-    def from_columns(cls, meta: dict, buffer) -> "ScoringKernel":
-        """Attach a kernel to columns exported by :meth:`export_columns`.
-
-        The numeric columns are zero-copy ``memoryview`` casts into
-        ``buffer`` (typically a ``multiprocessing.shared_memory``
-        segment), so a forked worker pays nothing per row to come up;
-        the bitmask column is decoded once into Python ints (the
-        ``bit_count`` arithmetic needs them anyway).  The result has no
-        database, vocabulary or objects — it serves the scalar scan and
-        rank primitives plus :meth:`apply_raw` deltas, which is the
-        whole worker contract.  Call :meth:`thaw_columns` before the
-        first ``apply_raw``: appends cannot extend a fixed segment.
-        """
-        n = int(meta["n"])
-        mask_width = int(meta["mask_width"])
-        view = memoryview(buffer)
-        kernel = object.__new__(cls)
-        kernel._database = None
-        kernel._model = None
-        kernel.model_code = meta["model_code"]
-        kernel._n = n
-        offset = 0
-        kernel._xs = view[offset : offset + 8 * n].cast("d")
-        offset += 8 * n
-        kernel._ys = view[offset : offset + 8 * n].cast("d")
-        offset += 8 * n
-        kernel._lens = view[offset : offset + 8 * n].cast("q")
-        offset += 8 * n
-        kernel._oids = view[offset : offset + 8 * n].cast("q")
-        offset += 8 * n
-        masks: list[int] = []
-        for row in range(n):
-            start = offset + row * mask_width
-            masks.append(int.from_bytes(view[start : start + mask_width], "little"))
-        kernel._masks = masks
-        kernel._objects = [None] * n
-        kernel._alive = [True] * n
-        kernel._dead_count = 0
-        kernel._row_of = {oid: row for row, oid in enumerate(kernel._oids)}
-        kernel._oids_ascending = all(
-            kernel._oids[row] < kernel._oids[row + 1] for row in range(n - 1)
-        )
-        kernel._max_seen_oid = max(kernel._oids, default=0)
-        kernel._normaliser = meta["normaliser"]
-        kernel.compaction_threshold = meta["compaction_threshold"]
-        kernel.compactions = 0
-        kernel.stats = KernelStats()
-        kernel._init_scan_index()
-        return kernel
-
-    def thaw_columns(self) -> bool:
-        """Copy memoryview-backed columns into appendable local arrays.
-
-        A :meth:`from_columns` kernel reads straight out of the shared
-        segment until its first delta; mutation needs appendable
-        columns, so the worker thaws (copies) once, after which the
-        segment can be closed.  Returns whether anything was copied —
-        ``False`` means the columns were already local arrays.
-        """
-        if not isinstance(self._xs, memoryview):
-            return False
-        self._xs = array("d", self._xs)
-        self._ys = array("d", self._ys)
-        self._lens = array("q", self._lens)
-        self._oids = array("q", self._oids)
-        return True
 
     # ------------------------------------------------------------------
     # Whole-database passes
@@ -975,14 +854,10 @@ class ScoringKernel:
     ) -> list[float]:
         """The score column from pre-extracted query scalars.
 
-        The query-free core of :meth:`_score_list`: everything a scan
-        needs is six scalars, so a worker *process* holding only the
-        flat columns (no database, no vocabulary) runs the identical
-        pass on scalars prepared by the primary — the parent encodes
-        the query against this kernel's vocabulary and ships
-        ``(qx, qy, qmask, qlen, ws, wt)`` over the pipe.  One
-        implementation for both sides is what makes cross-process
-        parity bit-for-bit rather than merely close.
+        The query-free core of :meth:`_score_list`: everything a pass
+        needs is the six scalars of :meth:`_query_scalars`, the same
+        ones :meth:`scan_top_k` takes, which makes this pass the
+        reference the indexed scan is tested against.
         """
         self.stats.bump("score_passes")
         norm = self._normaliser
@@ -1045,11 +920,8 @@ class ScoringKernel:
         — only the rows that can still reach the running k-th score are
         scored — with the reference semantics
         ``nsmallest(k, zip(map(neg, scalar_scores(…)), oids))`` over the
-        live rows.  This is the one scan every scatter tier runs (the
-        inline and thread paths through
-        :meth:`ShardedEngine._scan_shard`, the process workers of
-        :mod:`repro.service.procpool`), so their candidates are
-        bit-identical by construction.
+        live rows.  This is the one scan the scatter runs, through
+        :meth:`ShardedEngine._scan_shard`.
 
         The index is built here, on first use, under a leaf lock.  A
         scan runs inside the engine's shared reader lock and a mutation

@@ -183,8 +183,7 @@ class BatchSummary:
     instances' cells — exactly what the pre-batch kernel held for them.
     Both are encoded under the engine's writer lock against the
     already-extended vocabulary, so maintenance never reads kernel
-    columns and is identical whether shards scatter over threads or
-    processes.  Empty when the engine runs no columnar kernel.
+    columns.  Empty when the engine runs no columnar kernel.
     """
 
     generation: int

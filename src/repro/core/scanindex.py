@@ -89,8 +89,7 @@ def score_delta_rows(
     query's scalars through it, and :class:`ScanIndex` scores its
     top-k candidates.  Deliberately a pure module-level function — no
     kernel instance, no stats bump, no lock — so it is safe to call
-    while holding a cache leaf lock and gives identical results whether
-    the engine scatters over threads or processes.
+    while holding a cache leaf lock.
     """
     hypot = math.hypot
     out: list[tuple[int, float, float, float]] = []
@@ -203,11 +202,8 @@ class ScanIndex:
         oids: Sequence[int],
         live_rows: Sequence[int],
     ) -> None:
-        """Index ``live_rows`` (kernel row numbers) of the given columns.
-
-        Copies what it needs: the columns may be ``memoryview`` casts
-        into a shared segment that must stay closable.
-        """
+        """Index ``live_rows`` (kernel row numbers) of the given columns,
+        copying what it needs into position order."""
         self._model_code = model_code
         self._normaliser = normaliser
         by_x = sorted(live_rows, key=xs.__getitem__)

@@ -31,13 +31,12 @@ This module provides
   them: :class:`~repro.core.kernel.DualView` indexes the global columns
   by TSim level, and two bisects per level beat any per-shard skip.
 
-Why pruning, not just parallelism
----------------------------------
+Why pruning, not parallelism
+----------------------------
 
-Scatter-gather over a thread pool gives wall-clock wins only with free
-cores (see :class:`repro.service.sharded.ShardedEngine`, which fans
-shards across a pool when they exist).  The floors of experiment E12
-instead come from *work elimination*: with spatially coherent shards, a
+:class:`repro.service.sharded.ShardedEngine` scans its shards inline,
+one after another; nothing here runs in parallel.  What shards buy is
+*work elimination*: with spatially coherent shards, a
 query's beaters concentrate in the shards near it, and a shard whose
 score upper bound falls below the current threshold contributes zero
 scanned rows.  A single-shard router degenerates to exactly the
@@ -248,6 +247,10 @@ class Shard:
     ``vocab_mask`` is the union of the shard's doc bitmasks in the
     *global* vocabulary's bit space, so query masks encoded once against
     the parent database can be intersected with every shard.
+
+    ``shard_id`` is the shard's index at partition time and survives
+    its neighbours being dropped: the fault sites ``shard.scan.<id>``
+    are named by it.
     """
 
     __slots__ = (
@@ -462,13 +465,6 @@ class ShardRouter:
         self._shard_of_row = shard_of
         self._local_of_row = local_of
         self.stats = ShardStats()
-        # Per-batch delta ledger for downstream listeners (the process
-        # worker pool replays these against its remote kernels).  Keyed
-        # by stable ``Shard.shard_id``, refreshed on every batch.
-        self.last_shard_deltas: dict[
-            int, tuple[tuple[int, ...], tuple[SpatialObject, ...]]
-        ] = {}
-        self.last_dropped: tuple[int, ...] = ()
 
     @staticmethod
     def _validate_partition(assignments: list[list[int]], n: int) -> None:
@@ -553,24 +549,15 @@ class ShardRouter:
             index = self._choose_shard(obj)
             per_shard_appended.setdefault(index, []).append(obj)
         survivors: list[Shard] = []
-        deltas: dict[int, tuple[tuple[int, ...], tuple[SpatialObject, ...]]] = {}
-        dropped: list[int] = []
         for index, shard in enumerate(self._shards):
             removed = per_shard_removed.get(index, [])
             appended = per_shard_appended.get(index, [])
             if len(removed) == len(shard) and not appended:
-                dropped.append(shard.shard_id)
                 continue  # emptied: drop the shard
             if removed or appended:
                 shard.apply_mutations(removed, appended, self._database)
-                deltas[shard.shard_id] = (
-                    tuple(obj.oid for obj in removed),
-                    tuple(appended),
-                )
             survivors.append(shard)
         self._shards = tuple(survivors)
-        self.last_shard_deltas = deltas
-        self.last_dropped = tuple(dropped)
         self._rebuild_row_maps()
 
     def _rebuild_row_maps(self) -> None:

@@ -36,7 +36,6 @@ from repro.whynot.engine import WhyNotAnswer, WhyNotEngine
 
 if TYPE_CHECKING:  # imported lazily: the executor fronts this module
     from repro.service.executor import WhyNotQuestion
-    from repro.service.procpool import ShardWorkerPool
     from repro.service.wal import WriteAheadLog
 from repro.whynot.explanation import WhyNotExplanation
 from repro.whynot.keyword import KeywordRefinement
@@ -139,17 +138,6 @@ class YaskEngine:
         ``"grid"`` (spatial quantile tiles, default), ``"round-robin"``
         (the spatially incoherent ablation) or a callable; anything but
         the default requires ``shards``.
-    shard_workers:
-        Scatter width for the sharded engine.  ``None`` (default) and
-        ``1`` scan the shards inline, one per wave, each scan handing
-        the next a tighter floor; a larger integer fans each wave over
-        that many threads (measured slower than inline on two cores:
-        ROADMAP item 3).  The string
-        ``"proc"`` selects the process worker tier instead
-        (:mod:`repro.service.procpool`): one long-lived worker process
-        per shard scanning shared-memory kernel columns, escaping the
-        GIL entirely.  Results are bit-for-bit identical on every
-        path.  Requires ``shards``.
     index_rebuild_slack:
         Live-mutation rebuild fallback sensitivity: after a mutation
         batch, any R-tree taller than its STR bulk-load ideal by more
@@ -184,7 +172,6 @@ class YaskEngine:
         max_entries: int = 32,
         shards: int | None = None,
         partitioner: str = "grid",
-        shard_workers: int | str | None = None,
         index_rebuild_slack: int = 1,
         wal: "WriteAheadLog | None" = None,
         base_generation: int = 0,
@@ -197,11 +184,11 @@ class YaskEngine:
                 "it can maintain under mutation; search other models with "
                 "BestFirstTopK over a library index such as IRTree"
             )
-        if shards is None and (shard_workers is not None or partitioner != "grid"):
+        if shards is None and partitioner != "grid":
             raise ValueError(
-                "shard_workers and partitioner configure the sharded "
-                "engine and would be ignored without shards; pass "
-                "shards=N (shards=1 keeps one shard) or drop them"
+                "partitioner configures the sharded engine and would be "
+                "ignored without shards; pass shards=N (shards=1 keeps "
+                "one shard) or drop it"
             )
         if index_rebuild_slack < 0:
             raise ValueError("index_rebuild_slack must be non-negative")
@@ -257,51 +244,26 @@ class YaskEngine:
         # Ends the why-not contexts of the generation a batch replaces.
         self._mutable.register_listener(self._whynot)
 
-        self._sharded_engine = None
         self._topk_engine: TopKEngine
         if self._shard_router is None:
             self._topk_engine = BestFirstTopK(self._set_rtree, self._scorer)
         else:
             from repro.service.sharded import ShardedEngine
 
-            worker_pool = None
-            max_workers = shard_workers
-            if isinstance(shard_workers, str):
-                if shard_workers != "proc":
-                    raise ValueError(
-                        f"unknown shard_workers mode {shard_workers!r}; "
-                        "expected an integer or 'proc'"
-                    )
-                from repro.service.procpool import ShardWorkerPool
-
-                worker_pool = ShardWorkerPool(self._shard_router)
-                max_workers = None
-            self._sharded_engine = ShardedEngine(
-                self._shard_router,
-                self._scorer,
-                max_workers=max_workers,
-                worker_pool=worker_pool,
-            )
-            self._topk_engine = self._sharded_engine
+            self._topk_engine = ShardedEngine(self._shard_router, self._scorer)
             # Listener order is delivery order: after the kernel, the
-            # router routes each batch to its shards, then the worker
-            # pool replays the router's per-shard deltas.
+            # router routes each batch to its shards.
             self._mutable.register_listener(self._shard_router)
-            if worker_pool is not None:
-                self._mutable.register_listener(worker_pool)
         self._wal: "WriteAheadLog | None" = None
         if wal is not None:
             self.attach_wal(wal)
 
     def close(self) -> None:
-        """Release the scatter pool and flush any attached log (idempotent).
+        """Flush and close any attached log (idempotent).
 
-        Unsharded engines hold no threads and need no teardown; the
-        HTTP server and the CLI batch paths call this alongside the
-        executor pools' shutdown.
+        The engine itself holds no threads; the HTTP server and the CLI
+        batch paths call this alongside the executor pools' shutdown.
         """
-        if self._sharded_engine is not None:
-            self._sharded_engine.close()
         if self._wal is not None:
             self._wal.close()
 
@@ -331,8 +293,7 @@ class YaskEngine:
 
         The global kernel's counters, with the shard kernels' top-k
         scan counters added in: a sharded engine's scans run on its
-        shards' kernels (and, under ``shard_workers="proc"``, in the
-        worker processes, which only ``procpool.scans`` counts).
+        shards' kernels, and every one of them is counted here.
         """
         stats = self._kernel.stats.to_dict()
         if self._shard_router is not None:
@@ -351,17 +312,6 @@ class YaskEngine:
         ``GET /api/stats`` as the ``shards`` section.
         """
         return self._shard_router
-
-    @property
-    def worker_pool(self) -> "ShardWorkerPool | None":
-        """The process worker pool (None unless ``shard_workers="proc"``).
-
-        Its :meth:`~repro.service.procpool.ShardWorkerPool.to_dict`
-        surfaces through ``GET /api/stats`` as the ``procpool`` section.
-        """
-        if self._sharded_engine is None:
-            return None
-        return self._sharded_engine.worker_pool
 
     @property
     def default_weights(self) -> Weights:

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_shard_args(command: argparse.ArgumentParser) -> None:
         command.add_argument(
             "--shards",
-            type=int,
+            type=_shard_count_arg,
             default=None,
             help=(
                 "partition the database into N spatial shards "
@@ -93,19 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
             choices=("grid", "round-robin"),
             default="grid",
             help="shard partition strategy (round-robin is the ablation)",
-        )
-        command.add_argument(
-            "--shard-workers",
-            type=_shard_workers_arg,
-            default=None,
-            metavar="N|proc",
-            help=(
-                "scatter width for the sharded engine: an integer "
-                "thread-pool width, or 'proc' for one worker process "
-                "per shard over shared-memory kernel columns "
-                "(escapes the GIL; default: shards are scanned inline, "
-                "each scan tightening the next one's threshold)"
-            ),
         )
 
     def add_wal_args(command: argparse.ArgumentParser) -> None:
@@ -366,35 +353,27 @@ def _parse_missing(raw: str) -> list[int | str]:
     return refs
 
 
-def _shard_workers_arg(value: str) -> "int | str":
-    """``--shard-workers`` values: a positive integer or ``proc``."""
-    if value == "proc":
-        return "proc"
+def _shard_count_arg(value: str) -> int:
+    """``--shards`` values: a positive integer."""
     try:
-        workers = int(value)
+        shards = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected an integer or 'proc', got {value!r}"
+            f"expected an integer, got {value!r}"
         ) from None
-    if workers < 1:
-        raise argparse.ArgumentTypeError("worker count must be at least 1")
-    return workers
+    if shards < 1:
+        raise argparse.ArgumentTypeError("shard count must be at least 1")
+    return shards
 
 
 def _engine_options(args: argparse.Namespace) -> dict:
     """The engine keywords of the ``add_shard_args`` flags, spelled once."""
-    if args.shards is None and (
-        args.shard_workers is not None or args.partitioner != "grid"
-    ):
+    if args.shards is None and args.partitioner != "grid":
         raise SystemExit(
-            "--shard-workers and --partitioner configure the sharded "
-            "engine; add --shards N (or drop them)"
+            "--partitioner configures the sharded engine; "
+            "add --shards N (or drop it)"
         )
-    return {
-        "shards": args.shards,
-        "partitioner": args.partitioner,
-        "shard_workers": args.shard_workers,
-    }
+    return {"shards": args.shards, "partitioner": args.partitioner}
 
 
 def _make_engine(args: argparse.Namespace) -> YaskEngine:

@@ -95,7 +95,6 @@ from repro.service.protocol import (
     whynot_value_to_dict,
 )
 from repro.service.protocol import min_generation_from_dict
-from repro.service.procpool import WorkerCrashedError
 from repro.service.resilience import (
     CLOSED,
     CircuitBreaker,
@@ -544,7 +543,6 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             elif parsed.path == "/api/stats":
                 engine = self.server.engine
                 router = engine.shard_router
-                worker_pool = engine.worker_pool
                 # Both executor snapshots come from one cache
                 # generation: a stats read racing invalidate() must
                 # never show the top-k side invalidated and the linked
@@ -591,13 +589,6 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                         # requests_served / connections_accepted is the
                         # keep-alive reuse factor.
                         "transport": self.server.connections.to_dict(),
-                        # Process worker tier (None unless the engine
-                        # runs shard_workers="proc"): worker count,
-                        # start method, scan/delta/restart tallies and
-                        # per-shard generations.
-                        "procpool": (
-                            worker_pool.to_dict() if worker_pool is not None else None
-                        ),
                     },
                 )
             else:
@@ -655,16 +646,6 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
             )
         except ProtocolError as exc:
             self._send_json(400, {"error": str(exc)})
-        except WorkerCrashedError as exc:
-            # A shard worker process died mid-scan.  The pool has
-            # already restarted it from the shard's current columns, so
-            # the failure is transient by construction: a structured
-            # 503 with Retry-After, and the retried query is exact.
-            self._send_json(
-                503,
-                {"error": str(exc), "worker_crashed": True},
-                retry_after=1.0,
-            )
         except (FollowerLagError, WalWriteError) as exc:
             # Durability failures are 503s: the write was NOT applied
             # (WalWriteError) or the replica is healthy but behind the

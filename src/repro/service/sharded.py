@@ -24,15 +24,12 @@ The gather is *bound-ordered and threshold-adaptive*:
    **skipped entirely** — it provably cannot place an object in the
    result, even by tie-break, which requires score equality.
 
-One loop issues the scans in *waves* against whichever scan backend
-is configured.  Inline scans (the default) go one shard per wave, so
-every scan tightens the floor for the next: with sub-millisecond
-indexed scans that work elimination beats handing the same scans to a
-thread pool (measured: ROADMAP item 3).  A thread pool or a process
-worker pool, when asked for, instead scans the best-bound shard first
-to establish the threshold and then fans every survivor out in one
-wave; the prune test and the merge are the same code either way, and
-every configuration is parity-tested.
+The shards are scanned *inline*, one after another on the calling
+thread, and that is the design, not a fallback: every scan tightens
+the floor for the next one, which no fan-out can, and an indexed scan
+is sub-millisecond, about what handing it to another thread or
+process costs (measured: docs/BENCHMARKS.md, "Default scatter width"
+and "Inline vs one worker process per shard").
 
 Bit-for-bit parity with the unsharded oracle — same entries, same
 scores/components, same tie order — is asserted by
@@ -42,7 +39,6 @@ scores/components, same tie order — is asserted by
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from heapq import nsmallest
 from itertools import chain
 from typing import Sequence
@@ -67,54 +63,13 @@ class ShardedEngine:
         The engine's scorer — used to materialise the winning entries'
         score decompositions (identical floats to the scan, per the
         kernel parity contract).
-    max_workers:
-        Scatter pool width.  ``None`` (default) and ``1`` select the
-        inline, threshold-adaptive gather; a larger integer fans each
-        wave over that many threads.  Results are identical either way
-        — only the wall-clock/pruning trade-off differs.
-    worker_pool:
-        A :class:`~repro.service.procpool.ShardWorkerPool`.  When set,
-        shard scans dispatch to its worker *processes* instead of the
-        thread pool — same scatter shape (best-bound first, prune,
-        fan survivors), same results bit for bit, but the kernel loops
-        run outside the parent's GIL.  The thread path stays available
-        as the parity oracle.
     """
 
-    def __init__(
-        self,
-        router: ShardRouter,
-        scorer: Scorer,
-        *,
-        max_workers: int | None = None,
-        worker_pool=None,
-    ) -> None:
+    def __init__(self, router: ShardRouter, scorer: Scorer) -> None:
         if scorer.database is not router.database:
             raise ValueError("router and scorer must share the same database")
-        if max_workers is not None and max_workers < 1:
-            raise ValueError("max_workers must be at least 1")
         self._router = router
         self._scorer = scorer
-        self._worker_pool = worker_pool
-        self._pool: ThreadPoolExecutor | None = (
-            ThreadPoolExecutor(
-                max_workers=max_workers, thread_name_prefix="yask-shard"
-            )
-            if max_workers is not None
-            and max_workers > 1
-            and worker_pool is None
-            else None
-        )
-        # The scan backend, ``scan(shards, query, k, floor) -> pieces``,
-        # and whether it runs a wave's scans concurrently.
-        self._fans = worker_pool is not None or self._pool is not None
-        self._scan = (
-            self._scan_workers
-            if worker_pool is not None
-            else self._scan_threads
-            if self._pool is not None
-            else self._scan_inline
-        )
 
     @property
     def router(self) -> ShardRouter:
@@ -128,18 +83,6 @@ class ShardedEngine:
     def stats(self):
         """The router's :class:`~repro.core.sharding.ShardStats`."""
         return self._router.stats
-
-    @property
-    def worker_pool(self):
-        """The process worker pool, or ``None`` on the thread path."""
-        return self._worker_pool
-
-    def close(self) -> None:
-        """Shut down the scatter pools (idempotent; the shards survive)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
-        if self._worker_pool is not None:
-            self._worker_pool.close()
 
     # ------------------------------------------------------------------
     # Search
@@ -161,34 +104,13 @@ class ShardedEngine:
         kernel = shard.kernel
         return kernel.scan_top_k(k, *kernel._query_scalars(query), floor)
 
-    def _scan_inline(self, shards, query, k, floor):
-        return [self._scan_shard(shard, query, k, floor) for shard in shards]
-
-    def _scan_threads(self, shards, query, k, floor):
-        if len(shards) == 1:  # nothing to fan: stay on the calling thread
-            return self._scan_inline(shards, query, k, floor)
-        return self._pool.map(
-            lambda shard: self._scan_shard(shard, query, k, floor), shards
-        )
-
-    def _scan_workers(self, shards, query, k, floor):
-        """The worker processes run the same ``scan_top_k`` on query
-        scalars the parent prepared against each shard's vocabulary."""
-        return self._worker_pool.scan_many(
-            [
-                (shard, k, shard.kernel._query_scalars(query), floor)
-                for shard in shards
-            ]
-        ).values()
-
     def search(self, query: SpatialKeywordQuery) -> QueryResult:
         """Exact top-k by scatter-gather with shard-bound skipping.
 
-        Shards go out in *waves*, in descending bound order.  A wave is
-        one shard when scans run inline or a deadline is in scope (each
-        scan tightens the threshold for the next); otherwise the
-        best-bound shard alone sets the threshold and every survivor of
-        the prune goes out at once.
+        One loop over the shards in descending bound order: scan, merge,
+        raise the floor.  Bounds descend and the floor only rises, so
+        the first shard the floor prunes ends the loop — every later
+        one is pruned with it.
 
         Under an absorbing deadline scope
         (:func:`repro.faults.deadline_scope`) the gather degrades
@@ -197,7 +119,8 @@ class ShardedEngine:
         :class:`~repro.faults.Deadline` ledger so the serving tier can
         attach an honest ``degraded`` envelope to the partial result.
         Bound-pruned shards provably cannot contribute and count as
-        answered — pruning is exactness, not degradation.
+        answered, before the deadline or after it — pruning is
+        exactness, not degradation.
         """
         router = self._router
         stats = router.stats
@@ -207,52 +130,42 @@ class ShardedEngine:
 
         bounds = router.score_upper_bounds(query)
         shards = router.shards
-        pending = sorted(
-            range(len(router)), key=bounds.__getitem__, reverse=True
-        )
+        order = sorted(range(len(shards)), key=bounds.__getitem__, reverse=True)
         best: list[tuple[float, int]] = []
+        # The running k-th score: what a later shard must reach.
+        floor: float | None = None
         scanned = 0
         skipped = 0
 
         scope = faults.current_scope()
         deadline = scope[0] if scope is not None and not scope[1] else None
-        fans = self._fans and deadline is None
-        while pending:
-            take = len(pending) if fans and scanned else 1
-            # The running k-th score: what a later shard must reach.
-            floor = -best[k - 1][0] if len(best) == k else None
-            wave = []
-            for index in pending[:take]:
-                if floor is not None and bounds[index] < floor - SKIP_MARGIN:
-                    skipped += 1
-                    if deadline is not None:
-                        deadline.note_answered()
-                else:
-                    wave.append(shards[index])
-            del pending[:take]
-            if not wave:
-                continue
-            if deadline is not None and deadline.expired():
-                deadline.note_skipped(len(wave) + len(pending), "deadline")
+        for position, index in enumerate(order):
+            if floor is not None and bounds[index] < floor - SKIP_MARGIN:
+                skipped = len(order) - position
+                if deadline is not None:
+                    deadline.note_answered(skipped)
                 break
+            if deadline is not None and deadline.expired():
+                # Could still have contributed; keep walking so the
+                # pruned tail is told apart from it.
+                deadline.note_skipped(1, "deadline")
+                continue
+            shard = shards[index]
             try:
-                # The fault sites trip in the *parent*, in visit order,
-                # whichever tier scans: seeded plans and deadline
-                # bookkeeping are process-transparent.
-                for shard in wave:
-                    faults.trip(f"shard.scan.{shard.shard_id}")
+                faults.trip(f"shard.scan.{shard.shard_id}")
                 best = nsmallest(
-                    k, chain(best, *self._scan(wave, query, k, floor))
+                    k, chain(best, self._scan_shard(shard, query, k, floor))
                 )
             except Exception as exc:
                 if deadline is None:
                     raise
-                # Under a deadline a wave is exactly one shard.
-                deadline.note_failed(f"shard {wave[0].shard_id}: {exc}")
+                deadline.note_failed(f"shard {shard.shard_id}: {exc}")
                 continue
-            scanned += len(wave)
+            scanned += 1
             if deadline is not None:
-                deadline.note_answered(len(wave))
+                deadline.note_answered()
+            if len(best) == k:
+                floor = -best[k - 1][0]
 
         scatter_done = time.perf_counter()
         entries = self._materialise(query, best)

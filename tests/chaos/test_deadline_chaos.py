@@ -101,6 +101,53 @@ class TestPartialTopK:
         assert "degraded" not in hit
         assert hit["result"] == warm["result"]
 
+    def test_pruned_shards_count_as_answered_after_expiry(self, chaos_engine):
+        """Regression: on expiry every shard left was booked as skipped,
+        the ones the floor had already pruned included."""
+        plan = FaultPlan(seed=6).delay("shard.scan.*", 50.0, times=1)
+        with faults.armed(plan):
+            # No skyband: the engine is asked for exactly k, so the
+            # first shard's three candidates already set a floor.
+            with running_server(chaos_engine, cache_skyband=0) as server:
+                client = YaskClient(server.endpoint, retries=0)
+                body = client.query(
+                    0.06, 0.5, ["food", "cafe"], 3, timeout_ms=10.0
+                )
+                tally = chaos_engine.shard_router.stats.to_dict()
+                exact = client.query(0.06, 0.5, ["food", "cafe"], 3)
+        # The first scan outlives the budget.  Of the three shards left
+        # one could still place an object and two the floor prunes,
+        # which is exactness: only the first is degradation.
+        envelope = body["degraded"]
+        assert envelope["shards_answered"] == 3
+        assert envelope["shards_skipped"] == 1
+        assert envelope["reason"] == "deadline"
+        assert (tally["topk_shards_scanned"], tally["topk_shards_skipped"]) == (1, 2)
+        # ... and the exact gather does scan that one, and no other.
+        assert "degraded" not in exact
+        tally = chaos_engine.shard_router.stats.to_dict()
+        assert (tally["topk_shards_scanned"], tally["topk_shards_skipped"]) == (3, 4)
+
+    def test_failing_shard_is_absorbed_under_a_deadline(self, chaos_engine):
+        """An absorbing deadline books a shard whose scan raises as
+        failed, answers from the rest, and the next query is exact."""
+        plan = FaultPlan(seed=7).fail("shard.scan.*", times=1)
+        with faults.armed(plan):
+            with running_server(chaos_engine) as server:
+                client = YaskClient(server.endpoint, retries=0)
+                body = client.query(
+                    0.5, 0.5, ["food"], 20, timeout_ms=100000.0
+                )
+                exact = client.query(
+                    0.5, 0.5, ["food"], 20, timeout_ms=100000.0
+                )
+        envelope = body["degraded"]
+        assert envelope["shards_answered"] == SHARDS - 1
+        assert envelope["shards_skipped"] == 1
+        assert "shard" in envelope["reason"]
+        assert "degraded" not in exact
+        assert len(exact["result"]["entries"]) == 20
+
 
 class TestStrictWhyNot:
     def test_whynot_degrades_honestly_not_wrongly(self, chaos_engine):

@@ -77,8 +77,8 @@ class TestFacadeOptionsArePinned:
 
     ENGINE_OPTIONS = (
         "text_model", "default_weights", "max_entries", "shards",
-        "partitioner", "shard_workers", "index_rebuild_slack", "wal",
-        "base_generation", "batch_tokens",
+        "partitioner", "index_rebuild_slack", "wal", "base_generation",
+        "batch_tokens",
     )
     WHYNOT_OPTIONS = ("set_rtree", "kcr_tree")
 

@@ -340,25 +340,3 @@ def test_tombstoned_kernel_never_emits_the_dead_sentinel():
     assert sorted(oid for _, oid in kernel.scan_top_k(8, *scalars)) == list(
         range(2, 8)
     )
-
-
-def test_index_holds_no_reference_to_its_kernel():
-    """A worker closes its shared segment after ``del kernel``: nothing
-    the index keeps may be a view into the kernel's columns."""
-    import gc
-
-    objects = [
-        SpatialObject(oid, Point(oid / 8.0, 0.5), frozenset(ALPHABET[:2]))
-        for oid in range(8)
-    ]
-    source = build(objects, JaccardSimilarity())
-    meta, blob = source.export_columns()
-    buffer = bytearray(blob)
-    kernel = ScoringKernel.from_columns(meta, buffer)
-    scalars = (0.5, 0.5, 1, 1, 0.5, 0.5)
-    assert kernel.scan_top_k(3, *scalars) == source.scan_top_k(3, *scalars)
-    index = kernel._scan_index
-    del kernel
-    gc.collect()
-    buffer.extend(b"x")  # BufferError while any memoryview export lives
-    assert index.scan(3, *scalars, None)[0] == source.scan_top_k(3, *scalars)

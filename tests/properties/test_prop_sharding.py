@@ -38,25 +38,10 @@ def make_pair(database, shards, partitioner):
 def test_scatter_gather_topk_matches_oracle(data, shards, part):
     database, query = data
     plain, sharded, router = make_pair(database, shards, part)
-    engine = ShardedEngine(router, sharded, max_workers=1)
+    engine = ShardedEngine(router, sharded)
     expected = plain.top_k(query)
     actual = engine.search(query)
     assert [tuple(e) for e in actual] == [tuple(e) for e in expected]
-
-
-@settings(max_examples=25, deadline=None)
-@given(data=databases_with_queries(), shards=shard_counts)
-def test_parallel_scatter_matches_sequential(data, shards):
-    database, query = data
-    plain, sharded, router = make_pair(database, shards, "grid")
-    sequential = ShardedEngine(router, sharded, max_workers=1)
-    parallel = ShardedEngine(router, sharded, max_workers=3)
-    try:
-        assert [tuple(e) for e in parallel.search(query)] == [
-            tuple(e) for e in sequential.search(query)
-        ]
-    finally:
-        parallel.close()
 
 
 @settings(max_examples=40, deadline=None)

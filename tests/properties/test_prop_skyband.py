@@ -6,9 +6,9 @@ patched — and every why-not answer it repaired — must be *bit-for-bit*
 the answer a cold rescan of the post-mutation engine produces: same
 objects, same score/sdist/tsim floats, same tie order, same ranks,
 counts and viable-weight intervals.  Across skyband widths Δ (including
-Δ=0), across the unsharded kernel engine, the sharded thread scatter and
-the process worker pool — maintenance arithmetic never sees engine
-internals, so the scatter shape must be undetectable.
+Δ=0), across the unsharded kernel engine and the sharded one —
+maintenance arithmetic never sees engine internals, so the scatter
+must be undetectable.
 
 The slow hammer at the bottom adds the concurrency half: readers racing
 a mutator must only ever observe *some* generation's exact answer —
@@ -172,30 +172,12 @@ def test_maintained_answers_match_cold_rescan_unsharded(scenario, data):
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @given(scenario=skyband_scenarios(), data=st.data())
-def test_maintained_answers_match_cold_rescan_sharded_threads(scenario, data):
+def test_maintained_answers_match_cold_rescan_sharded(scenario, data):
     database, query_set, delta = scenario
     engine = YaskEngine(
         SpatialDatabase(database.objects, dataspace=database.dataspace),
         max_entries=4,
         shards=3,
-        shard_workers=2,
-    )
-    run_maintenance_history(engine, query_set, delta, data)
-
-
-@settings(
-    max_examples=5,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
-)
-@given(scenario=skyband_scenarios(), data=st.data())
-def test_maintained_answers_match_cold_rescan_proc_workers(scenario, data):
-    database, query_set, delta = scenario
-    engine = YaskEngine(
-        SpatialDatabase(database.objects, dataspace=database.dataspace),
-        max_entries=4,
-        shards=2,
-        shard_workers="proc",
     )
     run_maintenance_history(engine, query_set, delta, data)
 

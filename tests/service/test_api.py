@@ -78,15 +78,17 @@ class TestEngineVariants:
             YaskEngine(small_db, text_model=WeightedJaccardSimilarity({}))
 
     @pytest.mark.parametrize(
-        "options",
+        "options, error, match",
         [
-            {"shard_workers": 2},
-            {"shard_workers": "proc"},
-            {"partitioner": "round-robin"},
+            ({"partitioner": "round-robin"}, ValueError, "without shards"),
+            # The deleted scan backends' option is refused, not ignored.
+            ({"shards": 2, "shard_workers": 2}, TypeError, "shard_workers"),
         ],
     )
-    def test_shard_options_without_shards_refused(self, small_db, options):
-        with pytest.raises(ValueError, match="without shards"):
+    def test_shard_options_without_shards_refused(
+        self, small_db, options, error, match
+    ):
+        with pytest.raises(error, match=match):
             YaskEngine(small_db, **options)
 
     def test_dice_model_has_the_one_shape(self, small_db):

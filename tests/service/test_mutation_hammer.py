@@ -36,11 +36,12 @@ pytestmark = pytest.mark.slow
 DURATION_S = 1.2
 
 
-def test_mutation_query_hammer():
+@pytest.mark.parametrize("shards", [None, 4], ids=["unsharded", "sharded"])
+def test_mutation_query_hammer(shards):
     database = SyntheticDatasetBuilder(seed=77).build(
         150, vocabulary_size=24, doc_length=(2, 5)
     )
-    engine = YaskEngine(database, max_entries=8)
+    engine = YaskEngine(database, max_entries=8, shards=shards)
     topk = QueryExecutor(engine, cache_capacity=64, max_workers=4)
     whynot = WhyNotExecutor(engine, topk, cache_capacity=32, max_workers=4)
 

@@ -6,6 +6,7 @@ questions (scatter counters stand in for ``SearchStats``), the
 ``GET /api/stats`` ``shards`` section and the CLI ``--shards`` flag.
 """
 
+import inspect
 import json
 
 import pytest
@@ -17,6 +18,7 @@ from repro.service.cli import main
 from repro.service.client import YaskClient
 from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
 from repro.service.server import YaskHTTPServer
+from repro.service.sharded import ShardedEngine
 from repro.text.similarity import CosineTfIdfSimilarity
 
 
@@ -80,21 +82,14 @@ class TestEngineFacade:
         with pytest.raises(ValueError, match="columnar kernel"):
             YaskEngine(hotels, text_model=cosine, shards=2)
 
-    def test_default_scatter_is_inline(self, hotels):
-        """``shard_workers=None`` scans inline; threads run when asked for."""
+    def test_scatter_has_no_options(self, hotels):
+        """One scan backend: nothing to select and nothing to shut down."""
+        assert list(inspect.signature(ShardedEngine).parameters) == [
+            "router", "scorer",
+        ]
         engine = YaskEngine(hotels, shards=2)
-        assert engine.topk_engine._pool is None
-        assert engine.topk_engine.worker_pool is None
-        engine.close()
-
-    def test_close_releases_scatter_pool(self, hotels):
-        engine = YaskEngine(hotels, shards=2, shard_workers=2)
-        pool = engine.topk_engine._pool
-        assert pool is not None
         engine.close()
         engine.close()  # idempotent
-        assert pool._shutdown
-        # Unsharded engines close as a no-op.
         YaskEngine(hotels).close()
 
     def test_round_robin_partitioner(self, hotels, plain_hotels_engine):
@@ -173,10 +168,28 @@ class TestStatsEndpoint:
             client = YaskClient(server.endpoint)
             stats = client._call("GET", "/api/stats")
             assert stats["shards"] is None
-            assert stats["procpool"] is None
+
+
+#: One subcommand of each kind that takes the shard flags.
+SHARD_COMMANDS = pytest.mark.parametrize(
+    "command",
+    [
+        ["serve", "--port", "0"],
+        ["follow", "--wal-dir", "unused", "--port", "0"],
+        ["query", "--x", "0", "--y", "0", "--keywords", "coffee"],
+    ],
+    ids=["serve", "follow", "query"],
+)
 
 
 class TestCli:
+    @pytest.fixture()
+    def never_serves(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.service.cli.serve_forever",
+            lambda *args, **kwargs: pytest.fail("served a refused configuration"),
+        )
+
     def test_shards_flag_parity(self, capsys):
         argv = [
             "query", "--dataset", "coffee", "--x", "114.158", "--y", "22.282",
@@ -196,30 +209,34 @@ class TestCli:
                  "--partitioner", "hash"]
             )
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["serve", "--port", "0"],
-            ["follow", "--wal-dir", "unused", "--port", "0"],
-            ["query", "--x", "0", "--y", "0", "--keywords", "coffee"],
-        ],
-        ids=["serve", "follow", "query"],
-    )
+    @SHARD_COMMANDS
     @pytest.mark.parametrize(
         "flags",
-        [["--shard-workers", "proc"], ["--partitioner", "round-robin"]],
-        ids=["shard-workers", "partitioner"],
+        [
+            ["--shards", "0"],
+            ["--shards", "-3"],
+            ["--shards", "x"],
+            # The deleted scan backends' flag is refused, not ignored.
+            ["--shards", "2", "--shard-workers", "proc"],
+        ],
+        ids=["zero", "negative", "not-a-number", "shard-workers"],
     )
-    def test_shard_flags_without_shards_exit_non_zero(
-        self, command, flags, monkeypatch
+    def test_bad_shard_flags_are_usage_errors(
+        self, command, flags, never_serves, capsys
     ):
-        """Regression: these quietly ran unsharded (``yask serve
-        --shard-workers proc`` served without a single worker process)."""
-        monkeypatch.setattr(
-            "repro.service.cli.serve_forever",
-            lambda *args, **kwargs: pytest.fail("served an unsharded engine"),
-        )
+        """Regression: ``--shards 0`` was a ``ValueError`` traceback out
+        of ``core/sharding.py``."""
         with pytest.raises(SystemExit) as excinfo:
             main(command + ["--dataset", "coffee"] + flags)
+        assert excinfo.value.code == 2
+        assert "usage: yask" in capsys.readouterr().err
+
+    @SHARD_COMMANDS
+    def test_partitioner_without_shards_exits_non_zero(
+        self, command, never_serves
+    ):
+        """Regression: this quietly ran unsharded."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(command + ["--dataset", "coffee", "--partitioner", "round-robin"])
         assert excinfo.value.code not in (0, None)
         assert "--shards" in str(excinfo.value.code)
