@@ -21,6 +21,12 @@ Acceptance floors at 20k objects:
   top-k cache, same batches) — repairing a why-not answer reads the
   batch's delta rows, never the engine.  A ratio, so it holds on any
   host.
+* **Removals cost O(batch) on the sharded engine**: at 4 shards, the
+  median batch of 6 inserts + 1 update + 1 delete costs at most
+  **2.5x** the median insert-only batch of the same stream — kernels
+  tombstone, summaries are recomputed only when a boundary holder
+  leaves, row maps are patched — with bit-for-bit a fresh engine's
+  answers afterwards.  Also a ratio.
 
 Workload notes (documented, deliberate):
 
@@ -44,6 +50,7 @@ Run with
 from __future__ import annotations
 
 import random
+import statistics
 import time
 
 import pytest
@@ -72,6 +79,15 @@ WRITE_RATE_SWEEP = (10, 30, 50)
 #: maintenance pass at most this many times a pass without them.
 MAINTAIN_PASS_RATIO_CEILING = 3.0
 EXPLAIN_ENTRIES = 64
+
+#: Acceptance ceiling (PR 20): on a 4-shard engine, E16's batch shape
+#: (6 inserts + 1 update + 1 delete of earlier inserts) against the
+#: same stream with its update and delete dropped.  Read 1.3-1.8x at
+#: PR 20 and 5.6x before it, when every removal compacted the kernels
+#: and rebuilt summaries and row maps.
+REMOVAL_BATCH_RATIO_CEILING = 2.5
+SHARDS = 4
+STREAM_BATCHES = 60
 
 OBJECTS = 20_000
 INGEST_FRACTION = 0.05
@@ -518,4 +534,93 @@ def test_e13_maintenance_pass_over_explain_answers_costs_o_batch(base_db):
     assert cost["maintain_pass_ratio"] <= MAINTAIN_PASS_RATIO_CEILING, (
         f"a pass over {EXPLAIN_ENTRIES} explain answers costs "
         f"{cost['maintain_pass_ratio']:.1f}x a pass over none"
+    )
+
+
+def _batch_stream(base_db):
+    """E16's ``mixed_rw`` batches: 6 inserts near existing objects plus
+    1 update and 1 delete of earlier inserts."""
+    rng = random.Random(16)
+    vocabulary = sorted(base_db.vocabulary())
+    objects = base_db.objects
+    live: list[int] = []
+    next_oid = 5_000_000
+
+    def near_existing(oid: int) -> SpatialObject:
+        anchor = objects[rng.randrange(len(objects))].loc
+        return SpatialObject(
+            oid,
+            Point(
+                min(max(anchor.x + rng.gauss(0.0, 0.005), 0.0), 1.0),
+                min(max(anchor.y + rng.gauss(0.0, 0.005), 0.0), 1.0),
+            ),
+            frozenset(rng.sample(vocabulary, 4)),
+        )
+
+    while True:
+        earlier = len(live)
+        batch = []
+        for _ in range(6):
+            batch.append(Mutation.insert(near_existing(next_oid)))
+            live.append(next_oid)
+            next_oid += 1
+        if earlier >= 2:
+            updated, deleted = rng.sample(range(earlier), 2)
+            batch.append(Mutation.update(near_existing(live[updated])))
+            batch.append(Mutation.delete(live.pop(deleted)))
+        yield batch
+
+
+def test_e13_sharded_batch_with_removals_costs_o_batch(base_db):
+    """Acceptance (PR 20): removals cost a sharded batch at most 2.5x."""
+
+    def median_batch(*, removals: bool) -> tuple[float, YaskEngine]:
+        engine = YaskEngine(
+            SpatialDatabase(base_db.objects, dataspace=base_db.dataspace),
+            shards=SHARDS,
+        )
+        stream = _batch_stream(base_db)
+        engine.apply_mutations(next(stream))  # the one batch with no removals
+        times = []
+        for _ in range(STREAM_BATCHES):
+            batch = next(stream)
+            if not removals:  # the same stream, update and delete dropped
+                batch = [m for m in batch if m.kind == "insert"]
+            started = time.perf_counter()
+            engine.apply_mutations(batch)
+            times.append(time.perf_counter() - started)
+        return statistics.median(times), engine
+
+    inserts_s, insert_engine = median_batch(removals=False)
+    insert_engine.close()
+    mixed_s, engine = median_batch(removals=True)
+    ratio = mixed_s / inserts_s
+
+    table = Table(
+        "batch", "median_ms",
+        title=f"E13: one batch on a {SHARDS}-shard {OBJECTS}-object engine",
+    )
+    table.add_row("6 inserts", inserts_s * 1000.0)
+    table.add_row("6 inserts + 1 update + 1 delete", mixed_s * 1000.0)
+    table.add_row(
+        f"ratio {ratio:.2f}x (ceiling {REMOVAL_BATCH_RATIO_CEILING}x)", ""
+    )
+    table.print()
+
+    assert engine.kernel.mutation_info()["tombstones"] == 2 * STREAM_BATCHES
+    fresh = YaskEngine(
+        SpatialDatabase(engine.database.objects, dataspace=base_db.dataspace),
+        shards=SHARDS,
+    )
+    for query in QueryWorkload(
+        base_db, seed=7, k=10, keywords_per_query=(1, 2), location_jitter=0.01
+    ).queries(8):
+        assert [tuple(entry) for entry in engine.query(query)] == [
+            tuple(entry) for entry in fresh.query(query)
+        ]
+    engine.close()
+    fresh.close()
+    assert ratio <= REMOVAL_BATCH_RATIO_CEILING, (
+        f"a batch with removals costs {ratio:.1f}x an insert-only one "
+        f"({mixed_s * 1000:.1f}ms vs {inserts_s * 1000:.1f}ms)"
     )

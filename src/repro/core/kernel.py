@@ -629,30 +629,19 @@ class ScoringKernel:
     # ------------------------------------------------------------------
     # Incremental maintenance (repro.core.mutations)
     # ------------------------------------------------------------------
-    def apply_mutations(
-        self,
-        change,
-        *,
-        force_compact: bool = False,
-    ) -> None:
+    def apply_mutations(self, change) -> None:
         """Tombstone removed rows, append new ones, maybe compact.
 
         ``change`` is an :class:`repro.core.mutations.AppliedBatch`
         (duck-typed: ``removed_oids`` + ``appended``).  Call *after* the
         owning database applied the same batch: the appended objects are
-        encoded against its (already extended) vocabulary.
-        ``force_compact`` compacts regardless of the threshold — the
-        sharded tiers keep their kernels dense so shard row maps stay
-        trivially aligned.
+        encoded against its (already extended) vocabulary.  Every kernel
+        — unsharded, a sharded engine's global one, each shard's — keeps
+        its tombstones until they pass its own ``compaction_threshold``.
         """
         appended: Sequence[SpatialObject] = change.appended
         rows = self.encode_rows(appended, self.vocabulary)
-        self.apply_raw(
-            change.removed_oids,
-            rows,
-            objects=appended,
-            force_compact=force_compact,
-        )
+        self.apply_raw(change.removed_oids, rows, objects=appended)
 
     @staticmethod
     def encode_rows(
@@ -678,7 +667,6 @@ class ScoringKernel:
         rows: Sequence[tuple[float, float, int, int, int]],
         *,
         objects: Sequence[SpatialObject] | None = None,
-        force_compact: bool = False,
     ) -> None:
         """Apply a pre-encoded column delta: tombstone, append, compact.
 
@@ -728,10 +716,7 @@ class ScoringKernel:
                 self._oids_ascending = False
         if scan_index is not None and scan_index.tail_overgrown:
             self._scan_index = None
-        if self._dead_count and (
-            force_compact
-            or self._dead_count > self.compaction_threshold * self._n
-        ):
+        if self._dead_count > self.compaction_threshold * self._n:
             self._compact()
 
     def _compact(self) -> None:

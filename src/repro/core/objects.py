@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.geometry import Point, Rect
@@ -302,52 +303,52 @@ class SpatialDatabase:
         (the updated object moves to the end).
         """
         previous = self._objects
-        if not removed_oids:
-            # Insert-only fast path (the live-ingest common case): C-speed
-            # tuple concatenation and pure dict additions — no rebuild of
-            # the id/name tables for the untouched survivors.
+        by_id = self._by_id
+        by_name = self._by_name
+        if removed_oids:
+            # One Python-level pass decides; both dense tuples are then
+            # filtered at C speed.
+            keep = [obj.oid not in removed_oids for obj in previous]
+            self._objects = tuple(compress(previous, keep)) + tuple(appended)
+            # Patch the id/name tables for the touched objects only.  A
+            # name passes to its next holder in object order, found by
+            # a rescan only when its registered holder is what left.
+            orphaned: set[str] = set()
+            for oid in removed_oids:
+                gone = by_id.pop(oid)
+                if gone.name is not None and by_name.get(gone.name) is gone:
+                    del by_name[gone.name]
+                    orphaned.add(gone.name)
+            if orphaned:
+                for obj in self._objects:
+                    if obj.name in orphaned:
+                        by_name[obj.name] = obj
+                        orphaned.discard(obj.name)
+                        if not orphaned:
+                            break
+        else:
+            # Insert-only (the live-ingest common case): C-speed tuple
+            # concatenation.
             self._objects = previous + tuple(appended)
-            for obj in appended:
-                self._by_id[obj.oid] = obj
-                if obj.name is not None and obj.name not in self._by_name:
-                    self._by_name[obj.name] = obj
-            if self._doc_masks is not None:
-                index = self._vocabulary_index.extended(
-                    obj.doc for obj in appended
-                )
-                self._vocabulary_index = index
-                encode = index.encode
-                self._doc_masks = self._doc_masks + tuple(
-                    encode(obj.doc) for obj in appended
-                )
-            return
-        kept = [obj for obj in previous if obj.oid not in removed_oids]
-        kept.extend(appended)
-        self._objects = tuple(kept)
-        self._by_id = {obj.oid: obj for obj in self._objects}
-        by_name: dict[str, SpatialObject] = {}
-        for obj in self._objects:
+        for obj in appended:
+            by_id[obj.oid] = obj
             if obj.name is not None and obj.name not in by_name:
                 by_name[obj.name] = obj
-        self._by_name = by_name
         if self._doc_masks is not None:
             # Incremental interning: existing masks keep their bit
             # positions (the vocabulary only ever appends), so only the
             # appended objects are encoded.  Old masks are aligned with
-            # the previous object order; filter with the predicate the
-            # object rebuild used.
+            # the previous object order and filtered like it.
             index = self._vocabulary_index.extended(
                 obj.doc for obj in appended
             )
             self._vocabulary_index = index
             encode = index.encode
-            self._doc_masks = tuple(
-                [
-                    mask
-                    for obj, mask in zip(previous, self._doc_masks)
-                    if obj.oid not in removed_oids
-                ]
-                + [encode(obj.doc) for obj in appended]
+            masks = self._doc_masks
+            if removed_oids:
+                masks = tuple(compress(masks, keep))
+            self._doc_masks = masks + tuple(
+                encode(obj.doc) for obj in appended
             )
 
     def keyword_document_frequencies(self) -> dict[str, int]:

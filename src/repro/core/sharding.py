@@ -67,6 +67,7 @@ counts.
 from __future__ import annotations
 
 import math
+from itertools import compress
 from typing import AbstractSet, Callable, Iterable, Sequence
 
 from dataclasses import dataclass
@@ -248,6 +249,11 @@ class Shard:
     *global* vocabulary's bit space, so query masks encoded once against
     the parent database can be intersected with every shard.
 
+    ``rows`` maps each *physical* row of the shard kernel to the
+    object's physical row in the global kernel.  Both kernels keep
+    tombstones, so a dead local row's entry is stale and never read:
+    every reader walks live rows or arrives through ``row_of(oid)``.
+
     ``shard_id`` is the shard's index at partition time and survives
     its neighbours being dropped: the fault sites ``shard.scan.<id>``
     are named by it.
@@ -276,7 +282,7 @@ class Shard:
         objects = parent.objects
         parent_masks = parent.doc_masks
         self.shard_id = shard_id
-        self.rows: tuple[int, ...] = tuple(rows)
+        self.rows: list[int] = list(rows)
         self.database = SpatialDatabase(
             (objects[row] for row in rows), dataspace=parent.dataspace
         )
@@ -294,9 +300,9 @@ class Shard:
 
         ``masks`` are the members' doc bitmasks in the *global*
         vocabulary's bit space, aligned with ``self.database.objects``.
-        Shared by construction and the delete path of
-        :meth:`apply_mutations` — a shrunken summary must never drift
-        from the build-time definition or the pruning bounds over- or
+        Shared by construction and :meth:`apply_mutations`' removal of
+        a boundary holder — a shrunken summary must never drift from
+        the build-time definition or the pruning bounds over- or
         under-prune.
         """
         members = self.database.objects
@@ -315,7 +321,8 @@ class Shard:
         self.max_doc_len = max_len
 
     def __len__(self) -> int:
-        return len(self.rows)
+        """Live members (the kernel's physical rows include tombstones)."""
+        return self.kernel.live_count
 
     # ------------------------------------------------------------------
     # Incremental maintenance (repro.core.mutations)
@@ -325,29 +332,33 @@ class Shard:
         removed: Sequence[SpatialObject],
         appended: Sequence[SpatialObject],
         parent: SpatialDatabase,
-    ) -> None:
+    ) -> bool:
         """Apply this shard's slice of a batch and refresh its summaries.
 
         The sub-database and kernel follow the global order rule
-        (survivors keep order, appends at the end); the kernel compacts
-        unconditionally so shard-local rows stay dense and
-        ``Shard.rows`` remains a plain live-row map.  Summaries take the
-        *widen-only fast path* on pure insertion — the MBR unions the
-        new points, the vocab mask ORs the new masks, the doc-length
-        range stretches; every bound stays valid because all three only
-        ever loosen.  Any removal forces the exact recompute: a shrunken
-        summary must not over-prune, so it is rebuilt from the surviving
-        members.
+        (survivors keep order, appends at the end); the kernel
+        tombstones and compacts at its own threshold.  Returns whether
+        it compacted, i.e. whether shard-local rows were renumbered.
+
+        Summaries stay exact.  Appended objects *widen* them — the MBR
+        unions the new points, the vocab mask ORs the new masks, the
+        doc-length range stretches.  A removal can only tighten a
+        summary the removed object was holding up
+        (:meth:`_held_boundary`); only then are they rebuilt from the
+        surviving members.
         """
         removed_oids = {obj.oid for obj in removed}
         self.database._apply_mutations(removed_oids, appended)
+        compactions = self.kernel.compactions
         self.kernel.apply_mutations(
-            _ShardChange(frozenset(removed_oids), tuple(appended)),
-            force_compact=True,
+            _ShardChange(frozenset(removed_oids), tuple(appended))
         )
         encode = parent.vocabulary_index.encode
-        if not removed_oids:
-            # Widen-only fast path.
+        if removed and self._held_boundary(removed):
+            self._recompute_summaries(
+                encode(obj.doc) for obj in self.database.objects
+            )
+        elif appended:
             self.mbr = self.mbr.union(
                 Rect.from_points(obj.loc for obj in appended)
             )
@@ -358,11 +369,41 @@ class Shard:
                     self.min_doc_len = length
                 if length > self.max_doc_len:
                     self.max_doc_len = length
-            return
-        # Exact recompute: deletions may tighten every summary.
-        self._recompute_summaries(
-            encode(obj.doc) for obj in self.database.objects
-        )
+        return self.kernel.compactions != compactions
+
+    def _held_boundary(self, removed: Sequence[SpatialObject]) -> bool:
+        """Whether losing ``removed`` can tighten a summary.
+
+        Probes the kernel's post-batch columns, each with an early
+        exit: a coordinate on an MBR edge, a doc length at an extreme
+        no live row still has, or a keyword no live row still holds.
+        Tombstones hold nothing: their mask is 0 and the length probe
+        reads ``_alive``.
+        """
+        mbr = self.mbr
+        kernel = self.kernel
+        encode_local = kernel.vocabulary.encode
+        orphans = 0
+        lengths: set[int] = set()
+        for obj in removed:
+            x, y = obj.loc.x, obj.loc.y
+            if x in (mbr.min_x, mbr.max_x) or y in (mbr.min_y, mbr.max_y):
+                return True
+            orphans |= encode_local(obj.doc)
+            lengths.add(len(obj.doc))
+        for extreme in lengths & {self.min_doc_len, self.max_doc_len}:
+            if not any(
+                alive
+                for length, alive in zip(kernel._lens, kernel._alive)
+                if length == extreme
+            ):
+                return True
+        for mask in kernel._masks:
+            if mask & orphans:
+                orphans &= ~mask
+                if not orphans:
+                    return False
+        return bool(orphans)
 
     # ------------------------------------------------------------------
     # Static pruning bounds
@@ -464,6 +505,9 @@ class ShardRouter:
                 self._shard_of_oid[database.objects[row].oid] = index
         self._shard_of_row = shard_of
         self._local_of_row = local_of
+        # The global kernel whose physical rows the maps index; a
+        # ShardedKernel binds itself here at construction.
+        self._kernel: ScoringKernel | None = None
         self.stats = ShardStats()
 
     @staticmethod
@@ -495,7 +539,7 @@ class ShardRouter:
         return len(self._shards)
 
     def locate(self, row: int) -> tuple[int, int]:
-        """``(shard index, shard-local row)`` of a global database row."""
+        """``(shard index, shard-local row)`` of a live global kernel row."""
         return self._shard_of_row[row], self._local_of_row[row]
 
     def shard_sizes(self) -> list[int]:
@@ -531,58 +575,80 @@ class ShardRouter:
         return best_index
 
     def apply_mutations(self, change) -> None:
-        """Route an applied batch to its owning shards and refresh maps.
+        """Route an applied batch to its owning shards and patch the maps.
 
         ``change`` is an :class:`repro.core.mutations.AppliedBatch`; the
-        parent database (shared with the engine) has already been
-        updated.  Removals go to the shard that owns each object;
-        insertions to the least-enlarged shard.  A shard left empty is
-        dropped.  The global row maps (``locate``, ``Shard.rows``) are
-        rebuilt from the parent's post-batch object order in one pass.
+        parent database and the global kernel have already applied it.
+        Removals go to the shard that owns each object; insertions to
+        the least-enlarged shard.  A shard left empty is dropped.  The
+        row maps (``locate``, ``Shard.rows``) gain the appended rows;
+        they are rebuilt only by a batch that renumbered rows — the
+        global kernel or a shard kernel compacted, or a shard was
+        dropped.
         """
+        kernel = self._kernel
+        if kernel is None:
+            raise RuntimeError(
+                "a ShardRouter is maintained beside the ShardedKernel "
+                "built over it; this one has none"
+            )
+        # Nothing compacted ⇔ the global columns grew by the appends.
+        renumbered = len(kernel) != len(self._shard_of_row) + len(
+            change.appended
+        )
         per_shard_removed: dict[int, list[SpatialObject]] = {}
         for obj in change.removed:
             index = self._shard_of_oid.pop(obj.oid)
             per_shard_removed.setdefault(index, []).append(obj)
         per_shard_appended: dict[int, list[SpatialObject]] = {}
         for obj in change.appended:
-            index = self._choose_shard(obj)
+            index = self._shard_of_oid[obj.oid] = self._choose_shard(obj)
             per_shard_appended.setdefault(index, []).append(obj)
         survivors: list[Shard] = []
         for index, shard in enumerate(self._shards):
             removed = per_shard_removed.get(index, [])
             appended = per_shard_appended.get(index, [])
             if len(removed) == len(shard) and not appended:
-                continue  # emptied: drop the shard
-            if removed or appended:
-                shard.apply_mutations(removed, appended, self._database)
+                renumbered = True  # emptied: drop the shard
+                continue
+            if (removed or appended) and shard.apply_mutations(
+                removed, appended, self._database
+            ):
+                renumbered = True
             survivors.append(shard)
-        self._shards = tuple(survivors)
-        self._rebuild_row_maps()
+        if renumbered:
+            self._shards = tuple(survivors)
+            self._rebuild_row_maps(kernel)
+            return
+        # Appends land in batch order in the global kernel and in each
+        # shard kernel alike, so every map grows at its end.
+        for obj in change.appended:
+            index = self._shard_of_oid[obj.oid]
+            shard = self._shards[index]
+            shard.rows.append(kernel.row_of(obj.oid))
+            self._shard_of_row.append(index)
+            self._local_of_row.append(shard.kernel.row_of(obj.oid))
 
-    def _rebuild_row_maps(self) -> None:
-        """Recompute global-row ↔ (shard, local) maps after a batch.
+    def _rebuild_row_maps(self, kernel: ScoringKernel) -> None:
+        """Recompute global-row ↔ (shard, local) maps after a renumbering.
 
-        Shard sub-databases and the parent share one order rule, so each
-        shard's members appear in parent order; one oid → parent-row
-        table rebuilds everything.
+        Read off the kernels' own ``oid → physical row`` tables, so the
+        maps cover live rows only; a tombstone's ``Shard.rows`` entry
+        is ``-1``.
         """
-        parent_row = {
-            obj.oid: row for row, obj in enumerate(self._database.objects)
-        }
-        n = len(self._database)
-        shard_of = [0] * n
-        local_of = [0] * n
+        global_row = kernel._row_of
+        shard_of = [0] * len(kernel)
+        local_of = [0] * len(kernel)
         shard_of_oid: dict[int, int] = {}
         for index, shard in enumerate(self._shards):
-            rows = []
-            for local, obj in enumerate(shard.database.objects):
-                row = parent_row[obj.oid]
-                rows.append(row)
+            rows = [-1] * len(shard.kernel)
+            for oid, local in shard.kernel._row_of.items():
+                row = global_row[oid]
+                rows[local] = row
                 shard_of[row] = index
                 local_of[row] = local
-                shard_of_oid[obj.oid] = index
-            shard.rows = tuple(rows)
+                shard_of_oid[oid] = index
+            shard.rows = rows
         self._shard_of_row = shard_of
         self._local_of_row = local_of
         self._shard_of_oid = shard_of_oid
@@ -700,7 +766,7 @@ class ShardedDocContext(DocContext):
             oids = shard_kernel._oids
             skip_local = target_local if index == target_shard else -1
             code = self._code
-            for local in range(len(shard)):
+            for local in range(len(shard_kernel)):
                 if local == skip_local:
                     continue
                 shared = (masks[local] & qmask).bit_count()
@@ -751,6 +817,7 @@ class ShardedKernel(ScoringKernel):
             raise ValueError("router and kernel must share the same database")
         super().__init__(database, text_model)
         self.router = router
+        router._kernel = self
 
     @classmethod
     def maybe_build(  # type: ignore[override]
@@ -769,15 +836,15 @@ class ShardedKernel(ScoringKernel):
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def apply_mutations(self, change, *, force_compact: bool = True) -> None:
-        """Maintain the global columns, always compacting.
+    def apply_mutations(self, change) -> None:
+        """Maintain the global columns by the base rule — a named seam.
 
         Shard row maps (``Shard.rows``, ``ShardRouter.locate``) index
-        the global columns by physical row; keeping them dense makes
-        those maps plain parent-database positions.  The router rebuilds
-        them right after this listener runs.
+        these columns by physical row, tombstones included; the router,
+        the next listener, patches them for the appended rows and
+        rebuilds them when this kernel compacted.
         """
-        super().apply_mutations(change, force_compact=True)
+        super().apply_mutations(change)
 
     # ------------------------------------------------------------------
     # Rank primitives (shard-pruned)
@@ -865,9 +932,12 @@ class ShardedKernel(ScoringKernel):
         slices = [
             shard.kernel.proximities(query) for shard in self.router.shards
         ]
+        # Dead rows, global or shard-local, read 0.0 — the base pass's
+        # value for a tombstone; a dead local row's map entry is stale.
         values: list[float] = [0.0] * self._n
         for shard, piece in zip(self.router.shards, slices):
-            for row, value in zip(shard.rows, piece):
+            live = compress(zip(shard.rows, piece), shard.kernel._alive)
+            for row, value in live:
                 values[row] = value
         return ShardedProximityColumn(
             values, slices, [max(piece) for piece in slices]

@@ -418,10 +418,12 @@ class YaskEngine:
     ) -> MutationReport:
         """Apply one mutation batch through every layer, atomically.
 
-        Under the exclusive write lock: the database (incremental
-        vocabulary interning), the scoring kernel (tombstone + append +
-        threshold compaction), the shard router (owning-shard routing,
-        widen-only/exact summary refresh) and the R-tree family
+        Under the exclusive write lock: the database (id/name tables
+        patched, incremental vocabulary interning), the scoring kernel
+        (tombstone + append + threshold compaction — the global kernel
+        and each shard's by the same rule), the shard router
+        (owning-shard routing, summaries widened or, when a boundary
+        holder left, recomputed; row maps patched) and the R-tree family
         (Guttman insert, shrink-after-delete) are all updated in place;
         a degraded tree is bulk-reloaded.  After this returns, every
         query answer is bit-for-bit what a fresh engine built from the
@@ -487,13 +489,15 @@ class YaskEngine:
                         (obj, obj.loc) for obj in change.appended
                     )
                 rebuilt = self._rebuild_degraded_indexes()
-        return MutationReport(
-            change=change,
-            objects=len(self._database),
-            kernel=self._kernel.mutation_info(),
-            indexes_rebuilt=rebuilt,
-            response_ms=(time.perf_counter() - started) * 1000.0,
-        )
+            # Still under the lock: the report describes this batch's
+            # own generation, not whatever the next writer leaves.
+            return MutationReport(
+                change=change,
+                objects=len(self._database),
+                kernel=self._kernel.mutation_info(),
+                indexes_rebuilt=rebuilt,
+                response_ms=(time.perf_counter() - started) * 1000.0,
+            )
 
     def _rebuild_degraded_indexes(self) -> tuple[str, ...]:
         """Bulk-reload any tree whose balance degraded (in place).

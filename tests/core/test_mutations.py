@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import threading
 
 import pytest
@@ -116,6 +117,68 @@ class TestDatabaseMaintenance:
         assert db.find_by_name("o1") is None
         mutable.apply([Mutation.insert(obj(50, 0.3, 0.3, "x", name="o1"))])
         assert db.find_by_name("o1").oid == 50
+
+    def test_name_passes_to_the_next_holder(self):
+        db = make_tiny_db()
+        mutable = MutableDatabase(db)
+        mutable.apply([Mutation.insert(obj(50, 0.3, 0.3, "x", name="o1"))])
+        assert db.find_by_name("o1").oid == 0  # first holder wins
+        mutable.apply([Mutation.delete(0)])
+        assert db.find_by_name("o1").oid == 50
+        # Removing a later holder leaves the registered one alone.
+        mutable.apply([Mutation.insert(obj(51, 0.4, 0.4, "x", name="o1"))])
+        mutable.apply([Mutation.delete(51)])
+        assert db.find_by_name("o1").oid == 50
+        # An update moves the object to the end: the name goes to the
+        # first remaining holder in object order.
+        mutable.apply([Mutation.insert(obj(52, 0.4, 0.4, "x", name="o1"))])
+        mutable.apply([Mutation.update(obj(50, 0.2, 0.2, "y", name="o1"))])
+        assert db.find_by_name("o1").oid == 52
+
+    def test_lookups_match_a_fresh_database_after_every_batch(self):
+        rng = random.Random(20)
+        db = make_tiny_db()
+        _ = db.doc_masks  # force interning
+        mutable = MutableDatabase(db)
+        live = [o.oid for o in db.objects]
+        ever = set(live)
+        names = ["o1", "o2", "shared", None]
+        for step in range(60):
+            batch = []
+            for _ in range(rng.randint(1, 4)):
+                kind = rng.choice(["insert", "insert", "update", "delete"])
+                if kind == "insert" or len(live) <= 2:
+                    oid = max(ever) + 1
+                    ever.add(oid)
+                    live.append(oid)
+                    batch.append(
+                        Mutation.insert(
+                            obj(oid, rng.random(), rng.random(),
+                                rng.choice("abc"), name=rng.choice(names))
+                        )
+                    )
+                elif kind == "update":
+                    batch.append(
+                        Mutation.update(
+                            obj(rng.choice(live), rng.random(), rng.random(),
+                                rng.choice("abc"), name=rng.choice(names))
+                        )
+                    )
+                else:
+                    batch.append(Mutation.delete(live.pop(rng.randrange(len(live)))))
+            mutable.apply(batch)
+            fresh = SpatialDatabase(db.objects, dataspace=db.dataspace)
+            assert sorted(live) == sorted(o.oid for o in db.objects)
+            for oid in ever:
+                assert (oid in db) == (oid in fresh)
+                if oid in fresh:
+                    assert db.get(oid) is fresh.get(oid)
+                    assert db.get(oid) in db
+            for name in names[:-1] + ["nobody"]:
+                assert db.find_by_name(name) is fresh.find_by_name(name)
+            assert [
+                db.vocabulary_index.decode(mask) for mask in db.doc_masks
+            ] == [o.doc for o in db.objects]
 
     def test_vocabulary_extends_append_only(self):
         db = make_tiny_db()

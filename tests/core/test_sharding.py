@@ -7,21 +7,25 @@ maximum) and the router bookkeeping are pinned down directly.
 """
 
 import math
+import random
 
 import pytest
 
 from repro.core.geometry import Point, Rect
+from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.core.sharding import (
     PARTITIONERS,
+    Shard,
     ShardRouter,
     ShardedKernel,
     grid_partition,
     round_robin_partition,
 )
 from repro.datasets.generators import SyntheticDatasetBuilder
+from repro.service.api import YaskEngine
 from repro.text.similarity import (
     JACCARD,
     CosineTfIdfSimilarity,
@@ -169,8 +173,6 @@ class TestBoundSafety:
         )
         scorer = Scorer(clustered_db, text_model=model, use_kernel=False)
         vocab = sorted(clustered_db.vocabulary())
-        import random
-
         rng = random.Random(99)
         for trial in range(25):
             doc = frozenset(rng.sample(vocab, rng.randint(1, 4)))
@@ -251,3 +253,89 @@ class TestShardedKernel:
         assert (
             stats["count_shards_scanned"] + stats["count_shards_skipped"] == 4
         )
+
+
+class TestMaintenanceIsBatchSized:
+    """A batch that renumbers nothing and moves no boundary pays for
+    neither: no compaction, no summary recompute, no row-map rebuild."""
+
+    def test_e16_shaped_batches_then_a_delete_heavy_tail(
+        self, clustered_db, monkeypatch
+    ):
+        engine = YaskEngine(
+            SpatialDatabase(clustered_db.objects, dataspace=clustered_db.dataspace),
+            shards=4,
+        )
+        router, kernel = engine.shard_router, engine.kernel
+        calls = {"_recompute_summaries": 0, "_rebuild_row_maps": 0}
+        for owner, name in ((Shard, "_recompute_summaries"),
+                            (ShardRouter, "_rebuild_row_maps")):
+            def counted(self, *args, _original=getattr(owner, name), _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+            monkeypatch.setattr(owner, name, counted)
+
+        # Inserts that can never hold a boundary wherever they land:
+        # strictly inside a shard's MBR, keywords and a doc length that
+        # base objects (never removed here) hold in every shard.
+        vocabulary = engine.database.vocabulary_index
+        everywhere = router.shards[0].vocab_mask
+        for shard in router.shards[1:]:
+            everywhere &= shard.vocab_mask
+        doc = frozenset(sorted(vocabulary.decode(everywhere))[:3])
+        assert len(doc) == 3
+        for shard in router.shards:
+            assert any(len(obj.doc) == 3 for obj in shard.database)
+        rng = random.Random(16)
+
+        def minted(oid):
+            mbr = router.shards[oid % 4].mbr
+            return SpatialObject(
+                oid,
+                Point(
+                    mbr.center.x + rng.uniform(-0.2, 0.2) * mbr.width,
+                    mbr.center.y + rng.uniform(-0.2, 0.2) * mbr.height,
+                ),
+                doc,
+            )
+
+        live: list[int] = []
+        next_oid = 1_000_000
+        for _ in range(50):
+            earlier = len(live)
+            batch = []
+            for _ in range(6):
+                batch.append(Mutation.insert(minted(next_oid)))
+                live.append(next_oid)
+                next_oid += 1
+            if earlier >= 2:
+                updated, deleted = rng.sample(range(earlier), 2)
+                batch.append(Mutation.update(minted(live[updated])))
+                batch.append(Mutation.delete(live.pop(deleted)))
+            engine.apply_mutations(batch)
+        assert kernel.mutation_info()["tombstones"] == 2 * 49
+        assert kernel.compactions == 0
+        assert [shard.kernel.compactions for shard in router.shards] == [0] * 4
+        assert sum(shard.kernel.mutation_info()["tombstones"]
+                   for shard in router.shards) == 2 * 49
+        assert calls == {"_recompute_summaries": 0, "_rebuild_row_maps": 0}
+
+        # The tail: retire a third of one shard, its west-most object
+        # (an MBR edge) first.  That shard's kernel crosses its own
+        # threshold long before the global kernel does.
+        victim = router.shards[0]
+        doomed = sorted(victim.database, key=lambda obj: obj.loc.x)
+        doomed = [obj.oid for obj in doomed[: len(doomed) // 3]]
+        for start in range(0, len(doomed), 8):
+            engine.apply_mutations(
+                [Mutation.delete(oid) for oid in doomed[start : start + 8]]
+            )
+        assert victim.kernel.compactions >= 1
+        assert kernel.compactions == 0 and kernel.has_tombstones
+        assert calls["_recompute_summaries"] >= 1
+        assert calls["_rebuild_row_maps"] == victim.kernel.compactions
+        for obj in engine.database:
+            index, local = router.locate(kernel.row_of(obj.oid))
+            assert router.shards[index].kernel.row_of(obj.oid) == local
+            assert router.shards[index].rows[local] == kernel.row_of(obj.oid)
+        engine.close()

@@ -1,8 +1,12 @@
 """Tests for the YaskEngine facade (:mod:`repro.service.api`)."""
 
+from contextlib import contextmanager
+
 import pytest
 
 from repro.core.geometry import Point
+from repro.core.mutations import Mutation
+from repro.core.objects import SpatialObject
 from repro.core.query import Weights
 from repro.core.scoring import Scorer
 from repro.core.topk import BruteForceTopK
@@ -12,6 +16,7 @@ from repro.text.similarity import (
     DiceSimilarity,
     WeightedJaccardSimilarity,
 )
+from tests.conftest import make_tiny_db
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +138,52 @@ class TestWhyNotIntegration:
         pref = engine.refine_preference(s.query, missing_ids, lam=0.3)
         kw = engine.refine_keywords(s.query, missing_ids, lam=0.3)
         assert pref.lam == 0.3 and kw.lam == 0.3
+
+
+class _HandOverLock:
+    """The engine's lock, with a second writer queued behind the first:
+    ``then`` runs the instant the first write section releases."""
+
+    def __init__(self, inner, then):
+        self._inner = inner
+        self._then = then
+
+    def read(self):
+        return self._inner.read()
+
+    @contextmanager
+    def write(self):
+        with self._inner.write():
+            yield
+        then, self._then = self._then, None
+        if then is not None:
+            then()
+
+
+class TestMutationReport:
+    def test_report_describes_its_own_batch(self):
+        """A writer taking the lock right after a batch releases it must
+        not leak into that batch's report."""
+        engine = YaskEngine(make_tiny_db())
+
+        def second_writer():
+            engine.apply_mutations(
+                [
+                    Mutation.insert(
+                        SpatialObject(11, Point(0.6, 0.6), frozenset({"bar"}))
+                    ),
+                    Mutation.delete(0),
+                ]
+            )
+
+        engine._lock = _HandOverLock(engine._lock, second_writer)
+        report = engine.apply_mutations(
+            [Mutation.insert(SpatialObject(10, Point(0.5, 0.5), frozenset({"bar"})))]
+        )
+        assert engine.generation == 2  # the second writer did run
+        assert report.generation == 1
+        assert report.objects == 6
+        assert report.kernel["rows"] == 6
+        assert report.kernel["live_rows"] == 6
+        assert report.kernel["tombstones"] == 0
+        engine.close()

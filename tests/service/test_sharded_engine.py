@@ -161,6 +161,22 @@ class TestStatsEndpoint:
         )
         assert shards["topk_scatter_ms"] >= 0.0
 
+    def test_deletes_leave_tombstones_and_sizes_count_live_rows(self):
+        """A sharded server compacts by the kernel's threshold, not per
+        batch: ``shards.objects`` counts live members either way."""
+        from tests.service.conftest import running_server
+
+        engine = YaskEngine(hong_kong_hotels(), shards=4)  # mutated: own copy
+        with running_server(engine, port=0) as server:
+            client = YaskClient(server.endpoint)
+            for oid in (3, 140, 141, 500):
+                client.delete_object(oid)
+            stats = client._call("GET", "/api/stats")
+        kernel = stats["mutations"]["kernel"]
+        assert kernel["tombstones"] == 4 and kernel["compactions"] == 0
+        assert kernel["live_rows"] == 535
+        assert sum(stats["shards"]["objects"]) == kernel["live_rows"]
+
     def test_unsharded_server_reports_null(self, hotels):
         from tests.service.conftest import running_server
 
