@@ -26,7 +26,7 @@
 #                      <=3x a pass over none, a sharded batch with
 #                      removals <=2.5x an insert-only one) and E14
 #                      (durability: logged ingest >=0.7x unlogged,
-#                      snapshot recovery >=5x vs full-log rebuild)
+#                      snapshot recovery >=4x vs full-log rebuild)
 #   make bench-json  — refresh BENCH_E9/…/E14.json at the repo root
 #                      (machine-readable perf trajectory)
 #   make bench-e16-smoke — the end-to-end HTTP benchmark at smoke size
@@ -52,10 +52,15 @@
 #   make test-scan   — the scan and shard tiers at their deep budget:
 #                      indexed scan_top_k vs the full scan through long
 #                      mutation histories, the sharded engine vs the
-#                      unsharded oracle, and mutated engines (row maps,
+#                      set-path oracle, mutated engines (row maps,
 #                      shard summaries, answers) vs a fresh rebuild
 #                      after every batch of histories long enough to
-#                      compact (its own CI job)
+#                      compact, and the kernel suite (the unsharded
+#                      engine's top-k vs the set path and best-first
+#                      over a SetR-tree through such histories; the
+#                      dual view's counts, closer-count included, vs
+#                      the SetR-tree's and a linear scan) (its own CI
+#                      job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /
@@ -82,7 +87,7 @@ test-chaos:
 	$(PYTHON) -m pytest tests/chaos -q $(ALL_MARKS)
 
 test-scan:
-	$(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py -q $(ALL_MARKS)
+	$(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py tests/properties/test_prop_kernel.py -q $(ALL_MARKS)
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)

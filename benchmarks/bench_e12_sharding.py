@@ -23,8 +23,9 @@ configured with 1 shard, are both "shards cost this nothing":
   (two bisects per level), which does less work than shard skipping at
   any shard count,
 
-with bit-for-bit parity against the *unsharded* production engine
-asserted first.
+with bit-for-bit parity asserted first: top-k against the set-path
+oracle (the unsharded production engine scans too, so it would be scan
+against scan), why-not against the *unsharded* production engine.
 
 Workload notes (documented, deliberate):
 
@@ -54,6 +55,7 @@ import pytest
 
 from repro.bench.harness import Table, time_call
 from repro.bench.workloads import QueryWorkload, generate_whynot_scenarios
+from repro.core.scoring import Scorer
 from repro.datasets.generators import SyntheticDatasetBuilder
 from repro.service.api import YaskEngine
 from repro.whynot.preference import PreferenceAdjuster
@@ -84,7 +86,7 @@ def shard_db():
 
 @pytest.fixture(scope="module")
 def unsharded_engine(shard_db):
-    """The production single-index engine — the parity oracle."""
+    """The production unsharded engine — the why-not parity oracle."""
     return YaskEngine(shard_db)
 
 
@@ -109,18 +111,15 @@ def topk_queries(shard_db):
 
 
 def test_e12_topk_parity_and_skipping(
-    unsharded_engine, baseline_engine, sharded_engine, topk_queries
+    shard_db, unsharded_engine, baseline_engine, sharded_engine, topk_queries
 ):
-    """Bit-for-bit parity with the oracle, and shards really skip."""
+    """Bit-for-bit parity with the set-path oracle, and shards really skip."""
+    oracle = Scorer(shard_db, use_kernel=False)
     sharded_engine.shard_router.stats.reset()
     for query in topk_queries:
-        expected = unsharded_engine.query(query)
-        assert [tuple(e) for e in baseline_engine.query(query)] == [
-            tuple(e) for e in expected
-        ]
-        assert [tuple(e) for e in sharded_engine.query(query)] == [
-            tuple(e) for e in expected
-        ]
+        expected = [tuple(e) for e in oracle.top_k(query)]
+        for engine in (unsharded_engine, baseline_engine, sharded_engine):
+            assert [tuple(e) for e in engine.query(query)] == expected
     stats = sharded_engine.shard_router.to_dict()
     assert stats["topk_searches"] == len(topk_queries)
     assert stats["topk_shards_skipped"] > 0, (

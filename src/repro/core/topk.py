@@ -10,9 +10,12 @@ objects are retrieved."
 :class:`BestFirstTopK` implements exactly that loop against any index
 exposing ``root`` / node structure and a ``score_upper_bound(node, q)``
 method (the SetR-tree for Jaccard, the IR-tree for cosine).
-:class:`BruteForceTopK` is the O(n log n) reference oracle.
+:class:`BruteForceTopK` is the O(n log n) reference oracle.  Both are
+library references; what :class:`~repro.service.api.YaskEngine` serves
+is :class:`KernelTopK`, one indexed scan of the scorer's columnar
+kernel (the scan the sharded scatter runs per shard).
 
-Both engines produce the same deterministic total order — score
+All three produce the same deterministic total order — score
 descending, then object id ascending — which the priority queue enforces
 by expanding nodes *before* emitting equal-priority objects: an object
 leaves the queue only when no unexpanded node could still contain a
@@ -35,6 +38,7 @@ __all__ = [
     "TopKEngine",
     "BruteForceTopK",
     "BestFirstTopK",
+    "KernelTopK",
     "SearchStats",
 ]
 
@@ -90,6 +94,28 @@ class BruteForceTopK:
 
     def search(self, query: SpatialKeywordQuery) -> QueryResult:
         return self._scorer.top_k(query)
+
+
+class KernelTopK:
+    """Top-k by one indexed scan of the scorer's kernel.
+
+    :meth:`ScoringKernel.scan_top_k` scores only the rows that can
+    still reach the running k-th score; the winners get their score
+    decompositions from the set path (identical floats, per the kernel
+    parity contract).
+    """
+
+    def __init__(self, scorer: Scorer) -> None:
+        kernel = scorer.kernel
+        if kernel is None:
+            raise ValueError("KernelTopK needs a scorer with a columnar kernel")
+        self._scorer = scorer
+        self._kernel = kernel
+
+    def search(self, query: SpatialKeywordQuery) -> QueryResult:
+        kernel = self._kernel
+        pairs = kernel.scan_top_k(query.k, *kernel._query_scalars(query))
+        return self._scorer.result_from_pairs(query, pairs)
 
 
 class BestFirstTopK:

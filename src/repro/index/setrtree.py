@@ -282,31 +282,3 @@ class SetRTree(RTree[SpatialObject]):
             else:
                 stack.extend(node.children)
         return count
-
-    def count_scoring_above(
-        self, query: SpatialKeywordQuery, threshold: float
-    ) -> int:
-        """Count objects with ``ST(o, q) > threshold`` using both bounds."""
-        if self._root.rect is None:
-            return 0
-        count = 0
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            if self.score_upper_bound(node, query) <= threshold:
-                continue
-            summary: SetSummary = node.summary
-            if self.score_lower_bound(node, query) > threshold:
-                count += summary.count
-                continue
-            if node.is_leaf:
-                for entry in node.entries:
-                    obj = entry.item
-                    sdist = self._database.normalized_distance(obj.loc, query.loc)
-                    tsim = self._text_model.similarity(obj.doc, query.doc)
-                    score = query.ws * (1.0 - sdist) + query.wt * tsim
-                    if score > threshold:
-                        count += 1
-            else:
-                stack.extend(node.children)
-        return count

@@ -1,12 +1,12 @@
 """The YASK query processor facade (Fig. 1's server-side "Query Processor").
 
 :class:`YaskEngine` wires together everything the architecture diagram
-shows on the server: the R-tree based indexes built over the object
-database, the spatial keyword top-k query engine, and the why-not engine
-with its explanation generator and two refinement modules.  The HTTP
-server (:mod:`repro.service.server`), the CLI and the examples all drive
-this one class; embedding applications can use it directly without any
-service plumbing.
+shows on the server: the indexes built over the object database (a
+columnar scoring kernel and a KcR-tree), the spatial keyword top-k query
+engine, and the why-not engine with its explanation generator and two
+refinement modules.  The HTTP server (:mod:`repro.service.server`), the
+CLI and the examples all drive this one class; embedding applications
+can use it directly without any service plumbing.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import DEFAULT_WEIGHTS, QueryResult, SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.core.sharding import ShardRouter
-from repro.core.topk import BestFirstTopK, TopKEngine
+from repro.core.topk import KernelTopK, TopKEngine
 from repro.index.kcrtree import KcRTree
-from repro.index.setrtree import SetRTree
 from repro.text.similarity import JACCARD, SetSimilarityModel
 from repro.whynot.engine import WhyNotAnswer, WhyNotEngine
 
@@ -104,9 +103,9 @@ class MutationReport:
 class YaskEngine:
     """The complete YASK server-side query processor.
 
-    One shape, always — a columnar scoring kernel, a SetR-tree, a
-    KcR-tree and a mutable database — so every engine queries, mutates,
-    logs and recovers; anything outside docs/OPERATIONS.md's "Supported
+    One shape, always — a columnar scoring kernel, a KcR-tree and a
+    mutable database — so every engine queries, mutates, logs and
+    recovers; anything outside docs/OPERATIONS.md's "Supported
     configurations" table is refused at construction, with the reason.
 
     Parameters
@@ -123,13 +122,14 @@ class YaskEngine:
         weighting vector ~w as a system parameter on the server.  In the
         default setting ... ⟨0.5, 0.5⟩" (Section 3.2).
     max_entries:
-        R-tree fanout for every index built.
+        Fanout of the KcR-tree.
     shards:
-        ``None`` (default): top-k runs best-first over the SetR-tree.
-        An integer partitions the database into that many disjoint
-        spatial shards (:mod:`repro.core.sharding`): top-k queries run
-        scatter-gather with shard-bound skipping
-        (:class:`~repro.service.sharded.ShardedEngine`) and the why-not
+        ``None`` (default): top-k is one indexed scan of the global
+        kernel (:class:`~repro.core.topk.KernelTopK`).  An integer
+        partitions the database into that many disjoint spatial shards
+        (:mod:`repro.core.sharding`): top-k runs the same scan per
+        shard, scatter-gather with shard-bound skipping
+        (:class:`~repro.service.sharded.ShardedEngine`), and the why-not
         modules' full-database rank scans prune whole shards — all
         bit-for-bit identical to the unsharded engine.  ``shards=1``
         exercises the sharded machinery with a single shard (the E12
@@ -140,7 +140,7 @@ class YaskEngine:
         the default requires ``shards``.
     index_rebuild_slack:
         Live-mutation rebuild fallback sensitivity: after a mutation
-        batch, any R-tree taller than its STR bulk-load ideal by more
+        batch, a KcR-tree taller than its STR bulk-load ideal by more
         than this many levels is bulk-reloaded in place.  ``1``
         (default) tolerates the one extra level Guttman insertion
         typically costs; ``0`` rebuilds aggressively (churn-heavy
@@ -195,7 +195,6 @@ class YaskEngine:
         if base_generation < 0:
             raise ValueError("base_generation must be non-negative")
         self._database = database
-        self._text_model = text_model
         self._default_weights = default_weights
         self._max_entries = max_entries
         self._index_rebuild_slack = index_rebuild_slack
@@ -214,15 +213,10 @@ class YaskEngine:
         )
         # Never None: supports() was checked above.
         self._kernel = cast(ScoringKernel, self._scorer.kernel)
-        # The SetR-tree serves best-first top-k and the explanation
-        # generator's counting queries; the KcR-tree the keyword module.
-        self._set_rtree = SetRTree.build(
-            database, text_model=text_model, max_entries=max_entries
-        )
+        # The kernel serves top-k and the explanation generator's
+        # counting queries; the KcR-tree the keyword module.
         self._kcr_tree = KcRTree.build(database, max_entries=max_entries)
-        self._whynot = WhyNotEngine(
-            self._scorer, set_rtree=self._set_rtree, kcr_tree=self._kcr_tree
-        )
+        self._whynot = WhyNotEngine(self._scorer, kcr_tree=self._kcr_tree)
 
         # ---- Live-mutation tier -------------------------------------
         # Readers (queries, why-not answering) share the lock; mutation
@@ -246,7 +240,7 @@ class YaskEngine:
 
         self._topk_engine: TopKEngine
         if self._shard_router is None:
-            self._topk_engine = BestFirstTopK(self._set_rtree, self._scorer)
+            self._topk_engine = KernelTopK(self._scorer)
         else:
             from repro.service.sharded import ShardedEngine
 
@@ -320,15 +314,6 @@ class YaskEngine:
     @property
     def whynot(self) -> WhyNotEngine:
         return self._whynot
-
-    @property
-    def topk_engine(self) -> TopKEngine:
-        """The active top-k engine (BestFirstTopK exposes ``.stats``)."""
-        return self._topk_engine
-
-    @property
-    def set_rtree(self) -> SetRTree:
-        return self._set_rtree
 
     @property
     def kcr_tree(self) -> KcRTree:
@@ -423,7 +408,7 @@ class YaskEngine:
         (tombstone + append + threshold compaction — the global kernel
         and each shard's by the same rule), the shard router
         (owning-shard routing, summaries widened or, when a boundary
-        holder left, recomputed; row maps patched) and the R-tree family
+        holder left, recomputed; row maps patched) and the KcR-tree
         (Guttman insert, shrink-after-delete) are all updated in place;
         a degraded tree is bulk-reloaded.  After this returns, every
         query answer is bit-for-bit what a fresh engine built from the
@@ -479,15 +464,12 @@ class YaskEngine:
             if change.is_noop:
                 rebuilt: tuple[str, ...] = ()
             else:
-                for tree in (self._set_rtree, self._kcr_tree):
-                    for obj in change.removed:
-                        tree.delete(obj, obj.loc)
-                    # Batched: one deferred summary pass per tree instead
-                    # of a count-map merge along every inserted object's
-                    # path.
-                    tree.insert_batch(
-                        (obj, obj.loc) for obj in change.appended
-                    )
+                tree = self._kcr_tree
+                for obj in change.removed:
+                    tree.delete(obj, obj.loc)
+                # Batched: one deferred summary pass instead of a
+                # count-map merge along every inserted object's path.
+                tree.insert_batch((obj, obj.loc) for obj in change.appended)
                 rebuilt = self._rebuild_degraded_indexes()
             # Still under the lock: the report describes this batch's
             # own generation, not whatever the next writer leaves.
@@ -500,30 +482,19 @@ class YaskEngine:
             )
 
     def _rebuild_degraded_indexes(self) -> tuple[str, ...]:
-        """Bulk-reload any tree whose balance degraded (in place).
+        """Bulk-reload the KcR-tree when its balance degraded (in place).
 
-        Adopting the fresh structure in place keeps every holder of the
-        tree reference — the best-first engine, the why-not engine, the
-        explanation generator — pointed at the rebuilt index.
+        Adopting the fresh structure in place keeps the holder of the
+        tree reference, the keyword adapter, pointed at the rebuilt
+        index.  Returns the names of the trees reloaded.
         """
-        slack = self._index_rebuild_slack
-        rebuilt: list[str] = []
-        if self._set_rtree.balance_degraded(slack=slack):
-            self._set_rtree.adopt_structure(
-                SetRTree.build(
-                    self._database,
-                    text_model=self._text_model,
-                    max_entries=self._max_entries,
-                )
-            )
-            rebuilt.append("set_rtree")
-        if self._kcr_tree.balance_degraded(slack=slack):
-            self._kcr_tree.adopt_structure(
-                KcRTree.build(self._database, max_entries=self._max_entries)
-            )
-            rebuilt.append("kcr_tree")
-        self._indexes_rebuilt += len(rebuilt)
-        return tuple(rebuilt)
+        if not self._kcr_tree.balance_degraded(slack=self._index_rebuild_slack):
+            return ()
+        self._kcr_tree.adopt_structure(
+            KcRTree.build(self._database, max_entries=self._max_entries)
+        )
+        self._indexes_rebuilt += 1
+        return ("kcr_tree",)
 
     def mutation_stats(self) -> dict:
         """The ``GET /api/stats`` mutations section."""

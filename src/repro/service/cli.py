@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stats", help="print dataset and index structure statistics"
     )
     stats.add_argument("--dataset", default="hotels")
-    stats.add_argument("--max-entries", type=int, default=32)
+    stats.add_argument("--max-entries", type=_max_entries_arg, default=32)
 
     audit = sub.add_parser(
         "audit",
@@ -353,17 +353,26 @@ def _parse_missing(raw: str) -> list[int | str]:
     return refs
 
 
-def _shard_count_arg(value: str) -> int:
-    """``--shards`` values: a positive integer."""
+def _int_at_least(value: str, minimum: int, what: str) -> int:
     try:
-        shards = int(value)
+        number = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer, got {value!r}"
         ) from None
-    if shards < 1:
-        raise argparse.ArgumentTypeError("shard count must be at least 1")
-    return shards
+    if number < minimum:
+        raise argparse.ArgumentTypeError(f"{what} must be at least {minimum}")
+    return number
+
+
+def _shard_count_arg(value: str) -> int:
+    """``--shards`` values: a positive integer."""
+    return _int_at_least(value, 1, "shard count")
+
+
+def _max_entries_arg(value: str) -> int:
+    """``--max-entries`` values: an R-tree fanout, at least 2."""
+    return _int_at_least(value, 2, "max entries")
 
 
 def _engine_options(args: argparse.Namespace) -> dict:
@@ -659,17 +668,21 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
+    from repro.index.kcrtree import KcRTree
+    from repro.index.setrtree import SetRTree
     from repro.index.stats import tree_statistics
 
     database = load_dataset(args.dataset)
-    engine = YaskEngine(database, max_entries=args.max_entries)
     print("dataset:")
     for key, value in database.summary().items():
         print(f"  {key} = {value}")
+    # The paper's two indexes, bulk-loaded for the report alone.
+    set_rtree = SetRTree.build(database, max_entries=args.max_entries)
+    kcr_tree = KcRTree.build(database, max_entries=args.max_entries)
     print("SetR-tree:")
-    print(f"  {tree_statistics(engine.set_rtree).describe()}")
+    print(f"  {tree_statistics(set_rtree).describe()}")
     print("KcR-tree:")
-    print(f"  {tree_statistics(engine.kcr_tree).describe()}")
+    print(f"  {tree_statistics(kcr_tree).describe()}")
     return 0
 
 

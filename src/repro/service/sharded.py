@@ -3,7 +3,7 @@
 :class:`ShardedEngine` implements the :class:`~repro.core.topk.TopKEngine`
 protocol (``search(query) -> QueryResult``) over a
 :class:`~repro.core.sharding.ShardRouter`, so it slots under the
-executor tier exactly where ``BestFirstTopK`` does — the caches,
+executor tier exactly where ``KernelTopK`` does — the caches,
 sessions and transports are unchanged.
 
 The gather is *bound-ordered and threshold-adaptive*:
@@ -41,10 +41,9 @@ from __future__ import annotations
 import time
 from heapq import nsmallest
 from itertools import chain
-from typing import Sequence
 
 from repro import faults
-from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery
+from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import Scorer
 from repro.core.scanindex import SKIP_MARGIN
 from repro.core.sharding import Shard, ShardRouter
@@ -168,37 +167,10 @@ class ShardedEngine:
                 floor = -best[k - 1][0]
 
         scatter_done = time.perf_counter()
-        entries = self._materialise(query, best)
+        result = self._scorer.result_from_pairs(query, best)
         finished = time.perf_counter()
         stats.bump("topk_shards_scanned", scanned)
         stats.bump("topk_shards_skipped", skipped)
         stats.bump("topk_scatter_ms", (scatter_done - started) * 1000.0)
         stats.bump("topk_merge_ms", (finished - scatter_done) * 1000.0)
-        return QueryResult(query, entries)
-
-    def _materialise(
-        self,
-        query: SpatialKeywordQuery,
-        merged: Sequence[tuple[float, int]],
-    ) -> list[RankedObject]:
-        """Attach score decompositions to the merged winners.
-
-        ``Scorer.breakdown`` is the set-path oracle; its floats equal
-        the kernel scan's by the PR-3 parity contract, so the assembled
-        entries are bit-identical to the unsharded engine's.
-        """
-        database = self._scorer.database
-        entries: list[RankedObject] = []
-        for position, (_negscore, oid) in enumerate(merged, start=1):
-            obj = database.get(oid)
-            breakdown = self._scorer.breakdown(obj, query)
-            entries.append(
-                RankedObject(
-                    obj=obj,
-                    score=breakdown.score,
-                    sdist=breakdown.sdist,
-                    tsim=breakdown.tsim,
-                    rank=position,
-                )
-            )
-        return entries
+        return result

@@ -21,7 +21,6 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import Scorer
 from repro.index.kcrtree import KcRTree
-from repro.index.setrtree import SetRTree
 from repro.text.similarity import JaccardSimilarity
 from repro.whynot.combined import CombinedRefinement, CombinedRefiner
 from repro.whynot.context import WhyNotContext
@@ -86,13 +85,11 @@ class WhyNotEngine:
     with every mutation batch.
     """
 
-    def __init__(
-        self, scorer: Scorer, *, set_rtree: SetRTree, kcr_tree: KcRTree
-    ) -> None:
+    def __init__(self, scorer: Scorer, *, kcr_tree: KcRTree) -> None:
         self._scorer = scorer
         self._preference = PreferenceAdjuster(scorer)
         self._explainer = ExplanationGenerator(
-            scorer, set_rtree, preference_adjuster=self._preference
+            scorer, preference_adjuster=self._preference
         )
         self._keyword = KeywordAdapter(
             scorer,

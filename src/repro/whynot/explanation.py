@@ -12,7 +12,8 @@ For each missing object the generator reports:
 * its exact rank under the initial query (and the gap to ``k``),
 * its score decomposition versus the k-th result object's,
 * how many objects are strictly closer and how many are strictly more
-  textually similar — both answered with SetR-tree counting queries,
+  textually similar — the paper's SetR-tree counting queries, read here
+  off the dual view the question's context already holds,
 * a categorical reason (:class:`MissingReason`) and a human-readable
   sentence the demonstration GUI's explanation panel displays (Fig. 5).
 """
@@ -26,7 +27,6 @@ from typing import Sequence
 from repro.core.objects import SpatialObject
 from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import ScoreBreakdown, Scorer
-from repro.index.setrtree import SetRTree
 from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import NotMissingError
 
@@ -155,17 +155,17 @@ class WhyNotExplanation:
 
 
 class ExplanationGenerator:
-    """Builds :class:`WhyNotExplanation` objects from SetR-tree analysis.
+    """Builds :class:`WhyNotExplanation` objects for a missing set.
 
-    When no SetR-tree is supplied (e.g. the engine runs a non-set text
-    model whose similarities the tree cannot bound) the counting queries
-    fall back to database scans — same answers, no index pruning.
+    The counting queries read the context's kernel
+    :class:`~repro.core.kernel.DualView`; a context without one (a
+    kernel-less scorer, a foreign missing object, ``indexed=False``)
+    falls back to database scans — same answers.
     """
 
     def __init__(
         self,
         scorer: Scorer,
-        index: SetRTree | None = None,
         *,
         preference_adjuster: "object | None" = None,
     ) -> None:
@@ -177,10 +177,7 @@ class ExplanationGenerator:
         revive it (Example 1's "how can the ranking function be
         adjusted?").
         """
-        if index is not None and index.database is not scorer.database:
-            raise ValueError("index and scorer must share the same database")
         self._scorer = scorer
-        self._index = index
         self._preference_adjuster = preference_adjuster
 
     # ------------------------------------------------------------------
@@ -260,30 +257,27 @@ class ExplanationGenerator:
     ) -> tuple[int, int]:
         """(#objects strictly closer, #objects strictly more similar).
 
-        The similarity count is a sum of level sizes when the context
-        carries a dual view; the SetR-tree answers it otherwise, and
-        the raw-distance count always (proximity is clamped and
-        normalised, so the view cannot order raw distances).
+        With a dual view both are bisects and level sizes
+        (:meth:`ScoringKernel.count_closer`,
+        :meth:`DualView.count_more_similar`); without one, two scans.
         """
         query = context.query
-        if context.view is not None:
-            more_similar = context.view.count_more_similar(tsim)
-        elif self._index is not None:
-            more_similar = self._index.count_more_similar(query.doc, tsim)
-        else:
-            more_similar = sum(
-                1
-                for other in self._scorer.database
-                if self._scorer.tsim(other, query.doc) > tsim
+        view = context.view
+        kernel = context.scorer.kernel  # the kernel that built the view
+        if view is not None and kernel is not None:
+            return (
+                kernel.count_closer(view, query, raw_distance),
+                view.count_more_similar(tsim),
             )
-        if self._index is not None:
-            closer = self._index.count_within_distance(query.loc, raw_distance)
-        else:
-            closer = sum(
-                1
-                for other in self._scorer.database
-                if other.loc.distance_to(query.loc) < raw_distance
-            )
+        database = self._scorer.database
+        closer = sum(
+            1 for other in database
+            if other.loc.distance_to(query.loc) < raw_distance
+        )
+        more_similar = sum(
+            1 for other in database
+            if self._scorer.tsim(other, query.doc) > tsim
+        )
         return closer, more_similar
 
     # ------------------------------------------------------------------

@@ -223,6 +223,33 @@ class TestDualView:
             }
             assert columnar == linear
 
+    def test_closer_count_where_proximity_clamps(self):
+        """A dataspace smaller than the extent: the far rows and a
+        tombstone all sit at proximity 0, where only the raw distances
+        tell them apart."""
+        db = SpatialDatabase(
+            [
+                SpatialObject(oid, Point(x, 0.0), frozenset({"cafe"}))
+                for oid, x in enumerate([0.05, 3.0, 5.0, 4.0, 4.0, 9.0])
+            ],
+            dataspace=Rect(0.0, 0.0, 0.1, 0.1),
+        )
+        kernel = Scorer(db).kernel
+        kernel.apply_raw([1], [])  # oid 1 at x = 3: the closest clamped row
+        q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
+        view = kernel.dual_view(q)
+        assert [view.a[kernel.row_of(oid)] for oid in (2, 3, 4, 5)] == [0.0] * 4
+        # Strictly closer than oid 2 (x = 5): oid 0 and the two at x = 4.
+        assert kernel.count_closer(view, q, 5.0) == 3
+        assert kernel.count_closer(view, q, 4.0) == 1
+        assert kernel.count_closer(view, q, 100.0) == 5
+        assert kernel.count_closer(view, q, float("inf")) == 5  # not the dead row
+
+    def test_closer_count_of_an_object_at_the_query_location(self):
+        kernel = Scorer(edge_db()).kernel
+        q = SpatialKeywordQuery(Point(0.1, 0.1), frozenset({"cafe"}), 1)
+        assert kernel.count_closer(kernel.dual_view(q), q, 0.0) == 0
+
 
 class TestStats:
     def test_counters_track_batch_passes(self):

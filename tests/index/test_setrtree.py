@@ -125,16 +125,6 @@ class TestCountingQueries:
                     small_setrtree.count_more_similar(q.doc, threshold) == expected
                 )
 
-    def test_count_scoring_above_matches_scan(
-        self, small_db, small_setrtree, small_scorer
-    ):
-        for q in random_queries(small_db, 5, seed=35, k=3):
-            for threshold in (0.1, 0.4, 0.8):
-                expected = sum(
-                    1 for obj in small_db if small_scorer.score(obj, q) > threshold
-                )
-                assert small_setrtree.count_scoring_above(q, threshold) == expected
-
     def test_zero_radius_counts_nothing(self, small_setrtree):
         assert small_setrtree.count_within_distance(Point(0.5, 0.5), 0.0) == 0
 

@@ -80,7 +80,7 @@ class TestFacadeOptionsArePinned:
         "partitioner", "index_rebuild_slack", "wal", "base_generation",
         "batch_tokens",
     )
-    WHYNOT_OPTIONS = ("set_rtree", "kcr_tree")
+    WHYNOT_OPTIONS = ("kcr_tree",)
 
     @staticmethod
     def _names(callable_, kind):
@@ -111,3 +111,53 @@ class TestFacadeOptionsArePinned:
         section = text[start : text.index("\n## ", start + 1)]
         for name in self.ENGINE_OPTIONS + self.WHYNOT_OPTIONS + ("scorer",):
             assert f"`{name}`" in section, f"{name} is not documented"
+
+
+class TestServedEngineBuildsNoSetRTree:
+    """The SetR-tree is a library reference: nothing served constructs,
+    imports or maintains one."""
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_engine_runs_with_the_class_unconstructible(self, monkeypatch, shards):
+        from repro.core.mutations import Mutation
+        from repro.datasets.generators import SyntheticDatasetBuilder
+        from repro.index.setrtree import SetRTree
+        from repro.service.api import YaskEngine
+        from repro.service.executor import WhyNotQuestion
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the served engine built a SetR-tree")
+
+        monkeypatch.setattr(SetRTree, "__init__", refuse)
+        database = SyntheticDatasetBuilder(seed=3).build(
+            600, vocabulary_size=30, doc_length=(2, 5)
+        )
+        engine = YaskEngine(
+            database, shards=shards, max_entries=4, index_rebuild_slack=0
+        )
+        query = engine.make_query(database.objects[0].loc, {"kw000", "kw001"}, 3)
+        result = engine.query(query)
+        assert len(result) == 3
+        missing = (engine.scorer.rank_all(query)[6].obj.oid,)
+        for model in ("explain", "preference", "keywords", "combined"):
+            question = WhyNotQuestion(query=query, missing=missing, model=model)
+            assert engine.answer_whynot(question, initial_result=result) is not None
+        # The test_scoped_invalidation.py recipe: a delete-heavy batch
+        # degrades the one tree left, which is bulk-reloaded in place.
+        report = engine.apply_mutations(
+            [Mutation.delete(obj.oid) for obj in database.objects[:590]]
+        )
+        assert report.indexes_rebuilt == ("kcr_tree",)
+        assert len(engine.query(query)) == 3
+        engine.close()
+
+    def test_served_modules_do_not_mention_it(self):
+        from pathlib import Path
+
+        package = Path(repro.__file__).resolve().parent
+        served = sorted((package / "whynot").glob("*.py")) + [
+            package / "service" / name
+            for name in ("api.py", "sharded.py", "server.py", "executor.py")
+        ]
+        for path in served:
+            assert "setrtree" not in path.read_text(encoding="utf-8").lower(), path

@@ -11,7 +11,8 @@ actually exercised, and queries mix in out-of-vocabulary keywords.
 
 import math
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.geometry import Point, Rect
@@ -19,8 +20,10 @@ from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
+from repro.core.topk import BestFirstTopK
 from repro.index.dualspace import DualSpaceIndex
 from repro.index.kcrtree import KcRTree
+from repro.index.setrtree import SetRTree
 from repro.service.api import YaskEngine
 from repro.text.similarity import (
     DiceSimilarity,
@@ -31,6 +34,8 @@ from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
 from tests.properties.strategies import ALPHABET, coordinates, points
+from tests.properties.test_prop_mutations import CHURN, INGEST, draw_batch
+from tests.properties.test_prop_scan_index import column_rows, query_coordinate
 
 #: The kernel-supported set models, one instance each.
 MODELS = [JaccardSimilarity(), DiceSimilarity(), OverlapSimilarity()]
@@ -207,7 +212,9 @@ def tied_databases(draw):
 def assert_view_matches_reference(engine, query, model):
     """Every DualView primitive against its O(n) counterpart."""
     view = engine.kernel.dual_view(query)
-    reference = Scorer(engine.database, text_model=model, use_kernel=False)
+    database = engine.database
+    reference = Scorer(database, text_model=model, use_kernel=False)
+    tree = SetRTree.build(database, text_model=model, max_entries=4)
     duals = reference.dual_points(query)
     assert view.dual_points() == duals
     targets = duals[:4]
@@ -227,9 +234,19 @@ def assert_view_matches_reference(engine, query, model):
         assert view.permanent_ties_smaller(
             m.oid
         ) == PreferenceAdjuster._permanent_ties_smaller(m, duals)
-        assert view.count_more_similar(
-            m.b
-        ) == engine.set_rtree.count_more_similar(query.doc, m.b)
+        assert view.count_more_similar(m.b) == tree.count_more_similar(
+            query.doc, m.b
+        )
+        # Radii: nothing, the object's own distance (the explanation's
+        # question), one inside the dataspace, one past its diagonal
+        # (every clamped row and every tombstone ties at proximity 0).
+        own = database.get(m.oid).loc.distance_to(query.loc)
+        for radius in (0.0, own, 0.3, 2.0):
+            closer = engine.kernel.count_closer(view, query, radius)
+            assert closer == tree.count_within_distance(query.loc, radius)
+            assert closer == sum(
+                1 for obj in database if obj.loc.distance_to(query.loc) < radius
+            )
         for other in crossing:
             w_star = m.crossover_with(other)
             if w_star is not None:
@@ -255,9 +272,9 @@ def assert_view_matches_reference(engine, query, model):
 )
 def test_levelled_view_matches_linear_reference(tied, query, model, shards, data):
     """ranks_at (at the initial weights, every crossover and its ±1 ulp
-    neighbours), the crossing set, above-at-zero, permanent ties and
-    count_more_similar — before and after batches that leave tombstones
-    in the unsharded kernel's columns."""
+    neighbours), the crossing set, above-at-zero, permanent ties,
+    count_more_similar and the closer-count — before and after batches
+    that leave tombstones in the unsharded kernel's columns."""
     database, locations, documents = tied
     engine = YaskEngine(database, text_model=model, shards=shards, max_entries=4)
     try:
@@ -291,4 +308,100 @@ def test_levelled_view_matches_linear_reference(tied, query, model, shards, data
             engine.apply_mutations(batch)
             assert_view_matches_reference(engine, query, model)
     finally:
+        engine.close()
+
+
+# ----------------------------------------------------------------------
+# The served unsharded top-k ≡ the set path ≡ best-first over a SetR-tree
+# ----------------------------------------------------------------------
+def assert_topk_matches_references(engine, model, loc, doc, extra_k):
+    """``YaskEngine.query`` against two references that share nothing
+    with the scan: the kernel-less set path and the paper's best-first
+    search over a SetR-tree bulk-loaded from the current objects."""
+    database = engine.database
+    oracle = Scorer(database, text_model=model, use_kernel=False)
+    best_first = BestFirstTopK(
+        SetRTree.build(database, text_model=model, max_entries=4), oracle
+    )
+    n = len(database)
+    # Weights are open at both ends: 1e-9 stands in for 0 and 1.
+    for ws in (1e-9, 0.5, 1.0 - 1e-9):
+        for k in {1, n, n + 3, extra_k}:
+            query = SpatialKeywordQuery(loc, doc, k, Weights.from_spatial(ws))
+            expected = [tuple(e) for e in oracle.top_k(query)]
+            assert [tuple(e) for e in engine.query(query)] == expected
+            assert [tuple(e) for e in best_first.search(query)] == expected
+
+
+def check_unsharded_topk_through_history(tied, model, kinds, batches_max, data):
+    database, _locations, _documents = tied
+    draw = data.draw
+    locations = st.builds(Point, query_coordinate, query_coordinate)
+    docs = query_keywords.map(frozenset)
+    # Two-row index columns: three inserts outgrow the tail, so the
+    # scan index is dropped and rebuilt inside a short history.
+    with column_rows(2):
+        engine = YaskEngine(database, text_model=model, max_entries=4)
+        try:
+            live = {obj.oid for obj in database}
+            next_oid = max(live) + 1
+            for _ in range(draw(st.integers(min_value=1, max_value=batches_max))):
+                loc, doc = draw(locations), draw(docs)
+                extra_k = draw(st.integers(min_value=1, max_value=len(live) + 3))
+                assert_topk_matches_references(engine, model, loc, doc, extra_k)
+                batch = draw_batch(draw, live, next_oid, kinds)
+                next_oid += len(batch)
+                engine.apply_mutations(batch)
+                assert_topk_matches_references(engine, model, loc, doc, extra_k)
+        finally:
+            engine.close()
+
+
+HISTORY_SETTINGS = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+@settings(max_examples=25, **HISTORY_SETTINGS)
+@given(tied_databases(), models, st.sampled_from([INGEST, CHURN]), st.data())
+def test_unsharded_engine_topk_matches_set_path_and_best_first(
+    tied, model, kinds, data
+):
+    check_unsharded_topk_through_history(tied, model, kinds, 5, data)
+
+
+@pytest.mark.slow
+@settings(max_examples=150, **HISTORY_SETTINGS)
+@given(tied_databases(), models, st.sampled_from([INGEST, CHURN]), st.data())
+def test_unsharded_engine_topk_matches_set_path_and_best_first_deep(
+    tied, model, kinds, data
+):
+    check_unsharded_topk_through_history(tied, model, kinds, 20, data)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_unsharded_history_compacts_and_rebuilds_the_scan_index(model):
+    """The histories above do reach both events: a seeded churn run on
+    the served engine compacts its kernel and rebuilds its scan index,
+    with parity after every batch."""
+    spots = [Point(x / 4.0, y / 4.0) for x in range(5) for y in range(5)]
+    objects = [
+        SpatialObject(oid, spots[oid % 25], frozenset(ALPHABET[oid % 5 : oid % 5 + 3]))
+        for oid in range(24)
+    ]
+    database = SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0))
+    doc = frozenset(ALPHABET[1:4])
+    with column_rows(4):
+        engine = YaskEngine(database, text_model=model, max_entries=4)
+        assert_topk_matches_references(engine, model, Point(0.5, 0.5), doc, 5)
+        for oid in range(0, 14, 2):  # past the 25 % tombstone threshold
+            engine.apply_mutations([Mutation.delete(oid)])
+            assert_topk_matches_references(engine, model, Point(0.5, 0.5), doc, 5)
+        for oid in range(100, 106):  # past the tail's share of the build
+            newcomer = SpatialObject(oid, spots[oid % 25], doc)
+            engine.apply_mutations([Mutation.insert(newcomer)])
+            assert_topk_matches_references(engine, model, Point(0.5, 0.5), doc, 5)
+        assert engine.kernel.compactions >= 1
+        assert engine.kernel.stats.scan_index_builds >= 2
         engine.close()

@@ -107,7 +107,7 @@ class TestEngineVariants:
     def test_indexes_exposed(self, engine, small_db):
         assert engine.kcr_tree is not None
         assert len(engine.kcr_tree) == len(small_db)
-        assert engine.set_rtree is not None
+        assert not hasattr(engine, "set_rtree")
 
 
 class TestWhyNotIntegration:

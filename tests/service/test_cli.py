@@ -106,6 +106,23 @@ class TestCommands:
         assert "SetR-tree:" in out and "KcR-tree:" in out
         assert "objects = 60" in out
 
+    def test_stats_builds_trees_not_an_engine(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            "repro.service.cli.YaskEngine",
+            lambda *args, **kwargs: pytest.fail("stats built an engine"),
+        )
+        assert main(["stats", "--dataset", "coffee", "--max-entries", "2"]) == 0
+        assert capsys.readouterr().out.count("items=60") == 2
+
+    @pytest.mark.parametrize("value", ["1", "0", "-4", "x"])
+    def test_stats_bad_max_entries_is_a_usage_error(self, value, capsys):
+        """Regression: ``--max-entries 1`` was a ``ValueError`` traceback
+        out of ``RTree.__init__``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["stats", "--dataset", "coffee", "--max-entries", value])
+        assert excinfo.value.code == 2
+        assert "usage: yask stats" in capsys.readouterr().err
+
     def test_audit_command_passes_on_clean_engine(self, capsys):
         code = main(
             [

@@ -311,7 +311,6 @@ class TestRejectedBeforeAnythingMoves:
             len(engine.database),
             engine.generation,
             engine.kernel.live_count,
-            len(engine.set_rtree),
             len(engine.kcr_tree),
             engine.wal.last_generation,
         )
@@ -345,7 +344,7 @@ class TestRejectedBeforeAnythingMoves:
                 client.insert_objects(
                     [{"oid": 51, "x": 0.4, "y": 0.4, "keywords": ["k"]}]
                 )
-                assert self._state(engine) == (7, 2, 7, 7, 7, 2)
+                assert self._state(engine) == (7, 2, 7, 7, 2)
         recovered, report = recover_engine(
             tmp_path, database=make_tiny_db(), fsync="never", max_entries=4
         )

@@ -85,12 +85,10 @@ class TestResponseSerialisation:
         assert first["rank"] == 1
         assert set(first) == {"rank", "score", "sdist", "tsim", "object"}
 
-    def test_explanation_to_dict_shape(
-        self, small_scorer, small_setrtree, scenario
-    ):
+    def test_explanation_to_dict_shape(self, small_scorer, scenario):
         from repro.whynot.explanation import ExplanationGenerator
 
-        generator = ExplanationGenerator(small_scorer, small_setrtree)
+        generator = ExplanationGenerator(small_scorer)
         explanation = generator.explain(scenario.query, scenario.missing)
         payload = explanation_to_dict(explanation)
         json.dumps(payload)

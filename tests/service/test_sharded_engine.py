@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.query import SpatialKeywordQuery
+from repro.core.scoring import Scorer
 from repro.datasets.hotels import hong_kong_hotels
 from repro.service.api import YaskEngine
 from repro.service.cli import main
@@ -37,17 +38,23 @@ def plain_hotels_engine(hotels):
     return YaskEngine(hotels)
 
 
+@pytest.fixture(scope="module")
+def set_path_oracle(hotels):
+    """Top-k without a kernel: an unsharded engine scans too."""
+    return Scorer(hotels, use_kernel=False)
+
+
 class TestEngineFacade:
     def test_hotels_topk_parity(
-        self, sharded_hotels_engine, plain_hotels_engine
+        self, sharded_hotels_engine, plain_hotels_engine, set_path_oracle
     ):
         for keywords, k in [({"clean", "comfortable"}, 3), ({"harbour"}, 5)]:
             query = plain_hotels_engine.make_query(
                 hong_kong_hotels().objects[7].loc, keywords, k
             )
-            expected = plain_hotels_engine.query(query)
-            actual = sharded_hotels_engine.query(query)
-            assert [tuple(e) for e in actual] == [tuple(e) for e in expected]
+            expected = [tuple(e) for e in set_path_oracle.top_k(query)]
+            for engine in (sharded_hotels_engine, plain_hotels_engine):
+                assert [tuple(e) for e in engine.query(query)] == expected
 
     def test_shard_router_exposed(self, sharded_hotels_engine):
         router = sharded_hotels_engine.shard_router
@@ -92,11 +99,11 @@ class TestEngineFacade:
         engine.close()  # idempotent
         YaskEngine(hotels).close()
 
-    def test_round_robin_partitioner(self, hotels, plain_hotels_engine):
+    def test_round_robin_partitioner(self, hotels, set_path_oracle):
         engine = YaskEngine(hotels, shards=3, partitioner="round-robin")
         query = engine.make_query(hotels.objects[3].loc, {"harbour"}, 4)
         assert [tuple(e) for e in engine.query(query)] == [
-            tuple(e) for e in plain_hotels_engine.query(query)
+            tuple(e) for e in set_path_oracle.top_k(query)
         ]
 
 

@@ -198,15 +198,16 @@ class TestTopKReuse:
         assert topk.stats().requests == 0
 
     def test_real_engine_search_stats_prove_no_retraversal(self, small_db):
-        """Same acceptance against the real index: SearchStats'
-        nodes_expanded must not move when the why-not answer starts
-        from an already-cached top-k result."""
+        """Same acceptance against the real index: the kernel's
+        scan_calls must not move when the why-not answer starts from an
+        already-cached top-k result."""
         engine = YaskEngine(small_db, max_entries=8)
         topk = QueryExecutor(engine)
         executor = WhyNotExecutor(engine, topk)
         query = engine.make_query(Point(0.5, 0.5), {"kw000", "kw001"}, 3)
-        topk.execute(query)  # prime: one best-first traversal
-        expanded_after_prime = engine.topk_engine.stats.nodes_expanded
+        topk.execute(query)  # prime: one indexed scan
+        scans_after_prime = engine.kernel.stats.scan_calls
+        assert scans_after_prime == 1
 
         # A rank just outside the top-k makes a well-posed question.
         ranking = engine.scorer.rank_all(query)
@@ -215,7 +216,7 @@ class TestTopKReuse:
             WhyNotQuestion(query=query, missing=(missing_oid,), model="explain")
         )
         assert execution.topk_source == "cache"
-        assert engine.topk_engine.stats.nodes_expanded == expanded_after_prime
+        assert engine.kernel.stats.scan_calls == scans_after_prime
         assert topk.stats().hits == 1
 
 

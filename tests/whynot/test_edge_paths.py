@@ -7,7 +7,6 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.index.kcrtree import KcRTree
-from repro.index.setrtree import SetRTree
 from repro.whynot.explanation import ExplanationGenerator, MissingReason
 from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
@@ -27,7 +26,7 @@ class TestReasonClassificationCases:
             SpatialObject(1, Point(0.05, 0.05), frozenset({"a", "b"})),
             SpatialObject(2, Point(0.10, 0.05), frozenset({"a"})),
         ])
-        generator = ExplanationGenerator(scorer, SetRTree.build(db, max_entries=2))
+        generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
         entry = generator.explain(query, [db.get(0)]).explanations[0]
         assert entry.reason is MissingReason.TOO_FAR
@@ -39,7 +38,7 @@ class TestReasonClassificationCases:
             SpatialObject(1, Point(0.10, 0.10), frozenset({"a", "b"})),
             SpatialObject(2, Point(0.90, 0.90), frozenset({"a"})),
         ])
-        generator = ExplanationGenerator(scorer, SetRTree.build(db, max_entries=2))
+        generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
         entry = generator.explain(query, [db.get(0)]).explanations[0]
         assert entry.reason is MissingReason.LOW_RELEVANCE
@@ -50,7 +49,7 @@ class TestReasonClassificationCases:
             SpatialObject(1, Point(0.05, 0.05), frozenset({"a", "b"})),
             SpatialObject(2, Point(0.5, 0.5), frozenset({"a"})),
         ])
-        generator = ExplanationGenerator(scorer, SetRTree.build(db, max_entries=2))
+        generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
         entry = generator.explain(query, [db.get(0)]).explanations[0]
         assert entry.reason is MissingReason.BOTH
@@ -64,7 +63,7 @@ class TestReasonClassificationCases:
             SpatialObject(5, Point(0.05, 0.05), frozenset({"a", "b"})),
             SpatialObject(7, Point(0.9, 0.9), frozenset({"x"})),
         ])
-        generator = ExplanationGenerator(scorer, SetRTree.build(db, max_entries=2))
+        generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
         entry = generator.explain(query, [db.get(5)]).explanations[0]
         assert entry.reason is MissingReason.PREFERENCE_IMBALANCE

@@ -19,8 +19,8 @@ def scenario(scorer, seed=100, k=5, missing_count=1):
 
 
 @pytest.fixture(scope="module")
-def generator(small_scorer, small_setrtree):
-    return ExplanationGenerator(small_scorer, small_setrtree)
+def generator(small_scorer):
+    return ExplanationGenerator(small_scorer)
 
 
 class TestExplanationContent:
@@ -55,12 +55,14 @@ class TestExplanationContent:
         assert entry.closer_objects == expected_closer
         assert entry.more_similar_objects == expected_similar
 
-    def test_index_and_scan_generators_agree(self, small_scorer, small_setrtree):
-        with_index = ExplanationGenerator(small_scorer, small_setrtree)
-        without_index = ExplanationGenerator(small_scorer, None)
+    def test_index_and_scan_generators_agree(self, small_scorer):
+        with_view = ExplanationGenerator(small_scorer)
+        without_view = ExplanationGenerator(
+            Scorer(small_scorer.database, use_kernel=False)
+        )
         s = scenario(small_scorer, seed=103)
-        a = with_index.explain(s.query, s.missing).explanations[0]
-        b = without_index.explain(s.query, s.missing).explanations[0]
+        a = with_view.explain(s.query, s.missing).explanations[0]
+        b = without_view.explain(s.query, s.missing).explanations[0]
         assert (a.closer_objects, a.more_similar_objects) == (
             b.closer_objects, b.more_similar_objects,
         )
@@ -119,10 +121,6 @@ class TestErrors:
         q = random_queries(small_scorer.database, 1, seed=120, k=5)[0]
         with pytest.raises(ValueError):
             generator.explain(q, [])
-
-    def test_mismatched_index_database_rejected(self, small_scorer, medium_setrtree):
-        with pytest.raises(ValueError):
-            ExplanationGenerator(small_scorer, medium_setrtree)
 
     def test_cached_result_reused(self, small_scorer, generator):
         s = scenario(small_scorer, seed=121)

@@ -18,10 +18,9 @@ def scenario(scorer, seed=240, k=5):
 
 
 @pytest.fixture(scope="module")
-def generator(small_scorer, small_setrtree):
+def generator(small_scorer):
     return ExplanationGenerator(
         small_scorer,
-        small_setrtree,
         preference_adjuster=PreferenceAdjuster(small_scorer),
     )
 
@@ -33,8 +32,8 @@ class TestWeightHints:
         assert entry.viable_ws_intervals is not None
         assert entry.fixable_by_weights_alone in (True, False)
 
-    def test_intervals_none_without_adjuster(self, small_scorer, small_setrtree):
-        plain = ExplanationGenerator(small_scorer, small_setrtree)
+    def test_intervals_none_without_adjuster(self, small_scorer):
+        plain = ExplanationGenerator(small_scorer)
         s = scenario(small_scorer, seed=241)
         entry = plain.explain(s.query, s.missing).explanations[0]
         assert entry.viable_ws_intervals is None
