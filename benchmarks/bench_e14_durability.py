@@ -6,13 +6,15 @@ recovery.  Two floors make the tier honest:
 
 * **Logged ingest** (``fsync="never"``): appending every batch to the
   log costs at most a modest slice of ingest throughput — logged
-  ingest sustains at least **0.7x** the unlogged rate.  (The
+  ingest sustains at least **0.6x** the unlogged rate (0.7x while an
+  ingest batch also maintained the KcR-tree; see the test).  (The
   ``fsync="always"`` rate is also measured and reported, unasserted:
   it is bounded by the device's sync latency, not by this code.)
 * **Recovery**: after a crash, the *only* way to rebuild the engine is
   from what is on disk.  Recovering a 20k-object dataset whose last 5%
-  of mutations arrived after the snapshot is at least **4x faster**
-  than the full rebuild path — replaying the entire ingest log from
+  of mutations arrived after the snapshot is at least **1x as fast**
+  as the full rebuild path (4x while every replayed batch maintained
+  the KcR-tree; see the test) — replaying the entire ingest log from
   the seed through a live engine's per-batch index maintenance
   (``replay_into``), which is exactly what rebuilding a serving
   replica costs without the snapshot + bulk-recovery machinery — with
@@ -58,10 +60,10 @@ from repro.service.wal import (
     replay_into,
 )
 
-#: Acceptance floors (ISSUE 6; the recovery ratio re-baselined by
-#: ISSUE 21 from 5.0, see the test's docstring).
-LOGGED_THROUGHPUT_FLOOR = 0.7
-RECOVERY_SPEEDUP_FLOOR = 4.0
+#: Acceptance floors (both ratios re-baselined when the engine stopped
+#: maintaining a tree; see the tests' docstrings).
+LOGGED_THROUGHPUT_FLOOR = 0.6
+RECOVERY_SPEEDUP_FLOOR = 1.0
 
 OBJECTS = 20_000
 SEED_OBJECTS = 50
@@ -89,10 +91,20 @@ def _batches(objects, start: int) -> list[list[Mutation]]:
     ]
 
 
-def test_e14_logged_ingest_at_least_70_percent_of_unlogged(
-    full_db, tmp_path
-):
-    """Acceptance: WAL appends cost <=30% of ingest throughput."""
+def test_e14_logged_ingest_vs_unlogged(full_db, tmp_path):
+    """Acceptance: logged ingest sustains >= 0.6x unlogged throughput.
+
+    The unlogged path lost the KcR-tree's ``insert_batch`` when the
+    served engine stopped maintaining a tree, which was nearly all of
+    it; the log's framing cost stayed.  Six alternating runs per commit
+    read unlogged 193-212 ms -> 7.9-8.4 ms and logged 196-215 ms ->
+    12.5-13.1 ms: both ~16-25x faster, the WAL's ~4.7 ms no longer
+    hidden under ~190 ms of tree maintenance, so the ratio moved
+    0.92-0.99 -> 0.62-0.64.  The floor is the change's minimum (0.618)
+    rounded down to 0.1, a rule fixed before the runs; the absolute
+    times are printed below and tabled for both commits in
+    docs/BENCHMARKS.md ("After the engine stopped building a tree").
+    """
     objects = full_db.objects
     base = objects[: OBJECTS - 1_000]
     tail_batches = _batches(objects, OBJECTS - 1_000)
@@ -138,25 +150,25 @@ def test_e14_logged_ingest_at_least_70_percent_of_unlogged(
     )
 
 
-def test_e14_snapshot_recovery_4x_vs_full_rebuild(full_db, tmp_path):
-    """Acceptance: snapshot + 5% tail >= 4x faster than full rebuild.
+def test_e14_snapshot_recovery_vs_full_rebuild(full_db, tmp_path):
+    """Acceptance: snapshot + 5% tail >= 1x as fast as full rebuild.
 
     "Full rebuild" is replaying the entire ingest log from the seed
     through a live engine (``replay_into``: per-batch incremental index
     maintenance) — what rebuilding a serving replica costs without the
     snapshot + bulk-recovery machinery.
 
-    The floor was 5x while the engine maintained two R-trees per batch.
-    Since ISSUE 21 it maintains one, which made *both* paths cheaper
-    but the replay more (399 batches of tree maintenance against 20
-    plus one bulk-load): five alternating runs read replay 5.4-6.7 s ->
-    3.3-3.7 s and snapshot + tail 0.90-1.07 s -> 0.59-0.69 s, so the
-    ratio fell 5.4-7.4x -> 4.95-5.8x with no path slower, and the
-    ``bench_json.py`` run committed as ``BENCH_E14.json`` read 4.60x
-    (2 528 / 550 ms).  The floor is the minimum of those six readings
-    rounded down; the absolute times are printed below and tabled in
-    docs/BENCHMARKS.md ("After PR 21") so a slower recovery cannot hide
-    behind the ratio.
+    The floor was 5x while the engine maintained two R-trees per batch
+    and 4x while it maintained one.  The live replay lost the last tree
+    when the served engine stopped maintaining one, so 399 replayed
+    batches now cost little more than the snapshot's JSON parse: six
+    alternating runs per commit read replay 2 945-3 809 ms -> 397-418
+    ms and snapshot + tail 531-614 ms -> 286-392 ms, so the ratio moved
+    5.2-6.2x -> 1.0-1.5x with both paths faster.  The floor is the
+    change's minimum (1.04x) rounded down to 0.1, a rule fixed before
+    the runs; the absolute times are printed below and tabled for both
+    commits in docs/BENCHMARKS.md ("After the engine stopped building a
+    tree"), so a slower recovery cannot hide behind the ratio.
     """
     objects = full_db.objects
     seed = lambda: SpatialDatabase(

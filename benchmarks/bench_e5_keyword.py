@@ -51,8 +51,8 @@ def test_e5_bound_prune_by_missing_count(
     benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
 
 
-def test_e5_exhaustive_baseline(benchmark, bench_scorer, bench_kcrtree, bench_scenarios):
-    baseline = exhaustive_keyword_adapter(bench_scorer, bench_kcrtree)
+def test_e5_exhaustive_baseline(benchmark, bench_scorer, bench_scenarios):
+    baseline = exhaustive_keyword_adapter(bench_scorer)
     scenario = bench_scenarios[0]
 
     benchmark.pedantic(
@@ -66,7 +66,7 @@ def test_e5_report_prune_effectiveness(
 ):
     """The headline E5 table: same answer, fraction of the work."""
     adapter = KeywordAdapter(bench_scorer, bench_kcrtree)
-    baseline = exhaustive_keyword_adapter(bench_scorer, bench_kcrtree)
+    baseline = exhaustive_keyword_adapter(bench_scorer)
     table = Table(
         "scenario", "penalty", "prune ratio",
         "objects scored (b&p)", "objects scored (exhaustive)", "work ratio",

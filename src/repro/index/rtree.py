@@ -151,33 +151,6 @@ class RTree(Generic[T]):
             levels += 1
         return levels
 
-    def ideal_height(self) -> int:
-        """Height an STR bulk load of the current size would produce.
-
-        The smallest ``h`` with ``M^h ≥ n`` — every STR level packs
-        nodes to capacity (±1 for the even chunking).
-        """
-        if self._size <= self._max_entries:
-            return 1
-        return max(
-            1, math.ceil(math.log(self._size) / math.log(self._max_entries))
-        )
-
-    def balance_degraded(self, *, slack: int = 1) -> bool:
-        """Whether incremental updates have left the tree taller than ideal.
-
-        Guttman insertion keeps all leaves at one depth but fills nodes
-        only half full in the worst case, so a long mutation history can
-        leave the tree ``log₂``-ish taller (and its MBRs laggier) than a
-        fresh STR pack.  The live-mutation tier uses this as its rebuild
-        trigger: once the height exceeds the STR ideal by more than
-        ``slack`` levels, a bulk reload is cheaper than the pruning
-        power it recovers.
-        """
-        if self._size == 0:
-            return False
-        return self.height() > self.ideal_height() + slack
-
     def node_count(self) -> int:
         """Total number of nodes (inner + leaf)."""
         count = 0
@@ -277,20 +250,6 @@ class RTree(Generic[T]):
         tree._root.parent = None
         tree._size = len(entries)
         return tree
-
-    def adopt_structure(self, other: "RTree[T]") -> None:
-        """Replace this tree's nodes with ``other``'s (rebuild in place).
-
-        The live-mutation tier's rebuild fallback: when incremental
-        maintenance has degraded the tree, a fresh bulk load is built
-        and adopted *into the existing instance*, so every engine
-        holding this tree by reference sees the rebuilt structure.
-        """
-        if other.max_entries != self._max_entries:
-            raise ValueError("adopted tree must share max_entries")
-        self._root = other._root
-        self._root.parent = None
-        self._size = other._size
 
     @staticmethod
     def _chunk_evenly(items: list, chunk_count: int) -> list[list]:

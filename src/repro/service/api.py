@@ -1,12 +1,12 @@
 """The YASK query processor facade (Fig. 1's server-side "Query Processor").
 
 :class:`YaskEngine` wires together everything the architecture diagram
-shows on the server: the indexes built over the object database (a
-columnar scoring kernel and a KcR-tree), the spatial keyword top-k query
-engine, and the why-not engine with its explanation generator and two
-refinement modules.  The HTTP server (:mod:`repro.service.server`), the
-CLI and the examples all drive this one class; embedding applications
-can use it directly without any service plumbing.
+shows on the server: the index built over the object database (a
+columnar scoring kernel with its scan index), the spatial keyword top-k
+query engine, and the why-not engine with its explanation generator and
+two refinement modules.  The HTTP server (:mod:`repro.service.server`),
+the CLI and the examples all drive this one class; embedding
+applications can use it directly without any service plumbing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.core.query import DEFAULT_WEIGHTS, QueryResult, SpatialKeywordQuery, 
 from repro.core.scoring import Scorer
 from repro.core.sharding import ShardRouter
 from repro.core.topk import KernelTopK, TopKEngine
-from repro.index.kcrtree import KcRTree
 from repro.text.similarity import JACCARD, SetSimilarityModel
 from repro.whynot.engine import WhyNotAnswer, WhyNotEngine
 
@@ -69,7 +68,6 @@ class MutationReport:
     change: AppliedBatch | None
     objects: int
     kernel: dict | None
-    indexes_rebuilt: tuple[str, ...]
     response_ms: float
     deduplicated: bool = False
     dedup_generation: int = 0
@@ -94,7 +92,6 @@ class MutationReport:
             "deleted": deleted,
             "objects": self.objects,
             "kernel": self.kernel,
-            "indexes_rebuilt": list(self.indexes_rebuilt),
             "response_ms": self.response_ms,
             "deduplicated": self.deduplicated,
         }
@@ -103,8 +100,8 @@ class MutationReport:
 class YaskEngine:
     """The complete YASK server-side query processor.
 
-    One shape, always — a columnar scoring kernel, a KcR-tree and a
-    mutable database — so every engine queries, mutates, logs and
+    One shape, always — a columnar scoring kernel and a mutable
+    database — so every engine queries, mutates, logs and
     recovers; anything outside docs/OPERATIONS.md's "Supported
     configurations" table is refused at construction, with the reason.
 
@@ -121,8 +118,6 @@ class YaskEngine:
         The server-side preference parameter: "the system ... leaves the
         weighting vector ~w as a system parameter on the server.  In the
         default setting ... ⟨0.5, 0.5⟩" (Section 3.2).
-    max_entries:
-        Fanout of the KcR-tree.
     shards:
         ``None`` (default): top-k is one indexed scan of the global
         kernel (:class:`~repro.core.topk.KernelTopK`).  An integer
@@ -138,13 +133,6 @@ class YaskEngine:
         ``"grid"`` (spatial quantile tiles, default), ``"round-robin"``
         (the spatially incoherent ablation) or a callable; anything but
         the default requires ``shards``.
-    index_rebuild_slack:
-        Live-mutation rebuild fallback sensitivity: after a mutation
-        batch, a KcR-tree taller than its STR bulk-load ideal by more
-        than this many levels is bulk-reloaded in place.  ``1``
-        (default) tolerates the one extra level Guttman insertion
-        typically costs; ``0`` rebuilds aggressively (churn-heavy
-        workloads that must keep pruning bounds tight).
     wal:
         A :class:`~repro.service.wal.WriteAheadLog` to attach: every
         mutation batch is durably appended *before* it is applied, so a
@@ -169,10 +157,8 @@ class YaskEngine:
         *,
         text_model: SetSimilarityModel = JACCARD,
         default_weights: Weights = DEFAULT_WEIGHTS,
-        max_entries: int = 32,
         shards: int | None = None,
         partitioner: str = "grid",
-        index_rebuild_slack: int = 1,
         wal: "WriteAheadLog | None" = None,
         base_generation: int = 0,
         batch_tokens: Mapping[str, int] | None = None,
@@ -190,15 +176,10 @@ class YaskEngine:
                 "ignored without shards; pass shards=N (shards=1 keeps "
                 "one shard) or drop it"
             )
-        if index_rebuild_slack < 0:
-            raise ValueError("index_rebuild_slack must be non-negative")
         if base_generation < 0:
             raise ValueError("base_generation must be non-negative")
         self._database = database
         self._default_weights = default_weights
-        self._max_entries = max_entries
-        self._index_rebuild_slack = index_rebuild_slack
-        self._indexes_rebuilt = 0
 
         self._shard_router: ShardRouter | None = None
         if shards is not None:
@@ -213,10 +194,9 @@ class YaskEngine:
         )
         # Never None: supports() was checked above.
         self._kernel = cast(ScoringKernel, self._scorer.kernel)
-        # The kernel serves top-k and the explanation generator's
-        # counting queries; the KcR-tree the keyword module.
-        self._kcr_tree = KcRTree.build(database, max_entries=max_entries)
-        self._whynot = WhyNotEngine(self._scorer, kcr_tree=self._kcr_tree)
+        # The kernel serves top-k, the explanation generator's counting
+        # queries and the keyword module's capped candidate ranks.
+        self._whynot = WhyNotEngine(self._scorer)
 
         # ---- Live-mutation tier -------------------------------------
         # Readers (queries, why-not answering) share the lock; mutation
@@ -315,10 +295,6 @@ class YaskEngine:
     def whynot(self) -> WhyNotEngine:
         return self._whynot
 
-    @property
-    def kcr_tree(self) -> KcRTree:
-        return self._kcr_tree
-
     # ------------------------------------------------------------------
     # Query construction
     # ------------------------------------------------------------------
@@ -405,12 +381,11 @@ class YaskEngine:
 
         Under the exclusive write lock: the database (id/name tables
         patched, incremental vocabulary interning), the scoring kernel
-        (tombstone + append + threshold compaction — the global kernel
-        and each shard's by the same rule), the shard router
-        (owning-shard routing, summaries widened or, when a boundary
-        holder left, recomputed; row maps patched) and the KcR-tree
-        (Guttman insert, shrink-after-delete) are all updated in place;
-        a degraded tree is bulk-reloaded.  After this returns, every
+        and its scan index (tombstone + append + threshold compaction —
+        the global kernel and each shard's by the same rule) and the
+        shard router (owning-shard routing, summaries widened or, when a
+        boundary holder left, recomputed; row maps patched) are all
+        updated in place, in O(batch).  After this returns, every
         query answer is bit-for-bit what a fresh engine built from the
         new object set would produce.  Serving-tier caches are *not*
         touched here — the caller holds them; pass ``report.change``
@@ -453,7 +428,6 @@ class YaskEngine:
                         change=None,
                         objects=len(self._database),
                         kernel=None,
-                        indexes_rebuilt=(),
                         response_ms=(time.perf_counter() - started) * 1000.0,
                         deduplicated=True,
                         dedup_generation=seen,
@@ -461,47 +435,20 @@ class YaskEngine:
             change = self._mutable.apply(
                 mutations, pre_commit=pre_commit, token=batch_token
             )
-            if change.is_noop:
-                rebuilt: tuple[str, ...] = ()
-            else:
-                tree = self._kcr_tree
-                for obj in change.removed:
-                    tree.delete(obj, obj.loc)
-                # Batched: one deferred summary pass instead of a
-                # count-map merge along every inserted object's path.
-                tree.insert_batch((obj, obj.loc) for obj in change.appended)
-                rebuilt = self._rebuild_degraded_indexes()
             # Still under the lock: the report describes this batch's
             # own generation, not whatever the next writer leaves.
             return MutationReport(
                 change=change,
                 objects=len(self._database),
                 kernel=self._kernel.mutation_info(),
-                indexes_rebuilt=rebuilt,
                 response_ms=(time.perf_counter() - started) * 1000.0,
             )
-
-    def _rebuild_degraded_indexes(self) -> tuple[str, ...]:
-        """Bulk-reload the KcR-tree when its balance degraded (in place).
-
-        Adopting the fresh structure in place keeps the holder of the
-        tree reference, the keyword adapter, pointed at the rebuilt
-        index.  Returns the names of the trees reloaded.
-        """
-        if not self._kcr_tree.balance_degraded(slack=self._index_rebuild_slack):
-            return ()
-        self._kcr_tree.adopt_structure(
-            KcRTree.build(self._database, max_entries=self._max_entries)
-        )
-        self._indexes_rebuilt += 1
-        return ("kcr_tree",)
 
     def mutation_stats(self) -> dict:
         """The ``GET /api/stats`` mutations section."""
         return {
             **self._mutable.to_dict(),
             "kernel": self._kernel.mutation_info(),
-            "indexes_rebuilt": self._indexes_rebuilt,
         }
 
     # ------------------------------------------------------------------

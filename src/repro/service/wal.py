@@ -943,7 +943,7 @@ def recover_engine(
     the live-mutation property suite pins incremental maintenance to
     the rebuilt result).  ``attach=True`` (default) leaves the log
     attached to the engine so new batches keep appending;
-    ``engine_kwargs`` (``shards=…``, ``max_entries=…``, …) configure
+    ``engine_kwargs`` (``shards=…``, ``text_model=…``, …) configure
     the rebuilt engine.
     """
     from repro.service.api import YaskEngine

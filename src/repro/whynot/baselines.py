@@ -7,9 +7,9 @@
   Sampling is approximate — it only finds the optimum when a probe lands
   in the optimal rank interval — and its cost grows linearly with the
   probe count (experiment E4).
-* :func:`exhaustive_keyword_adapter` — keyword adaption without the
-  KcR-tree rank bounds: every candidate keyword set is ranked with a
-  full database scan (experiment E5).
+* :func:`exhaustive_keyword_adapter` — keyword adaption without rank
+  bounds: every candidate keyword set is ranked with a full database
+  scan (experiment E5).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Sequence
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
-from repro.index.kcrtree import KcRTree
 from repro.whynot.errors import NotMissingError
 from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.penalty import PreferencePenalty
@@ -106,15 +105,13 @@ class SamplingPreferenceAdjuster:
 
 def exhaustive_keyword_adapter(
     scorer: Scorer,
-    index: KcRTree,
     *,
     max_edit_count: int | None = None,
     candidate_budget: int | None = None,
 ) -> KeywordAdapter:
-    """Keyword adaption with KcR-tree rank bounds disabled (full scans)."""
+    """Keyword adaption with rank bounds disabled (full scans)."""
     return KeywordAdapter(
         scorer,
-        index,
         use_bounds=False,
         max_edit_count=max_edit_count,
         candidate_budget=candidate_budget,

@@ -20,8 +20,6 @@ from repro import concurrency
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import Scorer
-from repro.index.kcrtree import KcRTree
-from repro.text.similarity import JaccardSimilarity
 from repro.whynot.combined import CombinedRefinement, CombinedRefiner
 from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import UnknownObjectError
@@ -73,10 +71,10 @@ class WhyNotAnswer:
 class WhyNotEngine:
     """Server-side why-not engine over one database and text model.
 
-    The keyword adapter prunes with KcR-tree rank bounds when the
-    scorer's model is Jaccard (they are derived for it) and ranks
-    candidates exhaustively otherwise; the ablation parameters live on
-    :class:`PreferenceAdjuster` and :class:`KeywordAdapter`.
+    The keyword adapter ranks its capped candidates on the scorer
+    kernel's scan index, for every kernel model (so the scorer needs
+    one); the ablation parameters, and the paper's tree descent, live
+    on :class:`PreferenceAdjuster` and :class:`KeywordAdapter`.
 
     The questions of one session share a :class:`WhyNotContext`: the
     engine keeps the last :data:`CONTEXT_MEMO_SIZE` and, as a
@@ -85,17 +83,13 @@ class WhyNotEngine:
     with every mutation batch.
     """
 
-    def __init__(self, scorer: Scorer, *, kcr_tree: KcRTree) -> None:
+    def __init__(self, scorer: Scorer) -> None:
         self._scorer = scorer
         self._preference = PreferenceAdjuster(scorer)
         self._explainer = ExplanationGenerator(
             scorer, preference_adjuster=self._preference
         )
-        self._keyword = KeywordAdapter(
-            scorer,
-            kcr_tree,
-            use_bounds=isinstance(scorer.text_model, JaccardSimilarity),
-        )
+        self._keyword = KeywordAdapter(scorer)
         self._combined = CombinedRefiner(scorer, self._preference, self._keyword)
         # Guards the dict only: contexts are built outside it.
         self._contexts_lock = concurrency.ordered_lock(

@@ -26,11 +26,23 @@ Reconstruction (DESIGN.md §3.4):
   penalty seen, every remaining (larger-edit) candidate is pruned and
   enumeration stops.
 * **Bound and prune per candidate:** a candidate only needs its exact
-  worst rank if that rank is small enough to beat the best penalty; the
-  KcR-tree descent accumulates guaranteed beaters (rank lower bound) and
-  abandons the candidate as soon as the bound crosses the useful-rank
-  cap, resolving nodes to exact counts only where the node bounds
-  straddle the missing object's score.
+  worst rank if that rank is small enough to beat the best penalty.
+  Two arms answer "is ``m`` among the top ``cap`` under the candidate,
+  and at which place":
+
+  - *scan index* (no tree given; the served engine's arm, every kernel
+    model): one ``ScoringKernel.scan_top_k(cap, …, floor=θ_m)`` over the
+    rows that can still reach ``m``'s own score ``θ_m`` — ``m``'s place
+    in that list is its rank, its absence a rank above the cap.  The
+    one uncapped candidate, ``q.doc`` itself, reads its ranks off the
+    :class:`WhyNotContext` and scans nothing;
+  - *KcR-tree* (the paper's descent, kept for callers that pass a
+    tree): accumulate guaranteed beaters (rank lower bound) and abandon
+    the candidate as soon as the bound crosses the cap, resolving nodes
+    to exact counts only where the node bounds straddle the missing
+    object's score.
+
+  Both return the same ranks, so the same prunes and refined query.
 
 The node-level count bounds come from the KcR-tree payload of Fig. 2
 (keyword-count map + ``cnt``, plus the min/max doc length reconstruction
@@ -122,7 +134,7 @@ class KeywordAdapter:
     def __init__(
         self,
         scorer: Scorer,
-        index: KcRTree,
+        index: KcRTree | None = None,
         *,
         use_bounds: bool = True,
         max_edit_count: int | None = None,
@@ -132,11 +144,14 @@ class KeywordAdapter:
         Parameters
         ----------
         scorer:
-            Shared Eqn. (1) evaluator.  The KcR-tree bounds are derived
-            for the Jaccard model; ``use_bounds=True`` therefore requires
-            it (Eqn. 2 is the paper's default model).
+            Shared Eqn. (1) evaluator.  Without ``index`` its columnar
+            kernel ranks capped candidates on the kernel's scan index
+            (Jaccard, Dice and Overlap alike).
         index:
-            A :class:`KcRTree` over the scorer's database.
+            Optional :class:`KcRTree` over the scorer's database: capped
+            candidates are then ranked by the paper's descent, whose
+            bounds are derived for the Jaccard model (Eqn. 2, the
+            paper's default), so ``use_bounds=True`` requires it.
         use_bounds:
             When False, every candidate's worst rank is computed by a
             full database scan — the exhaustive baseline of experiment
@@ -148,12 +163,21 @@ class KeywordAdapter:
             Optional hard cap on generated candidates, for defensive use
             with extreme ``λ`` values where the Δdoc term vanishes.
         """
-        if use_bounds and not isinstance(scorer.text_model, JaccardSimilarity):
+        if use_bounds and index is None and scorer.kernel is None:
+            raise ValueError(
+                "the scan-index arm ranks on a columnar kernel; pass a "
+                "KcR-tree or use use_bounds=False for this text model"
+            )
+        if (
+            use_bounds
+            and index is not None
+            and not isinstance(scorer.text_model, JaccardSimilarity)
+        ):
             raise ValueError(
                 "KcR-tree rank bounds are derived for the Jaccard model; "
-                "use use_bounds=False for other text models"
+                "drop the tree or use use_bounds=False for other text models"
             )
-        if index.database is not scorer.database:
+        if index is not None and index.database is not scorer.database:
             raise ValueError("index and scorer must share the same database")
         if candidate_budget is not None and candidate_budget < 1:
             raise ValueError("candidate_budget must be at least 1")
@@ -168,7 +192,7 @@ class KeywordAdapter:
         return self._scorer
 
     @property
-    def index(self) -> KcRTree:
+    def index(self) -> KcRTree | None:
         return self._index
 
     # ------------------------------------------------------------------
@@ -200,9 +224,9 @@ class KeywordAdapter:
         stats = AdaptionStats()
 
         # Spatial proximities are shared by every candidate, and they
-        # are the dual view's ``a`` column: the descent indexes it by
-        # row.  The exhaustive ablation's full rank scans want the
-        # kernel's own (shard-annotated) column instead.
+        # are the dual view's ``a`` column: both bound-and-prune arms
+        # index it by row.  The exhaustive ablation's full rank scans
+        # want the kernel's own (shard-annotated) column instead.
         view = context.view
         ranker = _CandidateRanker(
             self._scorer,
@@ -221,7 +245,7 @@ class KeywordAdapter:
                 penalty, edit_count, best_penalty, query.k
             )
             worst = self._worst_rank_capped(
-                query, candidate, missing, ranker, rank_cap, stats
+                query, candidate, context, ranker, rank_cap, stats
             )
             if worst is None:
                 stats.candidates_pruned += 1
@@ -249,7 +273,11 @@ class KeywordAdapter:
             initial_worst_rank=initial_worst,
             lam=lam,
             stats=stats,
-            method="kcr-bound-prune" if self._use_bounds else "exhaustive-scan",
+            method=(
+                "exhaustive-scan" if not self._use_bounds
+                else "scan-index-bound-prune" if self._index is None
+                else "kcr-bound-prune"
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -346,21 +374,27 @@ class KeywordAdapter:
         self,
         query: SpatialKeywordQuery,
         candidate: frozenset[str],
-        missing: Sequence[SpatialObject],
+        context: WhyNotContext,
         ranker: "_CandidateRanker",
         rank_cap: int | None,
         stats: AdaptionStats,
     ) -> int | None:
-        """``R(M, q')`` for the candidate doc, or None when provably ≥ cap."""
+        """``R(M, q')`` for the candidate doc, or None when provably > cap."""
+        scan_arm = self._use_bounds and self._index is None
+        if scan_arm and candidate == query.doc:
+            # Δdoc = 0, the first (uncapped) candidate: q itself.
+            return context.initial_worst_rank
         ranker.set_candidate(candidate)
         worst = 0
-        for obj in missing:
-            if self._use_bounds:
+        for obj in context.missing:
+            if not self._use_bounds:
+                rank = ranker.rank_by_scan(obj, stats)
+            elif scan_arm:
+                rank = ranker.rank_within(obj, rank_cap)
+            else:
                 rank = self._rank_via_kcrtree(
                     query, candidate, obj, ranker, rank_cap, stats
                 )
-            else:
-                rank = ranker.rank_by_scan(obj, stats)
             if rank is None:
                 return None
             if rank > worst:
@@ -493,10 +527,10 @@ class _CandidateRanker:
     proximities are cached once per refine run.  With a columnar kernel
     on the scorer, proximities live in a row-indexed column and each
     candidate is encoded to a bitmask :class:`DocContext` — ``TSim`` per
-    object is then bit arithmetic, and a whole leaf or the whole
-    database is counted in one kernel call.  Without one (non-set
-    models), the original oid-keyed dict and ``similarity`` calls apply.
-    Both paths produce identical floats.
+    object is then bit arithmetic, and a whole leaf, the whole database
+    or the scan index's reachable rows are counted in one kernel call.
+    Without one (non-set models), the original oid-keyed dict and
+    ``similarity`` calls apply.  Both paths produce identical floats.
     """
 
     __slots__ = (
@@ -614,6 +648,30 @@ class _CandidateRanker:
         return 1 + self._count_beaters(
             self._scorer.database, self.score(missing_obj), missing_obj.oid
         )
+
+    def rank_within(
+        self, missing_obj: SpatialObject, cap: int | None
+    ) -> int | None:
+        """Exact rank of ``missing_obj`` when at most ``cap``, else None.
+
+        One indexed top-``cap`` scan cut at the inclusive floor of the
+        object's own score ``θ``: only rows that can reach ``θ`` are
+        scored, with the scan's ``ws·(1 − d) + wt·t`` — bit-identical to
+        :meth:`score`'s ``ws·proximity + wt·TSim`` — so the list holds
+        exactly the object's beaters in (score desc, oid asc) order,
+        then the object itself unless ``cap`` beaters filled it.  No
+        cap (no penalty to beat yet) caps at every live row.
+        """
+        ctx = self._ctx
+        pairs = self._kernel.scan_top_k(
+            cap or self._kernel.live_count, self._loc.x, self._loc.y,
+            ctx.mask, ctx.length, self._ws, self._wt,
+            floor=self.score(missing_obj),
+        )
+        for place, (_, oid) in enumerate(pairs, 1):
+            if oid == missing_obj.oid:
+                return place
+        return None
 
     def _count_beaters(
         self, objects: Iterable[SpatialObject], theta: float, missing_oid: int

@@ -76,11 +76,10 @@ class TestFacadeOptionsArePinned:
     """
 
     ENGINE_OPTIONS = (
-        "text_model", "default_weights", "max_entries", "shards",
-        "partitioner", "index_rebuild_slack", "wal", "base_generation",
-        "batch_tokens",
+        "text_model", "default_weights", "shards", "partitioner", "wal",
+        "base_generation", "batch_tokens",
     )
-    WHYNOT_OPTIONS = ("kcr_tree",)
+    WHYNOT_OPTIONS = ()
 
     @staticmethod
     def _names(callable_, kind):
@@ -101,6 +100,22 @@ class TestFacadeOptionsArePinned:
         assert self._names(WhyNotEngine.__init__, positional) == ("self", "scorer")
         assert self._names(WhyNotEngine.__init__, keyword) == self.WHYNOT_OPTIONS
 
+    @pytest.mark.parametrize(
+        "options", [{"max_entries": 32}, {"index_rebuild_slack": 1}]
+    )
+    def test_removed_engine_options_are_refused(self, small_db, options):
+        from repro.service.api import YaskEngine
+
+        with pytest.raises(TypeError, match=next(iter(options))):
+            YaskEngine(small_db, **options)
+
+    def test_removed_whynot_option_is_refused(self, small_db, small_scorer):
+        from repro.index.kcrtree import KcRTree
+        from repro.whynot.engine import WhyNotEngine
+
+        with pytest.raises(TypeError, match="kcr_tree"):
+            WhyNotEngine(small_scorer, kcr_tree=KcRTree.build(small_db))
+
     def test_every_option_has_a_row_in_the_operations_table(self):
         from pathlib import Path
 
@@ -113,28 +128,26 @@ class TestFacadeOptionsArePinned:
             assert f"`{name}`" in section, f"{name} is not documented"
 
 
-class TestServedEngineBuildsNoSetRTree:
-    """The SetR-tree is a library reference: nothing served constructs,
-    imports or maintains one."""
+class TestServedEngineBuildsNoTree:
+    """The R-tree family (SetR-tree, KcR-tree, IR-tree) is a library
+    reference: nothing served constructs, imports or maintains one."""
 
     @pytest.mark.parametrize("shards", [None, 4])
     def test_engine_runs_with_the_class_unconstructible(self, monkeypatch, shards):
         from repro.core.mutations import Mutation
         from repro.datasets.generators import SyntheticDatasetBuilder
-        from repro.index.setrtree import SetRTree
+        from repro.index.rtree import RTree
         from repro.service.api import YaskEngine
         from repro.service.executor import WhyNotQuestion
 
         def refuse(self, *args, **kwargs):
-            raise AssertionError("the served engine built a SetR-tree")
+            raise AssertionError("the served engine built a tree")
 
-        monkeypatch.setattr(SetRTree, "__init__", refuse)
+        monkeypatch.setattr(RTree, "__init__", refuse)
         database = SyntheticDatasetBuilder(seed=3).build(
             600, vocabulary_size=30, doc_length=(2, 5)
         )
-        engine = YaskEngine(
-            database, shards=shards, max_entries=4, index_rebuild_slack=0
-        )
+        engine = YaskEngine(database, shards=shards)
         query = engine.make_query(database.objects[0].loc, {"kw000", "kw001"}, 3)
         result = engine.query(query)
         assert len(result) == 3
@@ -142,22 +155,29 @@ class TestServedEngineBuildsNoSetRTree:
         for model in ("explain", "preference", "keywords", "combined"):
             question = WhyNotQuestion(query=query, missing=missing, model=model)
             assert engine.answer_whynot(question, initial_result=result) is not None
-        # The test_scoped_invalidation.py recipe: a delete-heavy batch
-        # degrades the one tree left, which is bulk-reloaded in place.
+        # A removing batch (it compacts the kernels) and the answers after.
         report = engine.apply_mutations(
             [Mutation.delete(obj.oid) for obj in database.objects[:590]]
         )
-        assert report.indexes_rebuilt == ("kcr_tree",)
+        assert report.to_dict()["deleted"] == 590
+        assert "indexes_rebuilt" not in report.to_dict()
         assert len(engine.query(query)) == 3
+        question = WhyNotQuestion(
+            query=query, missing=(engine.scorer.rank_all(query)[6].obj.oid,),
+            model="keywords",
+        )
+        assert engine.answer_whynot(question).method == "scan-index-bound-prune"
         engine.close()
 
     def test_served_modules_do_not_mention_it(self):
         from pathlib import Path
 
         package = Path(repro.__file__).resolve().parent
-        served = sorted((package / "whynot").glob("*.py")) + [
+        served = [
             package / "service" / name
             for name in ("api.py", "sharded.py", "server.py", "executor.py")
         ]
-        for path in served:
+        for path in served + [package / "whynot" / "engine.py"]:
+            assert "kcrtree" not in path.read_text(encoding="utf-8").lower(), path
+        for path in served + sorted((package / "whynot").glob("*.py")):
             assert "setrtree" not in path.read_text(encoding="utf-8").lower(), path

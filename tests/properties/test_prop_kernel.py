@@ -9,7 +9,9 @@ refinements.  Databases here include empty keyword sets and duplicated
 actually exercised, and queries mix in out-of-vocabulary keywords.
 """
 
+import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,6 +32,7 @@ from repro.text.similarity import (
     JaccardSimilarity,
     OverlapSimilarity,
 )
+from repro.whynot.baselines import exhaustive_keyword_adapter
 from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
@@ -165,26 +168,138 @@ def test_preference_refinement_parity(database, query):
     assert refined_fast == refined_slow
 
 
+def keyword_answer(refinement):
+    """Every field of a keyword refinement but how it was found."""
+    return dataclasses.replace(refinement, stats=None, method=None)
+
+
+def assert_keyword_arms_agree(engine, model, query, missing_oids, lams):
+    """The served engine's keyword answers (the scan-index arm) against
+    the exhaustive set path, every model, and the KcR-tree descent over
+    a fresh tree, Jaccard (the model its bounds are derived for)."""
+    database = engine.database
+    missing = [database.get(oid) for oid in missing_oids]
+    oracle = Scorer(database, text_model=model, use_kernel=False)
+    references = [exhaustive_keyword_adapter(oracle)]
+    if isinstance(model, JaccardSimilarity):
+        references.append(
+            KeywordAdapter(oracle, KcRTree.build(database, max_entries=4))
+        )
+    for lam in lams:
+        served = engine.refine_keywords(query, missing_oids, lam=lam)
+        assert served.method == "scan-index-bound-prune"
+        for reference in references:
+            assert keyword_answer(served) == keyword_answer(
+                reference.refine(query, missing, lam=lam)
+            )
+
+
+def draw_missing(data, engine, model, query, *, most=3):
+    """1 to ``most`` object ids ranked outside ``query``'s top k."""
+    oracle = Scorer(engine.database, text_model=model, use_kernel=False)
+    outside = [entry.obj.oid for entry in oracle.rank_all(query)[query.k :]]
+    return data.draw(
+        st.lists(st.sampled_from(outside), min_size=1, max_size=most, unique=True)
+    )
+
+
 @settings(max_examples=15, deadline=None)
-@given(kernel_databases(min_size=5, max_size=14), kernel_queries(k_max=2))
-def test_keyword_refinement_parity(database, query):
-    fast, slow = scorer_pair(database, JaccardSimilarity())
-    worst = max(slow.rank_of(obj, query) for obj in database)
-    missing = [
-        obj for obj in database if slow.rank_of(obj, query) == worst
-    ][:1]
-    if slow.worst_rank(missing, query) <= query.k:
-        return
-    tree = KcRTree.build(database, max_entries=4)
-    adapter_fast = KeywordAdapter(fast, tree, max_edit_count=2)
-    adapter_slow = KeywordAdapter(slow, tree, max_edit_count=2)
-    refined_fast = adapter_fast.refine(query, missing, lam=0.5)
-    refined_slow = adapter_slow.refine(query, missing, lam=0.5)
-    assert refined_fast.refined_query == refined_slow.refined_query
-    assert refined_fast.penalty == refined_slow.penalty
-    assert refined_fast.refined_worst_rank == refined_slow.refined_worst_rank
-    assert refined_fast.added == refined_slow.added
-    assert refined_fast.removed == refined_slow.removed
+@given(
+    kernel_databases(min_size=5, max_size=14),
+    kernel_queries(k_max=2),
+    models,
+    st.sampled_from([None, 4]),
+    st.data(),
+)
+def test_keyword_refinement_parity(database, query, model, shards, data):
+    """λ ∈ {0, 0.1, 0.5, 1}, |M| from 1 to 3, unsharded and over 4
+    shards: one answer from every arm, field for field."""
+    engine = YaskEngine(database, text_model=model, shards=shards)
+    try:
+        missing = draw_missing(data, engine, model, query)
+        assert_keyword_arms_agree(engine, model, query, missing, (0.0, 0.1, 0.5, 1.0))
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("shards", [None, 4])
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_keyword_parity_through_tombstones_tail_and_compaction(model, shards):
+    """After every batch of a history that tombstones rows, grows the
+    scan index's unsorted tail past its share (so the index is dropped
+    and rebuilt) and compacts the kernel, the served keyword answers
+    still equal both references."""
+    spots = [Point(x / 4.0, y / 4.0) for x in range(5) for y in range(5)]
+    objects = [
+        SpatialObject(oid, spots[oid % 25], frozenset(ALPHABET[oid % 5 : oid % 5 + 3]))
+        for oid in range(24)
+    ]
+    database = SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0))
+    query = SpatialKeywordQuery(
+        Point(0.5, 0.5), frozenset(ALPHABET[1:4]), 3, Weights.balanced()
+    )
+
+    def check(engine):
+        oracle = Scorer(engine.database, text_model=model, use_kernel=False)
+        ranking = oracle.rank_all(query)
+        missing = [ranking[5].obj.oid, ranking[-2].obj.oid]
+        assert_keyword_arms_agree(engine, model, query, missing, (0.1, 0.5, 0.9))
+
+    with column_rows(4):
+        engine = YaskEngine(database, text_model=model, shards=shards)
+        check(engine)
+        for oid in range(0, 14, 2):  # past the 25 % tombstone threshold
+            engine.apply_mutations([Mutation.delete(oid)])
+            check(engine)
+        for oid in range(100, 106):  # past the tail's share of the build
+            newcomer = SpatialObject(oid, spots[oid % 25], query.doc)
+            engine.apply_mutations([Mutation.insert(newcomer)])
+            check(engine)
+        stats = engine.kernel.stats
+        assert engine.kernel.compactions >= 1
+        assert stats.scan_index_builds >= 2 and stats.scan_calls > 0
+        engine.close()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        MODELS[0],
+        # Their exhaustive references take seconds here: deep budget only.
+        *(pytest.param(model, marks=pytest.mark.slow) for model in MODELS[1:]),
+    ],
+    ids=lambda m: type(m).__name__,
+)
+def test_keyword_parity_at_deep_ranks(medium_db, medium_kcrtree, model):
+    """Missing objects from ranks 100-300, where rank caps run into the
+    hundreds: the served answers equal the KcR descent's (Jaccard) and
+    the kernel's exhaustive rank scans' (every model)."""
+    engine = YaskEngine(medium_db, text_model=model)
+    scorer = engine.scorer
+    references = [exhaustive_keyword_adapter(scorer)]
+    if isinstance(model, JaccardSimilarity):
+        references.append(KeywordAdapter(scorer, medium_kcrtree))
+    rng = random.Random(25)
+    vocabulary = sorted(medium_db.vocabulary())
+    deepest = 0
+    for _ in range(3):
+        query = SpatialKeywordQuery(
+            rng.choice(medium_db.objects).loc,
+            frozenset(rng.sample(vocabulary, 2)),
+            10,
+            Weights.balanced(),
+        )
+        window = [e for e in scorer.rank_all(query)[99:300] if e.tsim > 0.0]
+        missing = [e.obj for e in rng.sample(window, rng.randint(1, 2))]
+        for lam in (0.3, 0.6):
+            served = engine.refine_keywords(query, missing, lam=lam)
+            deepest = max(deepest, served.refined_worst_rank)
+            for reference in references:
+                assert keyword_answer(served) == keyword_answer(
+                    reference.refine(query, missing, lam=lam)
+                )
+    assert deepest >= 100
+    engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +391,7 @@ def test_levelled_view_matches_linear_reference(tied, query, model, shards, data
     count_more_similar and the closer-count — before and after batches
     that leave tombstones in the unsharded kernel's columns."""
     database, locations, documents = tied
-    engine = YaskEngine(database, text_model=model, shards=shards, max_entries=4)
+    engine = YaskEngine(database, text_model=model, shards=shards)
     try:
         assert_view_matches_reference(engine, query, model)
         for _ in range(2):
@@ -341,7 +456,7 @@ def check_unsharded_topk_through_history(tied, model, kinds, batches_max, data):
     # Two-row index columns: three inserts outgrow the tail, so the
     # scan index is dropped and rebuilt inside a short history.
     with column_rows(2):
-        engine = YaskEngine(database, text_model=model, max_entries=4)
+        engine = YaskEngine(database, text_model=model)
         try:
             live = {obj.oid for obj in database}
             next_oid = max(live) + 1
@@ -393,7 +508,7 @@ def test_unsharded_history_compacts_and_rebuilds_the_scan_index(model):
     database = SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0))
     doc = frozenset(ALPHABET[1:4])
     with column_rows(4):
-        engine = YaskEngine(database, text_model=model, max_entries=4)
+        engine = YaskEngine(database, text_model=model)
         assert_topk_matches_references(engine, model, Point(0.5, 0.5), doc, 5)
         for oid in range(0, 14, 2):  # past the 25 % tombstone threshold
             engine.apply_mutations([Mutation.delete(oid)])

@@ -158,11 +158,9 @@ def check_engines_through_history(scenario, data, *, batches_max: int) -> None:
 
     live_plain = YaskEngine(
         SpatialDatabase(initial_objects, dataspace=database.dataspace),
-        max_entries=4,
     )
     live_sharded = YaskEngine(
         SpatialDatabase(initial_objects, dataspace=database.dataspace),
-        max_entries=4,
         shards=3,
     )
     draw = data.draw
@@ -179,7 +177,6 @@ def check_engines_through_history(scenario, data, *, batches_max: int) -> None:
         assert objects == live_sharded.database.objects
         fresh = YaskEngine(
             SpatialDatabase(objects, dataspace=database.dataspace),
-            max_entries=4,
         )
         assert_shard_bookkeeping(live_sharded)
         assert_rank_primitives(live_sharded, fresh, query)

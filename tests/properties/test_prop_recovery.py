@@ -145,7 +145,6 @@ def test_every_crash_point_recovers_bit_for_bit(scenario, data):
     try:
         primary = YaskEngine(
             SpatialDatabase(database.objects, dataspace=dataspace),
-            max_entries=4,
             wal=WriteAheadLog(
                 wal_dir, fsync="never", segment_bytes=segment_bytes
             ),
@@ -173,13 +172,12 @@ def test_every_crash_point_recovers_bit_for_bit(scenario, data):
         seed = lambda: SpatialDatabase(database.objects, dataspace=dataspace)
         for copy, expected_generation in crashes:
             recovered, report = recover_engine(
-                copy, database=seed(), max_entries=4
+                copy, database=seed()
             )
             oracle = YaskEngine(
                 SpatialDatabase(
                     states[expected_generation], dataspace=dataspace
                 ),
-                max_entries=4,
             )
             try:
                 assert recovered.generation == expected_generation
@@ -207,9 +205,9 @@ def test_every_crash_point_recovers_bit_for_bit(scenario, data):
         # The uncrashed log: recovery (sharded and unsharded) must be
         # indistinguishable from the live pre-close engine, and from
         # the set-path oracle.
-        plain, _ = recover_engine(wal_dir, database=seed(), max_entries=4)
+        plain, _ = recover_engine(wal_dir, database=seed())
         sharded, _ = recover_engine(
-            wal_dir, database=seed(), max_entries=4, shards=3, attach=False
+            wal_dir, database=seed(), shards=3, attach=False
         )
         set_oracle = Scorer(
             SpatialDatabase(states[final_generation], dataspace=dataspace),

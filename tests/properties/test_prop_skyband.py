@@ -161,7 +161,6 @@ def test_maintained_answers_match_cold_rescan_unsharded(scenario, data):
     database, query_set, delta = scenario
     engine = YaskEngine(
         SpatialDatabase(database.objects, dataspace=database.dataspace),
-        max_entries=4,
     )
     run_maintenance_history(engine, query_set, delta, data)
 
@@ -176,7 +175,6 @@ def test_maintained_answers_match_cold_rescan_sharded(scenario, data):
     database, query_set, delta = scenario
     engine = YaskEngine(
         SpatialDatabase(database.objects, dataspace=database.dataspace),
-        max_entries=4,
         shards=3,
     )
     run_maintenance_history(engine, query_set, delta, data)
@@ -190,7 +188,6 @@ def test_underflow_falls_back_to_rescan_and_recovers():
     ]
     engine = YaskEngine(
         SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
-        max_entries=4,
     )
     executor = QueryExecutor(engine, cache_capacity=8, skyband_delta=1)
     from repro.core.query import SpatialKeywordQuery
@@ -224,7 +221,6 @@ def test_delta_zero_degrades_to_scoped_drop_on_write():
     ]
     engine = YaskEngine(
         SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
-        max_entries=4,
     )
     executor = QueryExecutor(engine, cache_capacity=8, skyband_delta=0)
     from repro.core.query import SpatialKeywordQuery
@@ -282,7 +278,6 @@ def test_mutate_while_querying_never_serves_torn_skyband():
 
     engine = YaskEngine(
         SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
-        max_entries=8,
     )
     executor = QueryExecutor(engine, cache_capacity=16, skyband_delta=3)
     query_set = [

@@ -6,6 +6,7 @@ models must (a) revive every missing object and (b) never be beaten by
 their baseline (sampling / exhaustive enumeration).
 """
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -59,24 +60,36 @@ def test_preference_refinement_revives_and_dominates_sampling(case):
     assert refinement.penalty <= lam + 1e-12
 
 
+def check_keyword_adaption(case):
+    """Both bound-and-prune arms (the kernel's scan index, the KcR-tree
+    descent) revive M and give the exhaustive enumeration's answer."""
+    database, scorer, query, missing, lam = case
+    exhaustive = exhaustive_keyword_adapter(scorer).refine(query, missing, lam=lam)
+    tree = KcRTree.build(database, max_entries=4)
+    for adapter in (KeywordAdapter(scorer), KeywordAdapter(scorer, tree)):
+        refinement = adapter.refine(query, missing, lam=lam)
+
+        result = BruteForceTopK(scorer).search(refinement.refined_query)
+        assert all(result.contains(m) for m in missing)
+
+        assert abs(refinement.penalty - exhaustive.penalty) <= 1e-12
+        assert refinement.refined_query == exhaustive.refined_query
+        assert refinement.refined_worst_rank == exhaustive.refined_worst_rank
+
+        assert refinement.penalty <= lam + 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(whynot_cases())
 def test_keyword_adaption_revives_and_matches_exhaustive(case):
-    database, scorer, query, missing, lam = case
-    tree = KcRTree.build(database, max_entries=4)
-    adapter = KeywordAdapter(scorer, tree)
-    refinement = adapter.refine(query, missing, lam=lam)
+    check_keyword_adaption(case)
 
-    result = BruteForceTopK(scorer).search(refinement.refined_query)
-    assert all(result.contains(m) for m in missing)
 
-    exhaustive = exhaustive_keyword_adapter(scorer, tree).refine(
-        query, missing, lam=lam
-    )
-    assert abs(refinement.penalty - exhaustive.penalty) <= 1e-12
-    assert refinement.refined_query.doc == exhaustive.refined_query.doc
-
-    assert refinement.penalty <= lam + 1e-12
+@pytest.mark.slow
+@settings(max_examples=300, deadline=None)
+@given(whynot_cases())
+def test_keyword_adaption_revives_and_matches_exhaustive_deep(case):
+    check_keyword_adaption(case)
 
 
 @settings(max_examples=30, deadline=None)
@@ -96,9 +109,8 @@ def test_combined_refinement_revives(case):
     from repro.whynot.combined import CombinedRefiner
 
     database, scorer, query, missing, lam = case
-    tree = KcRTree.build(database, max_entries=4)
     refiner = CombinedRefiner(
-        scorer, PreferenceAdjuster(scorer), KeywordAdapter(scorer, tree)
+        scorer, PreferenceAdjuster(scorer), KeywordAdapter(scorer)
     )
     refinement = refiner.refine(query, missing, lam=lam)
     result = BruteForceTopK(scorer).search(refinement.refined_query)

@@ -21,7 +21,7 @@ from tests.conftest import make_tiny_db
 
 @pytest.fixture(scope="module")
 def engine(small_db):
-    return YaskEngine(small_db, max_entries=8)
+    return YaskEngine(small_db)
 
 
 class TestTopK:
@@ -62,7 +62,7 @@ class TestTopK:
 
 class TestEngineVariants:
     def test_indexed_engine_matches_brute_force(self, small_db):
-        indexed = YaskEngine(small_db, max_entries=8)
+        indexed = YaskEngine(small_db)
         brute = BruteForceTopK(indexed.scorer)
         q = indexed.make_query(Point(0.4, 0.6), {"kw001", "kw002"}, 5)
         assert [e.obj.oid for e in indexed.query(q)] == [
@@ -103,11 +103,6 @@ class TestEngineVariants:
             e.obj.oid for e in BruteForceTopK(engine.scorer).search(q)
         ]
         assert engine.kernel.model_code == "dice"
-
-    def test_indexes_exposed(self, engine, small_db):
-        assert engine.kcr_tree is not None
-        assert len(engine.kcr_tree) == len(small_db)
-        assert not hasattr(engine, "set_rtree")
 
 
 class TestWhyNotIntegration:

@@ -12,7 +12,7 @@ from tests.conftest import random_queries
 
 @pytest.fixture(scope="module")
 def engine(small_db):
-    return YaskEngine(small_db, max_entries=8)
+    return YaskEngine(small_db)
 
 
 class TestCleanAudits:

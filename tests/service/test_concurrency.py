@@ -18,7 +18,7 @@ from repro.service.server import YaskHTTPServer
 def server(small_db):
     from tests.service.conftest import running_server
 
-    with running_server(YaskEngine(small_db, max_entries=8)) as server:
+    with running_server(YaskEngine(small_db)) as server:
         yield server
 
 

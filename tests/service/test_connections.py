@@ -104,7 +104,7 @@ def wait_until(condition, timeout: float = 5.0) -> bool:
 
 @pytest.fixture()
 def server():
-    with running_server(YaskEngine(make_tiny_db(), max_entries=4)) as server:
+    with running_server(YaskEngine(make_tiny_db())) as server:
         yield server
 
 
@@ -216,7 +216,7 @@ class TestUnreadBodyEndsTheConnection:
     def test_refusal_then_valid_request_is_a_clean_close(self, case):
         refused, expected_status = REFUSED_UNREAD[case]
         with running_server(
-            YaskEngine(make_tiny_db(), max_entries=4), max_inflight=1
+            YaskEngine(make_tiny_db()), max_inflight=1
         ) as server:
             if case.startswith("shed"):
                 assert server.inflight.try_enter()  # saturate the gauge
@@ -236,7 +236,7 @@ class TestUnreadBodyEndsTheConnection:
 
     def test_shed_delete_without_a_body_keeps_the_connection(self):
         with running_server(
-            YaskEngine(make_tiny_db(), max_entries=4), max_inflight=1
+            YaskEngine(make_tiny_db()), max_inflight=1
         ) as server:
             assert server.inflight.try_enter()
             with Peer(server) as peer:

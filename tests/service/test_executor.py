@@ -261,7 +261,7 @@ class TestBatch:
 
 class TestRealEngine:
     def test_cached_result_matches_fresh_result(self, small_db):
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         executor = QueryExecutor(engine)
         query = engine.make_query(Point(0.5, 0.5), {"kw000", "kw001"}, 5)
         fresh = executor.execute(query)
@@ -273,7 +273,7 @@ class TestRealEngine:
         ]
 
     def test_executor_audit_covers_cached_results(self, small_db):
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         executor = QueryExecutor(engine)
         query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 4)
         executor.execute(query)
@@ -292,7 +292,7 @@ class TestRealEngine:
         database = SyntheticDatasetBuilder(seed=11).build(
             120, vocabulary_size=30, doc_length=(2, 6)
         )
-        engine = YaskEngine(database, max_entries=8)
+        engine = YaskEngine(database)
         executor = QueryExecutor(engine, skyband_delta=4)
         query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 4)
         first = executor.execute(query, deadline=Deadline(600000.0))
@@ -319,7 +319,7 @@ class TestRealEngine:
         database = SyntheticDatasetBuilder(seed=11).build(
             120, vocabulary_size=30, doc_length=(2, 6)
         )
-        engine = YaskEngine(database, max_entries=8)
+        engine = YaskEngine(database)
         executor = QueryExecutor(engine, skyband_delta=4)
         query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 4)
         served = executor.execute(query).result

@@ -17,7 +17,7 @@ def served():
     from tests.service.conftest import running_server
 
     with running_server(
-        YaskEngine(make_tiny_db(), max_entries=4), port=0
+        YaskEngine(make_tiny_db()), port=0
     ) as server:
         yield server, YaskClient(server.endpoint)
 
@@ -302,7 +302,7 @@ _UNBUILDABLE_OBJECTS = {
 
 class TestRejectedBeforeAnythingMoves:
     """Regression: these answered 500 *after* the database (and the WAL)
-    had committed the batch, leaving the kernel and trees a batch behind
+    had committed the batch, leaving the kernel a batch behind
     and a log record no recovery could build over."""
 
     @staticmethod
@@ -311,7 +311,6 @@ class TestRejectedBeforeAnythingMoves:
             len(engine.database),
             engine.generation,
             engine.kernel.live_count,
-            len(engine.kcr_tree),
             engine.wal.last_generation,
         )
 
@@ -328,7 +327,6 @@ class TestRejectedBeforeAnythingMoves:
             body = b'{"mutations": [{"op": "insert", ' + body[1:] + b"]}"
         engine = YaskEngine(
             make_tiny_db(),
-            max_entries=4,
             wal=WriteAheadLog(tmp_path, fsync="never"),
         )
         with running_server(engine, port=0) as server:
@@ -344,9 +342,9 @@ class TestRejectedBeforeAnythingMoves:
                 client.insert_objects(
                     [{"oid": 51, "x": 0.4, "y": 0.4, "keywords": ["k"]}]
                 )
-                assert self._state(engine) == (7, 2, 7, 7, 2)
+                assert self._state(engine) == (7, 2, 7, 2)
         recovered, report = recover_engine(
-            tmp_path, database=make_tiny_db(), fsync="never", max_entries=4
+            tmp_path, database=make_tiny_db(), fsync="never"
         )
         try:
             assert report.generation == 2

@@ -41,7 +41,7 @@ def test_mutation_query_hammer(shards):
     database = SyntheticDatasetBuilder(seed=77).build(
         150, vocabulary_size=24, doc_length=(2, 5)
     )
-    engine = YaskEngine(database, max_entries=8, shards=shards)
+    engine = YaskEngine(database, shards=shards)
     topk = QueryExecutor(engine, cache_capacity=64, max_workers=4)
     whynot = WhyNotExecutor(engine, topk, cache_capacity=32, max_workers=4)
 
@@ -219,7 +219,6 @@ def test_mutation_query_hammer(shards):
         SpatialDatabase(
             engine.database.objects, dataspace=engine.database.dataspace
         ),
-        max_entries=8,
     )
     for query in queries:
         got = engine.query(query)

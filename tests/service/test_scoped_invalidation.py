@@ -1,4 +1,4 @@
-"""Executor maintenance without a skyband (Δ=0) + the index rebuild fallback.
+"""Executor maintenance without a skyband (Δ=0).
 
 At ``skyband_delta=0`` there is no buffer to patch from, so
 ``maintain`` keeps exactly the entries the batch summary proves
@@ -11,7 +11,6 @@ from repro.core.geometry import Point
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
-from repro.datasets.generators import SyntheticDatasetBuilder
 from repro.service.api import YaskEngine
 from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
 from tests.conftest import make_tiny_db
@@ -23,7 +22,7 @@ def query_at(x: float, y: float, *keywords: str, k: int = 2):
 
 class TestMaintainWithoutSkyband:
     def make(self):
-        engine = YaskEngine(make_tiny_db(), max_entries=4)
+        engine = YaskEngine(make_tiny_db())
         executor = QueryExecutor(engine, cache_capacity=16)
         return engine, executor
 
@@ -164,35 +163,3 @@ class TestMaintainWithoutSkyband:
         executor.close()
         engine.close()
 
-
-class TestIndexRebuildFallback:
-    def test_delete_heavy_batch_triggers_rebuild(self):
-        database = SyntheticDatasetBuilder(seed=3).build(
-            600, vocabulary_size=30, doc_length=(2, 5)
-        )
-        engine = YaskEngine(database, max_entries=4, index_rebuild_slack=0)
-        oids = [obj.oid for obj in database.objects][:590]
-        report = engine.apply_mutations(
-            [Mutation.delete(oid) for oid in oids]
-        )
-        assert report.indexes_rebuilt == ("kcr_tree",)
-        # Rebuilt in place: the engines' references see the new structure
-        # and it is exactly the STR ideal again.
-        assert engine.kcr_tree.height() == engine.kcr_tree.ideal_height()
-        engine.kcr_tree.check_invariants()
-        assert engine.mutation_stats()["indexes_rebuilt"] >= 1
-        # And answers still match a fresh engine.
-        from repro.core.objects import SpatialDatabase
-
-        fresh = YaskEngine(
-            SpatialDatabase(
-                engine.database.objects, dataspace=engine.database.dataspace
-            ),
-            max_entries=4,
-        )
-        probe = query_at(0.5, 0.5, "kw000", "kw001", k=5)
-        assert [
-            (e.obj.oid, e.score) for e in engine.query(probe).entries
-        ] == [(e.obj.oid, e.score) for e in fresh.query(probe).entries]
-        engine.close()
-        fresh.close()

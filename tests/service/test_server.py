@@ -18,7 +18,7 @@ from repro.service.server import YaskHTTPServer
 def server(small_db):
     from tests.service.conftest import running_server
 
-    with running_server(YaskEngine(small_db, max_entries=8)) as server:
+    with running_server(YaskEngine(small_db)) as server:
         yield server
 
 
@@ -58,8 +58,9 @@ class TestBasicEndpoints:
         assert {"oid", "name", "x", "y", "keywords"} <= set(objects[0])
 
     def test_unknown_path_404(self, server):
-        with pytest.raises(YaskClientError) as exc:
-            YaskClient(server.endpoint)._call("GET", "/api/nope")
+        with YaskClient(server.endpoint) as client:
+            with pytest.raises(YaskClientError) as exc:
+                client._call("GET", "/api/nope")
         assert exc.value.status == 404
 
 
@@ -84,6 +85,7 @@ class TestQueryEndpoint:
         )
         with pytest.raises(Exception) as exc:
             request.urlopen(req)
+        exc.value.close()
         assert exc.value.code == 400
 
     @pytest.mark.parametrize(
@@ -125,6 +127,7 @@ class TestQueryEndpoint:
         req = request.Request(f"{server.endpoint}/api/query", data=b"", method="POST")
         with pytest.raises(Exception) as exc:
             request.urlopen(req)
+        exc.value.close()
         assert exc.value.code == 400
 
 
@@ -409,7 +412,7 @@ class TestWhyNotBatchEndpoint:
             self.make_question_payload(scenario, model="preference"),
         ]
         with running_server(
-            YaskEngine(small_db, max_entries=8, shards=2)
+            YaskEngine(small_db, shards=2)
         ) as sharded:
             batch_client = YaskClient(sharded.endpoint)
             starved = batch_client.whynot_batch(payloads, timeout_ms=0.001)

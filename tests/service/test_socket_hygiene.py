@@ -28,7 +28,7 @@ def test_lifecycle_emits_no_resource_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         with running_server(
-            YaskEngine(make_tiny_db(), max_entries=4), port=0
+            YaskEngine(make_tiny_db()), port=0
         ) as server:
             with YaskClient(server.endpoint) as client:
                 assert client.query(x=0.1, y=0.1, keywords=["chinese"], k=2)
@@ -45,7 +45,7 @@ def test_connection_still_held_at_server_close_is_ended():
     with warnings.catch_warnings():
         warnings.simplefilter("error", ResourceWarning)
         with running_server(
-            YaskEngine(make_tiny_db(), max_entries=4), port=0
+            YaskEngine(make_tiny_db()), port=0
         ) as server:
             before = set(threading.enumerate())
             client = YaskClient(server.endpoint)
@@ -68,7 +68,7 @@ def test_assertion_inside_the_context_still_closes_the_socket():
         warnings.simplefilter("error", ResourceWarning)
         with pytest.raises(AssertionError, match="mid-test failure"):
             with running_server(
-                YaskEngine(make_tiny_db(), max_entries=4), port=0
+                YaskEngine(make_tiny_db()), port=0
             ) as server:
                 captured["server"] = server
                 captured["port"] = server.server_address[1]

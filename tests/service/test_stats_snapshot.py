@@ -137,7 +137,7 @@ class TestConsistentStats:
 
 class TestTransportSection:
     def test_counters_show_connection_reuse(self):
-        with running_server(YaskEngine(make_tiny_db(), max_entries=4)) as server:
+        with running_server(YaskEngine(make_tiny_db())) as server:
             with YaskClient(server.endpoint) as client:
                 for _ in range(5):
                     client.query(0.1, 0.1, ["chinese"], 2)

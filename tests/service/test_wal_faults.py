@@ -163,3 +163,4 @@ class TestHTTPFaults:
             with pytest.raises(YaskClientError) as exc:
                 client.get_object(0)
             assert exc.value.status == 404
+            client.close()

@@ -201,7 +201,7 @@ class TestTopKReuse:
         """Same acceptance against the real index: the kernel's
         scan_calls must not move when the why-not answer starts from an
         already-cached top-k result."""
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         topk = QueryExecutor(engine)
         executor = WhyNotExecutor(engine, topk)
         query = engine.make_query(Point(0.5, 0.5), {"kw000", "kw001"}, 3)
@@ -222,7 +222,7 @@ class TestTopKReuse:
 
 class TestErrorHandling:
     def test_engine_rejections_propagate_and_are_not_cached(self, small_db):
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         topk = QueryExecutor(engine)
         executor = WhyNotExecutor(engine, topk)
         query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 3)
@@ -394,7 +394,7 @@ class TestBatch:
 
 class TestRealEngine:
     def test_cached_answer_matches_fresh_answer(self, small_db):
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         topk = QueryExecutor(engine)
         executor = WhyNotExecutor(engine, topk)
         query = engine.make_query(Point(0.5, 0.5), {"kw000", "kw001"}, 3)
@@ -412,7 +412,7 @@ class TestRealEngine:
     def test_refinement_survives_the_audit(self, small_db):
         from repro.service.audit import audit_refinement
 
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         topk = QueryExecutor(engine)
         executor = WhyNotExecutor(engine, topk)
         query = engine.make_query(Point(0.5, 0.5), {"kw000", "kw001"}, 3)
@@ -441,7 +441,7 @@ class TestRealEngine:
         database = SyntheticDatasetBuilder(seed=11).build(
             120, vocabulary_size=30, doc_length=(2, 6)
         )
-        engine = YaskEngine(database, max_entries=8)
+        engine = YaskEngine(database)
         topk = QueryExecutor(engine)
         executor = WhyNotExecutor(engine, topk)
         query = engine.make_query(Point(0.5, 0.5), {"kw000", "kw001"}, 3)

@@ -45,7 +45,6 @@ def build():
     ]
     engine = YaskEngine(
         SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
-        max_entries=4,
     )
     topk = QueryExecutor(engine, cache_capacity=8, skyband_delta=2)
     return engine, topk, WhyNotExecutor(engine, topk, cache_capacity=16)

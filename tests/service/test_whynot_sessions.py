@@ -33,7 +33,7 @@ def seed_db() -> SpatialDatabase:
 
 @pytest.fixture(scope="module")
 def scenario():
-    engine = YaskEngine(seed_db(), max_entries=8)
+    engine = YaskEngine(seed_db())
     (scenario,) = generate_whynot_scenarios(
         engine.scorer, count=1, k=5, missing_count=1, seed=53, rank_window=25
     )
@@ -65,7 +65,6 @@ def cold_answer(live: YaskEngine, model: str, scenario) -> dict:
     database = live.database
     cold = YaskEngine(
         SpatialDatabase(database.objects, dataspace=database.dataspace),
-        max_entries=8,
     )
     try:
         return ask(cold, model, scenario)
@@ -78,12 +77,11 @@ def cold_answer(live: YaskEngine, model: str, scenario) -> dict:
 def test_batch_between_explain_and_refinement(tmp_path, scenario, model, shards):
     primary = YaskEngine(
         seed_db(),
-        max_entries=8,
         shards=shards,
         wal=WriteAheadLog(tmp_path, fsync="never"),
     )
     follower = FollowerEngine(
-        tmp_path, database=seed_db(), max_entries=8, shards=shards
+        tmp_path, database=seed_db(), shards=shards
     )
     try:
         before = ask(primary, "explain", scenario)
@@ -103,7 +101,7 @@ def test_batch_between_explain_and_refinement(tmp_path, scenario, model, shards)
         primary.close()
 
     recovered, _report = recover_engine(
-        tmp_path, database=seed_db(), fsync="never", max_entries=8, shards=shards
+        tmp_path, database=seed_db(), fsync="never", shards=shards
     )
     try:
         assert ask(recovered, model, scenario) == expected

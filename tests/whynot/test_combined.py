@@ -99,7 +99,7 @@ class TestEngineIntegration:
         from repro.service.api import YaskEngine
         from repro.bench.workloads import generate_whynot_scenarios
 
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         scenario = generate_whynot_scenarios(
             engine.scorer, count=1, k=5, missing_count=1, seed=208,
             rank_window=25,
@@ -116,7 +116,7 @@ class TestEngineIntegration:
         from repro.service.server import YaskHTTPServer
         from repro.bench.workloads import generate_whynot_scenarios
 
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         scenario = generate_whynot_scenarios(
             engine.scorer, count=1, k=5, missing_count=1, seed=209,
             rank_window=25,
@@ -146,9 +146,11 @@ class TestEngineIntegration:
 class TestGoldenMultiObject:
     """``CombinedRefinement`` for |M| > 1, pinned at the commit before the
     stages began sharing one ``WhyNotContext`` (R(M, q) from the context,
-    R(M, q'') from the last stage): every field, both stages and the
-    keyword stage's work counters must stay what the seven ``worst_rank``
-    scans per answer used to produce."""
+    R(M, q'') from the last stage).  The paper's KcR-tree arm must
+    reproduce every field, both stages and the keyword stage's work
+    counters; the served engine, which ranks keyword candidates on the
+    kernel's scan index, every field but the keyword stage's ``method``
+    and those tree counters."""
 
     @pytest.fixture(scope="class")
     def golden(self):
@@ -158,30 +160,59 @@ class TestGoldenMultiObject:
         path = Path(__file__).with_name("golden_combined_multi.json")
         return json.loads(path.read_text())
 
-    @pytest.mark.parametrize("shards", [None, 4])
-    def test_equals_pinned_answers(self, medium_db, golden, shards):
+    @staticmethod
+    def _answer(refinement):
         from dataclasses import asdict
 
-        from repro.service.api import YaskEngine
-        from repro.service.protocol import (
-            combined_refinement_to_dict,
-            query_from_dict,
-        )
+        from repro.service.protocol import combined_refinement_to_dict
 
-        engine = YaskEngine(medium_db, max_entries=16, shards=shards)
+        answer = combined_refinement_to_dict(refinement)
+        answer["keyword_stage_stats"] = (
+            asdict(refinement.keyword_stage.stats)
+            if refinement.keyword_stage is not None
+            else None
+        )
+        return answer
+
+    def test_kcr_tree_arm_equals_every_field(self, medium_db, medium_scorer, golden):
+        from repro.index.kcrtree import KcRTree
+        from repro.service.protocol import query_from_dict
+
+        refiner = CombinedRefiner(
+            medium_scorer,
+            PreferenceAdjuster(medium_scorer),
+            KeywordAdapter(medium_scorer, KcRTree.build(medium_db, max_entries=16)),
+        )
+        for case in golden:
+            refinement = refiner.refine(
+                query_from_dict(case["query"]),
+                [medium_db.get(oid) for oid in case["missing"]],
+                lam=case["lambda"],
+            )
+            assert self._answer(refinement) == case["answer"]
+
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_served_engine_equals_every_answer_field(self, medium_db, golden, shards):
+        from repro.service.api import YaskEngine
+        from repro.service.protocol import query_from_dict
+
+        engine = YaskEngine(medium_db, shards=shards)
         orders = set()
-        # Shards leave dual space alone: a sample is enough for them.
-        for case in golden if shards is None else golden[1::3]:
+        for case in golden:
             refinement = engine.refine_combined(
                 query_from_dict(case["query"]), case["missing"], lam=case["lambda"]
             )
-            answer = combined_refinement_to_dict(refinement)
-            answer["keyword_stage_stats"] = (
-                asdict(refinement.keyword_stage.stats)
-                if refinement.keyword_stage is not None
-                else None
-            )
-            assert answer == case["answer"]
+            answer = self._answer(refinement)
+            expected = dict(case["answer"])
+            del answer["keyword_stage_stats"], expected["keyword_stage_stats"]
+            if expected["keyword_stage"] is not None:
+                assert answer["keyword_stage"].pop("method") == "scan-index-bound-prune"
+                expected["keyword_stage"] = {
+                    key: value
+                    for key, value in expected["keyword_stage"].items()
+                    if key != "method"
+                }
+            assert answer == expected
             orders.add(refinement.order)
         engine.close()
         assert orders == {"keyword-first", "preference-first"}

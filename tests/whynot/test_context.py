@@ -43,7 +43,7 @@ def scenarios(small_scorer):
 
 @pytest.fixture(params=[None, 4], ids=["unsharded", "4-shards"])
 def engine(request, small_db):
-    engine = YaskEngine(small_db, max_entries=8, shards=request.param)
+    engine = YaskEngine(small_db, shards=request.param)
     yield engine
     engine.close()
 
@@ -78,7 +78,7 @@ class TestOneDualSpacePerSession:
         """A question answered from a warm context reads like a first one."""
         scenario = scenarios[1]
         for model in ("preference", "keywords", "combined", "explain"):
-            cold = YaskEngine(small_db, max_entries=8)
+            cold = YaskEngine(small_db)
             ask(engine, "explain", scenario)
             assert ask(engine, model, scenario) == ask(cold, model, scenario)
             cold.close()
@@ -104,7 +104,7 @@ class TestOneDualSpacePerSession:
                 )
                 before = dual_views(engine)
                 for model in ("combined", "preference", "keywords", "explain"):
-                    cold = YaskEngine(small_db, max_entries=8)
+                    cold = YaskEngine(small_db)
                     assert ask(engine, model, wider) == ask(cold, model, wider)
                     cold.close()
                     asked += 1
@@ -151,7 +151,7 @@ class TestMemo:
         """Different models of one (query, M) at once: nothing in a
         shared context is a cursor, so both read single-threaded answers."""
         scenario = scenarios[2]
-        cold = YaskEngine(small_db, max_entries=8)
+        cold = YaskEngine(small_db)
         expected = {
             model: ask(cold, model, scenario)
             for model in ("explain", "preference", "combined", "keywords")

@@ -15,8 +15,8 @@ def scenario(scorer, seed=140, k=5):
 
 
 @pytest.fixture(scope="module")
-def engine(small_scorer, small_kcrtree):
-    return WhyNotEngine(small_scorer, kcr_tree=small_kcrtree)
+def engine(small_scorer):
+    return WhyNotEngine(small_scorer)
 
 
 class TestResolution:

@@ -72,7 +72,7 @@ class TestWeightHints:
         from repro.service.api import YaskEngine
         from repro.bench.workloads import generate_whynot_scenarios
 
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         s = generate_whynot_scenarios(
             engine.scorer, count=1, k=5, missing_count=1, seed=247,
             rank_window=25,
@@ -87,7 +87,7 @@ class TestWeightHints:
         from repro.service.protocol import explanation_to_dict
         from repro.bench.workloads import generate_whynot_scenarios
 
-        engine = YaskEngine(small_db, max_entries=8)
+        engine = YaskEngine(small_db)
         s = generate_whynot_scenarios(
             engine.scorer, count=1, k=5, missing_count=1, seed=248,
             rank_window=25,

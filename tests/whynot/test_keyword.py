@@ -37,8 +37,13 @@ def adapter(small_scorer, small_kcrtree):
 
 
 @pytest.fixture(scope="module")
-def baseline(small_scorer, small_kcrtree):
-    return exhaustive_keyword_adapter(small_scorer, small_kcrtree)
+def baseline(small_scorer):
+    return exhaustive_keyword_adapter(small_scorer)
+
+
+@pytest.fixture(scope="module")
+def scan_adapter(small_scorer):
+    return KeywordAdapter(small_scorer)
 
 
 class TestContainment:
@@ -68,8 +73,10 @@ class TestContainment:
 
 
 class TestBoundAndPruneExactness:
+    @pytest.mark.parametrize("arm", ["adapter", "scan_adapter"])
     @pytest.mark.parametrize("lam", [0.2, 0.5, 0.8])
-    def test_same_answer_as_exhaustive(self, small_scorer, adapter, baseline, lam):
+    def test_same_answer_as_exhaustive(self, request, small_scorer, baseline, arm, lam):
+        adapter = request.getfixturevalue(arm)
         for scenario in scenarios(small_scorer, count=4, k=5, seed=83):
             pruned = adapter.refine(scenario.query, scenario.missing, lam=lam)
             exhaustive = baseline.refine(scenario.query, scenario.missing, lam=lam)
@@ -83,9 +90,13 @@ class TestBoundAndPruneExactness:
         exhaustive = baseline.refine(scenario.query, scenario.missing)
         assert pruned.stats.objects_scored < exhaustive.stats.objects_scored
 
-    def test_methods_reported(self, small_scorer, adapter, baseline):
+    def test_methods_reported(self, small_scorer, adapter, scan_adapter, baseline):
         scenario = scenarios(small_scorer, count=1, k=5, seed=85)[0]
         assert adapter.refine(scenario.query, scenario.missing).method == "kcr-bound-prune"
+        assert (
+            scan_adapter.refine(scenario.query, scenario.missing).method
+            == "scan-index-bound-prune"
+        )
         assert (
             baseline.refine(scenario.query, scenario.missing).method
             == "exhaustive-scan"
@@ -153,13 +164,23 @@ class TestGuardsAndErrors:
         with pytest.raises(ValueError):
             adapter.refine(q, [])
 
-    def test_non_jaccard_model_rejected_with_bounds(self, small_db, small_kcrtree):
+    def test_non_jaccard_model_rejected_with_tree_bounds(self, small_db, small_kcrtree):
         from repro.core.scoring import Scorer
         from repro.text.similarity import DiceSimilarity
 
         scorer = Scorer(small_db, text_model=DiceSimilarity())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Jaccard"):
             KeywordAdapter(scorer, small_kcrtree, use_bounds=True)
+        assert KeywordAdapter(scorer).index is None  # the scan arm serves it
+
+    def test_kernel_free_scorer_needs_a_tree_for_bounds(self, small_db, small_kcrtree):
+        from repro.core.scoring import Scorer
+
+        scorer = Scorer(small_db, use_kernel=False)
+        with pytest.raises(ValueError, match="columnar kernel"):
+            KeywordAdapter(scorer)
+        assert KeywordAdapter(scorer, small_kcrtree).index is small_kcrtree
+        assert KeywordAdapter(scorer, use_bounds=False).index is None
 
     def test_mismatched_database_rejected(self, small_scorer, medium_kcrtree):
         with pytest.raises(ValueError):
@@ -183,3 +204,38 @@ class TestGuardsAndErrors:
         assert stats.candidates_evaluated >= 1
         assert stats.edit_levels_explored >= 1
         assert 0.0 <= stats.prune_ratio <= 1.0
+
+
+class TestScanIndexArm:
+    """The tree-less arm: capped candidates are one indexed top-``cap``
+    scan per missing object, the Δdoc = 0 candidate none."""
+
+    @pytest.mark.parametrize("missing_count", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.5, 0.9])
+    def test_scans_are_booked_on_the_kernel_and_q_doc_scans_nothing(
+        self, small_scorer, scan_adapter, adapter, lam, missing_count
+    ):
+        stats = small_scorer.kernel.stats
+        for scenario in scenarios(
+            small_scorer, count=3, k=5, missing_count=missing_count, seed=97
+        ):
+            calls, rows = stats.scan_calls, stats.scan_rows_scored
+            refinement = scan_adapter.refine(scenario.query, scenario.missing, lam=lam)
+            work = refinement.stats
+            scans = stats.scan_calls - calls
+            assert scans <= (work.candidates_generated - 1) * len(scenario.missing)
+            assert (stats.scan_rows_scored - rows > 0) == (scans > 0)
+            if lam == 0.0:  # only Δdoc is priced: q itself wins unranked
+                assert scans == 0 and work.candidates_generated == 1
+            # The descent's counters stay 0: no tree, no object scored by it.
+            assert (
+                work.nodes_expanded, work.nodes_resolved_by_bounds, work.objects_scored
+            ) == (0, 0, 0)
+            tree = adapter.refine(scenario.query, scenario.missing, lam=lam)
+            assert (
+                refinement.refined_query, refinement.penalty,
+                refinement.refined_worst_rank,
+            ) == (tree.refined_query, tree.penalty, tree.refined_worst_rank)
+            assert (work.candidates_generated, work.candidates_pruned) == (
+                tree.stats.candidates_generated, tree.stats.candidates_pruned
+            )
