@@ -15,7 +15,9 @@
 #                      (executor tiers: cold/warm and batch floors),
 #                      E11 (kernel: >=3x rank_all, >=2x cold why-not;
 #                      levelled dual view: ranks_at >=10x the linear
-#                      pass at 20k, refine >=2x its linear ablation;
+#                      pass at 20k, refine >=2x its linear ablation, a
+#                      view for one missing object at ranks 11-30
+#                      built >=5x faster than dual_points_all at 20k;
 #                      indexed scan_top_k >=5x the full scan at 20k),
 #                      E12 (sharding: cold top-k and cold why-not no
 #                      slower than 0.9x at 4 shards vs 1, shards still
@@ -58,8 +60,11 @@
 #                      compact, and the kernel suite (the unsharded
 #                      engine's top-k vs the set path and best-first
 #                      over a SetR-tree through such histories; the
-#                      dual view's counts, closer-count included, vs
-#                      the SetR-tree's and a linear scan; keyword
+#                      target-aware dual view vs the linear reference
+#                      — the rows it holds, ulp ties with a target's
+#                      proximity and with the view's floor included,
+#                      and its counts, closer-count included, vs the
+#                      SetR-tree's; keyword
 #                      refinement on the scan index vs the KcR-tree
 #                      descent and exhaustive enumeration) and the
 #                      why-not property suite (its own CI job)

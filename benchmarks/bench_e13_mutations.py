@@ -595,7 +595,7 @@ def test_e13_sharded_batch_with_removals_costs_o_batch(base_db):
     too: six alternating runs per commit read insert-only 2.3-2.7 ms ->
     0.44-0.47 ms and with removals 5.1-5.8 ms -> 2.2-2.3 ms, so the
     ratio moved 1.9-2.3x -> 4.8-5.1x with both batches cheaper.  What
-    the ratio now exposes is ROADMAP item 3(d): a removal rebuilds the
+    the ratio now exposes is ROADMAP item 6: a removal rebuilds the
     parent's and the touched shard's dense ``SpatialDatabase`` object
     and doc-mask tuples, O(n) — about 2.0-2.3 ms of a 2.3-2.6 ms
     removing batch in-process — where an insert appends.  The ceiling

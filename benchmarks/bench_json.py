@@ -161,10 +161,10 @@ def bench_e11() -> dict:
         lambda: [linear_adjuster.refine(s.query, s.missing) for s in scenarios],
         repeat=3,
     )
-    view = fast.kernel.dual_view(queries[0])
-    duals = view.dual_points()
+    duals = fast.dual_points(queries[0])
     targets = duals[:: len(duals) // 3][:3]
     oids = [dual.oid for dual in targets]
+    view = fast.kernel.dual_view(queries[0], oids)
     weightings = [Weights.from_spatial(step / 18) for step in range(1, 18)]
     _, levelled_ranks = time_call(
         lambda: [view.ranks_at(w.ws, w.wt, oids) for w in weightings], repeat=5
@@ -186,7 +186,8 @@ def bench_e11() -> dict:
         spatial="clustered",
         clusters=12,
     )
-    kernel = Scorer(big).kernel
+    big_scorer = Scorer(big)
+    kernel = big_scorer.kernel
     prepared = [
         (query.k, kernel._query_scalars(query))
         for query in QueryWorkload(
@@ -207,8 +208,32 @@ def bench_e11() -> dict:
         ],
         repeat=3,
     )
+
+    # A dual view for one missing object at ranks 11-30 against the
+    # reference pass that scores every row, on the same 20k corpus.
+    cases = [
+        (query, big_scorer.rank_all(query)[10 + 4 * place].obj.oid)
+        for place, query in enumerate(
+            QueryWorkload(big, seed=17, k=10, keywords_per_query=(2, 3)).queries(5)
+        )
+    ]
+    kernel.stats.reset()
+    _, target_views = time_call(
+        lambda: [kernel.dual_view(query, [oid]) for query, oid in cases], repeat=5
+    )
+    view_stats = kernel.stats.to_dict()
+    _, reference_duals = time_call(
+        lambda: [kernel.dual_points_all(query) for query, _ in cases], repeat=5
+    )
     return {
         "objects": len(database),
+        "target_view_ms": target_views.best_ms,
+        "dual_points_all_ms": reference_duals.best_ms,
+        "target_view_speedup": reference_duals.best / target_views.best,
+        "target_view_floor": 5.0,
+        "target_view_rows_scored_per_view": (
+            view_stats["dual_view_rows"] / view_stats["dual_views"]
+        ),
         "indexed_scan_objects": len(big),
         "indexed_scan_ms": indexed_scan.best_ms,
         "full_scan_ms": full_scan.best_ms,

@@ -35,13 +35,14 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import compress
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from repro import concurrency, faults
 from repro.core.hotpath import hot_path
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
-from repro.core.scanindex import ScanIndex, score_delta_rows
+from repro.core.scanindex import SKIP_MARGIN, ScanIndex, score_delta_rows
 from repro.text.similarity import (
     DiceSimilarity,
     JaccardSimilarity,
@@ -87,12 +88,12 @@ _MODEL_CODES: dict[type, str] = {
 #:   a beater even against a true score of 0.0.
 #:
 #: Only the materialising entry points, which would otherwise emit
-#: rows, filter liveness explicitly: ``order_rows`` and ``DualView``
-#: point materialisation skip dead rows, and ``scan_top_k`` reads the
-#: scan index, whose ``alive`` bitmap holds no dead position.  Every
-#: score-counting scan is tombstone-oblivious by the argument above;
-#: ``count_closer`` compares raw distances, which the sentinel's score
-#: says nothing about, and checks ``_alive``.
+#: rows, filter liveness explicitly: ``order_rows`` and
+#: ``dual_points_all`` skip dead rows, and ``scan_top_k`` and
+#: ``dual_view`` read the scan index, whose ``alive`` bitmap holds no
+#: dead position (so ``count_closer``, which compares raw distances the
+#: sentinel's score says nothing about, sees none).  Every
+#: score-counting scan is tombstone-oblivious by the argument above.
 _DEAD_OID = OID_LIMIT
 _DEAD_COORD = 1e300
 
@@ -108,8 +109,9 @@ class KernelStats:
     ``point_scores`` counts single-row evaluations (best-first leaf
     scoring); ``scan_calls`` / ``scan_rows_scored`` / ``scan_index_builds``
     count indexed top-k scans, the rows they actually scored and the
-    (lazy) index builds they paid for; the remaining counters attribute
-    batch entry points to their consumers.
+    (lazy) index builds they paid for; ``dual_views`` / ``dual_view_rows``
+    count dual views (and reference dual passes) and the rows they scored;
+    the remaining counters attribute batch entry points to their consumers.
 
     One kernel is shared by every executor worker thread, so updates go
     through :meth:`bump` under a lock — like the executor-tier cache
@@ -128,6 +130,7 @@ class KernelStats:
         "count_better_calls",
         "rank_of_many_calls",
         "dual_views",
+        "dual_view_rows",
         "doc_contexts",
         "doc_rank_scans",
     )
@@ -141,15 +144,13 @@ class KernelStats:
 
     def bump(self, field: str, amount: int = 1) -> None:
         """Atomically add ``amount`` to one counter."""
-        with self._lock:
-            setattr(self, field, getattr(self, field) + amount)
+        self.record(**{field: amount})
 
-    def record_scan(self, rows_scored: int, index_builds: int) -> None:
-        """One indexed top-k scan, in one locked update."""
+    def record(self, **amounts: int) -> None:
+        """Add to several counters in one locked update."""
         with self._lock:
-            self.scan_calls += 1
-            self.scan_rows_scored += rows_scored
-            self.scan_index_builds += index_builds
+            for field, amount in amounts.items():
+                setattr(self, field, getattr(self, field) + amount)
 
     def reset(self) -> None:
         with self._lock:
@@ -191,9 +192,6 @@ class DocContext:
         if code == "dice":
             return 2.0 * shared / (doc_len + self.length)
         return shared / min(doc_len, self.length)
-
-    def tsim_oid(self, oid: int) -> float:
-        return self.tsim_row(self._kernel._row_of[oid])
 
     def rank_scan(
         self,
@@ -279,20 +277,11 @@ class KernelQuery:
     :class:`KernelStats` in one locked bump.
     """
 
-    __slots__ = (
-        "_kernel", "_qx", "_qy", "_qmask", "_qlen", "_ws", "_wt", "_code",
-        "scored",
-    )
+    __slots__ = ("_kernel", "_scalars", "scored")
 
     def __init__(self, kernel: "ScoringKernel", query: SpatialKeywordQuery) -> None:
         self._kernel = kernel
-        self._qx = query.loc.x
-        self._qy = query.loc.y
-        self._qmask, _unknown = kernel.vocabulary.encode_query(query.doc)
-        self._qlen = len(query.doc)
-        self._ws = query.ws
-        self._wt = query.wt
-        self._code = kernel.model_code
+        self._scalars = kernel._query_scalars(query)
         self.scored = 0
 
     def flush_stats(self) -> None:
@@ -305,90 +294,93 @@ class KernelQuery:
         """``ST(o_row, q)`` — identical floats to ``Scorer.score``."""
         kernel = self._kernel
         self.scored += 1
-        sdist = (
-            math.hypot(kernel._xs[row] - self._qx, kernel._ys[row] - self._qy)
-            / kernel._normaliser
+        xs, ys, masks, lens = kernel._xs, kernel._ys, kernel._masks, kernel._lens
+        ((_oid, score, _sdist, _tsim),) = score_delta_rows(
+            [(xs[row], ys[row], masks[row], lens[row], 0)], *self._scalars,
+            normaliser=kernel._normaliser, model_code=kernel.model_code,
         )
-        sdist = min(sdist, 1.0)
-        shared = (kernel._masks[row] & self._qmask).bit_count()
-        if shared == 0:
-            tsim = 0.0
-        elif self._code == "jaccard":
-            tsim = shared / (kernel._lens[row] + self._qlen - shared)
-        elif self._code == "dice":
-            tsim = 2.0 * shared / (kernel._lens[row] + self._qlen)
-        else:
-            tsim = shared / min(kernel._lens[row], self._qlen)
-        return self._ws * (1.0 - sdist) + self._wt * tsim
+        return score
 
     def score_oid(self, oid: int) -> float:
         return self.score_row(self._kernel._row_of[oid])
 
 
 class DualView:
-    """Dual coordinates ``(a, b)`` under one query, indexed by TSim level.
+    """Dual coordinates ``(a, b)`` under one query, for one missing set.
 
-    The substrate of the preference-adjustment module.  Under a set
-    text model ``b = TSim`` takes few distinct values per query (at
-    most ``(|q.doc| + 1) · max doc length``, never a function of n), and
-    within one level the score ``ws·a + wt·b`` is float-monotone in
-    ``a`` (multiply and add by non-negative weights are monotone).  So
-    besides the row-aligned columns the view keeps, per level, the
-    proximities sorted ascending with their rows alongside: a rank is
-    two bisects per level, exact with no margin, and the quadrant and
-    counting queries of Section 3.3 are slices and lengths.  Tombstoned
-    rows sit inert at ``(0, 0)`` of level 0 with the losing oid
-    sentinel, exactly as in the flat scans.
+    A view answers for its *targets* (the missing objects; a rank query
+    about any other object raises ``ValueError``) and holds the rows at
+    or above ``a_floor`` or ``b_floor``, the targets' minima less
+    ``SKIP_MARGIN``.  A row below both can neither beat nor tie a target
+    at any weights (one of ``ws + wt ≈ 1`` is ≳ 0.5, and its term alone
+    loses by far more than the sum's rounding) nor cross a target's line.
+
+    Under a set text model ``b = TSim`` takes few distinct values per
+    query (at most ``(|q.doc| + 1) · max doc length``, never a function
+    of n), and within one level the score ``ws·a + wt·b`` is
+    float-monotone in ``a`` (multiply and add by non-negative weights
+    are monotone).  So the view keeps, per level, the proximities sorted
+    ascending with their kernel rows alongside: a rank is two bisects
+    per level, exact with no margin, and the quadrant and counting
+    queries of Section 3.3 are slices and lengths.
     """
 
-    __slots__ = ("oids", "a", "b", "_row_of", "_levels")
+    __slots__ = (
+        "oids", "a_floor", "b_floor", "_row_of", "_a", "_b", "_targets", "_levels"
+    )
 
     @hot_path
     def __init__(
         self,
         oids: Sequence[int],
-        a: Sequence[float],
-        b: Sequence[float],
         row_of: Mapping[int, int],
+        kept: Iterable[tuple[int, float, float, float]],
+        targets: Iterable[int],
+        a_floor: float,
+        b_floor: float,
     ) -> None:
+        """``kept``: :meth:`ScanIndex.undominated`'s rows; the rest the kernel's."""
+        # The kept rows' (a, b) by kernel row, NaN elsewhere: a lookup is
+        # one index, and no per-row object outlives the build.
+        a = array("d", [math.nan]) * len(oids)
+        b = array("d", [math.nan]) * len(oids)
         groups: dict[float, list[int]] = {}
-        for row, level in enumerate(b):
-            rows = groups.get(level)
-            if rows is None:
-                groups[level] = [row]
-            else:
-                rows.append(row)
-        proximity = a.__getitem__
+        for oid, proximity, _sdist, level in kept:
+            row = row_of[oid]
+            a[row] = proximity
+            b[row] = level
+            groups.setdefault(level, []).append(row)
+        a_of = a.__getitem__
         levels = []
         for level in sorted(groups, reverse=True):
-            rows = groups[level]
-            rows.sort(key=proximity)
-            levels.append(
-                (level, array("d", map(proximity, rows)), array("q", rows))
-            )
+            rows = sorted(groups[level])
+            rows.sort(key=a_of)  # stable: ties stay in row order
+            levels.append((level, array("d", map(a_of, rows)), array("q", rows)))
         self.oids = oids
-        self.a = array("d", a)
-        self.b = array("d", b)
+        self.a_floor = a_floor
+        self.b_floor = b_floor
         self._row_of = row_of
+        self._a = a
+        self._b = b
+        self._targets = frozenset(targets)
         #: ``(b, proximities ascending, their rows)`` by descending ``b``.
         self._levels = tuple(levels)
 
+    def _target(self, oid: int) -> tuple[float, float]:
+        if oid not in self._targets:
+            raise ValueError(f"object {oid} is not a target of this dual view")
+        row = self._row_of[oid]
+        return self._a[row], self._b[row]
+
     def dual_points_of(self, oids: Sequence[int]) -> "list[DualPoint]":
-        """These objects' :class:`DualPoint`s — no full materialisation."""
+        """These objects' :class:`DualPoint`s; ``KeyError`` for a row the
+        view does not hold."""
         from repro.core.scoring import DualPoint
 
-        a, b, row_of = self.a, self.b, self._row_of
-        return [DualPoint(oid, a[row_of[oid]], b[row_of[oid]]) for oid in oids]
-
-    def dual_points(self) -> "list[DualPoint]":
-        """Materialise :class:`DualPoint` objects (live rows, row order)."""
-        from repro.core.scoring import DualPoint
-
-        return [
-            point
-            for point in map(DualPoint._make, zip(self.oids, self.a, self.b))
-            if point.oid != _DEAD_OID
-        ]
+        a, b, rows = self._a, self._b, list(map(self._row_of.__getitem__, oids))
+        if any(map(math.isnan, map(a.__getitem__, rows))):
+            raise KeyError("an object this dual view does not hold")
+        return [DualPoint(oid, a[row], b[row]) for oid, row in zip(oids, rows)]
 
     def crossing_candidates(
         self, target_oid: int
@@ -404,9 +396,7 @@ class DualView:
         of doc lengths: the float product cannot underflow to ±0).
         Returned as ``(b, proximities, oids)`` per level with any.
         """
-        row = self._row_of[target_oid]
-        am = self.a[row]
-        bm = self.b[row]
+        am, bm = self._target(target_oid)
         oid_of = self.oids.__getitem__
         found = []
         for level, proximities, rows in self._levels:
@@ -432,11 +422,8 @@ class DualView:
         oid asc) tie-break, which only the run of rows scoring exactly
         the target's score needs.
         """
-        a = self.a
-        b = self.b
         oids = self.oids
-        target_rows = [self._row_of[oid] for oid in target_oids]
-        scores = [ws * a[row] + wt * b[row] for row in target_rows]
+        scores = [ws * a + wt * b for a, b in map(self._target, target_oids)]
         beaten = [0] * len(scores)
         for level, proximities, rows in self._levels:
             faults.check_deadline()
@@ -463,9 +450,7 @@ class DualView:
         Mirrors ``PreferenceAdjuster._strictly_above_at_zero``: order by
         ``b`` (TSim) with ``a`` as the tie-break.
         """
-        row = self._row_of[target_oid]
-        am = self.a[row]
-        bm = self.b[row]
+        am, bm = self._target(target_oid)
         above = 0
         for level, proximities, _ in self._levels:
             if level > bm:
@@ -476,9 +461,7 @@ class DualView:
 
     def permanent_ties_smaller(self, target_oid: int) -> int:
         """Objects with an identical score line and a smaller object id."""
-        row = self._row_of[target_oid]
-        am = self.a[row]
-        bm = self.b[row]
+        am, bm = self._target(target_oid)
         oids = self.oids
         for level, proximities, rows in self._levels:
             if level == bm:
@@ -487,7 +470,9 @@ class DualView:
         return 0
 
     def count_more_similar(self, tsim: float) -> int:
-        """Objects with ``TSim > tsim``: a sum of level sizes."""
+        """Objects with ``TSim > tsim`` (≥ ``b_floor``): a sum of level sizes."""
+        if tsim < self.b_floor:
+            raise ValueError(f"TSim {tsim} is below this dual view's floor")
         return sum(
             len(proximities)
             for level, proximities, _ in self._levels
@@ -910,31 +895,31 @@ class ScoringKernel:
         live rows.  This is the one scan the scatter runs, through
         :meth:`ShardedEngine._scan_shard`.
 
-        The index is built here, on first use, under a leaf lock.  A
-        scan runs inside the engine's shared reader lock and a mutation
-        inside its exclusive one, so a build can never race
-        :meth:`apply_raw`.
+        The index is built on first use (:meth:`_built_scan_index`).
         """
-        index = self._scan_index
-        builds = 0
-        if index is None:
-            with self._scan_index_lock:
-                index = self._scan_index
-                if index is None:
-                    index = self._scan_index = ScanIndex(
-                        self.model_code,
-                        self._normaliser,
-                        self._xs,
-                        self._ys,
-                        self._masks,
-                        self._lens,
-                        self._oids,
-                        self.live_row_list(),
-                    )
-                    builds = 1
+        index, builds = self._built_scan_index()
         pairs, rows_scored = index.scan(k, qx, qy, qmask, qlen, ws, wt, floor)
-        self.stats.record_scan(rows_scored, builds)
+        self.stats.record(
+            scan_calls=1, scan_rows_scored=rows_scored, scan_index_builds=builds
+        )
         return pairs
+
+    def _built_scan_index(self) -> tuple[ScanIndex, int]:
+        """``(the scan index, 1 if this call built it)``, built under a leaf
+        lock: readers hold the engine's shared lock and a mutation its
+        exclusive one, so a build can never race :meth:`apply_raw`."""
+        index = self._scan_index
+        if index is not None:
+            return index, 0
+        with self._scan_index_lock:
+            index = self._scan_index
+            if index is not None:
+                return index, 0
+            index = self._scan_index = ScanIndex(
+                self.model_code, self._normaliser, self._xs, self._ys,
+                self._masks, self._lens, self._oids, self.live_row_list(),
+            )
+            return index, 1
 
     def order_rows(self, scores: Sequence[float]) -> list[int]:
         """Rows in (score desc, oid asc) rank order for a score column.
@@ -969,82 +954,81 @@ class ScoringKernel:
     # ------------------------------------------------------------------
     # Dual-space view (preference adjustment substrate)
     # ------------------------------------------------------------------
-    @hot_path
-    def dual_view(self, query: SpatialKeywordQuery) -> DualView:
-        """``(a, b) = (1 − SDist, TSim)`` under ``query``, levelled by ``b``.
+    def dual_view(
+        self, query: SpatialKeywordQuery, targets: Sequence[int]
+    ) -> DualView:
+        """``(a, b) = (1 − SDist, TSim)`` under ``query`` of the rows that
+        can reach ``targets`` (live oids), levelled by ``b``.
 
-        A dedicated pass: the score column would be dead weight here (the
-        sweep evaluates ``w·a + (1−w)·b`` at *candidate* weights), so
-        this neither runs nor gets counted as a full component pass.
+        The targets' own ``(a, b)`` set the floors (see :class:`DualView`),
+        and the scan index scores only the rows inside the proximity
+        floor's disk or in a keyword level that can reach the TSim floor
+        (:meth:`ScanIndex.undominated`) — the two range queries of
+        Section 3.3, not a pass over every row.  A target with TSim 0
+        keeps every live row.
         """
         faults.check_deadline()
-        self.stats.bump("dual_views")
-        qx, qy, qmask, qlen, ws, wt = self._query_scalars(query)
-        del ws, wt  # dual coordinates are weight-free
-        norm = self._normaliser
-        hypot = math.hypot
-        a: list[float] = []
-        b: list[float] = []
-        push_a = a.append
-        push_b = b.append
-        code = self.model_code
-        if code == "jaccard":
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                push_a(1.0 - d)
-                push_b(s / (length + qlen - s) if s else 0.0)
-        elif code == "dice":
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                push_a(1.0 - d)
-                push_b(2.0 * s / (length + qlen) if s else 0.0)
-        else:
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                push_a(1.0 - d)
-                push_b(s / min(length, qlen) if s else 0.0)
-        return DualView(self._oids, a, b, self._row_of)
+        if not targets:
+            raise ValueError("a dual view needs at least one target")
+        qx, qy, qmask, qlen, _ws, _wt = self._query_scalars(query)
+        rows = map(self._row_of.__getitem__, targets)
+        xs, ys, masks, lens = self._xs, self._ys, self._masks, self._lens
+        own = score_delta_rows(
+            [(xs[r], ys[r], masks[r], lens[r], 0) for r in rows],
+            qx, qy, qmask, qlen, 1.0, 0.0,
+            normaliser=self._normaliser, model_code=self.model_code,
+        )
+        a_floor = min(a for _, a, _, _ in own) - SKIP_MARGIN
+        b_floor = min(b for _, _, _, b in own) - SKIP_MARGIN
+        index, builds = self._built_scan_index()
+        kept, scored = index.undominated(qx, qy, qmask, qlen, a_floor, b_floor)
+        self.stats.record(dual_views=1, dual_view_rows=scored, scan_index_builds=builds)
+        return DualView(self._oids, self._row_of, kept, targets, a_floor, b_floor)
 
     def dual_points_all(self, query: SpatialKeywordQuery) -> "list[DualPoint]":
-        """Every object's :class:`DualPoint` — matches ``Scorer.dual_points``."""
-        return self.dual_view(query).dual_points()
+        """Every live object's :class:`DualPoint`, in row order — matches
+        ``Scorer.dual_points``: the reference arms' one pass."""
+        from repro.core.scoring import DualPoint
+
+        qx, qy, qmask, qlen, _ws, _wt = self._query_scalars(query)
+        columns = zip(self._xs, self._ys, self._masks, self._lens, self._oids)
+        rows = score_delta_rows(
+            compress(columns, self._alive), qx, qy, qmask, qlen, 1.0, 0.0,
+            normaliser=self._normaliser, model_code=self.model_code,
+        )
+        points = [DualPoint(oid, a, b) for oid, a, _sdist, b in rows]
+        self.stats.record(dual_views=1, dual_view_rows=len(points))
+        return points
 
     def count_closer(
         self, view: DualView, query: SpatialKeywordQuery, raw_distance: float
     ) -> int:
         """Live objects with raw distance to ``query.loc`` ``< raw_distance``.
 
-        Read off ``view``, this kernel's :meth:`dual_view` of ``query``.
-        ``a = 1 − min(d / norm, 1)`` (the expression there, restated
-        below) is float-monotone non-increasing in the raw distance
-        ``d``: a division by a positive constant, a clamp and a
-        subtraction from a constant are each monotone.  So a row whose
-        proximity is strictly larger than the radius's lies strictly
-        closer, one with a smaller proximity strictly farther (two
-        bisects per TSim level), and only the run at exactly that
-        proximity (every clamped row, tombstones among them, when it
-        is 0) is compared exactly.
+        Read off ``view``, this kernel's :meth:`dual_view` of ``query``,
+        which holds every row at or above its ``a_floor`` (a farther
+        radius raises ``ValueError``).  ``a = 1 − min(d / norm, 1)`` (the
+        expression there, restated below) is float-monotone non-increasing
+        in the raw distance ``d``: a division by a positive constant, a
+        clamp and a subtraction from a constant are each monotone.  So a
+        row whose proximity is strictly larger than the radius's lies
+        strictly closer, one with a smaller proximity strictly farther
+        (two bisects per TSim level), and only the run at exactly that
+        proximity (every clamped row when it is 0) is compared exactly.
         """
         proximity = 1.0 - min(raw_distance / self._normaliser, 1.0)
+        if proximity < view.a_floor:
+            raise ValueError(f"distance {raw_distance} is beyond this dual view")
         qx = query.loc.x
         qy = query.loc.y
-        xs, ys, alive = self._xs, self._ys, self._alive
+        xs, ys = self._xs, self._ys
         hypot = math.hypot
         closer = 0
         for _, proximities, rows in view._levels:
             above = bisect_right(proximities, proximity)
             closer += len(proximities) - above
             for row in rows[bisect_left(proximities, proximity, 0, above) : above]:
-                if alive[row] and hypot(xs[row] - qx, ys[row] - qy) < raw_distance:
+                if hypot(xs[row] - qx, ys[row] - qy) < raw_distance:
                     closer += 1
         return closer
 
@@ -1061,18 +1045,7 @@ class ScoringKernel:
         yields ``rank − 1`` exactly as ``Scorer.rank_of`` counts it.
         """
         self.stats.bump("count_better_calls")
-        scores = self._score_list(query)
-        oids = self._oids
-        target_row = self._row_of.get(oid, -1)
-        better = 0
-        for row, other_score in enumerate(scores):
-            if row == target_row:
-                continue
-            if other_score > score or (
-                other_score == score and oids[row] < oid
-            ):
-                better += 1
-        return better
+        return self._count_beating(self._score_list(query), score, oid)
 
     @hot_path
     def rank_of_many(
@@ -1081,23 +1054,22 @@ class ScoringKernel:
         """Exact rank of each target oid in one shared column pass."""
         self.stats.bump("rank_of_many_calls")
         scores = self._score_list(query)
+        return {
+            oid: 1 + self._count_beating(scores, scores[self._row_of[oid]], oid)
+            for oid in target_oids
+        }
+
+    @hot_path
+    def _count_beating(self, scores: Sequence[float], score: float, oid: int) -> int:
+        """Rows of this kernel's score column beating ``(score, oid)``, but
+        ``oid``'s own: it ties its own oid, so it counts only above ``score``."""
         oids = self._oids
-        out: dict[int, int] = {}
-        for target_oid in target_oids:
-            target_row = self._row_of[target_oid]
-            target_score = scores[target_row]
-            better = 0
-            for row, other_score in enumerate(scores):
-                if other_score > target_score:
-                    better += 1
-                elif (
-                    other_score == target_score
-                    and row != target_row
-                    and oids[row] < target_oid
-                ):
-                    better += 1
-            out[target_oid] = better + 1
-        return out
+        better = 0
+        for row, other in enumerate(scores):
+            if other > score or (other == score and oids[row] < oid):
+                better += 1
+        own = self._row_of.get(oid)
+        return better - (own is not None and scores[own] > score)
 
     # ------------------------------------------------------------------
     # Prepared contexts

@@ -23,6 +23,10 @@ a scan"):
   which is two bisects and a shift-and-mask; only the set bits get the
   exact Eqn. (1) arithmetic, through :func:`score_delta_rows`.
 
+The same two cuts, a disk around the query and the level sets, find the
+rows close *or* similar enough to reach a why-not question's missing
+objects (:meth:`ScanIndex.undominated`).
+
 This module sits *below* the kernel (which imports it) and holds no
 reference back to one: the row-level primitives the index shares with
 the kernel and the shard bounds — :func:`score_delta_rows`,
@@ -162,6 +166,33 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low
         mask ^= low
+
+
+#: ``_BYTE_BITS[byte]``: the offsets of the set bits of ``byte``, ascending.
+_BYTE_BITS = [[bit for bit in range(8) if byte >> bit & 1] for byte in range(256)]
+
+
+def _positions(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending: a table lookup per byte, where
+    isolating them one by one (:func:`_bits`) costs O(width / 64) each."""
+    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    return [
+        base + bit
+        for base, byte in zip(range(0, len(data) << 3, 8), data)
+        if byte
+        for bit in _BYTE_BITS[byte]
+    ]
+
+
+def _y_run(
+    ys: Sequence[float], start: int, stop: int, qy: float, radius: float, gap: float
+) -> tuple[int, int]:
+    """``[lo, hi)``: the y-sorted column ``[start, stop)`` cut to the rows
+    within ``radius`` of the query, the column ``gap`` away in x (qy ∓ reach
+    round monotonically, so the float interval holds the real one)."""
+    reach = math.sqrt(radius * radius - gap * gap)
+    lo = bisect_left(ys, qy - reach, start, stop)
+    return lo, bisect_right(ys, qy + reach, lo, stop)
 
 
 class ScanIndex:
@@ -310,6 +341,11 @@ class ScanIndex:
         at_least.append(0)
         return [at_least[s] ^ at_least[s + 1] for s in range(len(at_least) - 1)]
 
+    def _rows(self, positions: Sequence[int]) -> Iterator[Row]:
+        """The ``(x, y, mask, doc_len, oid)`` rows at ``positions``."""
+        columns = (self._xs, self._ys, self._masks, self._lens, self._oids)
+        return zip(*(map(column.__getitem__, positions) for column in columns))
+
     def _columns_outward(self, qx: float) -> Iterator[tuple[int, float]]:
         """``(column, x-gap to qx)`` by non-decreasing gap, from qx's column."""
         min_x = self._col_min_x
@@ -359,13 +395,6 @@ class ScanIndex:
         code = self._model_code
         ys = self._ys
         built = self._built
-        columns = (
-            self._xs.__getitem__,
-            ys.__getitem__,
-            self._masks.__getitem__,
-            self._lens.__getitem__,
-            self._oids.__getitem__,
-        )
         # Non-empty levels, best text bound first: (positions, wt·TSim_ub).
         levels = [
             (level, wt * tsim_upper_bound(code, s, qlen, self._min_doc_len))
@@ -394,20 +423,14 @@ class ScanIndex:
                     if gap > radius:
                         continue
                     if start < built:  # a y-sorted column: cut to the run
-                        # qy ∓ reach round monotonically, so a y inside
-                        # the real interval is inside the float one too,
-                        # however far the dataspace is from the origin.
-                        reach = math.sqrt(radius * radius - gap * gap)
-                        lo = bisect_left(ys, qy - reach, start, stop)
-                        hi = bisect_right(ys, qy + reach, start, stop)
+                        lo, hi = _y_run(ys, start, stop, qy, radius, gap)
                 chunk = (level >> lo) & ((1 << (hi - lo)) - 1)
                 if not chunk:
                     continue
                 positions = [lo + low.bit_length() - 1 for low in _bits(chunk)]
                 scored += len(positions)
-                rows = zip(*(map(column, positions) for column in columns))
                 for oid, score, _sdist, _tsim in score_delta_rows(
-                    rows, qx, qy, qmask, qlen, ws, wt,
+                    self._rows(positions), qx, qy, qmask, qlen, ws, wt,
                     normaliser=norm, model_code=code,
                 ):
                     if len(heap) < k:
@@ -430,3 +453,42 @@ class ScanIndex:
             visit(built, len(ys), 0.0)  # the unsorted tail: no distance bound
         heap.sort(reverse=True)
         return [(-score, -negoid) for score, negoid in heap], scored
+
+    @hot_path
+    def undominated(
+        self, qx: float, qy: float, qmask: int, qlen: int, a_floor: float, b_floor: float
+    ) -> tuple[list[tuple[int, float, float, float]], int]:
+        """``(live rows with proximity ≥ a_floor or TSim ≥ b_floor, rows scored)``.
+
+        Rows come back as :func:`score_delta_rows`' ``(oid, a, sdist, b)``
+        at weights ``(1, 0)``, whose score ``1·(1 − d) + 0·t`` is ``a`` bit
+        for bit.  Only the disk of radius ``norm · (1 − a_floor +
+        SKIP_MARGIN)`` (columns outward, cut to y-runs as :meth:`scan`
+        cuts them, and the tail) and the level sets whose TSim bound
+        reaches ``b_floor`` are scored."""
+        code = self._model_code
+        candidates = 0
+        for s, level in enumerate(self._exact_levels(qmask)):
+            if tsim_upper_bound(code, s, qlen, self._min_doc_len) >= b_floor:
+                candidates |= level
+        need = a_floor - SKIP_MARGIN
+        if need <= 0.0:  # every proximity reaches the floor
+            candidates = self._alive
+        else:
+            ys, built = self._ys, self._built
+            radius = self._normaliser * (1.0 - need)
+            disk = ((1 << (len(ys) - built)) - 1) << built  # the tail
+            for column, gap in self._columns_outward(qx):
+                if gap > radius:
+                    break  # and so is every column still to come
+                start = column * _COLUMN_ROWS
+                stop = min(start + _COLUMN_ROWS, built)
+                lo, hi = _y_run(ys, start, stop, qy, radius, gap)
+                disk |= ((1 << (hi - lo)) - 1) << lo
+            candidates |= disk & self._alive
+        positions = _positions(candidates)
+        rows = score_delta_rows(
+            self._rows(positions), qx, qy, qmask, qlen, 1.0, 0.0,
+            normaliser=self._normaliser, model_code=code,
+        )
+        return [r for r in rows if r[1] >= a_floor or r[3] >= b_floor], len(positions)

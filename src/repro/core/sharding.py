@@ -28,8 +28,8 @@ This module provides
   whole-database rank primitives (``count_better``, ``rank_of_many``,
   ``doc_context`` rank scans) *skip entire shards* that provably cannot
   contain a better-ranked object.  Dual space is deliberately not among
-  them: :class:`~repro.core.kernel.DualView` indexes the global columns
-  by TSim level, and two bisects per level beat any per-shard skip.
+  them: :class:`~repro.core.kernel.DualView` reads the global kernel's
+  scan index, and two bisects per TSim level beat any per-shard skip.
 
 Why pruning, not parallelism
 ----------------------------
@@ -704,28 +704,20 @@ class ShardedDocContext(DocContext):
 
     ``tsim_row`` stays the inherited global-column arithmetic; only the
     full-database :meth:`rank_scan` changes, skipping shards whose
-    ``ws · prox_max + wt · tsim_ub`` cannot reach the target score.
-    The proximity maxima are exact per-shard column maxima and the text
-    bound is exactly monotone, so the skip needs no margin.
+    ``ws · prox_max + wt · tsim_ub`` cannot reach the target score and
+    counting the others' beaters through a context on the shard's own
+    kernel.  The proximity maxima are exact per-shard column maxima and
+    the text bound is exactly monotone, so the skip needs no margin.
     """
 
-    __slots__ = ("_doc", "_shard_masks")
+    __slots__ = ("_doc", "_shard_contexts")
 
     def __init__(self, kernel: "ShardedKernel", doc: AbstractSet[str]) -> None:
         super().__init__(kernel, doc)
         self._doc = doc
-        # Shard-local query masks, built lazily per scanned shard (most
-        # shards are skipped; encoding against their vocabularies would
-        # be wasted work).
-        self._shard_masks: dict[int, int] = {}
-
-    def _shard_mask(self, shard_index: int) -> int:
-        mask = self._shard_masks.get(shard_index)
-        if mask is None:
-            shard = self._kernel.router.shards[shard_index]
-            mask, _unknown = shard.kernel.vocabulary.encode_query(self._doc)
-            self._shard_masks[shard_index] = mask
-        return mask
+        # Built lazily per scanned shard: most shards are skipped, and
+        # encoding against their vocabularies would be wasted work.
+        self._shard_contexts: dict[int, DocContext] = {}
 
     @hot_path
     def rank_scan(
@@ -746,41 +738,24 @@ class ShardedDocContext(DocContext):
         stats.bump("doc_rank_scans")
         target_row = kernel.row_of(target_oid)
         theta = ws * proximities[target_row] + wt * self.tsim_row(target_row)
-        target_shard, target_local = router.locate(target_row)
-        qlen = self.length
         beaters = 0
         scanned = 0
         skipped = 0
         for index, shard in enumerate(router.shards):
             faults.check_deadline()
-            tsim_ub = shard.tsim_upper_bound(self.mask, qlen)
+            tsim_ub = shard.tsim_upper_bound(self.mask, self.length)
             if ws * proximities.shard_maxima[index] + wt * tsim_ub < theta:
                 skipped += 1
                 continue
             scanned += 1
-            shard_kernel = shard.kernel
-            qmask = self._shard_mask(index)
-            prox = proximities.shard_slices[index]
-            masks = shard_kernel._masks
-            lens = shard_kernel._lens
-            oids = shard_kernel._oids
-            skip_local = target_local if index == target_shard else -1
-            code = self._code
-            for local in range(len(shard_kernel)):
-                if local == skip_local:
-                    continue
-                shared = (masks[local] & qmask).bit_count()
-                if shared == 0:
-                    tsim = 0.0
-                elif code == "jaccard":
-                    tsim = shared / (lens[local] + qlen - shared)
-                elif code == "dice":
-                    tsim = 2.0 * shared / (lens[local] + qlen)
-                else:
-                    tsim = shared / min(lens[local], qlen)
-                score = ws * prox[local] + wt * tsim
-                if score > theta or (score == theta and oids[local] < target_oid):
-                    beaters += 1
+            context = self._shard_contexts.get(index)
+            if context is None:
+                context = DocContext(shard.kernel, self._doc)
+                self._shard_contexts[index] = context
+            beaters += context.count_beaters(
+                range(len(shard.kernel)), ws, wt,
+                proximities.shard_slices[index], theta, target_oid,
+            )
         stats.bump("doc_shards_scanned", scanned)
         stats.bump("doc_shards_skipped", skipped)
         return beaters + 1
@@ -895,23 +870,9 @@ class ShardedKernel(ScoringKernel):
                 skipped += 1
                 continue
             scanned += 1
-            shard_kernel = shard.kernel
-            scores = shard_kernel._score_list(query)
-            oids = shard_kernel._oids
-            row_of = shard_kernel._row_of
+            scores = shard.kernel._score_list(query)
             for oid, target_score in live:
-                skip_local = row_of.get(oid, -1)
-                count = 0
-                for local, other_score in enumerate(scores):
-                    if other_score > target_score:
-                        count += 1
-                    elif (
-                        other_score == target_score
-                        and local != skip_local
-                        and oids[local] < oid
-                    ):
-                        count += 1
-                beaten[oid] += count
+                beaten[oid] += shard.kernel._count_beating(scores, target_score, oid)
         stats.bump("count_shards_scanned", scanned)
         stats.bump("count_shards_skipped", skipped)
         return {oid: count + 1 for oid, count in beaten.items()}
@@ -919,14 +880,16 @@ class ShardedKernel(ScoringKernel):
     # ------------------------------------------------------------------
     # Dual-space and candidate substrates
     # ------------------------------------------------------------------
-    def dual_view(self, query: SpatialKeywordQuery) -> DualView:
-        """The global columns' levelled view — a named seam, not a scatter.
+    def dual_view(
+        self, query: SpatialKeywordQuery, targets: Sequence[int]
+    ) -> DualView:
+        """The global kernel's view — a named seam, not a scatter.
 
         A rank in a :class:`DualView` is two bisects per TSim level,
         less work than any per-shard skip test, so dual space is the
         one rank substrate shards do not prune.
         """
-        return super().dual_view(query)
+        return super().dual_view(query, targets)
 
     def proximities(self, query: SpatialKeywordQuery) -> ShardedProximityColumn:  # type: ignore[override]
         slices = [

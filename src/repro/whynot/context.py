@@ -2,12 +2,12 @@
 
 A why-not session asks several questions about the same initial query
 and missing set — an explanation, then one or more refinements — and
-every module starts from the same facts: the dual coordinates of the
-database under ``(loc, doc)``, the missing objects' dual points and
-initial ranks, and (per missing object) the crossover events the weight
-sweep walks.  None depends on ``k`` or ``λ``.  :class:`WhyNotContext`
-computes each once, on first use, and the modules take it as an
-argument instead of re-deriving it.
+every module starts from the same facts: the dual coordinates under
+``(loc, doc)`` of the objects that can reach M, the missing objects'
+dual points and initial ranks, and (per missing object) the crossover
+events the weight sweep walks.  None depends on ``k`` or ``λ``.
+:class:`WhyNotContext` computes each once, on first use, and the modules
+take it as an argument instead of re-deriving it.
 
 A context is a snapshot of one database generation: whoever keeps one
 across requests (:class:`repro.whynot.engine.WhyNotEngine`) drops it
@@ -50,11 +50,12 @@ class SweepInputs(NamedTuple):
 class WhyNotContext:
     """Lazily memoised facts about one initial query and missing set.
 
-    ``view`` is the kernel's levelled :class:`DualView` — ``None`` when
-    the scorer has no kernel, a missing object is not the database's own
-    copy (the set path scores the *passed* object) or the caller asked
-    for the O(n) reference (``indexed=False``); consumers then take
-    their :class:`DualPoint`-list and tree-walk arms.
+    ``view`` is the kernel's levelled :class:`DualView` for the missing
+    objects — ``None`` when the scorer has no kernel, a missing object
+    is not the database's own copy (the set path scores the *passed*
+    object) or the caller asked for the O(n) reference
+    (``indexed=False``); consumers then take their
+    :class:`DualPoint`-list and tree-walk arms.
 
     ``query.k`` is that of whichever request built the context: read
     ``loc``, ``doc`` and the weights from it, ``k`` from the request.
@@ -92,8 +93,8 @@ class WhyNotContext:
     def reweighted(self, query: SpatialKeywordQuery) -> "WhyNotContext":
         """The context of ``query`` = this one's with other weights.
 
-        Dual coordinates are weight-free, so the view (and with it the
-        proximity column) is shared; ranks and candidates are not.
+        Dual coordinates are weight-free and the missing set is the
+        same, so the view is shared; ranks and candidates are not.
         """
         return WhyNotContext(
             self.scorer, query, self.missing,
@@ -107,12 +108,12 @@ class WhyNotContext:
             if kernel is not None and all(
                 obj in self.scorer.database for obj in self.missing
             ):
-                self._view = kernel.dual_view(self.query)
+                self._view = kernel.dual_view(self.query, [m.oid for m in self.missing])
             self._indexed = False
         return self._view
 
     def dual_points_of(self, oids: Sequence[int]) -> list[DualPoint]:
-        """The dual points of any objects of the database."""
+        """The dual points of the missing objects and the rows that reach one."""
         if self.view is not None:
             return self.view.dual_points_of(oids)
         by_oid = {dual.oid: dual for dual in self.duals}
@@ -122,11 +123,7 @@ class WhyNotContext:
     def duals(self) -> list[DualPoint]:
         """Every object's dual point — the reference arms' substrate."""
         if self._duals is None:
-            self._duals = (
-                self.view.dual_points()
-                if self.view is not None
-                else self.scorer.dual_points(self.query)
-            )
+            self._duals = self.scorer.dual_points(self.query)
         return self._duals
 
     @property

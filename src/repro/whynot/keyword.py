@@ -55,7 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
@@ -223,15 +223,17 @@ class KeywordAdapter:
         penalty = KeywordPenalty(query, missing, initial_worst, lam)
         stats = AdaptionStats()
 
-        # Spatial proximities are shared by every candidate, and they
-        # are the dual view's ``a`` column: both bound-and-prune arms
-        # index it by row.  The exhaustive ablation's full rank scans
-        # want the kernel's own (shard-annotated) column instead.
-        view = context.view
+        # Spatial proximities are shared by every candidate.  The scan
+        # arm scores only the missing objects itself, and the dual view
+        # holds theirs; the KcR descent and the exhaustive ablation index
+        # the kernel's whole (shard-annotated) column.
+        scan_arm = self._use_bounds and self._index is None
         ranker = _CandidateRanker(
             self._scorer,
             query,
-            view.a if view is not None and self._use_bounds else None,
+            {dual.oid: dual.a for dual in context.missing_duals}
+            if scan_arm and context.view is not None
+            else None,
         )
 
         best_doc: frozenset[str] | None = None
@@ -525,10 +527,11 @@ class _CandidateRanker:
 
     Every candidate keyword set shares the query's spatial term, so the
     proximities are cached once per refine run.  With a columnar kernel
-    on the scorer, proximities live in a row-indexed column and each
-    candidate is encoded to a bitmask :class:`DocContext` — ``TSim`` per
-    object is then bit arithmetic, and a whole leaf, the whole database
-    or the scan index's reachable rows are counted in one kernel call.
+    on the scorer, proximities live in a row-indexed column (the scan
+    arm's in a map of the missing objects') and each candidate is encoded
+    to a bitmask :class:`DocContext` — ``TSim`` per object is then bit
+    arithmetic, and a whole leaf, the whole database or the scan index's
+    reachable rows are counted in one kernel call.
     Without one (non-set models), the original oid-keyed dict and
     ``similarity`` calls apply.  Both paths produce identical floats.
     """
@@ -539,6 +542,7 @@ class _CandidateRanker:
         "_wt",
         "_kernel",
         "_prox",
+        "_missing_prox",
         "_proximity",
         "_candidate",
         "_ctx",
@@ -551,19 +555,21 @@ class _CandidateRanker:
         self,
         scorer: Scorer,
         query: SpatialKeywordQuery,
-        proximities: Sequence[float] | None = None,
+        missing_proximities: Mapping[int, float] | None = None,
     ) -> None:
-        """``proximities``: a row-aligned ``1 − SDist`` column the caller
-        already holds (the kernel computes one otherwise)."""
+        """``missing_proximities``: ``1 − SDist`` of the missing objects
+        by oid, for the scan arm, which scores nothing else itself (the
+        kernel computes the whole column otherwise)."""
         self._scorer = scorer
         self._ws = query.ws
         self._wt = query.wt
         self._loc = query.loc
         self._kernel = scorer.kernel
+        self._missing_prox = missing_proximities
         if self._kernel is not None:
             self._prox = (
-                proximities
-                if proximities is not None
+                None
+                if missing_proximities is not None
                 else self._kernel.proximities(query)
             )
             self._proximity: dict[int, float] | None = None
@@ -590,10 +596,10 @@ class _CandidateRanker:
         """``ST(o, q')`` under the bound candidate keyword set."""
         if self._ctx is not None:
             row = self._kernel.row_of(obj.oid)
-            return (
-                self._ws * self._prox[row]
-                + self._wt * self._ctx.tsim_row(row)
+            proximity = (
+                self._missing_prox[obj.oid] if self._prox is None else self._prox[row]
             )
+            return self._ws * proximity + self._wt * self._ctx.tsim_row(row)
         tsim = self._scorer.text_model.similarity(obj.doc, self._candidate)
         return self._ws * self._proximity[obj.oid] + self._wt * tsim
 

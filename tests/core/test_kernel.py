@@ -209,9 +209,9 @@ class TestDualView:
         db = edge_db()
         fast = Scorer(db)
         q = query({"cafe", "bar"})
-        view = fast.kernel.dual_view(q)
-        duals = view.dual_points()
+        duals = fast.dual_points(q)
         for dual in duals:
+            view = fast.kernel.dual_view(q, [dual.oid])
             columnar = {
                 oid
                 for _, _, oids in view.crossing_candidates(dual.oid)
@@ -222,6 +222,22 @@ class TestDualView:
                 for d in DualSpaceIndex.crossing_candidates_linear(duals, dual)
             }
             assert columnar == linear
+
+    def test_a_view_answers_for_its_targets_only(self):
+        kernel = Scorer(edge_db()).kernel
+        q = query({"cafe"})
+        view = kernel.dual_view(q, [3])
+        for primitive in (
+            view.crossing_candidates,
+            view.strictly_above_at_zero,
+            view.permanent_ties_smaller,
+        ):
+            with pytest.raises(ValueError):
+                primitive(1)
+        with pytest.raises(ValueError):
+            view.ranks_at(0.5, 0.5, [3, 1])
+        with pytest.raises(ValueError):
+            kernel.dual_view(q, [])
 
     def test_closer_count_where_proximity_clamps(self):
         """A dataspace smaller than the extent: the far rows and a
@@ -237,18 +253,57 @@ class TestDualView:
         kernel = Scorer(db).kernel
         kernel.apply_raw([1], [])  # oid 1 at x = 3: the closest clamped row
         q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
-        view = kernel.dual_view(q)
-        assert [view.a[kernel.row_of(oid)] for oid in (2, 3, 4, 5)] == [0.0] * 4
+        view = kernel.dual_view(q, [2])  # proximity 0: every live row
+        assert [p.a for p in view.dual_points_of([2, 3, 4, 5])] == [0.0] * 4
         # Strictly closer than oid 2 (x = 5): oid 0 and the two at x = 4.
         assert kernel.count_closer(view, q, 5.0) == 3
         assert kernel.count_closer(view, q, 4.0) == 1
         assert kernel.count_closer(view, q, 100.0) == 5
         assert kernel.count_closer(view, q, float("inf")) == 5  # not the dead row
+        # A view of the near object holds nothing out there.
+        near = kernel.dual_view(q, [0])
+        assert kernel.count_closer(near, q, 0.05) == 0
+        with pytest.raises(ValueError):
+            kernel.count_closer(near, q, 5.0)
 
     def test_closer_count_of_an_object_at_the_query_location(self):
         kernel = Scorer(edge_db()).kernel
         q = SpatialKeywordQuery(Point(0.1, 0.1), frozenset({"cafe"}), 1)
-        assert kernel.count_closer(kernel.dual_view(q), q, 0.0) == 0
+        assert kernel.count_closer(kernel.dual_view(q, [0]), q, 0.0) == 0
+
+    def test_rows_scored_into_a_view(self):
+        """The disk around the query and the levels that can reach the
+        target's TSim are scored; a row behind the target on both axes
+        is not kept, and one outside both cuts is not even scored."""
+        db = SpatialDatabase(
+            [
+                SpatialObject(oid, Point(0.0, y), frozenset(doc.split()))
+                for oid, (y, doc) in enumerate(
+                    [
+                        (0.1, "bar"),  # in the disk
+                        (0.2, "cafe"),  # in the disk and the level
+                        (0.3, "cafe wifi"),  # the target: a_m, TSim 1/2
+                        (0.5, "bar"),  # in neither cut: not scored
+                        (0.6, "cafe wifi bar"),  # level only, TSim 1/3: dropped
+                        (0.7, "cafe"),  # level only, TSim 1: kept
+                    ]
+                )
+            ],
+            dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+        )
+        kernel = Scorer(db).kernel
+        q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
+        view = kernel.dual_view(q, [2])
+        stats = kernel.stats
+        assert (stats.dual_views, stats.dual_view_rows) == (1, 5)
+        assert stats.scan_index_builds == 1  # built by the view, lazily
+        assert [p.oid for p in view.dual_points_of([0, 1, 2, 5])] == [0, 1, 2, 5]
+        with pytest.raises(KeyError):
+            view.dual_points_of([4])
+        assert view.strictly_above_at_zero(2) == 2  # oids 1 and 5
+        kernel.dual_points_all(q)  # the reference pass: every live row
+        assert (stats.dual_views, stats.dual_view_rows) == (2, 11)
+        assert stats.scan_index_builds == 1
 
 
 class TestStats:

@@ -21,6 +21,7 @@ from repro.core.geometry import Point, Rect
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
+from repro.core.scanindex import SKIP_MARGIN
 from repro.core.scoring import Scorer
 from repro.core.topk import BestFirstTopK
 from repro.index.dualspace import DualSpaceIndex
@@ -139,9 +140,9 @@ def test_dual_points_and_ranks_match(database, query, model):
 def test_dual_view_rank_oracle_matches(database, query, model):
     """DualView.ranks_at ≡ PreferenceAdjuster._ranks_at_weights."""
     fast, slow = scorer_pair(database, model)
-    view = fast.kernel.dual_view(query)
-    duals = slow.dual_points(query)
     target_oids = [obj.oid for obj in list(database.objects)[:3]]
+    view = fast.kernel.dual_view(query, target_oids)
+    duals = slow.dual_points(query)
     by_oid = {dual.oid: dual for dual in duals}
     for ws in (0.1, query.ws, 0.9):
         weights = Weights.from_spatial(ws)
@@ -324,17 +325,75 @@ def tied_databases(draw):
     return SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)), locations, documents
 
 
-def assert_view_matches_reference(engine, query, model):
-    """Every DualView primitive against its O(n) counterpart."""
-    view = engine.kernel.dual_view(query)
+def ulp_steps(value, steps, toward):
+    """``value`` moved ``steps`` ulps towards ``toward``, kept in [0, 1]."""
+    for _ in range(steps):
+        value = math.nextafter(value, toward)
+    return min(max(value, 0.0), 1.0)
+
+
+def with_ulp_neighbours(database, locations, documents, query_loc, draw):
+    """``database`` plus, per location, an object a few ulps off it (its
+    proximity ties or straddles that of the objects there) and one pushed
+    away from the query by ``SKIP_MARGIN`` of proximity and then a few
+    ulps (it ties or straddles the floor of a view for them), plus one
+    object with no keywords (a TSim-0 target)."""
+    shift = SKIP_MARGIN * database.distance_normaliser
+    extra = []
+    for loc in locations:
+        dx, dy = loc.x - query_loc.x, loc.y - query_loc.y
+        r = math.hypot(dx, dy)
+        ux, uy = (dx / r, dy / r) if r else (1.0, 0.0)
+        for x, y in ((loc.x, loc.y), (loc.x + ux * shift, loc.y + uy * shift)):
+            steps = draw(st.integers(min_value=1, max_value=4))
+            toward = draw(st.sampled_from([-math.inf, math.inf]))
+            if abs(ux) >= abs(uy):
+                x = ulp_steps(x, steps, toward)
+            else:
+                y = ulp_steps(y, steps, toward)
+            # An empty doc is below every TSim floor but a TSim-0 one's.
+            doc = draw(st.sampled_from([*documents, frozenset()]))
+            extra.append((Point(x, y), doc))
+    extra.append((draw(st.sampled_from(locations)), frozenset()))
+    objects = [
+        SpatialObject(oid=1000 + i, loc=loc, doc=doc)
+        for i, (loc, doc) in enumerate(extra)
+    ]
+    return SpatialDatabase(
+        [*database, *objects], dataspace=Rect(0.0, 0.0, 1.0, 1.0)
+    )
+
+
+def assert_view_matches_reference(engine, query, model, target_oids):
+    """A view for ``target_oids``: its rows against the dominance rule
+    and every primitive against its O(n) counterpart."""
+    kernel = engine.kernel
+    view = kernel.dual_view(query, target_oids)
     database = engine.database
     reference = Scorer(database, text_model=model, use_kernel=False)
     tree = SetRTree.build(database, text_model=model, max_entries=4)
     duals = reference.dual_points(query)
-    assert view.dual_points() == duals
-    targets = duals[:4]
+    by_oid = {dual.oid: dual for dual in duals}
+    targets = [by_oid[oid] for oid in target_oids]
+    # Exactly the rows no target beats by more than the margin on both
+    # axes are in the view, with the reference's floats.
+    a_floor = min(m.a for m in targets) - SKIP_MARGIN
+    b_floor = min(m.b for m in targets) - SKIP_MARGIN
+    assert (view.a_floor, view.b_floor) == (a_floor, b_floor)
+    for dual in duals:
+        if dual.a >= a_floor or dual.b >= b_floor:
+            assert view.dual_points_of([dual.oid]) == [dual]
+        else:
+            with pytest.raises(KeyError):
+                view.dual_points_of([dual.oid])
+    if b_floor < 0.0:  # a TSim-0 target: every live row
+        assert view.dual_points_of(list(by_oid)) == duals
+    others = sorted(by_oid.keys() - set(target_oids))
+    if others:  # a view answers for its targets only
+        with pytest.raises(ValueError):
+            view.strictly_above_at_zero(others[0])
     oids = [m.oid for m in targets]
-    probe_ws = {query.ws}
+    probe_ws = {query.ws, 1e-9, 1.0 - 1e-9}
     for m in targets:
         crossing = DualSpaceIndex.crossing_candidates_linear(duals, m)
         found = {
@@ -354,10 +413,15 @@ def assert_view_matches_reference(engine, query, model):
         )
         # Radii: nothing, the object's own distance (the explanation's
         # question), one inside the dataspace, one past its diagonal
-        # (every clamped row and every tombstone ties at proximity 0).
+        # (every clamped row ties at proximity 0); the view answers
+        # every radius whose proximity is at least its floor.
         own = database.get(m.oid).loc.distance_to(query.loc)
         for radius in (0.0, own, 0.3, 2.0):
-            closer = engine.kernel.count_closer(view, query, radius)
+            if 1.0 - min(radius / database.distance_normaliser, 1.0) < a_floor:
+                with pytest.raises(ValueError):  # beyond what the view holds
+                    kernel.count_closer(view, query, radius)
+                continue
+            closer = kernel.count_closer(view, query, radius)
             assert closer == tree.count_within_distance(query.loc, radius)
             assert closer == sum(
                 1 for obj in database if obj.loc.distance_to(query.loc) < radius
@@ -386,44 +450,69 @@ def assert_view_matches_reference(engine, query, model):
     st.data(),
 )
 def test_levelled_view_matches_linear_reference(tied, query, model, shards, data):
-    """ranks_at (at the initial weights, every crossover and its ±1 ulp
-    neighbours), the crossing set, above-at-zero, permanent ties,
-    count_more_similar and the closer-count — before and after batches
-    that leave tombstones in the unsharded kernel's columns."""
+    """A view for 1–3 drawn targets, and one for a TSim-0 target: the
+    rows it holds, ranks_at (at the initial weights, near 0 and 1, every
+    crossover and its ±1 ulp neighbours), the crossing set,
+    above-at-zero, permanent ties, count_more_similar and the
+    closer-count — among objects whose proximities sit a few ulps from
+    a target's or from the view's floor, before and after batches that
+    leave tombstones in the unsharded kernel's columns."""
     database, locations, documents = tied
-    engine = YaskEngine(database, text_model=model, shards=shards)
-    try:
-        assert_view_matches_reference(engine, query, model)
-        for _ in range(2):
-            live = {obj.oid for obj in engine.database}
-            batch = [Mutation.delete(data.draw(st.sampled_from(sorted(live))))]
-            # Newcomers land between live ids, so they win and lose
-            # oid tie-breaks against the objects whose cells they copy.
-            fresh = data.draw(
-                st.lists(
-                    st.integers(min_value=0, max_value=80).filter(
-                        lambda oid: oid not in live
-                    ),
-                    max_size=2,
-                    unique=True,
-                )
+    database = with_ulp_neighbours(
+        database, locations, documents, query.loc, data.draw
+    )
+    # Two-row index columns make the disk a walk over many columns,
+    # each cut to its y-run; the shipped height keeps them in one.
+    with column_rows(data.draw(st.sampled_from([2, 256]))):
+        engine = YaskEngine(database, text_model=model, shards=shards)
+
+        def check():
+            live = sorted(obj.oid for obj in engine.database)
+            targets = data.draw(
+                st.lists(st.sampled_from(live), min_size=1, max_size=3, unique=True)
             )
-            for oid in fresh:
-                batch.append(
-                    Mutation.insert(
-                        SpatialObject(
-                            oid=oid,
-                            loc=data.draw(st.sampled_from(locations)),
-                            doc=data.draw(st.sampled_from(documents)),
-                        )
+            assert_view_matches_reference(engine, query, model, targets)
+            unmatched = [
+                obj.oid for obj in engine.database if not obj.doc & query.doc
+            ]
+            if unmatched:
+                zero = data.draw(st.sampled_from(unmatched))
+                assert_view_matches_reference(
+                    engine, query, model, [zero, *(t for t in targets if t != zero)]
+                )
+
+        try:
+            check()
+            for _ in range(2):
+                live = {obj.oid for obj in engine.database}
+                batch = [Mutation.delete(data.draw(st.sampled_from(sorted(live))))]
+                # Newcomers land between live ids, so they win and lose
+                # oid tie-breaks against the objects whose cells they copy.
+                fresh = data.draw(
+                    st.lists(
+                        st.integers(min_value=0, max_value=80).filter(
+                            lambda oid: oid not in live
+                        ),
+                        max_size=2,
+                        unique=True,
                     )
                 )
-            if len(live) - 1 + len(fresh) < 2:
-                break
-            engine.apply_mutations(batch)
-            assert_view_matches_reference(engine, query, model)
-    finally:
-        engine.close()
+                for oid in fresh:
+                    batch.append(
+                        Mutation.insert(
+                            SpatialObject(
+                                oid=oid,
+                                loc=data.draw(st.sampled_from(locations)),
+                                doc=data.draw(st.sampled_from(documents)),
+                            )
+                        )
+                    )
+                if len(live) - 1 + len(fresh) < 2:
+                    break
+                engine.apply_mutations(batch)
+                check()
+        finally:
+            engine.close()
 
 
 # ----------------------------------------------------------------------

@@ -91,17 +91,24 @@ def test_rank_primitives_match(data, shards, part):
 def test_dual_view_primitives_match(data, shards, part, ws):
     database, query = data
     plain, sharded, _ = make_pair(database, shards, part)
-    plain_view = plain.kernel.dual_view(query)
-    sharded_view = sharded.kernel.dual_view(query)
-
-    assert sharded_view.dual_points() == plain_view.dual_points()
-
     oids = [obj.oid for obj in database.objects[:4]]
+    plain_view = plain.kernel.dual_view(query, oids)
+    sharded_view = sharded.kernel.dual_view(query, oids)
+
+    # Both hold the same rows: every row the targets can meet, and only those.
+    for dual in plain.dual_points(query):
+        try:
+            expected = plain_view.dual_points_of([dual.oid])
+        except KeyError:
+            with pytest.raises(KeyError):
+                sharded_view.dual_points_of([dual.oid])
+        else:
+            assert sharded_view.dual_points_of([dual.oid]) == expected == [dual]
+
     wt = 1.0 - ws
     assert sharded_view.ranks_at(ws, wt, oids) == plain_view.ranks_at(
         ws, wt, oids
     )
-    assert sharded_view.dual_points_of(oids) == plain_view.dual_points_of(oids)
     for oid in oids:
         assert sharded_view.crossing_candidates(
             oid
