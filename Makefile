@@ -67,7 +67,10 @@
 #                      SetR-tree's; keyword
 #                      refinement on the scan index vs the KcR-tree
 #                      descent and exhaustive enumeration) and the
-#                      why-not property suite (its own CI job)
+#                      why-not property suite (the preference front vs
+#                      the frozen exhaustive sweep at every λ, on
+#                      identical, near-parallel and at-q.ws crossings;
+#                      its own CI job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /

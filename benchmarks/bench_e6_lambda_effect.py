@@ -85,21 +85,26 @@ def test_e6_report_tradeoff(benchmark, hotels_engine, demo_query, capsys):
 def test_e6_report_synthetic_scenarios(
     benchmark, bench_scorer, bench_kcrtree, bench_scenarios, capsys
 ):
-    """The same λ sweep averaged over synthetic why-not scenarios."""
+    """The same λ sweep averaged over synthetic why-not scenarios: one
+    context per scenario, so each question's preference front is swept
+    once and every λ is a lookup on it."""
+    from repro.whynot.context import WhyNotContext
     from repro.whynot.keyword import KeywordAdapter
     from repro.whynot.preference import PreferenceAdjuster
 
     adjuster = PreferenceAdjuster(bench_scorer)
     adapter = KeywordAdapter(bench_scorer, bench_kcrtree)
     scenarios = bench_scenarios[:3]
+    contexts = [WhyNotContext(bench_scorer, s.query, s.missing) for s in scenarios]
+    fronts = []
     table = Table(
         "lambda", "pref mean Δk", "pref mean Δw", "kw mean Δk", "kw mean Δdoc",
         title="E6b: λ sweep on synthetic scenarios (10k objects, |M|=2)",
     )
     for lam in LAMBDAS:
         pref_dk = pref_dw = kw_dk = kw_dd = 0.0
-        for s in scenarios:
-            pref = adjuster.refine(s.query, s.missing, lam=lam)
+        for s, context in zip(scenarios, contexts):
+            pref = adjuster.refine(s.query, s.missing, lam=lam, context=context)
             keyword = adapter.refine(s.query, s.missing, lam=lam)
             pref_dk += pref.delta_k
             pref_dw += pref.delta_w
@@ -111,6 +116,11 @@ def test_e6_report_synthetic_scenarios(
             round(pref_dk / count, 1), round(pref_dw / count, 4),
             round(kw_dk / count, 1), round(kw_dd / count, 2),
         )
+        fronts.append([context.front for context in contexts])
     with capsys.disabled():
         table.print()
+    # One sweep per question: the first λ built each front, the rest
+    # read the very same one.
+    assert all(front is not None for front in fronts[0])
+    assert all(a is b for row in fronts for a, b in zip(row, fronts[0]))
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -493,18 +493,12 @@ class ShardRouter:
             Shard(shard_id, database, rows, text_model)
             for shard_id, rows in enumerate(assignments)
         )
-        # Global row → (shard index, shard-local row): the gather maps
-        # for database-order materialisation and target lookups.
-        shard_of = [0] * len(database)
-        local_of = [0] * len(database)
         self._shard_of_oid: dict[int, int] = {}
         for index, shard in enumerate(self._shards):
-            for local, row in enumerate(shard.rows):
-                shard_of[row] = index
-                local_of[row] = local
+            for row in shard.rows:
                 self._shard_of_oid[database.objects[row].oid] = index
-        self._shard_of_row = shard_of
-        self._local_of_row = local_of
+        #: Global kernel rows the ``Shard.rows`` maps cover.
+        self._rows = len(database)
         # The global kernel whose physical rows the maps index; a
         # ShardedKernel binds itself here at construction.
         self._kernel: ScoringKernel | None = None
@@ -537,10 +531,6 @@ class ShardRouter:
 
     def __len__(self) -> int:
         return len(self._shards)
-
-    def locate(self, row: int) -> tuple[int, int]:
-        """``(shard index, shard-local row)`` of a live global kernel row."""
-        return self._shard_of_row[row], self._local_of_row[row]
 
     def shard_sizes(self) -> list[int]:
         return [len(shard) for shard in self._shards]
@@ -581,7 +571,7 @@ class ShardRouter:
         parent database and the global kernel have already applied it.
         Removals go to the shard that owns each object; insertions to
         the least-enlarged shard.  A shard left empty is dropped.  The
-        row maps (``locate``, ``Shard.rows``) gain the appended rows;
+        row maps (``Shard.rows``) gain the appended rows;
         they are rebuilt only by a batch that renumbered rows — the
         global kernel or a shard kernel compacted, or a shard was
         dropped.
@@ -593,9 +583,7 @@ class ShardRouter:
                 "built over it; this one has none"
             )
         # Nothing compacted ⇔ the global columns grew by the appends.
-        renumbered = len(kernel) != len(self._shard_of_row) + len(
-            change.appended
-        )
+        renumbered = len(kernel) != self._rows + len(change.appended)
         per_shard_removed: dict[int, list[SpatialObject]] = {}
         for obj in change.removed:
             index = self._shard_of_oid.pop(obj.oid)
@@ -623,35 +611,28 @@ class ShardRouter:
         # Appends land in batch order in the global kernel and in each
         # shard kernel alike, so every map grows at its end.
         for obj in change.appended:
-            index = self._shard_of_oid[obj.oid]
-            shard = self._shards[index]
-            shard.rows.append(kernel.row_of(obj.oid))
-            self._shard_of_row.append(index)
-            self._local_of_row.append(shard.kernel.row_of(obj.oid))
+            self._shards[self._shard_of_oid[obj.oid]].rows.append(
+                kernel.row_of(obj.oid)
+            )
+        self._rows = len(kernel)
 
     def _rebuild_row_maps(self, kernel: ScoringKernel) -> None:
-        """Recompute global-row ↔ (shard, local) maps after a renumbering.
+        """Recompute the shard-local → global row maps after a renumbering.
 
         Read off the kernels' own ``oid → physical row`` tables, so the
         maps cover live rows only; a tombstone's ``Shard.rows`` entry
         is ``-1``.
         """
         global_row = kernel._row_of
-        shard_of = [0] * len(kernel)
-        local_of = [0] * len(kernel)
         shard_of_oid: dict[int, int] = {}
         for index, shard in enumerate(self._shards):
             rows = [-1] * len(shard.kernel)
             for oid, local in shard.kernel._row_of.items():
-                row = global_row[oid]
-                rows[local] = row
-                shard_of[row] = index
-                local_of[row] = local
+                rows[local] = global_row[oid]
                 shard_of_oid[oid] = index
             shard.rows = rows
-        self._shard_of_row = shard_of
-        self._local_of_row = local_of
         self._shard_of_oid = shard_of_oid
+        self._rows = len(kernel)
 
     # ------------------------------------------------------------------
     # Per-query shard bounds
@@ -814,7 +795,7 @@ class ShardedKernel(ScoringKernel):
     def apply_mutations(self, change) -> None:
         """Maintain the global columns by the base rule — a named seam.
 
-        Shard row maps (``Shard.rows``, ``ShardRouter.locate``) index
+        Shard row maps (``Shard.rows``) index
         these columns by physical row, tombstones included; the router,
         the next listener, patches them for the appended rows and
         rebuilds them when this kernel compacted.

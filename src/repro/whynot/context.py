@@ -4,10 +4,10 @@ A why-not session asks several questions about the same initial query
 and missing set — an explanation, then one or more refinements — and
 every module starts from the same facts: the dual coordinates under
 ``(loc, doc)`` of the objects that can reach M, the missing objects'
-dual points and initial ranks, and (per missing object) the crossover
-events the weight sweep walks.  None depends on ``k`` or ``λ``.
-:class:`WhyNotContext` computes each once, on first use, and the modules
-take it as an argument instead of re-deriving it.
+dual points and initial ranks, (per missing object) the crossover
+events and rank profile of the weight sweep, and the preference front.
+None depends on ``k`` or ``λ``.  :class:`WhyNotContext` computes each
+once, on first use, and the modules take it as an argument instead.
 
 A context is a snapshot of one database generation: whoever keeps one
 across requests (:class:`repro.whynot.engine.WhyNotEngine`) drops it
@@ -19,6 +19,9 @@ one; two racing to fill the same slot compute the same value twice.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from repro.core.kernel import DualView
@@ -26,25 +29,51 @@ from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.core.scoring import DualPoint, Scorer
 
-__all__ = ["SweepInputs", "WhyNotContext"]
+__all__ = ["RankProfile", "SweepInputs", "WhyNotContext"]
+
+
+class RankProfile(NamedTuple):
+    """A sweep rank as a step function of the spatial weight ``w``.
+
+    ``weights`` are the distinct crossover weights, ascending; ``ranks``
+    alternates the rank on each open interval and at each crossover
+    (ties there resolved by object id): on ``(0, weights[0])``, at
+    ``weights[0]``, on ``(weights[0], weights[1])``, … on ``(…, 1)``.
+    """
+
+    weights: Sequence[float]
+    ranks: Sequence[int]
+
+    def rank(self, w: float) -> int:
+        """The rank at ``w``: ``ranks[2·lo + hit]``, with ``hit = hi − lo``."""
+        return self.ranks[bisect_left(self.weights, w) + bisect_right(self.weights, w)]
+
+    @staticmethod
+    def worst(profiles: Sequence["RankProfile"]) -> "RankProfile":
+        """``R(M, ·)``: the largest of several ranks at every weight."""
+        if len(profiles) == 1:
+            return profiles[0]
+        weights = sorted(set().union(*(profile.weights for profile in profiles)))
+        ranks = [0] * (2 * len(weights) + 1)
+        for profile in profiles:  # at w: ranks[lo + hi]; past it: ranks[2·hi]
+            low = map(bisect_left, repeat(profile.weights), weights)
+            high = list(map(bisect_right, repeat(profile.weights), weights))
+            own = [profile.ranks[0]] * len(ranks)
+            own[1::2] = map(profile.ranks.__getitem__, map(add, low, high))
+            own[2::2] = map(profile.ranks.__getitem__, map(add, high, high))
+            ranks = list(map(max, ranks, own))
+        return RankProfile(weights, ranks)
 
 
 class SweepInputs(NamedTuple):
-    """One missing object's crossover structure (Section 3.3, step 2).
-
-    The events are parallel arrays sorted by ``(weight, oid)``;
-    ``directions[i]`` is +1 when the other object rises above ``m`` past
-    the crossover and −1 when it drops below.
-    """
+    """One missing object's crossover structure (Section 3.3, step 2):
+    the other objects' crossover weights and oids, parallel arrays
+    sorted by ``(weight, oid)``, and ``m``'s rank profile along them."""
 
     dual: DualPoint
     weights: array
     oids: array
-    directions: array
-    #: Objects strictly above ``m`` as ``w → 0+``.
-    above: int
-    #: Objects identical to ``m``'s line with a smaller oid.
-    permanent_tie_smaller: int
+    profile: RankProfile
 
 
 class WhyNotContext:
@@ -63,8 +92,8 @@ class WhyNotContext:
 
     __slots__ = (
         "scorer", "query", "missing", "_indexed", "_view",
-        "_duals", "_missing_duals", "_initial_ranks", "sweeps",
-        "candidate_weights",
+        "_duals", "_dual_of", "_missing_duals", "_initial_ranks", "sweeps",
+        "front",
     )
 
     def __init__(
@@ -83,18 +112,19 @@ class WhyNotContext:
         self._indexed = indexed and view is None
         self._view = view
         self._duals: list[DualPoint] | None = None
+        self._dual_of: dict[int, DualPoint] | None = None
         self._missing_duals: list[DualPoint] | None = None
         self._initial_ranks: Mapping[int, int] | None = None
         #: Per missing object, filled by ``PreferenceAdjuster``.
         self.sweeps: list[SweepInputs | None] = [None] * len(self.missing)
-        #: The sweep's candidate weights, ascending (likewise).
-        self.candidate_weights: array | None = None
+        #: The preference front, ``(w, worst rank)`` pairs (likewise).
+        self.front: tuple[tuple[float, int], ...] | None = None
 
     def reweighted(self, query: SpatialKeywordQuery) -> "WhyNotContext":
         """The context of ``query`` = this one's with other weights.
 
         Dual coordinates are weight-free and the missing set is the
-        same, so the view is shared; ranks and candidates are not.
+        same, so the view is shared; ranks and the front are not.
         """
         return WhyNotContext(
             self.scorer, query, self.missing,
@@ -116,8 +146,8 @@ class WhyNotContext:
         """The dual points of the missing objects and the rows that reach one."""
         if self.view is not None:
             return self.view.dual_points_of(oids)
-        by_oid = {dual.oid: dual for dual in self.duals}
-        return [by_oid[oid] for oid in oids]
+        self._dual_of = self._dual_of or {dual.oid: dual for dual in self.duals}
+        return list(map(self._dual_of.__getitem__, oids))
 
     @property
     def duals(self) -> list[DualPoint]:

@@ -21,34 +21,36 @@ Implementation outline (DESIGN.md §3.3):
    ``m``'s inside ``(0, 1)`` with the two quadrant range queries of
    :class:`repro.index.dualspace.DualSpaceIndex` and compute the
    crossover weights.
-3. Sweep all candidate weights in ascending order, maintaining each
-   missing object's rank incrementally: passing the crossover with ``o``
-   moves ``m``'s rank by ±1 according to which line rises faster — the
-   rank update theorem.
-4. Evaluate Eqn. (3) at every candidate (the initial weight — a pure
-   k-enlargement — is always a candidate) and return the minimum.
+3. Walk each missing object's crossovers once with the rank update
+   theorem — passing the crossover with ``o`` moves ``m``'s rank by ±1
+   according to which line rises faster — into its rank profile.
+4. Keep the candidate weights (the initial weight — a pure
+   k-enlargement — every crossover and its past-the-crossing neighbour)
+   that can win at some λ, the context's *front*; a λ evaluates Eqn. (3)
+   on the front and returns the minimum.
 
-Exactness note: ranks during the sweep follow exact real arithmetic on
-the crossover structure; the engine then re-verifies the best candidates
-against floating-point scores (the semantics of the top-k engine) so the
+Exactness note: the profiles follow exact real arithmetic on the
+crossover structure; the best candidates are then re-verified against
+floating-point scores (the semantics of the top-k engine) so the
 returned refined query is guaranteed to revive every missing object.
-Each crossover also contributes a *past-the-crossing* candidate: the
-first floating-point weight on the far side of the crossover at which
-the float score comparison between the two objects actually flips.  The
-flip happens a few ulps away from the real crossover (rounding), and
-that float boundary — located by an exponential march plus bisection in
+Past a crossover the float comparison of the two lines flips a few ulps
+away (rounding); that first float weight — the past-the-crossing
+neighbour, located by an exponential march plus bisection in
 :meth:`PreferenceAdjuster._past_crossing_candidate` — is where the
 infimum of the penalty lives when the crossover tie goes against the
-missing object.
+missing object.  It is marched only while the front might need it.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from heapq import nsmallest
+from heapq import heappop, heappush, nsmallest
+from itertools import accumulate, groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.hotpath import hot_path
@@ -56,11 +58,15 @@ from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint, Scorer
 from repro.index.dualspace import DualSpaceIndex
-from repro.whynot.context import SweepInputs, WhyNotContext
+from repro.whynot.context import RankProfile, SweepInputs, WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
 
 __all__ = ["PreferenceRefinement", "PreferenceAdjuster"]
+
+#: ``hypot`` is accurate to within an ulp, so one of larger arguments is
+#: never below another's value less two ulps.
+_HYPOT_SLACK = 1.0 - 2.0**-50
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,46 +84,16 @@ class PreferenceRefinement:
     refined_worst_rank: int
     initial_worst_rank: int
     lam: float
-    #: Diagnostics: number of crossover points found / candidates scored.
+    #: Diagnostics: crossover events found; front candidates priced.
     crossovers: int = 0
     candidates_evaluated: int = 0
     method: str = "weight-sweep"
-
-    @property
-    def k_only(self) -> bool:
-        """True when the refinement keeps the weights and only enlarges k."""
-        return self.delta_w == 0.0
 
     def describe(self) -> str:
         w = self.refined_query.weights
         return (
             f"refined weights=({w.ws:.4f}, {w.wt:.4f}), k={self.refined_query.k} "
             f"(Δk={self.delta_k}, Δw={self.delta_w:.4f}), penalty={self.penalty:.4f}"
-        )
-
-
-@dataclass(slots=True)
-class _SweepState:
-    """Per-missing-object sweep bookkeeping."""
-
-    dual: DualPoint
-    #: Events: (crossover weight, other's oid, direction); direction +1
-    #: means the other object rises above m past the crossover.
-    events: list[tuple[float, int, int]]
-    #: Objects strictly above m on the current open interval.
-    above: int
-    #: Objects identical to m's line with a smaller oid (permanent ties).
-    permanent_tie_smaller: int
-    cursor: int = 0
-
-    @classmethod
-    def start(cls, sweep: SweepInputs) -> "_SweepState":
-        """A fresh cursor over shared inputs (one per call, per thread)."""
-        return cls(
-            dual=sweep.dual,
-            events=list(zip(sweep.weights, sweep.oids, sweep.directions)),
-            above=sweep.above,
-            permanent_tie_smaller=sweep.permanent_tie_smaller,
         )
 
 
@@ -142,7 +118,8 @@ class PreferenceAdjuster:
             linear scan is used instead (the E8 ablation).
         verification_window:
             How many of the best sweep candidates are re-checked against
-            floating-point ranks before one is returned.
+            floating-point ranks before one is returned (so also how
+            deep the context's front runs).
         """
         if verification_window < 1:
             raise ValueError("verification_window must be at least 1")
@@ -179,30 +156,18 @@ class PreferenceAdjuster:
         initial_ranks = self._ranks(context, query.weights)
         initial_worst = max(initial_ranks.values())
         if initial_worst <= query.k:
-            already = [
-                oid for oid, rank in initial_ranks.items() if rank <= query.k
-            ]
-            raise NotMissingError(already)
+            raise NotMissingError(
+                [oid for oid, rank in initial_ranks.items() if rank <= query.k]
+            )
 
         penalty = PreferencePenalty(query, initial_worst, lam)
-
-        # Step 2: crossover events via the two dual-space range queries.
         sweeps = self._sweeps(context, range(len(context.missing)))
-        ordered_ws = self._candidate_weights(context, sweeps).tolist()
+        front = self._front(context)  # steps 2-3, once per context
 
-        # Steps 3-4: ascending sweep with the rank-update theorem.
-        # ``value_at`` evaluates Eqn. (3) without allocating a Weights
-        # per candidate — identical floats to the verification's
+        # Step 4.  ``value_at`` evaluates Eqn. (3) without allocating a
+        # Weights per candidate — identical floats to the verification's
         # ``penalty(worst, Weights.from_spatial(w))``.
-        states = [_SweepState.start(sweep) for sweep in sweeps]
-        scored: list[tuple[float, float, int]] = []  # (penalty, w, worst rank)
-        for w in ordered_ws:
-            worst = 0
-            for state in states:
-                rank = self._advance_and_rank(state, w)
-                if rank > worst:
-                    worst = rank
-            scored.append((penalty.value_at(worst, w), w, worst))
+        scored = [(penalty.value_at(worst, w), w, worst) for w, worst in front]
 
         # Floating-point verification of the best candidates.
         window = nsmallest(
@@ -212,9 +177,7 @@ class PreferenceAdjuster:
         )
         best: tuple[float, float, int] | None = None
         for _, w, _ in window:
-            weights = (
-                query.weights if w == query.ws else Weights.from_spatial(w)
-            )
+            weights = query.weights if w == query.ws else Weights.from_spatial(w)
             worst = max(self._ranks(context, weights).values())
             pen = penalty(worst, weights)
             key = (pen, abs(w - query.ws), w)
@@ -226,10 +189,10 @@ class PreferenceAdjuster:
         refined_weights = (
             query.weights if best_w == query.ws else Weights.from_spatial(best_w)
         )
-        refined_k = penalty.refined_k(best_worst)
-        refined_query = query.with_weights(refined_weights).with_k(refined_k)
         return PreferenceRefinement(
-            refined_query=refined_query,
+            refined_query=query.with_weights(refined_weights).with_k(
+                penalty.refined_k(best_worst)
+            ),
             penalty=best_penalty,
             delta_k=penalty.delta_k(best_worst),
             delta_w=query.weights.distance_to(refined_weights),
@@ -237,7 +200,7 @@ class PreferenceAdjuster:
             initial_worst_rank=initial_worst,
             lam=lam,
             crossovers=sum(len(sweep.weights) for sweep in sweeps),
-            candidates_evaluated=len(ordered_ws),
+            candidates_evaluated=len(front),
             # The sweep strategy, not the retrieval substrate: the
             # levelled view serves the same two range queries.
             method="weight-sweep" if self._use_dual_index else "weight-sweep-linear",
@@ -279,36 +242,16 @@ class PreferenceAdjuster:
             )
         index = [obj.oid for obj in context.missing].index(missing_obj.oid)
         (sweep,) = self._sweeps(context, [index])
-        state = _SweepState.start(sweep)
-        events = state.events
-        # The rank on every open interval between consecutive crossovers
-        # and at every crossover point, as (left end, viable) pieces.
-        pieces: list[tuple[float, bool]] = []
-        previous = 0.0
-        for w_event, _, _ in events:
-            # _advance_and_rank applies the events strictly before
-            # w_event, which leaves the state at the open interval
-            # (previous, w_event), and returns the rank AT w_event.
-            rank_at_event = self._advance_and_rank(state, w_event)
-            open_rank = 1 + state.above + state.permanent_tie_smaller
-            pieces.append((previous, open_rank <= k))
-            pieces.append((w_event, rank_at_event <= k))
-            # Consume the event(s) at this weight before moving on.
-            while state.cursor < len(events) and events[state.cursor][0] == w_event:
-                state.above += events[state.cursor][2]
-                state.cursor += 1
-            previous = w_event
-        final_rank = 1 + state.above + state.permanent_tie_smaller
-        pieces.append((previous, final_rank <= k))
-        pieces.append((1.0, False))
-        # A viable stretch runs from its first piece's left end to the
-        # left end of the piece that breaks it.
+        weights, ranks = sweep.profile
+        # The profile's pieces start at 0, w0, w0, w1, w1, …; a viable
+        # stretch ends where a piece breaks it (at the latest at 1.0).
+        lefts = [0.0, *(w for w in weights for _ in range(2)), 1.0]
         viable: list[tuple[float, float]] = []
         start: float | None = None
-        for left, is_viable in pieces:
-            if is_viable and start is None:
+        for left, rank in zip(lefts, [*ranks, k + 1]):
+            if rank <= k and start is None:
                 start = left
-            elif not is_viable and start is not None:
+            elif rank > k and start is not None:
                 viable.append((start, left))
                 start = None
         return viable
@@ -358,7 +301,8 @@ class PreferenceAdjuster:
         above: int,
         ties: int,
     ) -> SweepInputs:
-        """Crossover events of ``(b, proximities, oids)`` groups against m.
+        """Crossover events of ``(b, proximities, oids)`` groups against m,
+        and m's rank profile along them from ``1 + above + ties``.
 
         Operation for operation ``m_dual.crossover_with(other)`` and the
         slope comparison of the rank update theorem, with the level's
@@ -378,35 +322,93 @@ class PreferenceAdjuster:
                 if valid(w_star):
                     events.append((w_star, oid, 1 if slope > m_slope else -1))
         events.sort()
-        weights, oids, directions = zip(*events) if events else ((),) * 3
-        return SweepInputs(
-            dual=m_dual,
-            weights=array("d", weights),
-            oids=array("q", oids),
-            directions=array("b", directions),
-            above=above,
-            permanent_tie_smaller=ties,
-        )
+        # The rank update theorem, walked once: past a crossover the
+        # open-interval rank moves by its direction; at the crossover
+        # the lines meeting m tie with it, and the smaller oid wins.
+        levels: list[float] = []
+        ranks = [1 + above + ties]
+        for w, crossing in groupby(events, key=itemgetter(0)):
+            tied = moved = ranks[-1]
+            for _, oid, direction in crossing:
+                tied += (oid < m_dual.oid) - (direction < 0)
+                moved += direction
+            levels.append(w)
+            ranks += (tied, moved)
+        weights, oids, _ = zip(*events) if events else ((),) * 3
+        profile = RankProfile(array("d", levels), array("i", ranks))  # a rank ≤ n < 2³¹
+        return SweepInputs(m_dual, array("d", weights), array("q", oids), profile)
 
-    def _candidate_weights(
-        self, context: WhyNotContext, sweeps: Sequence[SweepInputs]
-    ) -> array:
-        """Ascending candidate weights: ``q.ws`` (pure k-enlargement),
-        every crossover and its past-the-crossing float neighbour."""
-        if context.candidate_weights is None:
-            initial_ws = context.query.ws
-            candidates = {initial_ws}
+    def _front(self, context: WhyNotContext) -> tuple[tuple[float, int], ...]:
+        """``(w, worst rank)`` of every candidate that can enter the
+        verification window at some λ, memoised on the context.
+
+        Candidates are met outward from ``q.ws`` on both sides and kept
+        unless ``verification_window`` kept ones dominate them: a rank
+        and a ``Δw`` no larger and a strictly smaller ``|w − ws|``, so a
+        penalty no larger at any λ and k and an earlier window key.
+        Whatever lies beyond a crossover lies at or past the first float
+        beyond it: its rank is at least the lowest on that far side and,
+        when both ``Δw`` components only grow from there, its ``Δw`` at
+        least that float's.  Once that much is dominated the side ends.
+        """
+        if context.front is not None:
+            return context.front
+        sweeps = self._sweeps(context, range(len(context.missing)))
+        profile = RankProfile.worst([sweep.profile for sweep in sweeps])
+        levels, ranks = profile
+        # The lowest rank on (0, levels[i]) and on (levels[i], 1).
+        lowest_below = list(accumulate(ranks, min))[::2]
+        lowest_above = list(accumulate(reversed(ranks), min))[::-1][2::2]
+        ws, wt = context.query.ws, context.query.wt
+        kept: list[tuple[float, int, float, float]] = []  # (|w − ws|, rank, Δw, w)
+        seen = {ws, *levels}
+        marched: list[tuple[float, float]] = []  # heap of (|w − ws|, w)
+
+        def dominated(distance: float, rank: int, delta_w: float) -> bool:
+            return sum(
+                d < distance and r <= rank and dw <= delta_w for d, r, dw, _ in kept
+            ) >= self._verification_window
+
+        def offer(w: float) -> None:
+            rank, delta_w = profile.rank(w), math.hypot(ws - w, wt - (1.0 - w))
+            if not dominated(abs(w - ws), rank, delta_w):
+                kept.append((abs(w - ws), rank, delta_w, w))
+
+        up = bisect_left(levels, ws)
+        down = up - 1
+        if up == len(levels) or levels[up] != ws:
+            offer(ws)
+        while down >= 0 or up < len(levels):
+            going_up = down < 0 or (
+                up < len(levels) and abs(levels[up] - ws) < abs(levels[down] - ws)
+            )
+            index = up if going_up else down
+            w_star = levels[index]
+            while marched and marched[0] < (abs(w_star - ws), w_star):
+                offer(heappop(marched)[1])
+            offer(w_star)
+            past = math.nextafter(w_star, 1.0 if going_up else 0.0)
+            dx, dy = ws - past, wt - (1.0 - past)
+            if ((dx <= 0.0 <= dy) if going_up else (dy <= 0.0 <= dx)) and dominated(
+                abs(past - ws),
+                (lowest_above if going_up else lowest_below)[index],
+                math.hypot(dx, dy) * _HYPOT_SLACK,
+            ):
+                up, down = (len(levels), down) if going_up else (up, -1)
+                continue
             for sweep in sweeps:
-                candidates.update(sweep.weights)
-                others = context.dual_points_of(sweep.oids)
-                for w_star, other in zip(sweep.weights, others):
-                    neighbour = self._past_crossing_candidate(
-                        sweep.dual, other, w_star, initial_ws
-                    )
-                    if neighbour is not None:
-                        candidates.add(neighbour)
-            context.candidate_weights = array("d", sorted(candidates))
-        return context.candidate_weights
+                low = bisect_left(sweep.weights, w_star)
+                high = bisect_right(sweep.weights, w_star, low)
+                for other in context.dual_points_of(sweep.oids[low:high]):
+                    w = self._past_crossing_candidate(sweep.dual, other, w_star, ws)
+                    if w is not None and w not in seen:
+                        seen.add(w)
+                        heappush(marched, (abs(w - ws), w))
+            up, down = (up + 1, down) if going_up else (up, down - 1)
+        for _, w in sorted(marched):
+            offer(w)
+        context.front = tuple(sorted((w, rank) for _, rank, _, w in kept))
+        return context.front
 
     # ------------------------------------------------------------------
     # Sweep internals
@@ -463,16 +465,14 @@ class PreferenceAdjuster:
             return self._beats(other, m_dual, w) == other_beats_expected
 
         step = math.ulp(w_star) or math.ulp(1.0)
-        probe: float | None = None
         for _ in range(128):
-            candidate = w_star + step if going_up else w_star - step
-            if not self._valid_weight(candidate):
+            probe = w_star + step if going_up else w_star - step
+            if not self._valid_weight(probe):
                 return None
-            if state_reached(candidate):
-                probe = candidate
+            if state_reached(probe):
                 break
             step *= 2.0
-        if probe is None:
+        else:
             return None
         # Bisect [w_star, probe] for the earliest float in the far-side
         # state (probe is in-state, w_star side is not necessarily).
@@ -497,15 +497,12 @@ class PreferenceAdjuster:
         (TSim), with the line slope — equivalently ``a`` — as the
         tie-break among lines meeting at ``w = 0``.
         """
-        above = 0
-        for other in duals:
-            if other.oid == m_dual.oid:
-                continue
-            if other.b > m_dual.b or (
-                other.b == m_dual.b and other.a > m_dual.a
-            ):
-                above += 1
-        return above
+        return sum(
+            1
+            for other in duals
+            if other.oid != m_dual.oid
+            and (other.b > m_dual.b or (other.b == m_dual.b and other.a > m_dual.a))
+        )
 
     @staticmethod
     def _permanent_ties_smaller(
@@ -524,34 +521,6 @@ class PreferenceAdjuster:
             and other.b == m_dual.b
             and other.oid < m_dual.oid
         )
-
-    @staticmethod
-    def _advance_and_rank(state: _SweepState, w: float) -> int:
-        """Rank of the state's missing object exactly at weight ``w``.
-
-        Applies the rank update theorem for every crossover strictly
-        before ``w``; crossovers exactly at ``w`` are ties resolved by
-        object id.  Must be called with non-decreasing ``w``.
-        """
-        events = state.events
-        while state.cursor < len(events) and events[state.cursor][0] < w:
-            _, _, direction = events[state.cursor]
-            state.above += direction
-            state.cursor += 1
-        # Objects crossing exactly at w are tied with m here.
-        tied_smaller = 0
-        tied_from_above = 0
-        probe = state.cursor
-        while probe < len(events) and events[probe][0] == w:
-            _, other_oid, direction = events[probe]
-            if direction < 0:
-                # Was above on the previous interval, tied at w.
-                tied_from_above += 1
-            if other_oid < state.dual.oid:
-                tied_smaller += 1
-            probe += 1
-        strictly_above = state.above - tied_from_above
-        return 1 + strictly_above + tied_smaller + state.permanent_tie_smaller
 
     # ------------------------------------------------------------------
     # Floating-point rank oracle (shared with the sampling baseline)

@@ -118,11 +118,15 @@ class TestRouter:
             assert shard.min_doc_len == min(lengths)
             assert shard.max_doc_len == max(lengths)
 
-    def test_locate_round_trips(self, clustered_db):
+    def test_shard_rows_round_trip(self, clustered_db):
         router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
-        for row in range(len(clustered_db)):
-            shard_index, local = router.locate(row)
-            assert router.shards[shard_index].rows[local] == row
+        covered = []
+        for shard in router.shards:
+            for local, row in enumerate(shard.rows):
+                oid = clustered_db.objects[row].oid
+                assert shard.kernel.row_of(oid) == local
+                covered.append(row)
+        assert sorted(covered) == list(range(len(clustered_db)))
 
     def test_rejects_unknown_partitioner(self, clustered_db):
         with pytest.raises(ValueError, match="unknown partitioner"):
@@ -334,8 +338,10 @@ class TestMaintenanceIsBatchSized:
         assert kernel.compactions == 0 and kernel.has_tombstones
         assert calls["_recompute_summaries"] >= 1
         assert calls["_rebuild_row_maps"] == victim.kernel.compactions
+        owners = {
+            obj.oid: shard for shard in router.shards for obj in shard.database
+        }
         for obj in engine.database:
-            index, local = router.locate(kernel.row_of(obj.oid))
-            assert router.shards[index].kernel.row_of(obj.oid) == local
-            assert router.shards[index].rows[local] == kernel.row_of(obj.oid)
+            shard = owners[obj.oid]
+            assert shard.rows[shard.kernel.row_of(obj.oid)] == kernel.row_of(obj.oid)
         engine.close()

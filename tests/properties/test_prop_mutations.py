@@ -115,12 +115,10 @@ def assert_shard_bookkeeping(engine: YaskEngine) -> None:
     database, kernel, router = engine.database, engine.kernel, engine.shard_router
     assert sum(router.shard_sizes()) == len(database) == kernel.live_count
     position = {obj.oid: row for row, obj in enumerate(database.objects)}
-    for oid in position:
-        row = kernel.row_of(oid)
-        index, local = router.locate(row)
-        shard = router.shards[index]
-        assert shard.kernel.row_of(oid) == local
-        assert shard.rows[local] == row
+    owners = {obj.oid: shard for shard in router.shards for obj in shard.database}
+    assert owners.keys() == position.keys()
+    for oid, shard in owners.items():
+        assert shard.rows[shard.kernel.row_of(oid)] == kernel.row_of(oid)
     for shard in router.shards:
         members = shard.database.objects
         assert len(shard) == len(members)

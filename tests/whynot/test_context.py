@@ -19,6 +19,7 @@ from repro.service.executor import WhyNotQuestion
 from repro.service.protocol import whynot_value_to_dict
 from repro.whynot import engine as whynot_engine
 from repro.whynot.errors import NotMissingError
+from repro.whynot.preference import PreferenceAdjuster
 
 
 def ask(engine: YaskEngine, model: str, scenario) -> dict:
@@ -54,6 +55,32 @@ class TestOneDualSpacePerSession:
         ask(engine, "explain", scenarios[0])
         ask(engine, "preference", scenarios[0])
         assert dual_views(engine) == before + 1
+
+    def test_a_second_lambda_reads_the_same_front(
+        self, engine, scenarios, monkeypatch
+    ):
+        """The demo's λ slider: a refinement at another λ prices the
+        front the first one built, with no march and no view."""
+        marches = []
+        march = PreferenceAdjuster._past_crossing_candidate
+
+        def counted(self, *args):
+            marches.append(args)
+            return march(self, *args)
+
+        monkeypatch.setattr(PreferenceAdjuster, "_past_crossing_candidate", counted)
+        scenario = scenarios[0]
+        missing = [obj.oid for obj in scenario.missing]
+        before = dual_views(engine)
+        ask(engine, "explain", scenario)
+        low = engine.refine_preference(scenario.query, missing, lam=0.1)
+        (context,) = engine.whynot._contexts.values()
+        front, marched = context.front, len(marches)
+        high = engine.refine_preference(scenario.query, missing, lam=0.9)
+        assert context.front is front and front is not None
+        assert len(marches) == marched
+        assert dual_views(engine) == before + 1
+        assert low.candidates_evaluated == high.candidates_evaluated == len(front)
 
     def test_keywords_after_explain_builds_none(self, engine, scenarios):
         ask(engine, "explain", scenarios[0])

@@ -146,6 +146,37 @@ class TestHandComputedPreference:
         result = scorer.top_k(refinement.refined_query)
         assert result.entries[0].obj.oid == 0
 
+    @pytest.mark.parametrize(
+        "window, front_size, marches", [(1, 2, 0), (2, 3, 1), (16, 5, 2)]
+    )
+    def test_front_and_marches(
+        self, scorer, db, query, monkeypatch, window, front_size, marches
+    ):
+        """o0's profile: rank 3 on (0, 1/3), 2 at and past 1/3 (o4 drops
+        below), 1 at and past w* (o1 does) — ranks [3, 2, 2, 1, 1].
+
+        Met outward from ws = 0.5: ws (rank 2, Δw 0), then w* (rank 1),
+        then 1/3 (rank 2, dominated by ws and w*).  With a window of 1,
+        w* proves everything past it dominated (nothing there ranks
+        below 1) and ws everything below 1/3: no march.  With 2, w* is
+        alone at rank 1, so its neighbour is marched and kept; then
+        ws, w* and that neighbour end the lower side.  With 16 nothing
+        is dominated: both crossovers are marched and all five kept.
+        """
+        calls = []
+        march = PreferenceAdjuster._past_crossing_candidate
+
+        def counted(self, *args):
+            calls.append(args)
+            return march(self, *args)
+
+        monkeypatch.setattr(PreferenceAdjuster, "_past_crossing_candidate", counted)
+        adjuster = PreferenceAdjuster(scorer, verification_window=window)
+        refinement = adjuster.refine(query, [db.get(0)], lam=0.5)
+        assert refinement.candidates_evaluated == front_size
+        assert len(calls) == marches
+        assert refinement.refined_query.ws == pytest.approx(self.W_STAR, abs=1e-12)
+
     def test_viable_interval_starts_at_crossover(self, scorer, db, query):
         adjuster = PreferenceAdjuster(scorer)
         intervals = adjuster.viable_weight_intervals(query, db.get(0))
