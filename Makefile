@@ -17,7 +17,7 @@
 #                      levelled dual view: ranks_at >=10x the linear
 #                      pass at 20k, refine >=2x its linear ablation, a
 #                      view for one missing object at ranks 11-30
-#                      built >=5x faster than dual_points_all at 20k;
+#                      built >=15x faster than dual_points_all at 20k;
 #                      indexed scan_top_k >=5x the full scan at 20k),
 #                      E12 (sharding: cold top-k and cold why-not no
 #                      slower than 0.9x at 4 shards vs 1, shards still
@@ -61,16 +61,20 @@
 #                      engine's top-k vs the set path and best-first
 #                      over a SetR-tree through such histories; the
 #                      target-aware dual view vs the linear reference
-#                      — the rows it holds, ulp ties with a target's
-#                      proximity and with the view's floor included,
-#                      and its counts, closer-count included, vs the
+#                      — the rows it holds and their levels, ulp ties
+#                      with a target's proximity and with the view's
+#                      floor, a keyword level spread over doc lengths
+#                      and a newly inserted doc length included, and
+#                      its counts, closer-count included, vs the
 #                      SetR-tree's; keyword
 #                      refinement on the scan index vs the KcR-tree
 #                      descent and exhaustive enumeration) and the
-#                      why-not property suite (the preference front vs
-#                      the frozen exhaustive sweep at every λ, on
-#                      identical, near-parallel and at-q.ws crossings;
-#                      its own CI job)
+#                      why-not property suite (the level-at-a-time
+#                      crossover events and rank profiles vs the frozen
+#                      row-at-a-time construction, and the preference
+#                      front vs the frozen exhaustive sweep at every λ,
+#                      on identical, near-parallel, at-q.ws and
+#                      near-0/1 crossings; its own CI job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /

@@ -62,8 +62,9 @@ INDEXED_SCAN_FLOOR = 5.0
 #: Acceptance floor: a dual view read off the scan index for one missing
 #: object at ranks 11-30 over the reference pass that scores every row.
 #: Rule fixed before measuring: the minimum speedup over five runs,
-#: rounded down to a multiple of 0.5 (5.4-7.4x measured).
-TARGET_VIEW_FLOOR = 5.0
+#: rounded down to a multiple of 0.5 (15.0-18.4x measured since the
+#: view splits keyword levels by doc length; 5.4-7.4x before).
+TARGET_VIEW_FLOOR = 15.0
 
 
 @pytest.fixture(scope="module")

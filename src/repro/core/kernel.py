@@ -36,13 +36,19 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress
+from operator import itemgetter
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from repro import concurrency, faults
 from repro.core.hotpath import hot_path
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
-from repro.core.scanindex import SKIP_MARGIN, ScanIndex, score_delta_rows
+from repro.core.scanindex import (
+    SKIP_MARGIN,
+    ScanIndex,
+    score_delta_rows,
+    tsim_from_counts,
+)
 from repro.text.similarity import (
     DiceSimilarity,
     JaccardSimilarity,
@@ -110,7 +116,9 @@ class KernelStats:
     scoring); ``scan_calls`` / ``scan_rows_scored`` / ``scan_index_builds``
     count indexed top-k scans, the rows they actually scored and the
     (lazy) index builds they paid for; ``dual_views`` / ``dual_view_rows``
-    count dual views (and reference dual passes) and the rows they scored;
+    count dual views (and reference dual passes) and the rows they scored
+    (a view's: its buckets at or above its TSim floor and the rest of its
+    disk, see :meth:`ScanIndex.undominated`);
     the remaining counters attribute batch entry points to their consumers.
 
     One kernel is shared by every executor worker thread, so updates go
@@ -183,15 +191,7 @@ class DocContext:
         """``TSim(o_row, doc)`` — identical floats to the set model."""
         kernel = self._kernel
         shared = (kernel._masks[row] & self.mask).bit_count()
-        if shared == 0:
-            return 0.0
-        code = self._code
-        doc_len = kernel._lens[row]
-        if code == "jaccard":
-            return shared / (doc_len + self.length - shared)
-        if code == "dice":
-            return 2.0 * shared / (doc_len + self.length)
-        return shared / min(doc_len, self.length)
+        return tsim_from_counts(self._code, shared, kernel._lens[row], self.length)
 
     def rank_scan(
         self,
@@ -320,9 +320,11 @@ class DualView:
     of n), and within one level the score ``ws·a + wt·b`` is
     float-monotone in ``a`` (multiply and add by non-negative weights
     are monotone).  So the view keeps, per level, the proximities sorted
-    ascending with their kernel rows alongside: a rank is two bisects
-    per level, exact with no margin, and the quadrant and counting
-    queries of Section 3.3 are slices and lengths.
+    ascending with their kernel rows alongside (ties in row order): a
+    rank is two bisects per level, exact with no margin, and the
+    quadrant and counting queries of Section 3.3 are slices and lengths.
+    The scan index hands the rows over a level at a time, so building
+    the view is one sort of ``(a, row)`` pairs per level.
     """
 
     __slots__ = (
@@ -334,28 +336,31 @@ class DualView:
         self,
         oids: Sequence[int],
         row_of: Mapping[int, int],
-        kept: Iterable[tuple[int, float, float, float]],
+        kept: Iterable[tuple[float, Sequence[float], Sequence[int]]],
         targets: Iterable[int],
         a_floor: float,
         b_floor: float,
     ) -> None:
-        """``kept``: :meth:`ScanIndex.undominated`'s rows; the rest the kernel's."""
+        """``kept``: the rows to hold as :meth:`ScanIndex.undominated`'s
+        ``(b, proximities, oids)`` per TSim level, by descending ``b``,
+        each level's rows in any order; the other arguments the kernel's."""
         # The kept rows' (a, b) by kernel row, NaN elsewhere: a lookup is
         # one index, and no per-row object outlives the build.
         a = array("d", [math.nan]) * len(oids)
         b = array("d", [math.nan]) * len(oids)
-        groups: dict[float, list[int]] = {}
-        for oid, proximity, _sdist, level in kept:
-            row = row_of[oid]
-            a[row] = proximity
-            b[row] = level
-            groups.setdefault(level, []).append(row)
-        a_of = a.__getitem__
         levels = []
-        for level in sorted(groups, reverse=True):
-            rows = sorted(groups[level])
-            rows.sort(key=a_of)  # stable: ties stay in row order
-            levels.append((level, array("d", map(a_of, rows)), array("q", rows)))
+        for level, proximities, level_oids in kept:
+            pairs = sorted(zip(proximities, map(row_of.__getitem__, level_oids)))
+            for proximity, row in pairs:
+                a[row] = proximity
+                b[row] = level
+            levels.append(
+                (
+                    level,
+                    array("d", map(itemgetter(0), pairs)),
+                    array("q", map(itemgetter(1), pairs)),
+                )
+            )
         self.oids = oids
         self.a_floor = a_floor
         self.b_floor = b_floor
@@ -962,10 +967,10 @@ class ScoringKernel:
 
         The targets' own ``(a, b)`` set the floors (see :class:`DualView`),
         and the scan index scores only the rows inside the proximity
-        floor's disk or in a keyword level that can reach the TSim floor
-        (:meth:`ScanIndex.undominated`) — the two range queries of
-        Section 3.3, not a pass over every row.  A target with TSim 0
-        keeps every live row.
+        floor's disk or in a (shared keywords, doc length) bucket whose
+        TSim reaches the TSim floor (:meth:`ScanIndex.undominated`) —
+        the two range queries of Section 3.3, not a pass over every
+        row.  A target with TSim 0 keeps every live row.
         """
         faults.check_deadline()
         if not targets:

@@ -12,10 +12,11 @@ a scan"):
   columns, so a scan never touches the kernel and a kernel compaction
   only renumbers the row → position map.
 * Per vocabulary bit one Python big-int **bitmap** over the positions
-  (the kernel's row-major doc masks, transposed) beside an ``alive``
-  bitmap.  A query folds its keywords' bitmaps into *level sets* —
-  "exactly ``s`` shared keywords" — with a handful of C-speed big-int
-  AND/ORs.
+  (the kernel's row-major doc masks, transposed), per doc length one
+  more, and an ``alive`` bitmap.  A query folds its keywords' bitmaps
+  into *level sets* — "exactly ``s`` shared keywords" — with a handful
+  of C-speed big-int AND/ORs; a level ANDed with a length bitmap is a
+  *bucket*, whose rows all share one TSim.
 * Columns are walked outward from the query.  Per column and level the
   current k-th score θ becomes a y-interval: a level-``s`` row can
   still win only within distance
@@ -23,14 +24,16 @@ a scan"):
   which is two bisects and a shift-and-mask; only the set bits get the
   exact Eqn. (1) arithmetic, through :func:`score_delta_rows`.
 
-The same two cuts, a disk around the query and the level sets, find the
+The same two cuts, a disk around the query and the buckets, find the
 rows close *or* similar enough to reach a why-not question's missing
-objects (:meth:`ScanIndex.undominated`).
+objects (:meth:`ScanIndex.undominated`): a bucket whose TSim reaches
+the floor is taken whole, any other only inside the disk.
 
 This module sits *below* the kernel (which imports it) and holds no
 reference back to one: the row-level primitives the index shares with
 the kernel and the shard bounds — :func:`score_delta_rows`,
-:func:`tsim_upper_bound`, ``SKIP_MARGIN`` — live here for that reason.
+:func:`tsim_from_counts`, :func:`tsim_upper_bound`, ``SKIP_MARGIN`` —
+live here for that reason.
 """
 
 from __future__ import annotations
@@ -39,11 +42,19 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heappush, heapreplace
+from itertools import compress, repeat
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.hotpath import hot_path
 
-__all__ = ["SKIP_MARGIN", "ScanIndex", "score_delta_rows", "tsim_upper_bound"]
+__all__ = [
+    "SKIP_MARGIN",
+    "ScanIndex",
+    "score_delta_rows",
+    "tsim_from_counts",
+    "tsim_upper_bound",
+]
 
 #: Defensive margin for skip decisions built on distance bounds:
 #: ``math.hypot`` is faithful (≤ 1 ulp ≈ 2e-16 here) rather than exactly
@@ -160,6 +171,20 @@ def tsim_upper_bound(
     return min(1.0, shared / min(min_doc_len, qlen))
 
 
+def tsim_from_counts(model_code: str, shared: int, doc_len: int, qlen: int) -> float:
+    """TSim of a ``doc_len``-keyword doc sharing ``shared`` keywords with
+    a ``qlen``-keyword query: :func:`score_delta_rows`' expression, so
+    its float.  The kernel's per-row TSim and the dual view's per-bucket
+    one both call it."""
+    if shared == 0:
+        return 0.0
+    if model_code == "jaccard":
+        return shared / (doc_len + qlen - shared)
+    if model_code == "dice":
+        return 2.0 * shared / (doc_len + qlen)
+    return shared / min(doc_len, qlen)
+
+
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of ``mask``, each as an isolated power of two."""
     while mask:
@@ -173,12 +198,16 @@ _BYTE_BITS = [[bit for bit in range(8) if byte >> bit & 1] for byte in range(256
 
 
 def _positions(mask: int) -> list[int]:
-    """The set bits of ``mask``, ascending: a table lookup per byte, where
-    isolating them one by one (:func:`_bits`) costs O(width / 64) each."""
-    data = mask.to_bytes((mask.bit_length() + 7) >> 3, "little")
+    """The set bits of ``mask``, ascending: a table lookup per byte from
+    the lowest set one, where isolating them one by one (:func:`_bits`)
+    costs O(width / 64) each."""
+    if not mask:
+        return []
+    start = (mask & -mask).bit_length() - 1
+    data = (mask >> start).to_bytes((mask.bit_length() - start + 7) >> 3, "little")
     return [
         base + bit
-        for base, byte in zip(range(0, len(data) << 3, 8), data)
+        for base, byte in zip(range(start, start + (len(data) << 3), 8), data)
         if byte
         for bit in _BYTE_BITS[byte]
     ]
@@ -202,7 +231,9 @@ class ScanIndex:
     ``apply_raw`` in O(batch): :meth:`delete` clears an ``alive`` bit,
     :meth:`append` adds to the unsorted tail, :meth:`compact` follows a
     kernel compaction.  ``min_doc_len`` only ever goes stale in the
-    loose direction on delete (see :func:`tsim_upper_bound`).
+    loose direction on delete (see :func:`tsim_upper_bound`); the
+    keyword and length bitmaps keep dead positions, which every derived
+    set loses to ``alive``, and positions never move.
     """
 
     __slots__ = (
@@ -218,6 +249,7 @@ class ScanIndex:
         "_col_min_x",
         "_col_max_x",
         "_bitmaps",
+        "_length_bitmaps",
         "_alive",
         "_min_doc_len",
     )
@@ -263,10 +295,12 @@ class ScanIndex:
         self._pos_of_row = pos_of_row
         # Transpose the doc masks: one byte plane per vocabulary bit
         # (keyed by the isolated bit itself, which is what iterating a
-        # query mask yields), set bit by bit, then frozen to an int.
+        # query mask yields) and one per doc length, set bit by bit,
+        # then frozen to an int.
         plane_bytes = (built + 7) // 8
         planes: dict[int, bytearray] = {}
-        for pos, mask in enumerate(self._masks):
+        length_planes: dict[int, bytearray] = {}
+        for pos, (mask, length) in enumerate(zip(self._masks, self._lens)):
             byte = pos >> 3
             bit = 1 << (pos & 7)
             for low in _bits(mask):
@@ -274,8 +308,16 @@ class ScanIndex:
                 if plane is None:
                     plane = planes[low] = bytearray(plane_bytes)
                 plane[byte] |= bit
+            plane = length_planes.get(length)
+            if plane is None:
+                plane = length_planes[length] = bytearray(plane_bytes)
+            plane[byte] |= bit
         self._bitmaps = {
             low: int.from_bytes(plane, "little") for low, plane in planes.items()
+        }
+        self._length_bitmaps = {
+            length: int.from_bytes(plane, "little")
+            for length, plane in length_planes.items()
         }
         self._alive = (1 << built) - 1
         self._min_doc_len = min(self._lens, default=0)
@@ -301,6 +343,8 @@ class ScanIndex:
         bitmaps = self._bitmaps
         for low in _bits(mask):
             bitmaps[low] = bitmaps.get(low, 0) | bit
+        lengths = self._length_bitmaps
+        lengths[doc_len] = lengths.get(doc_len, 0) | bit
         if doc_len < self._min_doc_len:
             self._min_doc_len = doc_len
 
@@ -457,23 +501,23 @@ class ScanIndex:
     @hot_path
     def undominated(
         self, qx: float, qy: float, qmask: int, qlen: int, a_floor: float, b_floor: float
-    ) -> tuple[list[tuple[int, float, float, float]], int]:
-        """``(live rows with proximity ≥ a_floor or TSim ≥ b_floor, rows scored)``.
+    ) -> tuple[list[tuple[float, list[float], list[int]]], int]:
+        """``(levels, rows scored)``: the live rows with proximity ≥
+        a_floor or TSim ≥ b_floor as ``(b, proximities, oids)`` per TSim
+        level, by descending ``b``, rows in position order.
 
-        Rows come back as :func:`score_delta_rows`' ``(oid, a, sdist, b)``
-        at weights ``(1, 0)``, whose score ``1·(1 − d) + 0·t`` is ``a`` bit
-        for bit.  Only the disk of radius ``norm · (1 − a_floor +
-        SKIP_MARGIN)`` (columns outward, cut to y-runs as :meth:`scan`
-        cuts them, and the tail) and the level sets whose TSim bound
-        reaches ``b_floor`` are scored."""
-        code = self._model_code
-        candidates = 0
-        for s, level in enumerate(self._exact_levels(qmask)):
-            if tsim_upper_bound(code, s, qlen, self._min_doc_len) >= b_floor:
-                candidates |= level
+        Each exact-shared-count level splits by doc length into buckets
+        of one TSim (buckets of equal TSim merge).  A bucket at or above
+        ``b_floor`` is kept whole; any other is cut to the disk of radius
+        ``norm · (1 − a_floor + SKIP_MARGIN)`` (columns outward, cut to
+        y-runs as :meth:`scan` cuts them, and the tail), a superset of
+        the rows with ``a ≥ a_floor``, which are the ones it keeps.  Only
+        those positions are scored, on proximity alone:
+        ``1 − min(d, 1)`` is :func:`score_delta_rows`' score at weights
+        ``(1, 0)`` bit for bit, and a bucket's TSim its per-row one."""
         need = a_floor - SKIP_MARGIN
         if need <= 0.0:  # every proximity reaches the floor
-            candidates = self._alive
+            disk = self._alive
         else:
             ys, built = self._ys, self._built
             radius = self._normaliser * (1.0 - need)
@@ -485,10 +529,40 @@ class ScanIndex:
                 stop = min(start + _COLUMN_ROWS, built)
                 lo, hi = _y_run(ys, start, stop, qy, radius, gap)
                 disk |= ((1 << (hi - lo)) - 1) << lo
-            candidates |= disk & self._alive
-        positions = _positions(candidates)
-        rows = score_delta_rows(
-            self._rows(positions), qx, qy, qmask, qlen, 1.0, 0.0,
-            normaliser=self._normaliser, model_code=code,
-        )
-        return [r for r in rows if r[1] >= a_floor or r[3] >= b_floor], len(positions)
+        code = self._model_code
+        unshared, *shared = self._exact_levels(qmask)
+        buckets = {0.0: unshared}
+        for s, level in enumerate(shared, 1):
+            if not level:
+                continue
+            for length, bitmap in self._length_bitmaps.items():
+                bucket = level & bitmap
+                if bucket:  # so s ≤ length: the TSim is a real quotient
+                    tsim = tsim_from_counts(code, s, length, qlen)
+                    buckets[tsim] = buckets.get(tsim, 0) | bucket
+        levels = []
+        scored = 0
+        for tsim in sorted(buckets, reverse=True):
+            whole = tsim >= b_floor
+            positions = _positions(buckets[tsim] if whole else buckets[tsim] & disk)
+            scored += len(positions)
+            proximities = self._proximities(positions, qx, qy)
+            if not whole:
+                kept = list(map(ge, proximities, repeat(a_floor)))
+                proximities = list(compress(proximities, kept))
+                positions = list(compress(positions, kept))
+            if positions:
+                oids = list(map(self._oids.__getitem__, positions))
+                levels.append((tsim, proximities, oids))
+        return levels, scored
+
+    def _proximities(self, positions: Sequence[int], qx: float, qy: float) -> list[float]:
+        """``1 − min(d, 1)`` at each position: :func:`score_delta_rows`'
+        score at weights ``(1, 0)``, bit for bit, without a call per row."""
+        hypot = math.hypot
+        norm = self._normaliser
+        xs, ys = self._xs, self._ys
+        return [
+            1.0 - (d if d < 1.0 else 1.0)
+            for d in [hypot(xs[p] - qx, ys[p] - qy) / norm for p in positions]
+        ]

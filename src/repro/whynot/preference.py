@@ -49,8 +49,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush, nsmallest
-from itertools import accumulate, groupby
-from operator import itemgetter
+from itertools import accumulate, compress, groupby, repeat
+from operator import itemgetter, le, sub, truediv
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.hotpath import hot_path
@@ -243,17 +243,20 @@ class PreferenceAdjuster:
         index = [obj.oid for obj in context.missing].index(missing_obj.oid)
         (sweep,) = self._sweeps(context, [index])
         weights, ranks = sweep.profile
-        # The profile's pieces start at 0, w0, w0, w1, w1, …; a viable
-        # stretch ends where a piece breaks it (at the latest at 1.0).
-        lefts = [0.0, *(w for w in weights for _ in range(2)), 1.0]
+        # Piece j of the profile starts at ends[(j + 1) >> 1] — 0, w0,
+        # w0, w1, w1, … — and the one past the last at 1.0.  A viable
+        # stretch is a run of consecutive pieces of rank ≤ k.
+        ends = [0.0, *weights, 1.0]
         viable: list[tuple[float, float]] = []
-        start: float | None = None
-        for left, rank in zip(lefts, [*ranks, k + 1]):
-            if rank <= k and start is None:
-                start = left
-            elif rank > k and start is not None:
-                viable.append((start, left))
-                start = None
+        start = stop = -1
+        for piece in compress(range(len(ranks)), map(le, ranks, repeat(k))):
+            if piece != stop:
+                if stop >= 0:
+                    viable.append((ends[(start + 1) >> 1], ends[(stop + 1) >> 1]))
+                start = piece
+            stop = piece + 1
+        if stop >= 0:
+            viable.append((ends[(start + 1) >> 1], ends[(stop + 1) >> 1]))
         return viable
 
     # ------------------------------------------------------------------
@@ -304,23 +307,36 @@ class PreferenceAdjuster:
         """Crossover events of ``(b, proximities, oids)`` groups against m,
         and m's rank profile along them from ``1 + above + ties``.
 
-        Operation for operation ``m_dual.crossover_with(other)`` and the
-        slope comparison of the rank update theorem, with the level's
-        ``b`` hoisted out of the per-object loop.
+        The groups are m's crossing candidates, one TSim level each:
+        every row sits in the open quadrant opposite m's.  ``w*`` is
+        ``m_dual.crossover_with(other)`` operation for operation, a
+        group at a time.  The rank update theorem's direction is one
+        per group: with ``b > b_m`` and ``a < a_m``, monotone rounding
+        gives ``a − b ≤ a_m − b_m`` (equal only for a parallel line,
+        which never changes the order and is dropped), so every line of
+        the group falls behind m as ``w`` grows; with ``b < b_m`` every
+        one rises above it.  The valid weights form an interval, so only
+        a group whose smallest or largest ``w*`` is invalid is filtered
+        row by row.
         """
         m_slope = m_dual.slope
         valid = self._valid_weight
         events: list[tuple[float, int, int]] = []
         for b, proximities, oids in groups:
             numerator = b - m_dual.b
-            for a, oid in zip(proximities, oids):
-                slope = a - b
-                denominator = m_slope - slope
-                if denominator == 0.0:
-                    continue  # parallel lines never change relative order
-                w_star = numerator / denominator
-                if valid(w_star):
-                    events.append((w_star, oid, 1 if slope > m_slope else -1))
+            direction = -1 if numerator > 0.0 else 1
+            denominators = list(
+                map(sub, repeat(m_slope), map(sub, proximities, repeat(b)))
+            )
+            if 0.0 in denominators:  # a parallel line: no crossover
+                oids = list(compress(oids, denominators))
+                denominators = list(compress(denominators, denominators))
+            weights = list(map(truediv, repeat(numerator), denominators))
+            if weights and not (valid(min(weights)) and valid(max(weights))):
+                kept = list(map(valid, weights))
+                oids = list(compress(oids, kept))
+                weights = list(compress(weights, kept))
+            events += zip(weights, oids, repeat(direction))
         events.sort()
         # The rank update theorem, walked once: past a crossover the
         # open-interval rank moves by its direction; at the crossover

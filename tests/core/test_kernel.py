@@ -272,20 +272,21 @@ class TestDualView:
         assert kernel.count_closer(kernel.dual_view(q, [0]), q, 0.0) == 0
 
     def test_rows_scored_into_a_view(self):
-        """The disk around the query and the levels that can reach the
-        target's TSim are scored; a row behind the target on both axes
-        is not kept, and one outside both cuts is not even scored."""
+        """The disk around the query and the (shared keywords, doc
+        length) buckets whose TSim reaches the target's are scored; a
+        row behind the target on both axes is not scored, whether its
+        bucket's TSim or its distance puts it there."""
         db = SpatialDatabase(
             [
                 SpatialObject(oid, Point(0.0, y), frozenset(doc.split()))
                 for oid, (y, doc) in enumerate(
                     [
                         (0.1, "bar"),  # in the disk
-                        (0.2, "cafe"),  # in the disk and the level
+                        (0.2, "cafe"),  # in the disk and a kept bucket
                         (0.3, "cafe wifi"),  # the target: a_m, TSim 1/2
                         (0.5, "bar"),  # in neither cut: not scored
-                        (0.6, "cafe wifi bar"),  # level only, TSim 1/3: dropped
-                        (0.7, "cafe"),  # level only, TSim 1: kept
+                        (0.6, "cafe wifi bar"),  # TSim 1/3, outside the disk
+                        (0.7, "cafe"),  # bucket only, TSim 1: kept
                     ]
                 )
             ],
@@ -295,15 +296,51 @@ class TestDualView:
         q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
         view = kernel.dual_view(q, [2])
         stats = kernel.stats
-        assert (stats.dual_views, stats.dual_view_rows) == (1, 5)
+        assert (stats.dual_views, stats.dual_view_rows) == (1, 4)
         assert stats.scan_index_builds == 1  # built by the view, lazily
         assert [p.oid for p in view.dual_points_of([0, 1, 2, 5])] == [0, 1, 2, 5]
         with pytest.raises(KeyError):
             view.dual_points_of([4])
         assert view.strictly_above_at_zero(2) == 2  # oids 1 and 5
         kernel.dual_points_all(q)  # the reference pass: every live row
-        assert (stats.dual_views, stats.dual_view_rows) == (2, 11)
+        assert (stats.dual_views, stats.dual_view_rows) == (2, 10)
         assert stats.scan_index_builds == 1
+
+    def test_one_keyword_level_split_by_doc_length(self):
+        """Every row shares one keyword with the query; doc lengths 2
+        and 4 put them at TSim 1/2 and 1/4 (Jaccard), either side of a
+        target at 1/3.  The 1/2 bucket is scored whole, the 1/4 bucket
+        only inside the disk, the 1/3 bucket (the target's) whole: 5
+        rows scored and kept, where the whole level is 7."""
+        docs = {2: "cafe a", 3: "cafe a b", 4: "cafe a b c"}
+        rows = [
+            (0.1, 4),  # TSim 1/4, in the disk: scored, kept
+            (0.2, 2),  # TSim 1/2, in the disk: scored, kept
+            (0.3, 3),  # the target: TSim 1/3
+            (0.6, 4),  # TSim 1/4, outside the disk: not scored
+            (0.7, 2),  # TSim 1/2, outside the disk: scored, kept
+            (0.8, 4),  # TSim 1/4, outside the disk: not scored
+            (0.9, 2),  # TSim 1/2, outside the disk: scored, kept
+        ]
+        db = SpatialDatabase(
+            [
+                SpatialObject(oid, Point(0.0, y), frozenset(docs[length].split()))
+                for oid, (y, length) in enumerate(rows)
+            ],
+            dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+        )
+        kernel = Scorer(db).kernel
+        q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
+        view = kernel.dual_view(q, [2])
+        assert (kernel.stats.dual_views, kernel.stats.dual_view_rows) == (1, 5)
+        assert sum(len(proximities) for _, proximities, _ in view._levels) == 5
+        assert [p.b for p in view.dual_points_of([0, 1, 2, 4, 6])] == [
+            0.25, 0.5, 1 / 3, 0.5, 0.5
+        ]
+        for behind in (3, 5):
+            with pytest.raises(KeyError):
+                view.dual_points_of([behind])
+        assert view.count_more_similar(1 / 3) == 3  # the 1/2 bucket
 
 
 class TestStats:

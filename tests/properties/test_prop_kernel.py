@@ -441,25 +441,58 @@ def assert_view_matches_reference(engine, query, model, target_oids):
         )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    tied_databases(),
-    kernel_queries(),
-    models,
-    st.sampled_from([None, 1, 2, 4]),
-    st.data(),
-)
-def test_levelled_view_matches_linear_reference(tied, query, model, shards, data):
-    """A view for 1–3 drawn targets, and one for a TSim-0 target: the
-    rows it holds, ranks_at (at the initial weights, near 0 and 1, every
-    crossover and its ±1 ulp neighbours), the crossing set,
-    above-at-zero, permanent ties, count_more_similar and the
-    closer-count — among objects whose proximities sit a few ulps from
-    a target's or from the view's floor, before and after batches that
-    leave tombstones in the unsharded kernel's columns."""
+def spread_level(query_doc, locations, draw):
+    """Objects of doc lengths 1–5 sharing one query keyword and nothing
+    else with the query (oids 2001–2005): one keyword level whose
+    buckets straddle the TSim floor of a view for its length-3 member,
+    ``SPREAD_TARGET`` (none when the query has no corpus keyword)."""
+    shared = sorted(query_doc & set(ALPHABET))
+    if not shared:
+        return []
+    keyword = draw(st.sampled_from(shared))
+    filler = [word for word in ALPHABET if word not in query_doc]
+    return [
+        SpatialObject(
+            oid=2000 + length,
+            loc=draw(st.sampled_from(locations)),
+            doc=frozenset([keyword, *filler[: length - 1]]),
+        )
+        for length in range(1, 6)
+    ]
+
+
+SPREAD_TARGET = 2003
+
+
+def long_doc(query_doc):
+    """Seven keywords, one of them the query's when it has a corpus one:
+    a doc length no built row has (``sparse_docs`` stop at six)."""
+    shared = sorted(query_doc & set(ALPHABET))[:1]
+    filler = [word for word in ALPHABET if word not in query_doc]
+    return frozenset([*shared, *filler[: 7 - len(shared)]])
+
+
+def assert_levels_match_reference(kernel, query, view):
+    """``view._levels`` is the floors' rows of ``dual_points_all``: levels
+    by descending ``b``, ``(a, row)`` ascending within each."""
+    row_of = kernel._row_of
+    levels: dict[float, list[tuple[float, int]]] = {}
+    for point in kernel.dual_points_all(query):
+        if point.a >= view.a_floor or point.b >= view.b_floor:
+            levels.setdefault(point.b, []).append((point.a, row_of[point.oid]))
+    assert [
+        (b, list(zip(proximities, rows))) for b, proximities, rows in view._levels
+    ] == [(b, sorted(levels[b])) for b in sorted(levels, reverse=True)]
+
+
+def check_levelled_view(tied, query, model, shards, data):
     database, locations, documents = tied
     database = with_ulp_neighbours(
         database, locations, documents, query.loc, data.draw
+    )
+    database = SpatialDatabase(
+        [*database, *spread_level(query.doc, locations, data.draw)],
+        dataspace=Rect(0.0, 0.0, 1.0, 1.0),
     )
     # Two-row index columns make the disk a walk over many columns,
     # each cut to its y-run; the shipped height keeps them in one.
@@ -471,19 +504,23 @@ def test_levelled_view_matches_linear_reference(tied, query, model, shards, data
             targets = data.draw(
                 st.lists(st.sampled_from(live), min_size=1, max_size=3, unique=True)
             )
-            assert_view_matches_reference(engine, query, model, targets)
+            checked = [targets]
             unmatched = [
                 obj.oid for obj in engine.database if not obj.doc & query.doc
             ]
             if unmatched:
                 zero = data.draw(st.sampled_from(unmatched))
-                assert_view_matches_reference(
-                    engine, query, model, [zero, *(t for t in targets if t != zero)]
-                )
+                checked.append([zero, *(t for t in targets if t != zero)])
+            if SPREAD_TARGET in live:
+                checked.append([SPREAD_TARGET])
+            for each in checked:
+                assert_view_matches_reference(engine, query, model, each)
+                view = engine.kernel.dual_view(query, each)
+                assert_levels_match_reference(engine.kernel, query, view)
 
         try:
             check()
-            for _ in range(2):
+            for first in (True, False):
                 live = {obj.oid for obj in engine.database}
                 batch = [Mutation.delete(data.draw(st.sampled_from(sorted(live))))]
                 # Newcomers land between live ids, so they win and lose
@@ -493,26 +530,60 @@ def test_levelled_view_matches_linear_reference(tied, query, model, shards, data
                         st.integers(min_value=0, max_value=80).filter(
                             lambda oid: oid not in live
                         ),
+                        min_size=1 if first else 0,
                         max_size=2,
                         unique=True,
                     )
                 )
                 for oid in fresh:
+                    # The first newcomer's doc length is new to the index.
+                    doc = (
+                        long_doc(query.doc)
+                        if first and oid == fresh[0]
+                        else data.draw(st.sampled_from(documents))
+                    )
                     batch.append(
                         Mutation.insert(
                             SpatialObject(
-                                oid=oid,
-                                loc=data.draw(st.sampled_from(locations)),
-                                doc=data.draw(st.sampled_from(documents)),
+                                oid=oid, loc=data.draw(st.sampled_from(locations)), doc=doc
                             )
                         )
                     )
-                if len(live) - 1 + len(fresh) < 2:
-                    break
                 engine.apply_mutations(batch)
                 check()
         finally:
             engine.close()
+
+
+VIEW_CASES = (
+    tied_databases(),
+    kernel_queries(),
+    models,
+    st.sampled_from([None, 1, 2, 4]),
+    st.data(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(*VIEW_CASES)
+def test_levelled_view_matches_linear_reference(tied, query, model, shards, data):
+    """A view for 1–3 drawn targets, one for a TSim-0 target and one for
+    the middle of a keyword level spread over doc lengths 1–5: the rows
+    it holds and their levels, ranks_at (at the initial weights, near 0
+    and 1, every crossover and its ±1 ulp neighbours), the crossing set,
+    above-at-zero, permanent ties, count_more_similar and the
+    closer-count — among objects whose proximities sit a few ulps from
+    a target's or from the view's floor, before and after batches that
+    leave tombstones in the unsharded kernel's columns and insert a doc
+    length the scan index has not seen."""
+    check_levelled_view(tied, query, model, shards, data)
+
+
+@pytest.mark.slow
+@settings(max_examples=500, deadline=None)
+@given(*VIEW_CASES)
+def test_levelled_view_matches_linear_reference_deep(tied, query, model, shards, data):
+    check_levelled_view(tied, query, model, shards, data)
 
 
 # ----------------------------------------------------------------------

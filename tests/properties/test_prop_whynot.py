@@ -26,7 +26,11 @@ from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
 from tests.properties.strategies import databases_with_queries, docs, points, queries
-from tests.whynot.sweep_reference import reference_intervals, reference_refine
+from tests.whynot.sweep_reference import (
+    reference_intervals,
+    reference_refine,
+    reference_sweep,
+)
 
 
 @st.composite
@@ -201,13 +205,25 @@ def crafted_databases(draw):
     return SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0))
 
 
+#: Pencil points: dyadic, anywhere, and ulps from either end of (0, 1),
+#: where a float crossover can land outside the valid weights.
+PENCIL_WEIGHTS = (
+    st.sampled_from([0.25, 0.5, 0.625])
+    | st.floats(min_value=0.01, max_value=0.99)
+    | st.sampled_from([2.0**-60, 1e-17, 2.0**-53, 1.0 - 2.0**-53, 1.0 - 2.0**-52])
+)
+
+
 @st.composite
 def crafted_duals(draw):
-    """Dual points with identical lines and pencils of lines through one
-    point of the missing object's line: near-parallel ones (slopes ulps
-    to 1e-9 apart) and, through a dyadic point, ones 1/16 apart that all
-    cross it at exactly one weight from both sides.  Object ids are
-    shuffled so crossover ties go either way."""
+    """Dual points with identical lines, pencils of lines through one
+    point of the missing object's line — near-parallel ones (slopes ulps
+    to 1e-9 apart), through a dyadic point ones 1/16 apart that all
+    cross it at exactly one weight from both sides, and through points
+    ulps from w = 0 or 1 ones whose crossovers round out of the valid
+    weights — and lines parallel to it at the TSim of a line that
+    crosses it.  Object ids are shuffled so crossover ties go either
+    way."""
     unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
     dyadic = st.integers(min_value=0, max_value=16).map(lambda i: i / 16)
     m = draw(st.tuples(unit, unit) | st.tuples(dyadic, dyadic))
@@ -217,15 +233,16 @@ def crafted_duals(draw):
     lines += draw(st.lists(st.sampled_from(lines), max_size=3))
     m_slope = m[0] - m[1]
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
-        w_c = draw(
-            st.sampled_from([0.25, 0.5, 0.625]) | st.floats(min_value=0.01, max_value=0.99)
-        )
+        w_c = draw(PENCIL_WEIGHTS)
         height = w_c * m[0] + (1.0 - w_c) * m[1]
         step = draw(st.sampled_from([2.0**-52, 1e-14, 1e-13, 1e-12, 1e-9, 1 / 16]))
         for multiple in draw(st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=5)):
             slope = m_slope + multiple * step
             b = height - w_c * slope
             lines.append((b + slope, b))
+    crossing = [(a, b) for a, b in lines if (a - m[0]) * (b - m[1]) < 0.0]
+    for _, b in draw(st.lists(st.sampled_from(crossing), max_size=2)) if crossing else ():
+        lines.append((b + m_slope, b))
     oids = draw(st.permutations(range(len(lines))))
     return [
         DualPoint(oid, min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))
@@ -304,12 +321,16 @@ def near_parallel_case():
 
 
 def check_front_parity(case):
-    """Every λ's answer and every interval list is the exhaustive sweep's;
-    one context (one front) serves them all."""
+    """Every missing object's crossover events and rank profile are the
+    per-object construction's, and every λ's answer and every interval
+    list is the exhaustive sweep's; one context (one front) serves them
+    all."""
     adjuster, query, missing, lam = case
     context = WhyNotContext(
         adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
     )
+    for index in range(len(missing)):
+        assert adjuster._sweeps(context, [index]) == [reference_sweep(context, index)]
     for each in (*LAMBDAS, lam):
         got = adjuster.refine(query, missing, lam=each, context=context)
         want = reference_refine(adjuster, query, missing, lam=each)

@@ -7,27 +7,46 @@ with worst ranks from an incremental cursor over the sorted events.
 This module keeps that sweep, and the explanation's interval walk, for
 the property that pins the front to it.
 
-It reuses only what the front left unchanged: the crossover events of
-``PreferenceAdjuster._sweeps``, the march
-(``_past_crossing_candidate``) and the float rank oracle (``_ranks``).
-The rank before the first crossover is read off the profile
-(``1 + above + permanent ties``: the cursor below only uses that sum),
-and each event's direction off the two lines' slopes, as the sweep
-inputs are built.
+It also keeps how the crossover events were built before
+``PreferenceAdjuster._sweep_inputs`` went a TSim level at a time: per
+crossing object of ``context.duals``, ``DualPoint.crossover_with``,
+``_valid_weight`` and the slope comparison, sorted
+(:func:`reference_sweep`, which the property compares to ``_sweeps``).
+Everything below reads those events, never ``_sweeps``; it reuses only
+the march (``_past_crossing_candidate``), the float rank oracle
+(``_ranks``) and the O(n) counts at ``w → 0+``.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from heapq import nsmallest
 from typing import Sequence
 
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
-from repro.whynot.context import SweepInputs, WhyNotContext
+from repro.core.scoring import DualPoint
+from repro.whynot.context import RankProfile, SweepInputs, WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
 from repro.whynot.preference import PreferenceAdjuster, PreferenceRefinement
+
+
+def reference_events(
+    context: WhyNotContext, m_dual: DualPoint
+) -> list[tuple[float, int, int]]:
+    """``(w*, oid, direction)`` per object whose line crosses m's inside
+    ``(0, 1)``, one object at a time, sorted; +1: it rises above m."""
+    events = []
+    for other in context.duals:
+        if (other.a - m_dual.a) * (other.b - m_dual.b) < 0.0:
+            w_star = m_dual.crossover_with(other)
+            if w_star is not None and PreferenceAdjuster._valid_weight(w_star):
+                events.append(
+                    (w_star, other.oid, 1 if other.slope > m_dual.slope else -1)
+                )
+    return sorted(events)
 
 
 @dataclass
@@ -43,16 +62,13 @@ class _SweepState:
     cursor: int = 0
 
     @classmethod
-    def start(cls, context: WhyNotContext, sweep: SweepInputs) -> "_SweepState":
-        m_slope = sweep.dual.slope
-        directions = [
-            1 if other.slope > m_slope else -1
-            for other in context.dual_points_of(sweep.oids)
-        ]
+    def start(cls, context: WhyNotContext, m_dual: DualPoint) -> "_SweepState":
+        duals = context.duals
         return cls(
-            oid=sweep.dual.oid,
-            events=list(zip(sweep.weights, sweep.oids, directions)),
-            above=sweep.profile.ranks[0] - 1,
+            oid=m_dual.oid,
+            events=reference_events(context, m_dual),
+            above=PreferenceAdjuster._strictly_above_at_zero(m_dual, duals)
+            + PreferenceAdjuster._permanent_ties_smaller(m_dual, duals),
         )
 
     def advance_and_rank(self, w: float) -> int:
@@ -72,6 +88,34 @@ class _SweepState:
                 tied_smaller += 1
             probe += 1
         return 1 + self.above - tied_from_above + tied_smaller
+
+    def pass_crossovers_at(self, w: float) -> None:
+        """Apply the crossovers exactly at ``w`` (after ranking it)."""
+        events = self.events
+        while self.cursor < len(events) and events[self.cursor][0] == w:
+            self.above += events[self.cursor][2]
+            self.cursor += 1
+
+
+def reference_sweep(context: WhyNotContext, index: int) -> SweepInputs:
+    """``context.missing[index]``'s :class:`SweepInputs`, event by event:
+    the rank on the open interval before each distinct crossover, at it
+    (ties resolved by oid) and so on to the one after the last."""
+    m_dual = context.missing_duals[index]
+    state = _SweepState.start(context, m_dual)
+    events = state.events
+    levels = sorted({w for w, _, _ in events})
+    ranks = [1 + state.above]
+    for w in levels:
+        ranks.append(state.advance_and_rank(w))
+        state.pass_crossovers_at(w)
+        ranks.append(1 + state.above)
+    return SweepInputs(
+        m_dual,
+        array("d", [w for w, _, _ in events]),
+        array("q", [oid for _, oid, _ in events]),
+        RankProfile(array("d", levels), array("i", ranks)),
+    )
 
 
 def candidate_weights(
@@ -114,9 +158,9 @@ def reference_refine(
             [oid for oid, rank in initial_ranks.items() if rank <= query.k]
         )
     penalty = PreferencePenalty(query, initial_worst, lam)
-    sweeps = adjuster._sweeps(context, range(len(context.missing)))
+    sweeps = [reference_sweep(context, i) for i in range(len(context.missing))]
     ordered_ws = candidate_weights(adjuster, context, sweeps)
-    states = [_SweepState.start(context, sweep) for sweep in sweeps]
+    states = [_SweepState.start(context, m_dual) for m_dual in context.missing_duals]
     scored = []
     for w in ordered_ws:
         worst = max(state.advance_and_rank(w) for state in states)
@@ -169,8 +213,7 @@ def reference_intervals(
             adjuster.scorer, query, [missing_obj], indexed=adjuster._use_dual_index
         )
     index = [obj.oid for obj in context.missing].index(missing_obj.oid)
-    (sweep,) = adjuster._sweeps(context, [index])
-    state = _SweepState.start(context, sweep)
+    state = _SweepState.start(context, context.missing_duals[index])
     events = state.events
     pieces: list[tuple[float, bool]] = []
     previous = 0.0
@@ -178,9 +221,7 @@ def reference_intervals(
         rank_at_event = state.advance_and_rank(w_event)
         pieces.append((previous, 1 + state.above <= k))
         pieces.append((w_event, rank_at_event <= k))
-        while state.cursor < len(events) and events[state.cursor][0] == w_event:
-            state.above += events[state.cursor][2]
-            state.cursor += 1
+        state.pass_crossovers_at(w_event)
         previous = w_event
     pieces.append((previous, 1 + state.above <= k))
     pieces.append((1.0, False))
