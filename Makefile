@@ -52,8 +52,11 @@
 #                      lock-order sanitizer enabled (YASK_LOCKDEP=1):
 #                      hammer tests + the analysis test suite
 #   make test-scan   — the scan and shard tiers at their deep budget:
-#                      indexed scan_top_k vs the full scan through long
-#                      mutation histories, the sharded engine vs the
+#                      the bucketed top-k scan (scan_top_k walking
+#                      buckets of one exact TSim, equal-TSim buckets
+#                      merged) vs the full scan through long mutation
+#                      histories that insert new doc lengths, the
+#                      sharded engine vs the
 #                      set-path oracle, mutated engines (row maps,
 #                      shard summaries, answers) vs a fresh rebuild
 #                      after every batch of histories long enough to

@@ -56,9 +56,13 @@ WHYNOT_FLOOR = 2.0
 #: reference, both on the kernel's columns.
 LEVELLED_RANKS_FLOOR = 10.0
 LEVELLED_REFINE_FLOOR = 2.0
-#: Acceptance floor (ISSUE 18): the scan index over the full scan it
-#: replaced, both on one kernel's columns (measured ~13x at k = 10).
-INDEXED_SCAN_FLOOR = 5.0
+#: Acceptance floor: the scan index over the full scan it replaced,
+#: both on one kernel's columns.  Rule fixed before measuring: the
+#: minimum speedup over five runs, rounded down to a multiple of 0.5
+#: (16.0-20.6x measured since the scan walks buckets of one exact TSim,
+#: 114 rows scored per scan; ~13x and 281 rows under the per-level
+#: bound before).
+INDEXED_SCAN_FLOOR = 16.0
 #: Acceptance floor: a dual view read off the scan index for one missing
 #: object at ranks 11-30 over the reference pass that scores every row.
 #: Rule fixed before measuring: the minimum speedup over five runs,
@@ -192,7 +196,8 @@ def test_e11_levelled_ranks_at_10x(db_20k, kernel_queries):
 
 
 def test_e11_indexed_scan_top_k_5x(db_20k):
-    """Acceptance: the indexed scan_top_k at 20k >= 5x the full scan."""
+    """Acceptance: the indexed scan_top_k at 20k >= INDEXED_SCAN_FLOOR x
+    the full scan."""
     database = db_20k
     kernel = Scorer(database).kernel
     workload = QueryWorkload(database, seed=17, k=10, keywords_per_query=(1, 3))

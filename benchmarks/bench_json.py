@@ -238,7 +238,7 @@ def bench_e11() -> dict:
         "indexed_scan_ms": indexed_scan.best_ms,
         "full_scan_ms": full_scan.best_ms,
         "indexed_scan_speedup": full_scan.best / indexed_scan.best,
-        "indexed_scan_floor": 5.0,
+        "indexed_scan_floor": 16.0,
         "indexed_scan_rows_scored_per_scan": (
             scan_stats["scan_rows_scored"] / scan_stats["scan_calls"]
         ),

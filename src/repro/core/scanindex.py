@@ -8,21 +8,21 @@ a scan"):
 
 * Rows are laid out in **x-quantile columns** of ``_COLUMN_ROWS`` rows,
   y-sorted inside each column; a row's *position* is its place in that
-  order.  The index owns position-ordered copies of the five kernel
-  columns, so a scan never touches the kernel and a kernel compaction
-  only renumbers the row → position map.
+  order.  The index owns position-ordered x, y and oid columns, so a
+  scan never touches the kernel and a kernel compaction only renumbers
+  the row → position map.
 * Per vocabulary bit one Python big-int **bitmap** over the positions
   (the kernel's row-major doc masks, transposed), per doc length one
-  more, and an ``alive`` bitmap.  A query folds its keywords' bitmaps
-  into *level sets* — "exactly ``s`` shared keywords" — with a handful
-  of C-speed big-int AND/ORs; a level ANDed with a length bitmap is a
-  *bucket*, whose rows all share one TSim.
-* Columns are walked outward from the query.  Per column and level the
-  current k-th score θ becomes a y-interval: a level-``s`` row can
-  still win only within distance
-  ``norm · (1 − (θ − SKIP_MARGIN − wt·TSim_ub(s)) / ws)`` of the query,
-  which is two bisects and a shift-and-mask; only the set bits get the
-  exact Eqn. (1) arithmetic, through :func:`score_delta_rows`.
+  more, and an ``alive`` bitmap.  A query folds them, with a handful of
+  C-speed big-int AND/ORs, into **buckets** of one exact TSim: (shared
+  keywords, doc length) pairs, equal TSims merged.
+* Columns are walked outward from the query, buckets best TSim first.
+  The current k-th score θ becomes a y-interval: a row of a bucket
+  with TSim ``t`` can still win only within distance
+  ``norm · (1 − (θ − SKIP_MARGIN − wt·t) / ws)`` of the query, two
+  bisects and a shift-and-mask, and the first bucket out of reach ends
+  the column.  Only the set bits are scored, on proximity plus the
+  bucket's text term: :func:`score_delta_rows`' floats, bit for bit.
 
 The same two cuts, a disk around the query and the buckets, find the
 rows close *or* similar enough to reach a why-not question's missing
@@ -75,11 +75,9 @@ _COLUMN_ROWS = 256
 #: the tail outgrows ``max(_COLUMN_ROWS, built // _TAIL_DIVISOR)`` rows.
 _TAIL_DIVISOR = 8
 
-Row = tuple[float, float, int, int, int]
-
 
 def score_delta_rows(
-    rows: Iterable[Row],
+    rows: Iterable[tuple[float, float, int, int, int]],
     qx: float,
     qy: float,
     qmask: int,
@@ -98,13 +96,14 @@ def score_delta_rows(
     are bit-identical to what a full column pass (or
     ``Scorer.breakdown``) produces for the same object.
 
-    The one row-at-a-time scorer: the cache-maintenance tier scores a
-    mutation batch's added and removed rows
-    (:class:`repro.core.mutations.BatchSummary`) against each cached
-    query's scalars through it, and :class:`ScanIndex` scores its
-    top-k candidates.  Deliberately a pure module-level function — no
-    kernel instance, no stats bump, no lock — so it is safe to call
-    while holding a cache leaf lock.
+    The one row-at-a-time scorer for rows given by value: the
+    cache-maintenance tier scores a mutation batch's added and removed
+    rows (:class:`repro.core.mutations.BatchSummary`) against each
+    cached query's scalars through it, and the kernel scores single
+    rows (``KernelQuery.score_row``, a dual view's targets) with it.
+    :meth:`ScanIndex.scan` repeats its expression inline.  Deliberately
+    a pure module-level function — no kernel instance, no stats bump,
+    no lock — so it is safe to call while holding a cache leaf lock.
     """
     hypot = math.hypot
     out: list[tuple[int, float, float, float]] = []
@@ -155,9 +154,8 @@ def tsim_upper_bound(
     Each bound is one correctly-rounded division of exact integers,
     non-decreasing in ``m``, so float monotonicity against the kernel's
     per-object values is exact — no margin needed on the text term.
-    The one text bound: shard skipping (``Shard.tsim_upper_bound``),
-    batch impact tests (``BatchSummary.tsim_upper_bound``) and the scan
-    index's per-level bound all call it.
+    The one text bound: shard skipping (``Shard.tsim_upper_bound``) and
+    batch impact tests (``BatchSummary.tsim_upper_bound``) call it.
     """
     if shared == 0 or qlen == 0:
         return 0.0
@@ -174,8 +172,8 @@ def tsim_upper_bound(
 def tsim_from_counts(model_code: str, shared: int, doc_len: int, qlen: int) -> float:
     """TSim of a ``doc_len``-keyword doc sharing ``shared`` keywords with
     a ``qlen``-keyword query: :func:`score_delta_rows`' expression, so
-    its float.  The kernel's per-row TSim and the dual view's per-bucket
-    one both call it."""
+    its float.  The kernel's per-row TSim and the scan index's per-bucket
+    one (:meth:`ScanIndex._buckets`) both call it."""
     if shared == 0:
         return 0.0
     if model_code == "jaccard":
@@ -230,10 +228,9 @@ class ScanIndex:
     Built from a kernel's columns and maintained by the kernel's
     ``apply_raw`` in O(batch): :meth:`delete` clears an ``alive`` bit,
     :meth:`append` adds to the unsorted tail, :meth:`compact` follows a
-    kernel compaction.  ``min_doc_len`` only ever goes stale in the
-    loose direction on delete (see :func:`tsim_upper_bound`); the
-    keyword and length bitmaps keep dead positions, which every derived
-    set loses to ``alive``, and positions never move.
+    kernel compaction.  The keyword and length bitmaps keep dead
+    positions, which every derived set loses to ``alive``, and
+    positions never move.
     """
 
     __slots__ = (
@@ -242,8 +239,6 @@ class ScanIndex:
         "_built",
         "_xs",
         "_ys",
-        "_masks",
-        "_lens",
         "_oids",
         "_pos_of_row",
         "_col_min_x",
@@ -251,7 +246,6 @@ class ScanIndex:
         "_bitmaps",
         "_length_bitmaps",
         "_alive",
-        "_min_doc_len",
     )
 
     def __init__(
@@ -285,8 +279,6 @@ class ScanIndex:
         self._col_max_x = col_max_x
         self._xs = array("d", map(xs.__getitem__, order))
         self._ys = array("d", map(ys.__getitem__, order))
-        self._masks = list(map(masks.__getitem__, order))
-        self._lens = array("q", map(lens.__getitem__, order))
         self._oids = array("q", map(oids.__getitem__, order))
         #: Kernel row → position (−1 for rows dead at build time).
         pos_of_row = array("q", [-1]) * len(xs)
@@ -300,7 +292,9 @@ class ScanIndex:
         plane_bytes = (built + 7) // 8
         planes: dict[int, bytearray] = {}
         length_planes: dict[int, bytearray] = {}
-        for pos, (mask, length) in enumerate(zip(self._masks, self._lens)):
+        doc_masks = map(masks.__getitem__, order)
+        doc_lens = map(lens.__getitem__, order)
+        for pos, (mask, length) in enumerate(zip(doc_masks, doc_lens)):
             byte = pos >> 3
             bit = 1 << (pos & 7)
             for low in _bits(mask):
@@ -320,7 +314,6 @@ class ScanIndex:
             for length, plane in length_planes.items()
         }
         self._alive = (1 << built) - 1
-        self._min_doc_len = min(self._lens, default=0)
 
     # ------------------------------------------------------------------
     # Maintenance (driven by ScoringKernel.apply_raw)
@@ -334,8 +327,6 @@ class ScanIndex:
         pos = len(self._xs)
         self._xs.append(x)
         self._ys.append(y)
-        self._masks.append(mask)
-        self._lens.append(doc_len)
         self._oids.append(oid)
         self._pos_of_row.append(pos)
         bit = 1 << pos
@@ -345,8 +336,6 @@ class ScanIndex:
             bitmaps[low] = bitmaps.get(low, 0) | bit
         lengths = self._length_bitmaps
         lengths[doc_len] = lengths.get(doc_len, 0) | bit
-        if doc_len < self._min_doc_len:
-            self._min_doc_len = doc_len
 
     def compact(self, surviving_rows: Sequence[int]) -> None:
         """The kernel renumbered its rows to ``surviving_rows``' order.
@@ -385,10 +374,23 @@ class ScanIndex:
         at_least.append(0)
         return [at_least[s] ^ at_least[s + 1] for s in range(len(at_least) - 1)]
 
-    def _rows(self, positions: Sequence[int]) -> Iterator[Row]:
-        """The ``(x, y, mask, doc_len, oid)`` rows at ``positions``."""
-        columns = (self._xs, self._ys, self._masks, self._lens, self._oids)
-        return zip(*(map(column.__getitem__, positions) for column in columns))
+    def _buckets(self, qmask: int, qlen: int) -> dict[float, int]:
+        """``{tsim: positions}``, non-empty: each exact-shared-count level
+        ANDed with each doc-length bitmap.  A non-empty bucket has
+        ``s ≤ length``, so :func:`tsim_from_counts` gives its rows' own
+        TSim float; equal TSims merge."""
+        code = self._model_code
+        unshared, *shared = self._exact_levels(qmask)
+        buckets = {0.0: unshared} if unshared else {}
+        for s, level in enumerate(shared, 1):
+            if not level:
+                continue
+            for length, bitmap in self._length_bitmaps.items():
+                bucket = level & bitmap
+                if bucket:
+                    tsim = tsim_from_counts(code, s, length, qlen)
+                    buckets[tsim] = buckets.get(tsim, 0) | bucket
+        return buckets
 
     def _columns_outward(self, qx: float) -> Iterator[tuple[int, float]]:
         """``(column, x-gap to qx)`` by non-decreasing gap, from qx's column."""
@@ -431,22 +433,21 @@ class ScanIndex:
         θ is the larger of the floor and the running k-th score, a row
         is passed over only when its score *bound* is below
         ``θ − SKIP_MARGIN``, and θ only rises — so every row that ends
-        in the answer was scored, with the full scan's own arithmetic.
+        in the answer was scored, with the full scan's own arithmetic:
+        ``ws · (1 − min(d, 1)) + wt · t`` with the bucket's ``wt · t``,
+        the same two-operand sum as :func:`score_delta_rows`.
         """
         if k < 1:
             return [], 0
         norm = self._normaliser
-        code = self._model_code
-        ys = self._ys
+        xs, ys, oids = self._xs, self._ys, self._oids
         built = self._built
-        # Non-empty levels, best text bound first: (positions, wt·TSim_ub).
-        levels = [
-            (level, wt * tsim_upper_bound(code, s, qlen, self._min_doc_len))
-            for s, level in enumerate(self._exact_levels(qmask))
-            if level
-        ]
-        levels.reverse()
-        best_text = max((text for _, text in levels), default=0.0)
+        hypot = math.hypot
+        # Buckets of one TSim, best first: (wt·TSim, positions).  wt ≥ 0,
+        # so the text terms do not increase down the list.
+        buckets = self._buckets(qmask, qlen)
+        tiers = [(wt * tsim, buckets[tsim]) for tsim in sorted(buckets, reverse=True)]
+        best_text = tiers[0][0] if tiers else 0.0
 
         heap: list[tuple[float, int]] = []  # min-heap: [0] is the k-th best
         scored = 0
@@ -456,38 +457,39 @@ class ScanIndex:
             """Score what can still win among positions ``[start, stop)``,
             all at least ``gap`` from the query."""
             nonlocal scored, theta_m
-            for level, text in levels:
-                # A level row wins only with ws·proximity ≥ need.
+            for text, bucket in tiers:
+                # A bucket row wins only with ws·proximity ≥ need, which
+                # only grows down the tiers: the first miss ends the column.
                 need = theta_m - text
                 lo, hi = start, stop
                 if need > 0.0:
                     if need > ws:
-                        continue
+                        break
                     radius = norm * (1.0 - need / ws)
                     if gap > radius:
-                        continue
+                        break
                     if start < built:  # a y-sorted column: cut to the run
                         lo, hi = _y_run(ys, start, stop, qy, radius, gap)
-                chunk = (level >> lo) & ((1 << (hi - lo)) - 1)
-                if not chunk:
+                positions = _positions(bucket & (((1 << (hi - lo)) - 1) << lo))
+                if not positions:
                     continue
-                positions = [lo + low.bit_length() - 1 for low in _bits(chunk)]
                 scored += len(positions)
-                for oid, score, _sdist, _tsim in score_delta_rows(
-                    self._rows(positions), qx, qy, qmask, qlen, ws, wt,
-                    normaliser=norm, model_code=code,
-                ):
+                for p in positions:
+                    d = hypot(xs[p] - qx, ys[p] - qy) / norm
+                    if d > 1.0:
+                        d = 1.0
+                    score = ws * (1.0 - d) + text
                     if len(heap) < k:
                         if floor is None or score >= floor:
-                            heappush(heap, (score, -oid))
-                    elif (score, -oid) > heap[0]:
-                        heapreplace(heap, (score, -oid))
+                            heappush(heap, (score, -oids[p]))
+                    elif (score, -oids[p]) > heap[0]:
+                        heapreplace(heap, (score, -oids[p]))
                 if len(heap) == k:
                     theta_m = heap[0][0] - SKIP_MARGIN
 
         for column, gap in self._columns_outward(qx):
             # Columns only get farther: once one is beyond the best
-            # level's reach, so is every column still to come.
+            # bucket's reach, so is every column still to come.
             need = theta_m - best_text
             if need > 0.0 and (need > ws or gap > norm * (1.0 - need / ws)):
                 break
@@ -506,12 +508,12 @@ class ScanIndex:
         a_floor or TSim ≥ b_floor as ``(b, proximities, oids)`` per TSim
         level, by descending ``b``, rows in position order.
 
-        Each exact-shared-count level splits by doc length into buckets
-        of one TSim (buckets of equal TSim merge).  A bucket at or above
-        ``b_floor`` is kept whole; any other is cut to the disk of radius
-        ``norm · (1 − a_floor + SKIP_MARGIN)`` (columns outward, cut to
-        y-runs as :meth:`scan` cuts them, and the tail), a superset of
-        the rows with ``a ≥ a_floor``, which are the ones it keeps.  Only
+        The buckets of one TSim are :meth:`scan`'s (:meth:`_buckets`).
+        A bucket at or above ``b_floor`` is kept whole; any other is cut
+        to the disk of radius ``norm · (1 − a_floor + SKIP_MARGIN)``
+        (columns outward, cut to y-runs as :meth:`scan` cuts them, and
+        the tail), a superset of the rows with ``a ≥ a_floor``, which are
+        the ones it keeps.  Only
         those positions are scored, on proximity alone:
         ``1 − min(d, 1)`` is :func:`score_delta_rows`' score at weights
         ``(1, 0)`` bit for bit, and a bucket's TSim its per-row one."""
@@ -529,17 +531,7 @@ class ScanIndex:
                 stop = min(start + _COLUMN_ROWS, built)
                 lo, hi = _y_run(ys, start, stop, qy, radius, gap)
                 disk |= ((1 << (hi - lo)) - 1) << lo
-        code = self._model_code
-        unshared, *shared = self._exact_levels(qmask)
-        buckets = {0.0: unshared}
-        for s, level in enumerate(shared, 1):
-            if not level:
-                continue
-            for length, bitmap in self._length_bitmaps.items():
-                bucket = level & bitmap
-                if bucket:  # so s ≤ length: the TSim is a real quotient
-                    tsim = tsim_from_counts(code, s, length, qlen)
-                    buckets[tsim] = buckets.get(tsim, 0) | bucket
+        buckets = self._buckets(qmask, qlen)
         levels = []
         scored = 0
         for tsim in sorted(buckets, reverse=True):

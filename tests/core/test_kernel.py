@@ -344,6 +344,42 @@ class TestDualView:
 
 
 class TestStats:
+    def test_rows_scored_by_a_top_k_scan(self):
+        """Every "cafe" row shares one keyword with the query; doc
+        lengths 1 and 4 put them at TSim 1 and 1/4 (Jaccard).  The TSim
+        1 bucket is visited first and its row sets θ; the 1/4 bucket's
+        rows sit nearer the query but top out at ws + wt/4 < θ, so the
+        column ends there and they are never scored, nor is the
+        no-keyword row: 1 row scored, where the whole level is 4."""
+        rows = [
+            (0.0, "cafe a b c"),  # TSim 1/4: at most 0.625, not scored
+            (0.0, "bar"),  # TSim 0: not scored
+            (0.1, "cafe"),  # TSim 1: scored, the answer
+            (0.0, "cafe a b d"),  # TSim 1/4: not scored
+            (0.05, "cafe a c d"),  # TSim 1/4: not scored
+        ]
+        db = SpatialDatabase(
+            [
+                SpatialObject(oid, Point(0.0, y), frozenset(doc.split()))
+                for oid, (y, doc) in enumerate(rows)
+            ],
+            dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+        )
+        scorer = Scorer(db)
+        kernel = scorer.kernel
+        q = SpatialKeywordQuery(
+            Point(0.0, 0.0), frozenset({"cafe"}), 1, Weights.from_spatial(0.5)
+        )
+        qmask, _unknown = kernel.vocabulary.encode_query(q.doc)
+        pairs = kernel.scan_top_k(1, 0.0, 0.0, qmask, 1, 0.5, 0.5)
+        assert pairs == [(-scorer.score(db.get(2), q), 2)]
+        assert (kernel.stats.scan_calls, kernel.stats.scan_rows_scored) == (1, 1)
+        # k = 2 needs a second row: the TSim 1/4 bucket is scored whole
+        # (θ stays −inf until the heap is full), the TSim 0 row is not.
+        pairs = kernel.scan_top_k(2, 0.0, 0.0, qmask, 1, 0.5, 0.5)
+        assert [oid for _, oid in pairs] == [2, 0]
+        assert kernel.stats.scan_rows_scored == 1 + 4
+
     def test_counters_track_batch_passes(self):
         db = edge_db()
         scorer = Scorer(db)

@@ -9,10 +9,13 @@ rows, cut at the inclusive ``floor`` when one is given.
 
 The strategies aim at what a pruning index gets wrong first: points on
 a coarse lattice (duplicates, equal x across a column boundary, equal
-y), a dataspace far from the origin, weights at and next to 0, ``k``
-from 1 past n, unknown and empty query keywords, floors below / at /
-above the k-th score, and mutation histories that tombstone, compact
-and outgrow the index's tail.  The index's column height is shrunk so
+y), a dataspace far from the origin, weights at and next to 0
+(``ws = 0``: no bucket is reachable once θ is positive; ``wt = 0``:
+every bucket's text term is 0), ``k`` from 1 past n, unknown and empty
+query keywords, (shared keywords, doc length) buckets of equal TSim
+that merge, floors below / at / above the k-th score, and mutation
+histories that tombstone, compact, outgrow the index's tail and insert
+doc lengths no built row has.  The index's column height is shrunk so
 a 40-row database spans many columns; one deterministic case runs at
 the shipped height.
 """
@@ -49,10 +52,31 @@ points = st.builds(Point, coordinate, coordinate)
 #: Query locations also fall outside the dataspace.
 query_coordinate = st.one_of(lattice, st.floats(min_value=-0.5, max_value=1.5))
 
-docs = st.sets(st.sampled_from(ALPHABET), min_size=0, max_size=6).map(frozenset)
-query_docs = st.sets(
-    st.sampled_from(ALPHABET + ["zz-unseen", "zz-rare"]), min_size=0, max_size=5
-).map(frozenset)
+#: The two-keyword query whose buckets merge: sharing 1 of its keywords
+#: at doc length 1 and both at doc length 4 is TSim ½ under Jaccard (2/3
+#: under Dice, 1 under Overlap) either way.
+PAIR = frozenset(ALPHABET[:2])
+merging_docs = st.sampled_from(
+    [
+        frozenset(ALPHABET[:1]),
+        frozenset(ALPHABET[1:2]),
+        PAIR | frozenset(ALPHABET[4:6]),
+        PAIR | frozenset(ALPHABET[6:8]),
+    ]
+)
+docs = st.one_of(
+    st.sets(st.sampled_from(ALPHABET), min_size=0, max_size=6).map(frozenset),
+    merging_docs,
+)
+#: Longer than any built doc: an insert of one brings a doc length the
+#: index has no bitmap for yet.
+long_docs = st.sets(st.sampled_from(ALPHABET), min_size=7, max_size=9).map(frozenset)
+query_docs = st.one_of(
+    st.sets(
+        st.sampled_from(ALPHABET + ["zz-unseen", "zz-rare"]), min_size=0, max_size=5
+    ).map(frozenset),
+    st.just(PAIR),
+)
 
 #: (ws, wt): the convex weights a query carries, both ends, both
 #: near-ends, and the degenerate pairs the raw scalar interface admits.
@@ -174,9 +198,8 @@ def mutation_batch(draw, live: set[int], next_oid: int):
         if kind == "insert" or len(live) <= 1:
             oid = next_oid + len(batch)
             live.add(oid)
-            batch.append(
-                Mutation.insert(SpatialObject(oid, draw(points), draw(docs)))
-            )
+            doc = draw(st.one_of(docs, long_docs))
+            batch.append(Mutation.insert(SpatialObject(oid, draw(points), doc)))
         elif kind == "update":
             oid = draw(st.sampled_from(sorted(live)))
             batch.append(
@@ -340,3 +363,30 @@ def test_tombstoned_kernel_never_emits_the_dead_sentinel():
     assert sorted(oid for _, oid in kernel.scan_top_k(8, *scalars)) == list(
         range(2, 8)
     )
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+def test_equal_tsim_buckets_merge_and_new_lengths_get_a_bitmap(model):
+    """(1 shared, length 1) and (2 shared, length 4) are one TSim at
+    |q| = 2 under every model: one bucket.  An insert longer than every
+    built doc gets its own length bitmap, and parity holds throughout."""
+    objects = [
+        SpatialObject(0, Point(0.1, 0.1), frozenset(ALPHABET[:1])),
+        SpatialObject(1, Point(0.9, 0.9), PAIR | frozenset(ALPHABET[4:6])),
+        SpatialObject(2, Point(0.5, 0.5), frozenset(ALPHABET[8:9])),
+    ]
+    kernel = build(objects, model)
+    mutable = MutableDatabase(kernel.database, model_code=kernel.model_code)
+    mutable.register_listener(kernel)
+    scalars = scalars_for(kernel, 0.5, 0.5, PAIR, 0.5, 0.5)
+    assert_scan_parity(kernel, 2, scalars)
+    index = kernel._scan_index
+    buckets = index._buckets(scalars[2], 2)
+    assert sorted(bucket.bit_count() for bucket in buckets.values()) == [1, 2]
+    assert 9 not in index._length_bitmaps
+    mutable.apply(
+        [Mutation.insert(SpatialObject(3, Point(0.5, 0.6), frozenset(ALPHABET[:9])))]
+    )
+    assert kernel._scan_index is index and 9 in index._length_bitmaps
+    for k in (1, 2, 4):
+        assert_scan_parity(kernel, k, scalars)
