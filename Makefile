@@ -57,8 +57,8 @@
 #                      merged) vs the full scan through long mutation
 #                      histories that insert new doc lengths, the
 #                      sharded engine vs the
-#                      set-path oracle, mutated engines (row maps,
-#                      shard summaries, answers) vs a fresh rebuild
+#                      set-path oracle, mutated engines (shard
+#                      summaries, answers) vs a fresh rebuild
 #                      after every batch of histories long enough to
 #                      compact, and the kernel suite (the unsharded
 #                      engine's top-k vs the set path and best-first

@@ -119,10 +119,7 @@ def latency_comparison() -> None:
         f"1 shard {whynot_one:.1f} ms -> 4 shards {whynot_four:.1f} ms "
         f"({whynot_one / whynot_four:.2f}x)"
     )
-    print(
-        f"  shard scans skipped so far: {stats['topk_shards_skipped']} "
-        f"(top-k), {stats['count_shards_skipped']} (rank counts)"
-    )
+    print(f"  top-k shard scans skipped so far: {stats['topk_shards_skipped']}")
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from repro.core.sharding import (
     Shard,
     ShardRouter,
     ShardStats,
-    ShardedKernel,
     grid_partition,
     round_robin_partition,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "Shard",
     "ShardRouter",
     "ShardStats",
-    "ShardedKernel",
     "grid_partition",
     "round_robin_partition",
     "BestFirstTopK",

@@ -23,7 +23,6 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
 from repro.core.kernel import ScoringKernel
 from repro.core.objects import SpatialDatabase, SpatialObject
-from repro.core.sharding import ShardRouter, ShardedKernel
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery, Weights
 from repro.text.similarity import JACCARD, TextSimilarityModel
 
@@ -110,6 +109,10 @@ class Scorer:
     semantics oracle: both paths produce bit-identical floats and the
     same (score desc, oid asc) tie order, which
     ``tests/properties/test_prop_kernel.py`` asserts.
+
+    The kernel is always one plain kernel over the whole database, also
+    in a sharded engine: shards serve only the top-k scatter
+    (:mod:`repro.core.sharding`), never the rank utilities here.
     """
 
     def __init__(
@@ -118,21 +121,12 @@ class Scorer:
         *,
         text_model: TextSimilarityModel = JACCARD,
         use_kernel: bool = True,
-        shard_router: ShardRouter | None = None,
     ) -> None:
         self._database = database
         self._text_model = text_model
-        if not use_kernel:
-            self._kernel = None
-        elif shard_router is not None:
-            # A sharded kernel: same global columns and floats, but the
-            # whole-database rank primitives skip shards that provably
-            # cannot hold a better-ranked object (repro.core.sharding).
-            self._kernel = ShardedKernel.maybe_build(
-                database, text_model, shard_router
-            )
-        else:
-            self._kernel = ScoringKernel.maybe_build(database, text_model)
+        self._kernel = (
+            ScoringKernel.maybe_build(database, text_model) if use_kernel else None
+        )
 
     @property
     def database(self) -> SpatialDatabase:

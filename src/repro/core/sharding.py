@@ -1,12 +1,12 @@
-"""Spatially partitioned databases: shards, routing and pruned scans.
+"""Spatially partitioned databases: shards, routing and shard bounds.
 
-The ROADMAP's "sharding" direction, grounded in the paper's rank
-arithmetic: every quantity the why-not pipeline computes — ranks,
-beater counts — is a *count of objects* satisfying a per-object
-predicate, so it decomposes exactly over any disjoint partition of
-``D``:
-
-``rank_of(m, q) = 1 + Σ_shard count_better(shard, m, q)``
+The ROADMAP's "sharding" direction: the scatter-gather top-k of
+:class:`repro.service.sharded.ShardedEngine` runs one indexed scan per
+shard and skips every shard whose score upper bound cannot reach the
+running k-th score.  The why-not modules never scatter: they rank in
+dual space on the engine's one global
+:class:`~repro.core.kernel.ScoringKernel`, so shards exist for top-k
+alone.
 
 This module provides
 
@@ -21,26 +21,21 @@ This module provides
   :class:`~repro.core.kernel.ScoringKernel`, and the summaries the
   pruning bounds need (objects MBR, keyword-union bitmask, doc-length
   range).
-* :class:`ShardRouter` — builds and owns the shards, computes per-query
-  shard score upper bounds, and counts scatter/skip work in
-  :class:`ShardStats` (surfaced through ``GET /api/stats``).
-* :class:`ShardedKernel` — a drop-in :class:`ScoringKernel` whose
-  whole-database rank primitives (``count_better``, ``rank_of_many``,
-  ``doc_context`` rank scans) *skip entire shards* that provably cannot
-  contain a better-ranked object.  Dual space is deliberately not among
-  them: :class:`~repro.core.kernel.DualView` reads the global kernel's
-  scan index, and two bisects per TSim level beat any per-shard skip.
+* :class:`ShardRouter` — builds and owns the shards, routes mutation
+  batches to them, computes per-query shard score upper bounds, and
+  counts scatter/skip work in :class:`ShardStats` (surfaced through
+  ``GET /api/stats``).
 
 Why pruning, not parallelism
 ----------------------------
 
 :class:`repro.service.sharded.ShardedEngine` scans its shards inline,
 one after another; nothing here runs in parallel.  What shards buy is
-*work elimination*: with spatially coherent shards, a
-query's beaters concentrate in the shards near it, and a shard whose
-score upper bound falls below the current threshold contributes zero
-scanned rows.  A single-shard router degenerates to exactly the
-unsharded pass, which is what the E12 baseline measures.
+*work elimination*: with spatially coherent shards, a query's winners
+concentrate in the shards near it, and a shard whose score upper bound
+falls below the current threshold contributes zero scanned rows.  A
+single-shard router degenerates to exactly the unsharded pass, which
+is what the E12 baseline measures.
 
 Exactness contract
 ------------------
@@ -54,31 +49,28 @@ bounds are static (:meth:`Shard.proximity_upper_bound` +
 keyword-union/doc-length bound for the text term.  The text bound is a
 single correctly-rounded integer division, hence exactly monotone; the
 MINDIST arithmetic is monotone too, but ``math.hypot`` is only
-guaranteed faithful, so static skips retain a defensive ``1e-12``
-margin (:data:`repro.core.scanindex.SKIP_MARGIN`).  Candidate rank scans (:class:`ShardedDocContext`) use each
-shard's exact proximity-column maximum instead and need none.
+guaranteed faithful, so skips retain a defensive ``1e-12`` margin
+(:data:`repro.core.scanindex.SKIP_MARGIN`).
 
 ``tests/properties/test_prop_sharding.py`` asserts bit-for-bit parity
-of every primitive — and of whole why-not answers — against the
-unsharded oracle across random databases, partitioners and shard
+of the scatter-gather top-k — and of whole why-not answers — against
+the unsharded oracle across random databases, partitioners and shard
 counts.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import compress
-from typing import AbstractSet, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from dataclasses import dataclass
 
-from repro import concurrency, faults
+from repro import concurrency
 from repro.core.geometry import Rect
-from repro.core.hotpath import hot_path
-from repro.core.kernel import DocContext, DualView, ScoringKernel
+from repro.core.kernel import ScoringKernel
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
-from repro.core.scanindex import SKIP_MARGIN, tsim_upper_bound
+from repro.core.scanindex import tsim_upper_bound
 from repro.text.similarity import TextSimilarityModel
 
 __all__ = [
@@ -86,9 +78,6 @@ __all__ = [
     "Shard",
     "ShardRouter",
     "ShardStats",
-    "ShardedDocContext",
-    "ShardedKernel",
-    "ShardedProximityColumn",
     "grid_partition",
     "round_robin_partition",
 ]
@@ -184,8 +173,8 @@ class ShardStats:
     one router is shared by every executor worker thread, so updates go
     through :meth:`bump` under a lock.  The ``*_ms`` fields accumulate
     wall-clock milliseconds (scatter = per-shard scans, merge = the
-    gather/materialise step); the ``*_shards_*`` pairs record how many
-    shard scans the pruning bounds eliminated.
+    gather/materialise step); the ``topk_shards_*`` pair records how
+    many shard scans the pruning bounds eliminated.
     """
 
     _FIELDS = (
@@ -194,12 +183,6 @@ class ShardStats:
         "topk_shards_skipped",
         "topk_scatter_ms",
         "topk_merge_ms",
-        "count_passes",
-        "count_shards_scanned",
-        "count_shards_skipped",
-        "doc_rank_scans",
-        "doc_shards_scanned",
-        "doc_shards_skipped",
     )
 
     __slots__ = ("_lock",) + _FIELDS
@@ -249,11 +232,6 @@ class Shard:
     *global* vocabulary's bit space, so query masks encoded once against
     the parent database can be intersected with every shard.
 
-    ``rows`` maps each *physical* row of the shard kernel to the
-    object's physical row in the global kernel.  Both kernels keep
-    tombstones, so a dead local row's entry is stale and never read:
-    every reader walks live rows or arrives through ``row_of(oid)``.
-
     ``shard_id`` is the shard's index at partition time and survives
     its neighbours being dropped: the fault sites ``shard.scan.<id>``
     are named by it.
@@ -261,7 +239,6 @@ class Shard:
 
     __slots__ = (
         "shard_id",
-        "rows",
         "database",
         "kernel",
         "mbr",
@@ -282,7 +259,6 @@ class Shard:
         objects = parent.objects
         parent_masks = parent.doc_masks
         self.shard_id = shard_id
-        self.rows: list[int] = list(rows)
         self.database = SpatialDatabase(
             (objects[row] for row in rows), dataspace=parent.dataspace
         )
@@ -332,13 +308,12 @@ class Shard:
         removed: Sequence[SpatialObject],
         appended: Sequence[SpatialObject],
         parent: SpatialDatabase,
-    ) -> bool:
+    ) -> None:
         """Apply this shard's slice of a batch and refresh its summaries.
 
         The sub-database and kernel follow the global order rule
         (survivors keep order, appends at the end); the kernel
-        tombstones and compacts at its own threshold.  Returns whether
-        it compacted, i.e. whether shard-local rows were renumbered.
+        tombstones and compacts at its own threshold.
 
         Summaries stay exact.  Appended objects *widen* them — the MBR
         unions the new points, the vocab mask ORs the new masks, the
@@ -349,7 +324,6 @@ class Shard:
         """
         removed_oids = {obj.oid for obj in removed}
         self.database._apply_mutations(removed_oids, appended)
-        compactions = self.kernel.compactions
         self.kernel.apply_mutations(
             _ShardChange(frozenset(removed_oids), tuple(appended))
         )
@@ -369,7 +343,6 @@ class Shard:
                     self.min_doc_len = length
                 if length > self.max_doc_len:
                     self.max_doc_len = length
-        return self.kernel.compactions != compactions
 
     def _held_boundary(self, removed: Sequence[SpatialObject]) -> bool:
         """Whether losing ``removed`` can tighten a summary.
@@ -494,14 +467,9 @@ class ShardRouter:
             for shard_id, rows in enumerate(assignments)
         )
         self._shard_of_oid: dict[int, int] = {}
-        for index, shard in enumerate(self._shards):
-            for row in shard.rows:
+        for index, rows in enumerate(assignments):
+            for row in rows:
                 self._shard_of_oid[database.objects[row].oid] = index
-        #: Global kernel rows the ``Shard.rows`` maps cover.
-        self._rows = len(database)
-        # The global kernel whose physical rows the maps index; a
-        # ShardedKernel binds itself here at construction.
-        self._kernel: ScoringKernel | None = None
         self.stats = ShardStats()
 
     @staticmethod
@@ -565,25 +533,15 @@ class ShardRouter:
         return best_index
 
     def apply_mutations(self, change) -> None:
-        """Route an applied batch to its owning shards and patch the maps.
+        """Route an applied batch to its owning shards.
 
         ``change`` is an :class:`repro.core.mutations.AppliedBatch`; the
-        parent database and the global kernel have already applied it.
-        Removals go to the shard that owns each object; insertions to
-        the least-enlarged shard.  A shard left empty is dropped.  The
-        row maps (``Shard.rows``) gain the appended rows;
-        they are rebuilt only by a batch that renumbered rows — the
-        global kernel or a shard kernel compacted, or a shard was
-        dropped.
+        parent database has already applied it.  Removals go to the
+        shard that owns each object; insertions to the least-enlarged
+        shard.  A shard left empty is dropped, which shifts the indices
+        of the shards after it, so the ``oid → shard`` map is then
+        re-read off the surviving shard kernels.
         """
-        kernel = self._kernel
-        if kernel is None:
-            raise RuntimeError(
-                "a ShardRouter is maintained beside the ShardedKernel "
-                "built over it; this one has none"
-            )
-        # Nothing compacted ⇔ the global columns grew by the appends.
-        renumbered = len(kernel) != self._rows + len(change.appended)
         per_shard_removed: dict[int, list[SpatialObject]] = {}
         for obj in change.removed:
             index = self._shard_of_oid.pop(obj.oid)
@@ -597,42 +555,17 @@ class ShardRouter:
             removed = per_shard_removed.get(index, [])
             appended = per_shard_appended.get(index, [])
             if len(removed) == len(shard) and not appended:
-                renumbered = True  # emptied: drop the shard
-                continue
-            if (removed or appended) and shard.apply_mutations(
-                removed, appended, self._database
-            ):
-                renumbered = True
+                continue  # emptied: drop the shard
+            if removed or appended:
+                shard.apply_mutations(removed, appended, self._database)
             survivors.append(shard)
-        if renumbered:
+        if len(survivors) != len(self._shards):
             self._shards = tuple(survivors)
-            self._rebuild_row_maps(kernel)
-            return
-        # Appends land in batch order in the global kernel and in each
-        # shard kernel alike, so every map grows at its end.
-        for obj in change.appended:
-            self._shards[self._shard_of_oid[obj.oid]].rows.append(
-                kernel.row_of(obj.oid)
-            )
-        self._rows = len(kernel)
-
-    def _rebuild_row_maps(self, kernel: ScoringKernel) -> None:
-        """Recompute the shard-local → global row maps after a renumbering.
-
-        Read off the kernels' own ``oid → physical row`` tables, so the
-        maps cover live rows only; a tombstone's ``Shard.rows`` entry
-        is ``-1``.
-        """
-        global_row = kernel._row_of
-        shard_of_oid: dict[int, int] = {}
-        for index, shard in enumerate(self._shards):
-            rows = [-1] * len(shard.kernel)
-            for oid, local in shard.kernel._row_of.items():
-                rows[local] = global_row[oid]
-                shard_of_oid[oid] = index
-            shard.rows = rows
-        self._shard_of_oid = shard_of_oid
-        self._rows = len(kernel)
+            self._shard_of_oid = {
+                oid: index
+                for index, shard in enumerate(survivors)
+                for oid in shard.kernel._row_of
+            }
 
     # ------------------------------------------------------------------
     # Per-query shard bounds
@@ -654,239 +587,3 @@ class ShardRouter:
             + wt * shard.tsim_upper_bound(qmask, qlen)
             for shard in self._shards
         ]
-
-
-# ----------------------------------------------------------------------
-# Sharded kernel substrate
-# ----------------------------------------------------------------------
-class ShardedProximityColumn(list):
-    """Database-order proximity column annotated with per-shard views.
-
-    A plain ``list`` (drop-in for consumers indexing by global row) that
-    additionally carries per-shard slices and their exact maxima, which
-    the sharded candidate rank scans use for skip decisions.
-    """
-
-    __slots__ = ("shard_slices", "shard_maxima")
-
-    def __init__(
-        self,
-        values: Sequence[float],
-        shard_slices: Sequence[Sequence[float]],
-        shard_maxima: Sequence[float],
-    ) -> None:
-        super().__init__(values)
-        self.shard_slices = shard_slices
-        self.shard_maxima = shard_maxima
-
-
-class ShardedDocContext(DocContext):
-    """A candidate keyword set encoded for per-shard pruned rank scans.
-
-    ``tsim_row`` stays the inherited global-column arithmetic; only the
-    full-database :meth:`rank_scan` changes, skipping shards whose
-    ``ws · prox_max + wt · tsim_ub`` cannot reach the target score and
-    counting the others' beaters through a context on the shard's own
-    kernel.  The proximity maxima are exact per-shard column maxima and
-    the text bound is exactly monotone, so the skip needs no margin.
-    """
-
-    __slots__ = ("_doc", "_shard_contexts")
-
-    def __init__(self, kernel: "ShardedKernel", doc: AbstractSet[str]) -> None:
-        super().__init__(kernel, doc)
-        self._doc = doc
-        # Built lazily per scanned shard: most shards are skipped, and
-        # encoding against their vocabularies would be wasted work.
-        self._shard_contexts: dict[int, DocContext] = {}
-
-    @hot_path
-    def rank_scan(
-        self,
-        ws: float,
-        wt: float,
-        proximities: Sequence[float],
-        target_oid: int,
-    ) -> int:
-        kernel: ShardedKernel = self._kernel  # type: ignore[assignment]
-        if not isinstance(proximities, ShardedProximityColumn):
-            # A caller-supplied plain column: no shard maxima to prune
-            # with — fall back to the global scan (identical result).
-            return super().rank_scan(ws, wt, proximities, target_oid)
-        kernel.stats.bump("doc_rank_scans")
-        router = kernel.router
-        stats = router.stats
-        stats.bump("doc_rank_scans")
-        target_row = kernel.row_of(target_oid)
-        theta = ws * proximities[target_row] + wt * self.tsim_row(target_row)
-        beaters = 0
-        scanned = 0
-        skipped = 0
-        for index, shard in enumerate(router.shards):
-            faults.check_deadline()
-            tsim_ub = shard.tsim_upper_bound(self.mask, self.length)
-            if ws * proximities.shard_maxima[index] + wt * tsim_ub < theta:
-                skipped += 1
-                continue
-            scanned += 1
-            context = self._shard_contexts.get(index)
-            if context is None:
-                context = DocContext(shard.kernel, self._doc)
-                self._shard_contexts[index] = context
-            beaters += context.count_beaters(
-                range(len(shard.kernel)), ws, wt,
-                proximities.shard_slices[index], theta, target_oid,
-            )
-        stats.bump("doc_shards_scanned", scanned)
-        stats.bump("doc_shards_skipped", skipped)
-        return beaters + 1
-
-
-class ShardedKernel(ScoringKernel):
-    """A :class:`ScoringKernel` whose rank primitives scan shard-wise.
-
-    Inherits the global flat columns — whole-database passes
-    (``components_all``, ``score_all``, ``order_rows``, prepared
-    queries) are the plain kernel's and stay bit-identical — and
-    overrides the primitives where disjointness buys work elimination:
-
-    * :meth:`count_better` / :meth:`rank_of_many` — per-shard counts
-      behind the static score upper bounds;
-    * :meth:`proximities` — a :class:`ShardedProximityColumn` carrying
-      the per-shard maxima the candidate rank scans prune with;
-    * :meth:`doc_context` — a :class:`ShardedDocContext`.
-
-    Shard scans reuse each shard's own kernel columns (same formulas,
-    same normaliser — the sub-databases inherit the parent dataspace),
-    so every float is identical to the global pass.
-    """
-
-    __slots__ = ("router",)
-
-    def __init__(
-        self,
-        database: SpatialDatabase,
-        text_model: TextSimilarityModel,
-        router: ShardRouter,
-    ) -> None:
-        if router.database is not database:
-            raise ValueError("router and kernel must share the same database")
-        super().__init__(database, text_model)
-        self.router = router
-        router._kernel = self
-
-    @classmethod
-    def maybe_build(  # type: ignore[override]
-        cls,
-        database: SpatialDatabase,
-        text_model: TextSimilarityModel,
-        router: ShardRouter | None = None,
-    ) -> "ScoringKernel | None":
-        """Build a sharded kernel, or fall back like the base builder."""
-        if not cls.supports(text_model):
-            return None
-        if router is None:
-            return ScoringKernel(database, text_model)
-        return cls(database, text_model, router)
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance
-    # ------------------------------------------------------------------
-    def apply_mutations(self, change) -> None:
-        """Maintain the global columns by the base rule — a named seam.
-
-        Shard row maps (``Shard.rows``) index
-        these columns by physical row, tombstones included; the router,
-        the next listener, patches them for the appended rows and
-        rebuilds them when this kernel compacted.
-        """
-        super().apply_mutations(change)
-
-    # ------------------------------------------------------------------
-    # Rank primitives (shard-pruned)
-    # ------------------------------------------------------------------
-    @hot_path
-    def count_better(
-        self, score: float, oid: int, query: SpatialKeywordQuery
-    ) -> int:
-        self.stats.bump("count_better_calls")
-        router = self.router
-        stats = router.stats
-        stats.bump("count_passes")
-        bounds = router.score_upper_bounds(query)
-        threshold = score - SKIP_MARGIN
-        better = 0
-        scanned = 0
-        skipped = 0
-        for shard, bound in zip(router.shards, bounds):
-            faults.check_deadline()
-            if bound < threshold:
-                skipped += 1
-                continue
-            scanned += 1
-            better += shard.kernel.count_better(score, oid, query)
-        stats.bump("count_shards_scanned", scanned)
-        stats.bump("count_shards_skipped", skipped)
-        return better
-
-    @hot_path
-    def rank_of_many(
-        self, target_oids: Iterable[int], query: SpatialKeywordQuery
-    ) -> dict[int, int]:
-        self.stats.bump("rank_of_many_calls")
-        router = self.router
-        stats = router.stats
-        stats.bump("count_passes")
-        prepared = self.prepare(query)
-        targets = [(oid, prepared.score_oid(oid)) for oid in target_oids]
-        prepared.flush_stats()  # target scorings are real point scores
-        bounds = router.score_upper_bounds(query)
-        beaten = {oid: 0 for oid, _ in targets}
-        scanned = 0
-        skipped = 0
-        for shard, bound in zip(router.shards, bounds):
-            faults.check_deadline()
-            live = [t for t in targets if bound >= t[1] - SKIP_MARGIN]
-            if not live:
-                skipped += 1
-                continue
-            scanned += 1
-            scores = shard.kernel._score_list(query)
-            for oid, target_score in live:
-                beaten[oid] += shard.kernel._count_beating(scores, target_score, oid)
-        stats.bump("count_shards_scanned", scanned)
-        stats.bump("count_shards_skipped", skipped)
-        return {oid: count + 1 for oid, count in beaten.items()}
-
-    # ------------------------------------------------------------------
-    # Dual-space and candidate substrates
-    # ------------------------------------------------------------------
-    def dual_view(
-        self, query: SpatialKeywordQuery, targets: Sequence[int]
-    ) -> DualView:
-        """The global kernel's view — a named seam, not a scatter.
-
-        A rank in a :class:`DualView` is two bisects per TSim level,
-        less work than any per-shard skip test, so dual space is the
-        one rank substrate shards do not prune.
-        """
-        return super().dual_view(query, targets)
-
-    def proximities(self, query: SpatialKeywordQuery) -> ShardedProximityColumn:  # type: ignore[override]
-        slices = [
-            shard.kernel.proximities(query) for shard in self.router.shards
-        ]
-        # Dead rows, global or shard-local, read 0.0 — the base pass's
-        # value for a tombstone; a dead local row's map entry is stale.
-        values: list[float] = [0.0] * self._n
-        for shard, piece in zip(self.router.shards, slices):
-            live = compress(zip(shard.rows, piece), shard.kernel._alive)
-            for row, value in live:
-                values[row] = value
-        return ShardedProximityColumn(
-            values, slices, [max(piece) for piece in slices]
-        )
-
-    def doc_context(self, doc: AbstractSet[str]) -> ShardedDocContext:
-        self.stats.bump("doc_contexts")
-        return ShardedDocContext(self, doc)

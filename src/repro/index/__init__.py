@@ -7,13 +7,11 @@
   serves the keyword-adaption why-not module.
 * :class:`repro.index.irtree.IRTree` — max-impact inverted files (Cong et
   al. [4]); serves the cosine model.
-* :class:`repro.index.inverted.InvertedIndex` — plain posting lists.
 * :class:`repro.index.dualspace.DualSpaceIndex` — dual-point R-tree
   answering the preference module's two range queries.
 """
 
 from repro.index.dualspace import DualSpaceIndex
-from repro.index.inverted import InvertedIndex
 from repro.index.irtree import IRSummary, IRTree
 from repro.index.kcrtree import KcRTree, KcSummary
 from repro.index.persistence import (
@@ -29,7 +27,6 @@ from repro.index.setrtree import SetRTree, SetSummary
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "DualSpaceIndex",
-    "InvertedIndex",
     "IRSummary",
     "IRTree",
     "KcRTree",

@@ -124,9 +124,9 @@ class YaskEngine:
         partitions the database into that many disjoint spatial shards
         (:mod:`repro.core.sharding`): top-k runs the same scan per
         shard, scatter-gather with shard-bound skipping
-        (:class:`~repro.service.sharded.ShardedEngine`), and the why-not
-        modules' full-database rank scans prune whole shards — all
-        bit-for-bit identical to the unsharded engine.  ``shards=1``
+        (:class:`~repro.service.sharded.ShardedEngine`), bit-for-bit
+        identical to the unsharded engine.  Why-not questions rank on
+        the one global kernel either way.  ``shards=1``
         exercises the sharded machinery with a single shard (the E12
         scatter baseline).
     partitioner:
@@ -189,9 +189,7 @@ class YaskEngine:
                 partitioner=partitioner,
                 text_model=text_model,
             )
-        self._scorer = Scorer(
-            database, text_model=text_model, shard_router=self._shard_router
-        )
+        self._scorer = Scorer(database, text_model=text_model)
         # Never None: supports() was checked above.
         self._kernel = cast(ScoringKernel, self._scorer.kernel)
         # The kernel serves top-k, the explanation generator's counting
@@ -225,8 +223,9 @@ class YaskEngine:
             from repro.service.sharded import ShardedEngine
 
             self._topk_engine = ShardedEngine(self._shard_router, self._scorer)
-            # Listener order is delivery order: after the kernel, the
-            # router routes each batch to its shards.
+            # Listener order is delivery order, and the router comes
+            # last: it reads only the parent database, which the batch
+            # changed before any listener ran.
             self._mutable.register_listener(self._shard_router)
         self._wal: "WriteAheadLog | None" = None
         if wal is not None:
@@ -384,7 +383,7 @@ class YaskEngine:
         and its scan index (tombstone + append + threshold compaction —
         the global kernel and each shard's by the same rule) and the
         shard router (owning-shard routing, summaries widened or, when a
-        boundary holder left, recomputed; row maps patched) are all
+        boundary holder left, recomputed) are all
         updated in place, in O(batch).  After this returns, every
         query answer is bit-for-bit what a fresh engine built from the
         new object set would produce.  Serving-tier caches are *not*

@@ -111,6 +111,25 @@ class TestCorpusStatistics:
         db = SpatialDatabase([obj(0, doc=("a", "b")), obj(1, x=1, doc=("b",))])
         assert db.keyword_document_frequencies() == {"a": 1, "b": 2}
 
+    def test_doc_masks_are_keyword_postings(self, small_db):
+        """Bit ``id_of(t)`` of a row's mask is set exactly when the
+        object's doc holds ``t``: the columns the scoring kernel reads."""
+        vocabulary = small_db.vocabulary_index
+        assert set(vocabulary.keywords) == small_db.vocabulary()
+        masks = small_db.doc_masks
+        for keyword in sorted(small_db.vocabulary()):
+            bit = 1 << vocabulary.id_of(keyword)
+            posted = {obj.oid for obj, mask in zip(small_db, masks) if mask & bit}
+            assert posted == {obj.oid for obj in small_db if keyword in obj.doc}
+
+    def test_document_frequencies_count_mask_bits(self, small_db):
+        vocabulary = small_db.vocabulary_index
+        masks = small_db.doc_masks
+        assert small_db.keyword_document_frequencies() == {
+            keyword: sum(1 for mask in masks if mask >> vocabulary.id_of(keyword) & 1)
+            for keyword in vocabulary.keywords
+        }
+
     def test_summary_fields(self):
         db = SpatialDatabase([obj(0, doc=("a",)), obj(1, x=2, y=1, doc=("a", "b", "c"))])
         summary = db.summary()

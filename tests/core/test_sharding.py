@@ -3,15 +3,16 @@
 The bit-for-bit parity of whole engines is covered by
 ``tests/properties/test_prop_sharding.py``; here the partitioners, the
 shard summaries, the pruning bounds' *safety* (never below a true shard
-maximum) and the router bookkeeping are pinned down directly.
+maximum), the router bookkeeping and the one plain kernel a sharded
+engine ranks on are pinned down directly.
 """
 
-import math
 import random
 
 import pytest
 
 from repro.core.geometry import Point, Rect
+from repro.core.kernel import ScoringKernel
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
@@ -20,7 +21,7 @@ from repro.core.sharding import (
     PARTITIONERS,
     Shard,
     ShardRouter,
-    ShardedKernel,
+    ShardStats,
     grid_partition,
     round_robin_partition,
 )
@@ -43,6 +44,26 @@ def clustered_db() -> SpatialDatabase:
         400, vocabulary_size=40, doc_length=(2, 6),
         spatial="clustered", clusters=6,
     )
+
+
+def fresh_engine(database: SpatialDatabase, **options) -> YaskEngine:
+    """An engine over a private copy: mutation batches change its database."""
+    return YaskEngine(
+        SpatialDatabase(database.objects, dataspace=database.dataspace),
+        **options,
+    )
+
+
+def assert_oid_map_matches_shards(router: ShardRouter) -> None:
+    """``oid → shard index`` names, for every live object, the shard
+    whose sub-database holds it, and no other oid."""
+    expected = {
+        obj.oid: index
+        for index, shard in enumerate(router.shards)
+        for obj in shard.database
+    }
+    assert router._shard_of_oid == expected
+    assert expected.keys() == {obj.oid for obj in router.database}
 
 
 def assert_disjoint_cover(assignments, n):
@@ -106,14 +127,14 @@ class TestRouter:
 
     def test_shard_summaries(self, clustered_db):
         router = ShardRouter(clustered_db, shards=3, text_model=JACCARD)
-        masks = clustered_db.doc_masks
+        encode = clustered_db.vocabulary_index.encode
         for shard in router.shards:
             union = 0
             lengths = []
-            for row in shard.rows:
-                union |= masks[row]
-                lengths.append(len(clustered_db.objects[row].doc))
-                assert shard.mbr.contains_point(clustered_db.objects[row].loc)
+            for obj in shard.database:
+                union |= encode(obj.doc)
+                lengths.append(len(obj.doc))
+                assert shard.mbr.contains_point(obj.loc)
             assert shard.vocab_mask == union
             assert shard.min_doc_len == min(lengths)
             assert shard.max_doc_len == max(lengths)
@@ -122,11 +143,11 @@ class TestRouter:
         router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
         covered = []
         for shard in router.shards:
-            for local, row in enumerate(shard.rows):
-                oid = clustered_db.objects[row].oid
-                assert shard.kernel.row_of(oid) == local
-                covered.append(row)
-        assert sorted(covered) == list(range(len(clustered_db)))
+            for local, obj in enumerate(shard.database.objects):
+                assert clustered_db.get(obj.oid) is obj
+                assert shard.kernel.row_of(obj.oid) == local
+                covered.append(obj.oid)
+        assert sorted(covered) == sorted(obj.oid for obj in clustered_db)
 
     def test_rejects_unknown_partitioner(self, clustered_db):
         with pytest.raises(ValueError, match="unknown partitioner"):
@@ -212,56 +233,9 @@ class TestBoundSafety:
         assert bound == 0.0
 
 
-class TestShardedKernel:
-    def test_maybe_build_falls_back_without_router(self, clustered_db):
-        kernel = ShardedKernel.maybe_build(clustered_db, JACCARD, None)
-        assert kernel is not None and not isinstance(kernel, ShardedKernel)
-
-    def test_maybe_build_none_for_unsupported_model(self, clustered_db):
-        model = CosineTfIdfSimilarity(
-            clustered_db.keyword_document_frequencies(), len(clustered_db)
-        )
-        assert ShardedKernel.maybe_build(clustered_db, model, None) is None
-
-    def test_router_database_mismatch_rejected(self, clustered_db, small_db):
-        router = ShardRouter(small_db, shards=2, text_model=JACCARD)
-        with pytest.raises(ValueError, match="same database"):
-            ShardedKernel(clustered_db, JACCARD, router)
-
-    def test_proximity_column_is_database_ordered(self, clustered_db):
-        router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
-        sharded = Scorer(clustered_db, shard_router=router)
-        plain = Scorer(clustered_db)
-        keyword = sorted(clustered_db.vocabulary())[0]
-        query = SpatialKeywordQuery(
-            loc=Point(0.4, 0.6), doc=frozenset({keyword}), k=2
-        )
-        column = sharded.kernel.proximities(query)
-        assert list(column) == plain.kernel.proximities(query)
-        assert len(column.shard_slices) == 4
-        for piece, top in zip(column.shard_slices, column.shard_maxima):
-            assert top == max(piece)
-
-    def test_skip_counters_move(self, clustered_db):
-        router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
-        scorer = Scorer(clustered_db, shard_router=router)
-        vocab = sorted(clustered_db.vocabulary())
-        query = SpatialKeywordQuery(
-            loc=Point(0.1, 0.1), doc=frozenset(vocab[:2]), k=3,
-            weights=Weights.from_spatial(0.9),
-        )
-        target = clustered_db.objects[0]
-        scorer.rank_of(target, query)
-        stats = router.stats.to_dict()
-        assert stats["count_passes"] == 1
-        assert (
-            stats["count_shards_scanned"] + stats["count_shards_skipped"] == 4
-        )
-
-
 class TestMaintenanceIsBatchSized:
-    """A batch that renumbers nothing and moves no boundary pays for
-    neither: no compaction, no summary recompute, no row-map rebuild."""
+    """A batch that moves no boundary pays for neither a compaction nor
+    a summary recompute."""
 
     def test_e16_shaped_batches_then_a_delete_heavy_tail(
         self, clustered_db, monkeypatch
@@ -271,13 +245,14 @@ class TestMaintenanceIsBatchSized:
             shards=4,
         )
         router, kernel = engine.shard_router, engine.kernel
-        calls = {"_recompute_summaries": 0, "_rebuild_row_maps": 0}
-        for owner, name in ((Shard, "_recompute_summaries"),
-                            (ShardRouter, "_rebuild_row_maps")):
-            def counted(self, *args, _original=getattr(owner, name), _name=name):
-                calls[_name] += 1
-                return _original(self, *args)
-            monkeypatch.setattr(owner, name, counted)
+        calls = {"_recompute_summaries": 0}
+        original = Shard._recompute_summaries
+
+        def counted(self, *args):
+            calls["_recompute_summaries"] += 1
+            return original(self, *args)
+
+        monkeypatch.setattr(Shard, "_recompute_summaries", counted)
 
         # Inserts that can never hold a boundary wherever they land:
         # strictly inside a shard's MBR, keywords and a doc length that
@@ -322,7 +297,7 @@ class TestMaintenanceIsBatchSized:
         assert [shard.kernel.compactions for shard in router.shards] == [0] * 4
         assert sum(shard.kernel.mutation_info()["tombstones"]
                    for shard in router.shards) == 2 * 49
-        assert calls == {"_recompute_summaries": 0, "_rebuild_row_maps": 0}
+        assert calls == {"_recompute_summaries": 0}
 
         # The tail: retire a third of one shard, its west-most object
         # (an MBR edge) first.  That shard's kernel crosses its own
@@ -337,11 +312,167 @@ class TestMaintenanceIsBatchSized:
         assert victim.kernel.compactions >= 1
         assert kernel.compactions == 0 and kernel.has_tombstones
         assert calls["_recompute_summaries"] >= 1
-        assert calls["_rebuild_row_maps"] == victim.kernel.compactions
         owners = {
             obj.oid: shard for shard in router.shards for obj in shard.database
         }
-        for obj in engine.database:
-            shard = owners[obj.oid]
-            assert shard.rows[shard.kernel.row_of(obj.oid)] == kernel.row_of(obj.oid)
+        assert owners.keys() == {obj.oid for obj in engine.database}
+        for oid, shard in owners.items():
+            assert shard.database.get(oid) is engine.database.get(oid)
+            assert router.shards[router._shard_of_oid[oid]] is shard
+        engine.close()
+
+
+class TestOneKernel:
+    """A sharded engine ranks on one plain kernel over the whole
+    database; its shards serve the top-k scatter and nothing else."""
+
+    def test_sharded_engine_scores_on_one_plain_kernel(self, clustered_db):
+        engine = fresh_engine(clustered_db, shards=4)
+        assert type(engine.kernel) is ScoringKernel
+        assert engine.scorer.kernel is engine.kernel
+        assert engine.kernel.database is engine.database
+        assert engine.kernel.live_count == len(clustered_db)
+        engine.close()
+
+    def test_shard_kernels_are_plain_kernels_over_their_members(
+        self, clustered_db
+    ):
+        router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
+        for shard in router.shards:
+            assert type(shard.kernel) is ScoringKernel
+            assert shard.kernel.database is shard.database
+            assert shard.kernel.live_count == len(shard) == len(shard.database)
+
+    def test_scorer_takes_no_shard_router(self, clustered_db):
+        router = ShardRouter(clustered_db, shards=2, text_model=JACCARD)
+        with pytest.raises(TypeError, match="shard_router"):
+            Scorer(clustered_db, shard_router=router)
+
+    def test_stats_count_only_the_topk_scatter(self, clustered_db):
+        fields = {
+            "topk_searches",
+            "topk_shards_scanned",
+            "topk_shards_skipped",
+            "topk_scatter_ms",
+            "topk_merge_ms",
+        }
+        assert ShardStats().to_dict().keys() == fields
+        router = ShardRouter(clustered_db, shards=3, text_model=JACCARD)
+        assert router.to_dict().keys() == {"count", "partitioner", "objects"} | fields
+
+    def test_rank_utilities_never_touch_the_shards(self, clustered_db):
+        engine = fresh_engine(clustered_db, shards=4)
+        router, scorer = engine.shard_router, engine.scorer
+        vocab = sorted(clustered_db.vocabulary())
+        query = SpatialKeywordQuery(
+            loc=Point(0.1, 0.1), doc=frozenset(vocab[:2]), k=3,
+            weights=Weights.from_spatial(0.9),
+        )
+        targets = list(engine.database.objects[:3])
+        scorer.rank_of(targets[0], query)
+        scorer.worst_rank(targets, query)
+        engine.kernel.doc_context(frozenset(vocab[2:4])).rank_scan(
+            query.ws, query.wt, engine.kernel.proximities(query), targets[0].oid
+        )
+        stats = engine.kernel.stats.to_dict()
+        assert stats["count_better_calls"] == 1
+        assert stats["rank_of_many_calls"] == 1
+        assert stats["doc_rank_scans"] == 1
+        assert all(value == 0 for value in router.stats.to_dict().values())
+        for shard in router.shards:
+            assert all(value == 0 for value in shard.kernel.stats.to_dict().values())
+        engine.close()
+
+    @pytest.mark.parametrize("partitioner", ["grid", "round-robin"])
+    def test_rank_utilities_match_the_set_path(self, clustered_db, partitioner):
+        engine = fresh_engine(clustered_db, shards=4, partitioner=partitioner)
+        oracle = Scorer(clustered_db, use_kernel=False)
+        vocab = sorted(clustered_db.vocabulary())
+        query = SpatialKeywordQuery(
+            loc=Point(0.4, 0.6), doc=frozenset(vocab[3:6]), k=5,
+            weights=Weights.from_spatial(0.3),
+        )
+        sample = engine.database.objects[::37]
+        for obj in sample:
+            assert engine.scorer.rank_of(obj, query) == oracle.rank_of(obj, query)
+        assert engine.scorer.worst_rank(sample, query) == oracle.worst_rank(
+            sample, query
+        )
+        engine.close()
+
+    def test_proximity_column_is_database_ordered(self, clustered_db):
+        engine = fresh_engine(clustered_db, shards=4)
+        oracle = Scorer(clustered_db, use_kernel=False)
+        query = SpatialKeywordQuery(
+            loc=Point(0.4, 0.6), doc=frozenset(sorted(clustered_db.vocabulary())[:1]),
+            k=2,
+        )
+        assert engine.kernel.proximities(query) == [
+            1.0 - oracle.sdist(obj, query) for obj in clustered_db
+        ]
+        engine.close()
+
+
+class TestEmptiedShard:
+    """A batch that empties a shard drops it; the shards after it move
+    down one index, so the router re-reads ``oid → shard`` off the
+    survivors' kernels and later batches route by the new indices."""
+
+    @staticmethod
+    def drop_shard(engine: YaskEngine, index: int) -> tuple[int, ...]:
+        router = engine.shard_router
+        ids_before = tuple(shard.shard_id for shard in router.shards)
+        doomed = [obj.oid for obj in router.shards[index].database]
+        engine.apply_mutations([Mutation.delete(oid) for oid in doomed])
+        return ids_before[:index] + ids_before[index + 1 :]
+
+    def test_emptied_shard_is_dropped_and_the_map_re_read(self, clustered_db):
+        engine = fresh_engine(clustered_db, shards=4)
+        survivors = self.drop_shard(engine, 1)
+        router = engine.shard_router
+        assert tuple(shard.shard_id for shard in router.shards) == survivors
+        assert len(router) == 3
+        assert sum(router.shard_sizes()) == len(engine.database)
+        assert_oid_map_matches_shards(router)
+        engine.close()
+
+    def test_re_read_map_skips_tombstoned_members(self, clustered_db):
+        engine = fresh_engine(clustered_db, shards=4)
+        router = engine.shard_router
+        # One delete per surviving shard stays a tombstone in its kernel.
+        tombstoned = [router.shards[index].database.objects[0].oid
+                      for index in (0, 2, 3)]
+        engine.apply_mutations([Mutation.delete(oid) for oid in tombstoned])
+        assert all(router.shards[index].kernel.has_tombstones
+                   for index in (0, 2, 3))
+        self.drop_shard(engine, 1)
+        assert not set(tombstoned) & router._shard_of_oid.keys()
+        assert_oid_map_matches_shards(router)
+        engine.close()
+
+    def test_later_batches_route_by_the_shifted_indices(self, clustered_db):
+        engine = fresh_engine(clustered_db, shards=4)
+        self.drop_shard(engine, 0)
+        router = engine.shard_router
+        last = router.shards[-1]
+        victim = last.database.objects[0].oid
+        newcomer = SpatialObject(
+            2_000_000, last.mbr.center, frozenset(sorted(clustered_db.vocabulary())[:2])
+        )
+        engine.apply_mutations(
+            [Mutation.delete(victim), Mutation.insert(newcomer)]
+        )
+        assert victim not in last.database
+        assert router.shards[router._shard_of_oid[newcomer.oid]].database.get(
+            newcomer.oid
+        ) is engine.database.get(newcomer.oid)
+        assert_oid_map_matches_shards(router)
+        query = SpatialKeywordQuery(
+            loc=newcomer.loc, doc=newcomer.doc, k=10,
+            weights=Weights.from_spatial(0.5),
+        )
+        oracle = Scorer(engine.database, use_kernel=False)
+        assert [tuple(entry) for entry in engine.query(query)] == [
+            tuple(entry) for entry in oracle.top_k(query)
+        ]
         engine.close()

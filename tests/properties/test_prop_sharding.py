@@ -1,19 +1,20 @@
 """Property suite: the sharded engine is bit-for-bit the unsharded one.
 
-Every sharded primitive — scatter-gather top-k, the pruned rank
-primitives, the dual-space sweep substrate and whole why-not answers —
-must produce *identical* values to the plain-kernel path (which PR 3's
-suite in turn pins to the set-based semantics oracle).  Shard skipping
-is only sound if no skipped shard could have contributed, so these
-tests are the safety net for every bound in ``repro.core.sharding``.
+The scatter-gather top-k and whole why-not answers must produce
+*identical* values to the plain-kernel path (which
+``test_prop_kernel.py`` in turn pins to the set-based semantics
+oracle), and the rank primitives a sharded engine's why-not modules
+read off its one global kernel must match the set path directly.  Shard skipping is only sound if no skipped shard could have
+contributed, so these tests are the safety net for every bound in
+``repro.core.sharding``.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.query import Weights
 from repro.core.scoring import Scorer
 from repro.core.sharding import ShardRouter
 from repro.service.api import YaskEngine
@@ -25,20 +26,21 @@ partitioners = st.sampled_from(["grid", "round-robin"])
 
 
 def make_pair(database, shards, partitioner):
-    """(plain scorer, sharded scorer) over one database."""
+    """(scorer, shard router) over one database."""
+    scorer = Scorer(database)
     router = ShardRouter(
         database, shards=shards, partitioner=partitioner,
-        text_model=Scorer(database).text_model,
+        text_model=scorer.text_model,
     )
-    return Scorer(database), Scorer(database, shard_router=router), router
+    return scorer, router
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=databases_with_queries(), shards=shard_counts, part=partitioners)
 def test_scatter_gather_topk_matches_oracle(data, shards, part):
     database, query = data
-    plain, sharded, router = make_pair(database, shards, part)
-    engine = ShardedEngine(router, sharded)
+    plain, router = make_pair(database, shards, part)
+    engine = ShardedEngine(router, plain)
     expected = plain.top_k(query)
     actual = engine.search(query)
     assert [tuple(e) for e in actual] == [tuple(e) for e in expected]
@@ -54,7 +56,7 @@ def test_floor_cut_scans_merge_to_the_same_topk(data, shards, part):
     floor still reach the merge and compete on oid.
     """
     database, query = data
-    plain, sharded, router = make_pair(database, shards, part)
+    plain, router = make_pair(database, shards, part)
     expected = plain.top_k(query)
     floor = expected[-1].score
     merged = []
@@ -70,13 +72,16 @@ def test_floor_cut_scans_merge_to_the_same_topk(data, shards, part):
 
 @settings(max_examples=60, deadline=None)
 @given(data=databases_with_queries(), shards=shard_counts, part=partitioners)
-def test_rank_primitives_match(data, shards, part):
+def test_sharded_rank_primitives_match_set_path(data, shards, part):
+    """A sharded engine's rank utilities run on its one global kernel
+    and agree with the set path."""
     database, query = data
-    plain, sharded, _ = make_pair(database, shards, part)
+    engine = YaskEngine(database, shards=shards, partitioner=part)
+    oracle = Scorer(database, use_kernel=False)
     for obj in database:
-        assert sharded.rank_of(obj, query) == plain.rank_of(obj, query)
+        assert engine.scorer.rank_of(obj, query) == oracle.rank_of(obj, query)
     targets = list(database.objects[:3])
-    assert sharded.worst_rank(targets, query) == plain.worst_rank(
+    assert engine.scorer.worst_rank(targets, query) == oracle.worst_rank(
         targets, query
     )
 
@@ -88,55 +93,39 @@ def test_rank_primitives_match(data, shards, part):
     part=partitioners,
     ws=st.floats(min_value=0.02, max_value=0.98),
 )
-def test_dual_view_primitives_match(data, shards, part, ws):
+def test_sharded_dual_view_matches_set_path(data, shards, part, ws):
+    """The dual view a sharded engine's why-not modules read holds the
+    set path's dual points and ranks its targets as the set path does."""
     database, query = data
-    plain, sharded, _ = make_pair(database, shards, part)
+    engine = YaskEngine(database, shards=shards, partitioner=part)
+    oracle = Scorer(database, use_kernel=False)
     oids = [obj.oid for obj in database.objects[:4]]
-    plain_view = plain.kernel.dual_view(query, oids)
-    sharded_view = sharded.kernel.dual_view(query, oids)
-
-    # Both hold the same rows: every row the targets can meet, and only those.
-    for dual in plain.dual_points(query):
-        try:
-            expected = plain_view.dual_points_of([dual.oid])
-        except KeyError:
-            with pytest.raises(KeyError):
-                sharded_view.dual_points_of([dual.oid])
-        else:
-            assert sharded_view.dual_points_of([dual.oid]) == expected == [dual]
-
-    wt = 1.0 - ws
-    assert sharded_view.ranks_at(ws, wt, oids) == plain_view.ranks_at(
-        ws, wt, oids
-    )
-    for oid in oids:
-        assert sharded_view.crossing_candidates(
-            oid
-        ) == plain_view.crossing_candidates(oid)
-        assert sharded_view.strictly_above_at_zero(
-            oid
-        ) == plain_view.strictly_above_at_zero(oid)
-        assert sharded_view.permanent_ties_smaller(
-            oid
-        ) == plain_view.permanent_ties_smaller(oid)
+    view = engine.kernel.dual_view(query, oids)
+    expected = {dual.oid: dual for dual in oracle.dual_points(query)}
+    assert view.dual_points_of(oids) == [expected[oid] for oid in oids]
+    weights = Weights.from_spatial(ws)
+    reweighted = query.with_weights(weights)
+    assert view.ranks_at(weights.ws, weights.wt, oids) == {
+        oid: oracle.rank_of(database.get(oid), reweighted) for oid in oids
+    }
 
 
 @settings(max_examples=30, deadline=None)
 @given(data=databases_with_queries(), shards=shard_counts, part=partitioners)
-def test_doc_rank_scans_match(data, shards, part):
+def test_sharded_doc_rank_scans_match_set_path(data, shards, part):
+    """The keyword module's candidate-doc rank scans, on a sharded
+    engine's kernel, agree with the set path under the candidate doc."""
     database, query = data
-    plain, sharded, _ = make_pair(database, shards, part)
-    plain_prox = plain.kernel.proximities(query)
-    sharded_prox = sharded.kernel.proximities(query)
-    assert list(sharded_prox) == plain_prox
-
-    candidate = frozenset(list(query.doc)[:1]) | frozenset({"t0", "t7"})
-    plain_ctx = plain.kernel.doc_context(candidate)
-    sharded_ctx = sharded.kernel.doc_context(candidate)
+    engine = YaskEngine(database, shards=shards, partitioner=part)
+    oracle = Scorer(database, use_kernel=False)
+    proximities = engine.kernel.proximities(query)
+    candidate = frozenset(sorted(query.doc)[:1]) | frozenset({"t0", "t7"})
+    context = engine.kernel.doc_context(candidate)
+    adapted = query.with_doc(candidate)
     for obj in database.objects[:5]:
-        assert sharded_ctx.rank_scan(
-            query.ws, query.wt, sharded_prox, obj.oid
-        ) == plain_ctx.rank_scan(query.ws, query.wt, plain_prox, obj.oid)
+        assert context.rank_scan(
+            query.ws, query.wt, proximities, obj.oid
+        ) == oracle.rank_of(obj, adapted)
 
 
 @settings(max_examples=20, deadline=None)

@@ -110,6 +110,22 @@ class TestOneDualSpacePerSession:
             assert ask(engine, model, scenario) == ask(cold, model, scenario)
             cold.close()
 
+    def test_no_question_runs_a_whole_database_rank_scan(
+        self, engine, small_db, scenarios
+    ):
+        """Every kind ranks in dual space on the one global kernel, so a
+        sharded engine's answers are the unsharded engine's, and no
+        question of either counts beaters over the whole database."""
+        plain = YaskEngine(small_db)
+        for scenario in scenarios[:3]:
+            for model in ("explain", "preference", "keywords", "combined"):
+                assert ask(engine, model, scenario) == ask(plain, model, scenario)
+        plain.close()
+        stats = engine.kernel.stats.to_dict()
+        assert stats["count_better_calls"] == 0
+        assert stats["rank_of_many_calls"] == 0
+        assert stats["doc_rank_scans"] == 0
+
     def test_k_is_not_part_of_the_key(self, engine, scenarios):
         scenario = scenarios[0]
         ask(engine, "explain", scenario)
