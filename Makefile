@@ -26,7 +26,7 @@
 #                      >50% warm top-k hit rate under writes, a
 #                      maintenance pass over 64 cached explain answers
 #                      <=3x a pass over none, a sharded batch with
-#                      removals <=5.5x an insert-only one) and E14
+#                      removals <=2.5x an insert-only one) and E14
 #                      (durability: logged ingest >=0.6x unlogged,
 #                      snapshot recovery >=1x vs full-log rebuild)
 #   make bench-json  — refresh BENCH_E9/…/E14.json at the repo root

@@ -517,6 +517,7 @@ class ScoringKernel:
         database: SpatialDatabase,
         text_model: TextSimilarityModel,
         *,
+        rows: Sequence[int] | None = None,
         compaction_threshold: float = DEFAULT_COMPACTION_THRESHOLD,
     ) -> None:
         code = _MODEL_CODES.get(type(text_model))
@@ -530,11 +531,15 @@ class ScoringKernel:
         self._database = database
         self._model = text_model
         self.model_code = code
-        objects = database.objects
+        objects: Sequence[SpatialObject] = database.objects
+        masks: Sequence[int] = database.doc_masks
+        if rows is not None:  # a shard's members, in the database's bit space
+            objects = [objects[row] for row in rows]
+            masks = [masks[row] for row in rows]
         self._n = len(objects)
         self._xs = array("d", (obj.loc.x for obj in objects))
         self._ys = array("d", (obj.loc.y for obj in objects))
-        self._masks: list[int] = list(database.doc_masks)
+        self._masks: list[int] = list(masks)
         self._lens = array("q", (len(obj.doc) for obj in objects))
         self._oids = array("q", (obj.oid for obj in objects))
         # Row-aligned object column (None at tombstones): the result
@@ -630,10 +635,51 @@ class ScoringKernel:
         encoded against its (already extended) vocabulary.  Every kernel
         — unsharded, a sharded engine's global one, each shard's — keeps
         its tombstones until they pass its own ``compaction_threshold``.
+
+        The scan index, when one has been built, follows in O(batch):
+        a delete clears its ``alive`` bit, an insert joins its unsorted
+        tail, a compaction re-keys its row map; only a tail grown past
+        its share of the build drops it for the next scan to rebuild.
         """
         appended: Sequence[SpatialObject] = change.appended
         rows = self.encode_rows(appended, self.vocabulary)
-        self.apply_raw(change.removed_oids, rows, objects=appended)
+        scan_index = self._scan_index
+        for oid in change.removed_oids:
+            row = self._row_of.pop(oid)
+            if scan_index is not None:
+                scan_index.delete(row)
+            self._xs[row] = _DEAD_COORD
+            self._ys[row] = _DEAD_COORD
+            self._masks[row] = 0
+            self._lens[row] = 1
+            self._oids[row] = _DEAD_OID
+            self._objects[row] = None
+            self._alive[row] = False
+            self._dead_count += 1
+        for obj, (x, y, mask, doc_len, oid) in zip(appended, rows):
+            self._xs.append(x)
+            self._ys.append(y)
+            self._masks.append(mask)
+            self._lens.append(doc_len)
+            self._oids.append(oid)
+            self._objects.append(obj)
+            self._alive.append(True)
+            self._row_of[oid] = self._n
+            self._n += 1
+            if scan_index is not None:
+                scan_index.append(x, y, mask, doc_len, oid)
+            # Incremental oid-order tracking: deletes preserve a
+            # rising live sequence, appends keep it only past the
+            # highest id ever seen (conservative after the max is
+            # deleted — the decorated sort is always correct).
+            if oid > self._max_seen_oid:
+                self._max_seen_oid = oid
+            else:
+                self._oids_ascending = False
+        if scan_index is not None and scan_index.tail_overgrown:
+            self._scan_index = None
+        if self._dead_count > self.compaction_threshold * self._n:
+            self._compact()
 
     @staticmethod
     def encode_rows(
@@ -652,64 +698,6 @@ class ScoringKernel:
             (obj.loc.x, obj.loc.y, encode(obj.doc), len(obj.doc), obj.oid)
             for obj in objects
         )
-
-    def apply_raw(
-        self,
-        removed_oids: Iterable[int],
-        rows: Sequence[tuple[float, float, int, int, int]],
-        *,
-        objects: Sequence[SpatialObject] | None = None,
-    ) -> None:
-        """Apply a pre-encoded column delta: tombstone, append, compact.
-
-        ``rows`` are ``(x, y, mask, doc_len, oid)`` tuples with masks in
-        *this kernel's* bit space — exactly what
-        :meth:`apply_mutations` encodes.  ``objects`` supplies the
-        row-aligned :class:`SpatialObject` instances for the
-        materialisation column (``None`` placeholders without it).
-
-        The scan index, when one has been built, follows in O(batch):
-        a delete clears its ``alive`` bit, an insert joins its unsorted
-        tail, a compaction re-keys its row map; only a tail grown past
-        its share of the build drops it for the next scan to rebuild.
-        """
-        scan_index = self._scan_index
-        for oid in removed_oids:
-            row = self._row_of.pop(oid)
-            if scan_index is not None:
-                scan_index.delete(row)
-            self._xs[row] = _DEAD_COORD
-            self._ys[row] = _DEAD_COORD
-            self._masks[row] = 0
-            self._lens[row] = 1
-            self._oids[row] = _DEAD_OID
-            self._objects[row] = None
-            self._alive[row] = False
-            self._dead_count += 1
-        for index, (x, y, mask, doc_len, oid) in enumerate(rows):
-            self._xs.append(x)
-            self._ys.append(y)
-            self._masks.append(mask)
-            self._lens.append(doc_len)
-            self._oids.append(oid)
-            self._objects.append(None if objects is None else objects[index])
-            self._alive.append(True)
-            self._row_of[oid] = self._n
-            self._n += 1
-            if scan_index is not None:
-                scan_index.append(x, y, mask, doc_len, oid)
-            # Incremental oid-order tracking: deletes preserve a
-            # rising live sequence, appends keep it only past the
-            # highest id ever seen (conservative after the max is
-            # deleted — the decorated sort is always correct).
-            if oid > self._max_seen_oid:
-                self._max_seen_oid = oid
-            else:
-                self._oids_ascending = False
-        if scan_index is not None and scan_index.tail_overgrown:
-            self._scan_index = None
-        if self._dead_count > self.compaction_threshold * self._n:
-            self._compact()
 
     def _compact(self) -> None:
         """Drop tombstoned rows, renumbering the survivors in order."""
@@ -912,7 +900,7 @@ class ScoringKernel:
     def _built_scan_index(self) -> tuple[ScanIndex, int]:
         """``(the scan index, 1 if this call built it)``, built under a leaf
         lock: readers hold the engine's shared lock and a mutation its
-        exclusive one, so a build can never race :meth:`apply_raw`."""
+        exclusive one, so a build can never race :meth:`apply_mutations`."""
         index = self._scan_index
         if index is not None:
             return index, 0

@@ -14,9 +14,8 @@ that normalises Euclidean distances into ``[0, 1]`` as Eqn. (1) requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from itertools import compress
-from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from repro.core.geometry import Point, Rect
 from repro.text.tokenize import document_frequencies
@@ -97,7 +96,8 @@ class SpatialDatabase:
     package-private :meth:`_apply_mutations` — the dataspace (and hence
     the distance normaliser, i.e. every score float) is pinned at
     construction and never changes, and the interned vocabulary grows
-    append-only so existing doc masks stay valid.
+    append-only so existing doc masks stay valid.  Each object is stored
+    once, in the id map, whose insertion order is the object order.
     """
 
     def __init__(
@@ -107,19 +107,18 @@ class SpatialDatabase:
         dataspace: Rect | None = None,
         margin: float = 0.0,
     ) -> None:
-        self._objects: tuple[SpatialObject, ...] = tuple(objects)
-        if not self._objects:
-            raise ValueError("a SpatialDatabase requires at least one object")
         self._by_id: dict[int, SpatialObject] = {}
         self._by_name: dict[str, SpatialObject] = {}
-        for obj in self._objects:
+        for obj in objects:
             if obj.oid in self._by_id:
                 raise ValueError(f"duplicate object id {obj.oid}")
             self._by_id[obj.oid] = obj
             if obj.name is not None and obj.name not in self._by_name:
                 self._by_name[obj.name] = obj
+        if not self._by_id:
+            raise ValueError("a SpatialDatabase requires at least one object")
         if dataspace is None:
-            dataspace = Rect.from_points(obj.loc for obj in self._objects)
+            dataspace = Rect.from_points(obj.loc for obj in self._by_id.values())
             if margin > 0.0:
                 dataspace = dataspace.expanded(margin)
         self._dataspace = dataspace
@@ -127,21 +126,23 @@ class SpatialDatabase:
         # A degenerate (single-point) dataspace would make every distance
         # 0/0; treat it as the unit of measure instead so SDist stays 0.
         self._normaliser = diagonal if diagonal > 0.0 else 1.0
-        # Interned keyword table and per-object doc bitmasks (the
-        # columnar substrate of repro.core.kernel), built lazily on
-        # first use so text models without a kernel never pay for them
-        # — but at most once per database, shared by every kernel.
-        self._vocabulary_index: Vocabulary | None = None
+        # Dense caches over ``_by_id``, dropped by every batch.
+        self._objects: tuple[SpatialObject, ...] | None = None
         self._doc_masks: tuple[int, ...] | None = None
+        # Interned keyword table (the columnar substrate of
+        # repro.core.kernel), built lazily on first use so text models
+        # without a kernel never pay for it — but at most once per
+        # database, shared by every kernel.
+        self._vocabulary_index: Vocabulary | None = None
 
     # ------------------------------------------------------------------
     # Collection protocol
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._objects)
+        return len(self._by_id)
 
     def __iter__(self) -> Iterator[SpatialObject]:
-        return iter(self._objects)
+        return iter(self.objects)
 
     def __contains__(self, obj: object) -> bool:
         if isinstance(obj, SpatialObject):
@@ -152,8 +153,16 @@ class SpatialDatabase:
 
     @property
     def objects(self) -> tuple[SpatialObject, ...]:
-        """All objects, in insertion order."""
-        return self._objects
+        """All objects, in insertion order: a cache a batch drops.
+
+        On a live engine, read it (or iterate) under the engine's read
+        lock, or a stale pre-batch tuple could be cached.  Readers that
+        race to rebuild it build equal tuples.
+        """
+        objects = self._objects
+        if objects is None:
+            objects = self._objects = tuple(self._by_id.values())
+        return objects
 
     @property
     def dataspace(self) -> Rect:
@@ -216,39 +225,36 @@ class SpatialDatabase:
     def vocabulary(self) -> frozenset[str]:
         """Union of all object keyword sets."""
         vocab: set[str] = set()
-        for obj in self._objects:
+        for obj in self.objects:
             vocab.update(obj.doc)
         return frozenset(vocab)
 
-    def _ensure_interned(self) -> None:
-        """Build the vocabulary table and doc masks on first demand.
-
-        Idempotent and safe under a benign race: concurrent builders
-        derive identical immutable values from the immutable objects,
-        and each attribute assignment is atomic.
-        """
-        if self._doc_masks is None:
-            index = Vocabulary(obj.doc for obj in self._objects)
-            encode = index.encode
-            self._vocabulary_index = index
-            self._doc_masks = tuple(encode(obj.doc) for obj in self._objects)
-
     @property
     def interned(self) -> bool:
-        """Whether the vocabulary table and doc masks exist yet."""
-        return self._doc_masks is not None
+        """Whether the vocabulary table exists yet."""
+        return self._vocabulary_index is not None
 
     @property
     def vocabulary_index(self) -> Vocabulary:
         """The interned keyword → bit-position table of this corpus."""
-        self._ensure_interned()
-        return self._vocabulary_index
+        index = self._vocabulary_index
+        if index is None:
+            index = self._vocabulary_index = Vocabulary(
+                obj.doc for obj in self.objects
+            )
+        return index
 
     @property
     def doc_masks(self) -> tuple[int, ...]:
-        """Per-object doc bitmasks, aligned with :attr:`objects`."""
-        self._ensure_interned()
-        return self._doc_masks
+        """Per-object doc bitmasks, aligned with :attr:`objects` (a
+        cache like it, encoded against the append-only vocabulary)."""
+        masks = self._doc_masks
+        if masks is None:
+            encode = self.vocabulary_index.encode
+            masks = self._doc_masks = tuple(
+                encode(obj.doc) for obj in self.objects
+            )
+        return masks
 
     def adopt_vocabulary(self, keywords: Iterable[str]) -> None:
         """Re-intern against an explicit bit-position order.
@@ -266,7 +272,7 @@ class SpatialDatabase:
         over a freshly constructed database instead.
         """
         index = Vocabulary.from_ordered(keywords)
-        if self._doc_masks is not None:
+        if self._vocabulary_index is not None:
             if index.keywords == self._vocabulary_index.keywords:
                 return  # identical order: nothing to do
             raise ValueError(
@@ -275,7 +281,7 @@ class SpatialDatabase:
                 "attach the persisted index to a freshly built database"
             )
         try:
-            masks = tuple(index.encode(obj.doc) for obj in self._objects)
+            masks = tuple(index.encode(obj.doc) for obj in self.objects)
         except KeyError as exc:
             raise ValueError(
                 f"adopted vocabulary is missing corpus keyword {exc.args[0]!r}"
@@ -291,69 +297,50 @@ class SpatialDatabase:
         removed_oids: AbstractSet[int],
         appended: Sequence[SpatialObject],
     ) -> None:
-        """Apply one normalised mutation batch in place.
+        """Apply one normalised mutation batch in place, in O(batch).
 
         The caller (:class:`~repro.core.mutations.MutableDatabase`) has
         already validated the batch: removed ids exist, appended ids are
         unused after the removals, and the batch does not empty the
         database.  Order rule shared with every incrementally-maintained
-        kernel: survivors keep their relative order, appended objects
-        go to the end — so a compacted kernel's row order always equals
-        this object order.  Updates arrive decomposed as remove + append
-        (the updated object moves to the end).
+        kernel, and kept by ``_by_id``'s insertion order: survivors keep
+        their relative order, appends go to the end, and an update is a
+        remove + append — so a compacted kernel's row order always
+        equals this object order.  The dense caches are dropped.
         """
-        previous = self._objects
         by_id = self._by_id
         by_name = self._by_name
-        if removed_oids:
-            # One Python-level pass decides; both dense tuples are then
-            # filtered at C speed.
-            keep = [obj.oid not in removed_oids for obj in previous]
-            self._objects = tuple(compress(previous, keep)) + tuple(appended)
-            # Patch the id/name tables for the touched objects only.  A
-            # name passes to its next holder in object order, found by
-            # a rescan only when its registered holder is what left.
-            orphaned: set[str] = set()
-            for oid in removed_oids:
-                gone = by_id.pop(oid)
-                if gone.name is not None and by_name.get(gone.name) is gone:
-                    del by_name[gone.name]
-                    orphaned.add(gone.name)
-            if orphaned:
-                for obj in self._objects:
-                    if obj.name in orphaned:
-                        by_name[obj.name] = obj
-                        orphaned.discard(obj.name)
-                        if not orphaned:
-                            break
-        else:
-            # Insert-only (the live-ingest common case): C-speed tuple
-            # concatenation.
-            self._objects = previous + tuple(appended)
+        # A name passes to its next holder in object order, found by a
+        # rescan only when its registered holder is what left.
+        orphaned: set[str] = set()
+        for oid in removed_oids:
+            gone = by_id.pop(oid)
+            if gone.name is not None and by_name.get(gone.name) is gone:
+                del by_name[gone.name]
+                orphaned.add(gone.name)
         for obj in appended:
             by_id[obj.oid] = obj
             if obj.name is not None and obj.name not in by_name:
                 by_name[obj.name] = obj
-        if self._doc_masks is not None:
-            # Incremental interning: existing masks keep their bit
-            # positions (the vocabulary only ever appends), so only the
-            # appended objects are encoded.  Old masks are aligned with
-            # the previous object order and filtered like it.
-            index = self._vocabulary_index.extended(
+        if orphaned:  # the rescan overrides an appended claimant
+            for obj in by_id.values():
+                if obj.name in orphaned:
+                    by_name[obj.name] = obj
+                    orphaned.discard(obj.name)
+                    if not orphaned:
+                        break
+        self._objects = None
+        self._doc_masks = None
+        if self._vocabulary_index is not None:
+            # Kernels encode the appended rows against the extended
+            # table; existing bit positions never move.
+            self._vocabulary_index = self._vocabulary_index.extended(
                 obj.doc for obj in appended
-            )
-            self._vocabulary_index = index
-            encode = index.encode
-            masks = self._doc_masks
-            if removed_oids:
-                masks = tuple(compress(masks, keep))
-            self._doc_masks = masks + tuple(
-                encode(obj.doc) for obj in appended
             )
 
     def keyword_document_frequencies(self) -> dict[str, int]:
         """Keyword → number of objects containing it."""
-        return document_frequencies([obj.doc for obj in self._objects])
+        return document_frequencies([obj.doc for obj in self.objects])
 
     def filter(self, predicate: Callable[[SpatialObject], bool]) -> "SpatialDatabase":
         """Return a new database over the objects satisfying ``predicate``.
@@ -361,16 +348,16 @@ class SpatialDatabase:
         The dataspace (and therefore distance normalisation) is retained
         so scores remain comparable across the filtered view.
         """
-        kept = [obj for obj in self._objects if predicate(obj)]
+        kept = [obj for obj in self.objects if predicate(obj)]
         if not kept:
             raise ValueError("filter removed every object")
         return SpatialDatabase(kept, dataspace=self._dataspace)
 
     def summary(self) -> dict[str, float | int]:
         """Return dataset statistics used by benchmarks and DESIGN docs."""
-        doc_lengths = [len(obj.doc) for obj in self._objects]
+        doc_lengths = [len(obj.doc) for obj in self.objects]
         return {
-            "objects": len(self._objects),
+            "objects": len(self._by_id),
             "vocabulary": len(self.vocabulary()),
             "min_doc_len": min(doc_lengths),
             "max_doc_len": max(doc_lengths),

@@ -226,7 +226,7 @@ class ScanIndex:
     """Bit-sliced spatial-keyword index over one kernel's live rows.
 
     Built from a kernel's columns and maintained by the kernel's
-    ``apply_raw`` in O(batch): :meth:`delete` clears an ``alive`` bit,
+    ``apply_mutations`` in O(batch): :meth:`delete` clears an ``alive`` bit,
     :meth:`append` adds to the unsorted tail, :meth:`compact` follows a
     kernel compaction.  The keyword and length bitmaps keep dead
     positions, which every derived set loses to ``alive``, and
@@ -316,7 +316,7 @@ class ScanIndex:
         self._alive = (1 << built) - 1
 
     # ------------------------------------------------------------------
-    # Maintenance (driven by ScoringKernel.apply_raw)
+    # Maintenance (driven by ScoringKernel.apply_mutations)
     # ------------------------------------------------------------------
     def delete(self, row: int) -> None:
         """Kernel row ``row`` was tombstoned: it can no longer win."""

@@ -15,12 +15,11 @@ This module provides
   quantile tiles (near-equal populations, spatially coherent — the
   QDR-Tree-style locality clustering of PAPERS.md); round-robin is the
   spatially incoherent ablation.
-* :class:`Shard` — one partition: its own :class:`SpatialDatabase`
-  (inheriting the parent dataspace so distance normalisation — and
-  therefore every float — is identical), its own
-  :class:`~repro.core.kernel.ScoringKernel`, and the summaries the
-  pruning bounds need (objects MBR, keyword-union bitmask, doc-length
-  range).
+* :class:`Shard` — one partition: a
+  :class:`~repro.core.kernel.ScoringKernel` over its members' rows of
+  the parent database (same dataspace and vocabulary, so every float
+  and bit is the unsharded engine's) and the summaries the pruning
+  bounds need (objects MBR, keyword-union bitmask, doc-length range).
 * :class:`ShardRouter` — builds and owns the shards, routes mutation
   batches to them, computes per-query shard score upper bounds, and
   counts scatter/skip work in :class:`ShardStats` (surfaced through
@@ -141,8 +140,8 @@ def round_robin_partition(
 def _validated_shard_count(shards: int, n: int) -> int:
     if shards < 1:
         raise ValueError(f"shard count must be at least 1, got {shards}")
-    # Never more shards than objects (each shard owns a non-empty
-    # SpatialDatabase); callers asking for more get the maximum.
+    # Never more shards than objects (each shard owns at least one
+    # row); callers asking for more get the maximum.
     return min(shards, n)
 
 
@@ -221,16 +220,15 @@ class _ShardChange:
 class Shard:
     """One disjoint partition of the database, self-sufficient for scans.
 
-    Owns a sub-:class:`SpatialDatabase` built with the *parent
-    dataspace* — the normalisation constant, and therefore every
-    ``SDist``/score float, is identical to the unsharded database — and
-    a :class:`ScoringKernel` over it.  The shard-local vocabulary
-    assigns different bit positions than the global one, which is
-    irrelevant: every similarity formula consumes bit *counts* only.
+    Owns a :class:`ScoringKernel` over its members' rows of the parent
+    database — the parent dataspace, so the normalisation constant and
+    therefore every ``SDist``/score float is identical to the unsharded
+    database, and the parent's vocabulary bit space — plus the
+    summaries the pruning bounds read off that kernel's live rows.
 
-    ``vocab_mask`` is the union of the shard's doc bitmasks in the
-    *global* vocabulary's bit space, so query masks encoded once against
-    the parent database can be intersected with every shard.
+    ``vocab_mask`` is the union of the shard's doc bitmasks, so query
+    masks encoded once against the parent database can be intersected
+    with every shard.
 
     ``shard_id`` is the shard's index at partition time and survives
     its neighbours being dropped: the fault sites ``shard.scan.<id>``
@@ -239,7 +237,6 @@ class Shard:
 
     __slots__ = (
         "shard_id",
-        "database",
         "kernel",
         "mbr",
         "vocab_mask",
@@ -256,45 +253,32 @@ class Shard:
     ) -> None:
         if not rows:
             raise ValueError(f"shard {shard_id} would be empty")
-        objects = parent.objects
-        parent_masks = parent.doc_masks
         self.shard_id = shard_id
-        self.database = SpatialDatabase(
-            (objects[row] for row in rows), dataspace=parent.dataspace
-        )
-        kernel = ScoringKernel.maybe_build(self.database, text_model)
-        if kernel is None:  # pragma: no cover - router validates the model
-            raise ValueError(
-                f"{type(text_model).__name__} has no columnar kernel; "
-                "sharding requires one"
-            )
-        self.kernel = kernel
-        self._recompute_summaries(parent_masks[row] for row in rows)
+        self.kernel = ScoringKernel(parent, text_model, rows=rows)
+        self._recompute_summaries()
 
-    def _recompute_summaries(self, masks) -> None:
+    def _recompute_summaries(self) -> None:
         """Exact MBR / keyword-union / doc-length summaries from scratch.
 
-        ``masks`` are the members' doc bitmasks in the *global*
-        vocabulary's bit space, aligned with ``self.database.objects``.
-        Shared by construction and :meth:`apply_mutations`' removal of
-        a boundary holder — a shrunken summary must never drift from
-        the build-time definition or the pruning bounds over- or
-        under-prune.
+        Read off the kernel's live rows (a tombstone's mask is 0 and
+        its object ``None``).  Shared by construction and
+        :meth:`apply_mutations`' removal of a boundary holder — a
+        shrunken summary must never drift from the build-time
+        definition or the pruning bounds over- or under-prune.
         """
-        members = self.database.objects
-        self.mbr = Rect.from_points(obj.loc for obj in members)
+        kernel = self.kernel
+        self.mbr = Rect.from_points(
+            obj.loc for obj in kernel.row_objects if obj is not None
+        )
         union_mask = 0
-        min_len = max_len = len(members[0].doc)
-        for obj, mask in zip(members, masks):
+        for mask in kernel._masks:
             union_mask |= mask
-            length = len(obj.doc)
-            if length < min_len:
-                min_len = length
-            if length > max_len:
-                max_len = length
+        lengths = [
+            length for length, alive in zip(kernel._lens, kernel._alive) if alive
+        ]
         self.vocab_mask = union_mask
-        self.min_doc_len = min_len
-        self.max_doc_len = max_len
+        self.min_doc_len = min(lengths)
+        self.max_doc_len = max(lengths)
 
     def __len__(self) -> int:
         """Live members (the kernel's physical rows include tombstones)."""
@@ -307,42 +291,35 @@ class Shard:
         self,
         removed: Sequence[SpatialObject],
         appended: Sequence[SpatialObject],
-        parent: SpatialDatabase,
     ) -> None:
         """Apply this shard's slice of a batch and refresh its summaries.
 
-        The sub-database and kernel follow the global order rule
-        (survivors keep order, appends at the end); the kernel
-        tombstones and compacts at its own threshold.
+        The kernel follows the global order rule (survivors keep order,
+        appends at the end) and tombstones and compacts at its own
+        threshold.
 
         Summaries stay exact.  Appended objects *widen* them — the MBR
         unions the new points, the vocab mask ORs the new masks, the
         doc-length range stretches.  A removal can only tighten a
         summary the removed object was holding up
         (:meth:`_held_boundary`); only then are they rebuilt from the
-        surviving members.
+        surviving rows.
         """
-        removed_oids = {obj.oid for obj in removed}
-        self.database._apply_mutations(removed_oids, appended)
-        self.kernel.apply_mutations(
-            _ShardChange(frozenset(removed_oids), tuple(appended))
+        kernel = self.kernel
+        kernel.apply_mutations(
+            _ShardChange(frozenset(obj.oid for obj in removed), tuple(appended))
         )
-        encode = parent.vocabulary_index.encode
         if removed and self._held_boundary(removed):
-            self._recompute_summaries(
-                encode(obj.doc) for obj in self.database.objects
-            )
+            self._recompute_summaries()
         elif appended:
             self.mbr = self.mbr.union(
                 Rect.from_points(obj.loc for obj in appended)
             )
-            for obj in appended:
-                self.vocab_mask |= encode(obj.doc)
-                length = len(obj.doc)
-                if length < self.min_doc_len:
-                    self.min_doc_len = length
-                if length > self.max_doc_len:
-                    self.max_doc_len = length
+            for mask in kernel._masks[-len(appended) :]:  # the appended rows
+                self.vocab_mask |= mask
+            lengths = [len(obj.doc) for obj in appended]
+            self.min_doc_len = min(self.min_doc_len, *lengths)
+            self.max_doc_len = max(self.max_doc_len, *lengths)
 
     def _held_boundary(self, removed: Sequence[SpatialObject]) -> bool:
         """Whether losing ``removed`` can tighten a summary.
@@ -355,14 +332,14 @@ class Shard:
         """
         mbr = self.mbr
         kernel = self.kernel
-        encode_local = kernel.vocabulary.encode
+        encode = kernel.vocabulary.encode
         orphans = 0
         lengths: set[int] = set()
         for obj in removed:
             x, y = obj.loc.x, obj.loc.y
             if x in (mbr.min_x, mbr.max_x) or y in (mbr.min_y, mbr.max_y):
                 return True
-            orphans |= encode_local(obj.doc)
+            orphans |= encode(obj.doc)
             lengths.add(len(obj.doc))
         for extreme in lengths & {self.min_doc_len, self.max_doc_len}:
             if not any(
@@ -466,10 +443,6 @@ class ShardRouter:
             Shard(shard_id, database, rows, text_model)
             for shard_id, rows in enumerate(assignments)
         )
-        self._shard_of_oid: dict[int, int] = {}
-        for index, rows in enumerate(assignments):
-            for row in rows:
-                self._shard_of_oid[database.objects[row].oid] = index
         self.stats = ShardStats()
 
     @staticmethod
@@ -537,19 +510,21 @@ class ShardRouter:
 
         ``change`` is an :class:`repro.core.mutations.AppliedBatch`; the
         parent database has already applied it.  Removals go to the
-        shard that owns each object; insertions to the least-enlarged
-        shard.  A shard left empty is dropped, which shifts the indices
-        of the shards after it, so the ``oid → shard`` map is then
-        re-read off the surviving shard kernels.
+        shard whose kernel holds each object (membership is stored
+        there alone); insertions to the least-enlarged shard.  A shard
+        left empty is dropped.
         """
         per_shard_removed: dict[int, list[SpatialObject]] = {}
         for obj in change.removed:
-            index = self._shard_of_oid.pop(obj.oid)
+            index = next(
+                index
+                for index, shard in enumerate(self._shards)
+                if obj.oid in shard.kernel._row_of
+            )
             per_shard_removed.setdefault(index, []).append(obj)
         per_shard_appended: dict[int, list[SpatialObject]] = {}
         for obj in change.appended:
-            index = self._shard_of_oid[obj.oid] = self._choose_shard(obj)
-            per_shard_appended.setdefault(index, []).append(obj)
+            per_shard_appended.setdefault(self._choose_shard(obj), []).append(obj)
         survivors: list[Shard] = []
         for index, shard in enumerate(self._shards):
             removed = per_shard_removed.get(index, [])
@@ -557,15 +532,9 @@ class ShardRouter:
             if len(removed) == len(shard) and not appended:
                 continue  # emptied: drop the shard
             if removed or appended:
-                shard.apply_mutations(removed, appended, self._database)
+                shard.apply_mutations(removed, appended)
             survivors.append(shard)
-        if len(survivors) != len(self._shards):
-            self._shards = tuple(survivors)
-            self._shard_of_oid = {
-                oid: index
-                for index, shard in enumerate(survivors)
-                for oid in shard.kernel._row_of
-            }
+        self._shards = tuple(survivors)
 
     # ------------------------------------------------------------------
     # Per-query shard bounds

@@ -61,6 +61,8 @@ from __future__ import annotations
 
 import json
 import math
+import selectors
+import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -320,6 +322,10 @@ class YaskHTTPServer(ThreadingHTTPServer):
         # the ``transport`` counters of ``GET /api/stats``.
         self.connections = ConnectionTracker()
         super().__init__((host, port), _YaskRequestHandler)
+        # serve_forever's wake-up line, written by shutdown().
+        self._wake_reader, self._wake_writer = socket.socketpair()
+        self._stop_requested = False
+        self._stopped = threading.Event()
         if self._snapshot_timer is not None:
             self._snapshot_timer.start()
 
@@ -432,9 +438,37 @@ class YaskHTTPServer(ThreadingHTTPServer):
             self.executor.invalidate()
         return applied
 
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        """socketserver's loop, but :meth:`shutdown` wakes it through a
+        socket pair: no 0.5 s poll of a stop flag, so a shutdown returns
+        at once and an idle server (no ``poll_interval``) never wakes."""
+        self._stopped.clear()
+        try:
+            with selectors.DefaultSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._wake_reader, selectors.EVENT_READ)
+                while not self._stop_requested:
+                    for key, _ in selector.select(poll_interval):
+                        if key.fileobj is self._wake_reader:
+                            self._wake_reader.recv(64)
+                        elif not self._stop_requested:
+                            self._handle_request_noblock()  # type: ignore[attr-defined]
+                    self.service_actions()
+        finally:
+            self._stop_requested = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned."""
+        self._stop_requested = True
+        self._wake_writer.send(b"\0")
+        self._stopped.wait()
+
     def start_background(self) -> threading.Thread:
         """Serve requests on a daemon thread (tests and examples)."""
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
+        thread = threading.Thread(
+            target=self.serve_forever, name="yask-serve", daemon=True
+        )
         thread.start()
         return thread
 
@@ -443,6 +477,8 @@ class YaskHTTPServer(ThreadingHTTPServer):
             self._snapshot_timer_stop.set()
             self._snapshot_timer.join(timeout=5.0)
         super().server_close()
+        self._wake_reader.close()
+        self._wake_writer.close()
         # A handler thread lives as long as its connection: end the open
         # ones before closing what their handlers use.
         self.connections.drain(timeout_s=5.0)
@@ -517,13 +553,11 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                 obj = self._resolve_object(parsed.path)
                 self._send_json(200, {"object": object_to_dict(obj)})
             elif parsed.path == "/api/objects":
-                payload = {
-                    "objects": [
-                        object_to_dict(obj)
-                        for obj in self.server.engine.database
-                    ]
-                }
-                self._send_json(200, payload)
+                engine = self.server.engine
+                # Under the read lock: a batch clears the cache this fills.
+                with engine.read_view():
+                    objects = [object_to_dict(obj) for obj in engine.database]
+                self._send_json(200, {"objects": objects})
             elif parsed.path == "/api/log":
                 params = parse_qs(parsed.query)
                 session_id = params.get("session_id", [""])[0]

@@ -8,6 +8,7 @@ fast despite hundreds of tests touching the same data.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -19,6 +20,23 @@ from repro.datasets.generators import SyntheticDatasetBuilder
 from repro.datasets.hotels import coffee_shops, hong_kong_hotels
 from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_server_left_serving():
+    """Session-end check: every background server was shut down.
+
+    ``YaskHTTPServer.start_background`` names its thread
+    ``yask-serve``; one still alive after the last test is a server a
+    test forgot to ``shutdown()``, whose loop would outlive the suite.
+    """
+    yield
+    alive = [
+        thread
+        for thread in threading.enumerate()
+        if thread.name == "yask-serve" and thread.is_alive()
+    ]
+    assert not alive, f"{len(alive)} background server(s) never shut down"
 
 
 def make_tiny_db() -> SpatialDatabase:

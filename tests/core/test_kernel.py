@@ -6,6 +6,8 @@ kernel's construction rules, counters, edge cases and the scorer's
 fallback behaviour around it.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.geometry import Point, Rect
@@ -251,7 +253,8 @@ class TestDualView:
             dataspace=Rect(0.0, 0.0, 0.1, 0.1),
         )
         kernel = Scorer(db).kernel
-        kernel.apply_raw([1], [])  # oid 1 at x = 3: the closest clamped row
+        # Delete oid 1 at x = 3: the closest clamped row.
+        kernel.apply_mutations(SimpleNamespace(removed_oids=[1], appended=()))
         q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
         view = kernel.dual_view(q, [2])  # proximity 0: every live row
         assert [p.a for p in view.dual_points_of([2, 3, 4, 5])] == [0.0] * 4

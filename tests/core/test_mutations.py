@@ -191,6 +191,56 @@ class TestDatabaseMaintenance:
         assert "aaa_new" in after
         assert db.doc_masks[-1] == 1 << after.index("aaa_new")
 
+    @pytest.mark.parametrize("shards", [None, 4])
+    def test_e16_shaped_batches_build_no_dense_tuple(self, shards):
+        """A batch patches the id map and drops the dense caches; the
+        first read after it rebuilds them exactly as a fresh database
+        with the adopted vocabulary would."""
+        from repro.datasets.generators import SyntheticDatasetBuilder
+        from repro.service.api import YaskEngine
+
+        base = SyntheticDatasetBuilder(seed=16).build(
+            300, vocabulary_size=30, doc_length=(2, 5)
+        )
+        db = SpatialDatabase(base.objects, dataspace=base.dataspace)
+        engine = YaskEngine(db, shards=shards)
+        rng = random.Random(16)
+        vocabulary = sorted(base.vocabulary())
+        # The order rule, modelled: survivors keep their order, inserts
+        # and updates go to the end.
+        expected = {o.oid: o for o in base.objects}
+        live: list[int] = []
+        next_oid = 1_000_000
+
+        def minted(oid):
+            doc = set(rng.sample(vocabulary, rng.randint(1, 4)))
+            if rng.random() < 0.2:
+                doc.add(f"fresh{oid}")  # extends the vocabulary
+            return obj(oid, rng.random(), rng.random(), *doc)
+
+        for _ in range(50):
+            batch = []
+            for _ in range(6):
+                batch.append(Mutation.insert(minted(next_oid)))
+                live.append(next_oid)
+                next_oid += 1
+            if len(live) > 8:
+                updated, deleted = rng.sample(range(len(live) - 6), 2)
+                batch.append(Mutation.update(minted(live[updated])))
+                batch.append(Mutation.delete(live.pop(deleted)))
+            for mutation in batch:
+                expected.pop(mutation.oid, None)
+                if mutation.obj is not None:
+                    expected[mutation.oid] = mutation.obj
+            engine.apply_mutations(batch)
+            # Neither the batch nor any listener rebuilt a dense tuple.
+            assert db._objects is None and db._doc_masks is None
+        fresh = SpatialDatabase(expected.values(), dataspace=db.dataspace)
+        fresh.adopt_vocabulary(db.vocabulary_index.keywords)
+        assert db.objects == fresh.objects
+        assert db.doc_masks == fresh.doc_masks
+        engine.close()
+
     def test_dataspace_and_normaliser_are_pinned(self):
         db = make_tiny_db()
         mutable = MutableDatabase(db)

@@ -54,16 +54,18 @@ def fresh_engine(database: SpatialDatabase, **options) -> YaskEngine:
     )
 
 
-def assert_oid_map_matches_shards(router: ShardRouter) -> None:
-    """``oid → shard index`` names, for every live object, the shard
-    whose sub-database holds it, and no other oid."""
-    expected = {
-        obj.oid: index
-        for index, shard in enumerate(router.shards)
-        for obj in shard.database
-    }
-    assert router._shard_of_oid == expected
-    assert expected.keys() == {obj.oid for obj in router.database}
+def members(shard: Shard) -> list[SpatialObject]:
+    """The shard's live objects: its kernel's rows minus tombstones."""
+    return [obj for obj in shard.kernel.row_objects if obj is not None]
+
+
+def assert_shards_partition_the_database(router: ShardRouter) -> None:
+    """Every live object is held by exactly one shard kernel, whose
+    row map names it and no tombstone."""
+    held = [obj.oid for shard in router.shards for obj in members(shard)]
+    assert sorted(held) == sorted(obj.oid for obj in router.database)
+    for shard in router.shards:
+        assert shard.kernel._row_of.keys() == {obj.oid for obj in members(shard)}
 
 
 def assert_disjoint_cover(assignments, n):
@@ -116,14 +118,19 @@ class TestPartitioners:
 
 
 class TestRouter:
-    def test_shards_inherit_dataspace_and_normaliser(self, clustered_db):
+    def test_shard_kernels_share_the_parent_normaliser_and_vocabulary(
+        self, clustered_db
+    ):
         router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
+        global_kernel = ScoringKernel(clustered_db, JACCARD)
         for shard in router.shards:
-            assert shard.database.dataspace == clustered_db.dataspace
-            assert (
-                shard.database.distance_normaliser
-                == clustered_db.distance_normaliser
-            )
+            assert shard.kernel.database is clustered_db
+            assert shard.kernel._normaliser == clustered_db.distance_normaliser
+            assert shard.kernel.vocabulary is clustered_db.vocabulary_index
+            for obj in members(shard):
+                assert shard.kernel._masks[shard.kernel.row_of(obj.oid)] == (
+                    global_kernel._masks[global_kernel.row_of(obj.oid)]
+                )
 
     def test_shard_summaries(self, clustered_db):
         router = ShardRouter(clustered_db, shards=3, text_model=JACCARD)
@@ -131,7 +138,7 @@ class TestRouter:
         for shard in router.shards:
             union = 0
             lengths = []
-            for obj in shard.database:
+            for obj in members(shard):
                 union |= encode(obj.doc)
                 lengths.append(len(obj.doc))
                 assert shard.mbr.contains_point(obj.loc)
@@ -143,7 +150,7 @@ class TestRouter:
         router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
         covered = []
         for shard in router.shards:
-            for local, obj in enumerate(shard.database.objects):
+            for local, obj in enumerate(members(shard)):
                 assert clustered_db.get(obj.oid) is obj
                 assert shard.kernel.row_of(obj.oid) == local
                 covered.append(obj.oid)
@@ -212,7 +219,7 @@ class TestBoundSafety:
             bounds = router.score_upper_bounds(query)
             for shard, bound in zip(router.shards, bounds):
                 true_max = max(
-                    scorer.score(obj, query) for obj in shard.database
+                    scorer.score(obj, query) for obj in members(shard)
                 )
                 assert bound >= true_max - 1e-12, (
                     f"unsafe bound for {model.name}: {bound} < {true_max}"
@@ -264,7 +271,7 @@ class TestMaintenanceIsBatchSized:
         doc = frozenset(sorted(vocabulary.decode(everywhere))[:3])
         assert len(doc) == 3
         for shard in router.shards:
-            assert any(len(obj.doc) == 3 for obj in shard.database)
+            assert any(len(obj.doc) == 3 for obj in members(shard))
         rng = random.Random(16)
 
         def minted(oid):
@@ -303,7 +310,7 @@ class TestMaintenanceIsBatchSized:
         # (an MBR edge) first.  That shard's kernel crosses its own
         # threshold long before the global kernel does.
         victim = router.shards[0]
-        doomed = sorted(victim.database, key=lambda obj: obj.loc.x)
+        doomed = sorted(members(victim), key=lambda obj: obj.loc.x)
         doomed = [obj.oid for obj in doomed[: len(doomed) // 3]]
         for start in range(0, len(doomed), 8):
             engine.apply_mutations(
@@ -312,13 +319,10 @@ class TestMaintenanceIsBatchSized:
         assert victim.kernel.compactions >= 1
         assert kernel.compactions == 0 and kernel.has_tombstones
         assert calls["_recompute_summaries"] >= 1
-        owners = {
-            obj.oid: shard for shard in router.shards for obj in shard.database
-        }
-        assert owners.keys() == {obj.oid for obj in engine.database}
-        for oid, shard in owners.items():
-            assert shard.database.get(oid) is engine.database.get(oid)
-            assert router.shards[router._shard_of_oid[oid]] is shard
+        assert_shards_partition_the_database(router)
+        for shard in router.shards:
+            for obj in members(shard):
+                assert obj is engine.database.get(obj.oid)
         engine.close()
 
 
@@ -340,8 +344,7 @@ class TestOneKernel:
         router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
         for shard in router.shards:
             assert type(shard.kernel) is ScoringKernel
-            assert shard.kernel.database is shard.database
-            assert shard.kernel.live_count == len(shard) == len(shard.database)
+            assert shard.kernel.live_count == len(shard) == len(members(shard))
 
     def test_scorer_takes_no_shard_router(self, clustered_db):
         router = ShardRouter(clustered_db, shards=2, text_model=JACCARD)
@@ -415,39 +418,41 @@ class TestOneKernel:
 
 class TestEmptiedShard:
     """A batch that empties a shard drops it; the shards after it move
-    down one index, so the router re-reads ``oid → shard`` off the
-    survivors' kernels and later batches route by the new indices."""
+    down one index, and later batches still route each removal to the
+    shard kernel that holds it."""
 
     @staticmethod
     def drop_shard(engine: YaskEngine, index: int) -> tuple[int, ...]:
         router = engine.shard_router
         ids_before = tuple(shard.shard_id for shard in router.shards)
-        doomed = [obj.oid for obj in router.shards[index].database]
+        doomed = [obj.oid for obj in members(router.shards[index])]
         engine.apply_mutations([Mutation.delete(oid) for oid in doomed])
         return ids_before[:index] + ids_before[index + 1 :]
 
-    def test_emptied_shard_is_dropped_and_the_map_re_read(self, clustered_db):
+    def test_emptied_shard_is_dropped(self, clustered_db):
         engine = fresh_engine(clustered_db, shards=4)
         survivors = self.drop_shard(engine, 1)
         router = engine.shard_router
         assert tuple(shard.shard_id for shard in router.shards) == survivors
         assert len(router) == 3
         assert sum(router.shard_sizes()) == len(engine.database)
-        assert_oid_map_matches_shards(router)
+        assert_shards_partition_the_database(router)
         engine.close()
 
-    def test_re_read_map_skips_tombstoned_members(self, clustered_db):
+    def test_survivors_hold_no_tombstoned_member(self, clustered_db):
         engine = fresh_engine(clustered_db, shards=4)
         router = engine.shard_router
         # One delete per surviving shard stays a tombstone in its kernel.
-        tombstoned = [router.shards[index].database.objects[0].oid
+        tombstoned = [members(router.shards[index])[0].oid
                       for index in (0, 2, 3)]
         engine.apply_mutations([Mutation.delete(oid) for oid in tombstoned])
         assert all(router.shards[index].kernel.has_tombstones
                    for index in (0, 2, 3))
         self.drop_shard(engine, 1)
-        assert not set(tombstoned) & router._shard_of_oid.keys()
-        assert_oid_map_matches_shards(router)
+        assert not set(tombstoned) & {
+            oid for shard in router.shards for oid in shard.kernel._row_of
+        }
+        assert_shards_partition_the_database(router)
         engine.close()
 
     def test_later_batches_route_by_the_shifted_indices(self, clustered_db):
@@ -455,18 +460,19 @@ class TestEmptiedShard:
         self.drop_shard(engine, 0)
         router = engine.shard_router
         last = router.shards[-1]
-        victim = last.database.objects[0].oid
+        victim = members(last)[0].oid
         newcomer = SpatialObject(
             2_000_000, last.mbr.center, frozenset(sorted(clustered_db.vocabulary())[:2])
         )
         engine.apply_mutations(
             [Mutation.delete(victim), Mutation.insert(newcomer)]
         )
-        assert victim not in last.database
-        assert router.shards[router._shard_of_oid[newcomer.oid]].database.get(
-            newcomer.oid
-        ) is engine.database.get(newcomer.oid)
-        assert_oid_map_matches_shards(router)
+        assert victim not in {obj.oid for obj in members(last)}
+        (owner,) = [
+            shard for shard in router.shards if newcomer.oid in shard.kernel._row_of
+        ]
+        assert engine.database.get(newcomer.oid) in members(owner)
+        assert_shards_partition_the_database(router)
         query = SpatialKeywordQuery(
             loc=newcomer.loc, doc=newcomer.doc, k=10,
             weights=Weights.from_spatial(0.5),

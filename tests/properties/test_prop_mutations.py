@@ -114,14 +114,17 @@ def assert_shard_bookkeeping(engine: YaskEngine) -> None:
     database, kernel, router = engine.database, engine.kernel, engine.shard_router
     assert sum(router.shard_sizes()) == len(database) == kernel.live_count
     position = {obj.oid: row for row, obj in enumerate(database.objects)}
-    owners = {obj.oid: shard for shard in router.shards for obj in shard.database}
+    live_rows = {
+        shard: [obj for obj in shard.kernel.row_objects if obj is not None]
+        for shard in router.shards
+    }
+    owners = {obj.oid: obj for objs in live_rows.values() for obj in objs}
     assert owners.keys() == position.keys()
-    for oid, shard in owners.items():
-        assert router.shards[router._shard_of_oid[oid]] is shard
-        assert shard.database.get(oid) == database.get(oid)
-    for shard in router.shards:
-        members = shard.database.objects
+    for oid, obj in owners.items():
+        assert obj == database.get(oid)
+    for shard, members in live_rows.items():
         assert len(shard) == len(members)
+        assert shard.kernel._row_of.keys() == {obj.oid for obj in members}
         fresh = Shard(
             shard.shard_id, database, [position[obj.oid] for obj in members], JACCARD
         )

@@ -25,6 +25,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from heapq import nsmallest
 from operator import neg
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -353,13 +354,13 @@ def test_tombstoned_kernel_never_emits_the_dead_sentinel():
         for oid in range(8)
     ]
     kernel = build(objects, JaccardSimilarity())
-    kernel.apply_raw([0], [])
+    kernel.apply_mutations(SimpleNamespace(removed_oids=[0], appended=()))
     assert kernel.has_tombstones
     scalars = scalars_for(kernel, 0.5, 0.5, frozenset(ALPHABET[:1]), 0.5, 0.5)
     pairs = kernel.scan_top_k(8, *scalars)
     assert sorted(oid for _, oid in pairs) == list(range(1, 8))
     # ... whether the index was built before or after the delete.
-    kernel.apply_raw([1], [])
+    kernel.apply_mutations(SimpleNamespace(removed_oids=[1], appended=()))
     assert sorted(oid for _, oid in kernel.scan_top_k(8, *scalars)) == list(
         range(2, 8)
     )

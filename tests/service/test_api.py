@@ -182,3 +182,52 @@ class TestMutationReport:
         assert report.kernel["live_rows"] == 6
         assert report.kernel["tombstones"] == 0
         engine.close()
+
+
+class _ReadCountingLock:
+    """The engine's lock, counting the read sections currently open."""
+
+    def __init__(self, inner):
+        self._inner = inner
+        self.readers = 0
+
+    @contextmanager
+    def read(self):
+        with self._inner.read():
+            self.readers += 1
+            try:
+                yield
+            finally:
+                self.readers -= 1
+
+    def write(self):
+        return self._inner.write()
+
+
+class TestObjectListing:
+    def test_get_objects_iterates_under_the_read_lock(self, monkeypatch):
+        """Iterating fills the database's dense object cache, which a
+        batch clears: a lock-free reader could store a pre-batch tuple
+        that a later snapshot would serialise."""
+        from repro.core.objects import SpatialDatabase
+        from repro.service.client import YaskClient
+        from tests.service.conftest import running_server
+
+        engine = YaskEngine(make_tiny_db())
+        lock = engine._lock = _ReadCountingLock(engine._lock)
+        held_at_iteration: list[int] = []
+        iterate = SpatialDatabase.__iter__
+
+        def spy(database):
+            held_at_iteration.append(lock.readers)
+            return iterate(database)
+
+        monkeypatch.setattr(SpatialDatabase, "__iter__", spy)
+        with running_server(engine) as server:
+            with YaskClient(server.endpoint) as client:
+                engine.apply_mutations(
+                    [Mutation.insert(SpatialObject(10, Point(0.5, 0.5), frozenset({"bar"})))]
+                )
+                listed = client.objects()
+        assert [obj["oid"] for obj in listed] == [0, 1, 2, 3, 4, 10]
+        assert held_at_iteration and all(held_at_iteration)

@@ -299,8 +299,8 @@ class TestFollowerHTTP:
                 running_server(follower.engine, follower=follower)
             )
             yield (
-                YaskClient(primary_server.endpoint),
-                YaskClient(follower_server.endpoint),
+                stack.enter_context(YaskClient(primary_server.endpoint)),
+                stack.enter_context(YaskClient(follower_server.endpoint)),
             )
 
     def test_write_to_primary_read_your_writes_on_follower(

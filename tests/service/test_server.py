@@ -557,3 +557,27 @@ class TestDurabilityOverHTTP:
         with pytest.raises(ValueError, match="snapshot_every"):
             YaskHTTPServer(engine, snapshot_every=2)
         engine.close()
+
+
+class TestServeLoop:
+    def test_idle_loop_sleeps_and_shutdown_wakes_it(self, small_db, monkeypatch):
+        """The serve loop blocks with no timeout: an idle server never
+        wakes (socketserver's loop polled every 0.5 s), and shutdown
+        wakes it at once instead of waiting out a poll."""
+        import time
+
+        from tests.service.conftest import running_server
+
+        wakes = []
+        monkeypatch.setattr(
+            YaskHTTPServer, "service_actions", lambda self: wakes.append(1)
+        )
+        with running_server(YaskEngine(small_db)) as server:
+            with YaskClient(server.endpoint) as client:
+                assert client.health()["status"] == "ok"
+            settled = len(wakes)
+            time.sleep(0.6)
+            assert len(wakes) == settled  # no poll while idle
+            started = time.perf_counter()
+            server.shutdown()
+            assert time.perf_counter() - started < 0.25

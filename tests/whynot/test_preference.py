@@ -126,6 +126,46 @@ class TestOptimality:
             sampled = sampler.refine(scenario.query, scenario.missing)
             assert exact.penalty <= sampled.penalty + 1e-9
 
+    @pytest.mark.parametrize("use_kernel", [True, False])
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "float-tie revival: oid 0 is exactly dominated by the missing "
+            "oid 1 (no crossover in (0, 1)) but float-ties it at q.ws and "
+            "wins on oid; the sweep only prices q.ws, crossovers and their "
+            "past-the-crossing neighbours, so it misses the weights where "
+            "rounding breaks the tie"
+        ),
+    )
+    def test_float_tie_at_the_initial_weight_is_revived(self, use_kernel):
+        """A missing object kept out only by a rounding tie at ``q.ws``:
+        moving ``ws`` a little breaks the tie, which 60-point sampling
+        finds (penalty 0.0085 at ws = 30/61) and the sweep does not
+        (its Δk answer costs λ = 0.1)."""
+        from repro.core.geometry import Point, Rect
+        from repro.core.objects import SpatialDatabase, SpatialObject
+        from repro.core.query import SpatialKeywordQuery
+        from repro.whynot.baselines import SamplingPreferenceAdjuster
+
+        objects = [
+            SpatialObject(0, Point(2.0**-49, 0.0), frozenset({"t0"})),
+            SpatialObject(1, Point(0.0, 0.0), frozenset({"t0"})),
+        ] + [
+            SpatialObject(2 + i, Point(1.0 + i, 1.0), frozenset({"t1"}))
+            for i in range(6)
+        ]
+        database = SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 10.0, 10.0))
+        scorer = Scorer(database, use_kernel=use_kernel)
+        query = SpatialKeywordQuery(
+            Point(0.0, 0.0), frozenset({"t0"}), 1, Weights.from_spatial(0.5)
+        )
+        missing = [database.get(1)]
+        swept = PreferenceAdjuster(scorer).refine(query, missing, lam=0.1)
+        sampled = SamplingPreferenceAdjuster(scorer, samples=60).refine(
+            query, missing, lam=0.1
+        )
+        assert swept.penalty <= sampled.penalty + 1e-9
+
     def test_penalty_never_exceeds_lambda(self, small_scorer):
         # The pure k-enlargement candidate always achieves penalty = λ.
         adjuster = PreferenceAdjuster(small_scorer)
