@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import eq, lt
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from repro import concurrency, faults
@@ -108,14 +108,27 @@ _DEAD_COORD = 1e300
 DEFAULT_COMPACTION_THRESHOLD = 0.25
 
 
+def key_order(keys: Sequence[float], ties: Sequence[int]) -> tuple[list[int], array]:
+    """``(order, keys in that order)``: the positions of ``keys`` in
+    ``(key, tie)`` order — one key sort (fast on presorted runs), then
+    each (rare) run of equal keys re-sorted by its ``ties``."""
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    column = array("d", map(keys.__getitem__, order))
+    for value in set(compress(column, map(eq, column, column[1:]))):
+        run = slice(bisect_left(column, value), bisect_right(column, value))
+        order[run] = sorted(order[run], key=ties.__getitem__)
+    return order, column
+
+
 class KernelStats:
     """Work counters of one kernel (exposed through ``GET /api/stats``).
 
     ``full_passes``/``score_passes`` count whole-database column scans;
     ``point_scores`` counts single-row evaluations (best-first leaf
-    scoring); ``scan_calls`` / ``scan_rows_scored`` / ``scan_index_builds``
-    count indexed top-k scans, the rows they actually scored and the
-    (lazy) index builds they paid for; ``dual_views`` / ``dual_view_rows``
+    scoring); ``scan_calls`` / ``scan_rows_scored`` /
+    ``scan_columns_visited`` / ``scan_index_builds`` count indexed top-k
+    scans, the rows they actually scored, the index columns they walked
+    and the (lazy) index builds they paid for; ``dual_views`` / ``dual_view_rows``
     count dual views (and reference dual passes) and the rows they scored
     (a view's: its buckets at or above its TSim floor and the rest of its
     disk, see :meth:`ScanIndex.undominated`);
@@ -134,6 +147,7 @@ class KernelStats:
         "point_scores",
         "scan_calls",
         "scan_rows_scored",
+        "scan_columns_visited",
         "scan_index_builds",
         "count_better_calls",
         "rank_of_many_calls",
@@ -320,72 +334,58 @@ class DualView:
     of n), and within one level the score ``ws·a + wt·b`` is
     float-monotone in ``a`` (multiply and add by non-negative weights
     are monotone).  So the view keeps, per level, the proximities sorted
-    ascending with their kernel rows alongside (ties in row order): a
-    rank is two bisects per level, exact with no margin, and the
-    quadrant and counting queries of Section 3.3 are slices and lengths.
-    The scan index hands the rows over a level at a time, so building
-    the view is one sort of ``(a, row)`` pairs per level.
+    ascending with their oids alongside (ties in oid order): a rank is
+    two bisects per level, exact with no margin, and the quadrant and
+    counting queries of Section 3.3 are slices and lengths.  Building it
+    is a key sort and two gathers per level, nothing of the kernel's
+    length; a row's ``(a, b)`` is scored on demand, against the kernel
+    columns of the generation the view was built in.
     """
 
-    __slots__ = (
-        "oids", "a_floor", "b_floor", "_row_of", "_a", "_b", "_targets", "_levels"
-    )
+    __slots__ = ("a_floor", "b_floor", "_kernel", "_scalars", "_targets", "_levels")
 
     @hot_path
     def __init__(
         self,
-        oids: Sequence[int],
-        row_of: Mapping[int, int],
+        kernel: "ScoringKernel",
+        scalars: tuple[float, float, int, int],
         kept: Iterable[tuple[float, Sequence[float], Sequence[int]]],
-        targets: Iterable[int],
+        targets: Mapping[int, tuple[float, float]],
         a_floor: float,
         b_floor: float,
     ) -> None:
         """``kept``: the rows to hold as :meth:`ScanIndex.undominated`'s
         ``(b, proximities, oids)`` per TSim level, by descending ``b``,
-        each level's rows in any order; the other arguments the kernel's."""
-        # The kept rows' (a, b) by kernel row, NaN elsewhere: a lookup is
-        # one index, and no per-row object outlives the build.
-        a = array("d", [math.nan]) * len(oids)
-        b = array("d", [math.nan]) * len(oids)
+        each level's rows in any order; ``scalars`` the query's
+        ``(qx, qy, qmask, qlen)``; ``targets`` each target's ``(a, b)``."""
         levels = []
-        for level, proximities, level_oids in kept:
-            pairs = sorted(zip(proximities, map(row_of.__getitem__, level_oids)))
-            for proximity, row in pairs:
-                a[row] = proximity
-                b[row] = level
-            levels.append(
-                (
-                    level,
-                    array("d", map(itemgetter(0), pairs)),
-                    array("q", map(itemgetter(1), pairs)),
-                )
-            )
-        self.oids = oids
+        for level, proximities, oids in kept:
+            order, column = key_order(proximities, oids)
+            levels.append((level, column, array("q", map(oids.__getitem__, order))))
         self.a_floor = a_floor
         self.b_floor = b_floor
-        self._row_of = row_of
-        self._a = a
-        self._b = b
-        self._targets = frozenset(targets)
-        #: ``(b, proximities ascending, their rows)`` by descending ``b``.
+        self._kernel = kernel
+        self._scalars = scalars
+        self._targets = targets
+        #: ``(b, proximities ascending, their oids)`` by descending ``b``.
         self._levels = tuple(levels)
 
     def _target(self, oid: int) -> tuple[float, float]:
-        if oid not in self._targets:
+        point = self._targets.get(oid)
+        if point is None:
             raise ValueError(f"object {oid} is not a target of this dual view")
-        row = self._row_of[oid]
-        return self._a[row], self._b[row]
+        return point
 
     def dual_points_of(self, oids: Sequence[int]) -> "list[DualPoint]":
-        """These objects' :class:`DualPoint`s; ``KeyError`` for a row the
-        view does not hold."""
+        """These objects' :class:`DualPoint`s, scored now (the floats the
+        view holds); ``KeyError`` for an object the view does not hold."""
         from repro.core.scoring import DualPoint
 
-        a, b, rows = self._a, self._b, list(map(self._row_of.__getitem__, oids))
-        if any(map(math.isnan, map(a.__getitem__, rows))):
+        points = self._kernel._dual_rows(oids, *self._scalars)
+        a_floor, b_floor = self.a_floor, self.b_floor
+        if any(a < a_floor and b < b_floor for _, a, _, b in points):
             raise KeyError("an object this dual view does not hold")
-        return [DualPoint(oid, a[row], b[row]) for oid, row in zip(oids, rows)]
+        return [DualPoint(oid, a, b) for oid, a, _, b in points]
 
     def crossing_candidates(
         self, target_oid: int
@@ -402,9 +402,8 @@ class DualView:
         Returned as ``(b, proximities, oids)`` per level with any.
         """
         am, bm = self._target(target_oid)
-        oid_of = self.oids.__getitem__
         found = []
-        for level, proximities, rows in self._levels:
+        for level, proximities, oids in self._levels:
             if level > bm:
                 span = slice(0, bisect_left(proximities, am))
             elif level < bm:
@@ -413,7 +412,7 @@ class DualView:
                 continue
             crossing = proximities[span]
             if crossing:
-                found.append((level, crossing, list(map(oid_of, rows[span]))))
+                found.append((level, crossing, oids[span].tolist()))
         return found
 
     @hot_path
@@ -427,10 +426,9 @@ class DualView:
         oid asc) tie-break, which only the run of rows scoring exactly
         the target's score needs.
         """
-        oids = self.oids
         scores = [ws * a + wt * b for a, b in map(self._target, target_oids)]
         beaten = [0] * len(scores)
-        for level, proximities, rows in self._levels:
+        for level, proximities, oids in self._levels:
             faults.check_deadline()
             offset = wt * level
             score_of = lambda x: ws * x + offset
@@ -440,10 +438,7 @@ class DualView:
                 tied = bisect_left(proximities, score, 0, above, key=score_of)
                 count = size - above
                 if tied < above:
-                    target_oid = target_oids[index]
-                    count += sum(
-                        1 for row in rows[tied:above] if oids[row] < target_oid
-                    )
+                    count += sum(map(lt, oids[tied:above], repeat(target_oids[index])))
                 beaten[index] += count
         return {
             oid: count + 1 for oid, count in zip(target_oids, beaten)
@@ -465,13 +460,14 @@ class DualView:
         return above
 
     def permanent_ties_smaller(self, target_oid: int) -> int:
-        """Objects with an identical score line and a smaller object id."""
+        """Objects with an identical score line and a smaller object id:
+        its equal-proximity run's head, the run being in oid order."""
         am, bm = self._target(target_oid)
-        oids = self.oids
-        for level, proximities, rows in self._levels:
+        for level, proximities, oids in self._levels:
             if level == bm:
-                run = rows[bisect_left(proximities, am) : bisect_right(proximities, am)]
-                return sum(1 for other in run if oids[other] < target_oid)
+                start = bisect_left(proximities, am)
+                stop = bisect_right(proximities, am, start)
+                return bisect_left(oids, target_oid, start, stop) - start
         return 0
 
     def count_more_similar(self, tsim: float) -> int:
@@ -891,9 +887,10 @@ class ScoringKernel:
         The index is built on first use (:meth:`_built_scan_index`).
         """
         index, builds = self._built_scan_index()
-        pairs, rows_scored = index.scan(k, qx, qy, qmask, qlen, ws, wt, floor)
+        pairs, rows_scored, columns = index.scan(k, qx, qy, qmask, qlen, ws, wt, floor)
         self.stats.record(
-            scan_calls=1, scan_rows_scored=rows_scored, scan_index_builds=builds
+            scan_calls=1, scan_rows_scored=rows_scored,
+            scan_columns_visited=columns, scan_index_builds=builds,
         )
         return pairs
 
@@ -951,32 +948,40 @@ class ScoringKernel:
         self, query: SpatialKeywordQuery, targets: Sequence[int]
     ) -> DualView:
         """``(a, b) = (1 − SDist, TSim)`` under ``query`` of the rows that
-        can reach ``targets`` (live oids), levelled by ``b``.
-
-        The targets' own ``(a, b)`` set the floors (see :class:`DualView`),
-        and the scan index scores only the rows inside the proximity
-        floor's disk or in a (shared keywords, doc length) bucket whose
-        TSim reaches the TSim floor (:meth:`ScanIndex.undominated`) —
-        the two range queries of Section 3.3, not a pass over every
-        row.  A target with TSim 0 keeps every live row.
+        can reach ``targets`` (live oids): per ``b`` level, their sorted
+        proximities and oids.  The targets' own ``(a, b)`` set the floors
+        (see :class:`DualView`), and the scan index scores only the rows
+        inside the proximity floor's disk or in a (shared keywords, doc
+        length) bucket whose TSim reaches the TSim floor
+        (:meth:`ScanIndex.undominated`) — the two range queries of
+        Section 3.3, not a pass over every row.  A target with TSim 0
+        keeps every live row.
         """
         faults.check_deadline()
         if not targets:
             raise ValueError("a dual view needs at least one target")
         qx, qy, qmask, qlen, _ws, _wt = self._query_scalars(query)
-        rows = map(self._row_of.__getitem__, targets)
-        xs, ys, masks, lens = self._xs, self._ys, self._masks, self._lens
-        own = score_delta_rows(
-            [(xs[r], ys[r], masks[r], lens[r], 0) for r in rows],
-            qx, qy, qmask, qlen, 1.0, 0.0,
-            normaliser=self._normaliser, model_code=self.model_code,
-        )
+        own = self._dual_rows(targets, qx, qy, qmask, qlen)
         a_floor = min(a for _, a, _, _ in own) - SKIP_MARGIN
         b_floor = min(b for _, _, _, b in own) - SKIP_MARGIN
         index, builds = self._built_scan_index()
         kept, scored = index.undominated(qx, qy, qmask, qlen, a_floor, b_floor)
         self.stats.record(dual_views=1, dual_view_rows=scored, scan_index_builds=builds)
-        return DualView(self._oids, self._row_of, kept, targets, a_floor, b_floor)
+        duals = {oid: (a, b) for oid, a, _, b in own}
+        return DualView(self, (qx, qy, qmask, qlen), kept, duals, a_floor, b_floor)
+
+    def _dual_rows(
+        self, oids: Sequence[int], qx: float, qy: float, qmask: int, qlen: int
+    ) -> list[tuple[int, float, float, float]]:
+        """``(oid, a, SDist, b)`` of live oids (``KeyError`` for any other)
+        under prepared query scalars: :func:`score_delta_rows` at (1, 0)."""
+        xs, ys, masks, lens = self._xs, self._ys, self._masks, self._lens
+        rows = map(self._row_of.__getitem__, oids)
+        return score_delta_rows(
+            [(xs[r], ys[r], masks[r], lens[r], oid) for oid, r in zip(oids, rows)],
+            qx, qy, qmask, qlen, 1.0, 0.0,
+            normaliser=self._normaliser, model_code=self.model_code,
+        )
 
     def dual_points_all(self, query: SpatialKeywordQuery) -> "list[DualPoint]":
         """Every live object's :class:`DualPoint`, in row order — matches
@@ -1014,13 +1019,14 @@ class ScoringKernel:
             raise ValueError(f"distance {raw_distance} is beyond this dual view")
         qx = query.loc.x
         qy = query.loc.y
-        xs, ys = self._xs, self._ys
+        xs, ys, row_of = self._xs, self._ys, self._row_of
         hypot = math.hypot
         closer = 0
-        for _, proximities, rows in view._levels:
+        for _, proximities, oids in view._levels:
             above = bisect_right(proximities, proximity)
             closer += len(proximities) - above
-            for row in rows[bisect_left(proximities, proximity, 0, above) : above]:
+            for oid in oids[bisect_left(proximities, proximity, 0, above) : above]:
+                row = row_of[oid]
                 if hypot(xs[row] - qx, ys[row] - qy) < raw_distance:
                     closer += 1
         return closer

@@ -426,8 +426,9 @@ class ScanIndex:
         ws: float,
         wt: float,
         floor: float | None,
-    ) -> tuple[list[tuple[float, int]], int]:
-        """``(best ≤ k (−score, oid) pairs scoring ≥ floor, rows scored)``.
+    ) -> tuple[list[tuple[float, int]], int, int]:
+        """``(best ≤ k (−score, oid) pairs scoring ≥ floor, rows scored,
+        columns walked)`` (the unsorted tail is not a column).
 
         Exactly the full scan's top ``k`` cut at the inclusive ``floor``:
         θ is the larger of the floor and the running k-th score, a row
@@ -438,7 +439,7 @@ class ScanIndex:
         the same two-operand sum as :func:`score_delta_rows`.
         """
         if k < 1:
-            return [], 0
+            return [], 0, 0
         norm = self._normaliser
         xs, ys, oids = self._xs, self._ys, self._oids
         built = self._built
@@ -487,6 +488,7 @@ class ScanIndex:
                 if len(heap) == k:
                     theta_m = heap[0][0] - SKIP_MARGIN
 
+        columns = 0
         for column, gap in self._columns_outward(qx):
             # Columns only get farther: once one is beyond the best
             # bucket's reach, so is every column still to come.
@@ -495,10 +497,11 @@ class ScanIndex:
                 break
             start = column * _COLUMN_ROWS
             visit(start, min(start + _COLUMN_ROWS, built), gap)
+            columns += 1
         if len(ys) > built:
             visit(built, len(ys), 0.0)  # the unsorted tail: no distance bound
         heap.sort(reverse=True)
-        return [(-score, -negoid) for score, negoid in heap], scored
+        return [(-score, -negoid) for score, negoid in heap], scored, columns
 
     @hot_path
     def undominated(

@@ -272,7 +272,10 @@ class YaskEngine:
         if self._shard_router is not None:
             for shard in self._shard_router.shards:
                 scans = shard.kernel.stats.to_dict()
-                for field in ("scan_calls", "scan_rows_scored", "scan_index_builds"):
+                for field in (
+                    "scan_calls", "scan_rows_scored", "scan_columns_visited",
+                    "scan_index_builds",
+                ):
                     stats[field] += scans[field]
         return stats
 

@@ -41,6 +41,7 @@ __all__ = [
     "MAX_BATCH_QUERIES",
     "MAX_BATCH_QUESTIONS",
     "MAX_BATCH_TOKEN_LENGTH",
+    "MAX_QUERY_K",
     "ProtocolError",
     "batch_token_from_dict",
     "min_generation_from_dict",
@@ -84,6 +85,13 @@ MAX_BATCH_QUESTIONS = 64
 #: must not stall the read path for long.
 MAX_BATCH_MUTATIONS = 256
 
+#: Cap on a query's ``k`` (top-k and why-not requests alike).  Nothing
+#: the repository sends over HTTP asks for more than 10; 1 000 leaves
+#: room for a why-not question about an object two orders of magnitude
+#: deeper, and keeps a reply to ~0.25 MB where ``k = 10⁹`` at 20k
+#: objects answered (and cached) all 20 000 entries, ~5 MB of JSON.
+MAX_QUERY_K = 1000
+
 
 class ProtocolError(ValueError):
     """A malformed request payload."""
@@ -123,6 +131,8 @@ def query_from_dict(
         if isinstance(k, bool):
             raise ProtocolError("'k' must be a positive integer, not a boolean")
         k = int(k)
+        if k > MAX_QUERY_K:
+            raise ProtocolError(f"'k' must be at most {MAX_QUERY_K}")
         if "ws" in payload:
             ws = float(payload["ws"])
             wt = float(payload.get("wt", 1.0 - ws))

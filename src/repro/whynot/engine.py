@@ -29,8 +29,8 @@ from repro.whynot.preference import PreferenceAdjuster, PreferenceRefinement
 
 __all__ = ["WhyNotAnswer", "WhyNotEngine"]
 
-#: Recent ``(loc, doc, ~w, M)`` contexts an engine keeps (~0.38 MB each,
-#: 0.68 at p90, per 20k objects): a session asks its questions back to
+#: Recent ``(loc, doc, ~w, M)`` contexts an engine keeps (~0.05 MB each,
+#: 0.18 at p90, per 20k objects): a session asks its questions back to
 #: back, so a few cover the serving tier's concurrent sessions.
 CONTEXT_MEMO_SIZE = 4
 

@@ -49,11 +49,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush, nsmallest
-from itertools import accumulate, compress, groupby, repeat
-from operator import itemgetter, le, sub, truediv
+from itertools import accumulate, chain, compress, repeat
+from operator import add, le, lt, ne, sub, truediv
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.hotpath import hot_path
+from repro.core.kernel import key_order
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint, Scorer
@@ -317,42 +318,49 @@ class PreferenceAdjuster:
         the group falls behind m as ``w`` grows; with ``b < b_m`` every
         one rises above it.  The valid weights form an interval, so only
         a group whose smallest or largest ``w*`` is invalid is filtered
-        row by row.
+        row by row.  The events are parallel (w, oid, direction) columns
+        in ``(w, oid)`` order (:func:`key_order`), and the profile is
+        prefix sums over them, read at the bounds of each run of equal w.
         """
         m_slope = m_dual.slope
         valid = self._valid_weight
-        events: list[tuple[float, int, int]] = []
-        for b, proximities, oids in groups:
+        weights: list[float] = []
+        oids: list[int] = []
+        directions: list[int] = []
+        for b, proximities, level_oids in groups:
             numerator = b - m_dual.b
-            direction = -1 if numerator > 0.0 else 1
             denominators = list(
                 map(sub, repeat(m_slope), map(sub, proximities, repeat(b)))
             )
             if 0.0 in denominators:  # a parallel line: no crossover
-                oids = list(compress(oids, denominators))
+                level_oids = list(compress(level_oids, denominators))
                 denominators = list(compress(denominators, denominators))
-            weights = list(map(truediv, repeat(numerator), denominators))
-            if weights and not (valid(min(weights)) and valid(max(weights))):
-                kept = list(map(valid, weights))
-                oids = list(compress(oids, kept))
-                weights = list(compress(weights, kept))
-            events += zip(weights, oids, repeat(direction))
-        events.sort()
-        # The rank update theorem, walked once: past a crossover the
-        # open-interval rank moves by its direction; at the crossover
-        # the lines meeting m tie with it, and the smaller oid wins.
-        levels: list[float] = []
-        ranks = [1 + above + ties]
-        for w, crossing in groupby(events, key=itemgetter(0)):
-            tied = moved = ranks[-1]
-            for _, oid, direction in crossing:
-                tied += (oid < m_dual.oid) - (direction < 0)
-                moved += direction
-            levels.append(w)
-            ranks += (tied, moved)
-        weights, oids, _ = zip(*events) if events else ((),) * 3
-        profile = RankProfile(array("d", levels), array("i", ranks))  # a rank ≤ n < 2³¹
-        return SweepInputs(m_dual, array("d", weights), array("q", oids), profile)
+            level = list(map(truediv, repeat(numerator), denominators))
+            if level and not (valid(min(level)) and valid(max(level))):
+                kept = list(map(valid, level))
+                level_oids = list(compress(level_oids, kept))
+                level = list(compress(level, kept))
+            weights += level
+            oids += level_oids
+            directions += repeat(-1 if numerator > 0.0 else 1, len(level))
+        order, weights = key_order(weights, oids)
+        oids = array("q", map(oids.__getitem__, order))
+        directions = list(map(directions.__getitem__, order))
+        # The rank update theorem as prefix sums: moved[i] is the rank past
+        # the first i events, tie[i] their smaller oids less those falling
+        # behind m.  At a run of equal w, [s, e), the lines meeting m tie
+        # with it: moved[s] + tie[e] − tie[s], so only bounds are kept.
+        moved = list(accumulate(directions, initial=1 + above + ties))
+        smaller = map(lt, oids, repeat(m_dual.oid))
+        tie = list(accumulate(map(sub, smaller, map(lt, directions, repeat(0))), initial=0))
+        bound = list(map(ne, chain(weights, [math.nan]), chain([math.nan], weights)))
+        moved, tie = list(compress(moved, bound)), list(compress(tie, bound))
+        ranks = moved[:1] * (2 * len(moved) - 1)
+        ranks[1::2] = map(add, moved, map(sub, tie[1:], tie))
+        ranks[2::2] = moved[1:]
+        levels = array("d", compress(weights, bound))
+        profile = RankProfile(levels, array("i", ranks))  # a rank ≤ n < 2³¹
+        return SweepInputs(m_dual, weights, oids, profile)
 
     def _front(self, context: WhyNotContext) -> tuple[tuple[float, int], ...]:
         """``(w, worst rank)`` of every candidate that can enter the

@@ -22,6 +22,7 @@ from repro.text.similarity import (
     OverlapSimilarity,
     WeightedJaccardSimilarity,
 )
+from repro.whynot.preference import PreferenceAdjuster
 
 
 def edge_db() -> SpatialDatabase:
@@ -345,6 +346,57 @@ class TestDualView:
                 view.dual_points_of([behind])
         assert view.count_more_similar(1 / 3) == 3  # the 1/2 bucket
 
+    def test_proximity_ties_against_an_updated_row_order(self):
+        """Oids 0–3 and the target 2 sit 1/4 from the query on four
+        sides: one proximity, and the scan index's spatial order is not
+        oid order.  Updating oid 0 moves it to the last row (and, once
+        the index is built, to its tail).  The tie run stays in oid
+        order, and every primitive reads the linear reference's counts."""
+        def obj(oid, x, y, doc="cafe"):
+            return SpatialObject(oid, Point(x, y), frozenset(doc.split()))
+
+        db = SpatialDatabase(
+            [
+                obj(0, 0.25, 0.5), obj(1, 0.75, 0.5), obj(2, 0.5, 0.25),
+                obj(3, 0.5, 0.75), obj(4, 0.5, 0.625),
+                obj(5, 0.5, 0.5, "cafe wifi"),  # TSim 1/2, nearer: crosses
+                obj(6, 0.625, 0.5, "cafe wifi"),  # likewise
+                obj(7, 1.0, 1.0, "bar"),  # behind on both axes: not held
+            ],
+            dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+        )
+        kernel = Scorer(db).kernel
+        q = SpatialKeywordQuery(Point(0.5, 0.5), frozenset({"cafe"}), 1)
+        kernel.dual_view(q, [2])  # builds the scan index before the update
+        kernel.apply_mutations(
+            SimpleNamespace(removed_oids=[0], appended=(obj(0, 0.25, 0.5),))
+        )
+        assert kernel.oids[-1] == 0
+        view = kernel.dual_view(q, [2])
+        duals = kernel.dual_points_all(q)
+        (m,) = [dual for dual in duals if dual.oid == 2]
+        level = [(b, list(oids)) for b, _, oids in view._levels if b == 1.0]
+        assert level == [(1.0, [0, 1, 2, 3, 4])]  # the 1/4 run by oid, then 4
+        ties = PreferenceAdjuster._permanent_ties_smaller(m, duals)
+        assert view.permanent_ties_smaller(2) == ties == 2  # oids 0 and 1
+        found = sorted(
+            oid for _, _, oids in view.crossing_candidates(2) for oid in oids
+        )
+        linear = DualSpaceIndex.crossing_candidates_linear(duals, m)
+        assert found == sorted(dual.oid for dual in linear) == [5, 6]
+        for ws in (0.1, 0.5, 0.9):
+            weights = Weights.from_spatial(ws)
+            assert view.ranks_at(weights.ws, weights.wt, [2]) == dict(
+                PreferenceAdjuster._ranks_at_weights(weights, [m], duals)
+            )
+        for radius in (0.0, 0.125, 0.2, 0.25):  # 0.25: the exact run
+            assert kernel.count_closer(view, q, radius) == sum(
+                1 for o in db if o.loc.distance_to(q.loc) < radius
+            )
+        assert [p.oid for p in view.dual_points_of([0, 5])] == [0, 5]
+        with pytest.raises(KeyError):  # live, but not held
+            view.dual_points_of([7])
+
 
 class TestStats:
     def test_rows_scored_by_a_top_k_scan(self):
@@ -377,11 +429,13 @@ class TestStats:
         pairs = kernel.scan_top_k(1, 0.0, 0.0, qmask, 1, 0.5, 0.5)
         assert pairs == [(-scorer.score(db.get(2), q), 2)]
         assert (kernel.stats.scan_calls, kernel.stats.scan_rows_scored) == (1, 1)
+        assert kernel.stats.scan_columns_visited == 1  # every row in one column
         # k = 2 needs a second row: the TSim 1/4 bucket is scored whole
         # (θ stays −inf until the heap is full), the TSim 0 row is not.
         pairs = kernel.scan_top_k(2, 0.0, 0.0, qmask, 1, 0.5, 0.5)
         assert [oid for _, oid in pairs] == [2, 0]
         assert kernel.stats.scan_rows_scored == 1 + 4
+        assert kernel.stats.scan_columns_visited == 2
 
     def test_counters_track_batch_passes(self):
         db = edge_db()

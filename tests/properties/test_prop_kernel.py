@@ -474,14 +474,14 @@ def long_doc(query_doc):
 
 def assert_levels_match_reference(kernel, query, view):
     """``view._levels`` is the floors' rows of ``dual_points_all``: levels
-    by descending ``b``, ``(a, row)`` ascending within each."""
-    row_of = kernel._row_of
+    by descending ``b``, ``(a, oid)`` in order within each (``a``
+    ascending, ties by oid)."""
     levels: dict[float, list[tuple[float, int]]] = {}
     for point in kernel.dual_points_all(query):
         if point.a >= view.a_floor or point.b >= view.b_floor:
-            levels.setdefault(point.b, []).append((point.a, row_of[point.oid]))
+            levels.setdefault(point.b, []).append((point.a, point.oid))
     assert [
-        (b, list(zip(proximities, rows))) for b, proximities, rows in view._levels
+        (b, list(zip(proximities, oids))) for b, proximities, oids in view._levels
     ] == [(b, sorted(levels[b])) for b in sorted(levels, reverse=True)]
 
 

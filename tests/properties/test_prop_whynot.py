@@ -320,6 +320,47 @@ def near_parallel_case():
     return adjuster, query, [SpatialObject(3, *somewhere)], 0.5
 
 
+def one_weight_crossings_case(use_dual_index):
+    """m = (1/2, 1/2), oid 5, is a flat line; five lines cross it at
+    exactly w = 1/2, two falling behind it (oids 2 and 9) and three
+    rising above it (oids 1, 3 and 8): one float w, both directions,
+    oids on both sides of m.  Oid 4 is m's line (a permanent tie ahead
+    of it), oid 7 falls behind m at 1/5 and oid 0 stays above."""
+    duals = [
+        DualPoint(5, 0.5, 0.5),
+        DualPoint(2, 0.25, 0.75),
+        DualPoint(9, 0.125, 0.875),
+        DualPoint(1, 0.875, 0.125),
+        DualPoint(8, 0.75, 0.25),
+        DualPoint(3, 0.625, 0.375),
+        DualPoint(4, 0.5, 0.5),
+        DualPoint(7, 0.0, 0.625),
+        DualPoint(0, 0.9, 0.9),
+    ]
+    somewhere = Point(0.0, 0.0), frozenset({"t0"})
+    query = SpatialKeywordQuery(*somewhere, 3, Weights.from_spatial(0.3))
+    adjuster = PreferenceAdjuster(
+        DualPointScorer(duals), use_dual_index=use_dual_index, verification_window=2
+    )
+    return adjuster, query, [SpatialObject(5, *somewhere)], 0.5
+
+
+@pytest.mark.parametrize("use_dual_index", [True, False])
+def test_crossovers_both_ways_at_one_weight(use_dual_index):
+    case = one_weight_crossings_case(use_dual_index)
+    adjuster, query, missing, _ = case
+    context = WhyNotContext(adjuster.scorer, query, missing)
+    (sweep,) = adjuster._sweeps(context, [0])
+    assert list(sweep.weights) == [0.2, 0.5, 0.5, 0.5, 0.5, 0.5]
+    assert list(sweep.oids) == [7, 1, 2, 3, 8, 9]
+    # 6 = 1 + (0, 2, 7 and 9 above as w → 0) + (4 tied ahead).  At 1/5
+    # m wins its tie with 7 (5), which then stays behind; at 1/2, 0 is
+    # above and 1–4 tie ahead (6); past it 0, 1, 3, 4 and 8 are ahead.
+    assert list(sweep.profile.weights) == [0.2, 0.5]
+    assert list(sweep.profile.ranks) == [6, 5, 5, 6, 6]
+    check_front_parity(case)
+
+
 def check_front_parity(case):
     """Every missing object's crossover events and rank profile are the
     per-object construction's, and every λ's answer and every interval

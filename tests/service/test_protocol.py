@@ -7,6 +7,7 @@ import pytest
 from repro.core.geometry import Point
 from repro.core.query import DEFAULT_WEIGHTS, SpatialKeywordQuery, Weights
 from repro.service.protocol import (
+    MAX_QUERY_K,
     ProtocolError,
     explanation_to_dict,
     keyword_refinement_to_dict,
@@ -58,6 +59,7 @@ class TestQueryRoundTrip:
             {"x": 0, "y": 0, "keywords": ["a"]},             # no k
             {"x": "no", "y": 0, "keywords": ["a"], "k": 1},  # bad type
             {"x": 0, "y": 0, "keywords": ["a"], "k": 0},     # invalid k
+            {"x": 0, "y": 0, "keywords": ["a"], "k": MAX_QUERY_K + 1},
             {"x": 0, "y": 0, "keywords": [], "k": 1},        # empty keywords
             {"x": 0, "y": 0, "keywords": ["a"], "k": 1, "ws": 1.5},
         ],
@@ -65,6 +67,12 @@ class TestQueryRoundTrip:
     def test_malformed_payload_raises_protocol_error(self, payload):
         with pytest.raises(ProtocolError):
             query_from_dict(payload)
+
+    def test_k_up_to_the_cap_parses(self):
+        payload = {"x": 0, "y": 0, "keywords": ["a"], "k": MAX_QUERY_K}
+        assert query_from_dict(payload).k == MAX_QUERY_K
+        with pytest.raises(ProtocolError, match=f"at most {MAX_QUERY_K}"):
+            query_from_dict({**payload, "k": 10**9})
 
 
 class TestResponseSerialisation:

@@ -99,12 +99,14 @@ class TestQueryEndpoint:
             b'{"x": 0.5, "y": 0.5, "keywords": ["kw000"], "k": true}',
             b'{"x": 0.5, "y": 0.5, "keywords": ["kw000"], "k": 1e999}',
             b'{"x": 0.5, "y": 0.5, "keywords": ["caf\xe9"], "k": 3}',
+            b'{"x": 0.5, "y": 0.5, "keywords": ["kw000"], "k": 1000000000}',
         ],
-        ids=["nan", "inf", "neg-inf", "1e999", "bool-k", "inf-k", "latin-1"],
+        ids=["nan", "inf", "neg-inf", "1e999", "bool-k", "inf-k", "latin-1", "huge-k"],
     )
     def test_values_that_are_not_a_query_are_400(self, server, body):
         """Regression: NaN/Infinity answered 200 with a non-JSON body,
-        ``"k": true`` ran as k=1, a non-UTF-8 body was a 500."""
+        ``"k": true`` ran as k=1, a non-UTF-8 body was a 500, and
+        ``k = 10⁹`` answered (and cached) every object."""
         from tests.service.conftest import post_raw
 
         status, reply = post_raw(server.endpoint, "/api/query", body)
@@ -439,8 +441,11 @@ class TestWhyNotBatchEndpoint:
         assert kernel is not None
         assert {
             "full_passes", "score_passes", "point_scores", "dual_views",
+            "scan_calls", "scan_rows_scored", "scan_columns_visited",
         } <= set(kernel)
         assert kernel["dual_views"] >= 1  # the preference sweep ran columnar
+        # The question's top-k ran an indexed scan, which walks a column.
+        assert kernel["scan_columns_visited"] >= kernel["scan_calls"] >= 1
 
     def test_malformed_member_is_400_with_index(self, client, scenario):
         with pytest.raises(YaskClientError) as exc:
