@@ -72,12 +72,14 @@
 #                      SetR-tree's; keyword
 #                      refinement on the scan index vs the KcR-tree
 #                      descent and exhaustive enumeration) and the
-#                      why-not property suite (the level-at-a-time
-#                      crossover events and rank profiles vs the frozen
-#                      row-at-a-time construction, and the preference
-#                      front vs the frozen exhaustive sweep at every λ,
-#                      on identical, near-parallel, at-q.ws and
-#                      near-0/1 crossings; its own CI job)
+#                      why-not property suite (the rank walks out from
+#                      q.ws, stopped part way and walked to both ends,
+#                      vs the frozen row-at-a-time construction and
+#                      sweep — test_rank_walk_matches_exhaustive_sweep_deep
+#                      — and the preference front vs the frozen
+#                      exhaustive sweep at every λ, on identical,
+#                      near-parallel, at-q.ws and near-0/1 crossings;
+#                      its own CI job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /

@@ -37,12 +37,12 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
 from operator import eq, lt
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from repro import concurrency, faults
 from repro.core.hotpath import hot_path
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
-from repro.core.query import SpatialKeywordQuery
+from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scanindex import (
     SKIP_MARGIN,
     ScanIndex,
@@ -131,7 +131,8 @@ class KernelStats:
     and the (lazy) index builds they paid for; ``dual_views`` / ``dual_view_rows``
     count dual views (and reference dual passes) and the rows they scored
     (a view's: its buckets at or above its TSim floor and the rest of its
-    disk, see :meth:`ScanIndex.undominated`);
+    disk, see :meth:`ScanIndex.undominated`); ``dual_view_events`` counts
+    the crossover events the why-not rank walks read off those views;
     the remaining counters attribute batch entry points to their consumers.
 
     One kernel is shared by every executor worker thread, so updates go
@@ -153,6 +154,7 @@ class KernelStats:
         "rank_of_many_calls",
         "dual_views",
         "dual_view_rows",
+        "dual_view_events",
         "doc_contexts",
         "doc_rank_scans",
     )
@@ -399,7 +401,9 @@ class DualView:
         below ``a_m`` where ``b > b_m`` and above it where ``b < b_m``
         (differences of these columns are multiples of 2⁻⁵³ and ratios
         of doc lengths: the float product cannot underflow to ±0).
-        Returned as ``(b, proximities, oids)`` per level with any.
+        Returned as ``(b, proximities, oids)`` per level with any, the
+        columns as views of the level's (nothing is copied): a rank walk
+        reads only the rows it reaches.
         """
         am, bm = self._target(target_oid)
         found = []
@@ -410,10 +414,53 @@ class DualView:
                 span = slice(bisect_right(proximities, am), None)
             else:
                 continue
-            crossing = proximities[span]
+            crossing = memoryview(proximities)[span]
             if crossing:
-                found.append((level, crossing, oids[span].tolist()))
+                found.append((level, crossing, memoryview(oids)[span]))
         return found
+
+    @staticmethod
+    def crossing_run(
+        target: "DualPoint",
+        ws: float,
+        b: float,
+        proximities: Sequence[float],
+        oids: Sequence[int],
+    ) -> tuple[Callable[[int], float], Sequence[int], int, int, int, int]:
+        """One level of the target's crossing candidates as a cursor over
+        its crossover events in ``w`` order: ``(weight, oids, direction,
+        low, split, stop)``.  Event ``t`` crosses at ``weight(t)``, with
+        ``oids[t]``; ``direction`` is +1 when the level's lines rise
+        above the target as ``w`` grows; ``[low, stop)`` are the valid
+        crossovers and ``[low, split)`` those below ``ws``.
+
+        ``w*`` is float-monotone in the proximity, since its denominator
+        ``slope − (a − b)`` is: it rises with ``a`` above the target's
+        level and falls below it, where the rows are read backwards.  So
+        parallel lines (a zero denominator) end the run, invalid weights
+        sit at its ends and the events below ``ws`` open it: each is one
+        bisect, or a check of the ends when there are none.
+        """
+        direction = -1 if b > target.b else 1
+        if direction > 0:
+            proximities, oids = proximities[::-1], oids[::-1]
+        numerator, slope = b - target.b, target.slope
+        # Row t's w*: DualPoint.crossover_with, operation for operation.
+        weight = lambda t: numerator / (slope - (proximities[t] - b))
+        stop = len(proximities)
+        while stop and proximities[stop - 1] - b == slope:
+            stop -= 1
+        low, interior = 0, Weights.interior
+        if stop and not (interior(weight(0)) and interior(weight(stop - 1))):
+            side = lambda t: 0 if interior(weight(t)) else 1 if weight(t) >= 0.5 else -1
+            low = bisect_left(range(stop), 0, 0, stop, key=side)
+            stop = bisect_right(range(stop), 0, low, stop, key=side)
+        split = bisect_left(range(stop), ws, low, stop, key=weight)
+        return weight, oids, direction, low, split, stop
+
+    def count_events(self, events: int) -> None:
+        """Count crossover events a rank walk read off this view."""
+        self._kernel.stats.bump("dual_view_events", events)
 
     @hot_path
     def ranks_at(
@@ -447,7 +494,7 @@ class DualView:
     def strictly_above_at_zero(self, target_oid: int) -> int:
         """Objects strictly outranking the target as ``w → 0+``.
 
-        Mirrors ``PreferenceAdjuster._strictly_above_at_zero``: order by
+        Mirrors ``DualSpaceIndex.strictly_above_at_zero``: order by
         ``b`` (TSim) with ``a`` as the tie-break.
         """
         am, bm = self._target(target_oid)

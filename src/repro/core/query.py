@@ -55,6 +55,12 @@ class Weights:
         return Weights(ws, 1.0 - ws)
 
     @staticmethod
+    def interior(ws: float) -> bool:
+        """Whether :meth:`from_spatial` accepts ``ws``: besides ``0 < ws
+        < 1``, ``1 − ws`` must not round to 0 or 1."""
+        return 0.0 < ws < 1.0 and 0.0 < 1.0 - ws < 1.0
+
+    @staticmethod
     def balanced() -> "Weights":
         """The system default ``⟨0.5, 0.5⟩`` (Section 3.2)."""
         return Weights(0.5, 0.5)

@@ -26,7 +26,7 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery, Weights
 from repro.text.similarity import JACCARD, TextSimilarityModel
 
-__all__ = ["ScoreBreakdown", "DualPoint", "Scorer"]
+__all__ = ["ScoreBreakdown", "DualPoint", "Scorer", "outranks"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -36,6 +36,14 @@ class ScoreBreakdown:
     score: float
     sdist: float
     tsim: float
+
+
+def outranks(score: float, oid: int, other_score: float, other_oid: int) -> bool:
+    """The (score desc, oid asc) total order of every ranking: whether
+    ``(score, oid)`` ranks ahead of ``(other_score, other_oid)``.  Scores
+    compare exactly: every path computes them operation for operation
+    alike, so equal floats are a true tie."""
+    return score > other_score or (score == other_score and oid < other_oid)
 
 
 class DualPoint(NamedTuple):

@@ -95,3 +95,32 @@ class DualSpaceIndex:
             for dual in points
             if (dual.a - missing.a) * (dual.b - missing.b) < 0.0
         ]
+
+    # ------------------------------------------------------------------
+    # The sweep's counts at w → 0+ (linear, as the view-less arms need)
+    # ------------------------------------------------------------------
+    @staticmethod
+    def strictly_above_at_zero(missing: DualPoint, points: Sequence[DualPoint]) -> int:
+        """Objects strictly outranking ``missing`` as ``w → 0+``.
+
+        At the textual end of the weight range order is decided by ``b``
+        (TSim), with the line slope — equivalently ``a`` — as the
+        tie-break among lines meeting at ``w = 0``.
+        """
+        return sum(
+            dual.oid != missing.oid
+            and (dual.b > missing.b or (dual.b == missing.b and dual.a > missing.a))
+            for dual in points
+        )
+
+    @staticmethod
+    def permanent_ties_smaller(missing: DualPoint, points: Sequence[DualPoint]) -> int:
+        """Objects with an identical score line and a smaller object id.
+
+        Such objects tie with ``missing`` at every weight and beat it
+        under the deterministic (score desc, oid asc) order.
+        """
+        return sum(
+            dual.oid < missing.oid and dual.a == missing.a and dual.b == missing.b
+            for dual in points
+        )

@@ -59,7 +59,7 @@ from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
-from repro.core.scoring import Scorer
+from repro.core.scoring import Scorer, outranks
 from repro.index.kcrtree import KcRTree, KcSummary
 from repro.index.rtree import RTreeNode
 from repro.text.similarity import JaccardSimilarity
@@ -687,7 +687,6 @@ class _CandidateRanker:
         for other in objects:
             if other.oid == missing_oid:
                 continue
-            score = self.score(other)
-            if score > theta or (score == theta and other.oid < missing_oid):  # yasklint: disable=YASK103 -- the documented (score desc, oid asc) tie rule; scores are bit-identical by the kernel parity contract
+            if outranks(self.score(other), other.oid, theta, missing_oid):
                 beaters += 1
         return beaters

@@ -21,9 +21,12 @@ Implementation outline (DESIGN.md §3.3):
    ``m``'s inside ``(0, 1)`` with the two quadrant range queries of
    :class:`repro.index.dualspace.DualSpaceIndex` and compute the
    crossover weights.
-3. Walk each missing object's crossovers once with the rank update
-   theorem — passing the crossover with ``o`` moves ``m``'s rank by ±1
-   according to which line rises faster — into its rank profile.
+3. Walk each missing object's rank outward from ``q.ws`` with the rank
+   update theorem — passing the crossover with ``o`` moves ``m``'s rank
+   by ±1 according to which line rises faster — starting from its rank
+   at ``q.ws``, and only as far as a reader needs: each stops where no
+   crossover still to come can bring the rank back
+   (:class:`repro.whynot.context.RankWalk`).
 4. Keep the candidate weights (the initial weight — a pure
    k-enlargement — every crossover and its past-the-crossing neighbour)
    that can win at some λ, the context's *front*; a λ evaluates Eqn. (3)
@@ -44,22 +47,18 @@ missing object.  It is marched only while the front might need it.
 from __future__ import annotations
 
 import math
-from array import array
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
-from heapq import heappop, heappush, nsmallest
-from itertools import accumulate, chain, compress, repeat
-from operator import add, le, lt, ne, sub, truediv
-from typing import Iterable, Mapping, Sequence
+from heapq import heappop, heappush, merge, nsmallest
+from itertools import groupby
+from operator import itemgetter
+from typing import Mapping, Sequence, cast
 
-from repro.core.hotpath import hot_path
-from repro.core.kernel import key_order
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
-from repro.core.scoring import DualPoint, Scorer
+from repro.core.scoring import DualPoint, Scorer, outranks
 from repro.index.dualspace import DualSpaceIndex
-from repro.whynot.context import RankProfile, SweepInputs, WhyNotContext
+from repro.whynot.context import RankWalk, WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
 
@@ -162,7 +161,6 @@ class PreferenceAdjuster:
             )
 
         penalty = PreferencePenalty(query, initial_worst, lam)
-        sweeps = self._sweeps(context, range(len(context.missing)))
         front = self._front(context)  # steps 2-3, once per context
 
         # Step 4.  ``value_at`` evaluates Eqn. (3) without allocating a
@@ -200,7 +198,7 @@ class PreferenceAdjuster:
             refined_worst_rank=best_worst,
             initial_worst_rank=initial_worst,
             lam=lam,
-            crossovers=sum(len(sweep.weights) for sweep in sweeps),
+            crossovers=sum(walk.total for walk in self._walks(context)),
             candidates_evaluated=len(front),
             # The sweep strategy, not the retrieval substrate: the
             # levelled view serves the same two range queries.
@@ -228,7 +226,9 @@ class PreferenceAdjuster:
         object: only enlarging ``k`` (or adapting keywords) can.
 
         Interval endpoints are the crossover weights; ranks on the open
-        interval between two consecutive crossovers are constant.
+        interval between two consecutive crossovers are constant.  The
+        object's rank walk goes out from ``q.ws`` on each side only until
+        its floor passes ``target_k``: no interval lies further out.
         Endpoints are resolved with the engine's tie-break semantics at
         the crossover itself, except that an interval whose closing
         crossover tie goes against the object still reports that
@@ -242,45 +242,35 @@ class PreferenceAdjuster:
                 self._scorer, query, [missing_obj], indexed=self._use_dual_index
             )
         index = [obj.oid for obj in context.missing].index(missing_obj.oid)
-        (sweep,) = self._sweeps(context, [index])
-        weights, ranks = sweep.profile
+        weights, ranks = self._walks(context)[index].walked(k).profile
         # Piece j of the profile starts at ends[(j + 1) >> 1] — 0, w0,
         # w0, w1, w1, … — and the one past the last at 1.0.  A viable
-        # stretch is a run of consecutive pieces of rank ≤ k.
+        # stretch is a run of consecutive pieces of rank ≤ k; an end of
+        # the walked window that is not (0, 1)'s lies past a piece > k.
         ends = [0.0, *weights, 1.0]
-        viable: list[tuple[float, float]] = []
-        start = stop = -1
-        for piece in compress(range(len(ranks)), map(le, ranks, repeat(k))):
-            if piece != stop:
-                if stop >= 0:
-                    viable.append((ends[(start + 1) >> 1], ends[(stop + 1) >> 1]))
-                start = piece
-            stop = piece + 1
-        if stop >= 0:
-            viable.append((ends[(start + 1) >> 1], ends[(stop + 1) >> 1]))
-        return viable
+        runs = groupby(range(len(ranks)), key=lambda piece: ranks[piece] <= k)
+        stretches = [list(pieces) for viable, pieces in runs if viable]
+        return [(ends[(run[0] + 1) >> 1], ends[(run[-1] + 2) >> 1]) for run in stretches]
 
     # ------------------------------------------------------------------
-    # Sweep inputs (memoised on the context)
+    # Rank walks (memoised on the context)
     # ------------------------------------------------------------------
-    def _sweeps(
-        self, context: WhyNotContext, indices: Sequence[int]
-    ) -> list[SweepInputs]:
-        """The crossover structure of ``context.missing[i]`` per index.
+    def _walks(self, context: WhyNotContext) -> list[RankWalk]:
+        """The rank walk of each missing object.
 
         Crossing lines come from the levelled view's quadrant slices;
         without a view from the paper's two R-tree range queries over
         the dual points, or (``use_dual_index=False``, the E8 ablation)
-        a linear scan of them.
+        a linear scan of them, one line to a level.
         """
         view = context.view if self._use_dual_index else None
         find = None
-        for index in indices:
-            if context.sweeps[index] is not None:
+        for index, walk in enumerate(context.walks):
+            if walk is not None:
                 continue
             m_dual = context.missing_duals[index]
             if view is not None:
-                groups = view.crossing_candidates(m_dual.oid)
+                crossing = view.crossing_candidates(m_dual.oid)
                 above = view.strictly_above_at_zero(m_dual.oid)
                 ties = view.permanent_ties_smaller(m_dual.oid)
             else:
@@ -291,76 +281,14 @@ class PreferenceAdjuster:
                         if self._use_dual_index
                         else partial(DualSpaceIndex.crossing_candidates_linear, duals)
                     )
-                groups = [(p.b, (p.a,), (p.oid,)) for p in find(m_dual)]
+                crossing = [(p.b, (p.a,), (p.oid,)) for p in find(m_dual)]
                 above = self._strictly_above_at_zero(m_dual, duals)
                 ties = self._permanent_ties_smaller(m_dual, duals)
-            context.sweeps[index] = self._sweep_inputs(m_dual, groups, above, ties)
-        return [context.sweeps[index] for index in indices]
-
-    @hot_path
-    def _sweep_inputs(
-        self,
-        m_dual: DualPoint,
-        groups: Iterable[tuple[float, Sequence[float], Sequence[int]]],
-        above: int,
-        ties: int,
-    ) -> SweepInputs:
-        """Crossover events of ``(b, proximities, oids)`` groups against m,
-        and m's rank profile along them from ``1 + above + ties``.
-
-        The groups are m's crossing candidates, one TSim level each:
-        every row sits in the open quadrant opposite m's.  ``w*`` is
-        ``m_dual.crossover_with(other)`` operation for operation, a
-        group at a time.  The rank update theorem's direction is one
-        per group: with ``b > b_m`` and ``a < a_m``, monotone rounding
-        gives ``a − b ≤ a_m − b_m`` (equal only for a parallel line,
-        which never changes the order and is dropped), so every line of
-        the group falls behind m as ``w`` grows; with ``b < b_m`` every
-        one rises above it.  The valid weights form an interval, so only
-        a group whose smallest or largest ``w*`` is invalid is filtered
-        row by row.  The events are parallel (w, oid, direction) columns
-        in ``(w, oid)`` order (:func:`key_order`), and the profile is
-        prefix sums over them, read at the bounds of each run of equal w.
-        """
-        m_slope = m_dual.slope
-        valid = self._valid_weight
-        weights: list[float] = []
-        oids: list[int] = []
-        directions: list[int] = []
-        for b, proximities, level_oids in groups:
-            numerator = b - m_dual.b
-            denominators = list(
-                map(sub, repeat(m_slope), map(sub, proximities, repeat(b)))
+            context.walks[index] = RankWalk(
+                m_dual, context.query.ws, crossing, 1 + above + ties,
+                None if view is None else view.count_events,
             )
-            if 0.0 in denominators:  # a parallel line: no crossover
-                level_oids = list(compress(level_oids, denominators))
-                denominators = list(compress(denominators, denominators))
-            level = list(map(truediv, repeat(numerator), denominators))
-            if level and not (valid(min(level)) and valid(max(level))):
-                kept = list(map(valid, level))
-                level_oids = list(compress(level_oids, kept))
-                level = list(compress(level, kept))
-            weights += level
-            oids += level_oids
-            directions += repeat(-1 if numerator > 0.0 else 1, len(level))
-        order, weights = key_order(weights, oids)
-        oids = array("q", map(oids.__getitem__, order))
-        directions = list(map(directions.__getitem__, order))
-        # The rank update theorem as prefix sums: moved[i] is the rank past
-        # the first i events, tie[i] their smaller oids less those falling
-        # behind m.  At a run of equal w, [s, e), the lines meeting m tie
-        # with it: moved[s] + tie[e] − tie[s], so only bounds are kept.
-        moved = list(accumulate(directions, initial=1 + above + ties))
-        smaller = map(lt, oids, repeat(m_dual.oid))
-        tie = list(accumulate(map(sub, smaller, map(lt, directions, repeat(0))), initial=0))
-        bound = list(map(ne, chain(weights, [math.nan]), chain([math.nan], weights)))
-        moved, tie = list(compress(moved, bound)), list(compress(tie, bound))
-        ranks = moved[:1] * (2 * len(moved) - 1)
-        ranks[1::2] = map(add, moved, map(sub, tie[1:], tie))
-        ranks[2::2] = moved[1:]
-        levels = array("d", compress(weights, bound))
-        profile = RankProfile(levels, array("i", ranks))  # a rank ≤ n < 2³¹
-        return SweepInputs(m_dual, weights, oids, profile)
+        return cast("list[RankWalk]", context.walks)  # every slot filled
 
     def _front(self, context: WhyNotContext) -> tuple[tuple[float, int], ...]:
         """``(w, worst rank)`` of every candidate that can enter the
@@ -371,21 +299,17 @@ class PreferenceAdjuster:
         and a ``Δw`` no larger and a strictly smaller ``|w − ws|``, so a
         penalty no larger at any λ and k and an earlier window key.
         Whatever lies beyond a crossover lies at or past the first float
-        beyond it: its rank is at least the lowest on that far side and,
-        when both ``Δw`` components only grow from there, its ``Δw`` at
-        least that float's.  Once that much is dominated the side ends.
+        beyond it: its rank is at least the walks' floor there and, when
+        both ``Δw`` components only grow from there, its ``Δw`` at least
+        that float's.  Once that much is dominated the side ends: its
+        walks go no further.
         """
         if context.front is not None:
             return context.front
-        sweeps = self._sweeps(context, range(len(context.missing)))
-        profile = RankProfile.worst([sweep.profile for sweep in sweeps])
-        levels, ranks = profile
-        # The lowest rank on (0, levels[i]) and on (levels[i], 1).
-        lowest_below = list(accumulate(ranks, min))[::2]
-        lowest_above = list(accumulate(reversed(ranks), min))[::-1][2::2]
+        walks = self._walks(context)
         ws, wt = context.query.ws, context.query.wt
         kept: list[tuple[float, int, float, float]] = []  # (|w − ws|, rank, Δw, w)
-        seen = {ws, *levels}
+        seen = {ws}
         marched: list[tuple[float, float]] = []  # heap of (|w − ws|, w)
 
         def dominated(distance: float, rank: int, delta_w: float) -> bool:
@@ -394,41 +318,42 @@ class PreferenceAdjuster:
             ) >= self._verification_window
 
         def offer(w: float) -> None:
-            rank, delta_w = profile.rank(w), math.hypot(ws - w, wt - (1.0 - w))
+            rank = max(walk.rank(w) for walk in walks)
+            delta_w = math.hypot(ws - w, wt - (1.0 - w))
             if not dominated(abs(w - ws), rank, delta_w):
                 kept.append((abs(w - ws), rank, delta_w, w))
 
-        up = bisect_left(levels, ws)
-        down = up - 1
-        if up == len(levels) or levels[up] != ws:
+        sides = [  # each side's crossover weights, outward
+            map(itemgetter(0), groupby(merge(*(x.levels(up) for x in walks), reverse=not up)))
+            for up in (False, True)
+        ]
+        nearest = [next(side, None) for side in sides]
+        if nearest[True] != ws:
             offer(ws)
-        while down >= 0 or up < len(levels):
-            going_up = down < 0 or (
-                up < len(levels) and abs(levels[up] - ws) < abs(levels[down] - ws)
-            )
-            index = up if going_up else down
-            w_star = levels[index]
+        while nearest != [None, None]:
+            down, up = nearest
+            going_up = down is None or (up is not None and abs(up - ws) < abs(down - ws))
+            w_star = nearest[going_up]
             while marched and marched[0] < (abs(w_star - ws), w_star):
                 offer(heappop(marched)[1])
             offer(w_star)
             past = math.nextafter(w_star, 1.0 if going_up else 0.0)
             dx, dy = ws - past, wt - (1.0 - past)
             if ((dx <= 0.0 <= dy) if going_up else (dy <= 0.0 <= dx)) and dominated(
-                abs(past - ws),
-                (lowest_above if going_up else lowest_below)[index],
+                abs(past - ws), max(walk.floor(w_star) for walk in walks),
                 math.hypot(dx, dy) * _HYPOT_SLACK,
             ):
-                up, down = (len(levels), down) if going_up else (up, -1)
+                nearest[going_up] = None  # the side ends
                 continue
-            for sweep in sweeps:
-                low = bisect_left(sweep.weights, w_star)
-                high = bisect_right(sweep.weights, w_star, low)
-                for other in context.dual_points_of(sweep.oids[low:high]):
-                    w = self._past_crossing_candidate(sweep.dual, other, w_star, ws)
-                    if w is not None and w not in seen:
-                        seen.add(w)
+            for walk in walks:
+                for other in context.dual_points_of(walk.oids_at(w_star)):
+                    w = self._past_crossing_candidate(walk.dual, other, w_star, ws)
+                    if w is None or w in seen:
+                        continue
+                    seen.add(w)
+                    if not any(walk.oids_at(w) for walk in walks):  # else offered as one
                         heappush(marched, (abs(w - ws), w))
-            up, down = (up + 1, down) if going_up else (up, down - 1)
+            nearest[going_up] = next(sides[going_up], None)
         for _, w in sorted(marched):
             offer(w)
         context.front = tuple(sorted((w, rank) for _, rank, _, w in kept))
@@ -437,36 +362,19 @@ class PreferenceAdjuster:
     # ------------------------------------------------------------------
     # Sweep internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _valid_weight(w: float) -> bool:
-        """True when ``Weights.from_spatial(w)`` yields interior weights.
-
-        Besides ``0 < w < 1`` this requires ``1 − w`` not to round to 0
-        or 1 in floating point, which the :class:`Weights` validator
-        would reject.
-        """
-        return 0.0 < w < 1.0 and 0.0 < 1.0 - w < 1.0
+    _valid_weight = staticmethod(Weights.interior)
 
     @staticmethod
     def _beats(other: DualPoint, m_dual: DualPoint, w: float) -> bool:
-        """Float-semantics comparison at spatial weight ``w``.
-
-        Must mirror :meth:`_ranks_at_weights` exactly: scores are
-        ``w·a + (1−w)·b`` (the values ``Weights.from_spatial(w)`` stores)
-        with the (score desc, oid asc) tie-break.
-        """
-        other_score = w * other.a + (1.0 - w) * other.b
-        m_score = w * m_dual.a + (1.0 - w) * m_dual.b
-        if other_score != m_score:  # yasklint: disable=YASK103 -- dual-space comparator mirrors the kernel operation-for-operation; equality means a true permanent tie
-            return other_score > m_score
-        return other.wins_ties_against(m_dual)
+        """Whether ``other`` outranks m at ``w``, as :meth:`_ranks_at_weights`
+        ranks: scores ``w·a + (1−w)·b``, ``Weights.from_spatial(w)``'s."""
+        return outranks(
+            w * other.a + (1.0 - w) * other.b, other.oid,
+            w * m_dual.a + (1.0 - w) * m_dual.b, m_dual.oid,
+        )
 
     def _past_crossing_candidate(
-        self,
-        m_dual: DualPoint,
-        other: DualPoint,
-        w_star: float,
-        initial_ws: float,
+        self, m_dual: DualPoint, other: DualPoint, w_star: float, initial_ws: float
     ) -> float | None:
         """First float weight past the crossing, on the side away from ``ws``.
 
@@ -511,40 +419,9 @@ class PreferenceAdjuster:
                 low = mid
         return high if self._valid_weight(high) else None
 
-    @staticmethod
-    def _strictly_above_at_zero(
-        m_dual: DualPoint, duals: Sequence[DualPoint]
-    ) -> int:
-        """Objects strictly outranking ``m`` as ``w → 0+``.
-
-        At the textual end of the weight range order is decided by ``b``
-        (TSim), with the line slope — equivalently ``a`` — as the
-        tie-break among lines meeting at ``w = 0``.
-        """
-        return sum(
-            1
-            for other in duals
-            if other.oid != m_dual.oid
-            and (other.b > m_dual.b or (other.b == m_dual.b and other.a > m_dual.a))
-        )
-
-    @staticmethod
-    def _permanent_ties_smaller(
-        m_dual: DualPoint, duals: Sequence[DualPoint]
-    ) -> int:
-        """Objects with an identical score line and a smaller object id.
-
-        Such objects tie with ``m`` at every weight and beat it under the
-        deterministic (score desc, oid asc) order.
-        """
-        return sum(
-            1
-            for other in duals
-            if other.oid != m_dual.oid
-            and other.a == m_dual.a
-            and other.b == m_dual.b
-            and other.oid < m_dual.oid
-        )
+    # The view-less arms' counts at ``w → 0+`` (the view's own mirror them).
+    _strictly_above_at_zero = staticmethod(DualSpaceIndex.strictly_above_at_zero)
+    _permanent_ties_smaller = staticmethod(DualSpaceIndex.permanent_ties_smaller)
 
     # ------------------------------------------------------------------
     # Floating-point rank oracle (shared with the sampling baseline)
@@ -580,10 +457,6 @@ class PreferenceAdjuster:
         for other in duals:
             other_score = weights.ws * other.a + weights.wt * other.b
             for oid, target_score in targets:
-                if other.oid == oid:
-                    continue
-                if other_score > target_score or (
-                    other_score == target_score and other.oid < oid  # yasklint: disable=YASK103 -- the documented (score desc, oid asc) tie rule; scores are bit-identical by the kernel parity contract
-                ):
+                if other.oid != oid and outranks(other_score, other.oid, target_score, oid):
                     beaten[oid] += 1
         return {oid: count + 1 for oid, count in beaten.items()}

@@ -22,6 +22,7 @@ from repro.text.similarity import (
     OverlapSimilarity,
     WeightedJaccardSimilarity,
 )
+from repro.whynot.context import WhyNotContext
 from repro.whynot.preference import PreferenceAdjuster
 
 
@@ -436,6 +437,34 @@ class TestStats:
         assert [oid for _, oid in pairs] == [2, 0]
         assert kernel.stats.scan_rows_scored == 1 + 4
         assert kernel.stats.scan_columns_visited == 2
+
+    def test_dual_view_events_count_the_crossovers_a_walk_reads(self):
+        """Oid 0 is nearest the query and shares no keyword; the three
+        farther "cafe" rows cross its line.  Building its rank walk reads
+        no event (the count and the rank at q.ws are bisects); walking
+        reads each once, and a second walk of the range reads none."""
+        rows = [(0.1, "bar"), (0.3, "cafe"), (0.2, "cafe wifi"), (0.6, "cafe")]
+        db = SpatialDatabase(
+            [
+                SpatialObject(oid, Point(0.0, y), frozenset(doc.split()))
+                for oid, (y, doc) in enumerate(rows)
+            ],
+            dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+        )
+        scorer = Scorer(db)
+        q = SpatialKeywordQuery(
+            Point(0.0, 0.0), frozenset({"cafe"}), 1, Weights.from_spatial(0.5)
+        )
+        context = WhyNotContext(scorer, q, [db.get(0)])
+        (walk,) = PreferenceAdjuster(scorer)._walks(context)
+        stats = scorer.kernel.stats
+        assert (stats.dual_views, stats.dual_view_events, walk.total) == (1, 0, 3)
+        walk.rank(q.ws)  # every crossover lies above q.ws = 0.5: none read
+        assert stats.dual_view_events == 0
+        walk.walked()
+        assert stats.dual_view_events == 3
+        walk.walked()
+        assert stats.to_dict()["dual_view_events"] == 3
 
     def test_counters_track_batch_passes(self):
         db = edge_db()

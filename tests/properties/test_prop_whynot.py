@@ -7,6 +7,7 @@ their baseline (sampling / exhaustive enumeration).
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from operator import attrgetter
 
@@ -350,7 +351,10 @@ def test_crossovers_both_ways_at_one_weight(use_dual_index):
     case = one_weight_crossings_case(use_dual_index)
     adjuster, query, missing, _ = case
     context = WhyNotContext(adjuster.scorer, query, missing)
-    (sweep,) = adjuster._sweeps(context, [0])
+    (walk,) = adjuster._walks(context)
+    assert walk.total == 6
+    sweep = walk.walked()  # the whole range
+    assert sweep == reference_sweep(context, 0)
     assert list(sweep.weights) == [0.2, 0.5, 0.5, 0.5, 0.5, 0.5]
     assert list(sweep.oids) == [7, 1, 2, 3, 8, 9]
     # 6 = 1 + (0, 2, 7 and 9 above as w → 0) + (4 tied ahead).  At 1/5
@@ -362,16 +366,14 @@ def test_crossovers_both_ways_at_one_weight(use_dual_index):
 
 
 def check_front_parity(case):
-    """Every missing object's crossover events and rank profile are the
-    per-object construction's, and every λ's answer and every interval
-    list is the exhaustive sweep's; one context (one front) serves them
-    all."""
+    """Every λ's answer and every interval list is the exhaustive
+    sweep's, one context (one front, walks extended on demand) serving
+    them all; walked on to both ends, every missing object's crossover
+    events and rank profile are the per-object construction's."""
     adjuster, query, missing, lam = case
     context = WhyNotContext(
         adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
     )
-    for index in range(len(missing)):
-        assert adjuster._sweeps(context, [index]) == [reference_sweep(context, index)]
     for each in (*LAMBDAS, lam):
         got = adjuster.refine(query, missing, lam=each, context=context)
         want = reference_refine(adjuster, query, missing, lam=each)
@@ -384,6 +386,8 @@ def check_front_parity(case):
             assert adjuster.viable_weight_intervals(
                 query, obj, target_k=k, context=context
             ) == reference_intervals(adjuster, query, obj, target_k=k)
+    for index, walk in enumerate(adjuster._walks(context)):
+        assert walk.walked() == reference_sweep(context, index)
 
 
 @settings(max_examples=60, deadline=None)
@@ -399,3 +403,54 @@ def test_preference_front_matches_exhaustive_sweep(case):
 @example(near_parallel_case())
 def test_preference_front_matches_exhaustive_sweep_deep(case):
     check_front_parity(case)
+
+
+def check_walk_parity(case):
+    """A walk stopped part way reads the frozen sweep's rank at every
+    crossover and open interval it reached and holds that window's
+    events; its floor is below every rank further out, and its event
+    count is the sweep's total before it reads any."""
+    adjuster, query, missing, _ = case
+    context = WhyNotContext(
+        adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
+    )
+    for index, walk in enumerate(adjuster._walks(context)):
+        want = reference_sweep(context, index)
+        assert walk.total == len(want.weights)
+        assert walk.rank(query.ws) == want.profile.rank(query.ws)
+        levels, ranks = want.profile
+        for beyond in (query.k, query.k + 16, math.inf):
+            got = walk.walked(beyond)
+            reached = list(got.profile.weights)
+            low, high = (reached[0], reached[-1]) if reached else (math.inf, -math.inf)
+            assert reached == [w for w in levels if low <= w <= high]
+            assert list(zip(got.weights, got.oids)) == [
+                (w, oid) for w, oid in zip(want.weights, want.oids) if low <= w <= high
+            ]
+            middles = [(w + v) / 2.0 for w, v in zip(reached, reached[1:])]
+            for w in (*reached, *middles):
+                assert walk.rank(w) == got.profile.rank(w) == want.profile.rank(w)
+            for w in reached:
+                at = levels.index(w)
+                further = ranks[2 * at + 2 :] if w >= query.ws else ranks[: 2 * at + 1]
+                assert walk.floor(w) <= min(further)
+            # Outside the window no rank comes back to ``beyond``.
+            first = bisect_left(levels, low) if reached else bisect_left(levels, query.ws)
+            last = bisect_right(levels, high) if reached else first
+            outside = ranks[: 2 * first] + ranks[2 * last + 1 :]
+            assert all(rank > beyond for rank in outside)
+
+
+@settings(max_examples=60, deadline=None)
+@given(front_cases())
+@example(near_parallel_case())
+def test_rank_walk_matches_exhaustive_sweep(case):
+    check_walk_parity(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=1500, deadline=None)
+@given(front_cases())
+@example(near_parallel_case())
+def test_rank_walk_matches_exhaustive_sweep_deep(case):
+    check_walk_parity(case)

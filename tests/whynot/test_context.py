@@ -18,6 +18,7 @@ from repro.service.api import YaskEngine
 from repro.service.executor import WhyNotQuestion
 from repro.service.protocol import whynot_value_to_dict
 from repro.whynot import engine as whynot_engine
+from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.preference import PreferenceAdjuster
 
@@ -191,8 +192,9 @@ class TestMemo:
         assert dual_views(engine) == before + 1
 
     def test_two_threads_one_context(self, engine, small_db, scenarios):
-        """Different models of one (query, M) at once: nothing in a
-        shared context is a cursor, so both read single-threaded answers."""
+        """Different models of one (query, M) at once: a shared context's
+        walks only republish what they walked, so all read
+        single-threaded answers."""
         scenario = scenarios[2]
         cold = YaskEngine(small_db)
         expected = {
@@ -223,3 +225,45 @@ class TestMemo:
         assert not any(thread.is_alive() for thread in threads)
         for model, got in answers.items():
             assert got == [expected[model]] * 5
+
+
+def test_two_threads_extend_one_walk(medium_scorer):
+    """Two threads walk one missing object's rank at once, one outward a
+    crossover at a time and one to both ends in one go: each extension
+    republishes a side, so both read the ranks and events a lone walk
+    reads, and the walk ends whole."""
+    (scenario,) = generate_whynot_scenarios(
+        medium_scorer, count=1, k=5, missing_count=1, seed=91, rank_window=40
+    )
+    query, missing = scenario.query, scenario.missing
+    adjuster = PreferenceAdjuster(medium_scorer)
+    (alone,) = adjuster._walks(WhyNotContext(medium_scorer, query, missing))
+    expected = alone.walked()
+    assert len(expected.profile.weights) >= 50
+    probes = sorted(expected.profile.weights, key=lambda w: abs(w - query.ws))
+    context = WhyNotContext(medium_scorer, query, missing)
+    (walk,) = adjuster._walks(context)
+    barrier = threading.Barrier(2)
+    got: dict[str, object] = {}
+
+    def stepwise() -> None:
+        barrier.wait(timeout=30)
+        got["stepwise"] = [(walk.rank(w), walk.oids_at(w)) for w in probes]
+
+    def whole() -> None:
+        barrier.wait(timeout=30)
+        got["whole"] = walk.walked()
+
+    threads = [threading.Thread(target=stepwise), threading.Thread(target=whole)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got["whole"] == expected == walk.walked()
+    assert got["stepwise"] == [(alone.rank(w), alone.oids_at(w)) for w in probes]

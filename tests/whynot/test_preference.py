@@ -12,17 +12,26 @@ Central contracts:
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from repro.core.query import Weights
+from repro.core.geometry import Point, Rect
+from repro.core.objects import SpatialDatabase, SpatialObject
+from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.core.topk import BruteForceTopK
+from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
 from repro.whynot.preference import PreferenceAdjuster
 
 from tests.conftest import random_queries
+from tests.whynot.sweep_reference import (
+    reference_intervals,
+    reference_refine,
+    reference_sweep,
+)
 
 
 def scenarios(scorer, *, count, k, missing_count=1, seed=60):
@@ -244,3 +253,89 @@ class TestAblationsAndErrors:
         assert refinement.candidates_evaluated >= 1
         assert refinement.crossovers >= 0
         assert refinement.method == "weight-sweep"
+
+
+def few_crossings():
+    """Six lines cross the missing object's (oid 0: half the query's
+    keywords, mid-distance), three on either side of ``q.ws = 0.5``:
+    fewer candidates than a verification window of 16."""
+    rows = [
+        (0.0, 0.5, "a b"),  # m
+        (0.0, 0.2, "c"),  # closer, no keyword: crosses above q.ws
+        (0.0, 0.8, "a"),  # farther, more similar: above
+        (0.0, 0.3, "a b c"),  # above
+        (0.0, 0.65, "a"),  # above
+        (0.0, 0.05, "a b c"),  # much closer, a little less similar: below
+        (0.9, 0.9, "a"),  # far, most similar: below
+        (0.0, 0.1, "a"),  # dominates m: no crossover
+        (0.0, 0.9, "c"),  # m dominates it: none
+    ]
+    db = SpatialDatabase(
+        [
+            SpatialObject(oid, Point(x, y), frozenset(doc.split()))
+            for oid, (x, y, doc) in enumerate(rows)
+        ],
+        dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+    )
+    query = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"a"}), 1, Weights(0.5, 0.5))
+    return db, query, [db.get(0)]
+
+
+class TestRankWalk:
+    """The walks of m's rank out from ``q.ws`` that the front and the
+    intervals read (:class:`repro.whynot.context.RankWalk`)."""
+
+    @pytest.mark.parametrize(
+        "use_kernel, use_dual_index", [(True, True), (False, True), (True, False)]
+    )
+    def test_fewer_candidates_than_the_window_walk_to_both_ends(
+        self, use_kernel, use_dual_index
+    ):
+        """No candidate can be dominated by 16 others, so the front walks
+        both sides to their ends, and answers as the exhaustive sweep."""
+        db, query, missing = few_crossings()
+        scorer = Scorer(db, use_kernel=use_kernel)
+        adjuster = PreferenceAdjuster(scorer, use_dual_index=use_dual_index)
+        context = WhyNotContext(scorer, query, missing, indexed=use_dual_index)
+        for lam in (0.1, 0.5, 0.9):
+            got = adjuster.refine(query, missing, lam=lam, context=context)
+            want = reference_refine(adjuster, query, missing, lam=lam)
+            assert replace(got, candidates_evaluated=0) == replace(
+                want, candidates_evaluated=0
+            )
+        (walk,) = adjuster._walks(context)
+        full = reference_sweep(context, 0)
+        levels = list(full.profile.weights)
+        assert sum(w < query.ws for w in levels) == 2 and len(levels) == 5
+        assert walk.total == len(full.weights) == 6 < adjuster._verification_window
+        assert walk.walked(-math.inf) == full  # walked already: reads nothing
+        if context.view is not None:
+            assert scorer.kernel.stats.dual_view_events == walk.total
+
+    def test_missing_objects_walks_stop_at_different_weights(self, small_scorer):
+        """Each missing object's interval walk stops where its own floor
+        passes k, short of its last crossover: two objects of one set
+        walk different windows, and every answer is the exhaustive
+        sweep's all the same."""
+        adjuster = PreferenceAdjuster(small_scorer)
+        windows = []
+        for scenario in scenarios(small_scorer, count=6, k=5, missing_count=2):
+            query, missing = scenario.query, scenario.missing
+            context = WhyNotContext(small_scorer, query, missing)
+            for obj in missing:
+                assert adjuster.viable_weight_intervals(
+                    query, obj, context=context
+                ) == reference_intervals(adjuster, query, obj)
+            walked = [walk.walked(-math.inf) for walk in adjuster._walks(context)]
+            assert all(
+                len(got.weights) < walk.total
+                for got, walk in zip(walked, context.walks)
+            )
+            windows.append([tuple(got.profile.weights) for got in walked])
+            for lam in (0.1, 0.9):
+                got = adjuster.refine(query, missing, lam=lam, context=context)
+                want = reference_refine(adjuster, query, missing, lam=lam)
+                assert replace(got, candidates_evaluated=0) == replace(
+                    want, candidates_evaluated=0
+                )
+        assert sum(first != second for first, second in windows) >= 3
