@@ -50,7 +50,9 @@
 #                      same outcome, no wall-clock sleeps)
 #   make test-lockdep — the concurrency suites with the runtime
 #                      lock-order sanitizer enabled (YASK_LOCKDEP=1):
-#                      hammer tests + the analysis test suite
+#                      hammer tests, the maintenance passes over the
+#                      shared top-k / why-not invalidation domain +
+#                      the analysis test suite
 #   make test-scan   — the scan and shard tiers at their deep budget:
 #                      the bucketed top-k scan (scan_top_k walking
 #                      buckets of one exact TSim, equal-TSim buckets
@@ -118,7 +120,7 @@ bench-e16-smoke:
 	$(PYTHON) benchmarks/e16/run.py --smoke
 
 test-lockdep:
-	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_skyband.py tests/whynot/test_context.py -q $(ALL_MARKS)
+	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_scoped_invalidation.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_skyband.py tests/whynot/test_context.py -q $(ALL_MARKS)
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools

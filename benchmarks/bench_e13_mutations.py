@@ -19,9 +19,9 @@ Acceptance floors at 20k objects:
   invalidation only drops the results a batch could actually affect.
 * **Maintenance costs O(batch)**: a ``maintain()`` pass over 64 cached
   ``explain`` answers takes at most **3x** a pass over none (same
-  top-k cache, same batches) — repairing a why-not answer reads the
-  batch's delta rows, never the engine.  A ratio, so it holds on any
-  host.
+  top-k cache, same batches) — the why-not cache is drop-on-write, so
+  the pass drops each cached answer without reading it or calling the
+  engine.  A ratio, so it holds on any host.
 * **Removals cost O(batch) on the sharded engine**: at 4 shards, the
   median batch of 6 inserts + 1 update + 1 delete costs at most
   **2.5x** the median insert-only batch of the same stream — kernels
@@ -435,10 +435,9 @@ def maintenance_pass_cost(base_db, *, rounds: int = 3) -> dict:
     Both sides hold the same top-k entries (E16's ``mixed_rw`` shape:
     200 hot queries plus the questions' initial queries) and see
     batches of the same shape: ten objects with vocabulary keywords at
-    random locations, so nearly every why-not entry fails the dominance
-    keep and goes through the repair path.  Entries a batch evicts are
-    re-primed before the next timed pass — every pass on the
-    ``explain`` side runs over all 64.  Also what ``bench_json.py``
+    random locations.  Every batch drops every why-not entry, and the
+    entries are re-primed before the next timed pass — every pass on
+    the ``explain`` side runs over all 64.  Also what ``bench_json.py``
     records in ``BENCH_E13.json``.
     """
     engine = YaskEngine(

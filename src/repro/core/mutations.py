@@ -142,26 +142,6 @@ class _SupportsQueryMeta(Protocol):
     full: bool
 
 
-class _SupportsWhyNotMeta(Protocol):
-    """What :meth:`BatchSummary.affects_whynot` reads off a cache entry.
-
-    ``keyword_universe`` is ``q.doc ∪ ⋃ missing docs`` — every keyword
-    the answer's arithmetic can ever touch: the keyword adapter only
-    enumerates candidates ``(q.doc \\ D) ∪ A`` with ``A ⊆ M.doc``, so a
-    delta object disjoint from the universe has TSim 0 under the
-    original query *and* every candidate refinement.
-    ``min_missing_prox`` is ``min_m (1 − SDist(m, q))`` over the missing
-    set.  ``initial`` is the cached initial top-k's meta for the models
-    that consume one (full/explain), else None.
-    """
-
-    missing_oids: frozenset[int]
-    loc: object  # Point
-    keyword_universe: frozenset[str]
-    min_missing_prox: float
-    initial: "_SupportsQueryMeta | None"
-
-
 @dataclass(frozen=True, slots=True)
 class BatchSummary:
     """What one applied batch touched, priced for impact tests.
@@ -175,15 +155,13 @@ class BatchSummary:
     the engine's kernel model (None disables the text bound and makes
     every impact test conservatively positive).
 
-    ``added_rows`` / ``removed_rows`` are the per-object
-    ``(x, y, mask, doc_len, oid)`` column rows the answer-maintenance
-    tier scores against cached query scalars
-    (:func:`repro.core.kernel.score_delta_rows`): added rows align with
-    :attr:`AppliedBatch.appended`, removed rows carry the *previous*
-    instances' cells — exactly what the pre-batch kernel held for them.
-    Both are encoded under the engine's writer lock against the
-    already-extended vocabulary, so maintenance never reads kernel
-    columns.  Empty when the engine runs no columnar kernel.
+    ``added_rows`` are the added objects' ``(x, y, mask, doc_len, oid)``
+    column rows, aligned with :attr:`AppliedBatch.appended`, which the
+    top-k skyband merge scores against cached query scalars
+    (:func:`repro.core.kernel.score_delta_rows`).  They are encoded
+    under the engine's writer lock against the already-extended
+    vocabulary, so maintenance never reads kernel columns.  Empty when
+    the engine runs no columnar kernel.
     """
 
     generation: int
@@ -194,16 +172,17 @@ class BatchSummary:
     min_added_doc_len: int
     model_code: str | None
     normaliser: float
-    removed_region: Rect | None = None
-    removed_keywords: frozenset[str] = frozenset()
     added_rows: tuple[tuple[float, float, int, int, int], ...] = ()
-    removed_rows: tuple[tuple[float, float, int, int, int], ...] = ()
 
     # ------------------------------------------------------------------
     # Score bounds over the added objects (shard-bound arithmetic)
     # ------------------------------------------------------------------
-    def _region_proximity_upper_bound(self, region: Rect | None, loc) -> float:
-        """``1 − MINDIST/norm`` (clamped) over a region, 0.0 when empty."""
+    def proximity_upper_bound(self, loc) -> float:
+        """``max (1 − SDist(o, q))`` over added objects, via region MINDIST.
+
+        0.0 when the batch added nothing.
+        """
+        region = self.region
         if region is None:
             return 0.0
         dx = max(region.min_x - loc.x, 0.0, loc.x - region.max_x)
@@ -212,14 +191,6 @@ class BatchSummary:
         if sdist > 1.0:
             sdist = 1.0
         return 1.0 - sdist
-
-    def proximity_upper_bound(self, loc) -> float:
-        """``max (1 − SDist(o, q))`` over added objects, via region MINDIST."""
-        return self._region_proximity_upper_bound(self.region, loc)
-
-    def removed_proximity_upper_bound(self, loc) -> float:
-        """``max (1 − SDist(o, q))`` over the *removed* objects' old rows."""
-        return self._region_proximity_upper_bound(self.removed_region, loc)
 
     def tsim_upper_bound(self, query_doc: frozenset[str]) -> float:
         """``max TSim(o, q)`` over added objects (keyword-union bound).
@@ -266,44 +237,6 @@ class BatchSummary:
             meta.loc
         ) + meta.wt * self.tsim_upper_bound(meta.doc)
         return bound >= meta.kth_score - _AFFECT_MARGIN
-
-    def affects_whynot(self, meta: _SupportsWhyNotMeta) -> bool:
-        """Could this batch change the cached why-not answer ``meta`` describes?
-
-        Exact-safe for *all five* answer models via a dominance
-        argument.  A False proves every delta object scores strictly
-        below every missing object at **every** interior weight and
-        under **every** candidate keyword set the refiners enumerate:
-
-        * keywords disjoint from ``q.doc ∪ ⋃ missing docs`` give the
-          delta object TSim 0 under the original doc and every
-          refinement candidate (the adapter only edits within that
-          universe), and
-        * proximity strictly below every missing object's makes its
-          score line lie strictly under each missing object's line on
-          the whole open weight interval — no crossover inside (0, 1),
-          so ranks, beater counts, strictly-closer / strictly-more-
-          similar counts and viable-weight intervals are all untouched.
-
-        Models that consume the initial top-k (full/explain) addition-
-        ally require the initial result to be provably unaffected.
-        """
-        touched = self.removed_oids | self.added_oids
-        if touched & meta.missing_oids:
-            return True
-        if meta.initial is not None and self.affects_topk(meta.initial):
-            return True
-        if not touched:
-            return False
-        if self.model_code is None:
-            return True
-        if (self.added_keywords | self.removed_keywords) & meta.keyword_universe:
-            return True
-        bound = max(
-            self.proximity_upper_bound(meta.loc),
-            self.removed_proximity_upper_bound(meta.loc),
-        )
-        return bound >= meta.min_missing_prox - _AFFECT_MARGIN
 
 
 @dataclass(frozen=True, slots=True)
@@ -674,20 +607,14 @@ class MutableDatabase:
             keywords.update(obj.doc)
         if appended:
             min_len = min(len(obj.doc) for obj in appended)
-        removed_keywords: set[str] = set()
-        for obj in removed.values():
-            removed_keywords.update(obj.doc)
         # The maintenance row payload: encoded here, after
         # ``_apply_mutations`` extended the vocabulary and while the
         # caller still holds the engine's writer lock — the one place
-        # both delta sides are visible against post-batch bit positions.
+        # the added objects are visible against post-batch bit positions.
         added_rows: tuple[tuple[float, float, int, int, int], ...] = ()
-        removed_rows: tuple[tuple[float, float, int, int, int], ...] = ()
         if self._model_code is not None and self._database.interned:
-            vocabulary = self._database.vocabulary_index
-            added_rows = ScoringKernel.encode_rows(appended, vocabulary)
-            removed_rows = ScoringKernel.encode_rows(
-                tuple(removed.values()), vocabulary
+            added_rows = ScoringKernel.encode_rows(
+                appended, self._database.vocabulary_index
             )
         return BatchSummary(
             generation=self._generation,
@@ -702,14 +629,7 @@ class MutableDatabase:
             min_added_doc_len=min_len,
             model_code=self._model_code,
             normaliser=self._database.distance_normaliser,
-            removed_region=(
-                Rect.from_points(obj.loc for obj in removed.values())
-                if removed
-                else None
-            ),
-            removed_keywords=frozenset(removed_keywords),
             added_rows=added_rows,
-            removed_rows=removed_rows,
         )
 
     def to_dict(self) -> dict[str, int]:

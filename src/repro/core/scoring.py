@@ -83,28 +83,6 @@ class DualPoint(NamedTuple):
             return None
         return (other.b - self.b) / denominator
 
-    def wins_ties_against(self, other: "DualPoint") -> bool:
-        """The tie rule of the (score desc, oid asc) total order: at
-        equal scores the smaller object id ranks first."""
-        return self.oid < other.oid
-
-    def never_outranks(self, other: "DualPoint") -> bool:
-        """True when this object ranks below ``other`` at every weight.
-
-        Holds when ``other`` is at least as good on both coordinates
-        (``a ≤ other.a`` and ``b ≤ other.b``): this line lies on or
-        under ``other``'s over the whole of ``(0, 1)``.  Identical lines
-        tie at every weight, so there the tie rule decides.  In the
-        weight sweep over ``other`` such an object adds no crossover, is
-        not above it as ``w → 0+`` and is no permanent tie ahead of it:
-        the sweep's input is the same with or without it.
-        """
-        if self.a > other.a or self.b > other.b:
-            return False
-        if self.a == other.a and self.b == other.b:
-            return not self.wins_ties_against(other)
-        return True
-
 
 class Scorer:
     """Evaluator of Eqn. (1) over a fixed database and text model.

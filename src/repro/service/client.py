@@ -308,15 +308,16 @@ class YaskClient:
 
         Returns the mutation report: generation, per-op counts, kernel
         column occupancy and the answer-maintenance tally —
-        ``cache_maintenance`` breaks the maintenance pass down into
-        kept / patched / dropped / rescans (and the ``linked_*``
-        why-not equivalents; ``kept + patched`` is the number of warm
-        results that survived the write).  Passing a ``batch_token`` (any
-        unique string) makes the request idempotent: a retry of an
-        already-committed batch is deduplicated server-side and
-        acknowledges the original generation with
-        ``deduplicated: true`` — so connection failures become
-        retriable.
+        ``cache_maintenance`` breaks the top-k side of the maintenance
+        pass down into kept / patched / dropped / rescans (``kept +
+        patched`` is the number of warm results that survived the
+        write); ``linked_dropped`` counts the cached why-not answers
+        the write dropped, which is all of them.  Passing a
+        ``batch_token`` (any unique string) makes the request
+        idempotent: a retry of an already-committed batch is
+        deduplicated server-side and acknowledges the original
+        generation with ``deduplicated: true`` — so connection failures
+        become retriable.
         """
         payload: dict[str, Any] = {
             "objects": [dict(obj) for obj in objects]

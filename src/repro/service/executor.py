@@ -37,7 +37,6 @@ result is exactly the result a fresh computation would produce until
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 from bisect import insort
@@ -45,14 +44,12 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace as dc_replace
-from functools import partial
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Any, Callable, Protocol, Sequence
 
 from repro import concurrency, faults
 from repro.core.kernel import score_delta_rows
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery
-from repro.core.scoring import DualPoint
 from repro.whynot.errors import WhyNotError
 
 __all__ = [
@@ -191,11 +188,13 @@ class CacheStats:
     (:meth:`QueryExecutor.maintain`): per maintenance pass an entry is
     ``maintained_kept`` (provably unchanged — the counter that shows
     warm caches staying warm under write traffic),
-    ``maintained_patched`` (skyband merge or rank repair produced the
-    post-batch answer in O(Δ)), ``maintained_dropped`` (no proof and no
-    repair — evicted), or counted in ``skyband_rescans`` (deletes
-    underflowed the skyband below ``k``; the entry is evicted and the
-    next fetch re-primes the buffer).
+    ``maintained_patched`` (a skyband merge produced the post-batch
+    answer in O(Δ)), ``maintained_dropped`` (no proof and no patch —
+    evicted), or counted in ``skyband_rescans`` (deletes underflowed
+    the skyband below ``k``; the entry is evicted and the next fetch
+    re-primes the buffer).  The why-not cache drops every entry on
+    every pass, so its ``maintained_kept`` / ``maintained_patched``
+    stay 0.
     """
 
     hits: int
@@ -671,30 +670,6 @@ class _SkybandMeta(_QueryMeta):
     complete: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class _WhyNotMeta:
-    """Maintenance descriptor of one cached why-not answer.
-
-    Exactly the fields
-    :meth:`repro.core.mutations.BatchSummary.affects_whynot` tests
-    (``missing_oids`` / ``loc`` / ``keyword_universe`` /
-    ``min_missing_prox`` / ``initial``), plus what rank repair needs:
-    the original question and the engine generation the answer was
-    computed under.  ``keyword_universe`` is ``q.doc ∪ ⋃ missing
-    docs`` — the keyword adapter only edits within this set, so a
-    delta object disjoint from it has TSim 0 under every candidate
-    refinement.
-    """
-
-    missing_oids: frozenset[int]
-    loc: Any
-    keyword_universe: frozenset[str]
-    min_missing_prox: float
-    initial: _QueryMeta | None
-    question: WhyNotQuestion
-    generation: int | None
-
-
 def _score_rows(rows: Sequence, scalars: tuple, summary) -> list:
     """Score a batch's delta ``rows`` against one cached query.
 
@@ -713,9 +688,9 @@ def _score_rows(rows: Sequence, scalars: tuple, summary) -> list:
     )
 
 
-def _shift(added: Sequence, removed: Sequence, test: Callable) -> int:
-    """Net count of a batch's delta rows passing ``test`` (added − removed)."""
-    return sum(map(test, added)) - sum(map(test, removed))
+def _drop(value: Any, meta: Any) -> tuple[str, Any, Any]:
+    """The maintenance decision that carries no entry through a batch."""
+    return ("dropped", None, None)
 
 
 def _armed(deadline: "faults.Deadline | None", scope: Callable[..., Any]) -> Any:
@@ -982,8 +957,9 @@ class QueryExecutor(_Executor):
         ``skyband_delta=0``) are kept when the batch summary *proves*
         it cannot change them and dropped otherwise.
 
-        The why-not executor's cache is repaired in the same pass under
-        the same domain lock.  Returns the combined action tally.
+        The why-not executor's cache is dropped whole in the same pass
+        under the same domain lock (``linked_dropped``).  Returns the
+        combined action tally.
         """
         summary = change.summary
         read_view = getattr(self._engine, "read_view", nullcontext)
@@ -995,16 +971,11 @@ class QueryExecutor(_Executor):
                 self._topk_patch(change), summary.generation
             )
             linked = (
-                self._whynot.maintain(summary)
+                self._whynot.maintain(summary)["dropped"]
                 if self._whynot is not None
-                else {"kept": 0, "patched": 0, "dropped": 0}
+                else 0
             )
-            return {
-                **tally,
-                "linked_kept": linked["kept"],
-                "linked_patched": linked["patched"],
-                "linked_dropped": linked["dropped"],
-            }
+            return {**tally, "linked_dropped": linked}
 
     def _topk_patch(
         self, change
@@ -1155,7 +1126,9 @@ class WhyNotExecutor(_Executor):
     * **Shared invalidation.** Why-not answers are derived from the same
       dataset as top-k results; on construction this executor joins the
       top-k executor's invalidation domain, so invalidating either
-      drops both caches and :meth:`QueryExecutor.maintain` repairs both.
+      drops both caches, and :meth:`QueryExecutor.maintain` carries
+      what it can of the top-k cache through a batch and drops this
+      one.
 
     Parameters
     ----------
@@ -1270,8 +1243,7 @@ class WhyNotExecutor(_Executor):
                     answer = self._engine.answer_whynot(
                         question, initial_result=initial_result
                     )
-                meta = self._whynot_meta(question, initial_result, generation)
-            return answer, meta, True
+            return answer, None, True
 
         try:
             answer, source = self._cache.fetch(
@@ -1336,199 +1308,17 @@ class WhyNotExecutor(_Executor):
             return None
         return getattr(probe[1], "generation", None)
 
-    def _whynot_meta(
-        self,
-        question: WhyNotQuestion,
-        initial_result: QueryResult | None,
-        generation: int | None,
-    ) -> "_WhyNotMeta | None":
-        """Build the maintenance descriptor (call under the read view).
-
-        None when the engine does not expose the why-not internals
-        (stub engines) or the model needs an initial result that could
-        not be described — such entries keep drop-on-write semantics.
-        """
-        whynot_engine = getattr(self._engine, "whynot", None)
-        scorer = getattr(self._engine, "scorer", None)
-        if whynot_engine is None or scorer is None:
-            return None
-        try:
-            missing = tuple(whynot_engine.resolve_missing(question.missing))
-        except Exception:
-            return None
-        if not missing:
-            return None
-        initial_meta: _QueryMeta | None = None
-        if question.model in _MODELS_USING_INITIAL:
-            if initial_result is None:
-                return None
-            initial_meta = _QueryMeta.of(initial_result)
-            if initial_meta is None:
-                return None
-        universe = frozenset(question.query.doc).union(
-            *(obj.doc for obj in missing)
-        )
-        min_prox = min(
-            1.0 - scorer.breakdown(obj, question.query).sdist
-            for obj in missing
-        )
-        return _WhyNotMeta(
-            missing_oids=frozenset(obj.oid for obj in missing),
-            loc=question.query.loc,
-            keyword_universe=universe,
-            min_missing_prox=min_prox,
-            initial=initial_meta,
-            question=question,
-            generation=generation,
-        )
-
     def maintain(self, summary) -> dict[str, int]:
-        """Repair cached why-not answers through a mutation batch.
+        """Drop every cached why-not answer through a mutation batch.
 
-        Called by :meth:`QueryExecutor.maintain` under its domain lock
-        and (when the engine has one) its read view.  An entry survives
-        when the dominance test proves the batch irrelevant (kept +
-        restamped) or, for the ``explain`` model, when arithmetic over
-        the batch's delta rows alone reproduces exactly what a cold
-        re-explanation would compute (patched).  Everything else drops:
-        the pass costs O(entries × batch) and never calls the engine.
+        Called by :meth:`QueryExecutor.maintain` under its domain lock:
+        the why-not cache is drop-on-write.  It is still one
+        maintenance pass rather than an invalidation, so the cache
+        generation advances (a computation in flight across the batch
+        cannot populate the cache) and ``maintenance_passes`` stays in
+        step with the top-k cache's.
         """
-        decide = partial(self._maintenance_action, summary=summary)
-        return self._cache.maintain(decide, summary.generation)
-
-    def _maintenance_action(
-        self, value: Any, meta: Any, summary
-    ) -> tuple[str, Any, Any]:
-        if not isinstance(meta, _WhyNotMeta):
-            return ("dropped", None, None)
-        stamp = meta.generation
-        if stamp is not None and stamp >= summary.generation:
-            return ("kept", value, meta)
-        if stamp is None or stamp != summary.generation - 1:
-            return ("dropped", None, None)
-        if not summary.affects_whynot(meta):
-            # Dominance proof: the batch cannot change ranks, counts,
-            # reasons or weight intervals for this answer.  The missing
-            # objects themselves are untouched, so min_missing_prox and
-            # the keyword universe are unchanged too — restamp.
-            return (
-                "kept",
-                value,
-                dc_replace(meta, generation=summary.generation),
-            )
-        repaired = self._repair_explain(value, meta, summary)
-        if repaired is not None:
-            new_value, new_meta = repaired
-            return ("patched", new_value, new_meta)
-        return ("dropped", None, None)
-
-    def _repair_explain(self, value: Any, meta: _WhyNotMeta, summary):
-        """Delta-row repair of an ``explain`` answer, or None.
-
-        Preconditions (any failure → caller drops the entry):
-
-        * the batch touches no missing object (their breakdowns, and so
-          the reasons and ``min_missing_prox``, would change);
-        * the initial top-k is provably unaffected — then every
-          surviving member still outranks each missing object, so the
-          k-th breakdown, the reason classification and the
-          rank ≥ k+1 invariant all carry over;
-        * the batch carries kernel rows for its delta objects; and
-        * for a missing object whose answer carries viable weight
-          intervals, no delta row can ever outrank it
-          (:meth:`~repro.core.scoring.DualPoint.never_outranks`).  Such
-          rows are invisible to the interval sweep before and after the
-          batch, so the intervals carry over unchanged; any other row
-          could move them, and recomputing them is a full dual view per
-          entry per batch — the entry is evicted instead, like a
-          skyband underflow, and the next fetch recomputes cold.
-
-        Under those conditions the missing object's rank changes by
-        exactly (added beaters − removed beaters): tombstoned rows
-        score 0.0 and lose every tie-break in ``count_better``, so
-        integer deltas over the batch's rows reproduce the cold count.
-        The strictly-closer / strictly-more-similar counts shift the
-        same way (raw hypot distances and model TSim from the rows
-        match the explainer's scan comparisons bit-for-bit).
-        """
-        from repro.whynot.explanation import WhyNotExplanation
-
-        question = meta.question
-        if question.model != "explain" or not isinstance(
-            value, WhyNotExplanation
-        ):
-            return None
-        touched = summary.removed_oids | summary.added_oids
-        if touched & meta.missing_oids:
-            return None
-        if meta.initial is None or summary.affects_topk(meta.initial):
-            return None
-        if summary.added_oids and not summary.added_rows:
-            return None
-        if summary.removed_oids and not summary.removed_rows:
-            return None
-        kernel = getattr(getattr(self._engine, "scorer", None), "kernel", None)
-        if kernel is None:
-            return None
-        query = question.query
-        scalars = kernel._query_scalars(query)
-        scored_added = _score_rows(summary.added_rows, scalars, summary)
-        scored_removed = _score_rows(summary.removed_rows, scalars, summary)
-        delta_points = [
-            DualPoint(oid, 1.0 - sdist, tsim)
-            for oid, _, sdist, tsim in chain(scored_added, scored_removed)
-        ]
-        hypot = math.hypot
-        qx, qy = query.loc.x, query.loc.y
-        new_explanations = []
-        for explanation in value.explanations:
-            # The kernel's total order is ascending (-score, oid); a
-            # delta row "beats" the missing object exactly when its key
-            # sorts before the target's — same tie rule as count_better.
-            target_key = (-explanation.breakdown.score, explanation.obj.oid)
-            target_tsim = explanation.breakdown.tsim
-            target = DualPoint(
-                explanation.obj.oid,
-                1.0 - explanation.breakdown.sdist,
-                target_tsim,
-            )
-            if explanation.viable_ws_intervals is not None and not all(
-                point.never_outranks(target) for point in delta_points
-            ):
-                return None
-            raw_distance = explanation.obj.loc.distance_to(query.loc)
-            new_explanations.append(
-                dc_replace(
-                    explanation,
-                    rank=explanation.rank
-                    + _shift(
-                        scored_added,
-                        scored_removed,
-                        lambda row: (-row[1], row[0]) < target_key,
-                    ),
-                    closer_objects=explanation.closer_objects
-                    + _shift(
-                        summary.added_rows,
-                        summary.removed_rows,
-                        lambda row: hypot(row[0] - qx, row[1] - qy) < raw_distance,
-                    ),
-                    more_similar_objects=explanation.more_similar_objects
-                    + _shift(
-                        scored_added,
-                        scored_removed,
-                        lambda row: row[3] > target_tsim,
-                    ),
-                )
-            )
-        new_value = dc_replace(
-            value,
-            explanations=tuple(new_explanations),
-            worst_rank=max(
-                explanation.rank for explanation in new_explanations
-            ),
-        )
-        new_meta = dc_replace(meta, generation=summary.generation)
-        return new_value, new_meta
+        return self._cache.maintain(_drop, summary.generation)
 
     def invalidate(self) -> int:
         """Invalidate the shared domain; returns why-not entries dropped.

@@ -41,7 +41,9 @@ __all__ = [
     "MAX_BATCH_QUERIES",
     "MAX_BATCH_QUESTIONS",
     "MAX_BATCH_TOKEN_LENGTH",
+    "MAX_OBJECT_KEYWORDS",
     "MAX_QUERY_K",
+    "MAX_QUERY_KEYWORDS",
     "ProtocolError",
     "batch_token_from_dict",
     "min_generation_from_dict",
@@ -92,6 +94,18 @@ MAX_BATCH_MUTATIONS = 256
 #: objects answered (and cached) all 20 000 entries, ~5 MB of JSON.
 MAX_QUERY_K = 1000
 
+#: Cap on a query's keyword list.  The benchmark's queries carry 1–3
+#: keywords and the bundled datasets' objects at most 12; without a cap
+#: a 100 000-keyword list was encoded whole, into the fingerprint and
+#: every scan's query mask.
+MAX_QUERY_KEYWORDS = 64
+
+#: Cap on an inserted or updated object's keyword list.  An object
+#: carries its document into every kernel row, scan bucket and log
+#: record, so the cap sits well above any real one (≤ 12 in the bundled
+#: datasets, 3–8 in the benchmark's inserts).
+MAX_OBJECT_KEYWORDS = 256
+
 
 class ProtocolError(ValueError):
     """A malformed request payload."""
@@ -102,6 +116,26 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
         return payload[key]
     except KeyError:
         raise ProtocolError(f"missing required field {key!r}") from None
+
+
+def _keywords(payload: Mapping[str, Any], cap: int | None) -> frozenset[str]:
+    """The ``keywords`` field: a JSON list of at most ``cap`` strings.
+
+    Items are not coerced: ``null`` or ``3`` is refused rather than
+    searched for as ``"None"`` or ``"3"``, and a JSON object is refused
+    rather than contributing its keys.  ``cap=None`` lifts the length
+    cap.
+    """
+    keywords = _require(payload, "keywords")
+    if not isinstance(keywords, list):
+        raise ProtocolError("'keywords' must be a list of strings")
+    if cap is not None and len(keywords) > cap:
+        raise ProtocolError(
+            f"'keywords' holds {len(keywords)} entries; the cap is {cap}"
+        )
+    if not all(isinstance(keyword, str) for keyword in keywords):
+        raise ProtocolError("'keywords' must be a list of strings")
+    return frozenset(keywords)
 
 
 # ----------------------------------------------------------------------
@@ -124,9 +158,7 @@ def query_from_dict(
     """Parse a query request; weights are optional (server parameter)."""
     try:
         loc = Point(float(_require(payload, "x")), float(_require(payload, "y")))
-        keywords = _require(payload, "keywords")
-        if isinstance(keywords, str) or not hasattr(keywords, "__iter__"):
-            raise ProtocolError("'keywords' must be a list of strings")
+        doc = _keywords(payload, MAX_QUERY_KEYWORDS)
         k = _require(payload, "k")
         if isinstance(k, bool):
             raise ProtocolError("'k' must be a positive integer, not a boolean")
@@ -139,9 +171,7 @@ def query_from_dict(
             weights = Weights(ws, wt)
         else:
             weights = default_weights
-        return SpatialKeywordQuery(
-            loc=loc, doc=frozenset(str(kw) for kw in keywords), k=k, weights=weights
-        )
+        return SpatialKeywordQuery(loc=loc, doc=doc, k=k, weights=weights)
     except ProtocolError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
@@ -180,7 +210,11 @@ def batch_queries_from_dict(
 # ----------------------------------------------------------------------
 # Mutations (live insert / update / delete)
 # ----------------------------------------------------------------------
-def spatial_object_from_dict(payload: Mapping[str, Any]) -> SpatialObject:
+def spatial_object_from_dict(
+    payload: Mapping[str, Any],
+    *,
+    max_keywords: int | None = MAX_OBJECT_KEYWORDS,
+) -> SpatialObject:
     """Parse an object payload: ``{"oid", "x", "y", "keywords", "name"?}``.
 
     The keyword list may be empty (an object can carry no text), but it
@@ -190,29 +224,29 @@ def spatial_object_from_dict(payload: Mapping[str, Any]) -> SpatialObject:
     try:
         oid = int(_require(payload, "oid"))
         loc = Point(float(_require(payload, "x")), float(_require(payload, "y")))
-        keywords = _require(payload, "keywords")
-        if isinstance(keywords, str) or not hasattr(keywords, "__iter__"):
-            raise ProtocolError("'keywords' must be a list of strings")
+        doc = _keywords(payload, max_keywords)
         name = payload.get("name")
         if name is not None and not isinstance(name, str):
             raise ProtocolError("'name' must be a string when present")
-        return SpatialObject(
-            oid=oid,
-            loc=loc,
-            doc=frozenset(str(kw) for kw in keywords),
-            name=name,
-        )
+        return SpatialObject(oid=oid, loc=loc, doc=doc, name=name)
     except ProtocolError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed object payload: {exc}") from None
 
 
-def mutation_from_dict(payload: Mapping[str, Any]) -> "Mutation":
+def mutation_from_dict(
+    payload: Mapping[str, Any],
+    *,
+    max_keywords: int | None = MAX_OBJECT_KEYWORDS,
+) -> "Mutation":
     """Parse one mutation: ``{"op": "insert"|"update"|"delete", ...}``.
 
     Inserts and updates carry the object fields inline; deletes carry
-    only ``"oid"``.
+    only ``"oid"``.  ``max_keywords=None`` lifts the keyword cap: a
+    log replay must accept every batch the engine applied, and
+    :meth:`~repro.service.api.YaskEngine.apply_mutations` takes objects
+    of any keyword count.
     """
     from repro.core.mutations import Mutation, MutationError
 
@@ -224,7 +258,7 @@ def mutation_from_dict(payload: Mapping[str, Any]) -> "Mutation":
     try:
         if op == "delete":
             return Mutation.delete(int(_require(payload, "oid")))
-        obj = spatial_object_from_dict(payload)
+        obj = spatial_object_from_dict(payload, max_keywords=max_keywords)
         return Mutation.insert(obj) if op == "insert" else Mutation.update(obj)
     except ProtocolError:
         raise
@@ -238,7 +272,8 @@ def mutation_to_dict(mutation: "Mutation") -> dict[str, Any]:
     """Serialise one mutation (inverse of :func:`mutation_from_dict`).
 
     The write-ahead log records batches in this wire shape, so a replay
-    parses them with the exact same code path a client request takes.
+    parses them with the code path a client request takes, with the
+    keyword cap lifted.
     Floats survive the JSON round trip bit-for-bit (``repr`` shortest
     round-trip), which is what makes recovered score floats identical.
     """

@@ -772,11 +772,12 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
     ) -> dict:
         """Apply a batch through the engine, then maintain the caches.
 
-        Cached answers are carried through the batch by
+        Cached top-k results are carried through the batch by
         :meth:`QueryExecutor.maintain`: kept when the batch summary
-        proves them unaffected, patched from the skyband / by rank
-        repair when it can, dropped otherwise.  The response reports
-        both the engine-side report and the cache tally.
+        proves them unaffected, patched from the skyband when it can,
+        dropped otherwise.  Every cached why-not answer is dropped
+        (``linked_dropped``).  The response reports both the
+        engine-side report and the cache tally.
 
         The WAL circuit breaker fronts the whole path: while OPEN the
         server is in advertised read-only degraded mode and mutations

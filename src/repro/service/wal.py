@@ -826,7 +826,8 @@ def _replay(
             )
         try:
             mutations = [
-                mutation_from_dict(item) for item in record.mutations
+                mutation_from_dict(item, max_keywords=None)
+                for item in record.mutations
             ]
         except ProtocolError as exc:
             raise WalCorruptionError(

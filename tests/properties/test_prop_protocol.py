@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 
 from repro.core.geometry import Point
 from repro.core.query import SpatialKeywordQuery, Weights
-from repro.service.protocol import ProtocolError, query_from_dict, query_to_dict
+from repro.service.protocol import (
+    MAX_QUERY_KEYWORDS,
+    ProtocolError,
+    query_from_dict,
+    query_to_dict,
+)
 
 from tests.properties.strategies import ALPHABET
 
@@ -87,3 +92,34 @@ def test_parser_is_deterministic(payload):
             return ("err", str(exc))
 
     assert attempt() == attempt()
+
+
+#: Keyword values around the cap as well as arbitrary JSON.
+keyword_values = st.one_of(
+    json_values,
+    st.lists(
+        st.text(max_size=3),
+        min_size=MAX_QUERY_KEYWORDS - 2,
+        max_size=MAX_QUERY_KEYWORDS + 2,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keyword_values)
+def test_keywords_parse_only_as_a_bounded_list_of_strings(keywords):
+    """A keyword list is taken as sent or refused: no item is coerced
+    with ``str`` and no JSON object contributes its keys."""
+    payload = {"x": 0.5, "y": 0.5, "keywords": keywords, "k": 1}
+    valid = (
+        isinstance(keywords, list)
+        and 0 < len(keywords) <= MAX_QUERY_KEYWORDS
+        and all(isinstance(keyword, str) for keyword in keywords)
+    )
+    try:
+        query = query_from_dict(payload)
+    except ProtocolError:
+        assert not valid
+        return
+    assert valid
+    assert query.doc == frozenset(keywords)

@@ -2,10 +2,10 @@
 
 The patch-on-write contract (:meth:`QueryExecutor.maintain`): after ANY
 mutation history, every cached top-k result the maintenance pass kept or
-patched — and every why-not answer it repaired — must be *bit-for-bit*
-the answer a cold rescan of the post-mutation engine produces: same
-objects, same score/sdist/tsim floats, same tie order, same ranks,
-counts and viable-weight intervals.  Across skyband widths Δ (including
+patched — and every why-not answer served warm after the batch — must
+be *bit-for-bit* the answer a cold rescan of the post-mutation engine
+produces: same objects, same score/sdist/tsim floats, same tie order,
+same ranks, counts and viable-weight intervals.  Across skyband widths Δ (including
 Δ=0), across the unsharded kernel engine and the sharded one —
 maintenance arithmetic never sees engine internals, so the scatter
 must be undetectable.
@@ -106,7 +106,8 @@ def run_maintenance_history(engine, query_set, delta, data) -> None:
         for query in query_set:
             executor.execute(query)
         # Cache why-not answers for objects outside each query's result
-        # (explain exercises rank repair, preference the dominance keep).
+        # (explain reuses the cached top-k, preference ranks in dual
+        # space); every batch drops them, so each warm read recomputes.
         questions = []
         for query in query_set:
             result = engine.query(query)

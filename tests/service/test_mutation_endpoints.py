@@ -8,6 +8,7 @@ from repro.core.geometry import Point, Rect
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.service.api import YaskEngine
 from repro.service.client import YaskClient, YaskClientError
+from repro.service.protocol import MAX_OBJECT_KEYWORDS
 from repro.service.server import YaskHTTPServer
 from tests.conftest import make_tiny_db
 
@@ -288,9 +289,15 @@ class TestMutateCli:
 
 
 #: Bodies whose object cannot be built over: sent byte-for-byte because
-#: ``1e999`` is valid JSON that parses to infinity, and an id the kernel's
-#: signed 64-bit column (or its tombstone sentinel) cannot hold.
+#: ``1e999`` is valid JSON that parses to infinity, an id the kernel's
+#: signed 64-bit column (or its tombstone sentinel) cannot hold, and a
+#: keyword list that is not a bounded list of strings.
 _UNBUILDABLE_OBJECTS = {
+    "keywords-not-strings": b'{"oid": 60, "x": 0.5, "y": 0.5, "keywords": [null, 3]}',
+    "keywords-an-object": b'{"oid": 60, "x": 0.5, "y": 0.5, "keywords": {"x": 1}}',
+    "keywords-over-cap": b'{"oid": 60, "x": 0.5, "y": 0.5, "keywords": ['
+    + b", ".join(b'"kw%d"' % index for index in range(MAX_OBJECT_KEYWORDS + 1))
+    + b"]}",
     "nan-literal": b'{"oid": 60, "x": NaN, "y": 0.5, "keywords": ["x"]}',
     "infinity-literal": b'{"oid": 60, "x": 0.5, "y": -Infinity, "keywords": ["x"]}',
     "overflowing-float": b'{"oid": 60, "x": 1e999, "y": 0.5, "keywords": ["x"]}',

@@ -7,14 +7,18 @@ import pytest
 from repro.core.geometry import Point
 from repro.core.query import DEFAULT_WEIGHTS, SpatialKeywordQuery, Weights
 from repro.service.protocol import (
+    MAX_OBJECT_KEYWORDS,
     MAX_QUERY_K,
+    MAX_QUERY_KEYWORDS,
     ProtocolError,
     explanation_to_dict,
     keyword_refinement_to_dict,
+    mutation_from_dict,
     preference_refinement_to_dict,
     query_from_dict,
     query_to_dict,
     result_to_dict,
+    spatial_object_from_dict,
 )
 
 
@@ -73,6 +77,66 @@ class TestQueryRoundTrip:
         assert query_from_dict(payload).k == MAX_QUERY_K
         with pytest.raises(ProtocolError, match=f"at most {MAX_QUERY_K}"):
             query_from_dict({**payload, "k": 10**9})
+
+
+def _words(count):
+    return [f"kw{index}" for index in range(count)]
+
+
+#: ``keywords`` values refused with a reason, for queries and objects
+#: alike: items are never coerced to strings, and a JSON object does not
+#: contribute its keys.
+_NOT_A_LIST_OF_STRINGS = {
+    "null and number items": [None, 3],
+    "number item": ["a", 3],
+    "nested list": [["a"]],
+    "object": {"a": 1, "b": 2},
+    "string": "abc",
+    "number": 7,
+    "null": None,
+}
+
+
+class TestKeywordLists:
+    """``keywords`` is a JSON list of strings, bounded per message type."""
+
+    @staticmethod
+    def object_payload(keywords):
+        return {"oid": 1, "x": 0.5, "y": 0.5, "keywords": keywords}
+
+    @staticmethod
+    def query_payload(keywords):
+        return {"x": 0.5, "y": 0.5, "keywords": keywords, "k": 1}
+
+    @pytest.mark.parametrize("case", sorted(_NOT_A_LIST_OF_STRINGS))
+    def test_non_strings_are_refused_not_coerced(self, case):
+        keywords = _NOT_A_LIST_OF_STRINGS[case]
+        with pytest.raises(ProtocolError, match="list of strings"):
+            query_from_dict(self.query_payload(keywords))
+        with pytest.raises(ProtocolError, match="list of strings"):
+            spatial_object_from_dict(self.object_payload(keywords))
+
+    def test_query_keywords_up_to_the_cap_parse(self):
+        at_cap = query_from_dict(self.query_payload(_words(MAX_QUERY_KEYWORDS)))
+        assert len(at_cap.doc) == MAX_QUERY_KEYWORDS
+        for count in (MAX_QUERY_KEYWORDS + 1, 100_000):
+            with pytest.raises(
+                ProtocolError, match=f"{count} entries; the cap is {MAX_QUERY_KEYWORDS}"
+            ):
+                query_from_dict(self.query_payload(_words(count)))
+
+    def test_object_keywords_up_to_the_cap_parse(self):
+        at_cap = self.object_payload(_words(MAX_OBJECT_KEYWORDS))
+        assert len(spatial_object_from_dict(at_cap).doc) == MAX_OBJECT_KEYWORDS
+        over = self.object_payload(_words(MAX_OBJECT_KEYWORDS + 1))
+        reason = f"{MAX_OBJECT_KEYWORDS + 1} entries; the cap is {MAX_OBJECT_KEYWORDS}"
+        with pytest.raises(ProtocolError, match=reason):
+            spatial_object_from_dict(over)
+        with pytest.raises(ProtocolError, match=reason):
+            mutation_from_dict({"op": "update", **over})
+
+    def test_objects_may_carry_no_text(self):
+        assert spatial_object_from_dict(self.object_payload([])).doc == frozenset()
 
 
 class TestResponseSerialisation:

@@ -1,15 +1,19 @@
-"""Executor maintenance without a skyband (Δ=0).
+"""Executor maintenance without a skyband (Δ=0), and the why-not cache.
 
 At ``skyband_delta=0`` there is no buffer to patch from, so
 ``maintain`` keeps exactly the entries the batch summary proves
 unaffected and drops the rest — drop-on-write, scoped by the summary.
+The linked why-not cache is drop-on-write without a scope: every batch
+drops every cached answer, and the next fetch recomputes it cold.
 """
 
 from __future__ import annotations
 
-from repro.core.geometry import Point
+import pytest
+
+from repro.core.geometry import Point, Rect
 from repro.core.mutations import Mutation
-from repro.core.objects import SpatialObject
+from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.service.api import YaskEngine
 from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
@@ -45,8 +49,6 @@ class TestMaintainWithoutSkyband:
             "patched": 0,
             "dropped": 1,
             "rescans": 0,
-            "linked_kept": 0,
-            "linked_patched": 0,
             "linked_dropped": 0,
         }
         assert executor.execute(near_sw).source == "cache"
@@ -72,62 +74,6 @@ class TestMaintainWithoutSkyband:
         refreshed = executor.execute(member_query)
         assert refreshed.source == "engine"
         assert all(e.obj.oid != 0 for e in refreshed.result.entries)
-        executor.close()
-        engine.close()
-
-    def test_linked_whynot_cache_kept_for_disjoint_batch(self):
-        """A batch provably unable to affect a why-not answer keeps it.
-
-        The inserted object sits in the far corner with a keyword
-        outside the question's keyword universe: the dominance test in
-        ``BatchSummary.affects_whynot`` proves it cannot cross any
-        missing object at any weight, so the linked maintenance pass
-        keeps the entry (``maintained_kept > 0``) instead of dropping
-        the why-not cache wholesale.
-        """
-        engine, executor = self.make()
-        whynot = WhyNotExecutor(engine, executor, cache_capacity=8)
-        question = WhyNotQuestion(
-            query=query_at(0.1, 0.1, "chinese", k=2),
-            missing=(4,),
-            model="preference",
-        )
-        whynot.execute(question)
-        assert whynot.stats().size == 1
-        report = engine.apply_mutations(
-            [
-                Mutation.insert(
-                    SpatialObject(11, Point(0.9, 0.9), frozenset({"zzz"}))
-                )
-            ]
-        )
-        tally = executor.maintain(report.change)
-        assert tally["linked_kept"] == 1 and tally["linked_dropped"] == 0
-        stats = whynot.stats()
-        assert stats.size == 1 and stats.maintained_kept > 0
-        # The kept answer is still exactly what a cold computation gives.
-        kept = whynot.execute(question)
-        assert kept.source == "cache"
-        assert kept.answer == engine.answer_whynot(question)
-        whynot.close()
-        executor.close()
-        engine.close()
-
-    def test_linked_whynot_cache_drops_when_batch_touches_missing(self):
-        """Deleting a missing object invalidates its cached answer."""
-        engine, executor = self.make()
-        whynot = WhyNotExecutor(engine, executor, cache_capacity=8)
-        question = WhyNotQuestion(
-            query=query_at(0.1, 0.1, "chinese", k=2),
-            missing=(4,),
-            model="preference",
-        )
-        whynot.execute(question)
-        report = engine.apply_mutations([Mutation.delete(4)])
-        tally = executor.maintain(report.change)
-        assert tally["linked_dropped"] == 1
-        assert whynot.stats().size == 0
-        whynot.close()
         executor.close()
         engine.close()
 
@@ -163,3 +109,68 @@ class TestMaintainWithoutSkyband:
         executor.close()
         engine.close()
 
+
+def obj(oid, x, y, *doc):
+    return SpatialObject(oid, Point(x, y), frozenset(doc))
+
+
+MISSING = 10
+WEAK_DOC = frozenset({"a", "x", "y", "w"})  # TSim 1/5 < the missing object's 1/3
+EXPLAIN = WhyNotQuestion(
+    query=SpatialKeywordQuery(loc=Point(0.5, 0.5), doc=frozenset({"a", "b"}), k=2),
+    missing=(MISSING,),
+    model="explain",
+)
+
+#: Batches around the missing object's dual point: three can never
+#: outrank it (a dominated insert or delete, the same line at a larger
+#: oid), the others can.  Every one drops the cached answer.
+EDGES = {
+    "dominated insert": Mutation.insert(obj(20, 0.95, 0.5, *WEAK_DOC)),
+    "dominated delete": Mutation.delete(3),
+    "closer but less similar": Mutation.insert(obj(20, 0.6, 0.5, *WEAK_DOC)),
+    "closer but less similar, deleted": Mutation.delete(4),
+    "more similar but farther": Mutation.insert(obj(20, 1.0, 1.0, "a", "b", "c")),
+    "same line, larger oid": Mutation.insert(obj(50, 0.7, 0.5, "a", "c")),
+    "same line, smaller oid": Mutation.insert(obj(5, 0.7, 0.5, "a", "c")),
+}
+
+
+@pytest.mark.parametrize("edge", EDGES)
+def test_every_batch_drops_the_linked_whynot_cache(edge):
+    """Top-2 = {0, 1}; object 10 ranks third and a small enough spatial
+    weight alone revives it (object 1 is close but a poor match)."""
+    engine = YaskEngine(
+        SpatialDatabase(
+            [
+                obj(0, 0.5, 0.5, "a", "b"),
+                obj(1, 0.5, 0.5, "a", "p", "q", "r"),
+                obj(MISSING, 0.7, 0.5, "a", "c"),
+                obj(3, 0.95, 0.6, *WEAK_DOC),  # farther and less similar than 10
+                obj(4, 0.55, 0.5, *WEAK_DOC),  # closer but less similar than 10
+                obj(6, 0.1, 0.1, "z"),
+                obj(7, 0.9, 0.1, "z", "y"),
+                obj(8, 0.1, 0.9, "x"),
+            ],
+            dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+        )
+    )
+    topk = QueryExecutor(engine, cache_capacity=8, skyband_delta=2)
+    whynot = WhyNotExecutor(engine, topk, cache_capacity=16)
+    try:
+        first = whynot.execute(EXPLAIN).answer
+        assert first.explanations[0].rank == 3
+        assert first.explanations[0].viable_ws_intervals  # non-trivial
+        assert whynot.execute(EXPLAIN).source == "cache"
+
+        report = engine.apply_mutations([EDGES[edge]])
+        tally = topk.maintain(report.change)
+        assert tally["linked_dropped"] == 1
+        assert whynot.stats().size == 0
+        after = whynot.execute(EXPLAIN)
+        assert after.source == "engine"
+        assert after.answer == engine.answer_whynot(EXPLAIN)
+    finally:
+        whynot.close()
+        topk.close()
+        engine.close()

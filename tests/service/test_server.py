@@ -100,13 +100,24 @@ class TestQueryEndpoint:
             b'{"x": 0.5, "y": 0.5, "keywords": ["kw000"], "k": 1e999}',
             b'{"x": 0.5, "y": 0.5, "keywords": ["caf\xe9"], "k": 3}',
             b'{"x": 0.5, "y": 0.5, "keywords": ["kw000"], "k": 1000000000}',
+            b'{"x": 0.5, "y": 0.5, "keywords": [null, 3], "k": 3}',
+            b'{"x": 0.5, "y": 0.5, "keywords": {"kw000": 1}, "k": 3}',
+            b'{"x": 0.5, "y": 0.5, "keywords": ['
+            # Hex keywords keep 100 000 of them under the 1 MiB body cap.
+            + b",".join(b'"%x"' % index for index in range(100_000))
+            + b'], "k": 3}',
         ],
-        ids=["nan", "inf", "neg-inf", "1e999", "bool-k", "inf-k", "latin-1", "huge-k"],
+        ids=[
+            "nan", "inf", "neg-inf", "1e999", "bool-k", "inf-k", "latin-1",
+            "huge-k", "non-string-keywords", "keywords-object", "huge-keywords",
+        ],
     )
     def test_values_that_are_not_a_query_are_400(self, server, body):
         """Regression: NaN/Infinity answered 200 with a non-JSON body,
-        ``"k": true`` ran as k=1, a non-UTF-8 body was a 500, and
-        ``k = 10⁹`` answered (and cached) every object."""
+        ``"k": true`` ran as k=1, a non-UTF-8 body was a 500,
+        ``k = 10⁹`` answered (and cached) every object, ``[null, 3]``
+        searched for ``"None"`` and ``"3"``, a keyword object searched
+        for its keys and a 100 000-keyword list was encoded whole."""
         from tests.service.conftest import post_raw
 
         status, reply = post_raw(server.endpoint, "/api/query", body)

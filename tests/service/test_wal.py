@@ -20,7 +20,9 @@ from repro.core.geometry import Point
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialObject
 from repro.service.api import YaskEngine
+from repro.service.protocol import MAX_OBJECT_KEYWORDS, result_to_dict
 from repro.service.wal import (
+    FollowerEngine,
     RecoveryReport,
     WalCorruptionError,
     WalError,
@@ -471,6 +473,36 @@ class TestReplay:
         assert replay_into(fresh, records) == (0, 0)
         assert fresh.generation == 2
         fresh.close()
+
+    def test_an_object_over_the_wire_keyword_cap_replays(self, tmp_path):
+        # The keyword cap guards the HTTP boundary only: an in-process
+        # batch may log an object with more keywords, and recovery and a
+        # follower must replay that record, not call the log corrupt.
+        words = frozenset(
+            ["chinese"] + [f"w{i}" for i in range(MAX_OBJECT_KEYWORDS)]
+        )
+        primary = YaskEngine(
+            make_tiny_db(), wal=WriteAheadLog(tmp_path, fsync="never")
+        )
+        follower = FollowerEngine(tmp_path, database=make_tiny_db())
+        primary.apply_mutations(
+            [Mutation.insert(SpatialObject(900, Point(0.4, 0.4), words))]
+        )
+        query = primary.make_query(Point(0.4, 0.4), frozenset({"chinese"}), 3)
+        expected = result_to_dict(primary.query(query))
+        assert 900 in primary.query(query).object_ids
+        primary.close()
+
+        assert follower.poll() == 1
+        assert result_to_dict(follower.engine.query(query)) == expected
+        follower.close()
+
+        recovered, report = recover_engine(
+            tmp_path, database=make_tiny_db(), attach=False
+        )
+        assert report.generation == 1
+        assert result_to_dict(recovered.query(query)) == expected
+        recovered.close()
 
     def test_generation_gap_is_corruption(self):
         fresh = YaskEngine(make_tiny_db())

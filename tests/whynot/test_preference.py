@@ -19,7 +19,7 @@ import pytest
 from repro.core.geometry import Point, Rect
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
-from repro.core.scoring import Scorer
+from repro.core.scoring import DualPoint, Scorer
 from repro.core.topk import BruteForceTopK
 from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import NotMissingError
@@ -182,6 +182,13 @@ class TestOptimality:
             for scenario in scenarios(small_scorer, count=3, k=5, seed=65):
                 refinement = adjuster.refine(scenario.query, scenario.missing, lam=lam)
                 assert refinement.penalty <= lam + 1e-12
+
+    def test_ties_break_by_the_rank_order_tie_rule(self):
+        """On identical lines the sweep's comparator lets the smaller oid
+        rank first, as the (score desc, oid asc) order does."""
+        small, large = DualPoint(5, 0.8, 0.3), DualPoint(10, 0.8, 0.3)
+        assert PreferenceAdjuster._beats(small, large, 0.5)
+        assert not PreferenceAdjuster._beats(large, small, 0.5)
 
 
 class TestReportedFields:
