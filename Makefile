@@ -80,8 +80,11 @@
 #                      sweep — test_rank_walk_matches_exhaustive_sweep_deep
 #                      — and the preference front vs the frozen
 #                      exhaustive sweep at every λ, on identical,
-#                      near-parallel, at-q.ws and near-0/1 crossings;
-#                      its own CI job)
+#                      near-parallel, at-q.ws and near-0/1 crossings)
+#                      and the answer-maintenance suite (every cached
+#                      top-k entry, visited by a batch's pass or not,
+#                      vs a cold rescan after every batch, at
+#                      YASK_SKYBAND_EXAMPLES=200; its own CI job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /
@@ -108,7 +111,7 @@ test-chaos:
 	$(PYTHON) -m pytest tests/chaos -q $(ALL_MARKS)
 
 test-scan:
-	$(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py tests/properties/test_prop_kernel.py tests/properties/test_prop_whynot.py -q $(ALL_MARKS)
+	YASK_SKYBAND_EXAMPLES=200 $(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py tests/properties/test_prop_kernel.py tests/properties/test_prop_whynot.py tests/properties/test_prop_skyband.py -q $(ALL_MARKS)
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)

@@ -466,10 +466,11 @@ def bench_e13() -> dict:
 
     # Run as a script, so benchmarks/ is on sys.path: the ratio is the
     # one `make bench-smoke` asserts, measured by the same function.
-    from bench_e13_mutations import maintenance_pass_cost
+    from bench_e13_mutations import full_cache_pass_cost, maintenance_pass_cost
 
     return {
         **maintenance_pass_cost(base),
+        **full_cache_pass_cost(base),
         "objects": 20_000,
         "ingest_objects": len(ingest),
         "ingest_batches": 4,

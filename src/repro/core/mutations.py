@@ -17,9 +17,11 @@ every layer builds on:
   re-route, indexes insert/delete, executors invalidate scoped.
 * :class:`BatchSummary` — the batch's spatial region, added-keyword
   union and id sets, with the same MINDIST + keyword-union score bounds
-  the sharding tier prunes with.  The executor tier's *scoped*
-  invalidation asks it whether a cached top-k result could possibly be
-  affected; entries that provably cannot change survive a write.
+  the sharding tier prunes with.  The executor tier's maintenance pass
+  asks it which cached top-k results it can reach at all
+  (:meth:`BatchSummary.reach_keys`, dual to :func:`topk_reach_keys`)
+  and whether a reached one could possibly be affected; entries that
+  provably cannot change survive a write untouched.
 * :class:`ReadWriteLock` — many concurrent readers (queries, why-not
   answering) against exclusive writers (mutation batches), so a search
   never observes a half-applied batch.
@@ -47,7 +49,15 @@ import math
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Protocol, Sequence
+from typing import (
+    Callable,
+    Hashable,
+    Iterable,
+    Iterator,
+    Mapping,
+    Protocol,
+    Sequence,
+)
 
 from repro import concurrency
 from repro.core.geometry import Rect
@@ -64,6 +74,8 @@ __all__ = [
     "MutableDatabase",
     "MutationStats",
     "ReadWriteLock",
+    "keyword_regions",
+    "topk_reach_keys",
 ]
 
 #: Margin mirroring the sharding tier's defensive skip margin: the
@@ -73,6 +85,10 @@ __all__ = [
 _AFFECT_MARGIN = 1e-12
 
 _KINDS = ("insert", "update", "delete")
+
+#: The reach key of a cached result that an object sharing none of its
+#: query keywords could be in or enter (a tuple: never a keyword).
+_ANY_OBJECT = ("any object",)
 
 
 class MutationError(ValueError):
@@ -142,6 +158,40 @@ class _SupportsQueryMeta(Protocol):
     full: bool
 
 
+def topk_reach_keys(meta: _SupportsQueryMeta) -> list[Hashable]:
+    """The keys a cached top-k result is filed under for maintenance.
+
+    Its query keywords, and a catch-all when an object sharing none of
+    them could be in or enter the result: it holds fewer than k
+    members, or its k-th score is within ``ws``, all proximity alone
+    can score.  Otherwise every member shares a query keyword (a member
+    scores at least the k-th score, above ``ws``), so a removed member
+    is found through its keywords too.  Dual to
+    :meth:`BatchSummary.reach_keys`: a batch whose keys miss all of
+    these provably leaves the result unchanged (``affects_topk`` is
+    False), so a cache indexed by them visits only what a batch
+    reaches.
+    """
+    keys: list[Hashable] = list(meta.doc)
+    if not meta.full or meta.ws >= meta.kth_score - _AFFECT_MARGIN:
+        keys.append(_ANY_OBJECT)
+    return keys
+
+
+def keyword_regions(objects: Iterable[SpatialObject]) -> dict[str, Rect]:
+    """Each keyword of ``objects`` → the MBR of the objects carrying it.
+
+    An added object sharing a query keyword lies in that keyword's
+    region, so :meth:`BatchSummary.affects_topk` bounds its proximity
+    as tightly as the keyword's own locations.
+    """
+    points: dict[str, list] = {}
+    for obj in objects:
+        for keyword in obj.doc:
+            points.setdefault(keyword, []).append(obj.loc)
+    return {keyword: Rect.from_points(locs) for keyword, locs in points.items()}
+
+
 @dataclass(frozen=True, slots=True)
 class BatchSummary:
     """What one applied batch touched, priced for impact tests.
@@ -150,10 +200,13 @@ class BatchSummary:
     ``added_keywords`` their keyword union and ``min_added_doc_len``
     their shortest document — together they bound any added object's
     score under any query exactly like a shard's static bounds bound its
-    objects' scores (:class:`repro.core.sharding.Shard`).  ``removed_oids``
-    and ``added_oids`` drive the membership tests.  ``model_code`` is
-    the engine's kernel model (None disables the text bound and makes
-    every impact test conservatively positive).
+    objects' scores (:class:`repro.core.sharding.Shard`).
+    ``removed_oids`` and ``added_oids`` drive the membership tests,
+    ``removed_keywords`` (the removed objects' keyword union) finds the
+    results a removal can reach.  ``model_code`` is the engine's kernel
+    model
+    (None disables the text bound and makes every impact test
+    conservatively positive).
 
     ``added_rows`` are the added objects' ``(x, y, mask, doc_len, oid)``
     column rows, aligned with :attr:`AppliedBatch.appended`, which the
@@ -173,44 +226,56 @@ class BatchSummary:
     model_code: str | None
     normaliser: float
     added_rows: tuple[tuple[float, float, int, int, int], ...] = ()
+    removed_keywords: frozenset[str] = frozenset()
 
     # ------------------------------------------------------------------
     # Score bounds over the added objects (shard-bound arithmetic)
     # ------------------------------------------------------------------
-    def proximity_upper_bound(self, loc) -> float:
+    def proximity_upper_bound(self, loc, region: Rect | None = None) -> float:
         """``max (1 − SDist(o, q))`` over added objects, via region MINDIST.
 
-        0.0 when the batch added nothing.
+        Over the objects in ``region`` when given (a keyword's region),
+        else over all of them; 0.0 when the batch added nothing.
         """
-        region = self.region
+        if region is None:
+            region = self.region
         if region is None:
             return 0.0
-        dx = max(region.min_x - loc.x, 0.0, loc.x - region.max_x)
-        dy = max(region.min_y - loc.y, 0.0, loc.y - region.max_y)
+        x, y = loc.x, loc.y
+        dx = (
+            region.min_x - x
+            if x < region.min_x
+            else x - region.max_x if x > region.max_x else 0.0
+        )
+        dy = (
+            region.min_y - y
+            if y < region.min_y
+            else y - region.max_y if y > region.max_y else 0.0
+        )
         sdist = math.hypot(dx, dy) / self.normaliser
         if sdist > 1.0:
             sdist = 1.0
         return 1.0 - sdist
 
-    def tsim_upper_bound(self, query_doc: frozenset[str]) -> float:
-        """``max TSim(o, q)`` over added objects (keyword-union bound).
-
-        :func:`repro.core.scanindex.tsim_upper_bound` of the batch's
-        keyword union and shortest added doc, as a shard bounds its
-        members.
-        """
-        qlen = len(query_doc)
-        shared = len(self.added_keywords & query_doc)
-        if self.model_code is None:
-            return 1.0 if shared and qlen else 0.0
-        return tsim_upper_bound(
-            self.model_code, shared, qlen, self.min_added_doc_len
-        )
-
     # ------------------------------------------------------------------
     # Impact tests (executor scoped invalidation)
     # ------------------------------------------------------------------
-    def affects_topk(self, meta: _SupportsQueryMeta) -> bool:
+    def reach_keys(self) -> frozenset[Hashable] | None:
+        """Every key of :func:`topk_reach_keys` this batch reaches.
+
+        Its added and removed objects' keywords and the catch-all.
+        None when no text bound applies (no kernel model) and every
+        cached result must be tested.
+        """
+        if self.added_oids and self.model_code is None:
+            return None
+        return self.added_keywords | self.removed_keywords | {_ANY_OBJECT}
+
+    def affects_topk(
+        self,
+        meta: _SupportsQueryMeta,
+        regions: Mapping[str, Rect] | None = None,
+    ) -> bool:
         """Could this batch change the cached top-k result ``meta`` describes?
 
         Exact-safe, never exact-tight: a False is a proof the cached
@@ -222,21 +287,48 @@ class BatchSummary:
           the cached k-th score (minus the ``hypot`` margin) cannot
           displace a member, not even by tie-break (which needs score
           equality).
+
+        Every input is a value the entry computed once when it was
+        cached; the tests run cheapest first, so an entry sharing no
+        keyword with the batch and ranking its k-th object above what
+        proximity alone can score (``ws``) is cleared by set and float
+        comparisons, with no ``hypot``.  A maintenance pass asks this of
+        every cached entry the batch could reach, with the added
+        objects' :func:`keyword_regions` as ``regions`` (without them an
+        object sharing a keyword is placed anywhere in the batch's
+        region).
         """
-        touched = self.removed_oids | self.added_oids
-        if touched & meta.result_oids:
+        oids = meta.result_oids
+        if not (
+            self.removed_oids.isdisjoint(oids) and self.added_oids.isdisjoint(oids)
+        ):
             return True
         if not self.added_oids:
             return False
-        if not meta.full:
-            # The result holds fewer than k objects: any insertion joins.
+        if not meta.full or self.model_code is None:
+            # A result holding fewer than k objects admits any insertion.
             return True
-        if self.model_code is None:
-            return True
-        bound = meta.ws * self.proximity_upper_bound(
-            meta.loc
-        ) + meta.wt * self.tsim_upper_bound(meta.doc)
-        return bound >= meta.kth_score - _AFFECT_MARGIN
+        floor = meta.kth_score - _AFFECT_MARGIN
+        ws, loc, doc = meta.ws, meta.loc, meta.doc
+        added = self.added_keywords
+        shared = [keyword for keyword in doc if keyword in added]
+        if shared:
+            # An added object sharing a query keyword lies in that
+            # keyword's region, and its TSim is at most the bound for
+            # sharing every shared keyword (the shard text bound).
+            text = meta.wt * tsim_upper_bound(
+                self.model_code, len(shared), len(doc), self.min_added_doc_len
+            )
+            for region in (
+                [self.region]
+                if regions is None
+                else [regions[keyword] for keyword in shared]
+            ):
+                if ws * self.proximity_upper_bound(loc, region) + text >= floor:
+                    return True
+        # An added object sharing no query keyword scores
+        # ``ws · (1 − SDist)``, at most ``ws``.
+        return ws >= floor and ws * self.proximity_upper_bound(loc) >= floor
 
 
 @dataclass(frozen=True, slots=True)
@@ -616,6 +708,9 @@ class MutableDatabase:
             added_rows = ScoringKernel.encode_rows(
                 appended, self._database.vocabulary_index
             )
+        removed_keywords: set[str] = set()
+        for obj in removed.values():
+            removed_keywords.update(obj.doc)
         return BatchSummary(
             generation=self._generation,
             removed_oids=frozenset(removed),
@@ -630,6 +725,7 @@ class MutableDatabase:
             model_code=self._model_code,
             normaliser=self._database.distance_normaliser,
             added_rows=added_rows,
+            removed_keywords=frozenset(removed_keywords),
         )
 
     def to_dict(self) -> dict[str, int]:

@@ -45,10 +45,11 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace as dc_replace
 from itertools import repeat
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
 
 from repro import concurrency, faults
 from repro.core.kernel import score_delta_rows
+from repro.core.mutations import keyword_regions, topk_reach_keys
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery
 from repro.whynot.errors import WhyNotError
 
@@ -192,9 +193,12 @@ class CacheStats:
     answer in O(Δ)), ``maintained_dropped`` (no proof and no patch —
     evicted), or counted in ``skyband_rescans`` (deletes underflowed
     the skyband below ``k``; the entry is evicted and the next fetch
-    re-primes the buffer).  The why-not cache drops every entry on
-    every pass, so its ``maintained_kept`` / ``maintained_patched``
-    stay 0.
+    re-primes the buffer).  ``maintained_visited`` counts the entries
+    passes looked at one by one; an entry whose query shares no keyword
+    with a batch's objects, and which no object can reach by proximity
+    alone, is kept without being visited.  The why-not cache drops every entry on
+    every pass: its counters that could only read 0 are None and left
+    out of :meth:`to_dict`.
     """
 
     hits: int
@@ -205,10 +209,11 @@ class CacheStats:
     size: int
     capacity: int
     maintenance_passes: int = 0
-    maintained_kept: int = 0
-    maintained_patched: int = 0
+    maintained_kept: int | None = 0
+    maintained_patched: int | None = 0
     maintained_dropped: int = 0
-    skyband_rescans: int = 0
+    skyband_rescans: int | None = 0
+    maintained_visited: int | None = 0
 
     @property
     def requests(self) -> int:
@@ -223,7 +228,7 @@ class CacheStats:
         return (self.hits + self.inflight_waits) / self.requests
 
     def to_dict(self) -> dict[str, object]:
-        return {
+        counters = {
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
@@ -236,8 +241,10 @@ class CacheStats:
             "maintained_kept": self.maintained_kept,
             "maintained_patched": self.maintained_patched,
             "maintained_dropped": self.maintained_dropped,
+            "maintained_visited": self.maintained_visited,
             "skyband_rescans": self.skyband_rescans,
         }
+        return {key: value for key, value in counters.items() if value is not None}
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,6 +348,14 @@ class WhyNotBatchExecution:
         return iter(self.executions)
 
 
+#: The maintenance decision that carries no entry through a batch.
+_DROPPED = ("dropped", None, None)
+
+#: The reach key of cache entries without a generation stamp: every
+#: maintenance pass visits (and drops) them.
+_EVERY_PASS = ("every pass",)
+
+
 class _Inflight:
     """Rendezvous for threads waiting on one in-flight execution.
 
@@ -373,7 +388,13 @@ class _ResultCache:
     join a pre-invalidation flight (its generation no longer matches).
     """
 
-    def __init__(self, capacity: int, *, name: str = "executor.cache") -> None:
+    def __init__(
+        self,
+        capacity: int,
+        *,
+        name: str = "executor.cache",
+        reach_keys: Callable[[Any], Iterable[Hashable]] | None = None,
+    ) -> None:
         if capacity < 0:
             raise ValueError("cache_capacity must be non-negative")
         self.capacity = capacity
@@ -386,6 +407,22 @@ class _ResultCache:
         self._cache: "OrderedDict[str, tuple[Any, Any]]" = OrderedDict()
         self.inflight: dict[str, _Inflight] = {}
         self._generation = 0
+        # The last mutation batch a maintenance pass carried the cache
+        # through: every entry is exact at ``max(stamp, _through)``
+        # (its effective generation), so a pass restamps no entry it
+        # leaves alone.  None before the first pass and after an
+        # invalidation.
+        self._through: int | None = None
+        # Keys published while a maintenance pass decides outside the
+        # lock (None when no pass runs): the pass checks their stamps.
+        self._window: list[str] | None = None
+        # The maintenance index, reach key → keys filed under it:
+        # ``reach_keys(meta)`` names a stamped entry's keys, an
+        # unstamped one is filed under _EVERY_PASS.  Without
+        # ``reach_keys`` there is no index and a pass visits every
+        # entry.
+        self._reach_keys = reach_keys
+        self._postings: dict[Hashable, set[str]] = {}
         self._hits = 0
         self._misses = 0
         self._evictions = 0
@@ -395,6 +432,7 @@ class _ResultCache:
         self._maintained_kept = 0
         self._maintained_patched = 0
         self._maintained_dropped = 0
+        self._maintained_visited = 0
         self._skyband_rescans = 0
 
     def fetch(
@@ -469,10 +507,12 @@ class _ResultCache:
                 and self.capacity > 0
                 and flight.generation == self._generation
             ):
-                self._cache[key] = (result, meta)
+                self._store(key, result, meta)
                 self._cache.move_to_end(key)
+                if self._window is not None:
+                    self._window.append(key)
                 while len(self._cache) > self.capacity:
-                    self._cache.popitem(last=False)
+                    self._discard(next(iter(self._cache)))
                     self._evictions += 1
             # A post-invalidation request may have replaced this flight
             # with a fresh-generation one (and a no-rendezvous flight
@@ -483,6 +523,37 @@ class _ResultCache:
         flight.event.set()
         return result
 
+    def _filing(self, meta: Any) -> Iterable[Hashable]:
+        if getattr(meta, "generation", None) is None:
+            return (_EVERY_PASS,)
+        assert self._reach_keys is not None
+        return self._reach_keys(meta)
+
+    def _store(self, key: str, value: Any, meta: Any) -> None:
+        """Set an entry and keep the index in step (leaf lock held)."""
+        old = self._cache.get(key)
+        self._cache[key] = (value, meta)
+        if self._reach_keys is None:
+            return
+        if old is not None:
+            self._unfile(key, old[1])
+        for reach_key in self._filing(meta):
+            self._postings.setdefault(reach_key, set()).add(key)
+
+    def _discard(self, key: str) -> None:
+        """Remove an entry and its index postings (leaf lock held)."""
+        _, meta = self._cache.pop(key)
+        if self._reach_keys is not None:
+            self._unfile(key, meta)
+
+    def _unfile(self, key: str, meta: Any) -> None:
+        postings = self._postings
+        for reach_key in self._filing(meta):
+            keys = postings[reach_key]
+            keys.discard(key)
+            if not keys:
+                del postings[reach_key]
+
     def invalidate(self) -> int:
         """Drop every cached value; returns how many were dropped.
 
@@ -492,41 +563,71 @@ class _ResultCache:
         with self._lock:
             dropped = len(self._cache)
             self._cache.clear()
+            self._postings.clear()
             self._generation += 1
             self._invalidations += 1
+            self._through = None
             return dropped
 
     def peek_entry(self, key: str) -> tuple[Any, Any] | None:
         """Introspective ``(value, meta)`` lookup: no counters, no LRU move.
 
         The why-not executor uses this to learn which engine generation
-        a cached initial top-k result was computed under, without
-        charging a second hit for the same request.
+        a cached initial top-k result is exact at, without charging a
+        second hit for the same request.  ``meta.generation`` is the
+        entry's *effective* generation: the batches maintenance carried
+        the cache through since the entry's stamp left it unchanged.
         """
         with self._lock:
-            return self._cache.get(key)
+            entry = self._cache.get(key)
+            through = self._through
+        if entry is None:
+            return None
+        value, meta = entry
+        stamp = getattr(meta, "generation", None)
+        if stamp is not None and through is not None and stamp < through:
+            meta = dc_replace(meta, generation=through)
+        return value, meta
 
     def maintain(
         self,
-        decide: Callable[[Any, Any], tuple[str, Any, Any]],
+        decide: Callable[[Any, Any], tuple[str, Any, Any] | None] | None,
         batch_generation: int,
+        reach: Iterable[Hashable] | None = None,
     ) -> dict[str, int]:
-        """Carry every entry through one mutation batch; returns the tally.
+        """Carry the cache through one mutation batch; returns the tally.
 
-        ``decide(value, meta) -> (action, new_value, new_meta)`` is the
-        executor's pure per-entry decision, ``action`` one of
-        ``"kept"``, ``"patched"``, ``"dropped"`` or ``"rescan"``.  The
-        pass is two-phase: entries are snapshotted under the leaf lock,
-        ``decide`` runs *outside* it (a decision may consult the engine
-        under its read lock, which ranks below the leaf level), and the
-        decisions are applied atomically under the lock again.  A
-        decision only applies when the entry still holds the
-        snapshotted value (an eviction + fresh recompute in the window
-        must not be clobbered with a patch of the evicted value).
-        Entries that appeared after the snapshot are kept only when
-        their meta is stamped with ``batch_generation`` or later, which
-        proves they were computed against the post-batch dataset;
-        anything else in the window raced the mutation and is dropped.
+        ``decide(value, meta)`` is the executor's pure per-entry
+        decision for an entry exact at the batch's predecessor: None
+        when the batch provably cannot reach it, else ``(action,
+        new_value, new_meta)`` with ``action`` one of ``"kept"``,
+        ``"patched"``, ``"dropped"`` or ``"rescan"``.  With ``decide``
+        None no entry survives.  An entry without a generation stamp,
+        or one that missed an earlier batch, drops; one already exact
+        at this batch is left alone.
+
+        ``reach`` is the batch's reach keys
+        (:meth:`~repro.core.mutations.BatchSummary.reach_keys`): with
+        an index, the pass visits only the entries filed under one of
+        them.  Every entry is visited when ``reach`` is None, when the
+        cache keeps no index, and when an entry may have missed a batch
+        (no pass since the cache was created or invalidated, or the
+        last one was older than the batch's predecessor).  An entry the pass does not visit, or
+        visits and ``decide`` clears, keeps its value, its meta and its
+        LRU slot, and becomes exact at this batch when the pass
+        advances ``_through``.  The tally still counts it ``kept``;
+        ``maintained_visited`` counts the visited ones.
+
+        The pass is two-phase: entries are snapshotted under the leaf
+        lock, ``decide`` runs *outside* it, and the decisions are
+        applied atomically under the lock again.  A decision only
+        applies when the entry still holds the snapshotted value (an
+        eviction + fresh recompute in the window must not be clobbered
+        with a patch of the evicted value).  Entries published while
+        the decisions ran are kept only when their meta is stamped with
+        ``batch_generation`` or later, which proves they were computed
+        against the post-batch dataset; anything else in the window
+        raced the mutation and is dropped.
 
         The cache generation advances even when every entry is kept: an
         in-flight computation may have read the pre-mutation dataset,
@@ -535,42 +636,77 @@ class _ResultCache:
         """
         with self._lock:
             snapshot_generation = self._generation
-            snapshot = tuple(self._cache.items())
-        decisions = {
-            key: (value,) + decide(value, meta)
-            for key, (value, meta) in snapshot
-        }
+            through = self._through
+            cache = self._cache
+            if (
+                reach is None
+                or self._reach_keys is None
+                or through is None
+                or through < batch_generation - 1
+            ):
+                snapshot = tuple(cache.items())
+            else:
+                postings = self._postings
+                reached = set().union(
+                    *(postings.get(term, ()) for term in (*reach, _EVERY_PASS))
+                )
+                snapshot = tuple((key, cache[key]) for key in reached)
+            self._window = []
+        decisions = []
+        for key, (value, meta) in snapshot:
+            stamp = getattr(meta, "generation", None)
+            if stamp is not None and through is not None and stamp < through:
+                stamp = through
+            if stamp is not None and stamp >= batch_generation:
+                continue
+            decision = (
+                decide(value, meta)
+                if decide is not None and stamp == batch_generation - 1
+                else _DROPPED
+            )
+            if decision is not None:
+                decisions.append((key, value, decision))
+        visited = len(snapshot)
         tally = {"kept": 0, "patched": 0, "dropped": 0, "rescans": 0}
         with self._lock:
+            window, self._window = self._window, None
             if self._generation != snapshot_generation:
                 # A whole-domain invalidation raced the decisions; it
                 # already cleared everything they describe, so there is
                 # nothing left to fix.
                 return tally
-            survivors: "OrderedDict[str, tuple[Any, Any]]" = OrderedDict()
-            for key, (value, meta) in self._cache.items():
-                decision = decisions.get(key)
-                if decision is None or decision[0] is not value:
-                    stamp = getattr(meta, "generation", None)
-                    if stamp is not None and stamp >= batch_generation:
-                        survivors[key] = (value, meta)
-                    else:
-                        tally["dropped"] += 1
-                    continue
-                _, action, new_value, new_meta = decision
-                if action in ("kept", "patched"):
-                    survivors[key] = (new_value, new_meta)
-                    tally[action] += 1
-                elif action == "rescan":
-                    tally["rescans"] += 1
-                else:
+            cache = self._cache
+            # A present key published in the window holds its window
+            # value; every other present key still holds its snapshot
+            # value.
+            fresh = {key for key in window if key in cache}
+            untouched = len(cache) - len(fresh)
+            for key in fresh:
+                stamp = getattr(cache[key][1], "generation", None)
+                if stamp is None or stamp < batch_generation:
+                    self._discard(key)
                     tally["dropped"] += 1
-            self._cache = survivors
+            for key, value, (action, new_value, new_meta) in decisions:
+                entry = cache.get(key)
+                if entry is None or entry[0] is not value:
+                    continue
+                untouched -= 1
+                if action in ("kept", "patched"):
+                    if new_value is not value or new_meta is not entry[1]:
+                        self._store(key, new_value, new_meta)
+                    tally[action] += 1
+                else:
+                    self._discard(key)
+                    tally["rescans" if action == "rescan" else "dropped"] += 1
+            tally["kept"] += untouched
+            if through is None or through < batch_generation:
+                self._through = batch_generation
             self._generation += 1
             self._maintenance_passes += 1
             self._maintained_kept += tally["kept"]
             self._maintained_patched += tally["patched"]
             self._maintained_dropped += tally["dropped"]
+            self._maintained_visited += visited
             self._skyband_rescans += tally["rescans"]
             return tally
 
@@ -589,6 +725,7 @@ class _ResultCache:
                 maintained_patched=self._maintained_patched,
                 maintained_dropped=self._maintained_dropped,
                 skyband_rescans=self._skyband_rescans,
+                maintained_visited=self._maintained_visited,
             )
 
     def keys(self) -> tuple[str, ...]:
@@ -604,9 +741,11 @@ class _QueryMeta:
     Exactly what :meth:`repro.core.mutations.BatchSummary.affects_topk`
     needs to decide whether a mutation batch could change the result:
     the query's parameters, the member ids, the k-th (lowest) score and
-    whether the result is full (``len(entries) == k``).  ``generation``
-    stamps the engine generation the result was computed under (None
-    when the engine exposes none).
+    whether the result is full (``len(entries) == k``), all computed
+    once when the result is cached.  ``generation`` stamps the engine
+    generation the result was computed under (None when the engine
+    exposes none); the cache lifts it past every batch that left the
+    entry alone (:meth:`_ResultCache.peek_entry`).
     """
 
     loc: Any
@@ -660,9 +799,11 @@ class _SkybandMeta(_QueryMeta):
 
     The inherited ``kth_score`` / ``result_oids`` / ``full`` fields
     describe the **buffer**, not the served prefix (the descriptor is
-    derived from the extended result): a bound-test keep then proves
-    the whole buffer (and a fortiori the served result) unchanged,
-    which keeps a later restamp sound.
+    derived from the extended result), and ``full`` is ``not
+    complete``: an insertion sorting after the tail of a buffer with
+    unknown runners-up never enters it.  A bound-test pass then proves
+    the whole buffer (and a fortiori the served result) unchanged, so
+    the pass can leave the entry as it is.
     """
 
     query: SpatialKeywordQuery = None  # type: ignore[assignment]
@@ -688,9 +829,6 @@ def _score_rows(rows: Sequence, scalars: tuple, summary) -> list:
     )
 
 
-def _drop(value: Any, meta: Any) -> tuple[str, Any, Any]:
-    """The maintenance decision that carries no entry through a batch."""
-    return ("dropped", None, None)
 
 
 def _armed(deadline: "faults.Deadline | None", scope: Callable[..., Any]) -> Any:
@@ -836,7 +974,10 @@ class QueryExecutor(_Executor):
         if skyband_delta < 0:
             raise ValueError("skyband_delta must be non-negative")
         super().__init__(
-            engine, _ResultCache(cache_capacity), max_workers, "yask-executor"
+            engine,
+            _ResultCache(cache_capacity, reach_keys=topk_reach_keys),
+            max_workers,
+            "yask-executor",
         )
         self._skyband_delta = skyband_delta
         # The why-not executor over this one, once constructed: its
@@ -946,16 +1087,21 @@ class QueryExecutor(_Executor):
         (:class:`~repro.core.mutations.AppliedBatch`): its summary
         carries the delta objects as pre-encoded kernel rows, and
         ``change.appended`` the object instances those rows describe.
-        Each cached entry is brought from the pre-batch to the
-        post-batch dataset *arithmetically* — deletes prune the
-        skyband, inserts are scored with
+        The pass costs what the batch can reach: it looks only at the
+        entries filed under one of the batch's reach keys
+        (:meth:`~repro.core.mutations.BatchSummary.reach_keys`), and
+        leaves every entry the batch summary's bound clears
+        (:meth:`~repro.core.mutations.BatchSummary.affects_topk`: no
+        removed member, no added object able to score at its buffer's
+        tail) as it is.  A reached entry is brought
+        from the pre-batch to the post-batch dataset *arithmetically* —
+        deletes prune the skyband, inserts are scored with
         :func:`repro.core.kernel.score_delta_rows` against the entry's
         own query scalars and merged in O(Δ) — so the maintained answer
-        is bit-for-bit the answer a cold rescan would produce.  Entries
-        the arithmetic cannot carry (skyband underflow, missing
-        generation stamp, batches without kernel rows, no skyband at
-        ``skyband_delta=0``) are kept when the batch summary *proves*
-        it cannot change them and dropped otherwise.
+        is bit-for-bit the answer a cold rescan would produce.  Reached
+        entries the arithmetic cannot carry (skyband underflow,
+        batches without kernel rows, no skyband at
+        ``skyband_delta=0``) are dropped.
 
         The why-not executor's cache is dropped whole in the same pass
         under the same domain lock (``linked_dropped``).  Returns the
@@ -965,10 +1111,12 @@ class QueryExecutor(_Executor):
         read_view = getattr(self._engine, "read_view", nullcontext)
         # The engine read lock (level below the domain lock) is held
         # across the whole pass: scoring the delta rows encodes each
-        # cached query against the live vocabulary.
+        # reached query against the live vocabulary.
         with read_view(), self._domain_lock:
             tally = self._cache.maintain(
-                self._topk_patch(change), summary.generation
+                self._topk_patch(change),
+                summary.generation,
+                summary.reach_keys(),
             )
             linked = (
                 self._whynot.maintain(summary)["dropped"]
@@ -979,44 +1127,23 @@ class QueryExecutor(_Executor):
 
     def _topk_patch(
         self, change
-    ) -> Callable[[Any, Any], tuple[str, Any, Any]]:
+    ) -> Callable[[Any, Any], tuple[str, Any, Any] | None]:
         summary = change.summary
         kernel = getattr(getattr(self._engine, "scorer", None), "kernel", None)
+        regions = keyword_regions(change.appended)
 
-        def patch(value: Any, meta: Any) -> tuple[str, Any, Any]:
-            if not isinstance(meta, _SkybandMeta):
-                # Plain entries (no skyband buffer): keep when the
-                # summary proves the batch cannot change the result (no
-                # removed/added id in it, every added object's score
-                # bound strictly below the k-th score), drop otherwise.
-                if meta is not None and not summary.affects_topk(meta):
-                    return ("kept", value, meta)
-                return ("dropped", None, None)
-            stamp = meta.generation
-            if stamp is None:
-                return ("dropped", None, None)
-            if stamp >= summary.generation:
-                # Already reflects this batch (another maintenance pass
-                # or a post-batch recompute got here first).
-                return ("kept", value, meta)
-            if stamp != summary.generation - 1:
-                # Missed an intermediate batch; the buffer cannot be
-                # carried forward by this delta alone.
-                return ("dropped", None, None)
-            if summary.added_rows or not summary.added_oids:
-                if kernel is None and summary.added_rows:
-                    return ("dropped", None, None)
-                return self._merge_skyband(value, meta, summary, change, kernel)
-            # Additions without kernel rows (no interned kernel): fall
-            # back to the bound test; a keep proves the whole buffer
-            # (meta describes it) unchanged, so restamping is sound.
-            if summary.affects_topk(meta):
-                return ("dropped", None, None)
-            return (
-                "kept",
-                value,
-                dc_replace(meta, generation=summary.generation),
-            )
+        def patch(value: Any, meta: Any) -> tuple[str, Any, Any] | None:
+            if not summary.affects_topk(meta, regions):
+                # No removed member and no added object can reach the
+                # entry: it is already its post-batch answer.
+                return None
+            if not isinstance(meta, _SkybandMeta) or (
+                summary.added_oids and (kernel is None or not summary.added_rows)
+            ):
+                # No buffer to patch from (Δ = 0), or additions without
+                # kernel rows to score: drop-on-write.
+                return _DROPPED
+            return self._merge_skyband(value, meta, summary, change, kernel)
 
         return patch
 
@@ -1046,8 +1173,8 @@ class QueryExecutor(_Executor):
         ):
             # Nothing left the buffer and nothing can enter it (every
             # added row sorts at or after an incomplete buffer's tail):
-            # the entry is already its post-batch answer — restamp.
-            return ("kept", value, dc_replace(meta, generation=summary.generation))
+            # the entry is already its post-batch answer.
+            return ("kept", value, meta)
         buffer = [e for e in entries if e.obj.oid not in removed]
         if scored:
             keyed = [((-e.score, e.obj.oid), e) for e in buffer]
@@ -1081,7 +1208,7 @@ class QueryExecutor(_Executor):
             meta,
             kth_score=renumbered[-1].score if renumbered else float("-inf"),
             result_oids=frozenset(entry.obj.oid for entry in renumbered),
-            full=len(renumbered) >= cap,
+            full=not complete,
             entries=renumbered,
             complete=complete,
             generation=summary.generation,
@@ -1318,7 +1445,18 @@ class WhyNotExecutor(_Executor):
         cannot populate the cache) and ``maintenance_passes`` stays in
         step with the top-k cache's.
         """
-        return self._cache.maintain(_drop, summary.generation)
+        return self._cache.maintain(None, summary.generation)
+
+    def stats(self) -> CacheStats:
+        """The cache counters, without those a drop-every-entry pass
+        could only leave at 0."""
+        return dc_replace(
+            super().stats(),
+            maintained_kept=None,
+            maintained_patched=None,
+            maintained_visited=None,
+            skyband_rescans=None,
+        )
 
     def invalidate(self) -> int:
         """Invalidate the shared domain; returns why-not entries dropped.

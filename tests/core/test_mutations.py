@@ -16,6 +16,7 @@ from repro.core.mutations import (
     Mutation,
     MutationError,
     ReadWriteLock,
+    topk_reach_keys,
 )
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.scoring import Scorer
@@ -378,6 +379,43 @@ class TestBatchSummary:
             full = True
 
         assert summary.affects_topk(Meta())
+
+    def test_reach_keys_find_every_result_a_batch_affects(self):
+        """``affects_topk`` True implies the batch's reach keys meet the
+        result's (the maintenance index finds every affected entry)."""
+        rng = random.Random(39)
+        words = ["chinese", "restaurant", "spanish", "zzz", "new"]
+        for _ in range(300):
+            db = make_tiny_db()
+            query = make_query(
+                rng.random(),
+                rng.random(),
+                keywords=tuple(rng.sample(words, rng.randrange(1, 3))),
+                k=rng.randrange(1, 5),
+                ws=rng.random(),
+            )
+            result = Scorer(db).top_k(query)
+
+            class Meta:
+                loc = query.loc
+                doc = query.doc
+                ws = query.ws
+                wt = query.wt
+                kth_score = result.entries[-1].score
+                result_oids = frozenset(e.obj.oid for e in result.entries)
+                full = len(result.entries) >= query.k
+
+            batch = [
+                Mutation.insert(
+                    obj(50 + i, rng.random(), rng.random(), *rng.sample(words, 2))
+                )
+                for i in range(rng.randrange(3))
+            ] + [Mutation.delete(oid) for oid in rng.sample(range(5), rng.randrange(3))]
+            if not batch:
+                continue
+            summary = MutableDatabase(db, model_code="jaccard").apply(batch).summary
+            if summary.affects_topk(Meta()):
+                assert not summary.reach_keys().isdisjoint(topk_reach_keys(Meta()))
 
 
 class TestReadWriteLock:

@@ -10,13 +10,26 @@ same ranks, counts and viable-weight intervals.  Across skyband widths Δ (inclu
 maintenance arithmetic never sees engine internals, so the scatter
 must be undetectable.
 
+A maintenance pass visits only the cached entries a batch can reach
+(its keywords, its removed objects, a proximity reach or a complete
+buffer) and leaves the rest as they are.  The reach scenarios fill a
+cache larger than any batch's reach — disjoint keywords and far
+locations, buffers shrunk by deletes, complete buffers over tiny
+databases, Δ=0 — and check every cached entry, reached or not, against
+a cold rescan after every batch.
+
 The slow hammer at the bottom adds the concurrency half: readers racing
 a mutator must only ever observe *some* generation's exact answer —
 never a torn skyband mixing two generations.
+
+Budget: ``YASK_SKYBAND_EXAMPLES`` (default 25; ``make test-scan``
+raises it) sets the unsharded suites' examples, the sharded ones run
+three fifths of it.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 
 import pytest
@@ -26,11 +39,15 @@ from hypothesis import strategies as st
 from repro.core.geometry import Point, Rect
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
+from repro.core.query import SpatialKeywordQuery, Weights
 from repro.service.api import YaskEngine
 from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
 from tests.properties.strategies import ALPHABET, databases, queries
 
 FRESH_WORDS = [f"fresh{i}" for i in range(4)]
+
+EXAMPLES = int(os.environ.get("YASK_SKYBAND_EXAMPLES", "25"))
+SHARDED_EXAMPLES = max(1, EXAMPLES * 3 // 5)
 
 coordinates = st.floats(
     min_value=-0.2, max_value=1.2, allow_nan=False, allow_infinity=False
@@ -153,7 +170,7 @@ def run_maintenance_history(engine, query_set, delta, data) -> None:
 
 
 @settings(
-    max_examples=25,
+    max_examples=EXAMPLES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -167,7 +184,7 @@ def test_maintained_answers_match_cold_rescan_unsharded(scenario, data):
 
 
 @settings(
-    max_examples=15,
+    max_examples=SHARDED_EXAMPLES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -179,6 +196,192 @@ def test_maintained_answers_match_cold_rescan_sharded(scenario, data):
         shards=3,
     )
     run_maintenance_history(engine, query_set, delta, data)
+
+
+# ----------------------------------------------------------------------
+# Caches larger than a batch's reach
+# ----------------------------------------------------------------------
+#: Cached queries and the objects near them use the near words in the
+#: near corner; most batch objects carry far words in the far corner,
+#: so most entries share no keyword and no proximity with a batch.
+NEAR_WORDS = ["n0", "n1", "n2"]
+FAR_WORDS = ["f0", "f1", "f2"]
+DATASPACE = Rect(0.0, 0.0, 1.0, 1.0)
+
+unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+
+def corner_point(draw, near: bool) -> Point:
+    low = 0.0 if near else 0.75
+    return Point(low + 0.25 * draw(unit), low + 0.25 * draw(unit))
+
+
+def corner_object(draw, oid: int, near: bool) -> SpatialObject:
+    words = NEAR_WORDS if near else FAR_WORDS
+    doc = draw(st.sets(st.sampled_from(words), min_size=1, max_size=2))
+    return SpatialObject(oid, corner_point(draw, near), frozenset(doc))
+
+
+@st.composite
+def reach_scenarios(draw):
+    """A tiny or small database, many cached queries, one Δ."""
+    size = draw(st.sampled_from([2, 3, 5, 12, 24, 40]))
+    objects = [
+        corner_object(draw, oid, near=draw(st.booleans()) or oid % 3 == 0)
+        for oid in range(size)
+    ]
+    query_set = []
+    for _ in range(draw(st.integers(min_value=4, max_value=10))):
+        near = draw(st.integers(min_value=0, max_value=4)) > 0
+        words = NEAR_WORDS if near else FAR_WORDS
+        doc = draw(st.sets(st.sampled_from(words), min_size=1, max_size=2))
+        query_set.append(
+            SpatialKeywordQuery(
+                loc=corner_point(draw, near),
+                doc=frozenset(doc),
+                k=draw(st.integers(min_value=1, max_value=4)),
+                weights=Weights.from_spatial(
+                    draw(st.sampled_from([0.2, 0.2, 0.5, 0.8]))
+                ),
+            )
+        )
+    delta = draw(st.sampled_from([0, 0, 1, 2, 4]))
+    return SpatialDatabase(objects, dataspace=DATASPACE), query_set, delta
+
+
+def draw_reach_batch(draw, live: list[int], next_oid: int) -> list[Mutation]:
+    """Mostly far inserts; some near inserts, updates and deletes (a
+    delete of a buffered object shrinks that buffer below k + Δ)."""
+    batch: list[Mutation] = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kind = draw(st.sampled_from(["far", "far", "near", "update", "delete"]))
+        if kind in ("far", "near") or len(live) <= 2:
+            obj = corner_object(draw, next_oid, near=kind == "near")
+            next_oid += 1
+            live.append(obj.oid)
+            batch.append(Mutation.insert(obj))
+        elif kind == "update":
+            oid = draw(st.sampled_from(live))
+            near = draw(st.booleans())
+            batch.append(Mutation.update(corner_object(draw, oid, near)))
+        else:
+            oid = draw(st.sampled_from(live))
+            live.remove(oid)
+            batch.append(Mutation.delete(oid))
+    return batch
+
+
+def assert_every_cached_entry_is_cold(executor, engine, delta) -> None:
+    """Every cached entry — served prefix and skyband buffer — is the
+    cold rescan of the current generation, and says so."""
+    cache = executor._cache
+    for key in executor.cached_fingerprints():
+        value, meta = cache.peek_entry(key)
+        query = value.query
+        assert result_tuples(value) == result_tuples(engine.query(query))
+        assert meta.generation == engine.generation
+        if delta:
+            cold = engine.query(query.with_k(query.k + delta)).entries
+            buffer = tuple(entry_tuple(entry) for entry in meta.entries)
+            assert buffer == tuple(entry_tuple(e) for e in cold[: len(buffer)])
+            if meta.complete:
+                assert len(buffer) == len(engine.database.objects)
+
+
+def assert_index_matches_entries(cache) -> None:
+    """The maintenance index files every entry under exactly its keys."""
+    expected: dict = {}
+    for key in cache.keys():
+        _, meta = cache._cache[key]
+        for reach_key in cache._filing(meta):
+            expected.setdefault(reach_key, set()).add(key)
+    assert cache._postings == expected
+
+
+def run_reach_history(engine, query_set, delta, data) -> None:
+    executor = QueryExecutor(engine, cache_capacity=64, skyband_delta=delta)
+    live = [obj.oid for obj in engine.database.objects]
+    next_oid = 1000
+    try:
+        for query in query_set:
+            executor.execute(query)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            batch = draw_reach_batch(data.draw, live, next_oid)
+            next_oid += len(batch)
+            report = engine.apply_mutations(batch)
+            tally = executor.maintain(report.change)
+            stats = executor.stats()
+            assert stats.maintained_visited <= stats.maintained_kept + (
+                stats.maintained_patched + stats.maintained_dropped
+                + stats.skyband_rescans
+            )
+            assert tally["kept"] + tally["patched"] == stats.size
+            assert_every_cached_entry_is_cold(executor, engine, delta)
+            assert_index_matches_entries(executor._cache)
+            # Re-cache what the batch dropped, at the new generation.
+            for query in data.draw(
+                st.lists(st.sampled_from(query_set), max_size=len(query_set))
+            ):
+                executor.execute(query)
+            assert_every_cached_entry_is_cold(executor, engine, delta)
+    finally:
+        executor.close()
+        engine.close()
+
+
+@settings(
+    max_examples=EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scenario=reach_scenarios(), data=st.data())
+def test_entries_beyond_a_batch_reach_stay_cold_exact_unsharded(scenario, data):
+    database, query_set, delta = scenario
+    run_reach_history(YaskEngine(database), query_set, delta, data)
+
+
+@settings(
+    max_examples=SHARDED_EXAMPLES,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(scenario=reach_scenarios(), data=st.data())
+def test_entries_beyond_a_batch_reach_stay_cold_exact_sharded(scenario, data):
+    database, query_set, delta = scenario
+    run_reach_history(YaskEngine(database, shards=3), query_set, delta, data)
+
+
+def test_a_batch_that_misses_a_cached_query_keeps_its_whynot_initial():
+    """The why-not executor trusts the cached initial top-k only when its
+    (effective) generation is the engine's: an unreached entry must say
+    so, or every explain re-runs its query inside the read view."""
+    objects = [
+        SpatialObject(i, Point(0.05 * i, 0.05 * i), frozenset({"t0", "t1"}))
+        for i in range(8)
+    ]
+    engine = YaskEngine(
+        SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0))
+    )
+    topk = QueryExecutor(engine, cache_capacity=8, skyband_delta=2)
+    whynot = WhyNotExecutor(engine, topk, cache_capacity=8)
+    query = SpatialKeywordQuery(loc=Point(0.0, 0.0), doc=frozenset({"t0"}), k=2)
+    question = WhyNotQuestion(query=query, missing=(5,), model="explain")
+    try:
+        topk.execute(query)
+        for oid in (98, 99):  # the first pass visits every entry
+            report = engine.apply_mutations(
+                [Mutation.insert(SpatialObject(oid, Point(1.0, 1.0), frozenset({"x"})))]
+            )
+            tally = topk.maintain(report.change)
+        assert tally["kept"] == 1 and topk.stats().maintained_visited == 1
+        execution = whynot.execute(question)
+        assert execution.source == "engine"
+        assert execution.topk_source == "cache"
+        assert execution.answer == engine.answer_whynot(question)
+    finally:
+        whynot.close()
+        topk.close()
+        engine.close()
 
 
 def test_underflow_falls_back_to_rescan_and_recovers():

@@ -1,22 +1,35 @@
-"""Executor maintenance without a skyband (Δ=0), and the why-not cache.
+"""Executor maintenance: what a pass visits, Δ=0, and the why-not cache.
 
-At ``skyband_delta=0`` there is no buffer to patch from, so
-``maintain`` keeps exactly the entries the batch summary proves
-unaffected and drops the rest — drop-on-write, scoped by the summary.
-The linked why-not cache is drop-on-write without a scope: every batch
-drops every cached answer, and the next fetch recomputes it cold.
+A pass visits only the cached entries a batch can reach — through a
+shared query keyword, a buffered object it removes, a proximity reach
+or a complete buffer — and leaves every other entry as it is.  At
+``skyband_delta=0`` there is no buffer to patch from, so ``maintain``
+keeps exactly the entries the batch summary proves unaffected and drops
+the rest — drop-on-write, scoped by the summary.  The linked why-not
+cache is drop-on-write without a scope: every batch drops every cached
+answer, and the next fetch recomputes it cold.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.core.geometry import Point, Rect
+from repro.core.kernel import ScoringKernel
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
+from repro.service import executor as executor_module
 from repro.service.api import YaskEngine
-from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
+from repro.service.executor import (
+    QueryExecutor,
+    WhyNotExecutor,
+    WhyNotQuestion,
+    _ResultCache,
+    query_fingerprint,
+)
 from tests.conftest import make_tiny_db
 
 
@@ -112,6 +125,122 @@ class TestMaintainWithoutSkyband:
 
 def obj(oid, x, y, *doc):
     return SpatialObject(oid, Point(x, y), frozenset(doc))
+
+
+class TestWhatAPassVisits:
+    """Twenty {a, b} objects along y = 0.5 and one "c" object far away;
+    queries for "a" and for "b" near x = 0."""
+
+    N = 8
+
+    def make(self, delta: int = 2):
+        engine = YaskEngine(
+            SpatialDatabase(
+                [obj(i, 0.05 * i, 0.5, "a", "b") for i in range(20)]
+                + [obj(20, 0.9, 0.1, "c")],
+                dataspace=Rect(0.0, 0.0, 1.0, 1.0),
+            )
+        )
+        executor = QueryExecutor(engine, cache_capacity=16, skyband_delta=delta)
+        queries = [
+            query_at(0.05 * j, 0.5, word)
+            for word in ("a", "b")
+            for j in range(self.N // 2)
+        ]
+        for query in queries:
+            executor.execute(query)
+        # The first pass over a cache visits every entry: no earlier
+        # pass vouches that none missed a batch.
+        report = engine.apply_mutations([Mutation.insert(obj(99, 0.95, 0.05, "z"))])
+        assert executor.maintain(report.change)["kept"] == self.N
+        assert executor.stats().maintained_visited == self.N
+        return engine, executor, queries
+
+    def test_entries_a_batch_cannot_reach_are_not_visited(self, monkeypatch):
+        """Every buffer's tail scores above ``ws`` (TSim 1/2, close by),
+        so an object sharing no query keyword can neither be in it nor
+        enter it, and the batch's objects share none."""
+        engine, executor, queries = self.make()
+        calls = {"score": 0, "scalars": 0}
+        score_rows = executor_module.score_delta_rows
+        query_scalars = ScoringKernel._query_scalars
+
+        def counting_score(*args, **kwargs):
+            calls["score"] += 1
+            return score_rows(*args, **kwargs)
+
+        def counting_scalars(self, query):
+            calls["scalars"] += 1
+            return query_scalars(self, query)
+
+        monkeypatch.setattr(executor_module, "score_delta_rows", counting_score)
+        monkeypatch.setattr(ScoringKernel, "_query_scalars", counting_scalars)
+        report = engine.apply_mutations(
+            [Mutation.insert(obj(100, 0.9, 0.9, "zzz")), Mutation.delete(20)]
+        )
+        tally = executor.maintain(report.change)
+        assert tally["kept"] == self.N
+        assert tally["patched"] == tally["dropped"] == tally["rescans"] == 0
+        assert executor.stats().maintained_visited == self.N  # the first pass
+        assert calls == {"score": 0, "scalars": 0}
+        for query in queries:
+            served = executor.execute(query)
+            assert served.source == "cache"
+            assert served.result.entries == engine.query(query).entries
+            meta = executor._cache.peek_entry(query_fingerprint(query))[1]
+            assert meta.generation == engine.generation
+        executor.close()
+        engine.close()
+
+    def test_a_shared_keyword_visits_only_its_entries(self):
+        engine, executor, queries = self.make()
+        report = engine.apply_mutations([Mutation.insert(obj(100, 0.9, 0.9, "a"))])
+        tally = executor.maintain(report.change)
+        assert executor.stats().maintained_visited == self.N + self.N // 2
+        assert tally["kept"] == self.N
+        executor.close()
+        engine.close()
+
+    def test_a_pass_after_a_missed_batch_drops_every_entry(self):
+        """Entries stamped before an unmaintained batch may have missed
+        it: the next pass visits them all and drops them."""
+        engine, executor, queries = self.make()
+        engine.apply_mutations([Mutation.insert(obj(100, 0.9, 0.9, "zzz"))])
+        report = engine.apply_mutations([Mutation.insert(obj(101, 0.9, 0.9, "zzz"))])
+        tally = executor.maintain(report.change)
+        assert tally["dropped"] == self.N and tally["kept"] == 0
+        assert executor.stats().maintained_visited == 2 * self.N
+        assert executor.stats().size == 0
+        executor.close()
+        engine.close()
+
+
+@dataclass(frozen=True)
+class Stamped:
+    generation: int | None
+    word: str = "w"
+
+
+def test_an_entry_published_during_a_pass_needs_a_post_batch_stamp():
+    """The two-phase race rule: an entry published while the pass
+    decides outside the lock survives only with a post-batch stamp."""
+    cache = _ResultCache(8, reach_keys=lambda meta: [meta.word])
+    cache.fetch("reached", lambda: ("old", Stamped(0), True))
+    cache.fetch("unreached", lambda: ("far", Stamped(0, "v"), True))
+    cache.maintain(lambda value, meta: None, 1, [])  # carries both to 1
+
+    def decide(value, meta):
+        cache.fetch("pre-batch", lambda: ("stale", Stamped(1), True))
+        cache.fetch("post-batch", lambda: ("new", Stamped(2), True))
+        return ("patched", "patched", Stamped(2))
+
+    tally = cache.maintain(decide, 2, ["w"])
+    assert tally == {"kept": 1, "patched": 1, "dropped": 1, "rescans": 0}
+    assert set(cache.keys()) == {"reached", "unreached", "post-batch"}
+    assert cache.peek_entry("reached") == ("patched", Stamped(2))
+    assert cache.peek_entry("unreached") == ("far", Stamped(2, "v"))
+    assert cache._postings == {"w": {"reached", "post-batch"}, "v": {"unreached"}}
+    assert cache.stats().maintained_visited == 2 + 1
 
 
 MISSING = 10
