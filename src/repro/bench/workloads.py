@@ -13,6 +13,9 @@ Two generators:
   ``(k, k + rank_window]`` of the exact ranking, mirroring the paper's
   user who expects a *nearly*-returned object ("the Starbucks cafe down
   the street"), not an arbitrary bottom-ranked one.
+
+:func:`first_view_reads` replays what a preference question first asks
+of a fresh dual view, for the benchmarks that time a view.
 """
 
 from __future__ import annotations
@@ -21,12 +24,21 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+from itertools import islice
+
 from repro.core.geometry import Point
+from repro.core.kernel import ScoringKernel
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import DEFAULT_WEIGHTS, SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
+from repro.whynot.context import RankWalk
 
-__all__ = ["QueryWorkload", "WhyNotScenario", "generate_whynot_scenarios"]
+__all__ = [
+    "QueryWorkload",
+    "WhyNotScenario",
+    "first_view_reads",
+    "generate_whynot_scenarios",
+]
 
 
 class QueryWorkload:
@@ -188,3 +200,22 @@ def generate_whynot_scenarios(
             )
         )
     return scenarios
+
+
+def first_view_reads(
+    kernel: ScoringKernel, query: SpatialKeywordQuery, oid: int, levels: int = 8
+) -> tuple[int, int, list[list[float]]]:
+    """A fresh dual view of ``query`` for ``oid``, asked what a
+    preference question asks first: ``oid``'s rank at the query's
+    weights, then its rank walk's ``levels`` crossovers nearest
+    ``q.ws`` on each side.  ``(rank, the walk's rank at q.ws, [levels
+    below q.ws, levels above])``; the two ranks agree."""
+    view = kernel.dual_view(query, [oid])
+    rank = view.ranks_at(query.ws, query.wt, [oid])[oid]
+    (dual,) = view.dual_points_of([oid])
+    start = 1 + view.strictly_above_at_zero(oid) + view.permanent_ties_smaller(oid)
+    walk = RankWalk(
+        dual, query.ws, view.crossing_runs(oid, query.ws), start, view.count_events
+    )
+    met = [list(islice(walk.levels(going_up), levels)) for going_up in (False, True)]
+    return rank, walk.rank(query.ws), met

@@ -36,7 +36,7 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, repeat
-from operator import eq, lt
+from operator import lt
 from typing import TYPE_CHECKING, AbstractSet, Callable, Iterable, Mapping, Sequence
 
 from repro import concurrency, faults
@@ -46,6 +46,7 @@ from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scanindex import (
     SKIP_MARGIN,
     ScanIndex,
+    bit_positions,
     score_delta_rows,
     tsim_from_counts,
 )
@@ -65,6 +66,7 @@ __all__ = [
     "ScoringKernel",
     "KernelQuery",
     "DocContext",
+    "CrossingRun",
     "DualView",
     "score_delta_rows",
 ]
@@ -108,18 +110,6 @@ _DEAD_COORD = 1e300
 DEFAULT_COMPACTION_THRESHOLD = 0.25
 
 
-def key_order(keys: Sequence[float], ties: Sequence[int]) -> tuple[list[int], array]:
-    """``(order, keys in that order)``: the positions of ``keys`` in
-    ``(key, tie)`` order — one key sort (fast on presorted runs), then
-    each (rare) run of equal keys re-sorted by its ``ties``."""
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    column = array("d", map(keys.__getitem__, order))
-    for value in set(compress(column, map(eq, column, column[1:]))):
-        run = slice(bisect_left(column, value), bisect_right(column, value))
-        order[run] = sorted(order[run], key=ties.__getitem__)
-    return order, column
-
-
 class KernelStats:
     """Work counters of one kernel (exposed through ``GET /api/stats``).
 
@@ -129,10 +119,12 @@ class KernelStats:
     ``scan_columns_visited`` / ``scan_index_builds`` count indexed top-k
     scans, the rows they actually scored, the index columns they walked
     and the (lazy) index builds they paid for; ``dual_views`` / ``dual_view_rows``
-    count dual views (and reference dual passes) and the rows they scored
-    (a view's: its buckets at or above its TSim floor and the rest of its
-    disk, see :meth:`ScanIndex.undominated`); ``dual_view_events`` counts
-    the crossover events the why-not rank walks read off those views;
+    count dual views (and reference dual passes) and the rows given a
+    ``hypot`` for them, widenings included (a view's: the boundary rows
+    of the disks it counts by popcount, and each level's rows out to the
+    proximity its readers reach, see :class:`DualView`);
+    ``dual_view_events`` counts the crossover events the why-not rank
+    walks read off those views;
     the remaining counters attribute batch entry points to their consumers.
 
     One kernel is shared by every executor worker thread, so updates go
@@ -321,128 +313,36 @@ class KernelQuery:
         return self.score_row(self._kernel._row_of[oid])
 
 
-class DualView:
-    """Dual coordinates ``(a, b)`` under one query, for one missing set.
+class CrossingRun:
+    """One TSim level of a target's crossing candidates as a cursor over
+    its crossover events in ``w`` order.
 
-    A view answers for its *targets* (the missing objects; a rank query
-    about any other object raises ``ValueError``) and holds the rows at
-    or above ``a_floor`` or ``b_floor``, the targets' minima less
-    ``SKIP_MARGIN``.  A row below both can neither beat nor tie a target
-    at any weights (one of ``ws + wt ≈ 1`` is ≳ 0.5, and its term alone
-    loses by far more than the sum's rounding) nor cross a target's line.
+    Event ``t`` crosses at ``event(t) = (w, oid)``; ``direction`` is +1
+    when the level's lines rise above the target as ``w`` grows; ``[low,
+    stop)`` are the valid crossovers and ``[low, split)`` those below
+    ``ws``.  Built from the level's crossing rows, ``(proximities,
+    oids)`` with the proximities ascending, in full.
 
-    Under a set text model ``b = TSim`` takes few distinct values per
-    query (at most ``(|q.doc| + 1) · max doc length``, never a function
-    of n), and within one level the score ``ws·a + wt·b`` is
-    float-monotone in ``a`` (multiply and add by non-negative weights
-    are monotone).  So the view keeps, per level, the proximities sorted
-    ascending with their oids alongside (ties in oid order): a rank is
-    two bisects per level, exact with no margin, and the quadrant and
-    counting queries of Section 3.3 are slices and lengths.  Building it
-    is a key sort and two gathers per level, nothing of the kernel's
-    length; a row's ``(a, b)`` is scored on demand, against the kernel
-    columns of the generation the view was built in.
+    ``w*`` is float-monotone in the proximity, since its denominator
+    ``slope − (a − b)`` is: it rises with ``a`` above the target's
+    level and falls below it, where the rows are read backwards.  So
+    parallel lines (a zero denominator) end the run, invalid weights
+    sit at its ends and the events below ``ws`` open it: each is one
+    bisect, or a check of the ends when there are none.
     """
 
-    __slots__ = ("a_floor", "b_floor", "_kernel", "_scalars", "_targets", "_levels")
+    __slots__ = ("direction", "low", "split", "stop", "_weight", "_oids")
 
-    @hot_path
     def __init__(
         self,
-        kernel: "ScoringKernel",
-        scalars: tuple[float, float, int, int],
-        kept: Iterable[tuple[float, Sequence[float], Sequence[int]]],
-        targets: Mapping[int, tuple[float, float]],
-        a_floor: float,
-        b_floor: float,
-    ) -> None:
-        """``kept``: the rows to hold as :meth:`ScanIndex.undominated`'s
-        ``(b, proximities, oids)`` per TSim level, by descending ``b``,
-        each level's rows in any order; ``scalars`` the query's
-        ``(qx, qy, qmask, qlen)``; ``targets`` each target's ``(a, b)``."""
-        levels = []
-        for level, proximities, oids in kept:
-            order, column = key_order(proximities, oids)
-            levels.append((level, column, array("q", map(oids.__getitem__, order))))
-        self.a_floor = a_floor
-        self.b_floor = b_floor
-        self._kernel = kernel
-        self._scalars = scalars
-        self._targets = targets
-        #: ``(b, proximities ascending, their oids)`` by descending ``b``.
-        self._levels = tuple(levels)
-
-    def _target(self, oid: int) -> tuple[float, float]:
-        point = self._targets.get(oid)
-        if point is None:
-            raise ValueError(f"object {oid} is not a target of this dual view")
-        return point
-
-    def dual_points_of(self, oids: Sequence[int]) -> "list[DualPoint]":
-        """These objects' :class:`DualPoint`s, scored now (the floats the
-        view holds); ``KeyError`` for an object the view does not hold."""
-        from repro.core.scoring import DualPoint
-
-        points = self._kernel._dual_rows(oids, *self._scalars)
-        a_floor, b_floor = self.a_floor, self.b_floor
-        if any(a < a_floor and b < b_floor for _, a, _, b in points):
-            raise KeyError("an object this dual view does not hold")
-        return [DualPoint(oid, a, b) for oid, a, _, b in points]
-
-    def crossing_candidates(
-        self, target_oid: int
-    ) -> list[tuple[float, array, list[int]]]:
-        """Objects whose score lines cross the target's inside ``(0, 1)``.
-
-        The two dual-space range queries of Section 3.3 (see
-        :class:`repro.index.dualspace.DualSpaceIndex`): lines cross
-        exactly when the dual points sit in opposite open quadrants,
-        ``(a_o − a_m)(b_o − b_m) < 0`` — per level, the proximities
-        below ``a_m`` where ``b > b_m`` and above it where ``b < b_m``
-        (differences of these columns are multiples of 2⁻⁵³ and ratios
-        of doc lengths: the float product cannot underflow to ±0).
-        Returned as ``(b, proximities, oids)`` per level with any, the
-        columns as views of the level's (nothing is copied): a rank walk
-        reads only the rows it reaches.
-        """
-        am, bm = self._target(target_oid)
-        found = []
-        for level, proximities, oids in self._levels:
-            if level > bm:
-                span = slice(0, bisect_left(proximities, am))
-            elif level < bm:
-                span = slice(bisect_right(proximities, am), None)
-            else:
-                continue
-            crossing = memoryview(proximities)[span]
-            if crossing:
-                found.append((level, crossing, memoryview(oids)[span]))
-        return found
-
-    @staticmethod
-    def crossing_run(
         target: "DualPoint",
         ws: float,
         b: float,
         proximities: Sequence[float],
         oids: Sequence[int],
-    ) -> tuple[Callable[[int], float], Sequence[int], int, int, int, int]:
-        """One level of the target's crossing candidates as a cursor over
-        its crossover events in ``w`` order: ``(weight, oids, direction,
-        low, split, stop)``.  Event ``t`` crosses at ``weight(t)``, with
-        ``oids[t]``; ``direction`` is +1 when the level's lines rise
-        above the target as ``w`` grows; ``[low, stop)`` are the valid
-        crossovers and ``[low, split)`` those below ``ws``.
-
-        ``w*`` is float-monotone in the proximity, since its denominator
-        ``slope − (a − b)`` is: it rises with ``a`` above the target's
-        level and falls below it, where the rows are read backwards.  So
-        parallel lines (a zero denominator) end the run, invalid weights
-        sit at its ends and the events below ``ws`` open it: each is one
-        bisect, or a check of the ends when there are none.
-        """
-        direction = -1 if b > target.b else 1
-        if direction > 0:
+    ) -> None:
+        self.direction = -1 if b > target.b else 1
+        if self.direction > 0:
             proximities, oids = proximities[::-1], oids[::-1]
         numerator, slope = b - target.b, target.slope
         # Row t's w*: DualPoint.crossover_with, operation for operation.
@@ -455,8 +355,327 @@ class DualView:
             side = lambda t: 0 if interior(weight(t)) else 1 if weight(t) >= 0.5 else -1
             low = bisect_left(range(stop), 0, 0, stop, key=side)
             stop = bisect_right(range(stop), 0, low, stop, key=side)
-        split = bisect_left(range(stop), ws, low, stop, key=weight)
-        return weight, oids, direction, low, split, stop
+        self.split = bisect_left(range(stop), ws, low, stop, key=weight)
+        self.low, self.stop, self._weight, self._oids = low, stop, weight, oids
+
+    def event(self, t: int) -> tuple[float, int]:
+        """Event ``t``'s ``(w*, oid)``, for ``low ≤ t < stop``."""
+        return self._weight(t), self._oids[t]
+
+
+class _LevelRun(CrossingRun):
+    """A :class:`CrossingRun` over one :class:`DualView` level, which the
+    view may hold only in part.
+
+    The level's crossing rows are counted, not listed: ``stop`` is the
+    count of rows past the target's proximity less the invalid ones,
+    which sit within ulps of it and so among the rows a ``hypot``
+    placed (the :meth:`DualView._split` of that proximity).  Only the
+    rows the view has scored, every one with proximity at or above the
+    level's ``lo``, are listed: in ``w`` order the trailing events
+    (``b`` above the target's) or the leading ones (``b`` below).
+    ``split`` is certified by ``w*`` at ``lo`` itself, which bounds
+    every unlisted row's; an event past the listed ones widens the
+    level first.
+    """
+
+    __slots__ = ("_view", "_level", "_am", "_weight_at", "_n", "_r0")
+
+    def __init__(
+        self, view: "DualView", level: int, target: "DualPoint", ws: float
+    ) -> None:
+        b = view._levels[level][0]
+        am, bm = target.a, target.b
+        numerator, slope = b - bm, target.slope
+        self._weight_at = lambda a: numerator / (slope - (a - b))
+        self._view, self._level, self._am = view, level, am
+        self.direction = -1 if b > bm else 1
+        n_inside, _, _, proximities, oids = view._split(am)[level]
+        above = bisect_right(proximities, am)
+        at = bisect_left(proximities, am, 0, above)
+        if self.direction < 0:  # the rows below am, read down from it
+            self._n = view._sizes[level] - n_inside - (len(proximities) - at)
+            nearest = reversed(proximities[:at])
+        else:  # the rows above am, read up from it
+            self._n = n_inside + len(proximities) - above
+            nearest = iter(proximities[above:])
+        interior, invalid = Weights.interior, 0
+        for a in nearest:
+            if a - b != slope and interior(self._weight_at(a)):
+                break
+            invalid += 1
+        self.low, self.stop = 0, self._n - invalid
+        # Rows nearer than am hold the leading events (b < bm): a first
+        # step opens a disk about as many rows deep as a walk reads.
+        self._r0 = view._normaliser * (1.0 - am) * math.sqrt(_FIRST_ROWS / (1 + n_inside))
+        if self.stop <= 0:  # no valid crossover: nothing to list
+            self.split = 0
+            return
+        # w* = ws at a = slope + b − numerator / ws: every row on the far
+        # side of it is placed by w* at the level's lo.
+        reach = slope + b - numerator / ws - _SLACK if ws > 0.0 else -math.inf
+        state = view._rows[level]
+        while not self._certified(state, ws):
+            state = view._widen(level, reach, self._r0)
+            reach = math.inf  # a geometric step from here on
+        start, stop = self._listed(state)
+        window = state[1][start:stop]
+        if self.direction > 0:  # w order is the proximities' reverse
+            window.reverse()
+        t0 = self._n - len(window) if self.direction < 0 else 0
+        valid = max(0, min(self.stop - t0, len(window)))
+        self.split = t0 + bisect_left(window, ws, 0, valid, key=self._weight_at)
+
+    def _listed(self, state: "_Rows") -> tuple[int, int]:
+        """The slice of ``state``'s rows that are the run's listed events:
+        the crossing rows at or above the level's ``lo``.  They end the
+        run (``b`` above the target's) or open it (``b`` below)."""
+        lo, proximities, _, _ = state
+        start = bisect_left(proximities, lo)
+        if self.direction < 0:
+            return start, bisect_left(proximities, self._am, start)
+        return max(start, bisect_right(proximities, self._am, start)), len(proximities)
+
+    def _certified(self, state: "_Rows", ws: float) -> bool:
+        """Whether the unlisted rows are all on their side of ``ws``."""
+        lo = state[0]
+        if lo == -math.inf:
+            return True
+        if self.direction < 0:  # unlisted rows lie below lo < am
+            return lo < self._am and self._weight_at(lo) < ws
+        return lo > self._am and self._weight_at(lo) >= ws or lo <= self._am
+
+    def event(self, t: int) -> tuple[float, int]:
+        view, level = self._view, self._level
+        state = view._rows[level]
+        while True:
+            start, stop = self._listed(state)
+            index = stop - (self._n - t) if self.direction < 0 else stop - 1 - t
+            if index >= start:
+                _, proximities, oids, _ = state
+                return self._weight_at(proximities[index]), oids[index]
+            state = view._widen(level, math.inf, self._r0)
+
+
+#: How far below an estimated threshold a view widens a level, in
+#: proximity: enough to clear the estimate's rounding, few rows deep.
+_SLACK = 1e-9
+
+#: The smallest radius a geometric widening step opens, as a share of
+#: the dataspace diagonal.
+_MIN_STEP = 2.0**-20
+
+#: How many rows a level's first disk is sized to hold, at the density
+#: the target's own disk shows: a walk's first event is one row, and it
+#: reads a handful more.
+_FIRST_ROWS = 4.0
+
+#: A level's scored rows: ``(lo, proximities ascending, their oids, their
+#: positions as a bitmap)`` — every row of the level with proximity
+#: ≥ ``lo`` and perhaps some below it, ties in oid order.
+_Rows = tuple[float, array, array, int]
+
+
+class DualView:
+    """Dual coordinates ``(a, b)`` under one query, for one missing set.
+
+    A view answers for its *targets* (the missing objects; a rank query
+    about any other object raises ``ValueError``).  Under a set text
+    model ``b = TSim`` takes few distinct values per query (at most
+    ``(|q.doc| + 1) · max doc length``, never a function of n): the
+    view's *levels* are the scan index's buckets of one TSim, each a
+    bitmap of positions whose size is a popcount.  Within one level the
+    score ``ws·a + wt·b`` is float-monotone in ``a`` (multiply and add
+    by non-negative weights are monotone), and so is a target's
+    crossover weight ``w*``, so every question of Section 3.3 is a count
+    of a level's rows on one side of a proximity.
+
+    * *Counts by popcount.*  A count at a target's own proximity ``am``
+      — its rank at ``q.ws``, each level's event total, the rows above
+      it as ``w → 0``, its permanent ties, the closer-count — is one
+      :meth:`ScanIndex.disk` walk: rows wholly inside are a popcount
+      per level, and only the boundary rows get a ``hypot``
+      (:meth:`_split`).
+    * *Events by annulus.*  A level's rows are scored only from the top
+      down to its ``lo``, the proximity a reader has needed so far: the
+      rows nearest ``q`` cross a target below it earliest, the rows
+      just past a level's threshold cross it near ``q.ws``.  A rank walk
+      that reads past the listed rows widens the level
+      (:class:`_LevelRun`), publishing a new immutable row list, so
+      concurrent readers never see one change under them.  A level of
+      at most one row per index column is scored whole at its first
+      widening.
+
+    A ``ranks_at`` at other weights counts from the same two: the
+    listed rows when the level's threshold lies among them, the split
+    at ``am`` when the level's score clears the target on both sides
+    of ``am``'s boundary band, and a widened level otherwise.
+
+    A row's ``(a, b)`` is scored on demand, against the kernel columns
+    of the generation the view was built in.
+    """
+
+    __slots__ = (
+        "_kernel", "_index", "_scalars", "_targets", "_levels", "_sizes",
+        "_whole", "_rows", "_disks", "_splits", "_normaliser",
+    )
+
+    def __init__(
+        self,
+        kernel: "ScoringKernel",
+        index: ScanIndex,
+        scalars: tuple[float, float, int, int],
+        targets: Mapping[int, tuple[float, float]],
+    ) -> None:
+        """``scalars``: the query's ``(qx, qy, qmask, qlen)``;
+        ``targets``: each target's ``(a, b)``.  Nothing is scored yet."""
+        buckets = index.buckets(scalars[2], scalars[3])
+        self._kernel = kernel
+        self._index = index
+        self._scalars = scalars
+        self._targets = targets
+        self._normaliser = kernel._normaliser
+        #: ``(b, positions bitmap)`` by descending ``b``.
+        self._levels = tuple((b, buckets[b]) for b in sorted(buckets, reverse=True))
+        self._sizes = [bitmap.bit_count() for _, bitmap in self._levels]
+        self._whole = index.columns
+        self._rows: list[_Rows] = [
+            (math.inf, array("d"), array("q"), 0) for _ in self._levels
+        ]
+        #: Per proximity, per level: ``(rows inside, their proximity
+        #: bound, the bound below which the rest lie, the rows between
+        #: as proximities ascending and oids)``.
+        self._splits: dict[float, list[tuple[int, float, float, array, array]]] = {}
+        self._disks: dict[tuple[float, bool], tuple[int, int]] = {}
+
+    def _target(self, oid: int) -> tuple[float, float]:
+        point = self._targets.get(oid)
+        if point is None:
+            raise ValueError(f"object {oid} is not a target of this dual view")
+        return point
+
+    # ------------------------------------------------------------------
+    # Scoring rows
+    # ------------------------------------------------------------------
+    def _score(self, mask: int) -> tuple[list[float], list[int]]:
+        """The proximities and oids of the positions in ``mask``."""
+        index = self._index
+        positions = bit_positions(mask)
+        qx, qy, _, _ = self._scalars
+        self._kernel.stats.bump("dual_view_rows", len(positions))
+        return index.proximities(positions, qx, qy), index.oids_at(positions)
+
+    def _publish(self, level: int, state: _Rows, mask: int, lo: float) -> _Rows:
+        """``state`` with the positions in ``mask`` scored and ``lo``
+        lowered to ``lo``, published for the level and returned."""
+        _, proximities, oids, scored = state
+        if mask:
+            new = sorted(zip(*self._score(mask)))
+            # Listed rows nearer q than every new one keep their place.
+            cut = bisect_right(proximities, new[-1][0])
+            rows = sorted([*zip(proximities[:cut], oids[:cut]), *new])
+            proximities = array("d", [a for a, _ in rows]) + proximities[cut:]
+            oids = array("q", [oid for _, oid in rows]) + oids[cut:]
+        state = (lo, proximities, oids, scored | mask)
+        self._rows[level] = state
+        return state
+
+    def _widen(self, level: int, lo: float, r0: float) -> _Rows:
+        """The level scored down to ``lo`` at least — or, with ``lo`` no
+        lower than it is, one geometric step further (the radius
+        doubled, and at least ``r0``) — published and returned."""
+        state = self._rows[level]
+        current, scored = state[0], state[3]
+        _, bitmap = self._levels[level]
+        norm = self._normaliser
+        if lo >= current:
+            radius = norm * (1.0 - current) if current < 1.0 else 0.0
+            lo = 1.0 - max(2.0 * radius, r0) / norm
+        elif lo > 1.0:  # no row is that close: nothing to score
+            return self._publish(level, state, 0, lo)
+        if lo <= 0.0 or self._sizes[level] <= self._whole:
+            return self._publish(level, state, bitmap & ~scored, -math.inf)
+        # Down to a rung of a fixed ladder of radii (quarter octaves of
+        # the diagonal), so levels widening to nearby proximities share
+        # one disk walk.
+        octaves = math.ceil(4.0 * math.log2(max(1.0 - lo, _MIN_STEP))) / 4.0
+        rung = 1.0 - 2.0**octaves
+        lo = rung if rung <= lo else 1.0 - 2.0 ** (octaves + 0.25)
+        if lo <= 0.0:
+            return self._publish(level, state, bitmap & ~scored, -math.inf)
+        inside, boundary = self._disk(lo, split=False)
+        return self._publish(level, state, bitmap & (inside | boundary) & ~scored, lo)
+
+    def _disk(self, a: float, *, split: bool = True) -> tuple[int, int]:
+        """:meth:`ScanIndex.disk` at proximity ``a``, memoised (a split
+        disk serves as a cover too)."""
+        disk = self._disks.get((a, True)) or self._disks.get((a, split))
+        if disk is None:
+            qx, qy, _, _ = self._scalars
+            disk = self._disks[a, split] = self._index.disk(qx, qy, a, split=split)
+        return disk
+
+    def _split(self, a: float) -> list[tuple[int, float, float, array, array]]:
+        """Per level, its rows split at proximity ``a``, memoised:
+        ``(inside, above, below, proximities, oids)`` — ``inside``
+        unlisted rows, each with proximity over ``above`` (> ``a``),
+        every other unlisted row under ``below`` (< ``a``), and the
+        listed rows exact, ascending.  A level already scored below
+        ``a`` lists its scored rows; any other adds the boundary rows
+        of one :meth:`ScanIndex.disk` walk, shared by every level."""
+        split = self._splits.get(a)
+        if split is not None:
+            return split
+        split = []
+        for level, (_, bitmap) in enumerate(self._levels):
+            state = self._rows[level]
+            lo = state[0]
+            if lo <= a - SKIP_MARGIN:
+                split.append((0, a, lo, state[1], state[2]))
+                continue
+            inside, boundary = self._disk(a)
+            scored = state[3]
+            state = self._publish(level, state, bitmap & boundary & ~scored, lo)
+            split.append((
+                (bitmap & inside & ~scored).bit_count(),
+                a + SKIP_MARGIN / 4.0,
+                a - SKIP_MARGIN / 4.0,
+                state[1],
+                state[2],
+            ))
+        self._splits[a] = split
+        return split
+
+    # ------------------------------------------------------------------
+    # What the why-not modules ask
+    # ------------------------------------------------------------------
+    def dual_points_of(self, oids: Sequence[int]) -> "list[DualPoint]":
+        """These live objects' :class:`DualPoint`s, scored now
+        (``KeyError`` for any other)."""
+        from repro.core.scoring import DualPoint
+
+        points = self._kernel._dual_rows(oids, *self._scalars)
+        return [DualPoint(oid, a, b) for oid, a, _, b in points]
+
+    def crossing_runs(self, target_oid: int, ws: float) -> list[CrossingRun]:
+        """The target's crossover events, one :class:`_LevelRun` per
+        other TSim level.
+
+        Lines cross exactly when the dual points sit in opposite open
+        quadrants, ``(a_o − a_m)(b_o − b_m) < 0`` (Section 3.3's two
+        range queries, :class:`repro.index.dualspace.DualSpaceIndex`):
+        per level above the target's, the proximities below ``a_m``; per
+        level below it, those above.
+        """
+        from repro.core.scoring import DualPoint
+
+        am, bm = self._target(target_oid)
+        target = DualPoint(target_oid, am, bm)
+        return [
+            _LevelRun(self, level, target, ws)
+            for level, (b, _) in enumerate(self._levels)
+            if b != bm
+        ]
 
     def count_events(self, events: int) -> None:
         """Count crossover events a rank walk read off this view."""
@@ -473,23 +692,51 @@ class DualView:
         oid asc) tie-break, which only the run of rows scoring exactly
         the target's score needs.
         """
-        scores = [ws * a + wt * b for a, b in map(self._target, target_oids)]
-        beaten = [0] * len(scores)
-        for level, proximities, oids in self._levels:
+        targets = [(oid, *self._target(oid)) for oid in target_oids]
+        scores = [ws * am + wt * bm for _, am, bm in targets]
+        beaten = [0] * len(targets)
+        rows = self._rows
+        for level, (b, _) in enumerate(self._levels):
             faults.check_deadline()
-            offset = wt * level
+            offset = wt * b
             score_of = lambda x: ws * x + offset
-            size = len(proximities)
-            for index, score in enumerate(scores):
-                above = bisect_right(proximities, score, key=score_of)
-                tied = bisect_left(proximities, score, 0, above, key=score_of)
-                count = size - above
-                if tied < above:
-                    count += sum(map(lt, oids[tied:above], repeat(target_oids[index])))
-                beaten[index] += count
-        return {
-            oid: count + 1 for oid, count in zip(target_oids, beaten)
-        }
+            for index, (oid, am, _) in enumerate(targets):
+                lo, proximities, oids, _ = rows[level]
+                score = scores[index]
+                if score_of(lo) < score or lo == -math.inf:  # the scored rows decide
+                    beaten[index] += _count_beating(
+                        proximities, oids, bisect_left(proximities, lo), score_of, score, oid
+                    )
+                else:
+                    beaten[index] += self._beating(level, ws, score_of, score, oid, am)
+        return {oid: count + 1 for (oid, _, _), count in zip(targets, beaten)}
+
+    def _beating(
+        self,
+        level: int,
+        ws: float,
+        score_of: Callable[[float], float],
+        score: float,
+        oid: int,
+        am: float,
+    ) -> int:
+        """The level's rows beating ``(score, oid)``, ``score_of`` scoring
+        its proximities, when its scored rows alone do not decide: the
+        split at ``am`` may, or the level widens until they do."""
+        # Below the threshold every row loses; ws = 0 leaves none.
+        reach = (score - score_of(0.0)) / ws - _SLACK if ws > 0.0 else -math.inf
+        state = self._rows[level]
+        while True:
+            lo, proximities, oids, _ = state
+            if lo == -math.inf or score_of(lo) < score:
+                return _count_beating(
+                    proximities, oids, bisect_left(proximities, lo), score_of, score, oid
+                )
+            inside, above, below, near, near_oids = self._split(am)[level]
+            if score_of(below) < score and (not inside or score_of(above) > score):
+                return inside + _count_beating(near, near_oids, 0, score_of, score, oid)
+            state = self._widen(level, reach, self._normaliser * (1.0 - am) / 4.0)
+            reach = math.inf
 
     def strictly_above_at_zero(self, target_oid: int) -> int:
         """Objects strictly outranking the target as ``w → 0+``.
@@ -499,33 +746,71 @@ class DualView:
         """
         am, bm = self._target(target_oid)
         above = 0
-        for level, proximities, _ in self._levels:
-            if level > bm:
-                above += len(proximities)
-            elif level == bm:
-                above += len(proximities) - bisect_right(proximities, am)
+        for level, (b, _) in enumerate(self._levels):
+            if b > bm:
+                above += self._sizes[level]
+            elif b == bm:
+                inside, _, _, proximities, _ = self._split(am)[level]
+                above += inside + len(proximities) - bisect_right(proximities, am)
         return above
 
     def permanent_ties_smaller(self, target_oid: int) -> int:
         """Objects with an identical score line and a smaller object id:
         its equal-proximity run's head, the run being in oid order."""
         am, bm = self._target(target_oid)
-        for level, proximities, oids in self._levels:
-            if level == bm:
+        for level, (b, _) in enumerate(self._levels):
+            if b == bm:
+                _, _, _, proximities, oids = self._split(am)[level]
                 start = bisect_left(proximities, am)
                 stop = bisect_right(proximities, am, start)
                 return bisect_left(oids, target_oid, start, stop) - start
         return 0
 
     def count_more_similar(self, tsim: float) -> int:
-        """Objects with ``TSim > tsim`` (≥ ``b_floor``): a sum of level sizes."""
-        if tsim < self.b_floor:
-            raise ValueError(f"TSim {tsim} is below this dual view's floor")
+        """Objects with ``TSim > tsim``: a sum of level sizes."""
         return sum(
-            len(proximities)
-            for level, proximities, _ in self._levels
-            if level > tsim
+            size for (level, _), size in zip(self._levels, self._sizes) if level > tsim
         )
+
+    def count_closer(self, raw_distance: float) -> int:
+        """Live objects with raw distance to the query ``< raw_distance``.
+
+        ``a = 1 − min(d / norm, 1)`` is float-monotone non-increasing in
+        the raw distance ``d`` (a division by a positive constant, a
+        clamp and a subtraction from a constant are each monotone): a
+        row whose proximity is larger than the radius's lies strictly
+        closer, one with a smaller proximity strictly farther, and only
+        the rows at exactly that proximity (every clamped row when it
+        is 0) compare raw distances — the :meth:`_split` at it.
+        """
+        proximity = 1.0 - min(raw_distance / self._normaliser, 1.0)
+        kernel = self._kernel
+        qx, qy, _, _ = self._scalars
+        xs, ys, row_of = kernel._xs, kernel._ys, kernel._row_of
+        closer = 0
+        for inside, _, _, proximities, oids in self._split(proximity):
+            above = bisect_right(proximities, proximity)
+            closer += inside + len(proximities) - above
+            for oid in oids[bisect_left(proximities, proximity, 0, above) : above]:
+                row = row_of[oid]
+                if math.hypot(xs[row] - qx, ys[row] - qy) < raw_distance:
+                    closer += 1
+        return closer
+
+
+def _count_beating(
+    proximities: Sequence[float],
+    oids: Sequence[int],
+    start: int,
+    score_of: Callable[[float], float],
+    score: float,
+    oid: int,
+) -> int:
+    """Rows of ``proximities[start:]`` (ascending, ties in oid order)
+    beating ``(score, oid)``: two bisects, and the tied run by oid."""
+    above = bisect_right(proximities, score, start, key=score_of)
+    tied = bisect_left(proximities, score, start, above, key=score_of)
+    return len(proximities) - above + sum(map(lt, oids[tied:above], repeat(oid)))
 
 
 class ScoringKernel:
@@ -913,12 +1198,16 @@ class ScoringKernel:
         ws: float,
         wt: float,
         floor: float | None = None,
-    ) -> list[tuple[float, int]]:
-        """The best ``k`` live rows as ``(−score, oid)`` pairs, merge-ready.
+    ) -> list[tuple[float, int, float, float]]:
+        """The best ``k`` live rows as ``(−score, oid, sdist, tsim)``,
+        merge-ready.
 
         ``(−score, oid)`` ascending is exactly the oracle's
         ``(score desc, oid asc)`` order, so candidate lists from
-        different shards merge with plain heap selection.  ``floor``,
+        different shards merge with plain heap selection; ``sdist`` and
+        ``tsim`` are the floats the score was summed from
+        (``Scorer.breakdown``'s, bit for bit), so the winners
+        materialise without a re-score.  ``floor``,
         when given, is an *inclusive* score cut: the answer is the top
         ``k`` minus every pair scoring below it (a pair tying the floor
         still competes on oid), which is what a scatter that already
@@ -928,18 +1217,19 @@ class ScoringKernel:
         — only the rows that can still reach the running k-th score are
         scored — with the reference semantics
         ``nsmallest(k, zip(map(neg, scalar_scores(…)), oids))`` over the
-        live rows.  This is the one scan the scatter runs, through
+        live rows, each pair extended by its components.  This is the
+        one scan the scatter runs, through
         :meth:`ShardedEngine._scan_shard`.
 
         The index is built on first use (:meth:`_built_scan_index`).
         """
         index, builds = self._built_scan_index()
-        pairs, rows_scored, columns = index.scan(k, qx, qy, qmask, qlen, ws, wt, floor)
+        rows, rows_scored, columns = index.scan(k, qx, qy, qmask, qlen, ws, wt, floor)
         self.stats.record(
             scan_calls=1, scan_rows_scored=rows_scored,
             scan_columns_visited=columns, scan_index_builds=builds,
         )
-        return pairs
+        return rows
 
     def _built_scan_index(self) -> tuple[ScanIndex, int]:
         """``(the scan index, 1 if this call built it)``, built under a leaf
@@ -994,28 +1284,22 @@ class ScoringKernel:
     def dual_view(
         self, query: SpatialKeywordQuery, targets: Sequence[int]
     ) -> DualView:
-        """``(a, b) = (1 − SDist, TSim)`` under ``query`` of the rows that
-        can reach ``targets`` (live oids): per ``b`` level, their sorted
-        proximities and oids.  The targets' own ``(a, b)`` set the floors
-        (see :class:`DualView`), and the scan index scores only the rows
-        inside the proximity floor's disk or in a (shared keywords, doc
-        length) bucket whose TSim reaches the TSim floor
-        (:meth:`ScanIndex.undominated`) — the two range queries of
-        Section 3.3, not a pass over every row.  A target with TSim 0
-        keeps every live row.
+        """The :class:`DualView` of ``query`` for ``targets`` (live oids).
+
+        Only the targets are scored here: the view counts and scores the
+        rest of its levels (the scan index's buckets of one TSim) as its
+        readers ask — Section 3.3's counts and range queries, not a pass
+        over every row.
         """
         faults.check_deadline()
         if not targets:
             raise ValueError("a dual view needs at least one target")
         qx, qy, qmask, qlen, _ws, _wt = self._query_scalars(query)
         own = self._dual_rows(targets, qx, qy, qmask, qlen)
-        a_floor = min(a for _, a, _, _ in own) - SKIP_MARGIN
-        b_floor = min(b for _, _, _, b in own) - SKIP_MARGIN
         index, builds = self._built_scan_index()
-        kept, scored = index.undominated(qx, qy, qmask, qlen, a_floor, b_floor)
-        self.stats.record(dual_views=1, dual_view_rows=scored, scan_index_builds=builds)
+        self.stats.record(dual_views=1, scan_index_builds=builds)
         duals = {oid: (a, b) for oid, a, _, b in own}
-        return DualView(self, (qx, qy, qmask, qlen), kept, duals, a_floor, b_floor)
+        return DualView(self, index, (qx, qy, qmask, qlen), duals)
 
     def _dual_rows(
         self, oids: Sequence[int], qx: float, qy: float, qmask: int, qlen: int
@@ -1044,39 +1328,6 @@ class ScoringKernel:
         points = [DualPoint(oid, a, b) for oid, a, _sdist, b in rows]
         self.stats.record(dual_views=1, dual_view_rows=len(points))
         return points
-
-    def count_closer(
-        self, view: DualView, query: SpatialKeywordQuery, raw_distance: float
-    ) -> int:
-        """Live objects with raw distance to ``query.loc`` ``< raw_distance``.
-
-        Read off ``view``, this kernel's :meth:`dual_view` of ``query``,
-        which holds every row at or above its ``a_floor`` (a farther
-        radius raises ``ValueError``).  ``a = 1 − min(d / norm, 1)`` (the
-        expression there, restated below) is float-monotone non-increasing
-        in the raw distance ``d``: a division by a positive constant, a
-        clamp and a subtraction from a constant are each monotone.  So a
-        row whose proximity is strictly larger than the radius's lies
-        strictly closer, one with a smaller proximity strictly farther
-        (two bisects per TSim level), and only the run at exactly that
-        proximity (every clamped row when it is 0) is compared exactly.
-        """
-        proximity = 1.0 - min(raw_distance / self._normaliser, 1.0)
-        if proximity < view.a_floor:
-            raise ValueError(f"distance {raw_distance} is beyond this dual view")
-        qx = query.loc.x
-        qy = query.loc.y
-        xs, ys, row_of = self._xs, self._ys, self._row_of
-        hypot = math.hypot
-        closer = 0
-        for _, proximities, oids in view._levels:
-            above = bisect_right(proximities, proximity)
-            closer += len(proximities) - above
-            for oid in oids[bisect_left(proximities, proximity, 0, above) : above]:
-                row = row_of[oid]
-                if hypot(xs[row] - qx, ys[row] - qy) < raw_distance:
-                    closer += 1
-        return closer
 
     # ------------------------------------------------------------------
     # Rank primitives

@@ -16,18 +16,22 @@ a scan"):
   more, and an ``alive`` bitmap.  A query folds them, with a handful of
   C-speed big-int AND/ORs, into **buckets** of one exact TSim: (shared
   keywords, doc length) pairs, equal TSims merged.
-* Columns are walked outward from the query, buckets best TSim first.
-  The current k-th score θ becomes a y-interval: a row of a bucket
-  with TSim ``t`` can still win only within distance
+* A bucket holding no more rows than the columns its reach spans is
+  *peeled*: scored outright, best TSim first, before any column is
+  walked.
+* Columns are walked outward from the query, the other buckets best
+  TSim first.  The current k-th score θ becomes a y-interval: a row of
+  a bucket with TSim ``t`` can still win only within distance
   ``norm · (1 − (θ − SKIP_MARGIN − wt·t) / ws)`` of the query, two
   bisects and a shift-and-mask, and the first bucket out of reach ends
   the column.  Only the set bits are scored, on proximity plus the
   bucket's text term: :func:`score_delta_rows`' floats, bit for bit.
 
-The same two cuts, a disk around the query and the buckets, find the
-rows close *or* similar enough to reach a why-not question's missing
-objects (:meth:`ScanIndex.undominated`): a bucket whose TSim reaches
-the floor is taken whole, any other only inside the disk.
+The same column walk counts a disk around the query without scoring it
+(:meth:`ScanIndex.disk`): a y-run whose rectangle lies wholly inside is
+a range of positions, and only the rows near the circle need a
+``hypot``.  A why-not question's dual view counts and widens its TSim
+levels with it (:class:`repro.core.kernel.DualView`).
 
 This module sits *below* the kernel (which imports it) and holds no
 reference back to one: the row-level primitives the index shares with
@@ -42,8 +46,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heappush, heapreplace
-from itertools import compress, repeat
-from operator import ge
 from typing import Iterable, Iterator, Sequence
 
 from repro.core.hotpath import hot_path
@@ -51,6 +53,7 @@ from repro.core.hotpath import hot_path
 __all__ = [
     "SKIP_MARGIN",
     "ScanIndex",
+    "bit_positions",
     "score_delta_rows",
     "tsim_from_counts",
     "tsim_upper_bound",
@@ -173,7 +176,7 @@ def tsim_from_counts(model_code: str, shared: int, doc_len: int, qlen: int) -> f
     """TSim of a ``doc_len``-keyword doc sharing ``shared`` keywords with
     a ``qlen``-keyword query: :func:`score_delta_rows`' expression, so
     its float.  The kernel's per-row TSim and the scan index's per-bucket
-    one (:meth:`ScanIndex._buckets`) both call it."""
+    one (:meth:`ScanIndex.buckets`) both call it."""
     if shared == 0:
         return 0.0
     if model_code == "jaccard":
@@ -193,6 +196,21 @@ def _bits(mask: int) -> Iterator[int]:
 
 #: ``_BYTE_BITS[byte]``: the offsets of the set bits of ``byte``, ascending.
 _BYTE_BITS = [[bit for bit in range(8) if byte >> bit & 1] for byte in range(256)]
+
+
+def bit_positions(mask: int) -> list[int]:
+    """The set bits of ``mask``, ascending, isolated from the top down
+    (each step shortens the mask): for the sparse masks of a peeled
+    bucket or a view's disk, cheaper than :func:`_positions`' pass over
+    every byte below the highest bit."""
+    out: list[int] = []
+    push = out.append
+    while mask:
+        top = mask.bit_length() - 1
+        push(top)
+        mask ^= 1 << top
+    out.reverse()
+    return out
 
 
 def _positions(mask: int) -> list[int]:
@@ -374,7 +392,7 @@ class ScanIndex:
         at_least.append(0)
         return [at_least[s] ^ at_least[s + 1] for s in range(len(at_least) - 1)]
 
-    def _buckets(self, qmask: int, qlen: int) -> dict[float, int]:
+    def buckets(self, qmask: int, qlen: int) -> dict[float, int]:
         """``{tsim: positions}``, non-empty: each exact-shared-count level
         ANDed with each doc-length bitmap.  A non-empty bucket has
         ``s ≤ length``, so :func:`tsim_from_counts` gives its rows' own
@@ -426,9 +444,9 @@ class ScanIndex:
         ws: float,
         wt: float,
         floor: float | None,
-    ) -> tuple[list[tuple[float, int]], int, int]:
-        """``(best ≤ k (−score, oid) pairs scoring ≥ floor, rows scored,
-        columns walked)`` (the unsorted tail is not a column).
+    ) -> tuple[list[tuple[float, int, float, float]], int, int]:
+        """``(best ≤ k (−score, oid, sdist, tsim) rows scoring ≥ floor,
+        rows scored, columns walked)`` (the unsorted tail is not a column).
 
         Exactly the full scan's top ``k`` cut at the inclusive ``floor``:
         θ is the larger of the floor and the running k-th score, a row
@@ -436,7 +454,14 @@ class ScanIndex:
         ``θ − SKIP_MARGIN``, and θ only rises — so every row that ends
         in the answer was scored, with the full scan's own arithmetic:
         ``ws · (1 − min(d, 1)) + wt · t`` with the bucket's ``wt · t``,
-        the same two-operand sum as :func:`score_delta_rows`.
+        the same two-operand sum as :func:`score_delta_rows`, whose
+        ``d`` and ``t`` come back with the score.
+
+        A bucket of no more rows than the columns its radius reaches is
+        *peeled* before the walk, best text first: its rows are scored
+        outright, wherever they lie, until the first bucket that cannot
+        reach θ (nor can any after it).  The walk then serves the
+        buckets left, and ends at the radius of the best of those.
         """
         if k < 1:
             return [], 0, 0
@@ -444,21 +469,51 @@ class ScanIndex:
         xs, ys, oids = self._xs, self._ys, self._oids
         built = self._built
         hypot = math.hypot
-        # Buckets of one TSim, best first: (wt·TSim, positions).  wt ≥ 0,
-        # so the text terms do not increase down the list.
-        buckets = self._buckets(qmask, qlen)
-        tiers = [(wt * tsim, buckets[tsim]) for tsim in sorted(buckets, reverse=True)]
-        best_text = tiers[0][0] if tiers else 0.0
+        buckets = self.buckets(qmask, qlen)
 
-        heap: list[tuple[float, int]] = []  # min-heap: [0] is the k-th best
+        heap: list[tuple[float, int, float, float]] = []  # min-heap: [0] is the k-th best
         scored = 0
         theta_m = -math.inf if floor is None else floor - SKIP_MARGIN
+
+        def score(positions: Sequence[int], text: float, tsim: float) -> None:
+            """Score one bucket's ``positions`` into the heap; raise θ."""
+            nonlocal scored, theta_m
+            scored += len(positions)
+            for p in positions:
+                d = hypot(xs[p] - qx, ys[p] - qy) / norm
+                if d > 1.0:
+                    d = 1.0
+                row = (ws * (1.0 - d) + text, -oids[p])
+                if len(heap) < k:
+                    if floor is None or row[0] >= floor:
+                        heappush(heap, (*row, d, tsim))
+                elif row > heap[0]:
+                    heapreplace(heap, (*row, d, tsim))
+            if len(heap) == k:
+                theta_m = heap[0][0] - SKIP_MARGIN
+
+        # Buckets of one TSim, best first: (wt·TSim, TSim, positions).
+        # wt ≥ 0, so the text terms do not increase down the list.
+        min_x, max_x = self._col_min_x, self._col_max_x
+        tiers = []
+        for tsim in sorted(buckets, reverse=True):
+            text, bucket = wt * tsim, buckets[tsim]
+            need = theta_m - text
+            opens = len(min_x)  # the columns the bucket's radius reaches
+            if need > 0.0:
+                if need > ws:
+                    break  # out of reach, and so is every bucket after it
+                radius = norm * (1.0 - need / ws)
+                opens = bisect_right(min_x, qx + radius) - bisect_left(max_x, qx - radius)
+            if bucket.bit_count() <= opens:
+                score(bit_positions(bucket), text, tsim)
+            else:
+                tiers.append((text, tsim, bucket))
 
         def visit(start: int, stop: int, gap: float) -> None:
             """Score what can still win among positions ``[start, stop)``,
             all at least ``gap`` from the query."""
-            nonlocal scored, theta_m
-            for text, bucket in tiers:
+            for text, tsim, bucket in tiers:
                 # A bucket row wins only with ws·proximity ≥ need, which
                 # only grows down the tiers: the first miss ends the column.
                 need = theta_m - text
@@ -472,86 +527,94 @@ class ScanIndex:
                     if start < built:  # a y-sorted column: cut to the run
                         lo, hi = _y_run(ys, start, stop, qy, radius, gap)
                 positions = _positions(bucket & (((1 << (hi - lo)) - 1) << lo))
-                if not positions:
-                    continue
-                scored += len(positions)
-                for p in positions:
-                    d = hypot(xs[p] - qx, ys[p] - qy) / norm
-                    if d > 1.0:
-                        d = 1.0
-                    score = ws * (1.0 - d) + text
-                    if len(heap) < k:
-                        if floor is None or score >= floor:
-                            heappush(heap, (score, -oids[p]))
-                    elif (score, -oids[p]) > heap[0]:
-                        heapreplace(heap, (score, -oids[p]))
-                if len(heap) == k:
-                    theta_m = heap[0][0] - SKIP_MARGIN
+                if positions:
+                    score(positions, text, tsim)
 
         columns = 0
-        for column, gap in self._columns_outward(qx):
-            # Columns only get farther: once one is beyond the best
-            # bucket's reach, so is every column still to come.
-            need = theta_m - best_text
-            if need > 0.0 and (need > ws or gap > norm * (1.0 - need / ws)):
-                break
-            start = column * _COLUMN_ROWS
-            visit(start, min(start + _COLUMN_ROWS, built), gap)
-            columns += 1
-        if len(ys) > built:
-            visit(built, len(ys), 0.0)  # the unsorted tail: no distance bound
+        if tiers:
+            best_text = tiers[0][0]
+            for column, gap in self._columns_outward(qx):
+                # Columns only get farther: once one is beyond the best
+                # walked bucket's reach, so is every column still to come.
+                need = theta_m - best_text
+                if need > 0.0 and (need > ws or gap > norm * (1.0 - need / ws)):
+                    break
+                start = column * _COLUMN_ROWS
+                visit(start, min(start + _COLUMN_ROWS, built), gap)
+                columns += 1
+            if len(ys) > built:
+                visit(built, len(ys), 0.0)  # the unsorted tail: no distance bound
         heap.sort(reverse=True)
-        return [(-score, -negoid) for score, negoid in heap], scored, columns
+        return [
+            (-score, -negoid, sdist, tsim) for score, negoid, sdist, tsim in heap
+        ], scored, columns
 
     @hot_path
-    def undominated(
-        self, qx: float, qy: float, qmask: int, qlen: int, a_floor: float, b_floor: float
-    ) -> tuple[list[tuple[float, list[float], list[int]]], int]:
-        """``(levels, rows scored)``: the live rows with proximity ≥
-        a_floor or TSim ≥ b_floor as ``(b, proximities, oids)`` per TSim
-        level, by descending ``b``, rows in position order.
+    def disk(
+        self, qx: float, qy: float, a: float, *, split: bool = True
+    ) -> tuple[int, int]:
+        """``(inside, boundary)``: positions split by proximity
+        ``1 − min(d, 1)`` against ``a``, in one walk of the columns.
 
-        The buckets of one TSim are :meth:`scan`'s (:meth:`_buckets`).
-        A bucket at or above ``b_floor`` is kept whole; any other is cut
-        to the disk of radius ``norm · (1 − a_floor + SKIP_MARGIN)``
-        (columns outward, cut to y-runs as :meth:`scan` cuts them, and
-        the tail), a superset of the rows with ``a ≥ a_floor``, which are
-        the ones it keeps.  Only
-        those positions are scored, on proximity alone:
-        ``1 − min(d, 1)`` is :func:`score_delta_rows`' score at weights
-        ``(1, 0)`` bit for bit, and a bucket's TSim its per-row one."""
-        need = a_floor - SKIP_MARGIN
-        if need <= 0.0:  # every proximity reaches the floor
-            disk = self._alive
-        else:
-            ys, built = self._ys, self._built
-            radius = self._normaliser * (1.0 - need)
-            disk = ((1 << (len(ys) - built)) - 1) << built  # the tail
-            for column, gap in self._columns_outward(qx):
-                if gap > radius:
-                    break  # and so is every column still to come
-                start = column * _COLUMN_ROWS
-                stop = min(start + _COLUMN_ROWS, built)
-                lo, hi = _y_run(ys, start, stop, qy, radius, gap)
-                disk |= ((1 << (hi - lo)) - 1) << lo
-        buckets = self._buckets(qmask, qlen)
-        levels = []
-        scored = 0
-        for tsim in sorted(buckets, reverse=True):
-            whole = tsim >= b_floor
-            positions = _positions(buckets[tsim] if whole else buckets[tsim] & disk)
-            scored += len(positions)
-            proximities = self._proximities(positions, qx, qy)
-            if not whole:
-                kept = list(map(ge, proximities, repeat(a_floor)))
-                proximities = list(compress(proximities, kept))
-                positions = list(compress(positions, kept))
-            if positions:
-                oids = list(map(self._oids.__getitem__, positions))
-                levels.append((tsim, proximities, oids))
-        return levels, scored
+        Every position in ``inside`` has proximity above
+        ``a + SKIP_MARGIN / 4``; every position in neither is below
+        ``a − SKIP_MARGIN / 4``; only ``boundary`` needs a ``hypot``.
+        A column's y-run within the outer radius is split three ways:
+        the middle run whose rectangle lies wholly inside the disk is
+        ``inside`` when its farthest corner, in the scorer's own floats
+        (each row's ``x − qx`` and ``y − qy`` are no larger in magnitude
+        than the corner's, and ``hypot`` is faithful), clears ``a`` by
+        half the margin — any closer call falls to ``boundary``, as do
+        the run's two ends and the unsorted tail.  Dead positions are
+        included: callers intersect with their own live set.  Without
+        ``split`` every position goes to ``boundary``: a cover of the
+        rows that may reach ``a``, walked with half the bisects.
+        """
+        norm = self._normaliser
+        ys, built = self._ys, self._built
+        everything = (1 << len(ys)) - 1
+        if a < 0.0:  # every proximity is ≥ 0
+            return everything, 0
+        if a - SKIP_MARGIN >= 1.0:  # no proximity exceeds 1
+            return 0, 0
+        outer = norm * (1.0 - (a - SKIP_MARGIN))
+        inner = norm * (1.0 - (a + SKIP_MARGIN))
+        clear = a + SKIP_MARGIN / 2.0
+        min_x, max_x = self._col_min_x, self._col_max_x
+        hypot, sqrt = math.hypot, math.sqrt
+        inside = 0
+        near = ((1 << (len(ys) - built)) - 1) << built  # the tail
+        for column, gap in self._columns_outward(qx):
+            if gap > outer:
+                break  # and so is every column still to come
+            start = column * _COLUMN_ROWS
+            lo, hi = _y_run(ys, start, min(start + _COLUMN_ROWS, built), qy, outer, gap)
+            ilo = ihi = lo
+            dx = max(abs(min_x[column] - qx), abs(max_x[column] - qx))
+            if split and dx < inner:
+                reach = sqrt(inner * inner - dx * dx)
+                ilo = bisect_left(ys, qy - reach, lo, hi)
+                ihi = bisect_right(ys, qy + reach, ilo, hi)
+                if ilo < ihi:
+                    d = hypot(dx, max(abs(ys[ilo] - qy), abs(ys[ihi - 1] - qy))) / norm
+                    if 1.0 - (d if d < 1.0 else 1.0) <= clear:
+                        ilo = ihi = lo
+            inside |= ((1 << (ihi - ilo)) - 1) << ilo
+            near |= (((1 << (ilo - lo)) - 1) << lo) | (((1 << (hi - ihi)) - 1) << ihi)
+        if a < SKIP_MARGIN:  # a clamped row's proximity 0 is not below a
+            return inside, everything & ~inside
+        return inside, near
 
-    def _proximities(self, positions: Sequence[int], qx: float, qy: float) -> list[float]:
+    @property
+    def columns(self) -> int:
+        """How many y-sorted columns the index walks (the tail aside)."""
+        return len(self._col_min_x)
+
+    def oids_at(self, positions: Sequence[int]) -> list[int]:
+        """The oids at ``positions``."""
+        return list(map(self._oids.__getitem__, positions))
+
+    def proximities(self, positions: Sequence[int], qx: float, qy: float) -> list[float]:
         """``1 − min(d, 1)`` at each position: :func:`score_delta_rows`'
         score at weights ``(1, 0)``, bit for bit, without a call per row."""
         hypot = math.hypot

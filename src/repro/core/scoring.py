@@ -345,9 +345,19 @@ class Scorer:
             )
         return QueryResult(query, entries)
 
-    def result_from_pairs(
-        self, query: SpatialKeywordQuery, pairs: Iterable[tuple[float, int]]
+    def result_from_scan(
+        self,
+        query: SpatialKeywordQuery,
+        rows: Iterable[tuple[float, int, float, float]],
     ) -> QueryResult:
-        """:meth:`result_from_objects` for a kernel scan's ``(−score, oid)`` pairs."""
+        """A :class:`QueryResult` from a kernel scan's ranked
+        ``(−score, oid, sdist, tsim)`` rows: the scan's own floats, which
+        are :meth:`breakdown`'s bit for bit, so nothing is re-scored."""
         get = self.database.get
-        return self.result_from_objects(query, [get(oid) for _, oid in pairs])
+        return QueryResult(
+            query,
+            [
+                RankedObject(get(oid), -neg_score, sdist, tsim, rank)
+                for rank, (neg_score, oid, sdist, tsim) in enumerate(rows, start=1)
+            ],
+        )

@@ -100,9 +100,9 @@ class KernelTopK:
     """Top-k by one indexed scan of the scorer's kernel.
 
     :meth:`ScoringKernel.scan_top_k` scores only the rows that can
-    still reach the running k-th score; the winners get their score
-    decompositions from the set path (identical floats, per the kernel
-    parity contract).
+    still reach the running k-th score, and returns the winners' score
+    decompositions with them (identical floats to the set path, per the
+    kernel parity contract).
     """
 
     def __init__(self, scorer: Scorer) -> None:
@@ -114,8 +114,8 @@ class KernelTopK:
 
     def search(self, query: SpatialKeywordQuery) -> QueryResult:
         kernel = self._kernel
-        pairs = kernel.scan_top_k(query.k, *kernel._query_scalars(query))
-        return self._scorer.result_from_pairs(query, pairs)
+        rows = kernel.scan_top_k(query.k, *kernel._query_scalars(query))
+        return self._scorer.result_from_scan(query, rows)
 
 
 class BestFirstTopK:

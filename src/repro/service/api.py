@@ -529,9 +529,12 @@ class YaskEngine:
         """Explain why the referenced objects are missing from the result.
 
         Pass ``initial_result`` (the query's cached top-k result) to
-        spare the generator from re-deriving it.
+        spare the engine's top-k; without one the engine runs its own
+        (the served scan, under the same read lock), never a full pass.
         """
         with self._lock.read():
+            if initial_result is None:
+                initial_result = self._topk_engine.search(query)
             return self._whynot.explain(
                 query, missing, initial_result=initial_result
             )
@@ -581,9 +584,12 @@ class YaskEngine:
         """Full why-not answer: explanation plus both refinement models.
 
         Pass ``initial_result`` (the query's cached top-k result) to
-        spare the explanation generator from re-deriving it.
+        spare the engine's top-k, which runs otherwise (as in
+        :meth:`explain`).
         """
         with self._lock.read():
+            if initial_result is None:
+                initial_result = self._topk_engine.search(query)
             return self._whynot.refine_both(
                 query, missing, lam=lam, initial_result=initial_result
             )

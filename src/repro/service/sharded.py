@@ -59,9 +59,8 @@ class ShardedEngine:
     router:
         The shard router (owns the shards and the scatter statistics).
     scorer:
-        The engine's scorer — used to materialise the winning entries'
-        score decompositions (identical floats to the scan, per the
-        kernel parity contract).
+        The engine's scorer — used to materialise the winning entries
+        from the scans' rows, which carry their score decompositions.
     """
 
     def __init__(self, router: ShardRouter, scorer: Scorer) -> None:
@@ -92,9 +91,9 @@ class ShardedEngine:
         query: SpatialKeywordQuery,
         k: int,
         floor: float | None = None,
-    ) -> list[tuple[float, int]]:
+    ) -> list[tuple[float, int, float, float]]:
         """The shard's best ``k`` candidates scoring at least ``floor``,
-        as ``(−score, oid)`` pairs.
+        as ``(−score, oid, sdist, tsim)`` rows.
 
         ``(−score, oid)`` ascending is exactly the oracle's
         ``(score desc, oid asc)`` order, so candidate lists from
@@ -130,7 +129,7 @@ class ShardedEngine:
         bounds = router.score_upper_bounds(query)
         shards = router.shards
         order = sorted(range(len(shards)), key=bounds.__getitem__, reverse=True)
-        best: list[tuple[float, int]] = []
+        best: list[tuple[float, int, float, float]] = []
         # The running k-th score: what a later shard must reach.
         floor: float | None = None
         scanned = 0
@@ -167,7 +166,7 @@ class ShardedEngine:
                 floor = -best[k - 1][0]
 
         scatter_done = time.perf_counter()
-        result = self._scorer.result_from_pairs(query, best)
+        result = self._scorer.result_from_scan(query, best)
         finished = time.perf_counter()
         stats.bump("topk_shards_scanned", scanned)
         stats.bump("topk_shards_skipped", skipped)

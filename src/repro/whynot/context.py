@@ -26,7 +26,7 @@ from heapq import heapify, heappop, heapreplace
 from itertools import chain
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from repro.core.kernel import DualView
+from repro.core.kernel import CrossingRun, DualView
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.core.scoring import DualPoint, Scorer
@@ -74,9 +74,9 @@ class _Side(NamedTuple):
 class RankWalk:
     """``m``'s rank as ``w`` moves out from ``q.ws`` (Section 3.3, step 3).
 
-    Each level of m's crossing candidates, ``(b, proximities ascending,
-    oids)``, is a run of events in ``w`` order (see
-    :meth:`DualView.crossing_run`): ``total`` is exact, and m's rank at
+    Each level of m's crossing candidates is a run of events in ``w``
+    order (a :class:`~repro.core.kernel.CrossingRun`, which a dual view
+    may widen as it is read): ``total`` is exact, and m's rank at
     ``q.ws`` is ``start`` (``1 + above + ties``) plus each run's
     direction times its events below ``q.ws``, before any event is read.
     Each side then applies the rank update theorem a level at a time,
@@ -95,25 +95,24 @@ class RankWalk:
     __slots__ = ("dual", "ws", "total", "_runs", "_sides", "_count")
 
     def __init__(
-        self, dual: DualPoint, ws: float,
-        crossing: Sequence[tuple[float, Sequence[float], Sequence[int]]],
+        self, dual: DualPoint, ws: float, runs: Sequence[CrossingRun],
         start: int, count: Callable[[int], None] | None = None,
     ) -> None:
-        runs = []
         heads: tuple[list, list] = ([], [])  # down, up
         lowering = [0, 0]
-        for level in crossing:
-            weight, oids, direction, low, split, stop = DualView.crossing_run(dual, ws, *level)
+        for index, run in enumerate(runs):
+            direction, low, split, stop = run.direction, run.low, run.split, run.stop
             start += direction * (split - low)
             # Lines falling behind m lower its rank going up, rising ones going down.
             lowering[direction < 0] += stop - split if direction < 0 else split - low
             if split > low:
-                heads[0].append((-weight(split - 1), oids[split - 1], len(runs), split - 1))
+                w, oid = run.event(split - 1)
+                heads[0].append((-w, oid, index, split - 1))
             if split < stop:
-                heads[1].append((weight(split), oids[split], len(runs), split))
-            runs.append((weight, oids, direction, low, stop))
+                w, oid = run.event(split)
+                heads[1].append((w, oid, index, split))
         self.dual, self.ws, self._runs, self._count = dual, ws, runs, count
-        self.total = sum(stop - low for _, _, _, low, stop in runs)
+        self.total = sum(run.stop - run.low for run in runs)
         for side in heads:
             heapify(side)
         self._sides = [_Side((), (), (start,), (start - lowering[up],), heads[up]) for up in (0, 1)]
@@ -133,14 +132,14 @@ class RankWalk:
         while heads and (heads[0][0] <= key or len(keys) < count or floors[-1] <= floor):
             level, met, moved, falling = heads[0][0], [], 0, 0
             while heads and heads[0][0] == level:
-                _, oid, run, t = heads[0]
-                weight, run_oids, direction, low, stop = runs[run]
+                _, oid, index, t = heads[0]
+                run = runs[index]
                 met.append(oid)
-                moved += direction
-                falling += direction < 0
-                if low <= t + step < stop:
-                    w = weight(t + step)
-                    heapreplace(heads, (w if going_up else -w, run_oids[t + step], run, t + step))
+                moved += run.direction
+                falling += run.direction < 0
+                if run.low <= t + step < run.stop:
+                    w, next_oid = run.event(t + step)
+                    heapreplace(heads, (w if going_up else -w, next_oid, index, t + step))
                 else:
                     heappop(heads)
             read += len(met)

@@ -257,18 +257,14 @@ class ExplanationGenerator:
     ) -> tuple[int, int]:
         """(#objects strictly closer, #objects strictly more similar).
 
-        With a dual view both are bisects and level sizes
-        (:meth:`ScoringKernel.count_closer`,
+        With a dual view both are popcounts, bar the rows a ``hypot``
+        places at the radius (:meth:`DualView.count_closer`,
         :meth:`DualView.count_more_similar`); without one, two scans.
         """
         query = context.query
         view = context.view
-        kernel = context.scorer.kernel  # the kernel that built the view
-        if view is not None and kernel is not None:
-            return (
-                kernel.count_closer(view, query, raw_distance),
-                view.count_more_similar(tsim),
-            )
+        if view is not None:
+            return view.count_closer(raw_distance), view.count_more_similar(tsim)
         database = self._scorer.database
         closer = sum(
             1 for other in database

@@ -669,12 +669,12 @@ class _CandidateRanker:
         cap (no penalty to beat yet) caps at every live row.
         """
         ctx = self._ctx
-        pairs = self._kernel.scan_top_k(
+        rows = self._kernel.scan_top_k(
             cap or self._kernel.live_count, self._loc.x, self._loc.y,
             ctx.mask, ctx.length, self._ws, self._wt,
             floor=self.score(missing_obj),
         )
-        for place, (_, oid) in enumerate(pairs, 1):
+        for place, (_, oid, _, _) in enumerate(rows, 1):
             if oid == missing_obj.oid:
                 return place
         return None

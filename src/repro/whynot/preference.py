@@ -54,6 +54,7 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Mapping, Sequence, cast
 
+from repro.core.kernel import CrossingRun
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint, Scorer, outranks
@@ -258,8 +259,9 @@ class PreferenceAdjuster:
     def _walks(self, context: WhyNotContext) -> list[RankWalk]:
         """The rank walk of each missing object.
 
-        Crossing lines come from the levelled view's quadrant slices;
-        without a view from the paper's two R-tree range queries over
+        Crossing lines come from the levelled view's runs, which it
+        widens as the walk reads them; without a view from the paper's
+        two R-tree range queries over
         the dual points, or (``use_dual_index=False``, the E8 ablation)
         a linear scan of them, one line to a level.
         """
@@ -270,7 +272,7 @@ class PreferenceAdjuster:
                 continue
             m_dual = context.missing_duals[index]
             if view is not None:
-                crossing = view.crossing_candidates(m_dual.oid)
+                runs = view.crossing_runs(m_dual.oid, context.query.ws)
                 above = view.strictly_above_at_zero(m_dual.oid)
                 ties = view.permanent_ties_smaller(m_dual.oid)
             else:
@@ -281,11 +283,12 @@ class PreferenceAdjuster:
                         if self._use_dual_index
                         else partial(DualSpaceIndex.crossing_candidates_linear, duals)
                     )
-                crossing = [(p.b, (p.a,), (p.oid,)) for p in find(m_dual)]
+                ws = context.query.ws
+                runs = [CrossingRun(m_dual, ws, p.b, (p.a,), (p.oid,)) for p in find(m_dual)]
                 above = self._strictly_above_at_zero(m_dual, duals)
                 ties = self._permanent_ties_smaller(m_dual, duals)
             context.walks[index] = RankWalk(
-                m_dual, context.query.ws, crossing, 1 + above + ties,
+                m_dual, context.query.ws, runs, 1 + above + ties,
                 None if view is None else view.count_events,
             )
         return cast("list[RankWalk]", context.walks)  # every slot filled

@@ -39,6 +39,27 @@ def edge_db() -> SpatialDatabase:
     )
 
 
+def crossing_events(view, oid: int, ws: float = 0.5) -> list[tuple[float, int]]:
+    """The target's crossover events, every run of its view walked end
+    to end: ``(w*, oid)`` sorted."""
+    return sorted(
+        run.event(t)
+        for run in view.crossing_runs(oid, ws)
+        for t in range(run.low, run.stop)
+    )
+
+
+def linear_events(duals, m) -> list[tuple[float, int]]:
+    """The same events from the linear quadrant scan, one line at a
+    time: every valid crossover weight of an opposite-quadrant point."""
+    events = []
+    for other in DualSpaceIndex.crossing_candidates_linear(duals, m):
+        w = m.crossover_with(other)
+        if w is not None and Weights.interior(w):
+            events.append((w, other.oid))
+    return sorted(events)
+
+
 def query(keywords, *, k=2, ws=0.5) -> SpatialKeywordQuery:
     return SpatialKeywordQuery(
         loc=Point(0.2, 0.3),
@@ -216,23 +237,15 @@ class TestDualView:
         duals = fast.dual_points(q)
         for dual in duals:
             view = fast.kernel.dual_view(q, [dual.oid])
-            columnar = {
-                oid
-                for _, _, oids in view.crossing_candidates(dual.oid)
-                for oid in oids
-            }
-            linear = {
-                d.oid
-                for d in DualSpaceIndex.crossing_candidates_linear(duals, dual)
-            }
-            assert columnar == linear
+            for ws in (0.1, 0.5, 0.9):
+                assert crossing_events(view, dual.oid, ws) == linear_events(duals, dual)
 
     def test_a_view_answers_for_its_targets_only(self):
         kernel = Scorer(edge_db()).kernel
         q = query({"cafe"})
         view = kernel.dual_view(q, [3])
         for primitive in (
-            view.crossing_candidates,
+            lambda oid: view.crossing_runs(oid, 0.5),
             view.strictly_above_at_zero,
             view.permanent_ties_smaller,
         ):
@@ -261,26 +274,30 @@ class TestDualView:
         view = kernel.dual_view(q, [2])  # proximity 0: every live row
         assert [p.a for p in view.dual_points_of([2, 3, 4, 5])] == [0.0] * 4
         # Strictly closer than oid 2 (x = 5): oid 0 and the two at x = 4.
-        assert kernel.count_closer(view, q, 5.0) == 3
-        assert kernel.count_closer(view, q, 4.0) == 1
-        assert kernel.count_closer(view, q, 100.0) == 5
-        assert kernel.count_closer(view, q, float("inf")) == 5  # not the dead row
-        # A view of the near object holds nothing out there.
+        assert view.count_closer(5.0) == 3
+        assert view.count_closer(4.0) == 1
+        assert view.count_closer(100.0) == 5
+        assert view.count_closer(float("inf")) == 5  # not the dead row
+        # A view of the near object counts out there too: the count is
+        # the view's question, whatever its targets.
         near = kernel.dual_view(q, [0])
-        assert kernel.count_closer(near, q, 0.05) == 0
-        with pytest.raises(ValueError):
-            kernel.count_closer(near, q, 5.0)
+        assert near.count_closer(0.05) == 0
+        assert near.count_closer(5.0) == 3
 
     def test_closer_count_of_an_object_at_the_query_location(self):
         kernel = Scorer(edge_db()).kernel
         q = SpatialKeywordQuery(Point(0.1, 0.1), frozenset({"cafe"}), 1)
-        assert kernel.count_closer(kernel.dual_view(q, [0]), q, 0.0) == 0
+        assert kernel.dual_view(q, [0]).count_closer(0.0) == 0
 
     def test_rows_scored_into_a_view(self):
-        """The disk around the query and the (shared keywords, doc
-        length) buckets whose TSim reaches the target's are scored; a
-        row behind the target on both axes is not scored, whether its
-        bucket's TSim or its distance puts it there."""
+        """A view scores nothing when it is built, and a count scores
+        only what it must.  Above-at-zero is a popcount of the TSim 1
+        level plus the target's own level split at its proximity: the
+        disk there places every other row by its y-run, and only the
+        target, on its boundary, is scored.  The rank at ``q.ws``
+        scores the rows its threshold needs: the two TSim 1 rows, whose
+        disk reaches past the target.  The split already places the
+        TSim 1/3 and 0 levels' rows on the losing side."""
         db = SpatialDatabase(
             [
                 SpatialObject(oid, Point(0.0, y), frozenset(doc.split()))
@@ -301,31 +318,35 @@ class TestDualView:
         q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
         view = kernel.dual_view(q, [2])
         stats = kernel.stats
-        assert (stats.dual_views, stats.dual_view_rows) == (1, 4)
+        assert (stats.dual_views, stats.dual_view_rows) == (1, 0)
         assert stats.scan_index_builds == 1  # built by the view, lazily
-        assert [p.oid for p in view.dual_points_of([0, 1, 2, 5])] == [0, 1, 2, 5]
-        with pytest.raises(KeyError):
-            view.dual_points_of([4])
+        assert [p.oid for p in view.dual_points_of([0, 1, 2, 4, 5])] == [0, 1, 2, 4, 5]
         assert view.strictly_above_at_zero(2) == 2  # oids 1 and 5
+        assert stats.dual_view_rows == 1  # the target, on its own disk's boundary
+        assert view.ranks_at(0.5, 0.5, [2]) == {2: 3}  # behind oids 1 and 5
+        assert stats.dual_view_rows == 3
         kernel.dual_points_all(q)  # the reference pass: every live row
-        assert (stats.dual_views, stats.dual_view_rows) == (2, 10)
+        assert (stats.dual_views, stats.dual_view_rows) == (2, 9)
         assert stats.scan_index_builds == 1
 
     def test_one_keyword_level_split_by_doc_length(self):
         """Every row shares one keyword with the query; doc lengths 2
         and 4 put them at TSim 1/2 and 1/4 (Jaccard), either side of a
-        target at 1/3.  The 1/2 bucket is scored whole, the 1/4 bucket
-        only inside the disk, the 1/3 bucket (the target's) whole: 5
-        rows scored and kept, where the whole level is 7."""
+        target at 1/3.  Counting the 1/2 bucket is a popcount: no row
+        scored.  The rank at ``q.ws`` scores each bucket from the query
+        out to the proximity where its rows stop beating the target
+        (0.62 for 1/2, 0.87 for 1/4), on the index's ladder of radii,
+        plus the target's own one-row bucket whole: 3 rows, where the
+        whole level is 7."""
         docs = {2: "cafe a", 3: "cafe a b", 4: "cafe a b c"}
         rows = [
-            (0.1, 4),  # TSim 1/4, in the disk: scored, kept
-            (0.2, 2),  # TSim 1/2, in the disk: scored, kept
+            (0.1, 4),  # TSim 1/4, proximity 0.93: scored, beats the target
+            (0.2, 2),  # TSim 1/2, proximity 0.86: scored, beats the target
             (0.3, 3),  # the target: TSim 1/3
-            (0.6, 4),  # TSim 1/4, outside the disk: not scored
-            (0.7, 2),  # TSim 1/2, outside the disk: scored, kept
-            (0.8, 4),  # TSim 1/4, outside the disk: not scored
-            (0.9, 2),  # TSim 1/2, outside the disk: scored, kept
+            (0.6, 4),  # TSim 1/4: not scored
+            (0.7, 2),  # TSim 1/2, proximity 0.505: not scored
+            (0.8, 4),  # TSim 1/4: not scored
+            (0.9, 2),  # TSim 1/2: not scored
         ]
         db = SpatialDatabase(
             [
@@ -337,15 +358,15 @@ class TestDualView:
         kernel = Scorer(db).kernel
         q = SpatialKeywordQuery(Point(0.0, 0.0), frozenset({"cafe"}), 1)
         view = kernel.dual_view(q, [2])
-        assert (kernel.stats.dual_views, kernel.stats.dual_view_rows) == (1, 5)
-        assert sum(len(proximities) for _, proximities, _ in view._levels) == 5
+        assert (kernel.stats.dual_views, kernel.stats.dual_view_rows) == (1, 0)
         assert [p.b for p in view.dual_points_of([0, 1, 2, 4, 6])] == [
             0.25, 0.5, 1 / 3, 0.5, 0.5
         ]
-        for behind in (3, 5):
-            with pytest.raises(KeyError):
-                view.dual_points_of([behind])
+        assert [p.b for p in view.dual_points_of([3, 5])] == [0.25, 0.25]
         assert view.count_more_similar(1 / 3) == 3  # the 1/2 bucket
+        assert kernel.stats.dual_view_rows == 0
+        assert view.ranks_at(0.5, 0.5, [2]) == {2: 3}  # behind oids 0 and 1
+        assert kernel.stats.dual_view_rows == 3
 
     def test_proximity_ties_against_an_updated_row_order(self):
         """Oids 0–3 and the target 2 sit 1/4 from the query on four
@@ -376,37 +397,39 @@ class TestDualView:
         view = kernel.dual_view(q, [2])
         duals = kernel.dual_points_all(q)
         (m,) = [dual for dual in duals if dual.oid == 2]
-        level = [(b, list(oids)) for b, _, oids in view._levels if b == 1.0]
-        assert level == [(1.0, [0, 1, 2, 3, 4])]  # the 1/4 run by oid, then 4
         ties = PreferenceAdjuster._permanent_ties_smaller(m, duals)
         assert view.permanent_ties_smaller(2) == ties == 2  # oids 0 and 1
-        found = sorted(
-            oid for _, _, oids in view.crossing_candidates(2) for oid in oids
-        )
-        linear = DualSpaceIndex.crossing_candidates_linear(duals, m)
-        assert found == sorted(dual.oid for dual in linear) == [5, 6]
+        # The run at 1/4 is in oid order whoever asks: each tied oid
+        # has exactly the smaller tied oids ahead of it.
+        for tied in (0, 1, 3):
+            assert kernel.dual_view(q, [tied]).permanent_ties_smaller(tied) == sum(
+                other < tied for other in (0, 1, 2, 3)
+            )
+        found = crossing_events(view, 2)
+        assert found == linear_events(duals, m)
+        assert sorted(oid for _, oid in found) == [5, 6]
         for ws in (0.1, 0.5, 0.9):
             weights = Weights.from_spatial(ws)
             assert view.ranks_at(weights.ws, weights.wt, [2]) == dict(
                 PreferenceAdjuster._ranks_at_weights(weights, [m], duals)
             )
         for radius in (0.0, 0.125, 0.2, 0.25):  # 0.25: the exact run
-            assert kernel.count_closer(view, q, radius) == sum(
+            assert view.count_closer(radius) == sum(
                 1 for o in db if o.loc.distance_to(q.loc) < radius
             )
-        assert [p.oid for p in view.dual_points_of([0, 5])] == [0, 5]
-        with pytest.raises(KeyError):  # live, but not held
-            view.dual_points_of([7])
+        assert [p.oid for p in view.dual_points_of([0, 5, 7])] == [0, 5, 7]
 
 
 class TestStats:
     def test_rows_scored_by_a_top_k_scan(self):
         """Every "cafe" row shares one keyword with the query; doc
-        lengths 1 and 4 put them at TSim 1 and 1/4 (Jaccard).  The TSim
-        1 bucket is visited first and its row sets θ; the 1/4 bucket's
+        lengths 1 and 4 put them at TSim 1 and 1/4 (Jaccard).  Every row
+        sits in the index's one column, so a one-row bucket is peeled:
+        the TSim 1 row is scored outright and sets θ; the 1/4 bucket's
         rows sit nearer the query but top out at ws + wt/4 < θ, so the
-        column ends there and they are never scored, nor is the
-        no-keyword row: 1 row scored, where the whole level is 4."""
+        peel ends there, no column is walked and neither they nor the
+        no-keyword row are scored: 1 row scored, where the whole level
+        is 4."""
         rows = [
             (0.0, "cafe a b c"),  # TSim 1/4: at most 0.625, not scored
             (0.0, "bar"),  # TSim 0: not scored
@@ -428,15 +451,17 @@ class TestStats:
         )
         qmask, _unknown = kernel.vocabulary.encode_query(q.doc)
         pairs = kernel.scan_top_k(1, 0.0, 0.0, qmask, 1, 0.5, 0.5)
-        assert pairs == [(-scorer.score(db.get(2), q), 2)]
+        winner = scorer.breakdown(db.get(2), q)
+        assert pairs == [(-winner.score, 2, winner.sdist, winner.tsim)]
         assert (kernel.stats.scan_calls, kernel.stats.scan_rows_scored) == (1, 1)
-        assert kernel.stats.scan_columns_visited == 1  # every row in one column
-        # k = 2 needs a second row: the TSim 1/4 bucket is scored whole
-        # (θ stays −inf until the heap is full), the TSim 0 row is not.
+        assert kernel.stats.scan_columns_visited == 0  # the peel decided
+        # k = 2 needs a second row: θ stays −inf until the heap is full,
+        # so the one-row TSim 0 bucket is peeled too (θ = 1/2); the
+        # three-row 1/4 bucket is walked, its one column scored whole.
         pairs = kernel.scan_top_k(2, 0.0, 0.0, qmask, 1, 0.5, 0.5)
-        assert [oid for _, oid in pairs] == [2, 0]
-        assert kernel.stats.scan_rows_scored == 1 + 4
-        assert kernel.stats.scan_columns_visited == 2
+        assert [oid for _, oid, _, _ in pairs] == [2, 0]
+        assert kernel.stats.scan_rows_scored == 1 + 5
+        assert kernel.stats.scan_columns_visited == 1
 
     def test_dual_view_events_count_the_crossovers_a_walk_reads(self):
         """Oid 0 is nearest the query and shares no keyword; the three

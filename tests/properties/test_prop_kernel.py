@@ -336,7 +336,7 @@ def with_ulp_neighbours(database, locations, documents, query_loc, draw):
     """``database`` plus, per location, an object a few ulps off it (its
     proximity ties or straddles that of the objects there) and one pushed
     away from the query by ``SKIP_MARGIN`` of proximity and then a few
-    ulps (it ties or straddles the floor of a view for them), plus one
+    ulps (it ties or straddles the edge of the disk band a view splits at), plus one
     object with no keywords (a TSim-0 target)."""
     shift = SKIP_MARGIN * database.distance_normaliser
     extra = []
@@ -351,7 +351,7 @@ def with_ulp_neighbours(database, locations, documents, query_loc, draw):
                 x = ulp_steps(x, steps, toward)
             else:
                 y = ulp_steps(y, steps, toward)
-            # An empty doc is below every TSim floor but a TSim-0 one's.
+            # An empty doc is at TSim 0, below every target but a TSim-0 one.
             doc = draw(st.sampled_from([*documents, frozenset()]))
             extra.append((Point(x, y), doc))
     extra.append((draw(st.sampled_from(locations)), frozenset()))
@@ -366,7 +366,7 @@ def with_ulp_neighbours(database, locations, documents, query_loc, draw):
 
 def assert_view_matches_reference(engine, query, model, target_oids):
     """A view for ``target_oids``: its rows against the dominance rule
-    and every primitive against its O(n) counterpart."""
+    and every primitive against its O(n) counterpart; returned."""
     kernel = engine.kernel
     view = kernel.dual_view(query, target_oids)
     database = engine.database
@@ -375,19 +375,8 @@ def assert_view_matches_reference(engine, query, model, target_oids):
     duals = reference.dual_points(query)
     by_oid = {dual.oid: dual for dual in duals}
     targets = [by_oid[oid] for oid in target_oids]
-    # Exactly the rows no target beats by more than the margin on both
-    # axes are in the view, with the reference's floats.
-    a_floor = min(m.a for m in targets) - SKIP_MARGIN
-    b_floor = min(m.b for m in targets) - SKIP_MARGIN
-    assert (view.a_floor, view.b_floor) == (a_floor, b_floor)
-    for dual in duals:
-        if dual.a >= a_floor or dual.b >= b_floor:
-            assert view.dual_points_of([dual.oid]) == [dual]
-        else:
-            with pytest.raises(KeyError):
-                view.dual_points_of([dual.oid])
-    if b_floor < 0.0:  # a TSim-0 target: every live row
-        assert view.dual_points_of(list(by_oid)) == duals
+    # Every live row's dual point, with the reference's floats.
+    assert view.dual_points_of(list(by_oid)) == duals
     others = sorted(by_oid.keys() - set(target_oids))
     if others:  # a view answers for its targets only
         with pytest.raises(ValueError):
@@ -396,12 +385,24 @@ def assert_view_matches_reference(engine, query, model, target_oids):
     probe_ws = {query.ws, 1e-9, 1.0 - 1e-9}
     for m in targets:
         crossing = DualSpaceIndex.crossing_candidates_linear(duals, m)
-        found = {
-            oid: (a, b)
-            for b, proximities, others in view.crossing_candidates(m.oid)
-            for a, oid in zip(proximities, others)
-        }
-        assert found == {o.oid: (o.a, o.b) for o in crossing}
+        # Every valid crossover of an opposite-quadrant point, walked
+        # off the view's runs end to end, at every split it may take.
+        events = sorted(
+            (w, other.oid)
+            for other in crossing
+            if (w := m.crossover_with(other)) is not None
+            and PreferenceAdjuster._valid_weight(w)
+        )
+        for ws in {query.ws, 1e-9, 0.5, 1.0 - 1e-9}:
+            runs = view.crossing_runs(m.oid, ws)
+            walked = sorted(
+                run.event(t) for run in runs for t in range(run.low, run.stop)
+            )
+            assert walked == events
+            below = sorted(
+                run.event(t) for run in runs for t in range(run.low, run.split)
+            )
+            assert below == [event for event in events if event[0] < ws]
         assert view.strictly_above_at_zero(
             m.oid
         ) == PreferenceAdjuster._strictly_above_at_zero(m, duals)
@@ -413,15 +414,10 @@ def assert_view_matches_reference(engine, query, model, target_oids):
         )
         # Radii: nothing, the object's own distance (the explanation's
         # question), one inside the dataspace, one past its diagonal
-        # (every clamped row ties at proximity 0); the view answers
-        # every radius whose proximity is at least its floor.
+        # (every clamped row ties at proximity 0).
         own = database.get(m.oid).loc.distance_to(query.loc)
         for radius in (0.0, own, 0.3, 2.0):
-            if 1.0 - min(radius / database.distance_normaliser, 1.0) < a_floor:
-                with pytest.raises(ValueError):  # beyond what the view holds
-                    kernel.count_closer(view, query, radius)
-                continue
-            closer = kernel.count_closer(view, query, radius)
+            closer = view.count_closer(radius)
             assert closer == tree.count_within_distance(query.loc, radius)
             assert closer == sum(
                 1 for obj in database if obj.loc.distance_to(query.loc) < radius
@@ -439,12 +435,13 @@ def assert_view_matches_reference(engine, query, model, target_oids):
         assert view.ranks_at(weights.ws, weights.wt, oids) == dict(
             PreferenceAdjuster._ranks_at_weights(weights, targets, duals)
         )
+    return view
 
 
 def spread_level(query_doc, locations, draw):
     """Objects of doc lengths 1–5 sharing one query keyword and nothing
     else with the query (oids 2001–2005): one keyword level whose
-    buckets straddle the TSim floor of a view for its length-3 member,
+    buckets straddle the TSim of its length-3 member,
     ``SPREAD_TARGET`` (none when the query has no corpus keyword)."""
     shared = sorted(query_doc & set(ALPHABET))
     if not shared:
@@ -472,17 +469,21 @@ def long_doc(query_doc):
     return frozenset([*shared, *filler[: 7 - len(shared)]])
 
 
-def assert_levels_match_reference(kernel, query, view):
-    """``view._levels`` is the floors' rows of ``dual_points_all``: levels
-    by descending ``b``, ``(a, oid)`` in order within each (``a``
-    ascending, ties by oid)."""
+def assert_scored_rows_match_reference(kernel, query, view):
+    """Whatever a view has scored, after the questions above, is the
+    eager reference's: its levels are ``dual_points_all``'s TSims by
+    descending ``b``, each level's scored rows are reference rows with
+    their floats, ``(a, oid)`` in order, and every reference row of the
+    level at or above the level's ``lo`` is among them."""
     levels: dict[float, list[tuple[float, int]]] = {}
     for point in kernel.dual_points_all(query):
-        if point.a >= view.a_floor or point.b >= view.b_floor:
-            levels.setdefault(point.b, []).append((point.a, point.oid))
-    assert [
-        (b, list(zip(proximities, oids))) for b, proximities, oids in view._levels
-    ] == [(b, sorted(levels[b])) for b in sorted(levels, reverse=True)]
+        levels.setdefault(point.b, []).append((point.a, point.oid))
+    assert [b for b, _ in view._levels] == sorted(levels, reverse=True)
+    for (b, _), (lo, proximities, oids, _) in zip(view._levels, view._rows):
+        scored = list(zip(proximities, oids))
+        assert scored == sorted(scored)
+        assert set(scored) <= set(levels[b])
+        assert {row for row in levels[b] if row[0] >= lo} <= set(scored)
 
 
 def check_levelled_view(tied, query, model, shards, data):
@@ -514,9 +515,8 @@ def check_levelled_view(tied, query, model, shards, data):
             if SPREAD_TARGET in live:
                 checked.append([SPREAD_TARGET])
             for each in checked:
-                assert_view_matches_reference(engine, query, model, each)
-                view = engine.kernel.dual_view(query, each)
-                assert_levels_match_reference(engine.kernel, query, view)
+                view = assert_view_matches_reference(engine, query, model, each)
+                assert_scored_rows_match_reference(engine.kernel, query, view)
 
         try:
             check()
@@ -573,7 +573,7 @@ def test_levelled_view_matches_linear_reference(tied, query, model, shards, data
     and 1, every crossover and its ±1 ulp neighbours), the crossing set,
     above-at-zero, permanent ties, count_more_similar and the
     closer-count — among objects whose proximities sit a few ulps from
-    a target's or from the view's floor, before and after batches that
+    a target's or from ``SKIP_MARGIN`` beyond it, before and after batches that
     leave tombstones in the unsharded kernel's columns and insert a doc
     length the scan index has not seen."""
     check_levelled_view(tied, query, model, shards, data)

@@ -3,9 +3,10 @@
 ``ScoringKernel.scan_top_k`` answers from a bit-sliced scan index
 (``repro.core.scanindex``) that scores only the rows whose score bound
 still reaches the running k-th score.  The reference it must equal,
-pair for pair and bit for bit, is the full scan spelt out below:
+row for row and bit for bit, is the full scan spelt out below:
 ``nsmallest(k, zip(map(neg, scalar_scores(…)), oids))`` over the live
-rows, cut at the inclusive ``floor`` when one is given.
+rows, cut at the inclusive ``floor`` when one is given, each pair with
+the row's ``(sdist, tsim)``.
 
 The strategies aim at what a pruning index gets wrong first: points on
 a coarse lattice (duplicates, equal x across a column boundary, equal
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from heapq import nsmallest
-from operator import neg
 from types import SimpleNamespace
 
 import pytest
@@ -34,6 +34,7 @@ from hypothesis import strategies as st
 from repro.core import scanindex
 from repro.core.geometry import Point, Rect
 from repro.core.kernel import ScoringKernel
+from repro.core.scanindex import score_delta_rows
 from repro.core.mutations import MutableDatabase, Mutation
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
 from repro.text.similarity import (
@@ -127,27 +128,32 @@ def build(objects, model, offset: float = 0.0) -> ScoringKernel:
 
 
 def full_scan(kernel, k, scalars, floor=None):
-    """The reference: score every row, keep the live top ``k``, cut at floor."""
+    """The reference: score every row, keep the live top ``k``, cut at
+    floor, each ``(−score, oid)`` pair with the row's ``(sdist, tsim)``
+    from the row-at-a-time scorer."""
     scores = kernel.scalar_scores(*scalars)
-    live = set(kernel.live_row_list())
-    pairs = nsmallest(
-        k,
-        (
-            pair
-            for row, pair in enumerate(zip(map(neg, scores), kernel.oids))
-            if row in live
-        ),
+    live = kernel.live_row_list()
+    parts = score_delta_rows(
+        [
+            (kernel._xs[row], kernel._ys[row], kernel._masks[row],
+             kernel._lens[row], kernel.oids[row])
+            for row in live
+        ],
+        *scalars, normaliser=kernel.database.distance_normaliser,
+        model_code=kernel.model_code,
     )
+    assert [score for _, score, _, _ in parts] == [scores[row] for row in live]
+    rows = nsmallest(k, ((-score, oid, d, t) for oid, score, d, t in parts))
     if floor is not None:
-        pairs = [pair for pair in pairs if -pair[0] >= floor]
-    return pairs
+        rows = [row for row in rows if -row[0] >= floor]
+    return rows
 
 
 def assert_scan_parity(kernel, k, scalars):
     """Indexed ≡ full scan at every floor the scatter can hand down."""
     expected = full_scan(kernel, k, scalars)
     assert kernel.scan_top_k(k, *scalars) == expected
-    assert all(oid != OID_LIMIT for _, oid in expected)
+    assert all(oid != OID_LIMIT for _, oid, _, _ in expected)
     if not expected:
         return
     kth, top = -expected[-1][0], -expected[0][0]
@@ -270,6 +276,76 @@ def test_indexed_scan_follows_mutations_deep(objects, model, height, data):
         check_through_history(objects, model, 20, data)
 
 
+#: Two query keywords and seven others: a doc length no drawn doc has,
+#: so a tier of these is a bucket of its own.
+FAR_DOC = PAIR | frozenset(ALPHABET[10:17])
+
+
+def check_far_tier(objects, model, tier, tail, height, k, x, y, weight):
+    """Two "shards" of one database, the second holding a tier of 1–3
+    rows in the corner far from the query (a bucket the scan peels)
+    and rows inserted after its index was built (its unsorted tail):
+    the second scan, cut at the first one's k-th score, is the full
+    scan's, and so is the merge."""
+    far = [
+        SpatialObject(1000 + i, Point(1.0 - i / 64.0, 1.0), FAR_DOC) for i in range(tier)
+    ]
+    first, second = objects[::2], objects[1::2] + far
+    with column_rows(height):
+        kernels = [build(rows, model) for rows in (first, second)]
+        scalars = [scalars_for(kernel, x, y, PAIR, *weight) for kernel in kernels]
+        mutable = MutableDatabase(kernels[1].database, model_code=kernels[1].model_code)
+        mutable.register_listener(kernels[1])
+        kernels[1].scan_top_k(k, *scalars[1])  # builds the index: the rest is tail
+        mutable.apply([Mutation.insert(obj) for obj in tail])
+        scalars[1] = scalars_for(kernels[1], x, y, PAIR, *weight)
+        carried = kernels[0].scan_top_k(k, *scalars[0])
+        assert carried == full_scan(kernels[0], k, scalars[0])
+        floor = -carried[-1][0] if len(carried) == k else None
+        cut = kernels[1].scan_top_k(k, *scalars[1], floor)
+        assert cut == full_scan(kernels[1], k, scalars[1], floor)
+        merged = sorted(carried + cut)[:k]
+        whole = build(first + second + list(tail), model)
+        assert merged == full_scan(whole, k, scalars_for(whole, x, y, PAIR, *weight))
+
+
+FAR_TIER_CASES = dict(
+    objects=object_lists(min_size=2, max_size=30),
+    model=st.sampled_from(MODELS),
+    tier=st.integers(min_value=1, max_value=3),
+    tail=st.lists(
+        st.builds(
+            SpatialObject, st.integers(min_value=2000, max_value=2010), points, docs
+        ),
+        min_size=1,
+        max_size=4,
+        unique_by=lambda obj: obj.oid,
+    ),
+    height=st.sampled_from([1, 2, 5, 256]),
+    k=st.integers(min_value=1, max_value=12),
+    x=st.floats(min_value=-0.25, max_value=0.25),
+    y=st.floats(min_value=-0.25, max_value=0.25),
+    weight=weights,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FAR_TIER_CASES)
+def test_far_tier_peels_under_a_carried_floor(
+    objects, model, tier, tail, height, k, x, y, weight
+):
+    check_far_tier(objects, model, tier, tail, height, k, x, y, weight)
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(**FAR_TIER_CASES)
+def test_far_tier_peels_under_a_carried_floor_deep(
+    objects, model, tier, tail, height, k, x, y, weight
+):
+    check_far_tier(objects, model, tier, tail, height, k, x, y, weight)
+
+
 @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
 def test_history_crosses_compaction_and_tail_rebuild(model):
     """One seeded history that provably compacts and outgrows the tail.
@@ -357,11 +433,11 @@ def test_tombstoned_kernel_never_emits_the_dead_sentinel():
     kernel.apply_mutations(SimpleNamespace(removed_oids=[0], appended=()))
     assert kernel.has_tombstones
     scalars = scalars_for(kernel, 0.5, 0.5, frozenset(ALPHABET[:1]), 0.5, 0.5)
-    pairs = kernel.scan_top_k(8, *scalars)
-    assert sorted(oid for _, oid in pairs) == list(range(1, 8))
+    rows = kernel.scan_top_k(8, *scalars)
+    assert sorted(row[1] for row in rows) == list(range(1, 8))
     # ... whether the index was built before or after the delete.
     kernel.apply_mutations(SimpleNamespace(removed_oids=[1], appended=()))
-    assert sorted(oid for _, oid in kernel.scan_top_k(8, *scalars)) == list(
+    assert sorted(row[1] for row in kernel.scan_top_k(8, *scalars)) == list(
         range(2, 8)
     )
 
@@ -382,7 +458,7 @@ def test_equal_tsim_buckets_merge_and_new_lengths_get_a_bitmap(model):
     scalars = scalars_for(kernel, 0.5, 0.5, PAIR, 0.5, 0.5)
     assert_scan_parity(kernel, 2, scalars)
     index = kernel._scan_index
-    buckets = index._buckets(scalars[2], 2)
+    buckets = index.buckets(scalars[2], 2)
     assert sorted(bucket.bit_count() for bucket in buckets.values()) == [1, 2]
     assert 9 not in index._length_bitmaps
     mutable.apply(

@@ -65,7 +65,7 @@ def test_floor_cut_scans_merge_to_the_same_topk(data, shards, part):
         cut = ShardedEngine._scan_shard(shard, query, query.k, floor)
         assert cut == [pair for pair in uncut if -pair[0] >= floor]
         merged.extend(cut)
-    assert [oid for _, oid in sorted(merged)[: query.k]] == [
+    assert [row[1] for row in sorted(merged)[: query.k]] == [
         entry.obj.oid for entry in expected
     ]
 

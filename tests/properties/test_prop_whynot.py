@@ -454,3 +454,39 @@ def test_rank_walk_matches_exhaustive_sweep(case):
 @example(near_parallel_case())
 def test_rank_walk_matches_exhaustive_sweep_deep(case):
     check_walk_parity(case)
+
+
+def check_walk_steps(case):
+    """A walk extended one level at a time, down and then up, reads what
+    a walk taken to both ends at once reads — the same events, rank
+    profile and total — though each one widens its own view's levels
+    in its own steps."""
+    adjuster, query, missing, _ = case
+
+    def walks():
+        context = WhyNotContext(
+            adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
+        )
+        return adjuster._walks(context)
+
+    for stepped, whole in zip(walks(), walks()):
+        for going_up in (False, True):
+            for _ in stepped.levels(going_up):
+                pass  # each level read extends the walk by one
+        assert stepped.walked() == whole.walked()
+        assert stepped.total == whole.total
+
+
+@settings(max_examples=40, deadline=None)
+@given(front_cases())
+@example(near_parallel_case())
+def test_walk_stepped_matches_walk_taken_whole(case):
+    check_walk_steps(case)
+
+
+@pytest.mark.slow
+@settings(max_examples=500, deadline=None)
+@given(front_cases())
+@example(near_parallel_case())
+def test_walk_stepped_matches_walk_taken_whole_deep(case):
+    check_walk_steps(case)

@@ -227,34 +227,40 @@ class TestMemo:
             assert got == [expected[model]] * 5
 
 
-def test_two_threads_extend_one_walk(medium_scorer):
-    """Two threads walk one missing object's rank at once, one outward a
-    crossover at a time and one to both ends in one go: each extension
-    republishes a side, so both read the ranks and events a lone walk
-    reads, and the walk ends whole."""
+def test_threads_extend_one_walk_and_widen_one_view(medium_scorer):
+    """Threads walk one missing object's rank at once — outward a
+    crossover at a time, and to both ends in one go — while others rank
+    it off the same view at the walk's crossovers: each walk extension
+    republishes a side and each widening of the view a level's rows, so
+    all read what a lone reader reads, and the walk ends whole."""
     (scenario,) = generate_whynot_scenarios(
         medium_scorer, count=1, k=5, missing_count=1, seed=91, rank_window=40
     )
     query, missing = scenario.query, scenario.missing
     adjuster = PreferenceAdjuster(medium_scorer)
-    (alone,) = adjuster._walks(WhyNotContext(medium_scorer, query, missing))
+    lone = WhyNotContext(medium_scorer, query, missing)
+    (alone,) = adjuster._walks(lone)
     expected = alone.walked()
     assert len(expected.profile.weights) >= 50
     probes = sorted(expected.profile.weights, key=lambda w: abs(w - query.ws))
+    oid = missing[0].oid
+    ranks = [lone.view.ranks_at(w, 1.0 - w, [oid]) for w in probes]
     context = WhyNotContext(medium_scorer, query, missing)
     (walk,) = adjuster._walks(context)
-    barrier = threading.Barrier(2)
-    got: dict[str, object] = {}
+    kinds = ("stepwise", "whole", "ranks", "stepwise", "whole", "ranks")
+    barrier = threading.Barrier(len(kinds))
+    got: dict[str, list] = {kind: [] for kind in kinds}
 
-    def stepwise() -> None:
+    def reader(kind: str) -> None:
         barrier.wait(timeout=30)
-        got["stepwise"] = [(walk.rank(w), walk.oids_at(w)) for w in probes]
+        if kind == "stepwise":
+            got[kind].append([(walk.rank(w), walk.oids_at(w)) for w in probes])
+        elif kind == "whole":
+            got[kind].append(walk.walked())
+        else:
+            got[kind].append([context.view.ranks_at(w, 1.0 - w, [oid]) for w in probes])
 
-    def whole() -> None:
-        barrier.wait(timeout=30)
-        got["whole"] = walk.walked()
-
-    threads = [threading.Thread(target=stepwise), threading.Thread(target=whole)]
+    threads = [threading.Thread(target=reader, args=(kind,)) for kind in kinds]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -265,5 +271,6 @@ def test_two_threads_extend_one_walk(medium_scorer):
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert got["whole"] == expected == walk.walked()
-    assert got["stepwise"] == [(alone.rank(w), alone.oids_at(w)) for w in probes]
+    assert got["whole"] == [expected] * 2 and walk.walked() == expected
+    assert got["stepwise"] == [[(alone.rank(w), alone.oids_at(w)) for w in probes]] * 2
+    assert got["ranks"] == [ranks] * 2
