@@ -29,6 +29,12 @@
 #                      removals <=2.5x an insert-only one) and E14
 #                      (durability: logged ingest >=0.6x unlogged,
 #                      snapshot recovery >=1x vs full-log rebuild)
+#   make paper       — the paper's experiments E1–E8 (service
+#                      pipeline, KcR-tree, top-k, preference and
+#                      keyword refinement, λ, scalability, ablations)
+#                      with timing off: their shape assertions and
+#                      answer checks only (needs pytest-benchmark;
+#                      its own CI job)
 #   make bench-json  — refresh BENCH_E9/…/E14.json at the repo root
 #                      (machine-readable perf trajectory)
 #   make bench-e16-smoke — the end-to-end HTTP benchmark at smoke size
@@ -95,7 +101,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke bench-json bench-e16-smoke lint docs-check
+.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke paper bench-json bench-e16-smoke lint docs-check
 
 # Re-enables @pytest.mark.slow suites that pytest.ini's default
 # deselects; the dedicated tiers below must run them.
@@ -115,6 +121,9 @@ test-scan:
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)
+
+paper:
+	$(PYTHON) -m pytest benchmarks/bench_e1_service_pipeline.py benchmarks/bench_e2_kcrtree.py benchmarks/bench_e3_topk.py benchmarks/bench_e4_preference.py benchmarks/bench_e5_keyword.py benchmarks/bench_e6_lambda_effect.py benchmarks/bench_e7_scalability.py benchmarks/bench_e8_ablations.py --benchmark-disable -q $(ALL_MARKS)
 
 bench-json:
 	$(PYTHON) benchmarks/bench_json.py

@@ -12,8 +12,8 @@ kernel stores the database once as parallel flat columns
   assigned by :class:`repro.text.vocabulary.Vocabulary`),
 * ``array('q')`` doc lengths and object ids,
 
-and evaluates whole-database passes in tight loops where Jaccard, Dice
-and Overlap become integer bit arithmetic:
+and evaluates whole-database passes in tight loops where Jaccard
+(Eqn. 2) becomes integer bit arithmetic:
 ``|o.doc ∩ q.doc| = (mask & qmask).bit_count()``.
 
 Float parity contract
@@ -22,12 +22,13 @@ Float parity contract
 The kernel is an *optimisation*, never a semantics change: every number
 it produces must be bit-for-bit identical to the set-based path in
 :class:`repro.core.scoring.Scorer` (which remains the semantics oracle).
-Each formula below therefore mirrors its set-path counterpart operation
-by operation — same operand order, same division, same ``min`` clamp —
-and the supported text models are matched by *exact type* so a subclass
-overriding ``similarity`` can never be silently mis-kerneled.
-``tests/properties/test_prop_kernel.py`` asserts the parity across
-models, tie orders and empty-doc edge cases.
+Each formula below therefore mirrors
+:class:`~repro.text.similarity.JaccardSimilarity` operation by operation
+— same operand order, same division, same ``min`` clamp — and the scorer
+builds a kernel only for that exact type, so a subclass overriding
+``similarity`` can never be silently mis-kerneled.
+``tests/properties/test_prop_kernel.py`` asserts the parity across tie
+orders and empty-doc edge cases.
 """
 
 from __future__ import annotations
@@ -50,12 +51,6 @@ from repro.core.scanindex import (
     score_delta_rows,
     tsim_from_counts,
 )
-from repro.text.similarity import (
-    DiceSimilarity,
-    JaccardSimilarity,
-    OverlapSimilarity,
-    TextSimilarityModel,
-)
 
 if TYPE_CHECKING:  # pragma: no cover - scoring imports this module
     from repro.core.scoring import DualPoint
@@ -71,15 +66,6 @@ __all__ = [
     "score_delta_rows",
 ]
 
-
-#: Exact-type dispatch: the kernel replicates each model's float formula
-#: operation for operation, so only these precise classes qualify — a
-#: subclass may override ``similarity`` and must fall back to sets.
-_MODEL_CODES: dict[type, str] = {
-    JaccardSimilarity: "jaccard",
-    DiceSimilarity: "dice",
-    OverlapSimilarity: "overlap",
-}
 
 #: Tombstone sentinels.  A deleted row is not spliced out of the columns
 #: (that would renumber every row behind it); instead its cells are
@@ -187,19 +173,18 @@ class DocContext:
     ``frozenset`` intersection per (candidate, object) pair.
     """
 
-    __slots__ = ("_kernel", "mask", "length", "_code")
+    __slots__ = ("_kernel", "mask", "length")
 
     def __init__(self, kernel: "ScoringKernel", doc: AbstractSet[str]) -> None:
         self._kernel = kernel
         self.mask, _unknown = kernel.vocabulary.encode_query(doc)
         self.length = len(doc)
-        self._code = kernel.model_code
 
     def tsim_row(self, row: int) -> float:
-        """``TSim(o_row, doc)`` — identical floats to the set model."""
+        """``TSim(o_row, doc)`` — identical floats to the set path's."""
         kernel = self._kernel
         shared = (kernel._masks[row] & self.mask).bit_count()
-        return tsim_from_counts(self._code, shared, kernel._lens[row], self.length)
+        return tsim_from_counts(shared, kernel._lens[row], self.length)
 
     def rank_scan(
         self,
@@ -246,31 +231,13 @@ class DocContext:
         oids = kernel._oids
         qmask = self.mask
         qlen = self.length
-        code = self._code
         beaters = 0
-        if code == "jaccard":
-            for row in rows:
-                shared = (masks[row] & qmask).bit_count()
-                tsim = (
-                    shared / (lens[row] + qlen - shared) if shared else 0.0
-                )
-                score = ws * proximities[row] + wt * tsim
-                if score > theta or (score == theta and oids[row] < target_oid):
-                    beaters += 1
-        elif code == "dice":
-            for row in rows:
-                shared = (masks[row] & qmask).bit_count()
-                tsim = 2.0 * shared / (lens[row] + qlen) if shared else 0.0
-                score = ws * proximities[row] + wt * tsim
-                if score > theta or (score == theta and oids[row] < target_oid):
-                    beaters += 1
-        else:
-            for row in rows:
-                shared = (masks[row] & qmask).bit_count()
-                tsim = shared / min(lens[row], qlen) if shared else 0.0
-                score = ws * proximities[row] + wt * tsim
-                if score > theta or (score == theta and oids[row] < target_oid):
-                    beaters += 1
+        for row in rows:
+            shared = (masks[row] & qmask).bit_count()
+            tsim = shared / (lens[row] + qlen - shared) if shared else 0.0
+            score = ws * proximities[row] + wt * tsim
+            if score > theta or (score == theta and oids[row] < target_oid):
+                beaters += 1
         return beaters
 
 
@@ -305,7 +272,7 @@ class KernelQuery:
         xs, ys, masks, lens = kernel._xs, kernel._ys, kernel._masks, kernel._lens
         ((_oid, score, _sdist, _tsim),) = score_delta_rows(
             [(xs[row], ys[row], masks[row], lens[row], 0)], *self._scalars,
-            normaliser=kernel._normaliser, model_code=kernel.model_code,
+            normaliser=kernel._normaliser,
         )
         return score
 
@@ -480,8 +447,8 @@ class DualView:
     """Dual coordinates ``(a, b)`` under one query, for one missing set.
 
     A view answers for its *targets* (the missing objects; a rank query
-    about any other object raises ``ValueError``).  Under a set text
-    model ``b = TSim`` takes few distinct values per query (at most
+    about any other object raises ``ValueError``).  Under Jaccard
+    ``b = TSim`` takes few distinct values per query (at most
     ``(|q.doc| + 1) · max doc length``, never a function of n): the
     view's *levels* are the scan index's buckets of one TSim, each a
     bitmap of positions whose size is a popcount.  Within one level the
@@ -814,12 +781,10 @@ def _count_beating(
 
 
 class ScoringKernel:
-    """Columnar batch evaluator of Eqn. (1) over one database and model."""
+    """Columnar batch evaluator of Eqn. (1) over one database."""
 
     __slots__ = (
         "_database",
-        "_model",
-        "model_code",
         "_n",
         "_xs",
         "_ys",
@@ -843,22 +808,13 @@ class ScoringKernel:
     def __init__(
         self,
         database: SpatialDatabase,
-        text_model: TextSimilarityModel,
         *,
         rows: Sequence[int] | None = None,
         compaction_threshold: float = DEFAULT_COMPACTION_THRESHOLD,
     ) -> None:
-        code = _MODEL_CODES.get(type(text_model))
-        if code is None:
-            raise ValueError(
-                f"{type(text_model).__name__} has no columnar kernel; "
-                "use ScoringKernel.maybe_build for graceful fallback"
-            )
         if not 0.0 <= compaction_threshold <= 1.0:
             raise ValueError("compaction_threshold must lie in [0, 1]")
         self._database = database
-        self._model = text_model
-        self.model_code = code
         objects: Sequence[SpatialObject] = database.objects
         masks: Sequence[int] = database.doc_masks
         if rows is not None:  # a shard's members, in the database's bit space
@@ -894,20 +850,6 @@ class ScoringKernel:
         self._scan_index_lock = concurrency.ordered_lock(
             "kernel.scan_index", concurrency.LEVEL_LEAF
         )
-
-    @staticmethod
-    def supports(text_model: TextSimilarityModel) -> bool:
-        """Whether the model has an exact columnar formula (by exact type)."""
-        return type(text_model) in _MODEL_CODES
-
-    @classmethod
-    def maybe_build(
-        cls, database: SpatialDatabase, text_model: TextSimilarityModel
-    ) -> "ScoringKernel | None":
-        """Build a kernel, or None when the model needs the set path."""
-        if not cls.supports(text_model):
-            return None
-        return cls(database, text_model)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1098,37 +1040,15 @@ class ScoringKernel:
         push_sdist = sdists.append
         push_tsim = tsims.append
         push_score = scores.append
-        code = self.model_code
-        if code == "jaccard":
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                t = s / (length + qlen - s) if s else 0.0
-                push_sdist(d)
-                push_tsim(t)
-                push_score(ws * (1.0 - d) + wt * t)
-        elif code == "dice":
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                t = 2.0 * s / (length + qlen) if s else 0.0
-                push_sdist(d)
-                push_tsim(t)
-                push_score(ws * (1.0 - d) + wt * t)
-        else:
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                t = s / min(length, qlen) if s else 0.0
-                push_sdist(d)
-                push_tsim(t)
-                push_score(ws * (1.0 - d) + wt * t)
+        for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
+            d = hypot(x - qx, y - qy) / norm
+            if d > 1.0:
+                d = 1.0
+            s = (m & qmask).bit_count()
+            t = s / (length + qlen - s) if s else 0.0
+            push_sdist(d)
+            push_tsim(t)
+            push_score(ws * (1.0 - d) + wt * t)
         return sdists, tsims, scores
 
     def _score_list(self, query: SpatialKeywordQuery) -> list[float]:
@@ -1157,31 +1077,13 @@ class ScoringKernel:
         hypot = math.hypot
         scores: list[float] = []
         push_score = scores.append
-        code = self.model_code
-        if code == "jaccard":
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                t = s / (length + qlen - s) if s else 0.0
-                push_score(ws * (1.0 - d) + wt * t)
-        elif code == "dice":
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                t = 2.0 * s / (length + qlen) if s else 0.0
-                push_score(ws * (1.0 - d) + wt * t)
-        else:
-            for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
-                d = hypot(x - qx, y - qy) / norm
-                if d > 1.0:
-                    d = 1.0
-                s = (m & qmask).bit_count()
-                t = s / min(length, qlen) if s else 0.0
-                push_score(ws * (1.0 - d) + wt * t)
+        for x, y, m, length in zip(self._xs, self._ys, self._masks, self._lens):
+            d = hypot(x - qx, y - qy) / norm
+            if d > 1.0:
+                d = 1.0
+            s = (m & qmask).bit_count()
+            t = s / (length + qlen - s) if s else 0.0
+            push_score(ws * (1.0 - d) + wt * t)
         return scores
 
     def score_all(self, query: SpatialKeywordQuery) -> array:
@@ -1243,8 +1145,8 @@ class ScoringKernel:
             if index is not None:
                 return index, 0
             index = self._scan_index = ScanIndex(
-                self.model_code, self._normaliser, self._xs, self._ys,
-                self._masks, self._lens, self._oids, self.live_row_list(),
+                self._normaliser, self._xs, self._ys, self._masks,
+                self._lens, self._oids, self.live_row_list(),
             )
             return index, 1
 
@@ -1311,7 +1213,7 @@ class ScoringKernel:
         return score_delta_rows(
             [(xs[r], ys[r], masks[r], lens[r], oid) for oid, r in zip(oids, rows)],
             qx, qy, qmask, qlen, 1.0, 0.0,
-            normaliser=self._normaliser, model_code=self.model_code,
+            normaliser=self._normaliser,
         )
 
     def dual_points_all(self, query: SpatialKeywordQuery) -> "list[DualPoint]":
@@ -1323,7 +1225,7 @@ class ScoringKernel:
         columns = zip(self._xs, self._ys, self._masks, self._lens, self._oids)
         rows = score_delta_rows(
             compress(columns, self._alive), qx, qy, qmask, qlen, 1.0, 0.0,
-            normaliser=self._normaliser, model_code=self.model_code,
+            normaliser=self._normaliser,
         )
         points = [DualPoint(oid, a, b) for oid, a, _sdist, b in rows]
         self.stats.record(dual_views=1, dual_view_rows=len(points))

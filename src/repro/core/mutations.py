@@ -203,10 +203,7 @@ class BatchSummary:
     objects' scores (:class:`repro.core.sharding.Shard`).
     ``removed_oids`` and ``added_oids`` drive the membership tests,
     ``removed_keywords`` (the removed objects' keyword union) finds the
-    results a removal can reach.  ``model_code`` is the engine's kernel
-    model
-    (None disables the text bound and makes every impact test
-    conservatively positive).
+    results a removal can reach.
 
     ``added_rows`` are the added objects' ``(x, y, mask, doc_len, oid)``
     column rows, aligned with :attr:`AppliedBatch.appended`, which the
@@ -214,7 +211,8 @@ class BatchSummary:
     (:func:`repro.core.kernel.score_delta_rows`).  They are encoded
     under the engine's writer lock against the already-extended
     vocabulary, so maintenance never reads kernel columns.  Empty when
-    the engine runs no columnar kernel.
+    the coordinator has no listener (WAL replay, whose rebuilt engine
+    re-encodes everything anyway).
     """
 
     generation: int
@@ -223,7 +221,6 @@ class BatchSummary:
     region: Rect | None
     added_keywords: frozenset[str]
     min_added_doc_len: int
-    model_code: str | None
     normaliser: float
     added_rows: tuple[tuple[float, float, int, int, int], ...] = ()
     removed_keywords: frozenset[str] = frozenset()
@@ -260,15 +257,9 @@ class BatchSummary:
     # ------------------------------------------------------------------
     # Impact tests (executor scoped invalidation)
     # ------------------------------------------------------------------
-    def reach_keys(self) -> frozenset[Hashable] | None:
-        """Every key of :func:`topk_reach_keys` this batch reaches.
-
-        Its added and removed objects' keywords and the catch-all.
-        None when no text bound applies (no kernel model) and every
-        cached result must be tested.
-        """
-        if self.added_oids and self.model_code is None:
-            return None
+    def reach_keys(self) -> frozenset[Hashable]:
+        """Every key of :func:`topk_reach_keys` this batch reaches:
+        its added and removed objects' keywords and the catch-all."""
         return self.added_keywords | self.removed_keywords | {_ANY_OBJECT}
 
     def affects_topk(
@@ -305,7 +296,7 @@ class BatchSummary:
             return True
         if not self.added_oids:
             return False
-        if not meta.full or self.model_code is None:
+        if not meta.full:
             # A result holding fewer than k objects admits any insertion.
             return True
         floor = meta.kth_score - _AFFECT_MARGIN
@@ -317,7 +308,7 @@ class BatchSummary:
             # keyword's region, and its TSim is at most the bound for
             # sharing every shared keyword (the shard text bound).
             text = meta.wt * tsim_upper_bound(
-                self.model_code, len(shared), len(doc), self.min_added_doc_len
+                len(shared), len(doc), self.min_added_doc_len
             )
             for region in (
                 [self.region]
@@ -501,7 +492,6 @@ class MutableDatabase:
         self,
         database: SpatialDatabase,
         *,
-        model_code: str | None = None,
         start_generation: int = 0,
         tokens: Mapping[str, int] | None = None,
     ) -> None:
@@ -510,7 +500,6 @@ class MutableDatabase:
         self._database = database
         self._generation = start_generation
         self._listeners: list[MutationListener] = []
-        self._model_code = model_code
         # token -> the generation its batch became; insertion-ordered
         # for bounded LRU-ish eviction.  Seeded from WAL replay so a
         # client retry spanning a restart still dedups.
@@ -703,8 +692,10 @@ class MutableDatabase:
         # ``_apply_mutations`` extended the vocabulary and while the
         # caller still holds the engine's writer lock — the one place
         # the added objects are visible against post-batch bit positions.
+        # Only a coordinator with listeners (an engine) has caches to
+        # maintain: WAL replay registers none and encodes nothing.
         added_rows: tuple[tuple[float, float, int, int, int], ...] = ()
-        if self._model_code is not None and self._database.interned:
+        if self._listeners and self._database.interned:
             added_rows = ScoringKernel.encode_rows(
                 appended, self._database.vocabulary_index
             )
@@ -722,7 +713,6 @@ class MutableDatabase:
             ),
             added_keywords=frozenset(keywords),
             min_added_doc_len=min_len,
-            model_code=self._model_code,
             normaliser=self._database.distance_normaliser,
             added_rows=added_rows,
             removed_keywords=frozenset(removed_keywords),

@@ -89,7 +89,6 @@ def score_delta_rows(
     wt: float,
     *,
     normaliser: float,
-    model_code: str,
 ) -> list[tuple[int, float, float, float]]:
     """Score pre-encoded rows against prepared query scalars.
 
@@ -111,50 +110,25 @@ def score_delta_rows(
     hypot = math.hypot
     out: list[tuple[int, float, float, float]] = []
     push = out.append
-    if model_code == "jaccard":
-        for x, y, m, length, oid in rows:
-            d = hypot(x - qx, y - qy) / normaliser
-            if d > 1.0:
-                d = 1.0
-            s = (m & qmask).bit_count()
-            t = s / (length + qlen - s) if s else 0.0
-            push((oid, ws * (1.0 - d) + wt * t, d, t))
-    elif model_code == "dice":
-        for x, y, m, length, oid in rows:
-            d = hypot(x - qx, y - qy) / normaliser
-            if d > 1.0:
-                d = 1.0
-            s = (m & qmask).bit_count()
-            t = 2.0 * s / (length + qlen) if s else 0.0
-            push((oid, ws * (1.0 - d) + wt * t, d, t))
-    elif model_code == "overlap":
-        for x, y, m, length, oid in rows:
-            d = hypot(x - qx, y - qy) / normaliser
-            if d > 1.0:
-                d = 1.0
-            s = (m & qmask).bit_count()
-            t = s / min(length, qlen) if s else 0.0
-            push((oid, ws * (1.0 - d) + wt * t, d, t))
-    else:
-        raise ValueError(f"unknown kernel model code: {model_code!r}")
+    for x, y, m, length, oid in rows:
+        d = hypot(x - qx, y - qy) / normaliser
+        if d > 1.0:
+            d = 1.0
+        s = (m & qmask).bit_count()
+        t = s / (length + qlen - s) if s else 0.0
+        push((oid, ws * (1.0 - d) + wt * t, d, t))
     return out
 
 
-def tsim_upper_bound(
-    model_code: str, shared: int, qlen: int, min_doc_len: int
-) -> float:
+def tsim_upper_bound(shared: int, qlen: int, min_doc_len: int) -> float:
     """``max TSim(o, q)`` over docs sharing at most ``shared`` query keywords.
 
     With ``m = shared`` and ``ℓ = min_doc_len`` (no doc is shorter;
-    a smaller ``ℓ`` than the truth only loosens the bound):
+    a smaller ``ℓ`` than the truth only loosens the bound), Jaccard's
+    ``s/(|o| + qlen − s)`` is maximised at ``s = m`` and
+    ``|o| = max(ℓ, m)`` → ``m / (max(ℓ, m) + qlen − m)``.
 
-    * Jaccard: ``s/(|o| + qlen − s)`` is maximised at ``s = m`` and
-      ``|o| = max(ℓ, m)`` → ``m / (max(ℓ, m) + qlen − m)``.
-    * Dice: ``2s/(|o| + qlen)`` → ``2m / (max(ℓ, m) + qlen)``.
-    * Overlap: reaches 1 whenever some doc could sit inside the shared
-      keywords (``m ≥ ℓ``); otherwise ``m / min(ℓ, qlen)``.
-
-    Each bound is one correctly-rounded division of exact integers,
+    The bound is one correctly-rounded division of exact integers,
     non-decreasing in ``m``, so float monotonicity against the kernel's
     per-object values is exact — no margin needed on the text term.
     The one text bound: shard skipping (``Shard.tsim_upper_bound``) and
@@ -163,27 +137,17 @@ def tsim_upper_bound(
     if shared == 0 or qlen == 0:
         return 0.0
     floor_len = max(min_doc_len, shared)
-    if model_code == "jaccard":
-        return shared / (floor_len + qlen - shared)
-    if model_code == "dice":
-        return 2.0 * shared / (floor_len + qlen)
-    if shared >= min_doc_len:
-        return 1.0
-    return min(1.0, shared / min(min_doc_len, qlen))
+    return shared / (floor_len + qlen - shared)
 
 
-def tsim_from_counts(model_code: str, shared: int, doc_len: int, qlen: int) -> float:
+def tsim_from_counts(shared: int, doc_len: int, qlen: int) -> float:
     """TSim of a ``doc_len``-keyword doc sharing ``shared`` keywords with
     a ``qlen``-keyword query: :func:`score_delta_rows`' expression, so
     its float.  The kernel's per-row TSim and the scan index's per-bucket
     one (:meth:`ScanIndex.buckets`) both call it."""
     if shared == 0:
         return 0.0
-    if model_code == "jaccard":
-        return shared / (doc_len + qlen - shared)
-    if model_code == "dice":
-        return 2.0 * shared / (doc_len + qlen)
-    return shared / min(doc_len, qlen)
+    return shared / (doc_len + qlen - shared)
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -252,7 +216,6 @@ class ScanIndex:
     """
 
     __slots__ = (
-        "_model_code",
         "_normaliser",
         "_built",
         "_xs",
@@ -268,7 +231,6 @@ class ScanIndex:
 
     def __init__(
         self,
-        model_code: str,
         normaliser: float,
         xs: Sequence[float],
         ys: Sequence[float],
@@ -279,7 +241,6 @@ class ScanIndex:
     ) -> None:
         """Index ``live_rows`` (kernel row numbers) of the given columns,
         copying what it needs into position order."""
-        self._model_code = model_code
         self._normaliser = normaliser
         by_x = sorted(live_rows, key=xs.__getitem__)
         built = len(by_x)
@@ -397,7 +358,6 @@ class ScanIndex:
         ANDed with each doc-length bitmap.  A non-empty bucket has
         ``s ≤ length``, so :func:`tsim_from_counts` gives its rows' own
         TSim float; equal TSims merge."""
-        code = self._model_code
         unshared, *shared = self._exact_levels(qmask)
         buckets = {0.0: unshared} if unshared else {}
         for s, level in enumerate(shared, 1):
@@ -406,7 +366,7 @@ class ScanIndex:
             for length, bitmap in self._length_bitmaps.items():
                 bucket = level & bitmap
                 if bucket:
-                    tsim = tsim_from_counts(code, s, length, qlen)
+                    tsim = tsim_from_counts(s, length, qlen)
                     buckets[tsim] = buckets.get(tsim, 0) | bucket
         return buckets
 

@@ -24,7 +24,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 from repro.core.kernel import ScoringKernel
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery, Weights
-from repro.text.similarity import JACCARD, TextSimilarityModel
+from repro.text.similarity import JACCARD, JaccardSimilarity, TextSimilarityModel
 
 __all__ = ["ScoreBreakdown", "DualPoint", "Scorer", "outranks"]
 
@@ -87,8 +87,8 @@ class DualPoint(NamedTuple):
 class Scorer:
     """Evaluator of Eqn. (1) over a fixed database and text model.
 
-    For the set models with an exact columnar formula (Jaccard, Dice,
-    Overlap) the scorer carries a :class:`~repro.core.kernel.ScoringKernel`
+    For Jaccard (by exact type: a subclass may override ``similarity``)
+    the scorer carries a :class:`~repro.core.kernel.ScoringKernel`
     and routes every full-scan utility (:meth:`rank_all`, :meth:`top_k`,
     :meth:`rank_of`, :meth:`worst_rank`, :meth:`dual_points`) through its
     flat-column batch passes.  The object-at-a-time methods remain the
@@ -111,7 +111,9 @@ class Scorer:
         self._database = database
         self._text_model = text_model
         self._kernel = (
-            ScoringKernel.maybe_build(database, text_model) if use_kernel else None
+            ScoringKernel(database)
+            if use_kernel and type(text_model) is JaccardSimilarity
+            else None
         )
 
     @property

@@ -70,7 +70,6 @@ from repro.core.kernel import ScoringKernel
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.core.scanindex import tsim_upper_bound
-from repro.text.similarity import TextSimilarityModel
 
 __all__ = [
     "PARTITIONERS",
@@ -249,12 +248,11 @@ class Shard:
         shard_id: int,
         parent: SpatialDatabase,
         rows: Sequence[int],
-        text_model: TextSimilarityModel,
     ) -> None:
         if not rows:
             raise ValueError(f"shard {shard_id} would be empty")
         self.shard_id = shard_id
-        self.kernel = ScoringKernel(parent, text_model, rows=rows)
+        self.kernel = ScoringKernel(parent, rows=rows)
         self._recompute_summaries()
 
     def _recompute_summaries(self) -> None:
@@ -385,7 +383,6 @@ class Shard:
         :func:`repro.core.scanindex.tsim_upper_bound` of those two.
         """
         return tsim_upper_bound(
-            self.kernel.model_code,
             (self.vocab_mask & qmask).bit_count(),
             qlen,
             self.min_doc_len,
@@ -405,10 +402,6 @@ class ShardRouter:
         A name from :data:`PARTITIONERS` (``"grid"`` default,
         ``"round-robin"`` ablation) or a callable
         ``(database, shards) -> list[list[int]]``.
-    text_model:
-        The engine's text model; must have a columnar kernel
-        (Jaccard/Dice/Overlap by exact type) — sharded scans are built
-        on the kernel's flat columns.
     """
 
     def __init__(
@@ -417,13 +410,7 @@ class ShardRouter:
         *,
         shards: int,
         partitioner: str | Callable[[SpatialDatabase, int], list[list[int]]] = "grid",
-        text_model: TextSimilarityModel,
     ) -> None:
-        if not ScoringKernel.supports(text_model):
-            raise ValueError(
-                f"{type(text_model).__name__} has no columnar kernel; "
-                "sharding supports the exact set models (Jaccard/Dice/Overlap)"
-            )
         if callable(partitioner):
             partition = partitioner
             self.partitioner_name = getattr(partitioner, "__name__", "custom")
@@ -440,7 +427,7 @@ class ShardRouter:
         self._validate_partition(assignments, len(database))
         self._database = database
         self._shards = tuple(
-            Shard(shard_id, database, rows, text_model)
+            Shard(shard_id, database, rows)
             for shard_id, rows in enumerate(assignments)
         )
         self.stats = ShardStats()

@@ -26,7 +26,7 @@ from repro.index.irtree import IRTree
 from repro.index.kcrtree import KcRTree
 from repro.index.rtree import RTree, RTreeEntry, RTreeNode
 from repro.index.setrtree import SetRTree
-from repro.text.similarity import CosineTfIdfSimilarity, SetSimilarityModel
+from repro.text.similarity import CosineTfIdfSimilarity
 
 __all__ = [
     "IndexPersistenceError",
@@ -139,9 +139,8 @@ def index_from_dict(
 ) -> RTree[SpatialObject]:
     """Rebuild a persisted index over ``database``.
 
-    ``text_model`` applies to SetR-trees (a
-    :class:`~repro.text.similarity.SetSimilarityModel`; Jaccard default)
-    and IR-trees (a :class:`CosineTfIdfSimilarity`; corpus default).
+    ``text_model`` applies to IR-trees (a :class:`CosineTfIdfSimilarity`;
+    corpus default); the other trees take none.
     """
     if not isinstance(payload, dict) or "type" not in payload:
         raise IndexPersistenceError("payload is not a persisted index")
@@ -163,16 +162,11 @@ def index_from_dict(
 
     max_entries = int(payload.get("max_entries", 32))
     min_entries = int(payload.get("min_entries", max_entries // 2))
+    if type_name != "IRTree" and text_model is not None:
+        raise IndexPersistenceError(f"{type_name} takes no text model")
     if type_name == "SetRTree":
-        kwargs: dict[str, Any] = {"database": database}
-        if text_model is not None:
-            if not isinstance(text_model, SetSimilarityModel):
-                raise IndexPersistenceError(
-                    "SetRTree requires a set-based text model"
-                )
-            kwargs["text_model"] = text_model
         tree: RTree[SpatialObject] = SetRTree(
-            max_entries=max_entries, min_entries=min_entries, **kwargs
+            database=database, max_entries=max_entries, min_entries=min_entries
         )
     elif type_name == "KcRTree":
         tree = KcRTree(

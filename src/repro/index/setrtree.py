@@ -9,9 +9,9 @@ to the intersection set and the union set of the keyword sets of all
 objects indexed by the node."
 
 Given a node whose objects' keyword sets all lie between the node's
-intersection set ``I`` and union set ``U`` (``I ⊆ o.doc ⊆ U``), the text
-model's interval bounds (:class:`repro.text.SetSimilarityModel`) bracket
-every object's ``TSim``; combined with MINDIST/MAXDIST on the node MBR
+intersection set ``I`` and union set ``U`` (``I ⊆ o.doc ⊆ U``), Jaccard's
+interval bounds (:class:`repro.text.JaccardSimilarity`) bracket every
+object's ``TSim``; combined with MINDIST/MAXDIST on the node MBR
 this brackets every object's Eqn. (1) score.  These bounds drive:
 
 * best-first top-k search (:mod:`repro.core.topk`),
@@ -29,7 +29,7 @@ from repro.core.geometry import Point, Rect
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.index.rtree import DEFAULT_MAX_ENTRIES, RTree, RTreeEntry, RTreeNode
-from repro.text.similarity import JACCARD, SetSimilarityModel
+from repro.text.similarity import JACCARD
 
 __all__ = ["SetSummary", "SetRTree"]
 
@@ -90,22 +90,18 @@ class SetRTree(RTree[SpatialObject]):
     database:
         The database the indexed objects come from; provides the distance
         normaliser so node score bounds agree with Eqn. (1)'s normalised
-        ``SDist``.
-    text_model:
-        A set-based similarity model (Jaccard by default, Eqn. 2).
+        ``SDist``; node text bounds are Jaccard's (Eqn. 2).
     """
 
     def __init__(
         self,
         *,
         database: SpatialDatabase,
-        text_model: SetSimilarityModel = JACCARD,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         min_entries: int | None = None,
     ) -> None:
         super().__init__(max_entries=max_entries, min_entries=min_entries)
         self._database = database
-        self._text_model = text_model
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -115,7 +111,6 @@ class SetRTree(RTree[SpatialObject]):
         cls,
         database: SpatialDatabase,
         *,
-        text_model: SetSimilarityModel = JACCARD,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         min_entries: int | None = None,
     ) -> "SetRTree":
@@ -126,16 +121,11 @@ class SetRTree(RTree[SpatialObject]):
             max_entries=max_entries,
             min_entries=min_entries,
             database=database,
-            text_model=text_model,
         )
 
     @property
     def database(self) -> SpatialDatabase:
         return self._database
-
-    @property
-    def text_model(self) -> SetSimilarityModel:
-        return self._text_model
 
     # ------------------------------------------------------------------
     # Summary maintenance (RTree hooks)
@@ -163,7 +153,7 @@ class SetRTree(RTree[SpatialObject]):
     ) -> float:
         """Upper bound of ``TSim(o, q)`` over objects under ``node``."""
         summary: SetSummary = node.summary
-        return self._text_model.upper_bound(
+        return JACCARD.upper_bound(
             summary.intersection,
             summary.union,
             query_doc,
@@ -176,7 +166,7 @@ class SetRTree(RTree[SpatialObject]):
     ) -> float:
         """Lower bound of ``TSim(o, q)`` over objects under ``node``."""
         summary: SetSummary = node.summary
-        return self._text_model.lower_bound(
+        return JACCARD.lower_bound(
             summary.intersection,
             summary.union,
             query_doc,
@@ -276,7 +266,7 @@ class SetRTree(RTree[SpatialObject]):
                 count += sum(
                     1
                     for entry in node.entries
-                    if self._text_model.similarity(entry.item.doc, query_doc)
+                    if JACCARD.similarity(entry.item.doc, query_doc)
                     > threshold
                 )
             else:

@@ -29,7 +29,6 @@ from repro.core.query import DEFAULT_WEIGHTS, QueryResult, SpatialKeywordQuery, 
 from repro.core.scoring import Scorer
 from repro.core.sharding import ShardRouter
 from repro.core.topk import KernelTopK, TopKEngine
-from repro.text.similarity import JACCARD, SetSimilarityModel
 from repro.whynot.engine import WhyNotAnswer, WhyNotEngine
 
 if TYPE_CHECKING:  # imported lazily: the executor fronts this module
@@ -104,16 +103,14 @@ class YaskEngine:
     database — so every engine queries, mutates, logs and
     recovers; anything outside docs/OPERATIONS.md's "Supported
     configurations" table is refused at construction, with the reason.
+    The kernel scores the paper's Jaccard (Eqn. 2), the one text model
+    the engine serves; other models are library reference paths
+    (:class:`~repro.core.scoring.Scorer`).
 
     Parameters
     ----------
     database:
         The spatial object database ``D``.
-    text_model:
-        Textual similarity model: Jaccard (the paper's Eqn. 2 default),
-        Dice or Overlap — the models with an exact columnar kernel
-        (:meth:`ScoringKernel.supports`).  Any other model is refused:
-        its scores could not be maintained under mutation.
     default_weights:
         The server-side preference parameter: "the system ... leaves the
         weighting vector ~w as a system parameter on the server.  In the
@@ -155,7 +152,6 @@ class YaskEngine:
         self,
         database: SpatialDatabase,
         *,
-        text_model: SetSimilarityModel = JACCARD,
         default_weights: Weights = DEFAULT_WEIGHTS,
         shards: int | None = None,
         partitioner: str = "grid",
@@ -163,13 +159,6 @@ class YaskEngine:
         base_generation: int = 0,
         batch_tokens: Mapping[str, int] | None = None,
     ) -> None:
-        if not ScoringKernel.supports(text_model):
-            raise ValueError(
-                f"{type(text_model).__name__} has no columnar kernel: "
-                "YaskEngine serves Jaccard, Dice and Overlap, whose scores "
-                "it can maintain under mutation; search other models with "
-                "BestFirstTopK over a library index such as IRTree"
-            )
         if shards is None and partitioner != "grid":
             raise ValueError(
                 "partitioner configures the sharded engine and would be "
@@ -184,13 +173,10 @@ class YaskEngine:
         self._shard_router: ShardRouter | None = None
         if shards is not None:
             self._shard_router = ShardRouter(
-                database,
-                shards=shards,
-                partitioner=partitioner,
-                text_model=text_model,
+                database, shards=shards, partitioner=partitioner
             )
-        self._scorer = Scorer(database, text_model=text_model)
-        # Never None: supports() was checked above.
+        self._scorer = Scorer(database)
+        # Never None: the default Jaccard model always gets a kernel.
         self._kernel = cast(ScoringKernel, self._scorer.kernel)
         # The kernel serves top-k, the explanation generator's counting
         # queries and the keyword module's capped candidate ranks.
@@ -208,7 +194,6 @@ class YaskEngine:
         )
         self._mutable = MutableDatabase(
             database,
-            model_code=self._kernel.model_code,
             start_generation=base_generation,
             tokens=batch_tokens,
         )

@@ -593,7 +593,7 @@ class _ResultCache:
         self,
         decide: Callable[[Any, Any], tuple[str, Any, Any] | None] | None,
         batch_generation: int,
-        reach: Iterable[Hashable] | None = None,
+        reach: Iterable[Hashable],
     ) -> dict[str, int]:
         """Carry the cache through one mutation batch; returns the tally.
 
@@ -609,8 +609,8 @@ class _ResultCache:
         ``reach`` is the batch's reach keys
         (:meth:`~repro.core.mutations.BatchSummary.reach_keys`): with
         an index, the pass visits only the entries filed under one of
-        them.  Every entry is visited when ``reach`` is None, when the
-        cache keeps no index, and when an entry may have missed a batch
+        them.  Every entry is visited when the cache keeps no index, and
+        when an entry may have missed a batch
         (no pass since the cache was created or invalidated, or the
         last one was older than the batch's predecessor).  An entry the pass does not visit, or
         visits and ``decide`` clears, keeps its value, its meta and its
@@ -639,8 +639,7 @@ class _ResultCache:
             through = self._through
             cache = self._cache
             if (
-                reach is None
-                or self._reach_keys is None
+                self._reach_keys is None
                 or through is None
                 or through < batch_generation - 1
             ):
@@ -809,26 +808,6 @@ class _SkybandMeta(_QueryMeta):
     query: SpatialKeywordQuery = None  # type: ignore[assignment]
     entries: tuple[RankedObject, ...] = ()
     complete: bool = False
-
-
-def _score_rows(rows: Sequence, scalars: tuple, summary) -> list:
-    """Score a batch's delta ``rows`` against one cached query.
-
-    ``scalars`` is the kernel's ``_query_scalars(query)``, encoded
-    against the *current* vocabulary: bit positions are append-only, so
-    the mask is correct for this batch's rows no matter how many
-    batches interned keywords since the entry was cached.
-    """
-    if not rows:
-        return []
-    return score_delta_rows(
-        rows,
-        *scalars,
-        normaliser=summary.normaliser,
-        model_code=summary.model_code,
-    )
-
-
 
 
 def _armed(deadline: "faults.Deadline | None", scope: Callable[..., Any]) -> Any:
@@ -1155,9 +1134,15 @@ class QueryExecutor(_Executor):
         removed = summary.removed_oids
         entries = meta.entries
         complete = meta.complete
+        # The query's scalars are encoded against the *current*
+        # vocabulary: bit positions are append-only, so the mask is
+        # correct for this batch's rows no matter how many batches
+        # interned keywords since the entry was cached.
         scored = (
-            _score_rows(
-                summary.added_rows, kernel._query_scalars(query), summary
+            score_delta_rows(
+                summary.added_rows,
+                *kernel._query_scalars(query),
+                normaliser=summary.normaliser,
             )
             if summary.added_rows
             else []
@@ -1445,7 +1430,7 @@ class WhyNotExecutor(_Executor):
         cannot populate the cache) and ``maintenance_passes`` stays in
         step with the top-k cache's.
         """
-        return self._cache.maintain(None, summary.generation)
+        return self._cache.maintain(None, summary.generation, summary.reach_keys())
 
     def stats(self) -> CacheStats:
         """The cache counters, without those a drop-every-entry pass

@@ -1,19 +1,16 @@
 """Text processing substrate: tokenisation and similarity models.
 
-See :mod:`repro.text.similarity` for the ranking models (Jaccard is the
-paper's default, Eqn. 2) and :mod:`repro.text.tokenize` for the keyword
+See :mod:`repro.text.similarity` for the ranking models (Jaccard, the
+paper's Eqn. 2, is the one the serving engine scores; cosine TF-IDF
+serves the IR-tree) and :mod:`repro.text.tokenize` for the keyword
 extraction pipeline used by the dataset builders.
 """
 
 from repro.text.similarity import (
     JACCARD,
     CosineTfIdfSimilarity,
-    DiceSimilarity,
     JaccardSimilarity,
-    OverlapSimilarity,
-    SetSimilarityModel,
     TextSimilarityModel,
-    WeightedJaccardSimilarity,
 )
 from repro.text.tokenize import (
     DEFAULT_STOPWORDS,
@@ -28,12 +25,8 @@ from repro.text.vocabulary import Vocabulary
 __all__ = [
     "JACCARD",
     "CosineTfIdfSimilarity",
-    "DiceSimilarity",
     "JaccardSimilarity",
-    "OverlapSimilarity",
-    "SetSimilarityModel",
     "TextSimilarityModel",
-    "WeightedJaccardSimilarity",
     "DEFAULT_STOPWORDS",
     "document_frequencies",
     "keyword_set",

@@ -4,10 +4,8 @@ The paper adopts the Jaccard similarity model (Eqn. (2)) "without loss of
 generality" and notes that "other textual similarity models can also be
 supported" (Section 2.1, footnote 1).  This module implements:
 
-* :class:`JaccardSimilarity` — the paper's default (Eqn. 2),
-* :class:`WeightedJaccardSimilarity` — Jaccard over per-keyword weights,
-* :class:`DiceSimilarity` and :class:`OverlapSimilarity` — classic set
-  coefficients sharing Jaccard's bounding structure,
+* :class:`JaccardSimilarity` — the paper's model (Eqn. 2), the one the
+  serving engine's columnar kernel scores,
 * :class:`CosineTfIdfSimilarity` — the IR model used by the Cong et al.
   top-k algorithm [4] which YASK builds on; it requires corpus statistics
   and is served by the IR-tree rather than the SetR-tree.
@@ -16,7 +14,7 @@ Every model maps a (object keyword set, query keyword set) pair into
 ``[0, 1]`` so that Eqn. (1) stays a convex combination of two unit-range
 components.
 
-Set models additionally expose *interval bounds* given only partial
+Jaccard additionally exposes *interval bounds* given only partial
 knowledge of an object's keyword set — namely that it is sandwiched
 between a node's intersection set and union set.  This is exactly the
 information a SetR-tree node carries (Section 3.3: "each SetR-tree node
@@ -34,11 +32,7 @@ from typing import AbstractSet, Mapping
 
 __all__ = [
     "TextSimilarityModel",
-    "SetSimilarityModel",
     "JaccardSimilarity",
-    "WeightedJaccardSimilarity",
-    "DiceSimilarity",
-    "OverlapSimilarity",
     "CosineTfIdfSimilarity",
     "JACCARD",
 ]
@@ -65,47 +59,7 @@ class TextSimilarityModel(ABC):
         return f"{type(self).__name__}()"
 
 
-class SetSimilarityModel(TextSimilarityModel):
-    """A similarity defined purely on keyword sets.
-
-    Subclasses get interval-bound support for SetR-tree style indexing:
-    given that ``intersection ⊆ o.doc ⊆ union`` for every object ``o``
-    under a node, :meth:`upper_bound` / :meth:`lower_bound` must bracket
-    ``similarity(o.doc, q.doc)``.
-    """
-
-    @abstractmethod
-    def upper_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        """Upper bound of the similarity of any ``o.doc`` between the sets.
-
-        ``min_doc_len``/``max_doc_len`` optionally bound ``|o.doc|`` over
-        the group (the SetR-tree stores them alongside the two sets);
-        models may use them to tighten the bound and must stay valid
-        when they are None.
-        """
-
-    @abstractmethod
-    def lower_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        """Lower bound of the similarity of any ``o.doc`` between the sets."""
-
-
-class JaccardSimilarity(SetSimilarityModel):
+class JaccardSimilarity(TextSimilarityModel):
     """Jaccard similarity — Eqn. (2) of the paper.
 
     ``TSim(o, q) = |o.doc ∩ q.doc| / |o.doc ∪ q.doc|``
@@ -113,6 +67,13 @@ class JaccardSimilarity(SetSimilarityModel):
     The empty-by-empty corner case (both sets empty) is defined as 0,
     matching the intuition that an object with no description carries no
     textual relevance signal.
+
+    For SetR-tree style indexing, given that ``intersection ⊆ o.doc ⊆
+    union`` for every object ``o`` under a node, :meth:`upper_bound` /
+    :meth:`lower_bound` bracket ``similarity(o.doc, q.doc)``.  The
+    optional ``min_doc_len``/``max_doc_len`` bound ``|o.doc|`` over the
+    group (the SetR-tree stores them alongside the two sets) and tighten
+    the bounds; both stay valid when they are None.
     """
 
     name = "jaccard"
@@ -182,162 +143,6 @@ class JaccardSimilarity(SetSimilarityModel):
                 denominator, max_doc_len + len(query_keywords) - numerator
             )
         return numerator / max(denominator, numerator)
-
-
-class WeightedJaccardSimilarity(SetSimilarityModel):
-    """Jaccard generalised with non-negative per-keyword weights.
-
-    Keywords missing from the weight table get ``default_weight``.  With
-    all weights equal to one this degenerates to plain Jaccard, which is
-    exercised by the test suite as a consistency property.
-    """
-
-    name = "weighted-jaccard"
-
-    def __init__(
-        self, weights: Mapping[str, float], *, default_weight: float = 1.0
-    ) -> None:
-        if default_weight < 0:
-            raise ValueError("default_weight must be non-negative")
-        for keyword, weight in weights.items():
-            if weight < 0:
-                raise ValueError(f"negative weight for keyword {keyword!r}")
-        self._weights = dict(weights)
-        self._default = default_weight
-
-    def weight(self, keyword: str) -> float:
-        """Return the weight of a single keyword."""
-        return self._weights.get(keyword, self._default)
-
-    def _mass(self, keywords: Keywords) -> float:
-        return sum(self.weight(keyword) for keyword in keywords)
-
-    def similarity(self, object_keywords: Keywords, query_keywords: Keywords) -> float:
-        shared = self._mass(object_keywords & query_keywords)
-        total = self._mass(object_keywords | query_keywords)
-        if total <= 0.0:
-            return 0.0
-        return shared / total
-
-    def upper_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        numerator = self._mass(union & query_keywords)
-        if numerator <= 0.0:
-            return 0.0
-        denominator = max(self._mass(intersection | query_keywords), numerator)
-        if denominator <= 0.0:
-            return 0.0
-        return min(1.0, numerator / denominator)
-
-    def lower_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        numerator = self._mass(intersection & query_keywords)
-        if numerator <= 0.0:
-            return 0.0
-        denominator = self._mass(union | query_keywords)
-        if denominator <= 0.0:
-            return 0.0
-        return numerator / denominator
-
-
-class DiceSimilarity(SetSimilarityModel):
-    """Sørensen–Dice coefficient: ``2|A∩B| / (|A| + |B|)``."""
-
-    name = "dice"
-
-    def similarity(self, object_keywords: Keywords, query_keywords: Keywords) -> float:
-        shared = len(object_keywords & query_keywords)
-        if shared == 0:
-            return 0.0
-        return 2.0 * shared / (len(object_keywords) + len(query_keywords))
-
-    def upper_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        shared = len(union & query_keywords)
-        if shared == 0:
-            return 0.0
-        # Smallest possible |o.doc| is max(|intersection|, shared).
-        smallest_doc = max(len(intersection), shared)
-        return min(1.0, 2.0 * shared / (smallest_doc + len(query_keywords)))
-
-    def lower_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        shared = len(intersection & query_keywords)
-        if shared == 0:
-            return 0.0
-        return 2.0 * shared / (len(union) + len(query_keywords))
-
-
-class OverlapSimilarity(SetSimilarityModel):
-    """Overlap coefficient: ``|A∩B| / min(|A|, |B|)``."""
-
-    name = "overlap"
-
-    def similarity(self, object_keywords: Keywords, query_keywords: Keywords) -> float:
-        shared = len(object_keywords & query_keywords)
-        if shared == 0:
-            return 0.0
-        return shared / min(len(object_keywords), len(query_keywords))
-
-    def upper_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        shared = len(union & query_keywords)
-        if shared == 0:
-            return 0.0
-        if not query_keywords:
-            return 0.0
-        # |o.doc| >= max(|intersection|, 1); overlap maximised by the
-        # smallest denominator min(|o.doc|, |q.doc|) >= 1.
-        return min(1.0, shared / min(max(len(intersection), 1), len(query_keywords)))
-
-    def lower_bound(
-        self,
-        intersection: Keywords,
-        union: Keywords,
-        query_keywords: Keywords,
-        *,
-        min_doc_len: int | None = None,
-        max_doc_len: int | None = None,
-    ) -> float:
-        shared = len(intersection & query_keywords)
-        if shared == 0 or not query_keywords:
-            return 0.0
-        return shared / max(min(len(union), len(query_keywords)), 1)
 
 
 class CosineTfIdfSimilarity(TextSimilarityModel):

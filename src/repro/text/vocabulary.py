@@ -12,7 +12,7 @@ wide.
 
 Query keyword sets may contain words the corpus has never seen.  Those
 can never intersect any object's doc, but they *do* count towards
-``|q.doc|`` in Jaccard/Dice/Overlap denominators, so
+``|q.doc|`` in the Jaccard denominator, so
 :meth:`Vocabulary.encode_query` reports them separately instead of
 silently dropping them.
 """

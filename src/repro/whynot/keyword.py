@@ -145,8 +145,7 @@ class KeywordAdapter:
         ----------
         scorer:
             Shared Eqn. (1) evaluator.  Without ``index`` its columnar
-            kernel ranks capped candidates on the kernel's scan index
-            (Jaccard, Dice and Overlap alike).
+            kernel ranks capped candidates on the kernel's scan index.
         index:
             Optional :class:`KcRTree` over the scorer's database: capped
             candidates are then ranked by the paper's descent, whose

@@ -34,8 +34,9 @@ class TestBreakerLifecycle:
                 engine,
                 breaker_failure_threshold=2,
                 breaker_cooldown_ms=1000.0,
-            ) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            ) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
 
                 # Two injected fsync failures: each is a structured 503
                 # saying the batch was NOT applied, and together they
@@ -94,8 +95,9 @@ class TestBreakerLifecycle:
                 engine,
                 breaker_failure_threshold=2,
                 breaker_cooldown_ms=500.0,
-            ) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            ) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 for _ in range(2):
                     with pytest.raises(YaskClientError):
                         client.mutate(DELETE_0)
@@ -122,8 +124,9 @@ class TestBreakerLifecycle:
                 engine,
                 breaker_failure_threshold=2,
                 breaker_cooldown_ms=1000.0,
-            ) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            ) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 for _ in range(2):
                     with pytest.raises(YaskClientError):
                         client.mutate(DELETE_0)

@@ -71,6 +71,7 @@ class TestRetryAfterIsHonored:
                 assert replay["deduplicated"] is True
                 assert replay["generation"] == 1
                 assert engine.wal.last_generation == 1
+                client.close()
             engine.close()
         assert [e["site"] for e in plan.injections] == ["wal.sync"]
 

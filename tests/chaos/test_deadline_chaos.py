@@ -35,8 +35,9 @@ class TestPartialTopK:
     def test_deadline_yields_partial_with_envelope(self, chaos_engine):
         plan = FaultPlan(seed=1).delay("shard.scan.*", 60.0, times=None)
         with faults.armed(plan):
-            with running_server(chaos_engine) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 body = client.query(
                     0.5, 0.5, ["food", "cafe"], 10, timeout_ms=150.0
                 )
@@ -62,8 +63,9 @@ class TestPartialTopK:
         ]
         reference.close()
         with faults.armed(plan):
-            with running_server(chaos_engine) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 body = client.query(0.5, 0.5, ["food", "cafe"], 10)
         assert "degraded" not in body
         assert [e["object"]["oid"] for e in body["result"]["entries"]] == expected
@@ -71,8 +73,9 @@ class TestPartialTopK:
     def test_degraded_results_are_never_cached(self, chaos_engine):
         plan = FaultPlan(seed=2).delay("shard.scan.*", 60.0, times=None)
         with faults.armed(plan):
-            with running_server(chaos_engine) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 degraded = client.query(
                     0.5, 0.5, ["food", "cafe"], 10, timeout_ms=150.0
                 )
@@ -89,8 +92,9 @@ class TestPartialTopK:
     def test_cache_hits_are_served_exact_under_any_deadline(self, chaos_engine):
         plan = FaultPlan(seed=3).delay("shard.scan.*", 60.0, times=None)
         with faults.armed(plan):
-            with running_server(chaos_engine) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 warm = client.query(0.5, 0.5, ["food", "cafe"], 10)
                 # A hopeless budget, but the warm exact result exists:
                 # serving it is strictly better than degrading.
@@ -108,8 +112,9 @@ class TestPartialTopK:
         with faults.armed(plan):
             # No skyband: the engine is asked for exactly k, so the
             # first shard's three candidates already set a floor.
-            with running_server(chaos_engine, cache_skyband=0) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine, cache_skyband=0) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 body = client.query(
                     0.06, 0.5, ["food", "cafe"], 3, timeout_ms=10.0
                 )
@@ -133,8 +138,9 @@ class TestPartialTopK:
         failed, answers from the rest, and the next query is exact."""
         plan = FaultPlan(seed=7).fail("shard.scan.*", times=1)
         with faults.armed(plan):
-            with running_server(chaos_engine) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 body = client.query(
                     0.5, 0.5, ["food"], 20, timeout_ms=100000.0
                 )
@@ -153,8 +159,9 @@ class TestStrictWhyNot:
     def test_whynot_degrades_honestly_not_wrongly(self, chaos_engine):
         plan = FaultPlan(seed=4).delay("shard.scan.*", 60.0, times=None)
         with faults.armed(plan):
-            with running_server(chaos_engine) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 session = client.query(0.5, 0.5, ["food", "cafe"], 10)
                 # Drop the query cache so the why-not's initial top-k
                 # re-executes (and burns virtual time).  A mutation
@@ -174,8 +181,9 @@ class TestStrictWhyNot:
     def test_whynot_with_headroom_is_exact(self, chaos_engine):
         plan = FaultPlan(seed=5).delay("shard.scan.*", 60.0, times=None)
         with faults.armed(plan):
-            with running_server(chaos_engine) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            with running_server(chaos_engine) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 session = client.query(0.5, 0.5, ["food", "cafe"], 10)
                 body = client.explain(
                     session["session_id"], [FAR_OID], timeout_ms=1000000.0

@@ -55,8 +55,9 @@ def run_scenario(seed: int, wal_dir) -> tuple[tuple, list[str]]:
         engine = YaskEngine(make_chaos_db(), shards=4, wal=wal)
         with running_server(
             engine, breaker_failure_threshold=2, breaker_cooldown_ms=1000.0
-        ) as server:
-            client = YaskClient(server.endpoint, retries=0)
+        ) as server, YaskClient(
+            server.endpoint, retries=0
+        ) as client:
             record(lambda: client.query(0.5, 0.5, ["food", "cafe"], 10, timeout_ms=120.0))
             for oid in (0, 1, 2):
                 record(lambda oid=oid: client.mutate([{"op": "delete", "oid": oid}]))

@@ -34,8 +34,9 @@ class TestFollowerTailingFaults:
             follower = FollowerEngine(tmp_path, database=make_chaos_db())
             with running_server(
                 follower.engine, follower=follower
-            ) as server:
-                client = YaskClient(server.endpoint, retries=0)
+            ) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as client:
                 # The injected fault fires inside the pre-read poll:
                 # the replica refuses to answer rather than serving a
                 # possibly-stale result as fresh.
@@ -65,10 +66,9 @@ class TestFollowerTailingFaults:
             follower = FollowerEngine(tmp_path, database=make_chaos_db())
             with running_server(
                 follower.engine, follower=follower
-            ) as server:
-                client = YaskClient(
-                    server.endpoint, retries=2, sleep=slept.append
-                )
+            ) as server, YaskClient(
+                server.endpoint, retries=2, sleep=slept.append
+            ) as client:
                 # One transparent retry after the advertised second:
                 # the caller never sees the blip.
                 body = client.query(0.06, 0.06, ["food", "cafe"], 3)

@@ -37,8 +37,9 @@ class TestHammer:
     def test_overload_sheds_cleanly_and_never_lies(self):
         engine = YaskEngine(make_chaos_db())
         try:
-            with running_server(engine, max_inflight=1) as server:
-                baseline_client = YaskClient(server.endpoint, retries=0)
+            with running_server(engine, max_inflight=1) as server, YaskClient(
+                server.endpoint, retries=0
+            ) as baseline_client:
                 baseline = canonical(
                     baseline_client.query(0.06, 0.06, ["food", "cafe"], 3)[
                         "result"
@@ -55,17 +56,17 @@ class TestHammer:
                     # baseline query's top-k, so admitted queries must
                     # match the baseline exactly no matter how the
                     # mutations interleave.
-                    client = YaskClient(server.endpoint, retries=0)
                     oid = HAMMER_OID_BASE + worker
                     try:
-                        for round_no in range(ROUNDS):
-                            barrier.wait()
-                            if worker % 2 == 0:
-                                self._one_query(client, results[worker])
-                            else:
-                                self._one_mutation(
-                                    client, results[worker], oid, round_no
-                                )
+                        with YaskClient(server.endpoint, retries=0) as client:
+                            for round_no in range(ROUNDS):
+                                barrier.wait()
+                                if worker % 2 == 0:
+                                    self._one_query(client, results[worker])
+                                else:
+                                    self._one_mutation(
+                                        client, results[worker], oid, round_no
+                                    )
                     except BaseException as exc:  # pragma: no cover
                         crashes.append(exc)
 

@@ -16,12 +16,7 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.index.dualspace import DualSpaceIndex
-from repro.text.similarity import (
-    DiceSimilarity,
-    JaccardSimilarity,
-    OverlapSimilarity,
-    WeightedJaccardSimilarity,
-)
+from repro.text.similarity import CosineTfIdfSimilarity, JaccardSimilarity
 from repro.whynot.context import WhyNotContext
 from repro.whynot.preference import PreferenceAdjuster
 
@@ -70,24 +65,22 @@ def query(keywords, *, k=2, ws=0.5) -> SpatialKeywordQuery:
 
 
 class TestConstruction:
-    def test_supported_models(self):
-        assert ScoringKernel.supports(JaccardSimilarity())
-        assert ScoringKernel.supports(DiceSimilarity())
-        assert ScoringKernel.supports(OverlapSimilarity())
+    def test_kernel_scores_jaccard_and_takes_no_model(self):
+        with pytest.raises(TypeError):
+            ScoringKernel(edge_db(), JaccardSimilarity())
 
-    def test_unsupported_model_is_rejected(self):
+    def test_scorer_keeps_other_models_on_the_set_path(self):
         db = edge_db()
-        model = WeightedJaccardSimilarity({"cafe": 2.0})
-        assert ScoringKernel.maybe_build(db, model) is None
-        with pytest.raises(ValueError):
-            ScoringKernel(db, model)
+        cosine = CosineTfIdfSimilarity(
+            db.keyword_document_frequencies(), len(db)
+        )
+        assert Scorer(db, text_model=cosine).kernel is None
 
     def test_exact_type_dispatch_excludes_subclasses(self):
         class Tweaked(JaccardSimilarity):
             def similarity(self, object_keywords, query_keywords):
                 return 0.5
 
-        assert not ScoringKernel.supports(Tweaked())
         assert Scorer(edge_db(), text_model=Tweaked()).kernel is None
 
     def test_scorer_builds_kernel_by_default(self):
@@ -98,7 +91,7 @@ class TestConstruction:
 
     def test_columns_align_with_database(self):
         db = edge_db()
-        kernel = ScoringKernel(db, JaccardSimilarity())
+        kernel = ScoringKernel(db)
         assert len(kernel) == len(db)
         assert list(kernel.oids) == [obj.oid for obj in db]
         assert [kernel.row_of(obj.oid) for obj in db] == list(range(len(db)))
@@ -107,7 +100,7 @@ class TestConstruction:
 class TestEdgeCases:
     def test_empty_doc_scores_zero_tsim(self):
         db = edge_db()
-        kernel = ScoringKernel(db, JaccardSimilarity())
+        kernel = ScoringKernel(db)
         q = query({"cafe"})
         _sdists, tsims, _scores = kernel.components_all(q)
         assert tsims[kernel.row_of(1)] == 0.0

@@ -20,7 +20,6 @@ from repro.core.mutations import (
 )
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.scoring import Scorer
-from repro.text.similarity import JACCARD
 from tests.conftest import make_query, make_tiny_db
 
 
@@ -49,7 +48,7 @@ class TestMutationValidation:
 class TestBatchNormalisation:
     def make(self):
         db = make_tiny_db()
-        return db, MutableDatabase(db, model_code="jaccard")
+        return db, MutableDatabase(db)
 
     def test_insert_then_delete_is_a_noop(self):
         db, mutable = self.make()
@@ -254,8 +253,8 @@ class TestDatabaseMaintenance:
 class TestKernelMaintenance:
     def make(self):
         db = make_tiny_db()
-        kernel = ScoringKernel(db, JACCARD, compaction_threshold=0.5)
-        mutable = MutableDatabase(db, model_code="jaccard")
+        kernel = ScoringKernel(db, compaction_threshold=0.5)
+        mutable = MutableDatabase(db)
         mutable.register_listener(kernel)
         return db, kernel, mutable
 
@@ -273,8 +272,8 @@ class TestKernelMaintenance:
 
     def test_compacted_rows_match_database_order(self):
         db = make_tiny_db()
-        kernel = ScoringKernel(db, JACCARD, compaction_threshold=0.2)
-        mutable = MutableDatabase(db, model_code="jaccard")
+        kernel = ScoringKernel(db, compaction_threshold=0.2)
+        mutable = MutableDatabase(db)
         mutable.register_listener(kernel)
         mutable.apply(
             [
@@ -309,7 +308,7 @@ class TestBatchSummary:
 
     def test_removed_member_always_affects(self):
         db = make_tiny_db()
-        mutable = MutableDatabase(db, model_code="jaccard")
+        mutable = MutableDatabase(db)
         summary = self.summary(mutable, [Mutation.delete(0)])
 
         class Meta:
@@ -326,7 +325,7 @@ class TestBatchSummary:
 
     def test_distant_irrelevant_insert_does_not_affect(self):
         db = make_tiny_db()
-        mutable = MutableDatabase(db, model_code="jaccard")
+        mutable = MutableDatabase(db)
         summary = self.summary(
             mutable, [Mutation.insert(obj(50, 0.95, 0.95, "zzz"))]
         )
@@ -348,7 +347,7 @@ class TestBatchSummary:
 
     def test_partial_result_is_always_affected_by_inserts(self):
         db = make_tiny_db()
-        mutable = MutableDatabase(db, model_code="jaccard")
+        mutable = MutableDatabase(db)
         summary = self.summary(
             mutable, [Mutation.insert(obj(50, 0.95, 0.95, "zzz"))]
         )
@@ -360,23 +359,6 @@ class TestBatchSummary:
             kth_score = 0.45
             result_oids = frozenset({0, 1})
             full = False
-
-        assert summary.affects_topk(Meta())
-
-    def test_unknown_model_code_is_conservative(self):
-        db = make_tiny_db()
-        mutable = MutableDatabase(db, model_code=None)
-        summary = self.summary(
-            mutable, [Mutation.insert(obj(50, 0.95, 0.95, "zzz"))]
-        )
-
-        class Meta:
-            loc = Point(0.05, 0.05)
-            doc = frozenset({"chinese"})
-            ws = wt = 0.5
-            kth_score = 0.99
-            result_oids = frozenset({0})
-            full = True
 
         assert summary.affects_topk(Meta())
 
@@ -413,9 +395,48 @@ class TestBatchSummary:
             ] + [Mutation.delete(oid) for oid in rng.sample(range(5), rng.randrange(3))]
             if not batch:
                 continue
-            summary = MutableDatabase(db, model_code="jaccard").apply(batch).summary
+            summary = MutableDatabase(db).apply(batch).summary
             if summary.affects_topk(Meta()):
                 assert not summary.reach_keys().isdisjoint(topk_reach_keys(Meta()))
+
+
+    def test_added_rows_are_not_encoded_without_a_listener(self):
+        """A coordinator with no listener (WAL replay) has no cache to
+        maintain: it encodes no rows, even over an interned corpus."""
+        db = make_tiny_db()
+        db.vocabulary_index  # interned: only the listener rule decides
+        summary = self.summary(
+            MutableDatabase(db), [Mutation.insert(obj(50, 0.95, 0.95, "zzz"))]
+        )
+        assert summary.added_oids == {50}
+        assert summary.added_rows == ()
+
+    def test_added_rows_are_the_listening_kernels_rows(self):
+        db = make_tiny_db()
+        kernel = ScoringKernel(db)
+        mutable = MutableDatabase(db)
+        mutable.register_listener(kernel)
+        newcomers = [obj(50, 0.95, 0.95, "zzz", "chinese"), obj(51, 0.2, 0.3)]
+        summary = self.summary(mutable, [Mutation.insert(o) for o in newcomers])
+        assert summary.added_rows == ScoringKernel.encode_rows(
+            newcomers, db.vocabulary_index
+        )
+        for x, y, mask, doc_len, oid in summary.added_rows:
+            row = kernel.row_of(oid)
+            assert (x, y, mask, doc_len) == (
+                kernel._xs[row], kernel._ys[row], kernel._masks[row],
+                kernel._lens[row],
+            )
+
+    def test_reach_keys_name_added_and_removed_keywords(self):
+        db = make_tiny_db()
+        summary = self.summary(
+            MutableDatabase(db),
+            [Mutation.delete(3), Mutation.insert(obj(50, 0.95, 0.95, "zzz"))],
+        )
+        keys = summary.reach_keys()
+        assert {"zzz", "spanish", "restaurant"} <= keys
+        assert {"chinese"}.isdisjoint(keys)
 
 
 class TestReadWriteLock:
@@ -484,7 +505,7 @@ class TestNoopBatchesAndPreCommit:
 
     def make(self):
         db = make_tiny_db()
-        return db, MutableDatabase(db, model_code="jaccard")
+        return db, MutableDatabase(db)
 
     def test_net_empty_batch_is_a_noop(self):
         db, mutable = self.make()

@@ -27,15 +27,6 @@ from repro.core.sharding import (
 )
 from repro.datasets.generators import SyntheticDatasetBuilder
 from repro.service.api import YaskEngine
-from repro.text.similarity import (
-    JACCARD,
-    CosineTfIdfSimilarity,
-    DiceSimilarity,
-    OverlapSimilarity,
-)
-
-DICE = DiceSimilarity()
-OVERLAP = OverlapSimilarity()
 
 
 @pytest.fixture(scope="module")
@@ -121,8 +112,8 @@ class TestRouter:
     def test_shard_kernels_share_the_parent_normaliser_and_vocabulary(
         self, clustered_db
     ):
-        router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
-        global_kernel = ScoringKernel(clustered_db, JACCARD)
+        router = ShardRouter(clustered_db, shards=4)
+        global_kernel = ScoringKernel(clustered_db)
         for shard in router.shards:
             assert shard.kernel.database is clustered_db
             assert shard.kernel._normaliser == clustered_db.distance_normaliser
@@ -133,7 +124,7 @@ class TestRouter:
                 )
 
     def test_shard_summaries(self, clustered_db):
-        router = ShardRouter(clustered_db, shards=3, text_model=JACCARD)
+        router = ShardRouter(clustered_db, shards=3)
         encode = clustered_db.vocabulary_index.encode
         for shard in router.shards:
             union = 0
@@ -147,7 +138,7 @@ class TestRouter:
             assert shard.max_doc_len == max(lengths)
 
     def test_shard_rows_round_trip(self, clustered_db):
-        router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
+        router = ShardRouter(clustered_db, shards=4)
         covered = []
         for shard in router.shards:
             for local, obj in enumerate(members(shard)):
@@ -158,15 +149,7 @@ class TestRouter:
 
     def test_rejects_unknown_partitioner(self, clustered_db):
         with pytest.raises(ValueError, match="unknown partitioner"):
-            ShardRouter(clustered_db, shards=2, partitioner="zorder",
-                        text_model=JACCARD)
-
-    def test_rejects_kernel_free_model(self, clustered_db):
-        cosine = CosineTfIdfSimilarity(
-            clustered_db.keyword_document_frequencies(), len(clustered_db)
-        )
-        with pytest.raises(ValueError, match="columnar kernel"):
-            ShardRouter(clustered_db, shards=2, text_model=cosine)
+            ShardRouter(clustered_db, shards=2, partitioner="zorder")
 
     def test_rejects_bad_custom_partition(self, clustered_db):
         def overlapping(database, shards):
@@ -174,11 +157,10 @@ class TestRouter:
             return [rows, rows]
 
         with pytest.raises(ValueError, match="disjoint cover"):
-            ShardRouter(clustered_db, shards=2, partitioner=overlapping,
-                        text_model=JACCARD)
+            ShardRouter(clustered_db, shards=2, partitioner=overlapping)
 
     def test_to_dict_shape(self, clustered_db):
-        router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
+        router = ShardRouter(clustered_db, shards=4)
         payload = router.to_dict()
         assert payload["count"] == 4
         assert payload["partitioner"] == "grid"
@@ -191,19 +173,13 @@ class TestBoundSafety:
 
     Skips rest on these inequalities; a violation would silently break
     result parity, so they are pinned against brute-force maxima across
-    models, partitioners and many random queries.
+    partitioners and many random queries.
     """
 
-    @pytest.mark.parametrize("model", [JACCARD, DICE, OVERLAP],
-                             ids=["jaccard", "dice", "overlap"])
     @pytest.mark.parametrize("partitioner", ["grid", "round-robin"])
-    def test_score_upper_bounds_dominate(
-        self, clustered_db, model, partitioner
-    ):
-        router = ShardRouter(
-            clustered_db, shards=5, partitioner=partitioner, text_model=model
-        )
-        scorer = Scorer(clustered_db, text_model=model, use_kernel=False)
+    def test_score_upper_bounds_dominate(self, clustered_db, partitioner):
+        router = ShardRouter(clustered_db, shards=5, partitioner=partitioner)
+        scorer = Scorer(clustered_db, use_kernel=False)
         vocab = sorted(clustered_db.vocabulary())
         rng = random.Random(99)
         for trial in range(25):
@@ -222,7 +198,7 @@ class TestBoundSafety:
                     scorer.score(obj, query) for obj in members(shard)
                 )
                 assert bound >= true_max - 1e-12, (
-                    f"unsafe bound for {model.name}: {bound} < {true_max}"
+                    f"unsafe bound: {bound} < {true_max}"
                 )
 
     def test_proximity_bound_clamps_like_the_kernel(self):
@@ -231,7 +207,7 @@ class TestBoundSafety:
             SpatialObject(1, Point(0.1, 0.1), frozenset({"b"})),
         ]
         db = SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 0.2, 0.2))
-        router = ShardRouter(db, shards=1, text_model=JACCARD)
+        router = ShardRouter(db, shards=1)
         # A query far outside the dataspace: SDist clamps at 1, so the
         # proximity bound must clamp to 0, never go negative.
         bound = router.shards[0].proximity_upper_bound(
@@ -341,13 +317,13 @@ class TestOneKernel:
     def test_shard_kernels_are_plain_kernels_over_their_members(
         self, clustered_db
     ):
-        router = ShardRouter(clustered_db, shards=4, text_model=JACCARD)
+        router = ShardRouter(clustered_db, shards=4)
         for shard in router.shards:
             assert type(shard.kernel) is ScoringKernel
             assert shard.kernel.live_count == len(shard) == len(members(shard))
 
     def test_scorer_takes_no_shard_router(self, clustered_db):
-        router = ShardRouter(clustered_db, shards=2, text_model=JACCARD)
+        router = ShardRouter(clustered_db, shards=2)
         with pytest.raises(TypeError, match="shard_router"):
             Scorer(clustered_db, shard_router=router)
 
@@ -360,7 +336,7 @@ class TestOneKernel:
             "topk_merge_ms",
         }
         assert ShardStats().to_dict().keys() == fields
-        router = ShardRouter(clustered_db, shards=3, text_model=JACCARD)
+        router = ShardRouter(clustered_db, shards=3)
         assert router.to_dict().keys() == {"count", "partitioner", "objects"} | fields
 
     def test_rank_utilities_never_touch_the_shards(self, clustered_db):

@@ -64,7 +64,7 @@ def test_save_mutate_save_load_mask_parity(tmp_path):
     save_index(tree, first)
 
     # Mutate: new keywords append bit positions beyond the sorted corpus.
-    mutable = MutableDatabase(database, model_code="jaccard")
+    mutable = MutableDatabase(database)
     mutable.apply(
         [
             Mutation.insert(

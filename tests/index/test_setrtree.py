@@ -5,6 +5,7 @@ import pytest
 from repro.core.geometry import Point
 from repro.core.scoring import Scorer
 from repro.index.setrtree import SetRTree, SetSummary
+from repro.text.similarity import JACCARD
 
 from tests.conftest import random_queries
 
@@ -91,14 +92,13 @@ class TestScoreBounds:
                     assert small_scorer.score(obj, q) >= bound - 1e-9
 
     def test_tsim_bounds_bracket_descendants(self, small_db, small_setrtree):
-        model = small_setrtree.text_model
         for q in random_queries(small_db, 5, seed=33, k=3):
             for node in walk_nodes(small_setrtree):
                 upper = small_setrtree.tsim_upper_bound(node, q.doc)
                 lower = small_setrtree.tsim_lower_bound(node, q.doc)
                 assert lower <= upper + 1e-12
                 for obj in objects_under(node):
-                    sim = model.similarity(obj.doc, q.doc)
+                    sim = JACCARD.similarity(obj.doc, q.doc)
                     assert lower - 1e-12 <= sim <= upper + 1e-12
 
 
@@ -113,13 +113,12 @@ class TestCountingQueries:
             assert small_setrtree.count_within_distance(center, radius) == expected
 
     def test_count_more_similar_matches_scan(self, small_db, small_setrtree):
-        model = small_setrtree.text_model
         for q in random_queries(small_db, 5, seed=34, k=3):
             for threshold in (0.0, 0.2, 0.5, 0.99):
                 expected = sum(
                     1
                     for obj in small_db
-                    if model.similarity(obj.doc, q.doc) > threshold
+                    if JACCARD.similarity(obj.doc, q.doc) > threshold
                 )
                 assert (
                     small_setrtree.count_more_similar(q.doc, threshold) == expected

@@ -6,6 +6,11 @@ import inspect
 import pytest
 
 import repro
+from repro.core.kernel import ScoringKernel
+from repro.core.mutations import MutableDatabase
+from repro.core.sharding import ShardRouter
+from repro.index.setrtree import SetRTree
+from repro.text.similarity import JACCARD
 
 
 class TestTopLevelExports:
@@ -76,8 +81,8 @@ class TestFacadeOptionsArePinned:
     """
 
     ENGINE_OPTIONS = (
-        "text_model", "default_weights", "shards", "partitioner", "wal",
-        "base_generation", "batch_tokens",
+        "default_weights", "shards", "partitioner", "wal", "base_generation",
+        "batch_tokens",
     )
     WHYNOT_OPTIONS = ()
 
@@ -101,13 +106,39 @@ class TestFacadeOptionsArePinned:
         assert self._names(WhyNotEngine.__init__, keyword) == self.WHYNOT_OPTIONS
 
     @pytest.mark.parametrize(
-        "options", [{"max_entries": 32}, {"index_rebuild_slack": 1}]
+        "options",
+        [
+            {"max_entries": 32},
+            {"index_rebuild_slack": 1},
+            {"text_model": JACCARD},
+            {"text_model": JACCARD, "shards": 2},
+        ],
     )
     def test_removed_engine_options_are_refused(self, small_db, options):
         from repro.service.api import YaskEngine
 
         with pytest.raises(TypeError, match=next(iter(options))):
             YaskEngine(small_db, **options)
+
+    @pytest.mark.parametrize(
+        "build, option",
+        [
+            (lambda db: ShardRouter(db, shards=2, text_model=JACCARD), "text_model"),
+            (lambda db: ScoringKernel(db, text_model=JACCARD), "text_model"),
+            (lambda db: SetRTree(database=db, text_model=JACCARD), "text_model"),
+            (lambda db: SetRTree.build(db, text_model=JACCARD), "text_model"),
+            (lambda db: MutableDatabase(db, model_code="jaccard"), "model_code"),
+        ],
+        ids=["ShardRouter", "ScoringKernel", "SetRTree", "SetRTree.build",
+             "MutableDatabase"],
+    )
+    def test_text_model_options_are_gone_below_the_facade(
+        self, small_db, build, option
+    ):
+        """Jaccard is the one served text model: no layer the engine
+        builds takes a model, so none can disagree with another."""
+        with pytest.raises(TypeError, match=option):
+            build(small_db)
 
     def test_removed_whynot_option_is_refused(self, small_db, small_scorer):
         from repro.index.kcrtree import KcRTree

@@ -1,7 +1,7 @@
 """Property tests: the columnar kernel ≡ the object-at-a-time scorer.
 
-The kernel is pure optimisation — for every database, query and
-supported text model it must reproduce the set-based path *exactly*:
+The kernel is pure optimisation — for every database and query it must
+reproduce the set-based Jaccard path *exactly*:
 identical score/sdist/tsim floats (no tolerance), identical
 (score desc, oid asc) tie order, identical ranks, and identical why-not
 refinements.  Databases here include empty keyword sets and duplicated
@@ -28,11 +28,6 @@ from repro.index.dualspace import DualSpaceIndex
 from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
 from repro.service.api import YaskEngine
-from repro.text.similarity import (
-    DiceSimilarity,
-    JaccardSimilarity,
-    OverlapSimilarity,
-)
 from repro.whynot.baselines import exhaustive_keyword_adapter
 from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
@@ -41,13 +36,8 @@ from tests.properties.strategies import ALPHABET, coordinates, points
 from tests.properties.test_prop_mutations import CHURN, INGEST, draw_batch
 from tests.properties.test_prop_scan_index import column_rows, query_coordinate
 
-#: The kernel-supported set models, one instance each.
-MODELS = [JaccardSimilarity(), DiceSimilarity(), OverlapSimilarity()]
-
-models = st.sampled_from(MODELS)
-
 #: Unlike the shared ``docs`` strategy this one allows *empty* object
-#: keyword sets — the 0/0 corners of Jaccard/Dice/Overlap.
+#: keyword sets — the 0/0 corners of Jaccard.
 sparse_docs = st.sets(st.sampled_from(ALPHABET), min_size=0, max_size=6).map(
     frozenset
 )
@@ -85,17 +75,14 @@ def kernel_queries(draw, k_max: int = 8):
     )
 
 
-def scorer_pair(database, model):
-    return (
-        Scorer(database, text_model=model),
-        Scorer(database, text_model=model, use_kernel=False),
-    )
+def scorer_pair(database):
+    return Scorer(database), Scorer(database, use_kernel=False)
 
 
 @settings(max_examples=80, deadline=None)
-@given(kernel_databases(), kernel_queries(), models)
-def test_components_match_breakdown_exactly(database, query, model):
-    fast, slow = scorer_pair(database, model)
+@given(kernel_databases(), kernel_queries())
+def test_components_match_breakdown_exactly(database, query):
+    fast, slow = scorer_pair(database)
     assert fast.kernel is not None
     sdists, tsims, scores = fast.kernel.components_all(query)
     for row, obj in enumerate(database):
@@ -107,27 +94,27 @@ def test_components_match_breakdown_exactly(database, query, model):
 
 
 @settings(max_examples=80, deadline=None)
-@given(kernel_databases(), kernel_queries(), models)
-def test_rank_all_bit_identical(database, query, model):
-    fast, slow = scorer_pair(database, model)
+@given(kernel_databases(), kernel_queries())
+def test_rank_all_bit_identical(database, query):
+    fast, slow = scorer_pair(database)
     fast_entries = [tuple(entry) for entry in fast.rank_all(query)]
     slow_entries = [tuple(entry) for entry in slow.rank_all(query)]
     assert fast_entries == slow_entries
 
 
 @settings(max_examples=80, deadline=None)
-@given(kernel_databases(), kernel_queries(), models)
-def test_top_k_is_rank_all_prefix(database, query, model):
-    fast, slow = scorer_pair(database, model)
+@given(kernel_databases(), kernel_queries())
+def test_top_k_is_rank_all_prefix(database, query):
+    fast, slow = scorer_pair(database)
     assert [tuple(e) for e in fast.top_k(query)] == [
         tuple(e) for e in slow.top_k(query)
     ]
 
 
 @settings(max_examples=60, deadline=None)
-@given(kernel_databases(), kernel_queries(), models)
-def test_dual_points_and_ranks_match(database, query, model):
-    fast, slow = scorer_pair(database, model)
+@given(kernel_databases(), kernel_queries())
+def test_dual_points_and_ranks_match(database, query):
+    fast, slow = scorer_pair(database)
     assert fast.dual_points(query) == slow.dual_points(query)
     for obj in database:
         assert fast.rank_of(obj, query) == slow.rank_of(obj, query)
@@ -136,10 +123,10 @@ def test_dual_points_and_ranks_match(database, query, model):
 
 
 @settings(max_examples=40, deadline=None)
-@given(kernel_databases(min_size=4), kernel_queries(k_max=3), models)
-def test_dual_view_rank_oracle_matches(database, query, model):
+@given(kernel_databases(min_size=4), kernel_queries(k_max=3))
+def test_dual_view_rank_oracle_matches(database, query):
     """DualView.ranks_at ≡ PreferenceAdjuster._ranks_at_weights."""
-    fast, slow = scorer_pair(database, model)
+    fast, slow = scorer_pair(database)
     target_oids = [obj.oid for obj in list(database.objects)[:3]]
     view = fast.kernel.dual_view(query, target_oids)
     duals = slow.dual_points(query)
@@ -157,7 +144,7 @@ def test_dual_view_rank_oracle_matches(database, query, model):
 @settings(max_examples=25, deadline=None)
 @given(kernel_databases(min_size=5), kernel_queries(k_max=2))
 def test_preference_refinement_parity(database, query):
-    fast, slow = scorer_pair(database, JaccardSimilarity())
+    fast, slow = scorer_pair(database)
     worst = max(slow.rank_of(obj, query) for obj in database)
     missing = [
         obj for obj in database if slow.rank_of(obj, query) == worst
@@ -174,18 +161,16 @@ def keyword_answer(refinement):
     return dataclasses.replace(refinement, stats=None, method=None)
 
 
-def assert_keyword_arms_agree(engine, model, query, missing_oids, lams):
+def assert_keyword_arms_agree(engine, query, missing_oids, lams):
     """The served engine's keyword answers (the scan-index arm) against
-    the exhaustive set path, every model, and the KcR-tree descent over
-    a fresh tree, Jaccard (the model its bounds are derived for)."""
+    the exhaustive set path and the KcR-tree descent over a fresh tree."""
     database = engine.database
     missing = [database.get(oid) for oid in missing_oids]
-    oracle = Scorer(database, text_model=model, use_kernel=False)
-    references = [exhaustive_keyword_adapter(oracle)]
-    if isinstance(model, JaccardSimilarity):
-        references.append(
-            KeywordAdapter(oracle, KcRTree.build(database, max_entries=4))
-        )
+    oracle = Scorer(database, use_kernel=False)
+    references = [
+        exhaustive_keyword_adapter(oracle),
+        KeywordAdapter(oracle, KcRTree.build(database, max_entries=4)),
+    ]
     for lam in lams:
         served = engine.refine_keywords(query, missing_oids, lam=lam)
         assert served.method == "scan-index-bound-prune"
@@ -195,9 +180,9 @@ def assert_keyword_arms_agree(engine, model, query, missing_oids, lams):
             )
 
 
-def draw_missing(data, engine, model, query, *, most=3):
+def draw_missing(data, engine, query, *, most=3):
     """1 to ``most`` object ids ranked outside ``query``'s top k."""
-    oracle = Scorer(engine.database, text_model=model, use_kernel=False)
+    oracle = Scorer(engine.database, use_kernel=False)
     outside = [entry.obj.oid for entry in oracle.rank_all(query)[query.k :]]
     return data.draw(
         st.lists(st.sampled_from(outside), min_size=1, max_size=most, unique=True)
@@ -208,24 +193,22 @@ def draw_missing(data, engine, model, query, *, most=3):
 @given(
     kernel_databases(min_size=5, max_size=14),
     kernel_queries(k_max=2),
-    models,
     st.sampled_from([None, 4]),
     st.data(),
 )
-def test_keyword_refinement_parity(database, query, model, shards, data):
+def test_keyword_refinement_parity(database, query, shards, data):
     """λ ∈ {0, 0.1, 0.5, 1}, |M| from 1 to 3, unsharded and over 4
     shards: one answer from every arm, field for field."""
-    engine = YaskEngine(database, text_model=model, shards=shards)
+    engine = YaskEngine(database, shards=shards)
     try:
-        missing = draw_missing(data, engine, model, query)
-        assert_keyword_arms_agree(engine, model, query, missing, (0.0, 0.1, 0.5, 1.0))
+        missing = draw_missing(data, engine, query)
+        assert_keyword_arms_agree(engine, query, missing, (0.0, 0.1, 0.5, 1.0))
     finally:
         engine.close()
 
 
 @pytest.mark.parametrize("shards", [None, 4])
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-def test_keyword_parity_through_tombstones_tail_and_compaction(model, shards):
+def test_keyword_parity_through_tombstones_tail_and_compaction(shards):
     """After every batch of a history that tombstones rows, grows the
     scan index's unsorted tail past its share (so the index is dropped
     and rebuilt) and compacts the kernel, the served keyword answers
@@ -241,13 +224,13 @@ def test_keyword_parity_through_tombstones_tail_and_compaction(model, shards):
     )
 
     def check(engine):
-        oracle = Scorer(engine.database, text_model=model, use_kernel=False)
+        oracle = Scorer(engine.database, use_kernel=False)
         ranking = oracle.rank_all(query)
         missing = [ranking[5].obj.oid, ranking[-2].obj.oid]
-        assert_keyword_arms_agree(engine, model, query, missing, (0.1, 0.5, 0.9))
+        assert_keyword_arms_agree(engine, query, missing, (0.1, 0.5, 0.9))
 
     with column_rows(4):
-        engine = YaskEngine(database, text_model=model, shards=shards)
+        engine = YaskEngine(database, shards=shards)
         check(engine)
         for oid in range(0, 14, 2):  # past the 25 % tombstone threshold
             engine.apply_mutations([Mutation.delete(oid)])
@@ -262,24 +245,16 @@ def test_keyword_parity_through_tombstones_tail_and_compaction(model, shards):
         engine.close()
 
 
-@pytest.mark.parametrize(
-    "model",
-    [
-        MODELS[0],
-        # Their exhaustive references take seconds here: deep budget only.
-        *(pytest.param(model, marks=pytest.mark.slow) for model in MODELS[1:]),
-    ],
-    ids=lambda m: type(m).__name__,
-)
-def test_keyword_parity_at_deep_ranks(medium_db, medium_kcrtree, model):
+def test_keyword_parity_at_deep_ranks(medium_db, medium_kcrtree):
     """Missing objects from ranks 100-300, where rank caps run into the
-    hundreds: the served answers equal the KcR descent's (Jaccard) and
-    the kernel's exhaustive rank scans' (every model)."""
-    engine = YaskEngine(medium_db, text_model=model)
+    hundreds: the served answers equal the KcR descent's and the
+    kernel's exhaustive rank scans'."""
+    engine = YaskEngine(medium_db)
     scorer = engine.scorer
-    references = [exhaustive_keyword_adapter(scorer)]
-    if isinstance(model, JaccardSimilarity):
-        references.append(KeywordAdapter(scorer, medium_kcrtree))
+    references = [
+        exhaustive_keyword_adapter(scorer),
+        KeywordAdapter(scorer, medium_kcrtree),
+    ]
     rng = random.Random(25)
     vocabulary = sorted(medium_db.vocabulary())
     deepest = 0
@@ -364,14 +339,14 @@ def with_ulp_neighbours(database, locations, documents, query_loc, draw):
     )
 
 
-def assert_view_matches_reference(engine, query, model, target_oids):
+def assert_view_matches_reference(engine, query, target_oids):
     """A view for ``target_oids``: its rows against the dominance rule
     and every primitive against its O(n) counterpart; returned."""
     kernel = engine.kernel
     view = kernel.dual_view(query, target_oids)
     database = engine.database
-    reference = Scorer(database, text_model=model, use_kernel=False)
-    tree = SetRTree.build(database, text_model=model, max_entries=4)
+    reference = Scorer(database, use_kernel=False)
+    tree = SetRTree.build(database, max_entries=4)
     duals = reference.dual_points(query)
     by_oid = {dual.oid: dual for dual in duals}
     targets = [by_oid[oid] for oid in target_oids]
@@ -486,7 +461,7 @@ def assert_scored_rows_match_reference(kernel, query, view):
         assert {row for row in levels[b] if row[0] >= lo} <= set(scored)
 
 
-def check_levelled_view(tied, query, model, shards, data):
+def check_levelled_view(tied, query, shards, data):
     database, locations, documents = tied
     database = with_ulp_neighbours(
         database, locations, documents, query.loc, data.draw
@@ -498,7 +473,7 @@ def check_levelled_view(tied, query, model, shards, data):
     # Two-row index columns make the disk a walk over many columns,
     # each cut to its y-run; the shipped height keeps them in one.
     with column_rows(data.draw(st.sampled_from([2, 256]))):
-        engine = YaskEngine(database, text_model=model, shards=shards)
+        engine = YaskEngine(database, shards=shards)
 
         def check():
             live = sorted(obj.oid for obj in engine.database)
@@ -515,7 +490,7 @@ def check_levelled_view(tied, query, model, shards, data):
             if SPREAD_TARGET in live:
                 checked.append([SPREAD_TARGET])
             for each in checked:
-                view = assert_view_matches_reference(engine, query, model, each)
+                view = assert_view_matches_reference(engine, query, each)
                 assert_scored_rows_match_reference(engine.kernel, query, view)
 
         try:
@@ -558,7 +533,6 @@ def check_levelled_view(tied, query, model, shards, data):
 VIEW_CASES = (
     tied_databases(),
     kernel_queries(),
-    models,
     st.sampled_from([None, 1, 2, 4]),
     st.data(),
 )
@@ -566,7 +540,7 @@ VIEW_CASES = (
 
 @settings(max_examples=60, deadline=None)
 @given(*VIEW_CASES)
-def test_levelled_view_matches_linear_reference(tied, query, model, shards, data):
+def test_levelled_view_matches_linear_reference(tied, query, shards, data):
     """A view for 1–3 drawn targets, one for a TSim-0 target and one for
     the middle of a keyword level spread over doc lengths 1–5: the rows
     it holds and their levels, ranks_at (at the initial weights, near 0
@@ -576,28 +550,26 @@ def test_levelled_view_matches_linear_reference(tied, query, model, shards, data
     a target's or from ``SKIP_MARGIN`` beyond it, before and after batches that
     leave tombstones in the unsharded kernel's columns and insert a doc
     length the scan index has not seen."""
-    check_levelled_view(tied, query, model, shards, data)
+    check_levelled_view(tied, query, shards, data)
 
 
 @pytest.mark.slow
 @settings(max_examples=500, deadline=None)
 @given(*VIEW_CASES)
-def test_levelled_view_matches_linear_reference_deep(tied, query, model, shards, data):
-    check_levelled_view(tied, query, model, shards, data)
+def test_levelled_view_matches_linear_reference_deep(tied, query, shards, data):
+    check_levelled_view(tied, query, shards, data)
 
 
 # ----------------------------------------------------------------------
 # The served unsharded top-k ≡ the set path ≡ best-first over a SetR-tree
 # ----------------------------------------------------------------------
-def assert_topk_matches_references(engine, model, loc, doc, extra_k):
+def assert_topk_matches_references(engine, loc, doc, extra_k):
     """``YaskEngine.query`` against two references that share nothing
     with the scan: the kernel-less set path and the paper's best-first
     search over a SetR-tree bulk-loaded from the current objects."""
     database = engine.database
-    oracle = Scorer(database, text_model=model, use_kernel=False)
-    best_first = BestFirstTopK(
-        SetRTree.build(database, text_model=model, max_entries=4), oracle
-    )
+    oracle = Scorer(database, use_kernel=False)
+    best_first = BestFirstTopK(SetRTree.build(database, max_entries=4), oracle)
     n = len(database)
     # Weights are open at both ends: 1e-9 stands in for 0 and 1.
     for ws in (1e-9, 0.5, 1.0 - 1e-9):
@@ -608,7 +580,7 @@ def assert_topk_matches_references(engine, model, loc, doc, extra_k):
             assert [tuple(e) for e in best_first.search(query)] == expected
 
 
-def check_unsharded_topk_through_history(tied, model, kinds, batches_max, data):
+def check_unsharded_topk_through_history(tied, kinds, batches_max, data):
     database, _locations, _documents = tied
     draw = data.draw
     locations = st.builds(Point, query_coordinate, query_coordinate)
@@ -616,18 +588,18 @@ def check_unsharded_topk_through_history(tied, model, kinds, batches_max, data):
     # Two-row index columns: three inserts outgrow the tail, so the
     # scan index is dropped and rebuilt inside a short history.
     with column_rows(2):
-        engine = YaskEngine(database, text_model=model)
+        engine = YaskEngine(database)
         try:
             live = {obj.oid for obj in database}
             next_oid = max(live) + 1
             for _ in range(draw(st.integers(min_value=1, max_value=batches_max))):
                 loc, doc = draw(locations), draw(docs)
                 extra_k = draw(st.integers(min_value=1, max_value=len(live) + 3))
-                assert_topk_matches_references(engine, model, loc, doc, extra_k)
+                assert_topk_matches_references(engine, loc, doc, extra_k)
                 batch = draw_batch(draw, live, next_oid, kinds)
                 next_oid += len(batch)
                 engine.apply_mutations(batch)
-                assert_topk_matches_references(engine, model, loc, doc, extra_k)
+                assert_topk_matches_references(engine, loc, doc, extra_k)
         finally:
             engine.close()
 
@@ -639,24 +611,23 @@ HISTORY_SETTINGS = dict(
 
 
 @settings(max_examples=25, **HISTORY_SETTINGS)
-@given(tied_databases(), models, st.sampled_from([INGEST, CHURN]), st.data())
+@given(tied_databases(), st.sampled_from([INGEST, CHURN]), st.data())
 def test_unsharded_engine_topk_matches_set_path_and_best_first(
-    tied, model, kinds, data
+    tied, kinds, data
 ):
-    check_unsharded_topk_through_history(tied, model, kinds, 5, data)
+    check_unsharded_topk_through_history(tied, kinds, 5, data)
 
 
 @pytest.mark.slow
 @settings(max_examples=150, **HISTORY_SETTINGS)
-@given(tied_databases(), models, st.sampled_from([INGEST, CHURN]), st.data())
+@given(tied_databases(), st.sampled_from([INGEST, CHURN]), st.data())
 def test_unsharded_engine_topk_matches_set_path_and_best_first_deep(
-    tied, model, kinds, data
+    tied, kinds, data
 ):
-    check_unsharded_topk_through_history(tied, model, kinds, 20, data)
+    check_unsharded_topk_through_history(tied, kinds, 20, data)
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-def test_unsharded_history_compacts_and_rebuilds_the_scan_index(model):
+def test_unsharded_history_compacts_and_rebuilds_the_scan_index():
     """The histories above do reach both events: a seeded churn run on
     the served engine compacts its kernel and rebuilds its scan index,
     with parity after every batch."""
@@ -668,15 +639,15 @@ def test_unsharded_history_compacts_and_rebuilds_the_scan_index(model):
     database = SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0))
     doc = frozenset(ALPHABET[1:4])
     with column_rows(4):
-        engine = YaskEngine(database, text_model=model)
-        assert_topk_matches_references(engine, model, Point(0.5, 0.5), doc, 5)
+        engine = YaskEngine(database)
+        assert_topk_matches_references(engine, Point(0.5, 0.5), doc, 5)
         for oid in range(0, 14, 2):  # past the 25 % tombstone threshold
             engine.apply_mutations([Mutation.delete(oid)])
-            assert_topk_matches_references(engine, model, Point(0.5, 0.5), doc, 5)
+            assert_topk_matches_references(engine, Point(0.5, 0.5), doc, 5)
         for oid in range(100, 106):  # past the tail's share of the build
             newcomer = SpatialObject(oid, spots[oid % 25], doc)
             engine.apply_mutations([Mutation.insert(newcomer)])
-            assert_topk_matches_references(engine, model, Point(0.5, 0.5), doc, 5)
+            assert_topk_matches_references(engine, Point(0.5, 0.5), doc, 5)
         assert engine.kernel.compactions >= 1
         assert engine.kernel.stats.scan_index_builds >= 2
         engine.close()

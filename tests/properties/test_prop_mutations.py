@@ -35,7 +35,6 @@ from repro.core.scoring import Scorer
 from repro.core.sharding import Shard
 from repro.service.api import YaskEngine
 from repro.service.protocol import result_to_dict, whynot_answer_to_dict
-from repro.text.similarity import JACCARD
 from tests.properties.strategies import ALPHABET, databases, queries
 
 #: Extra keywords only mutations introduce — exercises the append-only
@@ -126,7 +125,7 @@ def assert_shard_bookkeeping(engine: YaskEngine) -> None:
         assert len(shard) == len(members)
         assert shard.kernel._row_of.keys() == {obj.oid for obj in members}
         fresh = Shard(
-            shard.shard_id, database, [position[obj.oid] for obj in members], JACCARD
+            shard.shard_id, database, [position[obj.oid] for obj in members]
         )
         assert (
             shard.mbr, shard.vocab_mask, shard.min_doc_len, shard.max_doc_len
@@ -238,7 +237,7 @@ def test_mutated_scorer_matches_set_path_oracle(scenario, data):
     scorer = Scorer(live)
     from repro.core.mutations import MutableDatabase
 
-    mutable = MutableDatabase(live, model_code=scorer.kernel.model_code)
+    mutable = MutableDatabase(live)
     mutable.register_listener(scorer.kernel)
     for batch in draw_batches(data.draw, live):
         mutable.apply(batch)

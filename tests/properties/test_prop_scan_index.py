@@ -37,14 +37,7 @@ from repro.core.kernel import ScoringKernel
 from repro.core.scanindex import score_delta_rows
 from repro.core.mutations import MutableDatabase, Mutation
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
-from repro.text.similarity import (
-    DiceSimilarity,
-    JaccardSimilarity,
-    OverlapSimilarity,
-)
 from tests.properties.strategies import ALPHABET
-
-MODELS = [JaccardSimilarity(), DiceSimilarity(), OverlapSimilarity()]
 
 #: A 5 x 5 lattice mixed with free floats: collinear and duplicate
 #: points are the rule, not the exception.
@@ -55,8 +48,7 @@ points = st.builds(Point, coordinate, coordinate)
 query_coordinate = st.one_of(lattice, st.floats(min_value=-0.5, max_value=1.5))
 
 #: The two-keyword query whose buckets merge: sharing 1 of its keywords
-#: at doc length 1 and both at doc length 4 is TSim ½ under Jaccard (2/3
-#: under Dice, 1 under Overlap) either way.
+#: at doc length 1 and both at doc length 4 is TSim ½ either way.
 PAIR = frozenset(ALPHABET[:2])
 merging_docs = st.sampled_from(
     [
@@ -110,7 +102,7 @@ def column_rows(rows: int):
         scanindex._COLUMN_ROWS = shipped
 
 
-def build(objects, model, offset: float = 0.0) -> ScoringKernel:
+def build(objects, offset: float = 0.0) -> ScoringKernel:
     """A kernel over ``objects`` translated by ``offset`` on both axes."""
     if offset:
         objects = [
@@ -122,8 +114,7 @@ def build(objects, model, offset: float = 0.0) -> ScoringKernel:
     return ScoringKernel(
         SpatialDatabase(
             objects, dataspace=Rect(offset, offset, offset + 1.0, offset + 1.0)
-        ),
-        model,
+        )
     )
 
 
@@ -140,7 +131,6 @@ def full_scan(kernel, k, scalars, floor=None):
             for row in live
         ],
         *scalars, normaliser=kernel.database.distance_normaliser,
-        model_code=kernel.model_code,
     )
     assert [score for _, score, _, _ in parts] == [scores[row] for row in live]
     rows = nsmallest(k, ((-score, oid, d, t) for oid, score, d, t in parts))
@@ -171,7 +161,6 @@ def scalars_for(kernel, x, y, doc, ws, wt):
 @settings(max_examples=120, deadline=None)
 @given(
     objects=object_lists(),
-    model=st.sampled_from(MODELS),
     x=query_coordinate,
     y=query_coordinate,
     doc=query_docs,
@@ -182,12 +171,12 @@ def scalars_for(kernel, x, y, doc, ws, wt):
     data=st.data(),
 )
 def test_indexed_scan_equals_full_scan(
-    objects, model, x, y, doc, weight, k_past, height, offset, data
+    objects, x, y, doc, weight, k_past, height, offset, data
 ):
     # A dataspace far from the origin (projected metres): the index's
     # y-interval is cut in absolute coordinates, where rounding is
     # relative to the offset, not to the distances scored.
-    kernel = build(objects, model, offset)
+    kernel = build(objects, offset)
     scalars = scalars_for(kernel, x + offset, y + offset, doc, *weight)
     with column_rows(height):
         for k in {1, max(1, len(objects) + k_past), data.draw(
@@ -219,10 +208,10 @@ def mutation_batch(draw, live: set[int], next_oid: int):
     return batch
 
 
-def check_through_history(objects, model, batches_max, data):
+def check_through_history(objects, batches_max, data):
     """Parity after every batch of a random history on one live kernel."""
-    kernel = build(objects, model)
-    mutable = MutableDatabase(kernel.database, model_code=kernel.model_code)
+    kernel = build(objects)
+    mutable = MutableDatabase(kernel.database)
     mutable.register_listener(kernel)
     live = {obj.oid for obj in objects}
     next_oid = len(objects)
@@ -251,12 +240,11 @@ def check_through_history(objects, model, batches_max, data):
 )
 @given(
     objects=object_lists(min_size=2, max_size=16),
-    model=st.sampled_from(MODELS),
     data=st.data(),
 )
-def test_indexed_scan_follows_mutations(objects, model, data):
+def test_indexed_scan_follows_mutations(objects, data):
     with column_rows(2):
-        check_through_history(objects, model, 6, data)
+        check_through_history(objects, 6, data)
 
 
 @pytest.mark.slow
@@ -267,13 +255,12 @@ def test_indexed_scan_follows_mutations(objects, model, data):
 )
 @given(
     objects=object_lists(min_size=2, max_size=40),
-    model=st.sampled_from(MODELS),
     height=st.sampled_from([1, 2, 3, 5]),
     data=st.data(),
 )
-def test_indexed_scan_follows_mutations_deep(objects, model, height, data):
+def test_indexed_scan_follows_mutations_deep(objects, height, data):
     with column_rows(height):
-        check_through_history(objects, model, 20, data)
+        check_through_history(objects, 20, data)
 
 
 #: Two query keywords and seven others: a doc length no drawn doc has,
@@ -281,7 +268,7 @@ def test_indexed_scan_follows_mutations_deep(objects, model, height, data):
 FAR_DOC = PAIR | frozenset(ALPHABET[10:17])
 
 
-def check_far_tier(objects, model, tier, tail, height, k, x, y, weight):
+def check_far_tier(objects, tier, tail, height, k, x, y, weight):
     """Two "shards" of one database, the second holding a tier of 1–3
     rows in the corner far from the query (a bucket the scan peels)
     and rows inserted after its index was built (its unsorted tail):
@@ -292,9 +279,9 @@ def check_far_tier(objects, model, tier, tail, height, k, x, y, weight):
     ]
     first, second = objects[::2], objects[1::2] + far
     with column_rows(height):
-        kernels = [build(rows, model) for rows in (first, second)]
+        kernels = [build(rows) for rows in (first, second)]
         scalars = [scalars_for(kernel, x, y, PAIR, *weight) for kernel in kernels]
-        mutable = MutableDatabase(kernels[1].database, model_code=kernels[1].model_code)
+        mutable = MutableDatabase(kernels[1].database)
         mutable.register_listener(kernels[1])
         kernels[1].scan_top_k(k, *scalars[1])  # builds the index: the rest is tail
         mutable.apply([Mutation.insert(obj) for obj in tail])
@@ -305,13 +292,12 @@ def check_far_tier(objects, model, tier, tail, height, k, x, y, weight):
         cut = kernels[1].scan_top_k(k, *scalars[1], floor)
         assert cut == full_scan(kernels[1], k, scalars[1], floor)
         merged = sorted(carried + cut)[:k]
-        whole = build(first + second + list(tail), model)
+        whole = build(first + second + list(tail))
         assert merged == full_scan(whole, k, scalars_for(whole, x, y, PAIR, *weight))
 
 
 FAR_TIER_CASES = dict(
     objects=object_lists(min_size=2, max_size=30),
-    model=st.sampled_from(MODELS),
     tier=st.integers(min_value=1, max_value=3),
     tail=st.lists(
         st.builds(
@@ -332,22 +318,21 @@ FAR_TIER_CASES = dict(
 @settings(max_examples=60, deadline=None)
 @given(**FAR_TIER_CASES)
 def test_far_tier_peels_under_a_carried_floor(
-    objects, model, tier, tail, height, k, x, y, weight
+    objects, tier, tail, height, k, x, y, weight
 ):
-    check_far_tier(objects, model, tier, tail, height, k, x, y, weight)
+    check_far_tier(objects, tier, tail, height, k, x, y, weight)
 
 
 @pytest.mark.slow
 @settings(max_examples=400, deadline=None)
 @given(**FAR_TIER_CASES)
 def test_far_tier_peels_under_a_carried_floor_deep(
-    objects, model, tier, tail, height, k, x, y, weight
+    objects, tier, tail, height, k, x, y, weight
 ):
-    check_far_tier(objects, model, tier, tail, height, k, x, y, weight)
+    check_far_tier(objects, tier, tail, height, k, x, y, weight)
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-def test_history_crosses_compaction_and_tail_rebuild(model):
+def test_history_crosses_compaction_and_tail_rebuild():
     """One seeded history that provably compacts and outgrows the tail.
 
     The index must survive the compaction (positions re-keyed, not
@@ -363,8 +348,8 @@ def test_history_crosses_compaction_and_tail_rebuild(model):
         for oid in range(24)
     ]
     with column_rows(4):
-        kernel = build(objects, model)
-        mutable = MutableDatabase(kernel.database, model_code=kernel.model_code)
+        kernel = build(objects)
+        mutable = MutableDatabase(kernel.database)
         mutable.register_listener(kernel)
         scalars = scalars_for(
             kernel, 0.5, 0.5, frozenset(ALPHABET[1:4]), 0.5, 0.5
@@ -409,7 +394,7 @@ def test_shipped_column_height_spans_columns():
         )
         for oid in range(700)
     ]
-    kernel = build(objects, JaccardSimilarity())
+    kernel = build(objects)
     for x, y, ws in [
         (0.5, 0.5, 0.5), (1 / 6.0, 0.3, 0.9), (-0.2, 1.4, 0.1), (1.0, 0.0, 0.0)
     ]:
@@ -429,7 +414,7 @@ def test_tombstoned_kernel_never_emits_the_dead_sentinel():
         SpatialObject(oid, Point(oid / 8.0, 0.5), frozenset(ALPHABET[:2]))
         for oid in range(8)
     ]
-    kernel = build(objects, JaccardSimilarity())
+    kernel = build(objects)
     kernel.apply_mutations(SimpleNamespace(removed_oids=[0], appended=()))
     assert kernel.has_tombstones
     scalars = scalars_for(kernel, 0.5, 0.5, frozenset(ALPHABET[:1]), 0.5, 0.5)
@@ -442,18 +427,17 @@ def test_tombstoned_kernel_never_emits_the_dead_sentinel():
     )
 
 
-@pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
-def test_equal_tsim_buckets_merge_and_new_lengths_get_a_bitmap(model):
+def test_equal_tsim_buckets_merge_and_new_lengths_get_a_bitmap():
     """(1 shared, length 1) and (2 shared, length 4) are one TSim at
-    |q| = 2 under every model: one bucket.  An insert longer than every
+    |q| = 2: one bucket.  An insert longer than every
     built doc gets its own length bitmap, and parity holds throughout."""
     objects = [
         SpatialObject(0, Point(0.1, 0.1), frozenset(ALPHABET[:1])),
         SpatialObject(1, Point(0.9, 0.9), PAIR | frozenset(ALPHABET[4:6])),
         SpatialObject(2, Point(0.5, 0.5), frozenset(ALPHABET[8:9])),
     ]
-    kernel = build(objects, model)
-    mutable = MutableDatabase(kernel.database, model_code=kernel.model_code)
+    kernel = build(objects)
+    mutable = MutableDatabase(kernel.database)
     mutable.register_listener(kernel)
     scalars = scalars_for(kernel, 0.5, 0.5, PAIR, 0.5, 0.5)
     assert_scan_parity(kernel, 2, scalars)

@@ -28,10 +28,7 @@ partitioners = st.sampled_from(["grid", "round-robin"])
 def make_pair(database, shards, partitioner):
     """(scorer, shard router) over one database."""
     scorer = Scorer(database)
-    router = ShardRouter(
-        database, shards=shards, partitioner=partitioner,
-        text_model=scorer.text_model,
-    )
+    router = ShardRouter(database, shards=shards, partitioner=partitioner)
     return scorer, router
 
 

@@ -11,11 +11,7 @@ from repro.core.query import Weights
 from repro.core.scoring import Scorer
 from repro.core.topk import BruteForceTopK
 from repro.service.api import YaskEngine
-from repro.text.similarity import (
-    CosineTfIdfSimilarity,
-    DiceSimilarity,
-    WeightedJaccardSimilarity,
-)
+from repro.text.similarity import CosineTfIdfSimilarity
 from tests.conftest import make_tiny_db
 
 
@@ -69,18 +65,14 @@ class TestEngineVariants:
             e.obj.oid for e in brute.search(q)
         ]
 
-    def test_kernel_free_model_refused_with_the_reason(self, small_db):
+    def test_text_model_option_is_refused(self, small_db):
+        # The engine serves Jaccard only; the option went with the other
+        # models (a cosine engine is BestFirstTopK over an IRTree).
         cosine = CosineTfIdfSimilarity(
             small_db.keyword_document_frequencies(), len(small_db)
         )
-        with pytest.raises(ValueError, match="no columnar kernel") as excinfo:
+        with pytest.raises(TypeError, match="text_model"):
             YaskEngine(small_db, text_model=cosine)
-        # The message names the model and the library route that still
-        # serves it (parity: tests/core/test_topk.py).
-        assert "CosineTfIdfSimilarity" in str(excinfo.value)
-        assert "IRTree" in str(excinfo.value)
-        with pytest.raises(ValueError, match="no columnar kernel"):
-            YaskEngine(small_db, text_model=WeightedJaccardSimilarity({}))
 
     @pytest.mark.parametrize(
         "options, error, match",
@@ -95,14 +87,6 @@ class TestEngineVariants:
     ):
         with pytest.raises(error, match=match):
             YaskEngine(small_db, **options)
-
-    def test_dice_model_has_the_one_shape(self, small_db):
-        engine = YaskEngine(small_db, text_model=DiceSimilarity())
-        q = engine.make_query(Point(0.5, 0.5), {"kw000"}, 3)
-        assert [e.obj.oid for e in engine.query(q)] == [
-            e.obj.oid for e in BruteForceTopK(engine.scorer).search(q)
-        ]
-        assert engine.kernel.model_code == "dice"
 
 
 class TestWhyNotIntegration:

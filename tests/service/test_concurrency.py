@@ -41,16 +41,18 @@ class TestParallelSessions:
 
         def interaction(worker: int) -> None:
             try:
-                client = YaskClient(server.endpoint)
-                q = scenario.query
-                response = client.query(q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws)
-                session_id = response["session_id"]
-                with lock:
-                    session_ids.append(session_id)
-                missing = [m.oid for m in scenario.missing]
-                client.explain(session_id, missing)
-                client.refine_preference(session_id, missing)
-                log = client.query_log(session_id)
+                with YaskClient(server.endpoint) as client:
+                    q = scenario.query
+                    response = client.query(
+                        q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws
+                    )
+                    session_id = response["session_id"]
+                    with lock:
+                        session_ids.append(session_id)
+                    missing = [m.oid for m in scenario.missing]
+                    client.explain(session_id, missing)
+                    client.refine_preference(session_id, missing)
+                    log = client.query_log(session_id)
                 assert len(log) == 3
             except Exception as exc:  # pragma: no cover - surfaced below
                 with lock:
@@ -68,10 +70,10 @@ class TestParallelSessions:
         assert len(set(session_ids)) == 8  # every worker got its own session
 
     def test_logs_do_not_leak_across_sessions(self, server, scenario):
-        client = YaskClient(server.endpoint)
         q = scenario.query
-        first = client.query(q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws)
-        second = client.query(q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws)
-        client.explain(first["session_id"], [m.oid for m in scenario.missing])
-        second_log = client.query_log(second["session_id"])
+        with YaskClient(server.endpoint) as client:
+            first = client.query(q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws)
+            second = client.query(q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws)
+            client.explain(first["session_id"], [m.oid for m in scenario.missing])
+            second_log = client.query_log(second["session_id"])
         assert all(entry["kind"] == "top-k query" for entry in second_log)

@@ -19,8 +19,8 @@ def served():
 
     with running_server(
         YaskEngine(make_tiny_db()), port=0
-    ) as server:
-        yield server, YaskClient(server.endpoint)
+    ) as server, YaskClient(server.endpoint) as client:
+        yield server, client
 
 
 class TestObjectLookup:

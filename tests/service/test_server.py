@@ -426,8 +426,7 @@ class TestWhyNotBatchEndpoint:
         ]
         with running_server(
             YaskEngine(small_db, shards=2)
-        ) as sharded:
-            batch_client = YaskClient(sharded.endpoint)
+        ) as sharded, YaskClient(sharded.endpoint) as batch_client:
             starved = batch_client.whynot_batch(payloads, timeout_ms=0.001)
             roomy = batch_client.whynot_batch(payloads, timeout_ms=600000.0)
             unbounded = batch_client.whynot_batch(payloads)
@@ -552,8 +551,9 @@ class TestDurabilityOverHTTP:
         )
         from tests.service.conftest import running_server
 
-        with running_server(engine, snapshot_every=2) as server:
-            durable = YaskClient(server.endpoint)
+        with running_server(engine, snapshot_every=2) as server, YaskClient(
+            server.endpoint
+        ) as durable:
             first = durable.mutate([{"op": "delete", "oid": 0}])
             assert "snapshot" not in first  # cadence of 2 not yet due
             second = durable.mutate([{"op": "delete", "oid": 1}])

@@ -20,7 +20,6 @@ from repro.service.client import YaskClient
 from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
 from repro.service.server import YaskHTTPServer
 from repro.service.sharded import ShardedEngine
-from repro.text.similarity import CosineTfIdfSimilarity
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +80,6 @@ class TestEngineFacade:
             hong_kong_hotels().objects[0].loc, {"clean"}, 4
         )
         assert sharded_hotels_engine.audit(result).ok
-
-    def test_kernel_free_model_rejected(self, hotels):
-        cosine = CosineTfIdfSimilarity(
-            hotels.keyword_document_frequencies(), len(hotels)
-        )
-        with pytest.raises(ValueError, match="columnar kernel"):
-            YaskEngine(hotels, text_model=cosine, shards=2)
 
     def test_scatter_has_no_options(self, hotels):
         """One scan backend: nothing to select and nothing to shut down."""
@@ -154,9 +146,9 @@ class TestStatsEndpoint:
             yield server
 
     def test_shards_section(self, server):
-        client = YaskClient(server.endpoint)
-        client.query(x=114.17, y=22.29, keywords=["clean"], k=3)
-        stats = client._call("GET", "/api/stats")
+        with YaskClient(server.endpoint) as client:
+            client.query(x=114.17, y=22.29, keywords=["clean"], k=3)
+            stats = client._call("GET", "/api/stats")
         shards = stats["shards"]
         assert shards["count"] == 4
         assert shards["partitioner"] == "grid"
@@ -174,8 +166,9 @@ class TestStatsEndpoint:
         from tests.service.conftest import running_server
 
         engine = YaskEngine(hong_kong_hotels(), shards=4)  # mutated: own copy
-        with running_server(engine, port=0) as server:
-            client = YaskClient(server.endpoint)
+        with running_server(engine, port=0) as server, YaskClient(
+            server.endpoint
+        ) as client:
             for oid in (3, 140, 141, 500):
                 client.delete_object(oid)
             stats = client._call("GET", "/api/stats")
@@ -187,8 +180,9 @@ class TestStatsEndpoint:
     def test_unsharded_server_reports_null(self, hotels):
         from tests.service.conftest import running_server
 
-        with running_server(YaskEngine(hotels), port=0) as server:
-            client = YaskClient(server.endpoint)
+        with running_server(YaskEngine(hotels), port=0) as server, YaskClient(
+            server.endpoint
+        ) as client:
             stats = client._call("GET", "/api/stats")
             assert stats["shards"] is None
 

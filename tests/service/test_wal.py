@@ -17,6 +17,7 @@ import os
 import pytest
 
 from repro.core.geometry import Point
+from repro.core.kernel import ScoringKernel
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialObject
 from repro.service.api import YaskEngine
@@ -568,6 +569,37 @@ class TestRecoverEngine:
         assert report.records_replayed == 1
         assert engine.wal is None
         engine.close()
+
+    def test_replay_encodes_no_rows(self, tmp_path, monkeypatch):
+        # Replay applies batches at the database layer only: no kernel
+        # listens and no cache needs the added objects as kernel rows,
+        # so a replayed batch must not pay for encoding them.
+        engine = YaskEngine(make_tiny_db(), wal=WriteAheadLog(tmp_path, fsync="never"))
+        engine.apply_mutations([Mutation.delete(0)])
+        engine.snapshot()
+        for oid in range(900, 904):
+            doc = frozenset({"chinese", f"n{oid}"})
+            newcomer = SpatialObject(oid, Point(0.1 * (oid - 899), 0.5), doc)
+            engine.apply_mutations([Mutation.insert(newcomer)])
+        engine.close()
+
+        calls: list[int] = []
+        encode_rows = ScoringKernel.encode_rows
+
+        def spy(objects, vocabulary):
+            calls.append(len(objects))
+            return encode_rows(objects, vocabulary)
+
+        monkeypatch.setattr(ScoringKernel, "encode_rows", staticmethod(spy))
+        recovered, report = recover_engine(tmp_path, attach=False)
+        assert (report.snapshot_generation, report.records_replayed) == (1, 4)
+        assert calls == []
+        # The recovered engine's own batches do encode their rows.
+        recovered.apply_mutations(
+            [Mutation.insert(SpatialObject(950, Point(0.5, 0.5), frozenset({"x"})))]
+        )
+        assert calls and set(calls) == {1}
+        recovered.close()
 
     def test_report_serialises(self, tmp_path):
         _, report = recover_engine(tmp_path, database=make_tiny_db())

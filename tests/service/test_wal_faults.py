@@ -144,10 +144,11 @@ class TestHTTPFaults:
 
         opener = FlakyOpener()
         wal = WriteAheadLog(tmp_path, fsync="always", opener=opener)
-        with running_server(YaskEngine(make_tiny_db(), wal=wal)) as server:
-            # retries=0: this test pins the raw 503 contract; the client's
-            # own retry loop is covered by the chaos suite.
-            client = YaskClient(server.endpoint, retries=0)
+        # retries=0: this test pins the raw 503 contract; the client's
+        # own retry loop is covered by the chaos suite.
+        with running_server(
+            YaskEngine(make_tiny_db(), wal=wal)
+        ) as server, YaskClient(server.endpoint, retries=0) as client:
             opener.sync_errors = 1
             with pytest.raises(YaskClientError) as exc:
                 client.mutate([{"op": "delete", "oid": 0}])
@@ -163,4 +164,3 @@ class TestHTTPFaults:
             with pytest.raises(YaskClientError) as exc:
                 client.get_object(0)
             assert exc.value.status == 404
-            client.close()

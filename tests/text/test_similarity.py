@@ -5,10 +5,7 @@ import pytest
 from repro.text.similarity import (
     JACCARD,
     CosineTfIdfSimilarity,
-    DiceSimilarity,
     JaccardSimilarity,
-    OverlapSimilarity,
-    WeightedJaccardSimilarity,
 )
 
 A = frozenset({"a"})
@@ -57,63 +54,38 @@ class TestJaccard:
         assert model.upper_bound(AB, AB, ABC) == model.lower_bound(AB, AB, ABC)
         assert model.upper_bound(AB, AB, ABC) == model.similarity(AB, ABC)
 
-
-class TestWeightedJaccard:
-    def test_unit_weights_degenerate_to_jaccard(self):
-        model = WeightedJaccardSimilarity({}, default_weight=1.0)
-        plain = JaccardSimilarity()
-        for doc, query in [(AB, ABC), (A, XY), (ABC, ABC)]:
-            assert model.similarity(doc, query) == pytest.approx(
-                plain.similarity(doc, query)
+    def test_length_limits_tighten_and_still_bracket(self):
+        model = JaccardSimilarity()
+        # Docs between {a} and {a,b,c} of exactly two keywords.
+        docs = [AB, frozenset({"a", "c"})]
+        for query in (A, AB, ABC, frozenset({"a", "x"}), frozenset({"c"})):
+            loose = (
+                model.lower_bound(A, ABC, query),
+                model.upper_bound(A, ABC, query),
             )
-
-    def test_weights_change_ranking(self):
-        model = WeightedJaccardSimilarity({"a": 10.0}, default_weight=1.0)
-        assert model.similarity(A, AB) > model.similarity(frozenset({"b"}), AB)
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            WeightedJaccardSimilarity({"a": -1.0})
-        with pytest.raises(ValueError):
-            WeightedJaccardSimilarity({}, default_weight=-0.5)
-
-    def test_zero_total_mass_is_zero_similarity(self):
-        model = WeightedJaccardSimilarity({"a": 0.0, "b": 0.0}, default_weight=0.0)
-        assert model.similarity(AB, AB) == 0.0
-
-    def test_bounds_bracket_exact_value(self):
-        model = WeightedJaccardSimilarity({"a": 3.0, "b": 0.5}, default_weight=1.0)
-        docs = [A, AB, frozenset({"a", "c"}), ABC]
-        for query in (A, AB, ABC, XY):
-            upper = model.upper_bound(A, ABC, query)
-            lower = model.lower_bound(A, ABC, query)
+            lower = model.lower_bound(A, ABC, query, max_doc_len=2)
+            upper = model.upper_bound(A, ABC, query, min_doc_len=2)
+            assert loose[0] <= lower <= upper <= loose[1]
             for doc in docs:
-                value = model.similarity(doc, query)
-                assert lower - 1e-12 <= value <= upper + 1e-12
+                assert lower <= model.similarity(doc, query) <= upper
 
+    def test_jaccard_is_the_one_set_model(self):
+        import repro.text.similarity as module
 
-class TestDiceAndOverlap:
-    def test_dice_values(self):
-        model = DiceSimilarity()
-        assert model.similarity(AB, AB) == 1.0
-        assert model.similarity(AB, ABC) == pytest.approx(4 / 5)
-        assert model.similarity(AB, XY) == 0.0
-
-    def test_overlap_values(self):
-        model = OverlapSimilarity()
-        assert model.similarity(A, ABC) == 1.0  # A ⊆ ABC
-        assert model.similarity(AB, ABC) == 1.0
-        assert model.similarity(ABC, XY) == 0.0
-
-    @pytest.mark.parametrize("model", [DiceSimilarity(), OverlapSimilarity()])
-    def test_bounds_bracket_exact_value(self, model):
-        docs = [A, AB, frozenset({"a", "c"}), ABC]
-        for query in (A, AB, ABC, XY, frozenset({"a", "x"})):
-            upper = model.upper_bound(A, ABC, query)
-            lower = model.lower_bound(A, ABC, query)
-            for doc in docs:
-                value = model.similarity(doc, query)
-                assert lower - 1e-12 <= value <= upper + 1e-12
+        assert sorted(module.__all__) == [
+            "CosineTfIdfSimilarity",
+            "JACCARD",
+            "JaccardSimilarity",
+            "TextSimilarityModel",
+        ]
+        set_models = [
+            cls
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, module.TextSimilarityModel)
+            and hasattr(cls, "upper_bound")
+        ]
+        assert set_models == [JaccardSimilarity]
 
 
 class TestCosineTfIdf:

@@ -124,19 +124,19 @@ class TestEngineIntegration:
         server = YaskHTTPServer(engine)
         server.start_background()
         try:
-            client = YaskClient(server.endpoint)
-            q = scenario.query
-            session = client.query(q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws)
-            response = client.refine_combined(
-                session["session_id"], [m.oid for m in scenario.missing]
-            )
+            with YaskClient(server.endpoint) as client:
+                q = scenario.query
+                session = client.query(q.loc.x, q.loc.y, sorted(q.doc), q.k, ws=q.ws)
+                response = client.refine_combined(
+                    session["session_id"], [m.oid for m in scenario.missing]
+                )
+                log = client.query_log(session["session_id"])
             assert response["refinement"]["model"] == "combined"
             refined_ids = {
                 entry["object"]["oid"]
                 for entry in response["refined_result"]["entries"]
             }
             assert {m.oid for m in scenario.missing} <= refined_ids
-            log = client.query_log(session["session_id"])
             assert any(e["kind"] == "combined refinement" for e in log)
         finally:
             server.shutdown()

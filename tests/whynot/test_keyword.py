@@ -166,12 +166,14 @@ class TestGuardsAndErrors:
 
     def test_non_jaccard_model_rejected_with_tree_bounds(self, small_db, small_kcrtree):
         from repro.core.scoring import Scorer
-        from repro.text.similarity import DiceSimilarity
+        from repro.text.similarity import CosineTfIdfSimilarity
 
-        scorer = Scorer(small_db, text_model=DiceSimilarity())
+        cosine = CosineTfIdfSimilarity(
+            small_db.keyword_document_frequencies(), len(small_db)
+        )
+        scorer = Scorer(small_db, text_model=cosine)
         with pytest.raises(ValueError, match="Jaccard"):
             KeywordAdapter(scorer, small_kcrtree, use_bounds=True)
-        assert KeywordAdapter(scorer).index is None  # the scan arm serves it
 
     def test_kernel_free_scorer_needs_a_tree_for_bounds(self, small_db, small_kcrtree):
         from repro.core.scoring import Scorer
