@@ -90,7 +90,7 @@
 #                      and the answer-maintenance suite (every cached
 #                      top-k entry, visited by a batch's pass or not,
 #                      vs a cold rescan after every batch, at
-#                      YASK_SKYBAND_EXAMPLES=200; its own CI job)
+#                      YASK_TOPK_CACHE_EXAMPLES=200; its own CI job)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /
@@ -117,7 +117,7 @@ test-chaos:
 	$(PYTHON) -m pytest tests/chaos -q $(ALL_MARKS)
 
 test-scan:
-	YASK_SKYBAND_EXAMPLES=200 $(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py tests/properties/test_prop_kernel.py tests/properties/test_prop_whynot.py tests/properties/test_prop_skyband.py -q $(ALL_MARKS)
+	YASK_TOPK_CACHE_EXAMPLES=200 $(PYTHON) -m pytest tests/properties/test_prop_scan_index.py tests/properties/test_prop_sharding.py tests/properties/test_prop_mutations.py tests/properties/test_prop_kernel.py tests/properties/test_prop_whynot.py tests/properties/test_prop_topk_cache.py -q $(ALL_MARKS)
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)
@@ -132,7 +132,7 @@ bench-e16-smoke:
 	$(PYTHON) benchmarks/e16/run.py --smoke
 
 test-lockdep:
-	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_scoped_invalidation.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_skyband.py tests/whynot/test_context.py -q $(ALL_MARKS)
+	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_scoped_invalidation.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_topk_cache.py tests/whynot/test_context.py -q $(ALL_MARKS)
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools

@@ -72,20 +72,12 @@ from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
 INGEST_SPEEDUP_FLOOR = 4.4
 WARM_HIT_RATE_FLOOR = 0.5
 
-#: Acceptance floor (PR 10): at the highest write rate the maintained
-#: (patch-on-write) cache must stay at least this many times warmer than
-#: the drop-on-write scoped-invalidation baseline.
-MAINTAINED_WARMTH_FLOOR = 2.0
-#: Writes applied between read rounds — 10x to 50x the per-round reads
-#: of a single query's refresh.
-WRITE_RATE_SWEEP = (10, 30, 50)
-
 #: Acceptance ceiling (PR 15): cached ``explain`` answers may cost a
 #: maintenance pass at most this many times a pass without them.
 MAINTAIN_PASS_RATIO_CEILING = 3.0
 EXPLAIN_ENTRIES = 64
 #: Informational, no floor: the full top-k cache of E16's server
-#: defaults (1 024 entries, skyband Δ 8).
+#: default (1 024 entries).
 FULL_CACHE_ENTRIES = 1024
 
 #: Acceptance ceiling (PR 20): on a 4-shard engine, E16's batch shape
@@ -230,14 +222,12 @@ def test_e13_ingest_parity_with_rebuild(base_db, ingest_objects):
 
 
 def test_e13_warm_hit_rate_above_50_percent_under_writes(base_db):
-    """Acceptance: even without a skyband (Δ=0, drop-on-write scoped by
-    the batch summary) the top-k cache stays >50% warm."""
+    """Acceptance: with drop-on-write scoped by the batch summary the
+    top-k cache stays >50% warm."""
     engine = YaskEngine(
         SpatialDatabase(base_db.objects, dataspace=base_db.dataspace)
     )
-    executor = QueryExecutor(
-        engine, cache_capacity=256, max_workers=1, skyband_delta=0
-    )
+    executor = QueryExecutor(engine, cache_capacity=256, max_workers=1)
     queries = list(
         QueryWorkload(
             base_db, seed=21, k=10, keywords_per_query=(1, 2),
@@ -332,108 +322,6 @@ def test_e13_warm_hit_rate_above_50_percent_under_writes(base_db):
     engine.close()
 
 
-def _hit_rate_under_write_rate(
-    base_db, queries, *, maintained: bool, rate: int, rounds: int = 3
-) -> float:
-    """Post-write cache hit rate with ``rate`` writes between read rounds.
-
-    Every write lands *on top of* a cached query (same location, same
-    keywords) — the adversarial regime for drop-on-write, the home turf
-    of patch-on-write.
-    """
-    engine = YaskEngine(
-        SpatialDatabase(base_db.objects, dataspace=base_db.dataspace)
-    )
-    executor = QueryExecutor(
-        engine,
-        cache_capacity=256,
-        max_workers=1,
-        skyband_delta=8 if maintained else 0,
-    )
-    rng = random.Random(1_000 + rate)
-    next_oid = 3_000_000
-    reads = 0
-    hits = 0
-    for query in queries:  # prewarm
-        executor.execute(query)
-    for _ in range(rounds):
-        for _ in range(rate):
-            target = rng.choice(queries)
-            obj = SpatialObject(
-                next_oid,
-                Point(
-                    min(max(target.loc.x + rng.uniform(-0.01, 0.01), 0.0), 1.0),
-                    min(max(target.loc.y + rng.uniform(-0.01, 0.01), 0.0), 1.0),
-                ),
-                frozenset(target.doc),
-            )
-            next_oid += 1
-            report = engine.apply_mutations([Mutation.insert(obj)])
-            executor.maintain(report.change)
-        for query in queries:
-            reads += 1
-            if executor.execute(query).source == "cache":
-                hits += 1
-    # The warmth was honest: served answers match a fresh engine.
-    fresh = YaskEngine(
-        SpatialDatabase(
-            engine.database.objects, dataspace=engine.database.dataspace
-        )
-    )
-    for query in queries[:5]:
-        got = executor.execute(query).result
-        want = fresh.query(query)
-        assert [tuple(entry) for entry in got] == [
-            tuple(entry) for entry in want
-        ]
-    fresh.close()
-    executor.close()
-    engine.close()
-    return hits / reads
-
-
-def test_e13_write_rate_sweep_maintained_vs_drop_on_write(base_db):
-    """Acceptance (PR 10): maintained hit rate >= 2x drop-on-write at the
-    highest write rate.
-
-    Drop-on-write collapses as the write rate climbs — every batch that
-    lands on a cached query evicts it, and at 50 writes per read round
-    nearly every entry is cold by the time it is read.  Patch-on-write
-    absorbs the same writes into the k-skyband in O(batch) and keeps
-    serving warm.
-    """
-    queries = list(
-        QueryWorkload(
-            base_db, seed=33, k=10, keywords_per_query=(1, 2),
-            location_jitter=0.01,
-        ).queries(32)
-    )
-    table = Table(
-        "write rate", "drop-on-write", "maintained",
-        title="E13: warm hit rate vs write rate (writes per read round)",
-    )
-    sweep: dict[int, tuple[float, float]] = {}
-    for rate in WRITE_RATE_SWEEP:
-        baseline = _hit_rate_under_write_rate(
-            base_db, queries, maintained=False, rate=rate
-        )
-        warm = _hit_rate_under_write_rate(
-            base_db, queries, maintained=True, rate=rate
-        )
-        sweep[rate] = (baseline, warm)
-        table.add_row(f"{rate}x", f"{baseline:.0%}", f"{warm:.0%}")
-    table.print()
-    top_rate = max(WRITE_RATE_SWEEP)
-    baseline, warm = sweep[top_rate]
-    assert warm >= MAINTAINED_WARMTH_FLOOR * baseline, (
-        f"at {top_rate}x writes maintained hit rate {warm:.0%} is under "
-        f"{MAINTAINED_WARMTH_FLOOR}x the drop-on-write {baseline:.0%}"
-    )
-    assert warm >= WARM_HIT_RATE_FLOOR, (
-        f"maintained cache went cold at {top_rate}x writes ({warm:.0%})"
-    )
-
-
 def maintenance_pass_cost(base_db, *, rounds: int = 3) -> dict:
     """Best ``maintain()`` time without and with cached ``explain`` answers.
 
@@ -448,9 +336,7 @@ def maintenance_pass_cost(base_db, *, rounds: int = 3) -> dict:
     engine = YaskEngine(
         SpatialDatabase(base_db.objects, dataspace=base_db.dataspace)
     )
-    executor = QueryExecutor(
-        engine, cache_capacity=512, max_workers=1, skyband_delta=8
-    )
+    executor = QueryExecutor(engine, cache_capacity=512, max_workers=1)
     whynot = WhyNotExecutor(engine, executor, cache_capacity=256, max_workers=1)
     questions = [
         WhyNotQuestion(
@@ -529,8 +415,8 @@ def full_cache_pass_cost(base_db, *, batches: int = 30) -> dict:
     """Median top-k ``maintain()`` over a full cache, E16's batch shape.
 
     Informational (no floor).  The cache holds ``FULL_CACHE_ENTRIES``
-    distinct queries of 1-3 keywords on a 4-shard engine with skyband
-    Δ 8, E16's server defaults; each of ``batches`` batches from
+    distinct queries of 1-3 keywords on a 4-shard engine, E16's server
+    default; each of ``batches`` batches from
     :func:`_batch_stream` is applied, then maintained and timed.  A
     pass visits the entries a batch can reach, so ``visited`` depends
     on the vocabulary: E13's 50 keywords share more of them with a
@@ -541,10 +427,7 @@ def full_cache_pass_cost(base_db, *, batches: int = 30) -> dict:
         shards=SHARDS,
     )
     executor = QueryExecutor(
-        engine,
-        cache_capacity=FULL_CACHE_ENTRIES,
-        max_workers=1,
-        skyband_delta=8,
+        engine, cache_capacity=FULL_CACHE_ENTRIES, max_workers=1
     )
     for query in QueryWorkload(
         base_db, seed=59, k=10, keywords_per_query=(1, 3)

@@ -388,10 +388,7 @@ def bench_e13() -> dict:
     engine = YaskEngine(
         SpatialDatabase(base.objects, dataspace=base.dataspace)
     )
-    # Δ=0: no skyband to patch from, i.e. the drop-on-write baseline.
-    executor = QueryExecutor(
-        engine, cache_capacity=256, max_workers=1, skyband_delta=0
-    )
+    executor = QueryExecutor(engine, cache_capacity=256, max_workers=1)
     queries = list(
         QueryWorkload(
             base, seed=21, k=10, keywords_per_query=(1, 2),
@@ -434,45 +431,6 @@ def bench_e13() -> dict:
     executor.close()
     engine.close()
 
-    # Patch-on-write (answer maintenance): the same read/write shape,
-    # but the writes land *on* cached queries — the adversarial regime
-    # for drop-on-write — and the executor patches skybands in place.
-    engine = YaskEngine(
-        SpatialDatabase(base.objects, dataspace=base.dataspace)
-    )
-    executor = QueryExecutor(
-        engine, cache_capacity=256, max_workers=1, skyband_delta=8
-    )
-    for query in queries:
-        executor.execute(query)
-    maintained_hits = maintained_reads = 0
-    for _ in range(6):
-        batch = []
-        for _ in range(20):
-            target = rng.choice(queries)
-            batch.append(
-                Mutation.insert(
-                    SpatialObject(
-                        next_oid,
-                        Point(
-                            min(max(target.loc.x + rng.uniform(-0.01, 0.01), 0.0), 1.0),
-                            min(max(target.loc.y + rng.uniform(-0.01, 0.01), 0.0), 1.0),
-                        ),
-                        frozenset(target.doc),
-                    )
-                )
-            )
-            next_oid += 1
-        report = engine.apply_mutations(batch)
-        executor.maintain(report.change)
-        for query in queries:
-            maintained_reads += 1
-            if executor.execute(query).source == "cache":
-                maintained_hits += 1
-    maintained_stats = executor.stats()
-    executor.close()
-    engine.close()
-
     # Run as a script, so benchmarks/ is on sys.path: the ratio is the
     # one `make bench-smoke` asserts, measured by the same function.
     from bench_e13_mutations import full_cache_pass_cost, maintenance_pass_cost
@@ -495,15 +453,6 @@ def bench_e13() -> dict:
         "drop_on_write_passes": stats.maintenance_passes,
         "drop_on_write_dropped": stats.maintained_dropped,
         "drop_on_write_kept": stats.maintained_kept,
-        "maintained_post_write_hit_rate": maintained_hits / maintained_reads,
-        "maintained_warmth_floor_vs_drop": 2.0,
-        "maintained_cache_hits": maintained_stats.hits,
-        "maintained_cache_misses": maintained_stats.misses,
-        "maintenance_passes": maintained_stats.maintenance_passes,
-        "maintained_kept": maintained_stats.maintained_kept,
-        "maintained_patched": maintained_stats.maintained_patched,
-        "maintained_dropped": maintained_stats.maintained_dropped,
-        "skyband_rescans": maintained_stats.skyband_rescans,
     }
 
 
@@ -643,8 +592,8 @@ def main() -> int:
         ),
         "BENCH_E13.json": _snapshot(
             "E13",
-            "live mutation: incremental ingest vs rebuild + drop-on-write "
-            "(skyband 0), answer-maintenance warm rates and the cost of a "
+            "live mutation: incremental ingest vs rebuild, the drop-on-write "
+            "top-k cache's warm rate under writes and the cost of a "
             "maintenance pass over cached explain answers (20k synthetic)",
             bench_e13(),
         ),

@@ -8,8 +8,8 @@ and shows the two properties the live-mutation tier promises:
 * new objects are queryable the moment the batch returns (and answers
   match a fresh engine built from the new object set), and
 * cache maintenance keeps cached results the batch provably cannot
-  affect and patches the ones it does: the distant query is still
-  served warm after the write.
+  affect and drops the ones it can: the distant query is still served
+  warm after the write.
 
     python examples/yask_live_updates.py
 """
@@ -48,9 +48,8 @@ def main() -> None:
         tally = report["cache_maintenance"]
         print(f"\ningested 3 places (generation {report['generation']}, "
               f"{report['response_ms']:.1f} ms server-side)")
-        print(f"cache maintenance: patched {tally['patched']} affected "
-              f"cached result(s) in place, kept {tally['kept']} untouched, "
-              f"dropped {tally['dropped'] + tally['rescans']}")
+        print(f"cache maintenance: kept {tally['kept']} untouched cached "
+              f"result(s), dropped {tally['dropped']} the batch could affect")
 
         # Immediately queryable …
         top = client.query(x=114.1722, y=22.2975, keywords=["rooftop"], k=2)

@@ -957,11 +957,8 @@ class ScoringKernel:
     ) -> tuple[tuple[float, float, int, int, int], ...]:
         """Pre-encode objects as ``(x, y, mask, doc_len, oid)`` rows.
 
-        The one definition of the column-delta row format: the kernel's
-        own :meth:`apply_mutations` and the mutation tier's
-        :class:`~repro.core.mutations.BatchSummary` row payload both
-        encode through here, so a row means the same thing to the
-        columns and to the answer-maintenance tier.
+        The one definition of the column-delta row format that
+        :meth:`apply_mutations` appends.
         """
         encode = vocabulary.encode
         return tuple(

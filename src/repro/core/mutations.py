@@ -61,7 +61,6 @@ from typing import (
 
 from repro import concurrency
 from repro.core.geometry import Rect
-from repro.core.kernel import ScoringKernel
 from repro.core.scanindex import tsim_upper_bound
 from repro.core.objects import SpatialDatabase, SpatialObject
 
@@ -204,15 +203,6 @@ class BatchSummary:
     ``removed_oids`` and ``added_oids`` drive the membership tests,
     ``removed_keywords`` (the removed objects' keyword union) finds the
     results a removal can reach.
-
-    ``added_rows`` are the added objects' ``(x, y, mask, doc_len, oid)``
-    column rows, aligned with :attr:`AppliedBatch.appended`, which the
-    top-k skyband merge scores against cached query scalars
-    (:func:`repro.core.kernel.score_delta_rows`).  They are encoded
-    under the engine's writer lock against the already-extended
-    vocabulary, so maintenance never reads kernel columns.  Empty when
-    the coordinator has no listener (WAL replay, whose rebuilt engine
-    re-encodes everything anyway).
     """
 
     generation: int
@@ -222,7 +212,6 @@ class BatchSummary:
     added_keywords: frozenset[str]
     min_added_doc_len: int
     normaliser: float
-    added_rows: tuple[tuple[float, float, int, int, int], ...] = ()
     removed_keywords: frozenset[str] = frozenset()
 
     # ------------------------------------------------------------------
@@ -688,17 +677,6 @@ class MutableDatabase:
             keywords.update(obj.doc)
         if appended:
             min_len = min(len(obj.doc) for obj in appended)
-        # The maintenance row payload: encoded here, after
-        # ``_apply_mutations`` extended the vocabulary and while the
-        # caller still holds the engine's writer lock — the one place
-        # the added objects are visible against post-batch bit positions.
-        # Only a coordinator with listeners (an engine) has caches to
-        # maintain: WAL replay registers none and encodes nothing.
-        added_rows: tuple[tuple[float, float, int, int, int], ...] = ()
-        if self._listeners and self._database.interned:
-            added_rows = ScoringKernel.encode_rows(
-                appended, self._database.vocabulary_index
-            )
         removed_keywords: set[str] = set()
         for obj in removed.values():
             removed_keywords.update(obj.doc)
@@ -714,7 +692,6 @@ class MutableDatabase:
             added_keywords=frozenset(keywords),
             min_added_doc_len=min_len,
             normaliser=self._database.distance_normaliser,
-            added_rows=added_rows,
             removed_keywords=frozenset(removed_keywords),
         )
 

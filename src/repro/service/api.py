@@ -377,8 +377,8 @@ class YaskEngine:
         new object set would produce.  Serving-tier caches are *not*
         touched here — the caller holds them; pass ``report.change``
         to :meth:`repro.service.executor.QueryExecutor.maintain`
-        (cached answers are carried through the batch arithmetically,
-        or dropped when they cannot be).
+        (cached answers the batch provably cannot change are kept, the
+        rest dropped).
 
         ``batch_token`` makes the call idempotent: a token already seen
         (committed, or a committed no-op) short-circuits under the same

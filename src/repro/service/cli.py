@@ -154,16 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--snapshot-every and requires --wal-dir"
         ),
     )
-    serve.add_argument(
-        "--cache-skyband",
-        type=int,
-        default=8,
-        help=(
-            "skyband width Δ: extra ranked candidates each cached top-k "
-            "entry keeps so mutations patch cached answers in O(Δ) "
-            "instead of evicting them (0 restores drop-on-write)"
-        ),
-    )
 
     def add_query_args(command: argparse.ArgumentParser) -> None:
         command.add_argument("--dataset", default="hotels")
@@ -761,7 +751,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             snapshot_every=args.snapshot_every,
             snapshot_interval_secs=args.snapshot_interval_secs,
             max_inflight=args.max_inflight,
-            cache_skyband=args.cache_skyband,
         )
         return 0
     if args.command == "query":

@@ -309,10 +309,9 @@ class YaskClient:
         Returns the mutation report: generation, per-op counts, kernel
         column occupancy and the answer-maintenance tally —
         ``cache_maintenance`` breaks the top-k side of the maintenance
-        pass down into kept / patched / dropped / rescans (``kept +
-        patched`` is the number of warm results that survived the
-        write); ``linked_dropped`` counts the cached why-not answers
-        the write dropped, which is all of them.  Passing a
+        pass down into kept / dropped (``kept`` is the number of warm
+        results that survived the write); ``linked_dropped`` counts the
+        cached why-not answers the write dropped, which is all of them.  Passing a
         ``batch_token`` (any unique string) makes the request
         idempotent: a retry of an already-committed batch is
         deduplicated server-side and acknowledges the original

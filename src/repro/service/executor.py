@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import insort
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -48,9 +47,8 @@ from itertools import repeat
 from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
 
 from repro import concurrency, faults
-from repro.core.kernel import score_delta_rows
 from repro.core.mutations import keyword_regions, topk_reach_keys
-from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery
+from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.whynot.errors import WhyNotError
 
 __all__ = [
@@ -185,15 +183,12 @@ class SupportsWhyNot(Protocol):
 class CacheStats:
     """A point-in-time snapshot of the executor's cache counters.
 
-    ``maintained_*`` and ``skyband_rescans`` count the write side
+    ``maintained_*`` count the write side
     (:meth:`QueryExecutor.maintain`): per maintenance pass an entry is
     ``maintained_kept`` (provably unchanged — the counter that shows
-    warm caches staying warm under write traffic),
-    ``maintained_patched`` (a skyband merge produced the post-batch
-    answer in O(Δ)), ``maintained_dropped`` (no proof and no patch —
-    evicted), or counted in ``skyband_rescans`` (deletes underflowed
-    the skyband below ``k``; the entry is evicted and the next fetch
-    re-primes the buffer).  ``maintained_visited`` counts the entries
+    warm caches staying warm under write traffic) or
+    ``maintained_dropped`` (no proof — evicted; the next fetch
+    recomputes it).  ``maintained_visited`` counts the entries
     passes looked at one by one; an entry whose query shares no keyword
     with a batch's objects, and which no object can reach by proximity
     alone, is kept without being visited.  The why-not cache drops every entry on
@@ -210,9 +205,7 @@ class CacheStats:
     capacity: int
     maintenance_passes: int = 0
     maintained_kept: int | None = 0
-    maintained_patched: int | None = 0
     maintained_dropped: int = 0
-    skyband_rescans: int | None = 0
     maintained_visited: int | None = 0
 
     @property
@@ -239,10 +232,8 @@ class CacheStats:
             "hit_rate": self.hit_rate,
             "maintenance_passes": self.maintenance_passes,
             "maintained_kept": self.maintained_kept,
-            "maintained_patched": self.maintained_patched,
             "maintained_dropped": self.maintained_dropped,
             "maintained_visited": self.maintained_visited,
-            "skyband_rescans": self.skyband_rescans,
         }
         return {key: value for key, value in counters.items() if value is not None}
 
@@ -348,9 +339,6 @@ class WhyNotBatchExecution:
         return iter(self.executions)
 
 
-#: The maintenance decision that carries no entry through a batch.
-_DROPPED = ("dropped", None, None)
-
 #: The reach key of cache entries without a generation stamp: every
 #: maintenance pass visits (and drops) them.
 _EVERY_PASS = ("every pass",)
@@ -430,10 +418,8 @@ class _ResultCache:
         self._inflight_waits = 0
         self._maintenance_passes = 0
         self._maintained_kept = 0
-        self._maintained_patched = 0
         self._maintained_dropped = 0
         self._maintained_visited = 0
-        self._skyband_rescans = 0
 
     def fetch(
         self,
@@ -591,20 +577,20 @@ class _ResultCache:
 
     def maintain(
         self,
-        decide: Callable[[Any, Any], tuple[str, Any, Any] | None] | None,
+        affects: Callable[[Any], bool] | None,
         batch_generation: int,
         reach: Iterable[Hashable],
     ) -> dict[str, int]:
         """Carry the cache through one mutation batch; returns the tally.
 
-        ``decide(value, meta)`` is the executor's pure per-entry
-        decision for an entry exact at the batch's predecessor: None
-        when the batch provably cannot reach it, else ``(action,
-        new_value, new_meta)`` with ``action`` one of ``"kept"``,
-        ``"patched"``, ``"dropped"`` or ``"rescan"``.  With ``decide``
-        None no entry survives.  An entry without a generation stamp,
-        or one that missed an earlier batch, drops; one already exact
-        at this batch is left alone.
+        The protocol is keep-or-drop.  ``affects(meta)`` is the
+        executor's pure per-entry test for an entry exact at the
+        batch's predecessor: False when the batch provably cannot
+        change it (the entry is kept as it is), True otherwise (the
+        entry is dropped and the next fetch recomputes it).  With
+        ``affects`` None no entry survives.  An entry without a
+        generation stamp, or one that missed an earlier batch, drops;
+        one already exact at this batch is left alone.
 
         ``reach`` is the batch's reach keys
         (:meth:`~repro.core.mutations.BatchSummary.reach_keys`): with
@@ -612,22 +598,21 @@ class _ResultCache:
         them.  Every entry is visited when the cache keeps no index, and
         when an entry may have missed a batch
         (no pass since the cache was created or invalidated, or the
-        last one was older than the batch's predecessor).  An entry the pass does not visit, or
-        visits and ``decide`` clears, keeps its value, its meta and its
-        LRU slot, and becomes exact at this batch when the pass
-        advances ``_through``.  The tally still counts it ``kept``;
-        ``maintained_visited`` counts the visited ones.
+        last one was older than the batch's predecessor).  An entry the
+        pass does not visit, or visits and ``affects`` clears, keeps its
+        value, its meta and its LRU slot, and becomes exact at this
+        batch when the pass advances ``_through``.  The tally counts it
+        ``kept``; ``maintained_visited`` counts the visited ones.
 
         The pass is two-phase: entries are snapshotted under the leaf
-        lock, ``decide`` runs *outside* it, and the decisions are
-        applied atomically under the lock again.  A decision only
-        applies when the entry still holds the snapshotted value (an
-        eviction + fresh recompute in the window must not be clobbered
-        with a patch of the evicted value).  Entries published while
-        the decisions ran are kept only when their meta is stamped with
-        ``batch_generation`` or later, which proves they were computed
-        against the post-batch dataset; anything else in the window
-        raced the mutation and is dropped.
+        lock, ``affects`` runs *outside* it, and the drops are applied
+        atomically under the lock again.  A drop only applies when the
+        entry still holds the snapshotted value (an eviction + fresh
+        recompute in the window is judged by its own stamp instead).
+        Entries published while the tests ran are kept only when their
+        meta is stamped with ``batch_generation`` or later, which
+        proves they were computed against the post-batch dataset;
+        anything else in the window raced the mutation and is dropped.
 
         The cache generation advances even when every entry is kept: an
         in-flight computation may have read the pre-mutation dataset,
@@ -651,28 +636,23 @@ class _ResultCache:
                 )
                 snapshot = tuple((key, cache[key]) for key in reached)
             self._window = []
-        decisions = []
+        drops = []
         for key, (value, meta) in snapshot:
             stamp = getattr(meta, "generation", None)
             if stamp is not None and through is not None and stamp < through:
                 stamp = through
             if stamp is not None and stamp >= batch_generation:
                 continue
-            decision = (
-                decide(value, meta)
-                if decide is not None and stamp == batch_generation - 1
-                else _DROPPED
-            )
-            if decision is not None:
-                decisions.append((key, value, decision))
+            if affects is None or stamp != batch_generation - 1 or affects(meta):
+                drops.append((key, value))
         visited = len(snapshot)
-        tally = {"kept": 0, "patched": 0, "dropped": 0, "rescans": 0}
+        tally = {"kept": 0, "dropped": 0}
         with self._lock:
             window, self._window = self._window, None
             if self._generation != snapshot_generation:
-                # A whole-domain invalidation raced the decisions; it
+                # A whole-domain invalidation raced the tests; it
                 # already cleared everything they describe, so there is
-                # nothing left to fix.
+                # nothing left to drop.
                 return tally
             cache = self._cache
             # A present key published in the window holds its window
@@ -685,28 +665,21 @@ class _ResultCache:
                 if stamp is None or stamp < batch_generation:
                     self._discard(key)
                     tally["dropped"] += 1
-            for key, value, (action, new_value, new_meta) in decisions:
+            for key, value in drops:
                 entry = cache.get(key)
                 if entry is None or entry[0] is not value:
                     continue
                 untouched -= 1
-                if action in ("kept", "patched"):
-                    if new_value is not value or new_meta is not entry[1]:
-                        self._store(key, new_value, new_meta)
-                    tally[action] += 1
-                else:
-                    self._discard(key)
-                    tally["rescans" if action == "rescan" else "dropped"] += 1
+                self._discard(key)
+                tally["dropped"] += 1
             tally["kept"] += untouched
             if through is None or through < batch_generation:
                 self._through = batch_generation
             self._generation += 1
             self._maintenance_passes += 1
             self._maintained_kept += tally["kept"]
-            self._maintained_patched += tally["patched"]
             self._maintained_dropped += tally["dropped"]
             self._maintained_visited += visited
-            self._skyband_rescans += tally["rescans"]
             return tally
 
     def stats(self) -> CacheStats:
@@ -721,9 +694,7 @@ class _ResultCache:
                 capacity=self.capacity,
                 maintenance_passes=self._maintenance_passes,
                 maintained_kept=self._maintained_kept,
-                maintained_patched=self._maintained_patched,
                 maintained_dropped=self._maintained_dropped,
-                skyband_rescans=self._skyband_rescans,
                 maintained_visited=self._maintained_visited,
             )
 
@@ -758,7 +729,7 @@ class _QueryMeta:
 
     @classmethod
     def of(
-        cls, result: QueryResult, generation: int | None = None, **extra: Any
+        cls, result: QueryResult, generation: int | None = None
     ) -> "_QueryMeta | None":
         """Derive a descriptor, or None for non-result values.
 
@@ -779,35 +750,7 @@ class _QueryMeta:
             result_oids=frozenset(entry.obj.oid for entry in entries),
             full=len(entries) >= query.k,
             generation=generation,
-            **extra,
         )
-
-
-@dataclass(frozen=True, slots=True)
-class _SkybandMeta(_QueryMeta):
-    """Maintenance descriptor of one cached top-k result with a skyband.
-
-    ``entries`` holds the *extended* ranked buffer (up to ``k + delta``
-    entries: the served ``k`` plus the skyband of runners-up below
-    them), ``complete`` records whether the buffer exhausted the
-    database (the extended query returned fewer than ``k + delta``
-    entries — then membership of any insertion is decidable without a
-    tail threshold), and the inherited ``generation`` stamp lets
-    :meth:`QueryExecutor.maintain` apply exactly the one mutation batch
-    that advances it.
-
-    The inherited ``kth_score`` / ``result_oids`` / ``full`` fields
-    describe the **buffer**, not the served prefix (the descriptor is
-    derived from the extended result), and ``full`` is ``not
-    complete``: an insertion sorting after the tail of a buffer with
-    unknown runners-up never enters it.  A bound-test pass then proves
-    the whole buffer (and a fortiori the served result) unchanged, so
-    the pass can leave the entry as it is.
-    """
-
-    query: SpatialKeywordQuery = None  # type: ignore[assignment]
-    entries: tuple[RankedObject, ...] = ()
-    complete: bool = False
 
 
 def _armed(deadline: "faults.Deadline | None", scope: Callable[..., Any]) -> Any:
@@ -930,14 +873,9 @@ class QueryExecutor(_Executor):
         dedup still applies).
     max_workers:
         Worker-pool width for :meth:`execute_batch`.
-    skyband_delta:
-        Width Δ of the k-skyband buffer each cached entry keeps below
-        the served ``k`` (requires an engine exposing ``read_view`` /
-        ``generation``).  A wider skyband absorbs more member-deletes
-        before a :attr:`CacheStats.skyband_rescans` eviction; inserts
-        are merged in O(Δ) regardless.  At 0 there is no buffer to
-        patch, so :meth:`maintain` keeps an entry a batch provably
-        cannot change and drops every other one (drop-on-write).
+
+    A mutation batch keeps each cached entry it provably cannot change
+    and drops every other one it reaches (drop-on-write, :meth:`maintain`).
     """
 
     _batch_type = BatchExecution
@@ -948,17 +886,13 @@ class QueryExecutor(_Executor):
         *,
         cache_capacity: int = 1024,
         max_workers: int = 8,
-        skyband_delta: int = 0,
     ) -> None:
-        if skyband_delta < 0:
-            raise ValueError("skyband_delta must be non-negative")
         super().__init__(
             engine,
             _ResultCache(cache_capacity, reach_keys=topk_reach_keys),
             max_workers,
             "yask-executor",
         )
-        self._skyband_delta = skyband_delta
         # The why-not executor over this one, once constructed: its
         # answers derive from the same dataset, so the two caches form
         # one invalidation domain and stale (or are maintained) together.
@@ -999,30 +933,13 @@ class QueryExecutor(_Executor):
 
         def compute() -> tuple[QueryResult, Any, bool]:
             nonlocal degraded
-            view = getattr(self._engine, "read_view", None)
-            # Stub engines without a read view get no skyband buffer.
-            delta = self._skyband_delta if view is not None else 0
-            with (view or nullcontext)(), _armed(deadline, faults.deadline_scope):
+            view = getattr(self._engine, "read_view", nullcontext)
+            with view(), _armed(deadline, faults.deadline_scope):
                 generation = getattr(self._engine, "generation", None)
-                extended = self._engine.query(
-                    query.with_k(query.k + delta) if delta > 0 else query
-                )
+                result = self._engine.query(query)
             if deadline is not None and deadline.degraded:
                 degraded = deadline.to_dict()
-            exact = degraded is None
-            if delta == 0:
-                return extended, _QueryMeta.of(extended, generation), exact
-            # The served result is the exact top-k prefix of the
-            # extended buffer (same floats, same tie order).
-            entries = extended.entries
-            meta = _SkybandMeta.of(
-                extended,
-                generation,
-                query=query,
-                entries=entries,
-                complete=len(entries) < query.k + delta,
-            )
-            return QueryResult(query, entries[: query.k]), meta, exact
+            return result, _QueryMeta.of(result, generation), degraded is None
 
         result, source = self._cache.fetch(
             fingerprint, compute, rendezvous=deadline is None
@@ -1057,43 +974,31 @@ class QueryExecutor(_Executor):
             return dropped
 
     # ------------------------------------------------------------------
-    # Patch-on-write maintenance
+    # Drop-on-write maintenance
     # ------------------------------------------------------------------
     def maintain(self, change) -> dict[str, int]:
-        """Patch cached answers through a mutation batch (patch-on-write).
+        """Carry cached answers through a mutation batch (drop-on-write).
 
         ``change`` is the applied batch
-        (:class:`~repro.core.mutations.AppliedBatch`): its summary
-        carries the delta objects as pre-encoded kernel rows, and
-        ``change.appended`` the object instances those rows describe.
-        The pass costs what the batch can reach: it looks only at the
-        entries filed under one of the batch's reach keys
-        (:meth:`~repro.core.mutations.BatchSummary.reach_keys`), and
-        leaves every entry the batch summary's bound clears
+        (:class:`~repro.core.mutations.AppliedBatch`).  The pass costs
+        what the batch can reach: it looks only at the entries filed
+        under one of the batch's reach keys
+        (:meth:`~repro.core.mutations.BatchSummary.reach_keys`), keeps
+        every entry the batch summary's bound clears
         (:meth:`~repro.core.mutations.BatchSummary.affects_topk`: no
-        removed member, no added object able to score at its buffer's
-        tail) as it is.  A reached entry is brought
-        from the pre-batch to the post-batch dataset *arithmetically* —
-        deletes prune the skyband, inserts are scored with
-        :func:`repro.core.kernel.score_delta_rows` against the entry's
-        own query scalars and merged in O(Δ) — so the maintained answer
-        is bit-for-bit the answer a cold rescan would produce.  Reached
-        entries the arithmetic cannot carry (skyband underflow,
-        batches without kernel rows, no skyband at
-        ``skyband_delta=0``) are dropped.
+        removed member, no added object able to score at its k-th
+        score) as it is, and drops every other reached entry; the next
+        fetch recomputes it.
 
         The why-not executor's cache is dropped whole in the same pass
         under the same domain lock (``linked_dropped``).  Returns the
         combined action tally.
         """
         summary = change.summary
-        read_view = getattr(self._engine, "read_view", nullcontext)
-        # The engine read lock (level below the domain lock) is held
-        # across the whole pass: scoring the delta rows encodes each
-        # reached query against the live vocabulary.
-        with read_view(), self._domain_lock:
+        regions = keyword_regions(change.appended)
+        with self._domain_lock:
             tally = self._cache.maintain(
-                self._topk_patch(change),
+                lambda meta: summary.affects_topk(meta, regions),
                 summary.generation,
                 summary.reach_keys(),
             )
@@ -1103,105 +1008,6 @@ class QueryExecutor(_Executor):
                 else 0
             )
             return {**tally, "linked_dropped": linked}
-
-    def _topk_patch(
-        self, change
-    ) -> Callable[[Any, Any], tuple[str, Any, Any] | None]:
-        summary = change.summary
-        kernel = getattr(getattr(self._engine, "scorer", None), "kernel", None)
-        regions = keyword_regions(change.appended)
-
-        def patch(value: Any, meta: Any) -> tuple[str, Any, Any] | None:
-            if not summary.affects_topk(meta, regions):
-                # No removed member and no added object can reach the
-                # entry: it is already its post-batch answer.
-                return None
-            if not isinstance(meta, _SkybandMeta) or (
-                summary.added_oids and (kernel is None or not summary.added_rows)
-            ):
-                # No buffer to patch from (Δ = 0), or additions without
-                # kernel rows to score: drop-on-write.
-                return _DROPPED
-            return self._merge_skyband(value, meta, summary, change, kernel)
-
-        return patch
-
-    def _merge_skyband(
-        self, value: Any, meta: _SkybandMeta, summary, change, kernel
-    ) -> tuple[str, Any, Any]:
-        query = meta.query
-        k = query.k
-        removed = summary.removed_oids
-        entries = meta.entries
-        complete = meta.complete
-        # The query's scalars are encoded against the *current*
-        # vocabulary: bit positions are append-only, so the mask is
-        # correct for this batch's rows no matter how many batches
-        # interned keywords since the entry was cached.
-        scored = (
-            score_delta_rows(
-                summary.added_rows,
-                *kernel._query_scalars(query),
-                normaliser=summary.normaliser,
-            )
-            if summary.added_rows
-            else []
-        )
-        if removed.isdisjoint(meta.result_oids) and (
-            not scored
-            or (
-                not complete
-                and entries
-                and min((-score, oid) for oid, score, _, _ in scored)
-                >= (-entries[-1].score, entries[-1].obj.oid)
-            )
-        ):
-            # Nothing left the buffer and nothing can enter it (every
-            # added row sorts at or after an incomplete buffer's tail):
-            # the entry is already its post-batch answer.
-            return ("kept", value, meta)
-        buffer = [e for e in entries if e.obj.oid not in removed]
-        if scored:
-            keyed = [((-e.score, e.obj.oid), e) for e in buffer]
-            for (oid, score, sdist, tsim), obj in zip(scored, change.appended):
-                key = (-score, oid)
-                if not complete and (not keyed or key >= keyed[-1][0]):
-                    # Below the buffer tail with unknown runners-up
-                    # beneath it: provably outside the served top-k,
-                    # and not admissible to the skyband either.
-                    continue
-                entry = RankedObject(
-                    obj=obj, score=score, sdist=sdist, tsim=tsim, rank=0
-                )
-                insort(keyed, (key, entry))
-            buffer = [entry for _, entry in keyed]
-        cap = k + self._skyband_delta
-        if len(buffer) > cap:
-            del buffer[cap:]
-            complete = False
-        if not complete and len(buffer) < k:
-            # Skyband underflow: deletes consumed the buffer past the
-            # served k and the runners-up below it are unknown — only a
-            # rescan (the next fetch) can rebuild the answer.
-            return ("rescan", None, None)
-        renumbered = tuple(
-            entry._replace(rank=position)
-            for position, entry in enumerate(buffer, start=1)
-        )
-        served = renumbered[:k]
-        new_meta = dc_replace(
-            meta,
-            kth_score=renumbered[-1].score if renumbered else float("-inf"),
-            result_oids=frozenset(entry.obj.oid for entry in renumbered),
-            full=not complete,
-            entries=renumbered,
-            complete=complete,
-            generation=summary.generation,
-        )
-        old_entries = getattr(value, "entries", None)
-        if old_entries is not None and tuple(old_entries) == served:
-            return ("kept", value, new_meta)
-        return ("patched", QueryResult(query, served), new_meta)
 
     def audit(self, query: SpatialKeywordQuery):
         """Execute (possibly from cache) and cross-check against the oracle.
@@ -1438,9 +1244,7 @@ class WhyNotExecutor(_Executor):
         return dc_replace(
             super().stats(),
             maintained_kept=None,
-            maintained_patched=None,
             maintained_visited=None,
-            skyband_rescans=None,
         )
 
     def invalidate(self) -> int:

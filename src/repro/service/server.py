@@ -26,8 +26,8 @@ request flow:
 * ``DELETE /api/objects/<oid-or-name>`` — retire one object.
 * ``POST /api/mutations`` — a mixed insert/update/delete batch; applied
   atomically under the engine's write lock, followed by cache
-  maintenance (cached answers the batch could affect are patched or
-  dropped, the rest stay warm).
+  maintenance (cached answers the batch could affect are dropped, the
+  rest stay warm).
 * ``GET /api/log?session_id=…`` — the query-log panel (Fig. 4, Panel 5).
 * ``GET /api/stats`` — cache hit/miss/eviction counters for both
   executor tiers (top-k and why-not).
@@ -223,7 +223,6 @@ class YaskHTTPServer(ThreadingHTTPServer):
         session_capacity: int = 256,
         cache_capacity: int = 1024,
         whynot_cache_capacity: int = 256,
-        cache_skyband: int = 8,
         batch_workers: int = 8,
         follower: FollowerEngine | None = None,
         snapshot_every: int | None = None,
@@ -307,7 +306,6 @@ class YaskHTTPServer(ThreadingHTTPServer):
             served_engine,
             cache_capacity=cache_capacity,
             max_workers=batch_workers,
-            skyband_delta=cache_skyband,
         )
         # Shares the top-k executor's invalidation domain and reuses its
         # cached results as why-not starting points.
@@ -774,8 +772,7 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
 
         Cached top-k results are carried through the batch by
         :meth:`QueryExecutor.maintain`: kept when the batch summary
-        proves them unaffected, patched from the skyband when it can,
-        dropped otherwise.  Every cached why-not answer is dropped
+        proves them unaffected, dropped otherwise.  Every cached why-not answer is dropped
         (``linked_dropped``).  The response reports both the
         engine-side report and the cache tally.
 
@@ -1067,7 +1064,6 @@ def serve_forever(
     snapshot_every: int | None = None,
     snapshot_interval_secs: float | None = None,
     max_inflight: int | None = None,
-    cache_skyband: int = 8,
 ) -> None:
     """Blocking entry point used by ``yask serve`` and ``yask follow``."""
     server = YaskHTTPServer(
@@ -1078,7 +1074,6 @@ def serve_forever(
         snapshot_every=snapshot_every,
         snapshot_interval_secs=snapshot_interval_secs,
         max_inflight=max_inflight,
-        cache_skyband=cache_skyband,
     )
     role = "follower" if follower is not None else "server"
     print(f"YASK {role} listening on {server.endpoint}")

@@ -110,9 +110,9 @@ class TestPartialTopK:
         the ones the floor had already pruned included."""
         plan = FaultPlan(seed=6).delay("shard.scan.*", 50.0, times=1)
         with faults.armed(plan):
-            # No skyband: the engine is asked for exactly k, so the
-            # first shard's three candidates already set a floor.
-            with running_server(chaos_engine, cache_skyband=0) as server, YaskClient(
+            # The engine is asked for exactly k, so the first
+            # shard's three candidates already set a floor.
+            with running_server(chaos_engine) as server, YaskClient(
                 server.endpoint, retries=0
             ) as client:
                 body = client.query(

@@ -400,33 +400,30 @@ class TestBatchSummary:
                 assert not summary.reach_keys().isdisjoint(topk_reach_keys(Meta()))
 
 
-    def test_added_rows_are_not_encoded_without_a_listener(self):
-        """A coordinator with no listener (WAL replay) has no cache to
-        maintain: it encodes no rows, even over an interned corpus."""
+    def test_a_batch_encodes_each_added_object_once(self, monkeypatch):
+        """Only a listening kernel encodes the added objects: the batch
+        summary carries no row payload, and a coordinator with no
+        listener (WAL replay) encodes nothing."""
+        calls: list[int] = []
+        encode_rows = ScoringKernel.encode_rows
+
+        def spy(objects, vocabulary):
+            calls.append(len(objects))
+            return encode_rows(objects, vocabulary)
+
+        monkeypatch.setattr(ScoringKernel, "encode_rows", staticmethod(spy))
         db = make_tiny_db()
         db.vocabulary_index  # interned: only the listener rule decides
-        summary = self.summary(
+        self.summary(
             MutableDatabase(db), [Mutation.insert(obj(50, 0.95, 0.95, "zzz"))]
         )
-        assert summary.added_oids == {50}
-        assert summary.added_rows == ()
-
-    def test_added_rows_are_the_listening_kernels_rows(self):
+        assert calls == []
         db = make_tiny_db()
-        kernel = ScoringKernel(db)
         mutable = MutableDatabase(db)
-        mutable.register_listener(kernel)
+        mutable.register_listener(ScoringKernel(db))
         newcomers = [obj(50, 0.95, 0.95, "zzz", "chinese"), obj(51, 0.2, 0.3)]
-        summary = self.summary(mutable, [Mutation.insert(o) for o in newcomers])
-        assert summary.added_rows == ScoringKernel.encode_rows(
-            newcomers, db.vocabulary_index
-        )
-        for x, y, mask, doc_len, oid in summary.added_rows:
-            row = kernel.row_of(oid)
-            assert (x, y, mask, doc_len) == (
-                kernel._xs[row], kernel._ys[row], kernel._masks[row],
-                kernel._lens[row],
-            )
+        self.summary(mutable, [Mutation.insert(o) for o in newcomers])
+        assert calls == [2]
 
     def test_reach_keys_name_added_and_removed_keywords(self):
         db = make_tiny_db()

@@ -7,9 +7,12 @@ import pytest
 
 import repro
 from repro.core.kernel import ScoringKernel
-from repro.core.mutations import MutableDatabase
+from repro.core.mutations import BatchSummary, MutableDatabase
 from repro.core.sharding import ShardRouter
 from repro.index.setrtree import SetRTree
+from repro.service.cli import main as cli_main
+from repro.service.executor import QueryExecutor
+from repro.service.server import YaskHTTPServer, serve_forever
 from repro.text.similarity import JACCARD
 
 
@@ -139,6 +142,31 @@ class TestFacadeOptionsArePinned:
         builds takes a model, so none can disagree with another."""
         with pytest.raises(TypeError, match=option):
             build(small_db)
+
+    @pytest.mark.parametrize(
+        "call, option",
+        [
+            (lambda: QueryExecutor(None, skyband_delta=8), "skyband_delta"),
+            (lambda: YaskHTTPServer(None, cache_skyband=8), "cache_skyband"),
+            (lambda: serve_forever(None, cache_skyband=8), "cache_skyband"),
+            (lambda: BatchSummary(added_rows=()), "added_rows"),
+            (lambda: cli_main(["serve", "--cache-skyband", "8"]), "--cache-skyband"),
+        ],
+        ids=["QueryExecutor", "YaskHTTPServer", "serve_forever", "BatchSummary",
+             "yask serve"],
+    )
+    def test_skyband_options_are_refused(self, capsys, call, option):
+        """The top-k cache is drop-on-write: no layer takes a skyband
+        width or carries its row payload, and the CLI flag is a usage
+        error."""
+        with pytest.raises((TypeError, SystemExit)) as excinfo:
+            call()
+        if excinfo.type is SystemExit:
+            assert excinfo.value.code == 2
+            message = capsys.readouterr().err
+        else:
+            message = str(excinfo.value)
+        assert option in message
 
     def test_removed_whynot_option_is_refused(self, small_db, small_scorer):
         from repro.index.kcrtree import KcRTree

@@ -1,28 +1,28 @@
-"""Property suite: answer maintenance serves bit-for-bit cold answers.
+"""Property suite: the top-k cache serves bit-for-bit cold answers.
 
-The patch-on-write contract (:meth:`QueryExecutor.maintain`): after ANY
-mutation history, every cached top-k result the maintenance pass kept or
-patched — and every why-not answer served warm after the batch — must
-be *bit-for-bit* the answer a cold rescan of the post-mutation engine
+The drop-on-write contract (:meth:`QueryExecutor.maintain`): after ANY
+mutation history, every cached top-k result a maintenance pass kept —
+and every why-not answer served warm after the batch — must be
+*bit-for-bit* the answer a cold rescan of the post-mutation engine
 produces: same objects, same score/sdist/tsim floats, same tie order,
-same ranks, counts and viable-weight intervals.  Across skyband widths Δ (including
-Δ=0), across the unsharded kernel engine and the sharded one —
-maintenance arithmetic never sees engine internals, so the scatter
-must be undetectable.
+same ranks, counts and viable-weight intervals.  Across the unsharded
+kernel engine and the sharded one — maintenance never sees engine
+internals, so the scatter must be undetectable.
 
 A maintenance pass visits only the cached entries a batch can reach
-(its keywords, its removed objects, a proximity reach or a complete
-buffer) and leaves the rest as they are.  The reach scenarios fill a
-cache larger than any batch's reach — disjoint keywords and far
-locations, buffers shrunk by deletes, complete buffers over tiny
-databases, Δ=0 — and check every cached entry, reached or not, against
-a cold rescan after every batch.
+(its keywords, its removed objects or a proximity reach), keeps those
+the batch summary proves unaffected and drops the rest.  The reach
+scenarios fill a cache larger than any batch's reach — disjoint
+keywords and far locations, results shrunk by deletes, tiny databases —
+and check every cached entry, reached or not, against a cold rescan
+after every batch.
 
-The slow hammer at the bottom adds the concurrency half: readers racing
-a mutator must only ever observe *some* generation's exact answer —
-never a torn skyband mixing two generations.
+The slow hammer at the bottom adds the concurrency half: a reader
+racing a mutator must only ever observe an exact answer of a
+generation no older than the last completed maintenance pass — never
+an entry a batch left behind.
 
-Budget: ``YASK_SKYBAND_EXAMPLES`` (default 25; ``make test-scan``
+Budget: ``YASK_TOPK_CACHE_EXAMPLES`` (default 25; ``make test-scan``
 raises it) sets the unsharded suites' examples, the sharded ones run
 three fifths of it.
 """
@@ -46,7 +46,7 @@ from tests.properties.strategies import ALPHABET, databases, queries
 
 FRESH_WORDS = [f"fresh{i}" for i in range(4)]
 
-EXAMPLES = int(os.environ.get("YASK_SKYBAND_EXAMPLES", "25"))
+EXAMPLES = int(os.environ.get("YASK_TOPK_CACHE_EXAMPLES", "25"))
 SHARDED_EXAMPLES = max(1, EXAMPLES * 3 // 5)
 
 coordinates = st.floats(
@@ -106,18 +106,17 @@ def result_tuples(result):
 
 
 @st.composite
-def skyband_scenarios(draw):
+def maintenance_scenarios(draw):
     database = draw(databases(min_size=4, max_size=24))
     query_set = draw(
         st.lists(queries(k_max=5), min_size=1, max_size=4)
     )
-    delta = draw(st.integers(min_value=0, max_value=4))
-    return database, query_set, delta
+    return database, query_set
 
 
-def run_maintenance_history(engine, query_set, delta, data) -> None:
+def run_maintenance_history(engine, query_set, data) -> None:
     """Cache, mutate+maintain per batch, then assert cold parity."""
-    executor = QueryExecutor(engine, cache_capacity=64, skyband_delta=delta)
+    executor = QueryExecutor(engine, cache_capacity=64)
     whynot = WhyNotExecutor(engine, executor, cache_capacity=32)
     try:
         for query in query_set:
@@ -174,13 +173,13 @@ def run_maintenance_history(engine, query_set, delta, data) -> None:
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(scenario=skyband_scenarios(), data=st.data())
+@given(scenario=maintenance_scenarios(), data=st.data())
 def test_maintained_answers_match_cold_rescan_unsharded(scenario, data):
-    database, query_set, delta = scenario
+    database, query_set = scenario
     engine = YaskEngine(
         SpatialDatabase(database.objects, dataspace=database.dataspace),
     )
-    run_maintenance_history(engine, query_set, delta, data)
+    run_maintenance_history(engine, query_set, data)
 
 
 @settings(
@@ -188,14 +187,14 @@ def test_maintained_answers_match_cold_rescan_unsharded(scenario, data):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(scenario=skyband_scenarios(), data=st.data())
+@given(scenario=maintenance_scenarios(), data=st.data())
 def test_maintained_answers_match_cold_rescan_sharded(scenario, data):
-    database, query_set, delta = scenario
+    database, query_set = scenario
     engine = YaskEngine(
         SpatialDatabase(database.objects, dataspace=database.dataspace),
         shards=3,
     )
-    run_maintenance_history(engine, query_set, delta, data)
+    run_maintenance_history(engine, query_set, data)
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +223,7 @@ def corner_object(draw, oid: int, near: bool) -> SpatialObject:
 
 @st.composite
 def reach_scenarios(draw):
-    """A tiny or small database, many cached queries, one Δ."""
+    """A tiny or small database, many cached queries."""
     size = draw(st.sampled_from([2, 3, 5, 12, 24, 40]))
     objects = [
         corner_object(draw, oid, near=draw(st.booleans()) or oid % 3 == 0)
@@ -245,13 +244,12 @@ def reach_scenarios(draw):
                 ),
             )
         )
-    delta = draw(st.sampled_from([0, 0, 1, 2, 4]))
-    return SpatialDatabase(objects, dataspace=DATASPACE), query_set, delta
+    return SpatialDatabase(objects, dataspace=DATASPACE), query_set
 
 
 def draw_reach_batch(draw, live: list[int], next_oid: int) -> list[Mutation]:
     """Mostly far inserts; some near inserts, updates and deletes (a
-    delete of a buffered object shrinks that buffer below k + Δ)."""
+    delete of a result member drops that entry)."""
     batch: list[Mutation] = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         kind = draw(st.sampled_from(["far", "far", "near", "update", "delete"]))
@@ -271,21 +269,14 @@ def draw_reach_batch(draw, live: list[int], next_oid: int) -> list[Mutation]:
     return batch
 
 
-def assert_every_cached_entry_is_cold(executor, engine, delta) -> None:
-    """Every cached entry — served prefix and skyband buffer — is the
-    cold rescan of the current generation, and says so."""
+def assert_every_cached_entry_is_cold(executor, engine) -> None:
+    """Every cached entry is the cold rescan of the current generation,
+    and says so."""
     cache = executor._cache
     for key in executor.cached_fingerprints():
         value, meta = cache.peek_entry(key)
-        query = value.query
-        assert result_tuples(value) == result_tuples(engine.query(query))
+        assert result_tuples(value) == result_tuples(engine.query(value.query))
         assert meta.generation == engine.generation
-        if delta:
-            cold = engine.query(query.with_k(query.k + delta)).entries
-            buffer = tuple(entry_tuple(entry) for entry in meta.entries)
-            assert buffer == tuple(entry_tuple(e) for e in cold[: len(buffer)])
-            if meta.complete:
-                assert len(buffer) == len(engine.database.objects)
 
 
 def assert_index_matches_entries(cache) -> None:
@@ -298,8 +289,8 @@ def assert_index_matches_entries(cache) -> None:
     assert cache._postings == expected
 
 
-def run_reach_history(engine, query_set, delta, data) -> None:
-    executor = QueryExecutor(engine, cache_capacity=64, skyband_delta=delta)
+def run_reach_history(engine, query_set, data) -> None:
+    executor = QueryExecutor(engine, cache_capacity=64)
     live = [obj.oid for obj in engine.database.objects]
     next_oid = 1000
     try:
@@ -311,19 +302,18 @@ def run_reach_history(engine, query_set, delta, data) -> None:
             report = engine.apply_mutations(batch)
             tally = executor.maintain(report.change)
             stats = executor.stats()
-            assert stats.maintained_visited <= stats.maintained_kept + (
-                stats.maintained_patched + stats.maintained_dropped
-                + stats.skyband_rescans
+            assert stats.maintained_visited <= (
+                stats.maintained_kept + stats.maintained_dropped
             )
-            assert tally["kept"] + tally["patched"] == stats.size
-            assert_every_cached_entry_is_cold(executor, engine, delta)
+            assert tally["kept"] == stats.size
+            assert_every_cached_entry_is_cold(executor, engine)
             assert_index_matches_entries(executor._cache)
             # Re-cache what the batch dropped, at the new generation.
             for query in data.draw(
                 st.lists(st.sampled_from(query_set), max_size=len(query_set))
             ):
                 executor.execute(query)
-            assert_every_cached_entry_is_cold(executor, engine, delta)
+            assert_every_cached_entry_is_cold(executor, engine)
     finally:
         executor.close()
         engine.close()
@@ -336,8 +326,8 @@ def run_reach_history(engine, query_set, delta, data) -> None:
 )
 @given(scenario=reach_scenarios(), data=st.data())
 def test_entries_beyond_a_batch_reach_stay_cold_exact_unsharded(scenario, data):
-    database, query_set, delta = scenario
-    run_reach_history(YaskEngine(database), query_set, delta, data)
+    database, query_set = scenario
+    run_reach_history(YaskEngine(database), query_set, data)
 
 
 @settings(
@@ -347,8 +337,8 @@ def test_entries_beyond_a_batch_reach_stay_cold_exact_unsharded(scenario, data):
 )
 @given(scenario=reach_scenarios(), data=st.data())
 def test_entries_beyond_a_batch_reach_stay_cold_exact_sharded(scenario, data):
-    database, query_set, delta = scenario
-    run_reach_history(YaskEngine(database, shards=3), query_set, delta, data)
+    database, query_set = scenario
+    run_reach_history(YaskEngine(database, shards=3), query_set, data)
 
 
 def test_a_batch_that_misses_a_cached_query_keeps_its_whynot_initial():
@@ -362,7 +352,7 @@ def test_a_batch_that_misses_a_cached_query_keeps_its_whynot_initial():
     engine = YaskEngine(
         SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0))
     )
-    topk = QueryExecutor(engine, cache_capacity=8, skyband_delta=2)
+    topk = QueryExecutor(engine, cache_capacity=8)
     whynot = WhyNotExecutor(engine, topk, cache_capacity=8)
     query = SpatialKeywordQuery(loc=Point(0.0, 0.0), doc=frozenset({"t0"}), k=2)
     question = WhyNotQuestion(query=query, missing=(5,), model="explain")
@@ -384,8 +374,9 @@ def test_a_batch_that_misses_a_cached_query_keeps_its_whynot_initial():
         engine.close()
 
 
-def test_underflow_falls_back_to_rescan_and_recovers():
-    """Deleting past the skyband evicts (rescan) — never serves short."""
+def test_an_affected_entry_drops_on_write():
+    """An insert landing on the query drops its entry; the next fetch
+    recomputes the cold answer."""
     objects = [
         SpatialObject(i, Point(0.1 * i, 0.1 * i), frozenset({"t0", "t1"}))
         for i in range(8)
@@ -393,48 +384,11 @@ def test_underflow_falls_back_to_rescan_and_recovers():
     engine = YaskEngine(
         SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
     )
-    executor = QueryExecutor(engine, cache_capacity=8, skyband_delta=1)
-    from repro.core.query import SpatialKeywordQuery
-
+    executor = QueryExecutor(engine, cache_capacity=8)
     query = SpatialKeywordQuery(
         loc=Point(0.0, 0.0), doc=frozenset({"t0"}), k=3
     )
     executor.execute(query)
-    members = [entry.obj.oid for entry in engine.query(query).entries]
-    # Delete two members: k+Δ = 4-entry buffer drops to 2 < k = 3.
-    report = engine.apply_mutations(
-        [Mutation.delete(members[0]), Mutation.delete(members[1])]
-    )
-    tally = executor.maintain(report.change)
-    assert tally["rescans"] == 1
-    assert executor.stats().skyband_rescans == 1
-    refreshed = executor.execute(query)
-    assert refreshed.source == "engine"
-    assert result_tuples(refreshed.result) == result_tuples(
-        engine.query(query)
-    )
-    executor.close()
-    engine.close()
-
-
-def test_delta_zero_degrades_to_scoped_drop_on_write():
-    """``skyband_delta=0`` leaves nothing to patch from: affected drops."""
-    objects = [
-        SpatialObject(i, Point(0.1 * i, 0.1 * i), frozenset({"t0", "t1"}))
-        for i in range(8)
-    ]
-    engine = YaskEngine(
-        SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
-    )
-    executor = QueryExecutor(engine, cache_capacity=8, skyband_delta=0)
-    from repro.core.query import SpatialKeywordQuery
-
-    query = SpatialKeywordQuery(
-        loc=Point(0.0, 0.0), doc=frozenset({"t0"}), k=3
-    )
-    executor.execute(query)
-    # An insert landing on the query: drop-on-write must evict, the
-    # maintained path would have patched.
     report = engine.apply_mutations(
         [
             Mutation.insert(
@@ -443,12 +397,10 @@ def test_delta_zero_degrades_to_scoped_drop_on_write():
         ]
     )
     tally = executor.maintain(report.change)
-    assert tally["patched"] == 0 and tally["rescans"] == 0
-    assert tally["dropped"] == 1
+    assert tally == {"kept": 0, "dropped": 1, "linked_dropped": 0}
     stats = executor.stats()
     assert stats.maintenance_passes == 1
     assert stats.maintained_dropped == 1
-    assert stats.maintained_patched == 0
     refreshed = executor.execute(query)
     assert refreshed.source == "engine"
     assert result_tuples(refreshed.result) == result_tuples(
@@ -459,13 +411,16 @@ def test_delta_zero_degrades_to_scoped_drop_on_write():
 
 
 @pytest.mark.slow
-def test_mutate_while_querying_never_serves_torn_skyband():
-    """Readers racing the mutator only ever see whole-generation answers.
+def test_mutate_while_querying_never_serves_an_entry_a_batch_left_behind():
+    """Readers racing the mutator only ever see current answers.
 
-    A torn skyband — an entry mixing pre- and post-batch members or
-    floats — would produce a served result matching *no* generation's
-    cold answer.  The validation set holds every generation's exact
-    answer per query; each concurrent read must hit the set.
+    Once a maintenance pass for a batch has returned, every read that
+    starts afterwards must be the exact cold answer of that batch's
+    generation or a later one: an entry the pass left behind would
+    serve an older generation's answer (or no generation's).  The
+    mutator registers each generation's exact answers under the same
+    lock it applies the batch under, so a read that sees a generation
+    always finds its answers registered.
     """
     import random
 
@@ -478,12 +433,10 @@ def test_mutate_while_querying_never_serves_torn_skyband():
         )
         for oid in range(60)
     ]
-    from repro.core.query import SpatialKeywordQuery
-
     engine = YaskEngine(
         SpatialDatabase(objects, dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
     )
-    executor = QueryExecutor(engine, cache_capacity=16, skyband_delta=3)
+    executor = QueryExecutor(engine, cache_capacity=16)
     query_set = [
         SpatialKeywordQuery(
             loc=Point(rng.random(), rng.random()),
@@ -492,11 +445,14 @@ def test_mutate_while_querying_never_serves_torn_skyband():
         )
         for _ in range(4)
     ]
-    valid: dict[int, set[tuple]] = {}
+    # query index → generation → that generation's cold answer
+    valid: dict[int, dict[int, tuple]] = {}
     valid_lock = threading.Lock()
+    # The generation the last completed maintenance pass carried to.
+    maintained = [engine.generation]
     for index, query in enumerate(query_set):
         executor.execute(query)
-        valid[index] = {result_tuples(engine.query(query))}
+        valid[index] = {engine.generation: result_tuples(engine.query(query))}
 
     violations: list[tuple] = []
     stop = threading.Event()
@@ -505,16 +461,17 @@ def test_mutate_while_querying_never_serves_torn_skyband():
         local_rng = random.Random(threading.get_ident())
         while not stop.is_set():
             index = local_rng.randrange(len(query_set))
+            with valid_lock:
+                floor = maintained[0]
             served = result_tuples(executor.execute(query_set[index]).result)
             with valid_lock:
-                known = set(valid[index])
+                known = {
+                    answer
+                    for generation, answer in valid[index].items()
+                    if generation >= floor
+                }
             if served not in known:
-                # Re-check against the freshest set: the mutator may
-                # have registered the new generation after our read.
-                with valid_lock:
-                    known = set(valid[index])
-                if served not in known:
-                    violations.append((index, served))
+                violations.append((index, floor, served))
 
     readers = [threading.Thread(target=reader) for _ in range(3)]
     for thread in readers:
@@ -539,14 +496,15 @@ def test_mutate_while_querying_never_serves_torn_skyband():
                 else:
                     live = [obj.oid for obj in engine.database.objects]
                     batch.append(Mutation.delete(rng.choice(live)))
-            report = engine.apply_mutations(batch)
-            # Register the new generation's exact answers BEFORE
-            # maintenance patches entries to it: a reader observing a
-            # freshly patched entry must already find it valid.
             with valid_lock:
+                report = engine.apply_mutations(batch)
                 for index, query in enumerate(query_set):
-                    valid[index].add(result_tuples(engine.query(query)))
+                    valid[index][engine.generation] = result_tuples(
+                        engine.query(query)
+                    )
             executor.maintain(report.change)
+            with valid_lock:
+                maintained[0] = report.change.generation
     finally:
         stop.set()
         for thread in readers:
@@ -554,4 +512,4 @@ def test_mutate_while_querying_never_serves_torn_skyband():
         executor.close()
         engine.close()
 
-    assert not violations, f"torn results observed: {violations[:3]}"
+    assert not violations, f"stale or torn results observed: {violations[:3]}"

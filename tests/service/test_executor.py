@@ -282,8 +282,10 @@ class TestRealEngine:
         assert report.ok
 
 
-    def test_entry_cached_under_a_deadline_is_patched_by_the_next_batch(self):
-        """A deadline that did not bite caches the full skyband entry."""
+    def test_entry_cached_under_a_deadline_is_maintained_by_the_next_batch(self):
+        """A deadline that did not bite caches the entry with its stamped
+        descriptor: a batch that cannot reach it keeps it, one that
+        lands on the query drops it."""
         from repro.core.mutations import Mutation
         from repro.core.objects import SpatialObject
         from repro.datasets.generators import SyntheticDatasetBuilder
@@ -293,25 +295,29 @@ class TestRealEngine:
             120, vocabulary_size=30, doc_length=(2, 6)
         )
         engine = YaskEngine(database)
-        executor = QueryExecutor(engine, skyband_delta=4)
+        executor = QueryExecutor(engine)
         query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 4)
         first = executor.execute(query, deadline=Deadline(600000.0))
         assert first.source == "engine" and first.degraded is None
         report = engine.apply_mutations(
+            [Mutation.insert(SpatialObject(8999, Point(0.99, 0.01), frozenset({"zzz"})))]
+        )
+        assert executor.maintain(report.change)["kept"] == 1
+        report = engine.apply_mutations(
             [Mutation.insert(SpatialObject(9000, Point(0.5, 0.5), query.doc))]
         )
         tally = executor.maintain(report.change)
-        assert tally["patched"] == 1 and tally["dropped"] == 0
-        warm = executor.execute(query)
-        assert warm.source == "cache"
-        assert warm.result.entries == engine.query(query).entries
-        assert warm.result.entries[0].obj.oid == 9000
+        assert tally["kept"] == 0 and tally["dropped"] == 1
+        refreshed = executor.execute(query)
+        assert refreshed.source == "engine"
+        assert refreshed.result.entries == engine.query(query).entries
+        assert refreshed.result.entries[0].obj.oid == 9000
         executor.close()
         engine.close()
 
-    def test_batch_that_cannot_enter_the_skyband_only_restamps(self):
-        """Nothing removed from the buffer, every added row behind its
-        tail: the entry keeps its buffer object and takes the stamp."""
+    def test_batch_that_cannot_reach_the_result_keeps_the_entry(self):
+        """No removed member, every added object below the k-th score:
+        the entry keeps its value and is exact at the new generation."""
         from repro.core.mutations import Mutation
         from repro.core.objects import SpatialObject
         from repro.datasets.generators import SyntheticDatasetBuilder
@@ -320,15 +326,14 @@ class TestRealEngine:
             120, vocabulary_size=30, doc_length=(2, 6)
         )
         engine = YaskEngine(database)
-        executor = QueryExecutor(engine, skyband_delta=4)
+        executor = QueryExecutor(engine)
         query = engine.make_query(Point(0.5, 0.5), {"kw000"}, 4)
         served = executor.execute(query).result
         key = query_fingerprint(query)
-        buffer = executor._cache.peek_entry(key)[1].entries
         outsider = next(
             obj.oid
             for obj in database.objects
-            if obj.oid not in {entry.obj.oid for entry in buffer}
+            if obj.oid not in {entry.obj.oid for entry in served.entries}
         )
         report = engine.apply_mutations(
             [
@@ -339,9 +344,9 @@ class TestRealEngine:
             ]
         )
         tally = executor.maintain(report.change)
-        assert tally["kept"] == 1 and tally["patched"] == 0
+        assert tally["kept"] == 1 and tally["dropped"] == 0
         value, meta = executor._cache.peek_entry(key)
-        assert value is served and meta.entries is buffer
+        assert value is served
         assert meta.generation == engine.generation
         assert executor.execute(query).result.entries == engine.query(query).entries
         executor.close()

@@ -176,7 +176,7 @@ class TestMutationBatchRoute:
 
 
 class TestAnswerMaintenance:
-    def test_cached_queries_stay_warm_through_local_insert(self, served):
+    def test_a_local_insert_drops_only_the_entry_it_reaches(self, served):
         server, client = served
         # Warm two cached results: one near the batch, one far away with
         # disjoint keywords.
@@ -186,22 +186,22 @@ class TestAnswerMaintenance:
         report = client.insert_objects(
             [{"oid": 40, "x": 0.92, "y": 0.88, "keywords": ["spanish"]}]
         )
-        maintenance = report["cache_maintenance"]
-        assert maintenance["patched"] >= 1
-        assert maintenance["patched"] + maintenance["kept"] == 2
-        assert maintenance["dropped"] == 0 and maintenance["rescans"] == 0
+        assert report["cache_maintenance"] == {
+            "kept": 1,
+            "dropped": 1,
+            "linked_dropped": 0,
+        }
         # The distant, keyword-disjoint query is still served warm...
         assert client.query(0.05, 0.05, ["chinese"], 2)["cached"]
-        # ...and so is the nearby one — its cached entry was *patched*
-        # in place and already sees object 40, no recompute charged.
+        # ...and the nearby one was dropped: its recompute sees object 40.
         refreshed = client.query(0.9, 0.9, ["spanish"], 2)
-        assert refreshed["cached"]
+        assert not refreshed["cached"]
         assert 40 in [
             e["object"]["oid"] for e in refreshed["result"]["entries"]
         ]
         stats = client.stats()
         assert stats["maintenance_passes"] == 1
-        assert stats["maintained_patched"] >= 1
+        assert stats["maintained_dropped"] == 1
 
     def test_mutations_stats_section(self, served):
         _, client = served

@@ -1,13 +1,12 @@
-"""Executor maintenance: what a pass visits, Δ=0, and the why-not cache.
+"""Executor maintenance: what a pass visits and drops, and the why-not cache.
 
 A pass visits only the cached entries a batch can reach — through a
-shared query keyword, a buffered object it removes, a proximity reach
-or a complete buffer — and leaves every other entry as it is.  At
-``skyband_delta=0`` there is no buffer to patch from, so ``maintain``
-keeps exactly the entries the batch summary proves unaffected and drops
-the rest — drop-on-write, scoped by the summary.  The linked why-not
-cache is drop-on-write without a scope: every batch drops every cached
-answer, and the next fetch recomputes it cold.
+shared query keyword, a result member it removes or a proximity reach —
+and leaves every other entry as it is.  Of the entries it visits,
+``maintain`` keeps exactly those the batch summary proves unaffected
+and drops the rest — drop-on-write, scoped by the summary.  The linked
+why-not cache is drop-on-write without a scope: every batch drops every
+cached answer, and the next fetch recomputes it cold.
 """
 
 from __future__ import annotations
@@ -17,11 +16,9 @@ from dataclasses import dataclass
 import pytest
 
 from repro.core.geometry import Point, Rect
-from repro.core.kernel import ScoringKernel
 from repro.core.mutations import Mutation
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery
-from repro.service import executor as executor_module
 from repro.service.api import YaskEngine
 from repro.service.executor import (
     QueryExecutor,
@@ -37,7 +34,7 @@ def query_at(x: float, y: float, *keywords: str, k: int = 2):
     return SpatialKeywordQuery(loc=Point(x, y), doc=frozenset(keywords), k=k)
 
 
-class TestMaintainWithoutSkyband:
+class TestMaintainDropOnWrite:
     def make(self):
         engine = YaskEngine(make_tiny_db())
         executor = QueryExecutor(engine, cache_capacity=16)
@@ -57,13 +54,7 @@ class TestMaintainWithoutSkyband:
             ]
         )
         tally = executor.maintain(report.change)
-        assert tally == {
-            "kept": 1,
-            "patched": 0,
-            "dropped": 1,
-            "rescans": 0,
-            "linked_dropped": 0,
-        }
+        assert tally == {"kept": 1, "dropped": 1, "linked_dropped": 0}
         assert executor.execute(near_sw).source == "cache"
         refreshed = executor.execute(near_ne)
         assert refreshed.source == "engine"
@@ -133,7 +124,7 @@ class TestWhatAPassVisits:
 
     N = 8
 
-    def make(self, delta: int = 2):
+    def make(self):
         engine = YaskEngine(
             SpatialDatabase(
                 [obj(i, 0.05 * i, 0.5, "a", "b") for i in range(20)]
@@ -141,7 +132,7 @@ class TestWhatAPassVisits:
                 dataspace=Rect(0.0, 0.0, 1.0, 1.0),
             )
         )
-        executor = QueryExecutor(engine, cache_capacity=16, skyband_delta=delta)
+        executor = QueryExecutor(engine, cache_capacity=16)
         queries = [
             query_at(0.05 * j, 0.5, word)
             for word in ("a", "b")
@@ -156,33 +147,17 @@ class TestWhatAPassVisits:
         assert executor.stats().maintained_visited == self.N
         return engine, executor, queries
 
-    def test_entries_a_batch_cannot_reach_are_not_visited(self, monkeypatch):
-        """Every buffer's tail scores above ``ws`` (TSim 1/2, close by),
+    def test_entries_a_batch_cannot_reach_are_not_visited(self):
+        """Every entry's k-th score is above ``ws`` (TSim 1/2, close by),
         so an object sharing no query keyword can neither be in it nor
         enter it, and the batch's objects share none."""
         engine, executor, queries = self.make()
-        calls = {"score": 0, "scalars": 0}
-        score_rows = executor_module.score_delta_rows
-        query_scalars = ScoringKernel._query_scalars
-
-        def counting_score(*args, **kwargs):
-            calls["score"] += 1
-            return score_rows(*args, **kwargs)
-
-        def counting_scalars(self, query):
-            calls["scalars"] += 1
-            return query_scalars(self, query)
-
-        monkeypatch.setattr(executor_module, "score_delta_rows", counting_score)
-        monkeypatch.setattr(ScoringKernel, "_query_scalars", counting_scalars)
         report = engine.apply_mutations(
             [Mutation.insert(obj(100, 0.9, 0.9, "zzz")), Mutation.delete(20)]
         )
         tally = executor.maintain(report.change)
-        assert tally["kept"] == self.N
-        assert tally["patched"] == tally["dropped"] == tally["rescans"] == 0
+        assert tally["kept"] == self.N and tally["dropped"] == 0
         assert executor.stats().maintained_visited == self.N  # the first pass
-        assert calls == {"score": 0, "scalars": 0}
         for query in queries:
             served = executor.execute(query)
             assert served.source == "cache"
@@ -227,19 +202,19 @@ def test_an_entry_published_during_a_pass_needs_a_post_batch_stamp():
     cache = _ResultCache(8, reach_keys=lambda meta: [meta.word])
     cache.fetch("reached", lambda: ("old", Stamped(0), True))
     cache.fetch("unreached", lambda: ("far", Stamped(0, "v"), True))
-    cache.maintain(lambda value, meta: None, 1, [])  # carries both to 1
+    cache.maintain(lambda meta: False, 1, [])  # carries both to 1
 
-    def decide(value, meta):
+    def affects(meta):
         cache.fetch("pre-batch", lambda: ("stale", Stamped(1), True))
         cache.fetch("post-batch", lambda: ("new", Stamped(2), True))
-        return ("patched", "patched", Stamped(2))
+        return True
 
-    tally = cache.maintain(decide, 2, ["w"])
-    assert tally == {"kept": 1, "patched": 1, "dropped": 1, "rescans": 0}
-    assert set(cache.keys()) == {"reached", "unreached", "post-batch"}
-    assert cache.peek_entry("reached") == ("patched", Stamped(2))
+    tally = cache.maintain(affects, 2, ["w"])
+    assert tally == {"kept": 1, "dropped": 2}
+    assert set(cache.keys()) == {"unreached", "post-batch"}
+    assert cache.peek_entry("post-batch") == ("new", Stamped(2))
     assert cache.peek_entry("unreached") == ("far", Stamped(2, "v"))
-    assert cache._postings == {"w": {"reached", "post-batch"}, "v": {"unreached"}}
+    assert cache._postings == {"w": {"post-batch"}, "v": {"unreached"}}
     assert cache.stats().maintained_visited == 2 + 1
 
 
@@ -284,7 +259,7 @@ def test_every_batch_drops_the_linked_whynot_cache(edge):
             dataspace=Rect(0.0, 0.0, 1.0, 1.0),
         )
     )
-    topk = QueryExecutor(engine, cache_capacity=8, skyband_delta=2)
+    topk = QueryExecutor(engine, cache_capacity=8)
     whynot = WhyNotExecutor(engine, topk, cache_capacity=16)
     try:
         first = whynot.execute(EXPLAIN).answer

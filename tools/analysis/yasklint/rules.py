@@ -440,14 +440,14 @@ def _is_cache_receiver(node: ast.expr) -> bool:
 def check_cache_entry_mutation(file: File) -> Iterator[Violation]:
     """Answer maintenance depends on a single writer for cache entries.
 
-    ``_ResultCache`` entries carry skyband metadata stamped with the
+    ``_ResultCache`` entries carry maintenance metadata stamped with the
     engine generation; ``_ResultCache.fetch`` / ``maintain`` /
     ``invalidate`` in ``service/executor.py`` are the only code allowed
-    to create, patch or drop them.  A ``cache.maintain(...)`` /
+    to create or drop them.  A ``cache.maintain(...)`` /
     ``cache.pop(...)`` / subscript write anywhere else can install an
     entry whose stamp lies about the generation it reflects — the next
-    maintenance pass would then "patch" it into a wrong answer served
-    as a warm hit.  Route writes through ``QueryExecutor`` /
+    maintenance pass would then keep it and serve a wrong answer as a
+    warm hit.  Route writes through ``QueryExecutor`` /
     ``WhyNotExecutor`` methods.
     """
     for node in ast.walk(file.tree):
