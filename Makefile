@@ -63,7 +63,9 @@
 #                      the bucketed top-k scan (scan_top_k walking
 #                      buckets of one exact TSim, equal-TSim buckets
 #                      merged) vs the full scan through long mutation
-#                      histories that insert new doc lengths, the
+#                      histories that insert new doc lengths, rows
+#                      filed into x-columns after the build (the scan,
+#                      the disk split row by row, the column walk), the
 #                      sharded engine vs the
 #                      set-path oracle, mutated engines (shard
 #                      summaries, answers) vs a fresh rebuild
@@ -91,6 +93,13 @@
 #                      top-k entry, visited by a batch's pass or not,
 #                      vs a cold rescan after every batch, at
 #                      YASK_TOPK_CACHE_EXAMPLES=200; its own CI job)
+#   make ledger      — the work-and-parity ledger (tools/ledger.py,
+#                      ~7 s): the E16 corpus in process on 4 shards,
+#                      E16's mixed_rw mutation batches, and the same
+#                      why-not sessions and cold queries every 50
+#                      batches; prints one JSON document of kernel
+#                      counter deltas, index tail sizes and answer
+#                      SHA-256s, no times (identical on two runs)
 #   make docs-check  — every GET/POST route in server.py must appear
 #                      in docs/API.md, and every runnable fenced
 #                      Python snippet in README.md / docs/API.md /
@@ -101,7 +110,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke paper bench-json bench-e16-smoke lint docs-check
+.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke paper bench-json bench-e16-smoke ledger lint docs-check
 
 # Re-enables @pytest.mark.slow suites that pytest.ini's default
 # deselects; the dedicated tiers below must run them.
@@ -130,6 +139,9 @@ bench-json:
 
 bench-e16-smoke:
 	$(PYTHON) benchmarks/e16/run.py --smoke
+
+ledger:
+	@PYTHONHASHSEED=0 $(PYTHON) -m tools.ledger
 
 test-lockdep:
 	YASK_LOCKDEP=1 $(PYTHON) -m pytest tests/analysis tests/service/test_concurrency.py tests/service/test_mutation_hammer.py tests/service/test_stats_snapshot.py tests/service/test_scoped_invalidation.py tests/service/test_connections.py tests/service/test_follower.py tests/properties/test_prop_topk_cache.py tests/whynot/test_context.py -q $(ALL_MARKS)

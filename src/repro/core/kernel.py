@@ -907,8 +907,9 @@ class ScoringKernel:
         its tombstones until they pass its own ``compaction_threshold``.
 
         The scan index, when one has been built, follows in O(batch):
-        a delete clears its ``alive`` bit, an insert joins its unsorted
-        tail, a compaction re-keys its row map; only a tail grown past
+        a delete clears its ``alive`` bit, an insert is filed into its
+        x-column (so views and scans cut it like a built row), a
+        compaction re-keys its row map; only a tail of inserts grown past
         its share of the build drops it for the next scan to rebuild.
         """
         appended: Sequence[SpatialObject] = change.appended

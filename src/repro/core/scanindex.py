@@ -26,6 +26,11 @@ a scan"):
   bisects and a shift-and-mask, and the first bucket out of reach ends
   the column.  Only the set bits are scored, on proximity plus the
   bucket's text term: :func:`score_delta_rows`' floats, bit for bit.
+* A row inserted after the build takes the next position and is
+  *filed* into the column its x falls in: the column keeps a y-sorted
+  list of its filed rows beside its built run and widens its x-extent
+  to cover them, so the walk cuts filed rows with the same y-interval
+  as built ones.
 
 The same column walk counts a disk around the query without scoring it
 (:meth:`ScanIndex.disk`): a y-run whose rectangle lies wholly inside is
@@ -73,9 +78,11 @@ SKIP_MARGIN = 1e-12
 #: walks tens of columns, not thousands.
 _COLUMN_ROWS = 256
 
-#: Inserts land in an unsorted tail that every scan covers at distance
-#: bound 0; the kernel drops the index (the next scan rebuilds it) once
-#: the tail outgrows ``max(_COLUMN_ROWS, built // _TAIL_DIVISOR)`` rows.
+#: Inserts take the positions past the build (the *tail*), each filed
+#: into its x-column; the kernel drops the index (the next scan rebuilds
+#: it) once the tail outgrows ``max(_COLUMN_ROWS, built // _TAIL_DIVISOR)``
+#: rows, which bounds how far filing can widen a column's extent and
+#: how long its filed list grows.
 _TAIL_DIVISOR = 8
 
 
@@ -209,10 +216,15 @@ class ScanIndex:
 
     Built from a kernel's columns and maintained by the kernel's
     ``apply_mutations`` in O(batch): :meth:`delete` clears an ``alive`` bit,
-    :meth:`append` adds to the unsorted tail, :meth:`compact` follows a
-    kernel compaction.  The keyword and length bitmaps keep dead
+    :meth:`append` files a row into its x-column, :meth:`compact` follows
+    a kernel compaction.  The keyword and length bitmaps keep dead
     positions, which every derived set loses to ``alive``, and
     positions never move.
+
+    Column ``c``'s built run is positions ``[c · _COLUMN_ROWS,
+    min((c + 1) · _COLUMN_ROWS, built))``, y-sorted; its filed rows are
+    ``_filed[c]``, y-sorted too.  The columns' x-extents cover both and
+    stay sorted and disjoint, so the outward walk's gaps never decrease.
     """
 
     __slots__ = (
@@ -224,6 +236,7 @@ class ScanIndex:
         "_pos_of_row",
         "_col_min_x",
         "_col_max_x",
+        "_filed",
         "_bitmaps",
         "_length_bitmaps",
         "_alive",
@@ -256,6 +269,9 @@ class ScanIndex:
         self._built = built
         self._col_min_x = col_min_x
         self._col_max_x = col_max_x
+        #: Column → (filed ys ascending, their offsets past ``built``),
+        #: for the columns that have filed rows.
+        self._filed: dict[int, tuple[list[float], list[int]]] = {}
         self._xs = array("d", map(xs.__getitem__, order))
         self._ys = array("d", map(ys.__getitem__, order))
         self._oids = array("q", map(oids.__getitem__, order))
@@ -302,8 +318,25 @@ class ScanIndex:
         self._alive ^= 1 << self._pos_of_row[row]
 
     def append(self, x: float, y: float, mask: int, doc_len: int, oid: int) -> None:
-        """The kernel appended a row: it joins the unsorted tail."""
+        """The kernel appended a row: it takes the next position and is
+        filed into the column its ``x`` falls in — the first column when
+        ``x`` lies left of every column, else the last one starting at or
+        before ``x`` — whose extent widens to cover it (an index built
+        from no rows opens its one column here)."""
         pos = len(self._xs)
+        min_x, max_x = self._col_min_x, self._col_max_x
+        if not min_x:
+            min_x.append(x)
+            max_x.append(x)
+        column = max(bisect_right(min_x, x) - 1, 0)
+        if x < min_x[column]:
+            min_x[column] = x
+        elif x > max_x[column]:
+            max_x[column] = x
+        ys, offsets = self._filed.setdefault(column, ([], []))
+        at = bisect_right(ys, y)
+        ys.insert(at, y)
+        offsets.insert(at, pos - self._built)
         self._xs.append(x)
         self._ys.append(y)
         self._oids.append(oid)
@@ -327,7 +360,8 @@ class ScanIndex:
 
     @property
     def tail_overgrown(self) -> bool:
-        """Whether the unsorted tail has outgrown its share of the build."""
+        """Whether the rows filed since the build have outgrown their
+        share of it."""
         tail = len(self._xs) - self._built
         return tail > max(_COLUMN_ROWS, self._built // _TAIL_DIVISOR)
 
@@ -406,7 +440,8 @@ class ScanIndex:
         floor: float | None,
     ) -> tuple[list[tuple[float, int, float, float]], int, int]:
         """``(best ≤ k (−score, oid, sdist, tsim) rows scoring ≥ floor,
-        rows scored, columns walked)`` (the unsorted tail is not a column).
+        rows scored, columns walked)``: a column walked counts once, its
+        built run and its filed rows together.
 
         Exactly the full scan's top ``k`` cut at the inclusive ``floor``:
         θ is the larger of the floor and the running k-th score, a row
@@ -421,13 +456,16 @@ class ScanIndex:
         *peeled* before the walk, best text first: its rows are scored
         outright, wherever they lie, until the first bucket that cannot
         reach θ (nor can any after it).  The walk then serves the
-        buckets left, and ends at the radius of the best of those.
+        buckets left, and ends at the radius of the best of those.  A
+        column's filed rows are cut with its built run's radius: their
+        offsets past ``built`` make a small mask, ANDed with the
+        bucket's rows past ``built``.
         """
         if k < 1:
             return [], 0, 0
         norm = self._normaliser
         xs, ys, oids = self._xs, self._ys, self._oids
-        built = self._built
+        built, filed = self._built, self._filed
         hypot = math.hypot
         buckets = self.buckets(qmask, qlen)
 
@@ -468,12 +506,16 @@ class ScanIndex:
             if bucket.bit_count() <= opens:
                 score(bit_positions(bucket), text, tsim)
             else:
-                tiers.append((text, tsim, bucket))
+                # The bucket's rows past the build, for the filed rows.
+                tiers.append((text, tsim, bucket, bucket >> built if filed else 0))
 
-        def visit(start: int, stop: int, gap: float) -> None:
-            """Score what can still win among positions ``[start, stop)``,
-            all at least ``gap`` from the query."""
-            for text, tsim, bucket in tiers:
+        def visit(column: int, gap: float) -> None:
+            """Score what can still win in ``column``, at least ``gap``
+            from the query: its built run, then its filed rows."""
+            start = column * _COLUMN_ROWS
+            stop = min(start + _COLUMN_ROWS, built)
+            run = filed.get(column) if filed else None
+            for text, tsim, bucket, past in tiers:
                 # A bucket row wins only with ws·proximity ≥ need, which
                 # only grows down the tiers: the first miss ends the column.
                 need = theta_m - text
@@ -484,11 +526,22 @@ class ScanIndex:
                     radius = norm * (1.0 - need / ws)
                     if gap > radius:
                         break
-                    if start < built:  # a y-sorted column: cut to the run
-                        lo, hi = _y_run(ys, start, stop, qy, radius, gap)
+                    lo, hi = _y_run(ys, start, stop, qy, radius, gap)
                 positions = _positions(bucket & (((1 << (hi - lo)) - 1) << lo))
                 if positions:
                     score(positions, text, tsim)
+                if run is None or not past:
+                    continue
+                run_ys, offsets = run
+                lo, hi = 0, len(run_ys)
+                if need > 0.0:
+                    lo, hi = _y_run(run_ys, 0, hi, qy, radius, gap)
+                mask = 0
+                for offset in offsets[lo:hi]:
+                    mask |= 1 << offset
+                mask &= past
+                if mask:
+                    score(_positions(mask << built), text, tsim)
 
         columns = 0
         if tiers:
@@ -499,11 +552,8 @@ class ScanIndex:
                 need = theta_m - best_text
                 if need > 0.0 and (need > ws or gap > norm * (1.0 - need / ws)):
                     break
-                start = column * _COLUMN_ROWS
-                visit(start, min(start + _COLUMN_ROWS, built), gap)
+                visit(column, gap)
                 columns += 1
-            if len(ys) > built:
-                visit(built, len(ys), 0.0)  # the unsorted tail: no distance bound
         heap.sort(reverse=True)
         return [
             (-score, -negoid, sdist, tsim) for score, negoid, sdist, tsim in heap
@@ -525,15 +575,17 @@ class ScanIndex:
         (each row's ``x − qx`` and ``y − qy`` are no larger in magnitude
         than the corner's, and ``hypot`` is faithful), clears ``a`` by
         half the margin — any closer call falls to ``boundary``, as do
-        the run's two ends and the unsorted tail.  Dead positions are
-        included: callers intersect with their own live set.  Without
-        ``split`` every position goes to ``boundary``: a cover of the
-        rows that may reach ``a``, walked with half the bisects.
+        the run's two ends.  A column's filed rows are split the same
+        way, against the same corner distance in x, since the column's
+        extent covers them.  Dead positions are included: callers
+        intersect with their own live set.  Without ``split`` every
+        position goes to ``boundary``: a cover of the rows that may
+        reach ``a``, walked with half the bisects.
         """
         norm = self._normaliser
-        ys, built = self._ys, self._built
+        ys, built, filed = self._ys, self._built, self._filed
         everything = (1 << len(ys)) - 1
-        if a < 0.0:  # every proximity is ≥ 0
+        if a < -SKIP_MARGIN:  # every proximity is ≥ 0 > a + SKIP_MARGIN / 4
             return everything, 0
         if a - SKIP_MARGIN >= 1.0:  # no proximity exceeds 1
             return 0, 0
@@ -542,8 +594,10 @@ class ScanIndex:
         clear = a + SKIP_MARGIN / 2.0
         min_x, max_x = self._col_min_x, self._col_max_x
         hypot, sqrt = math.hypot, math.sqrt
-        inside = 0
-        near = ((1 << (len(ys) - built)) - 1) << built  # the tail
+        inside = near = 0
+        # The filed rows' bits, as offsets past ``built``: shifted into
+        # place once, after the walk.
+        inside_past = near_past = 0
         for column, gap in self._columns_outward(qx):
             if gap > outer:
                 break  # and so is every column still to come
@@ -551,6 +605,7 @@ class ScanIndex:
             lo, hi = _y_run(ys, start, min(start + _COLUMN_ROWS, built), qy, outer, gap)
             ilo = ihi = lo
             dx = max(abs(min_x[column] - qx), abs(max_x[column] - qx))
+            reach: float | None = None
             if split and dx < inner:
                 reach = sqrt(inner * inner - dx * dx)
                 ilo = bisect_left(ys, qy - reach, lo, hi)
@@ -561,13 +616,34 @@ class ScanIndex:
                         ilo = ihi = lo
             inside |= ((1 << (ihi - ilo)) - 1) << ilo
             near |= (((1 << (ilo - lo)) - 1) << lo) | (((1 << (hi - ihi)) - 1) << ihi)
+            run = filed.get(column) if filed else None
+            # The same split on the column's filed rows, written out
+            # again: a helper called per column slowed every view.
+            if run is not None:
+                run_ys, offsets = run
+                lo, hi = _y_run(run_ys, 0, len(run_ys), qy, outer, gap)
+                ilo = ihi = lo
+                if reach is not None:
+                    ilo = bisect_left(run_ys, qy - reach, lo, hi)
+                    ihi = bisect_right(run_ys, qy + reach, ilo, hi)
+                    if ilo < ihi:
+                        far = max(abs(run_ys[ilo] - qy), abs(run_ys[ihi - 1] - qy))
+                        d = hypot(dx, far) / norm
+                        if 1.0 - (d if d < 1.0 else 1.0) <= clear:
+                            ilo = ihi = lo
+                for offset in offsets[ilo:ihi]:
+                    inside_past |= 1 << offset
+                for offset in offsets[lo:ilo] + offsets[ihi:hi]:
+                    near_past |= 1 << offset
+        inside |= inside_past << built
+        near |= near_past << built
         if a < SKIP_MARGIN:  # a clamped row's proximity 0 is not below a
             return inside, everything & ~inside
         return inside, near
 
     @property
     def columns(self) -> int:
-        """How many y-sorted columns the index walks (the tail aside)."""
+        """How many x-columns the index walks."""
         return len(self._col_min_x)
 
     def oids_at(self, positions: Sequence[int]) -> list[int]:

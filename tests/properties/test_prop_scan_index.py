@@ -16,13 +16,19 @@ every bucket's text term is 0), ``k`` from 1 past n, unknown and empty
 query keywords, (shared keywords, doc length) buckets of equal TSim
 that merge, floors below / at / above the k-th score, and mutation
 histories that tombstone, compact, outgrow the index's tail and insert
-doc lengths no built row has.  The index's column height is shrunk so
-a 40-row database spans many columns; one deterministic case runs at
-the shipped height.
+doc lengths no built row has.  Rows inserted after the build are filed
+into x-columns: left of every column, right of every column, between
+two columns, on a column boundary, and into an index built from no
+live rows; there the disk's three-way split is checked row by row
+against ``math.hypot`` and the outward column walk's gaps against
+every row's x.  The index's column height is shrunk so a 40-row
+database spans many columns; one deterministic case runs at the
+shipped height.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from heapq import nsmallest
 from types import SimpleNamespace
@@ -34,7 +40,7 @@ from hypothesis import strategies as st
 from repro.core import scanindex
 from repro.core.geometry import Point, Rect
 from repro.core.kernel import ScoringKernel
-from repro.core.scanindex import score_delta_rows
+from repro.core.scanindex import SKIP_MARGIN, score_delta_rows
 from repro.core.mutations import MutableDatabase, Mutation
 from repro.core.objects import OID_LIMIT, SpatialDatabase, SpatialObject
 from tests.properties.strategies import ALPHABET
@@ -100,6 +106,17 @@ def column_rows(rows: int):
         yield
     finally:
         scanindex._COLUMN_ROWS = shipped
+
+
+@contextmanager
+def tail_divisor(divisor: int):
+    """Run with the index's tail allowance set to ``built // divisor``."""
+    shipped = scanindex._TAIL_DIVISOR
+    scanindex._TAIL_DIVISOR = divisor
+    try:
+        yield
+    finally:
+        scanindex._TAIL_DIVISOR = shipped
 
 
 def build(objects, offset: float = 0.0) -> ScoringKernel:
@@ -451,3 +468,189 @@ def test_equal_tsim_buckets_merge_and_new_lengths_get_a_bitmap():
     assert kernel._scan_index is index and 9 in index._length_bitmaps
     for k in (1, 2, 4):
         assert_scan_parity(kernel, k, scalars)
+
+
+# ----------------------------------------------------------------------
+# Rows filed into x-columns after the build
+# ----------------------------------------------------------------------
+#: Where an inserted row's x falls against the index's current columns.
+PLACEMENTS = ("left", "right", "between", "boundary", "free")
+
+
+def filed_x(draw, index) -> float:
+    """An x for the next insert, placed against ``index``'s extents."""
+    min_x, max_x = index._col_min_x, index._col_max_x
+    place = draw(st.sampled_from(PLACEMENTS))
+    if not min_x or place == "free":
+        return draw(coordinate)
+    step = draw(st.sampled_from([1e-9, 0.01, 0.25]))
+    last = len(min_x) - 1
+    column = draw(st.integers(min_value=0, max_value=last))
+    if place == "left":
+        return min_x[0] - step
+    if place == "right":
+        return max_x[last] + step
+    if place == "between" and column < last:
+        return (max_x[column] + min_x[column + 1]) / 2.0
+    return draw(st.sampled_from([min_x[column], max_x[column]]))
+
+
+def check_columns(index, qx):
+    """Extents cover every row, built or filed, stay sorted and disjoint,
+    and the outward walk yields each column once, gaps non-decreasing,
+    each no larger than any of its rows' x-distance to ``qx``."""
+    min_x, max_x = index._col_min_x, index._col_max_x
+    xs, built, rows = index._xs, index._built, scanindex._COLUMN_ROWS
+    members = {
+        column: [*range(column * rows, min((column + 1) * rows, built))]
+        for column in range(len(min_x))
+    }
+    for column, (_, offsets) in index._filed.items():
+        members[column] += [built + offset for offset in offsets]
+    assert sorted(p for column in members.values() for p in column) == list(
+        range(len(xs))
+    )
+    for column, positions in members.items():
+        assert all(min_x[column] <= xs[p] <= max_x[column] for p in positions)
+        assert min_x[column] <= max_x[column]
+        if column:
+            assert max_x[column - 1] <= min_x[column]
+    walk = list(index._columns_outward(qx))
+    assert sorted(column for column, _ in walk) == list(range(len(min_x)))
+    gaps = [gap for _, gap in walk]
+    assert gaps == sorted(gaps)
+    for column, gap in walk:
+        assert all(abs(xs[p] - qx) >= gap for p in members[column])
+    for ys, _ in index._filed.values():
+        assert ys == sorted(ys)
+
+
+def check_disk(index, qx, qy, a, split):
+    """Every ``inside`` position's proximity is above ``a + SKIP_MARGIN / 4``
+    and every position in neither set below ``a − SKIP_MARGIN / 4``, by
+    ``math.hypot`` row by row; the two sets are disjoint."""
+    inside, boundary = index.disk(qx, qy, a, split=split)
+    assert not inside & boundary
+    norm = index._normaliser
+    for p, (x, y) in enumerate(zip(index._xs, index._ys)):
+        proximity = 1.0 - min(math.hypot(x - qx, y - qy) / norm, 1.0)
+        if inside >> p & 1:
+            assert proximity > a + SKIP_MARGIN / 4.0, (p, proximity, a)
+        elif not boundary >> p & 1:
+            assert proximity < a - SKIP_MARGIN / 4.0, (p, proximity, a)
+    assert (inside | boundary) >> len(index._xs) == 0
+
+
+def disk_radius(draw, index, qx, qy) -> float:
+    """A proximity to split at: free, or one row's own, nudged by ulps."""
+    if not index._xs or draw(st.booleans()):
+        return draw(st.floats(min_value=-0.1, max_value=1.1))
+    p = draw(st.integers(min_value=0, max_value=len(index._xs) - 1))
+    d = math.hypot(index._xs[p] - qx, index._ys[p] - qy) / index._normaliser
+    a = 1.0 - min(d, 1.0)
+    for _ in range(draw(st.integers(min_value=-2, max_value=2))):
+        a = math.nextafter(a, math.inf)
+    return a + draw(st.sampled_from([0.0, 0.0, SKIP_MARGIN / 4.0, -SKIP_MARGIN / 4.0]))
+
+
+def check_filed_rows(objects, empty, batches, data):
+    """Scan parity at a drawn floor, the disk row by row and the column
+    walk, after every batch of inserts filed into a built index.
+
+    An anchor row interns every keyword and is deleted before the build,
+    so inserts need no vocabulary growth; with ``empty`` every row is,
+    and the index is built from no live rows.  Tombstones never compact
+    here, and the tail may grow to the build's size before the index is
+    dropped, so most inserts are filed rather than rebuilt into place."""
+    draw = data.draw
+    anchor = SpatialObject(OID_LIMIT - 1, Point(0.5, 0.5), frozenset(ALPHABET))
+    kernel = ScoringKernel(
+        SpatialDatabase([*objects, anchor], dataspace=Rect(0.0, 0.0, 1.0, 1.0)),
+        compaction_threshold=1.0,
+    )
+    removed = [anchor.oid] + ([obj.oid for obj in objects] if empty else [])
+    kernel.apply_mutations(SimpleNamespace(removed_oids=removed, appended=()))
+    next_oid = len(objects)
+    kernel.scan_top_k(1, 0.5, 0.5, 0, 0, 0.5, 0.5)  # builds the index
+    if empty:
+        assert kernel._scan_index._built == 0 and kernel._scan_index.columns == 0
+    for _ in range(batches):
+        index = kernel._scan_index
+        inserts = []
+        for _ in range(draw(st.integers(min_value=1, max_value=4))):
+            x = filed_x(draw, index)
+            inserts.append(SpatialObject(next_oid, Point(x, draw(coordinate)), draw(docs)))
+            next_oid += 1
+        kernel.apply_mutations(SimpleNamespace(removed_oids=(), appended=inserts))
+        index = kernel._scan_index or kernel._built_scan_index()[0]
+        qx, qy = draw(query_coordinate), draw(query_coordinate)
+        check_columns(index, qx)
+        check_disk(index, qx, qy, disk_radius(draw, index, qx, qy), draw(st.booleans()))
+        scalars = scalars_for(kernel, qx, qy, draw(query_docs), *draw(weights))
+        k = draw(st.integers(min_value=1, max_value=len(kernel.live_row_list()) + 1))
+        assert_scan_parity(kernel, k, scalars)
+        floor = draw(st.floats(min_value=-0.1, max_value=1.1))
+        assert kernel.scan_top_k(k, *scalars, floor) == full_scan(kernel, k, scalars, floor)
+
+
+FILED_CASES = dict(
+    objects=object_lists(min_size=1, max_size=40),
+    empty=st.booleans(),
+    height=st.sampled_from([1, 2, 3, 5]),
+    data=st.data(),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(**FILED_CASES)
+def test_filed_rows_keep_scan_disk_and_walk_exact(objects, empty, height, data):
+    with column_rows(height), tail_divisor(1):
+        check_filed_rows(objects, empty, 4, data)
+
+
+@pytest.mark.slow
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(**FILED_CASES)
+def test_filed_rows_keep_scan_disk_and_walk_exact_deep(objects, empty, height, data):
+    with column_rows(height), tail_divisor(1):
+        check_filed_rows(objects, empty, 12, data)
+
+
+def test_inserts_are_filed_not_left_in_a_tail():
+    """At the shipped column height, rows inserted left of, right of,
+    between and on the boundary of the built columns are filed into one
+    column each, which widens to cover them; the index is not rebuilt."""
+    objects = [
+        SpatialObject(oid, Point((oid // 2) / 1000.0 + 0.25 * (oid >= 512), 0.5),
+                      frozenset(ALPHABET[oid % 3 : oid % 3 + 2]))
+        for oid in range(1024)
+    ]
+    kernel = build(objects)
+    kernel.scan_top_k(1, 0.5, 0.5, 0, 0, 0.5, 0.5)
+    index = kernel._scan_index
+    assert index.columns == 4
+    min_x, max_x = list(index._col_min_x), list(index._col_max_x)
+    xs = [min_x[0] - 0.1, max_x[3] + 0.1, (max_x[1] + min_x[2]) / 2.0, min_x[2]]
+    mutable = MutableDatabase(kernel.database)
+    mutable.register_listener(kernel)
+    mutable.apply([
+        Mutation.insert(SpatialObject(2000 + i, Point(x, 0.25), frozenset(ALPHABET[:2])))
+        for i, x in enumerate(xs)
+    ])
+    assert kernel._scan_index is index
+    assert sorted(index._filed) == [0, 1, 2, 3]
+    assert index._col_min_x[0] == xs[0] and index._col_max_x[3] == xs[1]
+    assert index._col_max_x[1] == xs[2] and index._col_min_x[2] == min_x[2]
+    assert index._filed[2][1] == [3]
+    scalars = scalars_for(kernel, 0.6, 0.3, frozenset(ALPHABET[:2]), 0.5, 0.5)
+    for k in (1, 5, 40):
+        assert_scan_parity(kernel, k, scalars)
+    check_columns(index, 0.6)
