@@ -7,7 +7,8 @@
 #                      -m "slow or not slow" (marker policy:
 #                      docs/DEVELOPMENT.md)
 #   make test-recovery — the durability tier at a deeper hypothesis
-#                      budget: the crash-point recovery property plus
+#                      budget: the crash-point recovery property, the
+#                      database document round-trip property, plus
 #                      the WAL, fault-injection and follower suites
 #                      (its own CI job; tier-1 runs the same files at
 #                      the default budget)
@@ -120,7 +121,7 @@ test:
 	$(PYTHON) -m pytest -x -q
 
 test-recovery:
-	YASK_RECOVERY_EXAMPLES=40 $(PYTHON) -m pytest tests/properties/test_prop_recovery.py tests/service/test_wal.py tests/service/test_wal_faults.py tests/service/test_follower.py -q $(ALL_MARKS)
+	YASK_RECOVERY_EXAMPLES=40 $(PYTHON) -m pytest tests/properties/test_prop_recovery.py tests/properties/test_prop_codec.py tests/service/test_wal.py tests/service/test_wal_faults.py tests/service/test_follower.py -q $(ALL_MARKS)
 
 test-chaos:
 	$(PYTHON) -m pytest tests/chaos -q $(ALL_MARKS)

@@ -259,17 +259,18 @@ class SpatialDatabase:
     def adopt_vocabulary(self, keywords: Iterable[str]) -> None:
         """Re-intern against an explicit bit-position order.
 
-        Index persistence calls this so doc masks saved alongside a tree
-        decode identically after a load (a plain re-intern sorts the
-        corpus and can reorder positions an extended vocabulary assigned
-        append-only).  The order must cover the whole corpus.
+        :func:`repro.core.codec.database_from_doc` calls this so a
+        reloaded snapshot keeps the bit positions its database had (a
+        plain re-intern sorts the corpus and can reorder positions an
+        extended vocabulary assigned append-only).  The order must cover
+        the whole corpus.
 
         Once this database has interned — a scoring kernel may have
         snapshotted its masks in the current bit positions — adopting a
         *different* order is refused: consumers encode queries against
         the live table, so reordering positions under them would make
-        every mask comparison silently wrong.  Load persisted indexes
-        over a freshly constructed database instead.
+        every mask comparison silently wrong.  Adopt an order only on a
+        freshly constructed database.
         """
         index = Vocabulary.from_ordered(keywords)
         if self._vocabulary_index is not None:
@@ -278,7 +279,7 @@ class SpatialDatabase:
             raise ValueError(
                 "cannot adopt a different vocabulary order: this database "
                 "already interned and kernels may hold its doc masks; "
-                "attach the persisted index to a freshly built database"
+                "adopt the order on a freshly built database"
             )
         try:
             masks = tuple(index.encode(obj.doc) for obj in self.objects)

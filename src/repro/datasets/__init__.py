@@ -13,14 +13,7 @@ from repro.datasets.hotels import (
     coffee_shops,
     hong_kong_hotels,
 )
-from repro.datasets.loaders import (
-    database_from_dict,
-    database_to_dict,
-    load_csv,
-    load_json,
-    save_csv,
-    save_json,
-)
+from repro.datasets.loaders import load_csv, load_json, save_csv, save_json
 
 __all__ = [
     "SyntheticDatasetBuilder",
@@ -32,8 +25,6 @@ __all__ = [
     "STARBUCKS_CENTRAL",
     "coffee_shops",
     "hong_kong_hotels",
-    "database_from_dict",
-    "database_to_dict",
     "load_csv",
     "load_json",
     "save_csv",

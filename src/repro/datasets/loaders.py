@@ -12,70 +12,27 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Iterable
 
-from repro.core.geometry import Point, Rect
-from repro.core.objects import SpatialDatabase, SpatialObject
+from repro.core.codec import database_from_doc, database_to_doc, object_from_doc
+from repro.core.objects import SpatialDatabase
 
-__all__ = [
-    "database_to_dict",
-    "database_from_dict",
-    "save_json",
-    "load_json",
-    "save_csv",
-    "load_csv",
-]
-
-
-def database_to_dict(database: SpatialDatabase) -> dict:
-    """Serialise a database (objects + dataspace) to plain data."""
-    return {
-        "dataspace": list(database.dataspace.as_tuple()),
-        "objects": [
-            {
-                "oid": obj.oid,
-                "x": obj.loc.x,
-                "y": obj.loc.y,
-                "keywords": sorted(obj.doc),
-                "name": obj.name,
-            }
-            for obj in database
-        ],
-    }
-
-
-def database_from_dict(payload: dict) -> SpatialDatabase:
-    """Inverse of :func:`database_to_dict`."""
-    try:
-        raw_objects = payload["objects"]
-    except (KeyError, TypeError):
-        raise ValueError("payload must be a dict with an 'objects' list") from None
-    objects = [
-        SpatialObject(
-            oid=int(raw["oid"]),
-            loc=Point(float(raw["x"]), float(raw["y"])),
-            doc=frozenset(raw["keywords"]),
-            name=raw.get("name"),
-        )
-        for raw in raw_objects
-    ]
-    dataspace = None
-    if payload.get("dataspace") is not None:
-        min_x, min_y, max_x, max_y = payload["dataspace"]
-        dataspace = Rect(min_x, min_y, max_x, max_y)
-    return SpatialDatabase(objects, dataspace=dataspace)
+__all__ = ["save_json", "load_json", "save_csv", "load_csv"]
 
 
 def save_json(database: SpatialDatabase, path: str | Path) -> None:
-    """Write a database to a JSON file."""
+    """Write a database document (:mod:`repro.core.codec`) to a JSON file."""
     Path(path).write_text(
-        json.dumps(database_to_dict(database), indent=2), encoding="utf-8"
+        json.dumps(database_to_doc(database), indent=2), encoding="utf-8"
     )
 
 
 def load_json(path: str | Path) -> SpatialDatabase:
-    """Read a database from a JSON file written by :func:`save_json`."""
-    return database_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    """Read a database from a JSON file written by :func:`save_json`.
+
+    Raises ``ValueError`` (a :class:`~repro.core.codec.DocumentError` or
+    a ``json.JSONDecodeError``) on a malformed file.
+    """
+    return database_from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 _CSV_FIELDS = ("oid", "x", "y", "keywords", "name")
@@ -105,16 +62,17 @@ def save_csv(database: SpatialDatabase, path: str | Path) -> None:
 
 def load_csv(path: str | Path) -> SpatialDatabase:
     """Read a database from a CSV file written by :func:`save_csv`."""
-    objects: list[SpatialObject] = []
     with Path(path).open(newline="", encoding="utf-8") as handle:
-        for row in csv.DictReader(handle):
-            keywords = [kw for kw in row["keywords"].split("|") if kw]
-            objects.append(
-                SpatialObject(
-                    oid=int(row["oid"]),
-                    loc=Point(float(row["x"]), float(row["y"])),
-                    doc=frozenset(keywords),
-                    name=row["name"] or None,
-                )
+        objects = [
+            object_from_doc(
+                {
+                    "oid": row["oid"],
+                    "x": row["x"],
+                    "y": row["y"],
+                    "keywords": [kw for kw in row["keywords"].split("|") if kw],
+                    "name": row["name"] or None,
+                }
             )
+            for row in csv.DictReader(handle)
+        ]
     return SpatialDatabase(objects)

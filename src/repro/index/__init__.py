@@ -14,13 +14,6 @@
 from repro.index.dualspace import DualSpaceIndex
 from repro.index.irtree import IRSummary, IRTree
 from repro.index.kcrtree import KcRTree, KcSummary
-from repro.index.persistence import (
-    IndexPersistenceError,
-    index_from_dict,
-    index_to_dict,
-    load_index,
-    save_index,
-)
 from repro.index.rtree import DEFAULT_MAX_ENTRIES, RTree, RTreeEntry, RTreeNode
 from repro.index.setrtree import SetRTree, SetSummary
 
@@ -31,11 +24,6 @@ __all__ = [
     "IRTree",
     "KcRTree",
     "KcSummary",
-    "IndexPersistenceError",
-    "index_from_dict",
-    "index_to_dict",
-    "load_index",
-    "save_index",
     "RTree",
     "RTreeEntry",
     "RTreeNode",

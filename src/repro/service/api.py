@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence, cast
 
 from repro import concurrency
+from repro.core.codec import database_to_doc
 from repro.core.geometry import Point
 from repro.core.kernel import ScoringKernel
 from repro.core.mutations import (
@@ -470,8 +471,8 @@ class YaskEngine:
     def snapshot(self) -> dict:
         """Checkpoint the current state into the attached log.
 
-        Writes the full database payload
-        (:func:`repro.index.persistence.database_to_dict`) as a
+        Writes the full database document
+        (:func:`repro.core.codec.database_to_doc`) as a
         snapshot covering the current generation, then compacts away
         fully covered segments.  Recovery after this point loads the
         snapshot and replays only the tail.  Returns the log's snapshot
@@ -483,12 +484,10 @@ class YaskEngine:
             raise WalError(
                 "no write-ahead log attached; snapshots checkpoint a log"
             )
-        from repro.index.persistence import database_to_dict
-
         with self._lock.read():
             generation = self.generation
-            payload = database_to_dict(self._database)
-        return self._wal.write_snapshot(generation, payload)
+            doc = database_to_doc(self._database)
+        return self._wal.write_snapshot(generation, doc)
 
     def durability_stats(self) -> dict:
         """The ``GET /api/stats`` durability section (primary side)."""

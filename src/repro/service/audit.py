@@ -9,8 +9,8 @@ the *missing-object* half of that doubt; this module answers the
 Definition-1 oracle and cross-checks the served result object by object,
 score by score.
 
-In production such an audit guards against index corruption (e.g. a
-stale persisted index reattached to a newer database); in this
+In production such an audit guards against index corruption (e.g. an
+incrementally maintained kernel drifting from its database); in this
 reproduction it doubles as a runtime assertion of the central
 index-equals-oracle theorem the test suite establishes statically.
 """

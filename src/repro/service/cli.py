@@ -59,12 +59,19 @@ __all__ = ["main", "build_parser", "load_dataset"]
 
 
 def load_dataset(spec: str) -> SpatialDatabase:
-    """Resolve a dataset spec: a builtin name or a JSON file path."""
+    """Resolve a dataset spec: a builtin name or a JSON file path.
+
+    A malformed file exits with status 2 and a one-line reason.
+    """
     if spec == "hotels":
         return hong_kong_hotels()
     if spec == "coffee":
         return coffee_shops()
-    return load_json(spec)
+    try:
+        return load_json(spec)
+    except ValueError as exc:
+        print(f"yask: malformed dataset {spec}: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def build_parser() -> argparse.ArgumentParser:

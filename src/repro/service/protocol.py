@@ -12,6 +12,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Mapping
 
+from repro.core.codec import (
+    DocumentError,
+    keywords_from_doc,
+    object_from_doc,
+    object_to_doc,
+)
 from repro.core.geometry import Point
 from repro.core.objects import SpatialObject
 from repro.core.query import (
@@ -59,7 +65,6 @@ __all__ = [
     "lambda_from_dict",
     "whynot_question_from_dict",
     "batch_whynot_questions_from_dict",
-    "object_to_dict",
     "result_to_dict",
     "execution_to_dict",
     "batch_execution_to_dict",
@@ -118,26 +123,6 @@ def _require(payload: Mapping[str, Any], key: str) -> Any:
         raise ProtocolError(f"missing required field {key!r}") from None
 
 
-def _keywords(payload: Mapping[str, Any], cap: int | None) -> frozenset[str]:
-    """The ``keywords`` field: a JSON list of at most ``cap`` strings.
-
-    Items are not coerced: ``null`` or ``3`` is refused rather than
-    searched for as ``"None"`` or ``"3"``, and a JSON object is refused
-    rather than contributing its keys.  ``cap=None`` lifts the length
-    cap.
-    """
-    keywords = _require(payload, "keywords")
-    if not isinstance(keywords, list):
-        raise ProtocolError("'keywords' must be a list of strings")
-    if cap is not None and len(keywords) > cap:
-        raise ProtocolError(
-            f"'keywords' holds {len(keywords)} entries; the cap is {cap}"
-        )
-    if not all(isinstance(keyword, str) for keyword in keywords):
-        raise ProtocolError("'keywords' must be a list of strings")
-    return frozenset(keywords)
-
-
 # ----------------------------------------------------------------------
 # Queries
 # ----------------------------------------------------------------------
@@ -158,7 +143,7 @@ def query_from_dict(
     """Parse a query request; weights are optional (server parameter)."""
     try:
         loc = Point(float(_require(payload, "x")), float(_require(payload, "y")))
-        doc = _keywords(payload, MAX_QUERY_KEYWORDS)
+        doc = keywords_from_doc(payload, MAX_QUERY_KEYWORDS)
         k = _require(payload, "k")
         if isinstance(k, bool):
             raise ProtocolError("'k' must be a positive integer, not a boolean")
@@ -174,6 +159,8 @@ def query_from_dict(
         return SpatialKeywordQuery(loc=loc, doc=doc, k=k, weights=weights)
     except ProtocolError:
         raise
+    except DocumentError as exc:
+        raise ProtocolError(str(exc)) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ProtocolError(f"malformed query payload: {exc}") from None
 
@@ -215,24 +202,13 @@ def spatial_object_from_dict(
     *,
     max_keywords: int | None = MAX_OBJECT_KEYWORDS,
 ) -> SpatialObject:
-    """Parse an object payload: ``{"oid", "x", "y", "keywords", "name"?}``.
-
-    The keyword list may be empty (an object can carry no text), but it
-    must be present — an ingest endpoint silently defaulting documents
-    would mask client bugs.
-    """
+    """Parse an object payload: ``{"oid", "x", "y", "keywords", "name"?}``
+    (:func:`repro.core.codec.object_from_doc` under the wire's keyword
+    cap)."""
     try:
-        oid = int(_require(payload, "oid"))
-        loc = Point(float(_require(payload, "x")), float(_require(payload, "y")))
-        doc = _keywords(payload, max_keywords)
-        name = payload.get("name")
-        if name is not None and not isinstance(name, str):
-            raise ProtocolError("'name' must be a string when present")
-        return SpatialObject(oid=oid, loc=loc, doc=doc, name=name)
-    except ProtocolError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ProtocolError(f"malformed object payload: {exc}") from None
+        return object_from_doc(payload, max_keywords=max_keywords)
+    except DocumentError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def mutation_from_dict(
@@ -279,16 +255,9 @@ def mutation_to_dict(mutation: "Mutation") -> dict[str, Any]:
     """
     if mutation.kind == "delete":
         return {"op": "delete", "oid": mutation.oid}
-    obj = mutation.obj
-    payload: dict[str, Any] = {
-        "op": mutation.kind,
-        "oid": obj.oid,
-        "x": obj.loc.x,
-        "y": obj.loc.y,
-        "keywords": sorted(obj.doc),
-    }
-    if obj.name is not None:
-        payload["name"] = obj.name
+    payload = {"op": mutation.kind, **object_to_doc(mutation.obj)}
+    if payload["name"] is None:
+        del payload["name"]
     return payload
 
 
@@ -472,23 +441,13 @@ def batch_whynot_questions_from_dict(
 # ----------------------------------------------------------------------
 # Results
 # ----------------------------------------------------------------------
-def object_to_dict(obj: SpatialObject) -> dict[str, Any]:
-    return {
-        "oid": obj.oid,
-        "name": obj.name,
-        "x": obj.loc.x,
-        "y": obj.loc.y,
-        "keywords": sorted(obj.doc),
-    }
-
-
 def _entry_to_dict(entry: RankedObject) -> dict[str, Any]:
     return {
         "rank": entry.rank,
         "score": entry.score,
         "sdist": entry.sdist,
         "tsim": entry.tsim,
-        "object": object_to_dict(entry.obj),
+        "object": object_to_doc(entry.obj),
     }
 
 
@@ -532,7 +491,7 @@ def batch_execution_to_dict(batch: "BatchExecution") -> dict[str, Any]:
 # ----------------------------------------------------------------------
 def _object_explanation_to_dict(explanation: ObjectExplanation) -> dict[str, Any]:
     return {
-        "object": object_to_dict(explanation.obj),
+        "object": object_to_doc(explanation.obj),
         "rank": explanation.rank,
         "k": explanation.k,
         "ranks_behind": explanation.ranks_behind,

@@ -70,6 +70,7 @@ from typing import Any, Callable, Mapping
 from urllib.parse import parse_qs, unquote, urlparse
 
 from repro import concurrency, faults
+from repro.core.codec import object_to_doc
 from repro.core.mutations import MissingTargetError, Mutation, MutationError
 from repro.service.api import YaskEngine
 from repro.service.executor import (
@@ -88,7 +89,6 @@ from repro.service.protocol import (
     lambda_from_dict,
     missing_refs_from_dict,
     mutations_from_dict,
-    object_to_dict,
     spatial_object_from_dict,
     query_from_dict,
     result_to_dict,
@@ -549,12 +549,12 @@ class _YaskRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(status, body)
             elif parsed.path.startswith("/api/objects/"):
                 obj = self._resolve_object(parsed.path)
-                self._send_json(200, {"object": object_to_dict(obj)})
+                self._send_json(200, {"object": object_to_doc(obj)})
             elif parsed.path == "/api/objects":
                 engine = self.server.engine
                 # Under the read lock: a batch clears the cache this fills.
                 with engine.read_view():
-                    objects = [object_to_dict(obj) for obj in engine.database]
+                    objects = [object_to_doc(obj) for obj in engine.database]
                 self._send_json(200, {"objects": objects})
             elif parsed.path == "/api/log":
                 params = parse_qs(parsed.query)

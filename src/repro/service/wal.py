@@ -15,9 +15,10 @@ crash-safe life cycle —
   leaves syncing to the OS — a crashed *process* still loses nothing
   (the buffer is flushed per append), only a power cut can.
 * Snapshots + manifest — :meth:`WriteAheadLog.write_snapshot` persists
-  the full database state (via :func:`repro.index.persistence.database_to_dict`)
-  at generation ``G`` and atomically rewrites ``MANIFEST.json``;
-  segments fully covered by ``G`` are then compacted away.
+  the full database state (a :mod:`repro.core.codec` database document
+  inside a versioned envelope) at generation ``G`` and atomically
+  rewrites ``MANIFEST.json``; segments fully covered by ``G`` are then
+  compacted away.
 * :func:`recover_engine` — snapshot + replay: load the manifest's
   snapshot (or the caller's seed database when the log predates any
   snapshot), bulk-replay every logged record with generation ``> G``
@@ -52,7 +53,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 from repro import concurrency, faults
-from repro.index.persistence import IndexPersistenceError, database_from_dict
+from repro.core.codec import DocumentError, database_from_doc
 
 if TYPE_CHECKING:  # the engine imports this module's errors lazily
     from repro.core.objects import SpatialDatabase
@@ -85,6 +86,8 @@ _SEGMENT_SUFFIX = ".log"
 _MANIFEST_NAME = "MANIFEST.json"
 _MANIFEST_FORMAT = 1
 _SNAPSHOT_FORMAT = 1
+#: The database body's own version field, inside the snapshot envelope.
+_DATABASE_FORMAT = 1
 
 FSYNC_POLICIES = ("always", "never")
 
@@ -353,7 +356,7 @@ def _load_manifest(directory: Path, opener: Opener) -> dict[str, Any]:
 def load_snapshot(
     directory: str | Path, *, opener: Opener = open
 ) -> tuple[int, dict[str, Any]] | None:
-    """``(generation, database payload)`` of the manifest's snapshot.
+    """``(generation, database document)`` of the manifest's snapshot.
 
     ``None`` when the log has never been snapshotted.  Raises
     :class:`WalCorruptionError` when the manifest names a snapshot that
@@ -375,16 +378,20 @@ def load_snapshot(
         payload = json.loads(_read_bytes(path, opener))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise WalCorruptionError(f"snapshot {name!r} is not JSON: {exc}") from None
+    database = payload.get("database") if isinstance(payload, dict) else None
     if (
-        not isinstance(payload, dict)
+        not isinstance(database, dict)
         or payload.get("format") != _SNAPSHOT_FORMAT
+        or database.get("format") != _DATABASE_FORMAT
         or payload.get("generation") != manifest["snapshot_generation"]
-        or not isinstance(payload.get("database"), dict)
     ):
         raise WalCorruptionError(
-            f"snapshot {name!r} disagrees with the manifest"
+            f"snapshot {name!r} is not a format-{_SNAPSHOT_FORMAT} snapshot "
+            "at the manifest's generation"
         )
-    return manifest["snapshot_generation"], payload["database"]
+    return manifest["snapshot_generation"], {
+        key: value for key, value in database.items() if key != "format"
+    }
 
 
 class WriteAheadLog:
@@ -674,9 +681,13 @@ class WriteAheadLog:
     # Snapshots + compaction
     # ------------------------------------------------------------------
     def write_snapshot(
-        self, generation: int, database_payload: dict[str, Any]
+        self, generation: int, database_doc: dict[str, Any]
     ) -> dict[str, Any]:
         """Persist a snapshot covering ``generation``; compact the log.
+
+        ``database_doc`` is a :func:`repro.core.codec.database_to_doc`
+        document; the snapshot wraps it with its own ``format`` field
+        inside the envelope's.
 
         The snapshot file and the manifest are both written atomically
         (temp file + ``os.replace``), in that order, so every crash
@@ -703,7 +714,7 @@ class WriteAheadLog:
             payload = {
                 "format": _SNAPSHOT_FORMAT,
                 "generation": generation,
-                "database": database_payload,
+                "database": {"format": _DATABASE_FORMAT, **database_doc},
             }
             previous = self._manifest.get("snapshot")
             self._write_atomically(name, json.dumps(payload))
@@ -892,8 +903,8 @@ def _recovered_database(
     if snapshot is not None:
         base_generation, payload = snapshot
         try:
-            database = database_from_dict(payload)
-        except IndexPersistenceError as exc:
+            database = database_from_doc(payload)
+        except DocumentError as exc:
             raise WalCorruptionError(f"snapshot is malformed: {exc}") from None
     elif database is None:
         raise WalError(

@@ -39,8 +39,9 @@ class Vocabulary:
     therefore stays valid — similarity arithmetic consumes bit *counts*,
     never positions — at the price that an extended table's positions
     need no longer be globally sorted.  :meth:`from_ordered` rebuilds a
-    table from an explicit position order (index persistence round-trips
-    it so saved doc masks decode identically after a load).
+    table from an explicit position order (a database document's
+    ``vocabulary``, :mod:`repro.core.codec`, so a reloaded snapshot
+    keeps its bit positions).
     """
 
     __slots__ = ("_ids", "_keywords")

@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.datasets.loaders import (
-    database_from_dict,
-    database_to_dict,
-    load_csv,
-    load_json,
-    save_csv,
-    save_json,
-)
+from repro.core.codec import database_from_doc, database_to_doc
+from repro.datasets.loaders import load_csv, load_json, save_csv, save_json
 
 
 class TestJsonRoundTrip:
@@ -38,7 +32,7 @@ class TestJsonRoundTrip:
         ]
 
     def test_dict_round_trip(self, hotels_db):
-        restored = database_from_dict(database_to_dict(hotels_db))
+        restored = database_from_doc(database_to_doc(hotels_db))
         assert len(restored) == len(hotels_db)
         assert restored.resolve("Grand Victoria Harbour Hotel").doc == (
             hotels_db.resolve("Grand Victoria Harbour Hotel").doc
@@ -46,9 +40,9 @@ class TestJsonRoundTrip:
 
     def test_malformed_payload(self):
         with pytest.raises(ValueError):
-            database_from_dict({"nope": []})
+            database_from_doc({"nope": []})
         with pytest.raises(ValueError):
-            database_from_dict([1, 2, 3])
+            database_from_doc([1, 2, 3])
 
 
 class TestCsvRoundTrip:

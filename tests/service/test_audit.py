@@ -5,7 +5,6 @@ import pytest
 from repro.core.query import QueryResult, RankedObject
 from repro.core.topk import BruteForceTopK
 from repro.service.api import YaskEngine
-from repro.service.audit import audit_result
 
 from tests.conftest import random_queries
 
@@ -85,39 +84,3 @@ class TestCorruptionDetection:
         if entries[0].obj.oid != entries[1].obj.oid:
             assert not report.ok
             assert any(f.kind == "wrong-object" for f in report.findings)
-
-    def test_stale_index_detected(self, small_db, tmp_path):
-        # Persist an index, rebuild the database with a permuted object
-        # (simulating drift between disk index and database), and audit.
-        from repro.core.geometry import Point
-        from repro.core.objects import SpatialDatabase, SpatialObject
-        from repro.core.scoring import Scorer
-        from repro.core.topk import BestFirstTopK
-        from repro.index.persistence import save_index, load_index
-        from repro.index.setrtree import SetRTree
-
-        tree = SetRTree.build(small_db, max_entries=8)
-        path = tmp_path / "stale.json"
-        save_index(tree, path)
-
-        # New database: object 0 moved far away but same id.
-        moved = [
-            SpatialObject(
-                obj.oid,
-                Point(obj.loc.x + 0.9, obj.loc.y) if obj.oid == 0 else obj.loc,
-                obj.doc,
-                obj.name,
-            )
-            for obj in small_db
-        ]
-        drifted_db = SpatialDatabase(moved, dataspace=small_db.dataspace)
-        # The loaded index recomputes summaries from the *new* database,
-        # so structure is stale but bounds are honest: results may be
-        # suboptimal in node visit order yet must still audit clean.
-        loaded = load_index(path, drifted_db)
-        scorer = Scorer(drifted_db)
-        q = random_queries(drifted_db, 1, seed=256, k=5)[0]
-        served = BestFirstTopK(loaded, scorer).search(q)
-        report = audit_result(scorer, served)
-        # Bounds recomputed on load keep correctness: audit passes.
-        assert report.ok

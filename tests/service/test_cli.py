@@ -42,6 +42,21 @@ class TestDatasets:
         save_json(small_db, path)
         assert len(load_dataset(str(path))) == len(small_db)
 
+    def test_malformed_dataset_exits_2_with_its_reason(self, tmp_path, capsys):
+        path = tmp_path / "db.json"
+        path.write_text(
+            json.dumps(
+                {"dataspace": [0, 0, 1, 1], "objects": [{"oid": 1, "x": 0, "y": 0}]}
+            )
+        )
+        with pytest.raises(SystemExit) as exited:
+            main(["stats", "--dataset", str(path)])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"yask: malformed dataset {path}: "
+            "objects[0]: missing required field 'keywords'"
+        )
+
 
 class TestCommands:
     def test_query_command_outputs_json(self, capsys):

@@ -316,9 +316,9 @@ class TestSegments:
 
 class TestSnapshots:
     def _database_payload(self) -> dict:
-        from repro.index.persistence import database_to_dict
+        from repro.core.codec import database_to_doc
 
-        return database_to_dict(make_tiny_db())
+        return database_to_doc(make_tiny_db())
 
     def test_snapshot_round_trip_and_compaction(self, tmp_path):
         log = WriteAheadLog(tmp_path, fsync="never", segment_bytes=1)
