@@ -35,7 +35,15 @@
 #                      keyword refinement, λ, scalability, ablations)
 #                      with timing off: their shape assertions and
 #                      answer checks only (needs pytest-benchmark;
-#                      its own CI job)
+#                      its own CI job), after make paper-record
+#   make paper-record — E2–E8 at smoke size (~5 s): their answers,
+#                      penalties, refined queries, node visits, object
+#                      scorings, prune ratios, crossovers and sampling
+#                      gaps, no times, compared byte for byte with
+#                      tests/golden/paper_record.json
+#                      (tools/paper_record.py; regenerate with
+#                      PYTHONHASHSEED=0 PYTHONPATH=src
+#                      python -m tools.paper_record --write)
 #   make bench-json  — refresh BENCH_E9/…/E14.json at the repo root
 #                      (machine-readable perf trajectory)
 #   make bench-e16-smoke — the end-to-end HTTP benchmark at smoke size
@@ -111,7 +119,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke paper bench-json bench-e16-smoke ledger lint docs-check
+.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke paper paper-record bench-json bench-e16-smoke ledger lint docs-check
 
 # Re-enables @pytest.mark.slow suites that pytest.ini's default
 # deselects; the dedicated tiers below must run them.
@@ -132,8 +140,11 @@ test-scan:
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)
 
-paper:
+paper: paper-record
 	$(PYTHON) -m pytest benchmarks/bench_e1_service_pipeline.py benchmarks/bench_e2_kcrtree.py benchmarks/bench_e3_topk.py benchmarks/bench_e4_preference.py benchmarks/bench_e5_keyword.py benchmarks/bench_e6_lambda_effect.py benchmarks/bench_e7_scalability.py benchmarks/bench_e8_ablations.py --benchmark-disable -q $(ALL_MARKS)
+
+paper-record:
+	@PYTHONHASHSEED=0 $(PYTHON) -m tools.paper_record
 
 bench-json:
 	$(PYTHON) benchmarks/bench_json.py
