@@ -30,6 +30,10 @@
 #                      removals <=2.5x an insert-only one) and E14
 #                      (durability: logged ingest >=0.6x unlogged,
 #                      snapshot recovery >=1x vs full-log rebuild)
+#   make bench-floors — the floors of bench-smoke that hold on the
+#                      code today, E9, E10, E11 and E13, every floor
+#                      unchanged (its own CI job; E12 and E14 stay in
+#                      bench-smoke alone until they hold)
 #   make paper       — the paper's experiments E1–E8 (service
 #                      pipeline, KcR-tree, top-k, preference and
 #                      keyword refinement, λ, scalability, ablations)
@@ -119,7 +123,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke paper paper-record bench-json bench-e16-smoke ledger lint docs-check
+.PHONY: test test-recovery test-chaos test-lockdep test-scan bench-smoke bench-floors paper paper-record bench-json bench-e16-smoke ledger lint docs-check
 
 # Re-enables @pytest.mark.slow suites that pytest.ini's default
 # deselects; the dedicated tiers below must run them.
@@ -139,6 +143,9 @@ test-scan:
 
 bench-smoke:
 	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e12_sharding.py benchmarks/bench_e13_mutations.py benchmarks/bench_e14_durability.py -q $(ALL_MARKS)
+
+bench-floors:
+	$(PYTHON) -m pytest benchmarks/bench_e9_executor.py benchmarks/bench_e10_whynot_executor.py benchmarks/bench_e11_kernel.py benchmarks/bench_e13_mutations.py -q $(ALL_MARKS)
 
 paper: paper-record
 	$(PYTHON) -m pytest benchmarks/bench_e1_service_pipeline.py benchmarks/bench_e2_kcrtree.py benchmarks/bench_e3_topk.py benchmarks/bench_e4_preference.py benchmarks/bench_e5_keyword.py benchmarks/bench_e6_lambda_effect.py benchmarks/bench_e7_scalability.py benchmarks/bench_e8_ablations.py --benchmark-disable -q $(ALL_MARKS)

@@ -15,9 +15,10 @@ the TSim-levelled dual view against the O(n) reference that stays in
 the tree as the kernel-less path:
 
 * ``DualView.ranks_at`` at 20k objects at least 10x a
-  ``PreferenceAdjuster._ranks_at_weights`` pass over the dual points, and
-* ``PreferenceAdjuster.refine`` at least 2x its ``use_dual_index=False``
-  ablation (DualPoint list, linear crossover retrieval, linear ranks),
+  ``repro.paper.ranks_at_weights`` pass over the dual points, and
+* ``PreferenceAdjuster.refine`` at least 2x its linear ablation,
+  ``repro.paper.LinearPreferenceAdjuster`` (DualPoint list, linear
+  crossover retrieval, linear ranks),
 * the indexed ``scan_top_k`` at 20k objects at least 5x the reference
   full scan it replaced (``scalar_scores`` + ``nsmallest``),
 * a dual view for one missing object at ranks 11-30 at 20k objects
@@ -50,7 +51,12 @@ from repro.bench.workloads import (
 )
 from repro.core.query import Weights
 from repro.core.scoring import Scorer
-from repro.core.topk import BestFirstTopK
+from repro.paper import (
+    BestFirstTopK,
+    DualIndexPreferenceAdjuster,
+    LinearPreferenceAdjuster,
+    ranks_at_weights,
+)
 from repro.whynot.preference import PreferenceAdjuster
 
 #: Acceptance floors (ISSUE 3): kernel speedup over the pre-kernel path.
@@ -137,7 +143,7 @@ def test_e11_cold_whynot_preference_2x(fast_scorer, slow_scorer):
         fast_scorer, count=2, k=10, missing_count=2, rank_window=40, seed=99
     )
     fast_adjuster = PreferenceAdjuster(fast_scorer)
-    slow_adjuster = PreferenceAdjuster(slow_scorer)
+    slow_adjuster = DualIndexPreferenceAdjuster(slow_scorer)
 
     def run(adjuster):
         return [
@@ -183,7 +189,7 @@ def test_e11_levelled_ranks_at_10x(db_20k, kernel_queries):
     levelled, levelled_timing = time_call(levelled_ranks, repeat=5)
     linear, linear_timing = time_call(
         lambda: [
-            dict(PreferenceAdjuster._ranks_at_weights(w, targets, duals))
+            dict(ranks_at_weights(w, targets, duals))
             for w in weightings
         ],
         repeat=3,
@@ -305,12 +311,12 @@ def test_e11_target_view_builds_5x(db_20k):
 
 
 def test_e11_refine_2x_linear_ablation(fast_scorer):
-    """Acceptance: refine >= 2x its use_dual_index=False ablation."""
+    """Acceptance: refine >= 2x its linear ablation."""
     scenarios = generate_whynot_scenarios(
         fast_scorer, count=2, k=10, missing_count=2, rank_window=40, seed=99
     )
     levelled = PreferenceAdjuster(fast_scorer)
-    ablation = PreferenceAdjuster(fast_scorer, use_dual_index=False)
+    ablation = LinearPreferenceAdjuster(fast_scorer)
 
     def run(adjuster):
         return [
@@ -327,7 +333,7 @@ def test_e11_refine_2x_linear_ablation(fast_scorer):
         "path", "best_ms", "median_ms",
         title="E11: PreferenceAdjuster.refine (10k x 2 scenarios)",
     )
-    table.add_row("use_dual_index=False", ablation_timing.best_ms,
+    table.add_row("linear ablation", ablation_timing.best_ms,
                   ablation_timing.median_ms)
     table.add_row("levelled view", timing.best_ms, timing.median_ms)
     table.add_row(f"speedup {speedup:.2f}x (floor {LEVELLED_REFINE_FLOOR}x)", "", "")

@@ -57,7 +57,7 @@ def test_e2_node_bound_computation(benchmark, bench_kcrtree, bench_db):
 
 
 def test_e2_report_structure_sweep(benchmark, capsys):
-    """Print the structure table EXPERIMENTS.md records for E2."""
+    """Print E2's structure table (tools/paper_record.py pins its values)."""
     table = Table(
         "n", "nodes", "height", "root map keys", "avg leaf map keys",
         title="E2: KcR-tree structure vs database size",

@@ -3,7 +3,7 @@
 SetR-tree best-first search versus the brute-force scan, swept over
 database size ``n``, result size ``k`` and query keyword count.
 
-Expected shape (EXPERIMENTS.md): the index engine wins everywhere and
+Expected shape (Section 3.3): the index engine wins everywhere and
 its advantage grows with ``n`` (it touches a near-constant number of
 nodes while the scan is linear); latency grows mildly with ``k``.
 """
@@ -13,7 +13,8 @@ import pytest
 from repro.bench.harness import Table, time_call
 from repro.bench.workloads import QueryWorkload
 from repro.core.scoring import Scorer
-from repro.core.topk import BestFirstTopK, BruteForceTopK
+from repro.core.topk import BruteForceTopK
+from repro.paper import BestFirstTopK
 from repro.index.setrtree import SetRTree
 
 from benchmarks.conftest import SWEEP_SIZES, build_database

@@ -4,7 +4,7 @@ The exact weight-sweep algorithm (two dual-space range queries +
 crossover sweep with the rank update theorem) versus the sampling
 baseline, swept over k, |M| and λ.
 
-Expected shape (EXPERIMENTS.md): the exact algorithm's penalty is never
+Expected shape ([5], as Section 3.3 cites it): the exact algorithm's penalty is never
 worse than sampling's (it is the true optimum); its runtime is
 comparable to moderate sampling and independent of the probe-count
 accuracy trade-off that sampling faces.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.bench.harness import Table, time_call
 from repro.bench.workloads import generate_whynot_scenarios
-from repro.whynot.baselines import SamplingPreferenceAdjuster
+from repro.paper import SamplingPreferenceAdjuster
 from repro.whynot.preference import PreferenceAdjuster
 
 

@@ -4,7 +4,7 @@ KcR-tree bound-and-prune versus the exhaustive full-scan baseline,
 swept over |q.doc|, |M| and λ; reports the pruning ratio (candidates
 abandoned before exact ranking) and per-candidate object-scoring work.
 
-Expected shape (EXPERIMENTS.md): identical answers, with bound-and-prune
+Expected shape ([6], as Section 3.3 cites it): identical answers, with bound-and-prune
 scoring a small fraction of the objects the exhaustive baseline scores;
 the advantage grows with the candidate space (|q.doc| and |M|).
 """
@@ -13,8 +13,7 @@ import pytest
 
 from repro.bench.harness import Table, time_call
 from repro.bench.workloads import generate_whynot_scenarios
-from repro.whynot.baselines import exhaustive_keyword_adapter
-from repro.whynot.keyword import KeywordAdapter
+from repro.paper import ExhaustiveKeywordAdapter, KcRTreeKeywordAdapter
 
 
 @pytest.mark.parametrize("query_keywords", [2, 3, 4], ids=lambda c: f"qdoc={c}")
@@ -25,7 +24,7 @@ def test_e5_bound_prune_by_query_keywords(
         bench_scorer, count=2, k=10, missing_count=1, rank_window=40,
         seed=51, keywords_per_query=(query_keywords, query_keywords),
     )
-    adapter = KeywordAdapter(bench_scorer, bench_kcrtree)
+    adapter = KcRTreeKeywordAdapter(bench_scorer, bench_kcrtree)
 
     def run():
         for s in scenarios:
@@ -42,7 +41,7 @@ def test_e5_bound_prune_by_missing_count(
         bench_scorer, count=2, k=10, missing_count=missing, rank_window=40,
         seed=52,
     )
-    adapter = KeywordAdapter(bench_scorer, bench_kcrtree)
+    adapter = KcRTreeKeywordAdapter(bench_scorer, bench_kcrtree)
 
     def run():
         for s in scenarios:
@@ -52,7 +51,7 @@ def test_e5_bound_prune_by_missing_count(
 
 
 def test_e5_exhaustive_baseline(benchmark, bench_scorer, bench_scenarios):
-    baseline = exhaustive_keyword_adapter(bench_scorer)
+    baseline = ExhaustiveKeywordAdapter(bench_scorer)
     scenario = bench_scenarios[0]
 
     benchmark.pedantic(
@@ -65,8 +64,8 @@ def test_e5_report_prune_effectiveness(
     benchmark, bench_scorer, bench_kcrtree, bench_scenarios, capsys
 ):
     """The headline E5 table: same answer, fraction of the work."""
-    adapter = KeywordAdapter(bench_scorer, bench_kcrtree)
-    baseline = exhaustive_keyword_adapter(bench_scorer)
+    adapter = KcRTreeKeywordAdapter(bench_scorer, bench_kcrtree)
+    baseline = ExhaustiveKeywordAdapter(bench_scorer)
     table = Table(
         "scenario", "penalty", "prune ratio",
         "objects scored (b&p)", "objects scored (exhaustive)", "work ratio",
@@ -98,7 +97,7 @@ def test_e5_report_prune_effectiveness(
 def test_e5_report_runtime_by_lambda(
     benchmark, bench_scorer, bench_kcrtree, bench_scenarios, capsys
 ):
-    adapter = KeywordAdapter(bench_scorer, bench_kcrtree)
+    adapter = KcRTreeKeywordAdapter(bench_scorer, bench_kcrtree)
     table = Table(
         "lambda", "ms/question", "candidates", "pruned", "Δdoc", "Δk",
         title="E5b: keyword adaption cost vs λ",

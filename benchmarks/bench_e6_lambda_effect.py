@@ -89,11 +89,11 @@ def test_e6_report_synthetic_scenarios(
     context per scenario, so each question's preference front is swept
     once and every λ is a lookup on it."""
     from repro.whynot.context import WhyNotContext
-    from repro.whynot.keyword import KeywordAdapter
+    from repro.paper import KcRTreeKeywordAdapter
     from repro.whynot.preference import PreferenceAdjuster
 
     adjuster = PreferenceAdjuster(bench_scorer)
-    adapter = KeywordAdapter(bench_scorer, bench_kcrtree)
+    adapter = KcRTreeKeywordAdapter(bench_scorer, bench_kcrtree)
     scenarios = bench_scenarios[:3]
     contexts = [WhyNotContext(bench_scorer, s.query, s.missing) for s in scenarios]
     fronts = []

@@ -8,7 +8,7 @@ The laptop-scale sweep checks the *shape* of that claim on this
 reproduction: index build should be near O(n log n), indexed top-k far
 sublinear in n, and both why-not modules' costs dominated by terms that
 grow much more slowly than brute force.  Absolute numbers are not
-comparable to the authors' Java/Tomcat testbed (see EXPERIMENTS.md).
+comparable to the authors' Java/Tomcat testbed.
 """
 
 import pytest
@@ -16,10 +16,9 @@ import pytest
 from repro.bench.harness import Table, time_call
 from repro.bench.workloads import QueryWorkload, generate_whynot_scenarios
 from repro.core.scoring import Scorer
-from repro.core.topk import BestFirstTopK
 from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
-from repro.whynot.keyword import KeywordAdapter
+from repro.paper import BestFirstTopK, KcRTreeKeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
 from benchmarks.conftest import build_database
@@ -74,7 +73,7 @@ def test_e7_keyword_at_scale(benchmark):
     scenarios = generate_whynot_scenarios(
         scorer, count=1, k=10, missing_count=1, rank_window=40, seed=73
     )
-    adapter = KeywordAdapter(scorer, tree)
+    adapter = KcRTreeKeywordAdapter(scorer, tree)
     scenario = scenarios[0]
 
     benchmark.pedantic(
@@ -115,7 +114,7 @@ def test_e7_report_scaling_shape(benchmark, capsys):
             scorer, count=1, k=10, missing_count=1, rank_window=40, seed=75
         )[0]
         adjuster = PreferenceAdjuster(scorer)
-        adapter = KeywordAdapter(scorer, kcr)
+        adapter = KcRTreeKeywordAdapter(scorer, kcr)
         _, pref_timing = time_call(
             lambda: adjuster.refine(scenario.query, scenario.missing), repeat=2
         )

@@ -5,7 +5,8 @@ it bought:
 
 * SetR-tree keyword bounds → plain MINDIST-only bounds (text part
   bounded by 1.0) for top-k search,
-* dual-space R-tree range queries → linear scan for crossover retrieval,
+* the levelled dual view → the paper's dual-space R-tree range queries
+  → a linear scan for crossover retrieval,
 * KcR-tree rank bounds → exhaustive ranking per candidate (also E5),
 * R-tree fanout sensitivity.
 """
@@ -14,9 +15,16 @@ import pytest
 
 from repro.bench.harness import Table, time_call
 from repro.bench.workloads import QueryWorkload
-from repro.core.topk import BestFirstTopK
 from repro.index.setrtree import SetRTree
+from repro.paper import BestFirstTopK, DualIndexPreferenceAdjuster, LinearPreferenceAdjuster
 from repro.whynot.preference import PreferenceAdjuster
+
+#: Crossover retrieval: the served view, the paper's dual R-tree, a scan.
+CROSSOVER_ARMS = (
+    (PreferenceAdjuster, "dual-view"),
+    (DualIndexPreferenceAdjuster, "dual-rtree"),
+    (LinearPreferenceAdjuster, "linear-scan"),
+)
 
 
 class _MindistOnlyIndex:
@@ -65,9 +73,12 @@ def test_e8_topk_without_keyword_bounds(benchmark, bench_db, bench_scorer, bench
     benchmark(run)
 
 
-@pytest.mark.parametrize("use_index", [True, False], ids=["dual-rtree", "linear-scan"])
-def test_e8_crossover_retrieval(benchmark, bench_scorer, bench_scenarios, use_index):
-    adjuster = PreferenceAdjuster(bench_scorer, use_dual_index=use_index)
+@pytest.mark.parametrize(
+    "adjuster_class", [arm for arm, _ in CROSSOVER_ARMS],
+    ids=[label for _, label in CROSSOVER_ARMS],
+)
+def test_e8_crossover_retrieval(benchmark, bench_scorer, bench_scenarios, adjuster_class):
+    adjuster = adjuster_class(bench_scorer)
     scenario = bench_scenarios[0]
 
     benchmark.pedantic(
@@ -78,8 +89,6 @@ def test_e8_crossover_retrieval(benchmark, bench_scorer, bench_scenarios, use_in
 
 @pytest.mark.parametrize("fanout", [8, 32, 128], ids=lambda f: f"M={f}")
 def test_e8_fanout_sensitivity(benchmark, bench_db, bench_scorer, fanout):
-    from repro.core.topk import BestFirstTopK
-
     tree = SetRTree.build(bench_db, max_entries=fanout)
     engine = BestFirstTopK(tree, bench_scorer)
     queries = list(QueryWorkload(bench_db, seed=82, k=10).queries(20))
@@ -129,13 +138,15 @@ def test_e8_report_ablation_summary(
     assert full_scored <= bare_scored
 
     scenario = bench_scenarios[0]
-    for use_index, label in ((True, "crossovers via dual R-tree"),
-                             (False, "crossovers via linear scan")):
-        adjuster = PreferenceAdjuster(bench_scorer, use_dual_index=use_index)
+    for adjuster_class, label in CROSSOVER_ARMS:
+        adjuster = adjuster_class(bench_scorer)
         result, timing = time_call(
             lambda: adjuster.refine(scenario.query, scenario.missing), repeat=2
         )
-        table.add_row(label, round(timing.best_ms, 2), f"{result.crossovers} crossovers")
+        table.add_row(
+            f"crossovers via {label}", round(timing.best_ms, 2),
+            f"{result.crossovers} crossovers",
+        )
     with capsys.disabled():
         table.print()
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)

@@ -36,6 +36,11 @@ from repro.datasets.generators import SyntheticDatasetBuilder
 from repro.datasets.hotels import hong_kong_hotels
 from repro.service.api import YaskEngine
 from repro.service.executor import QueryExecutor, WhyNotExecutor, WhyNotQuestion
+from repro.paper import (
+    DualIndexPreferenceAdjuster,
+    LinearPreferenceAdjuster,
+    ranks_at_weights,
+)
 from repro.whynot.preference import PreferenceAdjuster
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -148,7 +153,7 @@ def bench_e11() -> dict:
         fast, count=2, k=10, missing_count=2, rank_window=40, seed=99
     )
     fast_adjuster = PreferenceAdjuster(fast)
-    slow_adjuster = PreferenceAdjuster(slow)
+    slow_adjuster = DualIndexPreferenceAdjuster(slow)
     _, fast_whynot = time_call(
         lambda: [fast_adjuster.refine(s.query, s.missing) for s in scenarios],
         repeat=3,
@@ -160,7 +165,7 @@ def bench_e11() -> dict:
 
     # The TSim-levelled dual view against the O(n) reference, both over
     # the kernel's columns (ratios that hold on any host).
-    linear_adjuster = PreferenceAdjuster(fast, use_dual_index=False)
+    linear_adjuster = LinearPreferenceAdjuster(fast)
     _, linear_whynot = time_call(
         lambda: [linear_adjuster.refine(s.query, s.missing) for s in scenarios],
         repeat=3,
@@ -178,7 +183,7 @@ def bench_e11() -> dict:
     _, levelled_ranks = time_call(fresh_view_ranks, repeat=5)
     _, linear_ranks = time_call(
         lambda: [
-            PreferenceAdjuster._ranks_at_weights(w, targets, duals)
+            ranks_at_weights(w, targets, duals)
             for w in weightings
         ],
         repeat=3,

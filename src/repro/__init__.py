@@ -17,12 +17,14 @@ Quickstart::
     answer = engine.why_not(result.query, ["Grand Victoria Harbour Hotel"])
     print(answer.explanation.narrative())
 
-See DESIGN.md for the full system inventory and EXPERIMENTS.md for the
-reproduced evaluation.
+The served engine's modules are :mod:`repro.core`, :mod:`repro.whynot`
+and :mod:`repro.service`; the paper's index-based algorithms
+(Section 3.3) are kept as references in :mod:`repro.paper` and
+:mod:`repro.index`, and ``docs/BENCHMARKS.md`` records the reproduced
+evaluation.
 """
 
 from repro.core import (
-    BestFirstTopK,
     BruteForceTopK,
     DualPoint,
     Point,
@@ -36,7 +38,8 @@ from repro.core import (
     SpatialObject,
     Weights,
 )
-from repro.index import IRTree, KcRTree, RTree, SetRTree
+from repro.index import KcRTree, RTree, SetRTree
+from repro.paper import BestFirstTopK
 from repro.service.api import YaskEngine
 from repro.text import JaccardSimilarity, keyword_set
 from repro.whynot import (
@@ -64,7 +67,6 @@ __all__ = [
     "SpatialKeywordQuery",
     "SpatialObject",
     "Weights",
-    "IRTree",
     "KcRTree",
     "RTree",
     "SetRTree",

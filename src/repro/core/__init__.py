@@ -25,14 +25,7 @@ from repro.core.sharding import (
     grid_partition,
     round_robin_partition,
 )
-from repro.core.topk import (
-    BestFirstTopK,
-    BruteForceTopK,
-    KernelTopK,
-    SearchStats,
-    SpatioTextualIndex,
-    TopKEngine,
-)
+from repro.core.topk import BruteForceTopK, KernelTopK, TopKEngine
 
 __all__ = [
     "EPSILON",
@@ -56,10 +49,7 @@ __all__ = [
     "ShardStats",
     "grid_partition",
     "round_robin_partition",
-    "BestFirstTopK",
     "BruteForceTopK",
     "KernelTopK",
-    "SearchStats",
-    "SpatioTextualIndex",
     "TopKEngine",
 ]

@@ -2,14 +2,14 @@
 
 ``ST(o, q) = ws · (1 − SDist(o, q)) + wt · TSim(o, q)``
 
-:class:`Scorer` binds a database (for distance normalisation) to a text
-similarity model and exposes:
+:class:`Scorer` binds a database (for distance normalisation) to the
+Jaccard text similarity of Eqn. (2) and exposes:
 
 * per-object scores and their (SDist, TSim) decomposition,
 * the *dual coordinates* ``(a, b) = (1 − SDist, TSim)`` of an object
   under a query — the representation in which an object's score is the
   linear function ``w·a + (1−w)·b`` of the spatial weight, which is the
-  foundation of the preference-adjustment module (DESIGN.md §3.3),
+  foundation of the preference-adjustment module (Section 3.3),
 * exact ranking utilities shared by the brute-force engine, the why-not
   modules and the test oracles.
 """
@@ -24,7 +24,7 @@ from typing import AbstractSet, Iterable, NamedTuple, Sequence
 from repro.core.kernel import ScoringKernel
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import QueryResult, RankedObject, SpatialKeywordQuery, Weights
-from repro.text.similarity import JACCARD, JaccardSimilarity, TextSimilarityModel
+from repro.text.similarity import JACCARD
 
 __all__ = ["ScoreBreakdown", "DualPoint", "Scorer", "outranks"]
 
@@ -52,7 +52,7 @@ class DualPoint(NamedTuple):
     ``a = 1 − SDist(o, q)`` (spatial proximity) and ``b = TSim(o, q)``.
     Under weights ``⟨w, 1−w⟩`` the object's score is the line
     ``f(w) = w·a + (1−w)·b``; two objects tie exactly where their lines
-    cross (DESIGN.md §3.3).
+    cross (Section 3.3).
 
     A ``NamedTuple`` so the kernel's dual view can materialise all n
     points per query at C speed via :meth:`DualPoint._make`.
@@ -85,10 +85,10 @@ class DualPoint(NamedTuple):
 
 
 class Scorer:
-    """Evaluator of Eqn. (1) over a fixed database and text model.
+    """Evaluator of Eqn. (1) over a fixed database.
 
-    For Jaccard (by exact type: a subclass may override ``similarity``)
-    the scorer carries a :class:`~repro.core.kernel.ScoringKernel`
+    Unless built with ``use_kernel=False`` (the set path, the oracles'
+    reference) the scorer carries a :class:`~repro.core.kernel.ScoringKernel`
     and routes every full-scan utility (:meth:`rank_all`, :meth:`top_k`,
     :meth:`rank_of`, :meth:`worst_rank`, :meth:`dual_points`) through its
     flat-column batch passes.  The object-at-a-time methods remain the
@@ -105,28 +105,18 @@ class Scorer:
         self,
         database: SpatialDatabase,
         *,
-        text_model: TextSimilarityModel = JACCARD,
         use_kernel: bool = True,
     ) -> None:
         self._database = database
-        self._text_model = text_model
-        self._kernel = (
-            ScoringKernel(database)
-            if use_kernel and type(text_model) is JaccardSimilarity
-            else None
-        )
+        self._kernel = ScoringKernel(database) if use_kernel else None
 
     @property
     def database(self) -> SpatialDatabase:
         return self._database
 
     @property
-    def text_model(self) -> TextSimilarityModel:
-        return self._text_model
-
-    @property
     def kernel(self) -> ScoringKernel | None:
-        """The columnar batch kernel, or None when the model needs sets."""
+        """The columnar batch kernel, or None on the set path."""
         return self._kernel
 
     def _kernel_row_for(self, obj: SpatialObject) -> int | None:
@@ -150,8 +140,8 @@ class Scorer:
     def tsim(
         self, obj: SpatialObject, query_doc: AbstractSet[str]
     ) -> float:
-        """Textual similarity ``TSim(o, q)`` ∈ [0, 1] (Eqn. 2 by default)."""
-        return self._text_model.similarity(obj.doc, query_doc)
+        """Textual similarity ``TSim(o, q)`` ∈ [0, 1] (Eqn. 2)."""
+        return JACCARD.similarity(obj.doc, query_doc)
 
     def breakdown(
         self, obj: SpatialObject, query: SpatialKeywordQuery
@@ -170,7 +160,7 @@ class Scorer:
         :meth:`breakdown`.
         """
         sdist = self._database.normalized_distance(obj.loc, query.loc)
-        tsim = self._text_model.similarity(obj.doc, query.doc)
+        tsim = JACCARD.similarity(obj.doc, query.doc)
         return query.ws * (1.0 - sdist) + query.wt * tsim
 
     # ------------------------------------------------------------------

@@ -61,7 +61,8 @@ __all__ = ["main", "build_parser", "load_dataset"]
 def load_dataset(spec: str) -> SpatialDatabase:
     """Resolve a dataset spec: a builtin name or a JSON file path.
 
-    A malformed file exits with status 2 and a one-line reason.
+    A file that cannot be read or is malformed exits with status 2 and
+    a one-line reason.
     """
     if spec == "hotels":
         return hong_kong_hotels()
@@ -69,6 +70,9 @@ def load_dataset(spec: str) -> SpatialDatabase:
         return coffee_shops()
     try:
         return load_json(spec)
+    except OSError as exc:
+        print(f"yask: cannot read dataset {spec}: {exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(2) from None
     except ValueError as exc:
         print(f"yask: malformed dataset {spec}: {exc}", file=sys.stderr)
         raise SystemExit(2) from None
@@ -281,11 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo = sub.add_parser("demo", help="print the demonstration screens")
     demo.add_argument("--width", type=int, default=64)
 
-    stats = sub.add_parser(
-        "stats", help="print dataset and index structure statistics"
-    )
+    stats = sub.add_parser("stats", help="print the dataset summary")
     stats.add_argument("--dataset", default="hotels")
-    stats.add_argument("--max-entries", type=_max_entries_arg, default=32)
 
     audit = sub.add_parser(
         "audit",
@@ -365,11 +366,6 @@ def _int_at_least(value: str, minimum: int, what: str) -> int:
 def _shard_count_arg(value: str) -> int:
     """``--shards`` values: a positive integer."""
     return _int_at_least(value, 1, "shard count")
-
-
-def _max_entries_arg(value: str) -> int:
-    """``--max-entries`` values: an R-tree fanout, at least 2."""
-    return _int_at_least(value, 2, "max entries")
 
 
 def _engine_options(args: argparse.Namespace) -> dict:
@@ -665,21 +661,10 @@ def _run_demo(args: argparse.Namespace) -> int:
 
 
 def _run_stats(args: argparse.Namespace) -> int:
-    from repro.index.kcrtree import KcRTree
-    from repro.index.setrtree import SetRTree
-    from repro.index.stats import tree_statistics
-
     database = load_dataset(args.dataset)
     print("dataset:")
     for key, value in database.summary().items():
         print(f"  {key} = {value}")
-    # The paper's two indexes, bulk-loaded for the report alone.
-    set_rtree = SetRTree.build(database, max_entries=args.max_entries)
-    kcr_tree = KcRTree.build(database, max_entries=args.max_entries)
-    print("SetR-tree:")
-    print(f"  {tree_statistics(set_rtree).describe()}")
-    print("KcR-tree:")
-    print(f"  {tree_statistics(kcr_tree).describe()}")
     return 0
 
 

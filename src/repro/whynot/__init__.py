@@ -6,13 +6,14 @@ Modules:
 * :mod:`repro.whynot.context` — what one session's questions share.
 * :mod:`repro.whynot.preference` — Definition 2 via the weight-plane
   crossover sweep and rank update theorem.
-* :mod:`repro.whynot.keyword` — Definition 3 via KcR-tree bound-and-prune.
+* :mod:`repro.whynot.keyword` — Definition 3 via bound and prune on the
+  kernel's scan index.
 * :mod:`repro.whynot.explanation` — the explanation generator.
-* :mod:`repro.whynot.baselines` — sampling / exhaustive comparison points.
 * :mod:`repro.whynot.engine` — the combined engine facade.
+
+The paper's tree descents and baselines are in :mod:`repro.paper`.
 """
 
-from repro.whynot.baselines import SamplingPreferenceAdjuster, exhaustive_keyword_adapter
 from repro.whynot.combined import CombinedRefinement, CombinedRefiner
 from repro.whynot.context import WhyNotContext
 from repro.whynot.engine import WhyNotAnswer, WhyNotEngine
@@ -33,8 +34,6 @@ from repro.whynot.penalty import (
 from repro.whynot.preference import PreferenceAdjuster, PreferenceRefinement
 
 __all__ = [
-    "SamplingPreferenceAdjuster",
-    "exhaustive_keyword_adapter",
     "CombinedRefinement",
     "CombinedRefiner",
     "WhyNotContext",

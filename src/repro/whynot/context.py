@@ -24,14 +24,14 @@ from array import array
 from bisect import bisect_left, bisect_right
 from heapq import heapify, heappop, heapreplace
 from itertools import chain
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, cast
 
-from repro.core.kernel import CrossingRun, DualView
+from repro.core.kernel import CrossingRun, DualView, ScoringKernel
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery
 from repro.core.scoring import DualPoint, Scorer
 
-__all__ = ["RankProfile", "RankWalk", "SweepInputs", "WhyNotContext"]
+__all__ = ["RankProfile", "RankWalk", "SweepInputs", "WhyNotContext", "served_scorer"]
 
 
 class RankProfile(NamedTuple):
@@ -202,24 +202,34 @@ class RankWalk:
         return SweepInputs(self.dual, weights, array("q", chain(*met)), profile)
 
 
+def served_scorer(scorer: Scorer, reference: str) -> Scorer:
+    """``scorer``, checked to carry the columnar kernel every served
+    why-not class ranks on; ``reference`` names the
+    :mod:`repro.paper` class that answers without one."""
+    if scorer.kernel is None:
+        raise ValueError(
+            "the served why-not classes rank on the scorer's columnar kernel "
+            f"and this scorer has none; use repro.paper.{reference} for the set path"
+        )
+    return scorer
+
+
 class WhyNotContext:
     """Lazily memoised facts about one initial query and missing set.
 
     ``view`` is the kernel's levelled :class:`DualView` for the missing
-    objects — ``None`` when the scorer has no kernel, a missing object
-    is not the database's own copy (the set path scores the *passed*
-    object) or the caller asked for the O(n) reference
-    (``indexed=False``); consumers then take their
-    :class:`DualPoint`-list and tree-walk arms.
+    objects, built on first use unless one is given.  The scorer must
+    carry a kernel and every missing object must be the database's own
+    copy (the set path scores the *passed* object): a reference run
+    without them takes :class:`repro.paper.ViewlessContext`.
 
     ``query.k`` is that of whichever request built the context: read
     ``loc``, ``doc`` and the weights from it, ``k`` from the request.
     """
 
     __slots__ = (
-        "scorer", "query", "missing", "_indexed", "_view",
-        "_duals", "_dual_of", "_missing_duals", "_initial_ranks", "walks",
-        "front",
+        "scorer", "query", "missing", "_view", "_missing_duals",
+        "_initial_ranks", "walks", "front",
     )
 
     def __init__(
@@ -228,23 +238,28 @@ class WhyNotContext:
         query: SpatialKeywordQuery,
         missing: Sequence[SpatialObject],
         *,
-        indexed: bool = True,
         view: DualView | None = None,
     ) -> None:
         self.scorer = scorer
         self.query = query
         self.missing = tuple(missing)
-        #: Whether ``view`` is still to be built on first use.
-        self._indexed = indexed and view is None
         self._view = view
-        self._duals: list[DualPoint] | None = None
-        self._dual_of: dict[int, DualPoint] | None = None
         self._missing_duals: list[DualPoint] | None = None
         self._initial_ranks: Mapping[int, int] | None = None
         #: Per missing object, filled by ``PreferenceAdjuster``.
         self.walks: list[RankWalk | None] = [None] * len(self.missing)
         #: The preference front, ``(w, worst rank)`` pairs (likewise).
         self.front: tuple[tuple[float, int], ...] | None = None
+        self._check()
+
+    def _check(self) -> None:
+        served_scorer(self.scorer, "ViewlessContext")
+        foreign = [obj.oid for obj in self.missing if obj not in self.scorer.database]
+        if foreign:
+            raise ValueError(
+                f"missing objects {foreign} are not the database's own copies; "
+                "use repro.paper.ViewlessContext to score the passed objects"
+            )
 
     def reweighted(self, query: SpatialKeywordQuery) -> "WhyNotContext":
         """The context of ``query`` = this one's with other weights.
@@ -252,35 +267,18 @@ class WhyNotContext:
         Dual coordinates are weight-free and the missing set is the
         same, so the view is shared; ranks and the front are not.
         """
-        return WhyNotContext(
-            self.scorer, query, self.missing,
-            indexed=self.view is not None, view=self.view,
-        )
+        return WhyNotContext(self.scorer, query, self.missing, view=self.view)
 
     @property
-    def view(self) -> DualView | None:
-        if self._indexed:
-            kernel = self.scorer.kernel
-            if kernel is not None and all(
-                obj in self.scorer.database for obj in self.missing
-            ):
-                self._view = kernel.dual_view(self.query, [m.oid for m in self.missing])
-            self._indexed = False
+    def view(self) -> DualView:
+        if self._view is None:
+            kernel = cast(ScoringKernel, self.scorer.kernel)  # checked at construction
+            self._view = kernel.dual_view(self.query, [m.oid for m in self.missing])
         return self._view
 
     def dual_points_of(self, oids: Sequence[int]) -> list[DualPoint]:
         """The dual points of the missing objects and the rows that reach one."""
-        if self.view is not None:
-            return self.view.dual_points_of(oids)
-        self._dual_of = self._dual_of or {dual.oid: dual for dual in self.duals}
-        return list(map(self._dual_of.__getitem__, oids))
-
-    @property
-    def duals(self) -> list[DualPoint]:
-        """Every object's dual point — the reference arms' substrate."""
-        if self._duals is None:
-            self._duals = self.scorer.dual_points(self.query)
-        return self._duals
+        return self.view.dual_points_of(oids)
 
     @property
     def missing_duals(self) -> list[DualPoint]:
@@ -292,17 +290,12 @@ class WhyNotContext:
     def initial_ranks(self) -> Mapping[int, int]:
         """Exact rank of each missing object under the initial query."""
         if self._initial_ranks is None:
-            query = self.query
-            if self.view is not None:
-                self._initial_ranks = self.view.ranks_at(
-                    query.ws, query.wt, [obj.oid for obj in self.missing]
-                )
-            else:
-                self._initial_ranks = {
-                    obj.oid: self.scorer.rank_of(obj, query)
-                    for obj in self.missing
-                }
+            self._initial_ranks = self._ranks_at_query()
         return self._initial_ranks
+
+    def _ranks_at_query(self) -> Mapping[int, int]:
+        query = self.query
+        return self.view.ranks_at(query.ws, query.wt, [obj.oid for obj in self.missing])
 
     @property
     def initial_worst_rank(self) -> int:

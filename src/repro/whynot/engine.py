@@ -71,10 +71,9 @@ class WhyNotAnswer:
 class WhyNotEngine:
     """Server-side why-not engine over one database and text model.
 
-    The keyword adapter ranks its capped candidates on the scorer
-    kernel's scan index, for every kernel model (so the scorer needs
-    one); the ablation parameters, and the paper's tree descent, live
-    on :class:`PreferenceAdjuster` and :class:`KeywordAdapter`.
+    Every module reads the scorer's columnar kernel (the scan index and
+    the levelled dual view), so the scorer needs one; the paper's tree
+    descents and ablations are the :mod:`repro.paper` classes.
 
     The questions of one session share a :class:`WhyNotContext`: the
     engine keeps the last :data:`CONTEXT_MEMO_SIZE` and, as a
@@ -169,14 +168,13 @@ class WhyNotEngine:
         query: SpatialKeywordQuery,
         missing: Sequence[int | str | SpatialObject],
         *,
-        initial_result: QueryResult | None = None,
+        initial_result: QueryResult,
     ) -> WhyNotExplanation:
         """Run the explanation generator for the missing set.
 
-        ``initial_result`` — the query's already-computed top-k result
-        (the session cache or the executor tier holds one) — is used as
-        the explanation's starting point; without it the generator
-        re-derives the result from scratch.
+        ``initial_result`` is the query's already-computed top-k result
+        (the session cache or the executor tier holds one), the
+        explanation's starting point.
         """
         with self._context(query, missing) as context:
             return self._explainer.explain(
@@ -228,14 +226,12 @@ class WhyNotEngine:
         missing: Sequence[int | str | SpatialObject],
         *,
         lam: float = 0.5,
-        initial_result: QueryResult | None = None,
+        initial_result: QueryResult,
     ) -> WhyNotAnswer:
         """Explanation plus both refinement models side by side.
 
-        ``initial_result`` (the cached top-k result for ``query``, when
-        the caller holds one) spares the explanation generator from
-        re-deriving it; the refiners rank in dual space and need no
-        materialised result either way.
+        ``initial_result`` (the top-k result for ``query``) feeds the
+        explanation; the refiners rank in dual space and need none.
         """
         with self._context(query, missing) as context:
             resolved = context.missing

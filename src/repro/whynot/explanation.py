@@ -27,7 +27,7 @@ from typing import Sequence
 from repro.core.objects import SpatialObject
 from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import ScoreBreakdown, Scorer
-from repro.whynot.context import WhyNotContext
+from repro.whynot.context import WhyNotContext, served_scorer
 from repro.whynot.errors import NotMissingError
 
 __all__ = ["MissingReason", "ObjectExplanation", "WhyNotExplanation", "ExplanationGenerator"]
@@ -158,9 +158,9 @@ class ExplanationGenerator:
     """Builds :class:`WhyNotExplanation` objects for a missing set.
 
     The counting queries read the context's kernel
-    :class:`~repro.core.kernel.DualView`; a context without one (a
-    kernel-less scorer, a foreign missing object, ``indexed=False``)
-    falls back to database scans — same answers.
+    :class:`~repro.core.kernel.DualView`, so the scorer needs a kernel;
+    :class:`repro.paper.ScanExplanationGenerator` counts with two
+    database scans instead — same answers.
     """
 
     def __init__(
@@ -177,8 +177,17 @@ class ExplanationGenerator:
         revive it (Example 1's "how can the ranking function be
         adjusted?").
         """
-        self._scorer = scorer
+        self._scorer = self._checked(scorer)
         self._preference_adjuster = preference_adjuster
+
+    @staticmethod
+    def _checked(scorer: Scorer) -> Scorer:
+        return served_scorer(scorer, "ScanExplanationGenerator")
+
+    def _new_context(
+        self, query: SpatialKeywordQuery, missing: Sequence[SpatialObject]
+    ) -> WhyNotContext:
+        return WhyNotContext(self._scorer, query, missing)
 
     # ------------------------------------------------------------------
     def explain(
@@ -186,24 +195,23 @@ class ExplanationGenerator:
         query: SpatialKeywordQuery,
         missing: Sequence[SpatialObject],
         *,
-        result: QueryResult | None = None,
+        result: QueryResult,
         context: WhyNotContext | None = None,
     ) -> WhyNotExplanation:
-        """Explain why every object in ``missing`` is absent from the result.
+        """Explain why every object in ``missing`` is absent from ``result``.
 
-        ``result`` (the cached initial result) is recomputed when absent,
-        ``context`` (the shared facts about ``(query, missing)``) built.
+        ``result`` is the initial query's top-k result, which the caller
+        holds (the served engine runs or caches it); ``context`` (the
+        shared facts about ``(query, missing)``) is built when absent.
         Raises :class:`NotMissingError` when any object already appears.
         """
         if not missing:
             raise ValueError("the missing object set M must not be empty")
-        if result is None:
-            result = self._scorer.top_k(query)
         already = [obj.oid for obj in missing if result.contains(obj)]
         if already:
             raise NotMissingError(already)
         if context is None:
-            context = WhyNotContext(self._scorer, query, missing)
+            context = self._new_context(query, missing)
 
         kth = result.entries[-1] if len(result) else None
         kth_breakdown = (
@@ -257,24 +265,12 @@ class ExplanationGenerator:
     ) -> tuple[int, int]:
         """(#objects strictly closer, #objects strictly more similar).
 
-        With a dual view both are popcounts, bar the rows a ``hypot``
+        Both are popcounts of the dual view, bar the rows a ``hypot``
         places at the radius (:meth:`DualView.count_closer`,
-        :meth:`DualView.count_more_similar`); without one, two scans.
+        :meth:`DualView.count_more_similar`).
         """
-        query = context.query
         view = context.view
-        if view is not None:
-            return view.count_closer(raw_distance), view.count_more_similar(tsim)
-        database = self._scorer.database
-        closer = sum(
-            1 for other in database
-            if other.loc.distance_to(query.loc) < raw_distance
-        )
-        more_similar = sum(
-            1 for other in database
-            if self._scorer.tsim(other, query.doc) > tsim
-        )
-        return closer, more_similar
+        return view.count_closer(raw_distance), view.count_more_similar(tsim)
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -13,14 +13,15 @@ the missing objects and the penalty of the corresponding refined query.
 Finally, the module returns the weighting vector pointing to the
 intersection with the minimum penalty."
 
-Implementation outline (DESIGN.md §3.3):
+Implementation outline (Section 3.3 and [5]):
 
 1. Map every object to its dual point ``(a, b) = (1−SDist, TSim)``;
    its score is the line ``f(w) = w·a + (1−w)·b`` over ``w = ws``.
 2. For each missing object ``m``, retrieve the objects whose lines cross
-   ``m``'s inside ``(0, 1)`` with the two quadrant range queries of
-   :class:`repro.index.dualspace.DualSpaceIndex` and compute the
-   crossover weights.
+   ``m``'s inside ``(0, 1)`` — the paper's two quadrant range queries,
+   answered by the kernel's levelled :class:`~repro.core.kernel.DualView`
+   (:mod:`repro.paper` keeps the dual R-tree and the linear scan) — and
+   compute the crossover weights.
 3. Walk each missing object's rank outward from ``q.ws`` with the rank
    update theorem — passing the crossover with ``o`` moves ``m``'s rank
    by ±1 according to which line rises faster — starting from its rank
@@ -48,18 +49,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from heapq import heappop, heappush, merge, nsmallest
 from itertools import groupby
 from operator import itemgetter
 from typing import Mapping, Sequence, cast
 
-from repro.core.kernel import CrossingRun
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint, Scorer, outranks
-from repro.index.dualspace import DualSpaceIndex
-from repro.whynot.context import RankWalk, WhyNotContext
+from repro.whynot.context import RankWalk, WhyNotContext, served_scorer
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
 
@@ -101,22 +99,15 @@ class PreferenceRefinement:
 class PreferenceAdjuster:
     """The preference-adjustment module of YASK's why-not engine."""
 
-    def __init__(
-        self,
-        scorer: Scorer,
-        *,
-        use_dual_index: bool = True,
-        verification_window: int = 16,
-    ) -> None:
+    method = "weight-sweep"
+
+    def __init__(self, scorer: Scorer, *, verification_window: int = 16) -> None:
         """
         Parameters
         ----------
         scorer:
-            Shared Eqn. (1) evaluator (fixes database and text model).
-        use_dual_index:
-            When True (default) the crossing objects are found with the
-            paper's two R-tree range queries in dual space; when False a
-            linear scan is used instead (the E8 ablation).
+            Shared Eqn. (1) evaluator, with a columnar kernel: crossing
+            lines and ranks come from its levelled dual view.
         verification_window:
             How many of the best sweep candidates are re-checked against
             floating-point ranks before one is returned (so also how
@@ -124,9 +115,17 @@ class PreferenceAdjuster:
         """
         if verification_window < 1:
             raise ValueError("verification_window must be at least 1")
-        self._scorer = scorer
-        self._use_dual_index = use_dual_index
+        self._scorer = self._checked(scorer)
         self._verification_window = verification_window
+
+    @staticmethod
+    def _checked(scorer: Scorer) -> Scorer:
+        return served_scorer(scorer, "DualIndexPreferenceAdjuster")
+
+    def _new_context(
+        self, query: SpatialKeywordQuery, missing: Sequence[SpatialObject]
+    ) -> WhyNotContext:
+        return WhyNotContext(self._scorer, query, missing)
 
     @property
     def scorer(self) -> Scorer:
@@ -151,9 +150,7 @@ class PreferenceAdjuster:
         if not missing:
             raise ValueError("the missing object set M must not be empty")
         if context is None:
-            context = WhyNotContext(
-                self._scorer, query, missing, indexed=self._use_dual_index
-            )
+            context = self._new_context(query, missing)
         initial_ranks = self._ranks(context, query.weights)
         initial_worst = max(initial_ranks.values())
         if initial_worst <= query.k:
@@ -201,9 +198,7 @@ class PreferenceAdjuster:
             lam=lam,
             crossovers=sum(walk.total for walk in self._walks(context)),
             candidates_evaluated=len(front),
-            # The sweep strategy, not the retrieval substrate: the
-            # levelled view serves the same two range queries.
-            method="weight-sweep" if self._use_dual_index else "weight-sweep-linear",
+            method=self.method,
         )
 
     # ------------------------------------------------------------------
@@ -239,9 +234,7 @@ class PreferenceAdjuster:
         """
         k = target_k if target_k is not None else query.k
         if context is None:
-            context = WhyNotContext(
-                self._scorer, query, [missing_obj], indexed=self._use_dual_index
-            )
+            context = self._new_context(query, [missing_obj])
         index = [obj.oid for obj in context.missing].index(missing_obj.oid)
         weights, ranks = self._walks(context)[index].walked(k).profile
         # Piece j of the profile starts at ends[(j + 1) >> 1] — 0, w0,
@@ -257,40 +250,16 @@ class PreferenceAdjuster:
     # Rank walks (memoised on the context)
     # ------------------------------------------------------------------
     def _walks(self, context: WhyNotContext) -> list[RankWalk]:
-        """The rank walk of each missing object.
-
-        Crossing lines come from the levelled view's runs, which it
-        widens as the walk reads them; without a view from the paper's
-        two R-tree range queries over
-        the dual points, or (``use_dual_index=False``, the E8 ablation)
-        a linear scan of them, one line to a level.
-        """
-        view = context.view if self._use_dual_index else None
-        find = None
+        """The rank walk of each missing object, its crossing lines the
+        levelled view's runs, which it widens as the walk reads them."""
+        view, ws = context.view, context.query.ws
         for index, walk in enumerate(context.walks):
-            if walk is not None:
-                continue
-            m_dual = context.missing_duals[index]
-            if view is not None:
-                runs = view.crossing_runs(m_dual.oid, context.query.ws)
-                above = view.strictly_above_at_zero(m_dual.oid)
-                ties = view.permanent_ties_smaller(m_dual.oid)
-            else:
-                duals = context.duals
-                if find is None:  # one dual R-tree per call, not per object
-                    find = (
-                        DualSpaceIndex(duals).crossing_candidates
-                        if self._use_dual_index
-                        else partial(DualSpaceIndex.crossing_candidates_linear, duals)
-                    )
-                ws = context.query.ws
-                runs = [CrossingRun(m_dual, ws, p.b, (p.a,), (p.oid,)) for p in find(m_dual)]
-                above = self._strictly_above_at_zero(m_dual, duals)
-                ties = self._permanent_ties_smaller(m_dual, duals)
-            context.walks[index] = RankWalk(
-                m_dual, context.query.ws, runs, 1 + above + ties,
-                None if view is None else view.count_events,
-            )
+            if walk is None:
+                m = context.missing_duals[index]
+                start = 1 + view.strictly_above_at_zero(m.oid) + view.permanent_ties_smaller(m.oid)
+                context.walks[index] = RankWalk(
+                    m, ws, view.crossing_runs(m.oid, ws), start, view.count_events
+                )
         return cast("list[RankWalk]", context.walks)  # every slot filled
 
     def _front(self, context: WhyNotContext) -> tuple[tuple[float, int], ...]:
@@ -369,7 +338,7 @@ class PreferenceAdjuster:
 
     @staticmethod
     def _beats(other: DualPoint, m_dual: DualPoint, w: float) -> bool:
-        """Whether ``other`` outranks m at ``w``, as :meth:`_ranks_at_weights`
+        """Whether ``other`` outranks m at ``w``, as the rank oracle
         ranks: scores ``w·a + (1−w)·b``, ``Weights.from_spatial(w)``'s."""
         return outranks(
             w * other.a + (1.0 - w) * other.b, other.oid,
@@ -422,44 +391,15 @@ class PreferenceAdjuster:
                 low = mid
         return high if self._valid_weight(high) else None
 
-    # The view-less arms' counts at ``w → 0+`` (the view's own mirror them).
-    _strictly_above_at_zero = staticmethod(DualSpaceIndex.strictly_above_at_zero)
-    _permanent_ties_smaller = staticmethod(DualSpaceIndex.permanent_ties_smaller)
-
     # ------------------------------------------------------------------
-    # Floating-point rank oracle (shared with the sampling baseline)
+    # Floating-point rank oracle
     # ------------------------------------------------------------------
     def _ranks(
         self, context: WhyNotContext, weights: Weights
     ) -> Mapping[int, int]:
-        """Exact missing-object ranks under ``weights``: over the
-        levelled view when there is one and the DualPoint list
-        otherwise — identical floats either way."""
-        view = context.view if self._use_dual_index else None
-        if view is None:
-            return self._ranks_at_weights(
-                weights, context.missing_duals, context.duals
-            )
+        """Exact missing-object ranks under ``weights``, over the view."""
         if weights == context.query.weights:
             return context.initial_ranks
-        return view.ranks_at(
+        return context.view.ranks_at(
             weights.ws, weights.wt, [m.oid for m in context.missing_duals]
         )
-
-    @staticmethod
-    def _ranks_at_weights(
-        weights: Weights,
-        missing_duals: Sequence[DualPoint],
-        duals: Sequence[DualPoint],
-    ) -> Mapping[int, int]:
-        """Exact ranks of the missing objects under ``weights`` (floats)."""
-        targets = [
-            (m.oid, weights.ws * m.a + weights.wt * m.b) for m in missing_duals
-        ]
-        beaten = {oid: 0 for oid, _ in targets}
-        for other in duals:
-            other_score = weights.ws * other.a + weights.wt * other.b
-            for oid, target_score in targets:
-                if other.oid != oid and outranks(other_score, other.oid, target_score, oid):
-                    beaten[oid] += 1
-        return {oid: count + 1 for oid, count in beaten.items()}

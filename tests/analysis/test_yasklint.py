@@ -149,6 +149,21 @@ def test_yask107_executor_protocol_and_reads_exempt() -> None:
     assert not any(v.line >= 13 for v in violations)
 
 
+def test_yask108_reference_import_lines() -> None:
+    violations = [
+        v
+        for v in lint_fixture("repro/whynot/bad_reference_import.py")
+        if v.rule_id == "YASK108"
+    ]
+    # Module level (3 import forms) and function-local; served-to-served
+    # and a package that merely shares the prefix are clean.
+    assert [v.line for v in violations] == [3, 4, 5, 11]
+
+
+def test_yask108_reference_package_may_import_the_trees() -> None:
+    assert lint_fixture("repro/paper/good_reference_import.py") == []
+
+
 def test_justified_suppression_silences_finding() -> None:
     violations = lint_fixture("repro/whynot/bad_float_eq.py")
     assert not any(v.line == 23 for v in violations)
@@ -177,6 +192,7 @@ def test_rule_catalogue_registered() -> None:
         "YASK105",
         "YASK106",
         "YASK107",
+        "YASK108",
     ]
 
 

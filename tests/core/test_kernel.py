@@ -16,7 +16,8 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.index.dualspace import DualSpaceIndex
-from repro.text.similarity import CosineTfIdfSimilarity, JaccardSimilarity
+from repro.paper import ranks_at_weights
+from repro.text.similarity import JACCARD, JaccardSimilarity
 from repro.whynot.context import WhyNotContext
 from repro.whynot.preference import PreferenceAdjuster
 
@@ -69,19 +70,9 @@ class TestConstruction:
         with pytest.raises(TypeError):
             ScoringKernel(edge_db(), JaccardSimilarity())
 
-    def test_scorer_keeps_other_models_on_the_set_path(self):
-        db = edge_db()
-        cosine = CosineTfIdfSimilarity(
-            db.keyword_document_frequencies(), len(db)
-        )
-        assert Scorer(db, text_model=cosine).kernel is None
-
-    def test_exact_type_dispatch_excludes_subclasses(self):
-        class Tweaked(JaccardSimilarity):
-            def similarity(self, object_keywords, query_keywords):
-                return 0.5
-
-        assert Scorer(edge_db(), text_model=Tweaked()).kernel is None
+    def test_scorer_takes_no_text_model(self):
+        with pytest.raises(TypeError, match="text_model"):
+            Scorer(edge_db(), text_model=JACCARD)
 
     def test_scorer_builds_kernel_by_default(self):
         assert Scorer(edge_db()).kernel is not None
@@ -111,7 +102,7 @@ class TestEdgeCases:
         scorer = Scorer(db)
         q = query({"cafe", "sushi"})  # "sushi" unseen in the corpus
         for obj in db:
-            expected = scorer.text_model.similarity(obj.doc, q.doc)
+            expected = JACCARD.similarity(obj.doc, q.doc)
             prepared = scorer.kernel.prepare(q)
             _sdists, tsims, _scores = scorer.kernel.components_all(q)
             assert tsims[scorer.kernel.row_of(obj.oid)] == expected
@@ -193,7 +184,7 @@ class TestBestFirstGuard:
         """Leaf entries that are not the scorer database's own objects
         must be scored object-at-a-time (pre-kernel semantics), not via
         the columns of a same-oid database row."""
-        from repro.core.topk import BestFirstTopK
+        from repro.paper import BestFirstTopK
         from repro.index.setrtree import SetRTree
 
         db = edge_db()
@@ -390,7 +381,7 @@ class TestDualView:
         view = kernel.dual_view(q, [2])
         duals = kernel.dual_points_all(q)
         (m,) = [dual for dual in duals if dual.oid == 2]
-        ties = PreferenceAdjuster._permanent_ties_smaller(m, duals)
+        ties = DualSpaceIndex.permanent_ties_smaller(m, duals)
         assert view.permanent_ties_smaller(2) == ties == 2  # oids 0 and 1
         # The run at 1/4 is in oid order whoever asks: each tied oid
         # has exactly the smaller tied oids ahead of it.
@@ -404,7 +395,7 @@ class TestDualView:
         for ws in (0.1, 0.5, 0.9):
             weights = Weights.from_spatial(ws)
             assert view.ranks_at(weights.ws, weights.wt, [2]) == dict(
-                PreferenceAdjuster._ranks_at_weights(weights, [m], duals)
+                ranks_at_weights(weights, [m], duals)
             )
         for radius in (0.0, 0.125, 0.2, 0.25):  # 0.25: the exact run
             assert view.count_closer(radius) == sum(

@@ -6,7 +6,6 @@ from repro.core.geometry import Point, Rect
 from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
-from repro.text.similarity import CosineTfIdfSimilarity
 
 
 @pytest.fixture()
@@ -147,12 +146,3 @@ class TestRanking:
         rebuilt = scorer.result_from_objects(q, [e.obj for e in expected])
         assert [e.rank for e in rebuilt] == [1, 2]
         assert [e.score for e in rebuilt] == [e.score for e in expected]
-
-
-class TestAlternativeModels:
-    def test_cosine_model_scores_differently_but_in_range(self, db):
-        model = CosineTfIdfSimilarity(db.keyword_document_frequencies(), len(db))
-        scorer = Scorer(db, text_model=model)
-        q = query()
-        for obj in db:
-            assert 0.0 <= scorer.score(obj, q) <= 1.0

@@ -1,4 +1,5 @@
-"""Unit tests for :mod:`repro.core.topk` — Definition 1's engines.
+"""Unit tests for Definition 1's engines: :mod:`repro.core.topk` and
+the paper's best-first search, :class:`repro.paper.BestFirstTopK`.
 
 The central contract: the best-first index engine returns *exactly* the
 brute-force result (same objects, same order) for every query and every
@@ -10,10 +11,9 @@ import pytest
 from repro.core.objects import SpatialDatabase
 from repro.core.query import SpatialKeywordQuery
 from repro.core.scoring import Scorer
-from repro.core.topk import BestFirstTopK, BruteForceTopK
-from repro.index.irtree import IRTree
+from repro.core.topk import BruteForceTopK
 from repro.index.setrtree import SetRTree
-from repro.text.similarity import CosineTfIdfSimilarity
+from repro.paper import BestFirstTopK
 
 from tests.conftest import random_queries
 
@@ -57,19 +57,6 @@ class TestBestFirstAgainstBruteForce:
         engine = BestFirstTopK(medium_setrtree, medium_scorer)
         oracle = BruteForceTopK(medium_scorer)
         for q in random_queries(medium_db, 15, seed=99, k=10):
-            assert [e.obj.oid for e in engine.search(q)] == [
-                e.obj.oid for e in oracle.search(q)
-            ]
-
-    def test_irtree_engine_matches_oracle_for_cosine(self, small_db):
-        model = CosineTfIdfSimilarity(
-            small_db.keyword_document_frequencies(), len(small_db)
-        )
-        scorer = Scorer(small_db, text_model=model)
-        tree = IRTree.build(small_db, text_model=model, max_entries=8)
-        engine = BestFirstTopK(tree, scorer)
-        oracle = BruteForceTopK(scorer)
-        for q in random_queries(small_db, 10, seed=5, k=8):
             assert [e.obj.oid for e in engine.search(q)] == [
                 e.obj.oid for e in oracle.search(q)
             ]

@@ -155,14 +155,14 @@ class TestCrossModelConsistency:
         # incrementally rather than bulk-loaded.
         from repro.core.scoring import Scorer
         from repro.index.kcrtree import KcRTree
-        from repro.whynot.keyword import KeywordAdapter
+        from repro.paper import KcRTreeKeywordAdapter
         from repro.bench.workloads import generate_whynot_scenarios
 
         scorer = Scorer(small_db)
         tree = KcRTree(database=small_db, max_entries=4)
         for obj in small_db:
             tree.insert(obj, obj.loc)
-        adapter = KeywordAdapter(scorer, tree)
+        adapter = KcRTreeKeywordAdapter(scorer, tree)
         scenario = generate_whynot_scenarios(
             scorer, count=1, k=5, missing_count=1, seed=191, rank_window=25
         )[0]

@@ -8,12 +8,17 @@ import pytest
 import repro
 from repro.core.kernel import ScoringKernel
 from repro.core.mutations import BatchSummary, MutableDatabase
+from repro.core.scoring import Scorer
 from repro.core.sharding import ShardRouter
 from repro.index.setrtree import SetRTree
 from repro.service.cli import main as cli_main
 from repro.service.executor import QueryExecutor
 from repro.service.server import YaskHTTPServer, serve_forever
 from repro.text.similarity import JACCARD
+from repro.whynot.context import WhyNotContext
+from repro.whynot.explanation import ExplanationGenerator
+from repro.whynot.keyword import KeywordAdapter
+from repro.whynot.preference import PreferenceAdjuster
 
 
 class TestTopLevelExports:
@@ -29,14 +34,14 @@ class TestTopLevelExports:
     def test_subpackages_import(self):
         for module in (
             "repro.core", "repro.text", "repro.index", "repro.whynot",
-            "repro.service", "repro.datasets", "repro.bench",
+            "repro.service", "repro.datasets", "repro.bench", "repro.paper",
         ):
             importlib.import_module(module)
 
     def test_subpackage_alls_resolve(self):
         for module_name in (
             "repro.core", "repro.text", "repro.index", "repro.whynot",
-            "repro.service", "repro.datasets", "repro.bench",
+            "repro.service", "repro.datasets", "repro.bench", "repro.paper",
         ):
             module = importlib.import_module(module_name)
             for name in module.__all__:
@@ -187,8 +192,105 @@ class TestFacadeOptionsArePinned:
             assert f"`{name}`" in section, f"{name} is not documented"
 
 
+class TestServedWhyNotClassesCarryOneArm:
+    """Each served why-not class answers its question one way, over the
+    scorer's kernel; the paper's other arms are :mod:`repro.paper`'s
+    classes, and what neither runs is gone."""
+
+    @pytest.fixture()
+    def question(self, small_scorer):
+        from repro.bench.workloads import generate_whynot_scenarios
+
+        return generate_whynot_scenarios(
+            small_scorer, count=1, k=5, missing_count=1, rank_window=20, seed=3
+        )[0]
+
+    @pytest.mark.parametrize(
+        "build, option",
+        [
+            (lambda s, q: KeywordAdapter(s, use_bounds=False), "use_bounds"),
+            (lambda s, q: KeywordAdapter(s, index=None), "index"),
+            (lambda s, q: PreferenceAdjuster(s, use_dual_index=False), "use_dual_index"),
+            (lambda s, q: WhyNotContext(s, q.query, q.missing, indexed=False), "indexed"),
+            (lambda s, q: Scorer(s.database, text_model=JACCARD), "text_model"),
+        ],
+        ids=["use_bounds", "index", "use_dual_index", "indexed", "text_model"],
+    )
+    def test_removed_options_are_refused(self, small_scorer, question, build, option):
+        with pytest.raises(TypeError, match=option):
+            build(small_scorer, question)
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.index", "IRTree"),
+            ("repro.index", "IRSummary"),
+            ("repro.text", "CosineTfIdfSimilarity"),
+            ("repro.text.similarity", "TextSimilarityModel"),
+            ("repro.core", "BestFirstTopK"),
+            ("repro.whynot", "SamplingPreferenceAdjuster"),
+        ],
+    )
+    def test_removed_names_are_gone(self, module, name):
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize(
+        "module", ["repro.whynot.baselines", "repro.index.irtree", "repro.index.stats"]
+    )
+    def test_removed_modules_are_gone(self, module):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)
+
+    def test_stats_max_entries_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["stats", "--max-entries", "8"])
+        assert excinfo.value.code == 2
+        assert "--max-entries" in capsys.readouterr().err
+
+    def test_served_classes_refuse_a_kernel_less_scorer_and_a_foreign_object(
+        self, small_db, question
+    ):
+        from repro.core.objects import SpatialObject
+
+        set_path = Scorer(small_db, use_kernel=False)
+        for build, reference in (
+            (lambda: KeywordAdapter(set_path), "repro.paper.ExhaustiveKeywordAdapter"),
+            (lambda: PreferenceAdjuster(set_path), "repro.paper.DualIndexPreferenceAdjuster"),
+            (lambda: ExplanationGenerator(set_path), "repro.paper.ScanExplanationGenerator"),
+            (
+                lambda: WhyNotContext(set_path, question.query, question.missing),
+                "repro.paper.ViewlessContext",
+            ),
+        ):
+            with pytest.raises(ValueError, match=reference):
+                build()
+        served = Scorer(small_db)
+        (missing,) = question.missing
+        copy = SpatialObject(oid=missing.oid, loc=missing.loc, doc=missing.doc)
+        with pytest.raises(ValueError, match="repro.paper.ViewlessContext"):
+            PreferenceAdjuster(served).refine(question.query, [copy])
+        with pytest.raises(ValueError, match="repro.paper.ViewlessContext"):
+            KeywordAdapter(served).refine(question.query, [copy])
+
+    def test_explain_without_a_result_is_a_type_error(self, small_scorer, question):
+        from repro.whynot.engine import WhyNotEngine
+
+        query, missing = question.query, list(question.missing)
+        with pytest.raises(TypeError, match="result"):
+            ExplanationGenerator(small_scorer).explain(query, missing)
+        engine = WhyNotEngine(small_scorer)
+        with pytest.raises(TypeError, match="initial_result"):
+            engine.explain(query, missing)
+        with pytest.raises(TypeError, match="initial_result"):
+            engine.refine_both(query, missing)
+        explanation = engine.explain(
+            query, missing, initial_result=small_scorer.top_k(query)
+        )
+        assert explanation.worst_rank == question.worst_rank
+
+
 class TestServedEngineBuildsNoTree:
-    """The R-tree family (SetR-tree, KcR-tree, IR-tree) is a library
+    """The R-tree family (SetR-tree, KcR-tree) is a library
     reference: nothing served constructs, imports or maintains one."""
 
     @pytest.mark.parametrize("shards", [None, 4])

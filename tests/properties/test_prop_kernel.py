@@ -23,13 +23,17 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scanindex import SKIP_MARGIN
 from repro.core.scoring import Scorer
-from repro.core.topk import BestFirstTopK
 from repro.index.dualspace import DualSpaceIndex
 from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
+from repro.paper import (
+    BestFirstTopK,
+    DualIndexPreferenceAdjuster,
+    ExhaustiveKeywordAdapter,
+    KcRTreeKeywordAdapter,
+    ranks_at_weights,
+)
 from repro.service.api import YaskEngine
-from repro.whynot.baselines import exhaustive_keyword_adapter
-from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
 from tests.properties.strategies import ALPHABET, coordinates, points
@@ -125,7 +129,7 @@ def test_dual_points_and_ranks_match(database, query):
 @settings(max_examples=40, deadline=None)
 @given(kernel_databases(min_size=4), kernel_queries(k_max=3))
 def test_dual_view_rank_oracle_matches(database, query):
-    """DualView.ranks_at ≡ PreferenceAdjuster._ranks_at_weights."""
+    """DualView.ranks_at ≡ repro.paper.ranks_at_weights."""
     fast, slow = scorer_pair(database)
     target_oids = [obj.oid for obj in list(database.objects)[:3]]
     view = fast.kernel.dual_view(query, target_oids)
@@ -133,7 +137,7 @@ def test_dual_view_rank_oracle_matches(database, query):
     by_oid = {dual.oid: dual for dual in duals}
     for ws in (0.1, query.ws, 0.9):
         weights = Weights.from_spatial(ws)
-        expected = PreferenceAdjuster._ranks_at_weights(
+        expected = ranks_at_weights(
             weights, [by_oid[oid] for oid in target_oids], duals
         )
         assert view.ranks_at(weights.ws, weights.wt, target_oids) == dict(
@@ -152,7 +156,7 @@ def test_preference_refinement_parity(database, query):
     if slow.worst_rank(missing, query) <= query.k:
         return  # nothing is missing under this draw
     refined_fast = PreferenceAdjuster(fast).refine(query, missing, lam=0.5)
-    refined_slow = PreferenceAdjuster(slow).refine(query, missing, lam=0.5)
+    refined_slow = DualIndexPreferenceAdjuster(slow).refine(query, missing, lam=0.5)
     assert refined_fast == refined_slow
 
 
@@ -168,8 +172,8 @@ def assert_keyword_arms_agree(engine, query, missing_oids, lams):
     missing = [database.get(oid) for oid in missing_oids]
     oracle = Scorer(database, use_kernel=False)
     references = [
-        exhaustive_keyword_adapter(oracle),
-        KeywordAdapter(oracle, KcRTree.build(database, max_entries=4)),
+        ExhaustiveKeywordAdapter(oracle),
+        KcRTreeKeywordAdapter(oracle, KcRTree.build(database, max_entries=4)),
     ]
     for lam in lams:
         served = engine.refine_keywords(query, missing_oids, lam=lam)
@@ -252,8 +256,8 @@ def test_keyword_parity_at_deep_ranks(medium_db, medium_kcrtree):
     engine = YaskEngine(medium_db)
     scorer = engine.scorer
     references = [
-        exhaustive_keyword_adapter(scorer),
-        KeywordAdapter(scorer, medium_kcrtree),
+        ExhaustiveKeywordAdapter(scorer),
+        KcRTreeKeywordAdapter(scorer, medium_kcrtree),
     ]
     rng = random.Random(25)
     vocabulary = sorted(medium_db.vocabulary())
@@ -380,10 +384,10 @@ def assert_view_matches_reference(engine, query, target_oids):
             assert below == [event for event in events if event[0] < ws]
         assert view.strictly_above_at_zero(
             m.oid
-        ) == PreferenceAdjuster._strictly_above_at_zero(m, duals)
+        ) == DualSpaceIndex.strictly_above_at_zero(m, duals)
         assert view.permanent_ties_smaller(
             m.oid
-        ) == PreferenceAdjuster._permanent_ties_smaller(m, duals)
+        ) == DualSpaceIndex.permanent_ties_smaller(m, duals)
         assert view.count_more_similar(m.b) == tree.count_more_similar(
             query.doc, m.b
         )
@@ -408,7 +412,7 @@ def assert_view_matches_reference(engine, query, target_oids):
             continue
         weights = Weights.from_spatial(ws)
         assert view.ranks_at(weights.ws, weights.wt, oids) == dict(
-            PreferenceAdjuster._ranks_at_weights(weights, targets, duals)
+            ranks_at_weights(weights, targets, duals)
         )
     return view
 

@@ -3,10 +3,9 @@
 from hypothesis import given, settings
 
 from repro.core.scoring import Scorer
-from repro.core.topk import BestFirstTopK, BruteForceTopK
-from repro.index.irtree import IRTree
+from repro.core.topk import BruteForceTopK
 from repro.index.setrtree import SetRTree
-from repro.text.similarity import CosineTfIdfSimilarity
+from repro.paper import BestFirstTopK
 
 from tests.properties.strategies import databases_with_queries
 
@@ -23,22 +22,6 @@ def test_setrtree_best_first_equals_brute_force(db_and_query):
     expected = oracle.search(query)
     assert [e.obj.oid for e in actual] == [e.obj.oid for e in expected]
     assert [e.score for e in actual] == [e.score for e in expected]
-
-
-@settings(max_examples=40, deadline=None)
-@given(databases_with_queries())
-def test_irtree_best_first_equals_brute_force(db_and_query):
-    database, query = db_and_query
-    model = CosineTfIdfSimilarity(
-        database.keyword_document_frequencies(), len(database)
-    )
-    scorer = Scorer(database, text_model=model)
-    tree = IRTree.build(database, text_model=model, max_entries=4)
-    engine = BestFirstTopK(tree, scorer)
-    oracle = BruteForceTopK(scorer)
-    assert [e.obj.oid for e in engine.search(query)] == [
-        e.obj.oid for e in oracle.search(query)
-    ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -21,7 +21,14 @@ from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint, Scorer
 from repro.core.topk import BruteForceTopK
 from repro.index.kcrtree import KcRTree
-from repro.whynot.baselines import SamplingPreferenceAdjuster, exhaustive_keyword_adapter
+from repro.paper import (
+    DualIndexPreferenceAdjuster,
+    ExhaustiveKeywordAdapter,
+    KcRTreeKeywordAdapter,
+    LinearPreferenceAdjuster,
+    SamplingPreferenceAdjuster,
+    ranks_at_weights,
+)
 from repro.whynot.context import WhyNotContext
 from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
@@ -78,9 +85,9 @@ def check_keyword_adaption(case):
     """Both bound-and-prune arms (the kernel's scan index, the KcR-tree
     descent) revive M and give the exhaustive enumeration's answer."""
     database, scorer, query, missing, lam = case
-    exhaustive = exhaustive_keyword_adapter(scorer).refine(query, missing, lam=lam)
+    exhaustive = ExhaustiveKeywordAdapter(scorer).refine(query, missing, lam=lam)
     tree = KcRTree.build(database, max_entries=4)
-    for adapter in (KeywordAdapter(scorer), KeywordAdapter(scorer, tree)):
+    for adapter in (KeywordAdapter(scorer), KcRTreeKeywordAdapter(scorer, tree)):
         refinement = adapter.refine(query, missing, lam=lam)
 
         result = BruteForceTopK(scorer).search(refinement.refined_query)
@@ -157,6 +164,17 @@ LAMBDAS = (0.0, 0.1, 0.5, 0.9, 1.0)
 #: ``Weights`` accepts ``ws + wt = 1 ± 1e-6``; Δw is then not monotone
 #: in ``|w − ws|`` right next to ``q.ws``.
 SUM_SLACKS = st.sampled_from([0.0, 0.0, 1e-6, -1e-6, 4e-7, -4e-7, 1e-9, -1e-12])
+
+
+def adjuster_for(scorer, use_dual_index, **options):
+    """The sweep arm a draw names: the served levelled view when the
+    scorer has a kernel, else the paper's dual R-tree; the linear scan
+    without the dual index."""
+    if not use_dual_index:
+        return LinearPreferenceAdjuster(scorer, **options)
+    if scorer.kernel is None:
+        return DualIndexPreferenceAdjuster(scorer, **options)
+    return PreferenceAdjuster(scorer, **options)
 
 
 class DualPointScorer:
@@ -288,10 +306,8 @@ def front_cases(draw):
         if crossings:
             ws = draw(st.sampled_from(crossings))
     query = replace(base, weights=weights_at(ws, slack))
-    adjuster = PreferenceAdjuster(
-        scorer, use_dual_index=draw(st.booleans()), verification_window=window
-    )
-    ranks = PreferenceAdjuster._ranks_at_weights(
+    adjuster = adjuster_for(scorer, draw(st.booleans()), verification_window=window)
+    ranks = ranks_at_weights(
         query.weights, [d for d in duals if d.oid in {m.oid for m in missing}], duals
     )
     worst = max(ranks.values())
@@ -315,9 +331,7 @@ def near_parallel_case():
     ws = 0.7312892823294266
     somewhere = Point(0.0, 0.0), frozenset({"t0"})
     query = SpatialKeywordQuery(*somewhere, 3, Weights(ws, 1.0 - ws))
-    adjuster = PreferenceAdjuster(
-        DualPointScorer(duals), use_dual_index=False, verification_window=1
-    )
+    adjuster = LinearPreferenceAdjuster(DualPointScorer(duals), verification_window=1)
     return adjuster, query, [SpatialObject(3, *somewhere)], 0.5
 
 
@@ -340,9 +354,7 @@ def one_weight_crossings_case(use_dual_index):
     ]
     somewhere = Point(0.0, 0.0), frozenset({"t0"})
     query = SpatialKeywordQuery(*somewhere, 3, Weights.from_spatial(0.3))
-    adjuster = PreferenceAdjuster(
-        DualPointScorer(duals), use_dual_index=use_dual_index, verification_window=2
-    )
+    adjuster = adjuster_for(DualPointScorer(duals), use_dual_index, verification_window=2)
     return adjuster, query, [SpatialObject(5, *somewhere)], 0.5
 
 
@@ -350,7 +362,7 @@ def one_weight_crossings_case(use_dual_index):
 def test_crossovers_both_ways_at_one_weight(use_dual_index):
     case = one_weight_crossings_case(use_dual_index)
     adjuster, query, missing, _ = case
-    context = WhyNotContext(adjuster.scorer, query, missing)
+    context = adjuster._new_context(query, missing)
     (walk,) = adjuster._walks(context)
     assert walk.total == 6
     sweep = walk.walked()  # the whole range
@@ -371,9 +383,7 @@ def check_front_parity(case):
     them all; walked on to both ends, every missing object's crossover
     events and rank profile are the per-object construction's."""
     adjuster, query, missing, lam = case
-    context = WhyNotContext(
-        adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
-    )
+    context = adjuster._new_context(query, missing)
     for each in (*LAMBDAS, lam):
         got = adjuster.refine(query, missing, lam=each, context=context)
         want = reference_refine(adjuster, query, missing, lam=each)
@@ -411,9 +421,7 @@ def check_walk_parity(case):
     events; its floor is below every rank further out, and its event
     count is the sweep's total before it reads any."""
     adjuster, query, missing, _ = case
-    context = WhyNotContext(
-        adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
-    )
+    context = adjuster._new_context(query, missing)
     for index, walk in enumerate(adjuster._walks(context)):
         want = reference_sweep(context, index)
         assert walk.total == len(want.weights)
@@ -464,9 +472,7 @@ def check_walk_steps(case):
     adjuster, query, missing, _ = case
 
     def walks():
-        context = WhyNotContext(
-            adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
-        )
+        context = adjuster._new_context(query, missing)
         return adjuster._walks(context)
 
     for stepped, whole in zip(walks(), walks()):

@@ -11,7 +11,6 @@ from repro.core.query import Weights
 from repro.core.scoring import Scorer
 from repro.core.topk import BruteForceTopK
 from repro.service.api import YaskEngine
-from repro.text.similarity import CosineTfIdfSimilarity
 from tests.conftest import make_tiny_db
 
 
@@ -64,15 +63,6 @@ class TestEngineVariants:
         assert [e.obj.oid for e in indexed.query(q)] == [
             e.obj.oid for e in brute.search(q)
         ]
-
-    def test_text_model_option_is_refused(self, small_db):
-        # The engine serves Jaccard only; the option went with the other
-        # models (a cosine engine is BestFirstTopK over an IRTree).
-        cosine = CosineTfIdfSimilarity(
-            small_db.keyword_document_frequencies(), len(small_db)
-        )
-        with pytest.raises(TypeError, match="text_model"):
-            YaskEngine(small_db, text_model=cosine)
 
     @pytest.mark.parametrize(
         "options, error, match",

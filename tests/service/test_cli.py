@@ -57,6 +57,24 @@ class TestDatasets:
             "objects[0]: missing required field 'keywords'"
         )
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing.json", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_dataset_exits_2_with_its_reason(
+        self, tmp_path, capsys, name, reason
+    ):
+        """Regression: a path that cannot be read ended in a bare
+        ``FileNotFoundError`` traceback."""
+        path = tmp_path / name
+        with pytest.raises(SystemExit) as exited:
+            main(["stats", "--dataset", str(path)])
+        assert exited.value.code == 2
+        assert capsys.readouterr().err.strip() == (
+            f"yask: cannot read dataset {path}: {reason}"
+        )
+
 
 class TestCommands:
     def test_query_command_outputs_json(self, capsys):
@@ -118,25 +136,30 @@ class TestCommands:
     def test_stats_command(self, capsys):
         assert main(["stats", "--dataset", "coffee"]) == 0
         out = capsys.readouterr().out
-        assert "SetR-tree:" in out and "KcR-tree:" in out
+        assert out.startswith("dataset:\n")
         assert "objects = 60" in out
+        assert "tree" not in out.lower()
 
-    def test_stats_builds_trees_not_an_engine(self, monkeypatch, capsys):
+    def test_stats_builds_no_engine_and_no_tree(self, monkeypatch, capsys):
+        from repro.index.rtree import RTree
+
         monkeypatch.setattr(
             "repro.service.cli.YaskEngine",
             lambda *args, **kwargs: pytest.fail("stats built an engine"),
         )
-        assert main(["stats", "--dataset", "coffee", "--max-entries", "2"]) == 0
-        assert capsys.readouterr().out.count("items=60") == 2
+        monkeypatch.setattr(
+            RTree, "__init__", lambda *args, **kwargs: pytest.fail("stats built a tree")
+        )
+        assert main(["stats", "--dataset", "coffee"]) == 0
+        assert "objects = 60" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("value", ["1", "0", "-4", "x"])
-    def test_stats_bad_max_entries_is_a_usage_error(self, value, capsys):
-        """Regression: ``--max-entries 1`` was a ``ValueError`` traceback
-        out of ``RTree.__init__``."""
+    @pytest.mark.parametrize("value", ["32", "1", "x"])
+    def test_stats_max_entries_is_a_usage_error(self, value, capsys):
+        """``stats`` bulk-loads no tree, so it takes no fanout."""
         with pytest.raises(SystemExit) as excinfo:
             main(["stats", "--dataset", "coffee", "--max-entries", value])
         assert excinfo.value.code == 2
-        assert "usage: yask stats" in capsys.readouterr().err
+        assert "unrecognized arguments: --max-entries" in capsys.readouterr().err
 
     def test_audit_command_passes_on_clean_engine(self, capsys):
         code = main(

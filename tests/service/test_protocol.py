@@ -161,7 +161,9 @@ class TestResponseSerialisation:
         from repro.whynot.explanation import ExplanationGenerator
 
         generator = ExplanationGenerator(small_scorer)
-        explanation = generator.explain(scenario.query, scenario.missing)
+        explanation = generator.explain(
+            scenario.query, scenario.missing, result=small_scorer.top_k(scenario.query)
+        )
         payload = explanation_to_dict(explanation)
         json.dumps(payload)
         assert payload["worst_rank"] == explanation.worst_rank
@@ -184,9 +186,9 @@ class TestResponseSerialisation:
     def test_keyword_refinement_to_dict(
         self, small_scorer, small_kcrtree, scenario
     ):
-        from repro.whynot.keyword import KeywordAdapter
+        from repro.paper import KcRTreeKeywordAdapter
 
-        refinement = KeywordAdapter(small_scorer, small_kcrtree).refine(
+        refinement = KcRTreeKeywordAdapter(small_scorer, small_kcrtree).refine(
             scenario.query, scenario.missing
         )
         payload = keyword_refinement_to_dict(refinement)

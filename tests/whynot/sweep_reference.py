@@ -9,7 +9,7 @@ the property that pins the front to it.
 
 It also keeps how the crossover events were built before
 ``PreferenceAdjuster._sweep_inputs`` went a TSim level at a time: per
-crossing object of ``context.duals``, ``DualPoint.crossover_with``,
+crossing object of every object's dual point, ``DualPoint.crossover_with``,
 ``_valid_weight`` and the slope comparison, sorted
 (:func:`reference_sweep`, which the property compares to ``_sweeps``).
 Everything below reads those events, never ``_sweeps``; it reuses only
@@ -27,6 +27,7 @@ from typing import Sequence
 from repro.core.objects import SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint
+from repro.index.dualspace import DualSpaceIndex
 from repro.whynot.context import RankProfile, SweepInputs, WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
@@ -39,7 +40,7 @@ def reference_events(
     """``(w*, oid, direction)`` per object whose line crosses m's inside
     ``(0, 1)``, one object at a time, sorted; +1: it rises above m."""
     events = []
-    for other in context.duals:
+    for other in context.scorer.dual_points(context.query):
         if (other.a - m_dual.a) * (other.b - m_dual.b) < 0.0:
             w_star = m_dual.crossover_with(other)
             if w_star is not None and PreferenceAdjuster._valid_weight(w_star):
@@ -63,12 +64,12 @@ class _SweepState:
 
     @classmethod
     def start(cls, context: WhyNotContext, m_dual: DualPoint) -> "_SweepState":
-        duals = context.duals
+        duals = context.scorer.dual_points(context.query)
         return cls(
             oid=m_dual.oid,
             events=reference_events(context, m_dual),
-            above=PreferenceAdjuster._strictly_above_at_zero(m_dual, duals)
-            + PreferenceAdjuster._permanent_ties_smaller(m_dual, duals),
+            above=DualSpaceIndex.strictly_above_at_zero(m_dual, duals)
+            + DualSpaceIndex.permanent_ties_smaller(m_dual, duals),
         )
 
     def advance_and_rank(self, w: float) -> int:
@@ -148,9 +149,7 @@ def reference_refine(
 ) -> PreferenceRefinement:
     """``refine`` as it was: every candidate priced at ``lam``."""
     if context is None:
-        context = WhyNotContext(
-            adjuster.scorer, query, missing, indexed=adjuster._use_dual_index
-        )
+        context = adjuster._new_context(query, missing)
     initial_ranks = adjuster._ranks(context, query.weights)
     initial_worst = max(initial_ranks.values())
     if initial_worst <= query.k:
@@ -194,7 +193,7 @@ def reference_refine(
         lam=lam,
         crossovers=sum(len(sweep.weights) for sweep in sweeps),
         candidates_evaluated=len(ordered_ws),
-        method="weight-sweep" if adjuster._use_dual_index else "weight-sweep-linear",
+        method=adjuster.method,
     )
 
 
@@ -209,9 +208,7 @@ def reference_intervals(
     """``viable_weight_intervals`` as it was: one cursor walk per event."""
     k = target_k if target_k is not None else query.k
     if context is None:
-        context = WhyNotContext(
-            adjuster.scorer, query, [missing_obj], indexed=adjuster._use_dual_index
-        )
+        context = adjuster._new_context(query, [missing_obj])
     index = [obj.oid for obj in context.missing].index(missing_obj.oid)
     state = _SweepState.start(context, context.missing_duals[index])
     events = state.events

@@ -1,9 +1,9 @@
-"""Tests for the comparison baselines (:mod:`repro.whynot.baselines`)."""
+"""Tests for the sampling baseline (:class:`repro.paper.SamplingPreferenceAdjuster`)."""
 
 import pytest
 
 from repro.core.topk import BruteForceTopK
-from repro.whynot.baselines import SamplingPreferenceAdjuster
+from repro.paper import SamplingPreferenceAdjuster
 from repro.whynot.errors import NotMissingError
 
 from tests.conftest import random_queries

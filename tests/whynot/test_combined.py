@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.topk import BruteForceTopK
 from repro.whynot.combined import CombinedRefiner
-from repro.whynot.keyword import KeywordAdapter
+from repro.paper import KcRTreeKeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
 
@@ -27,7 +27,7 @@ def refiner(small_scorer, small_kcrtree):
     return CombinedRefiner(
         small_scorer,
         PreferenceAdjuster(small_scorer),
-        KeywordAdapter(small_scorer, small_kcrtree),
+        KcRTreeKeywordAdapter(small_scorer, small_kcrtree),
     )
 
 
@@ -181,7 +181,7 @@ class TestGoldenMultiObject:
         refiner = CombinedRefiner(
             medium_scorer,
             PreferenceAdjuster(medium_scorer),
-            KeywordAdapter(medium_scorer, KcRTree.build(medium_db, max_entries=16)),
+            KcRTreeKeywordAdapter(medium_scorer, KcRTree.build(medium_db, max_entries=16)),
         )
         for case in golden:
             refinement = refiner.refine(

@@ -42,7 +42,9 @@ class TestResolution:
 class TestDispatch:
     def test_explain(self, engine, small_scorer):
         s = scenario(small_scorer)
-        explanation = engine.explain(s.query, [m.oid for m in s.missing])
+        explanation = engine.explain(
+            s.query, [m.oid for m in s.missing], initial_result=small_scorer.top_k(s.query)
+        )
         assert explanation.worst_rank > s.query.k
 
     def test_refine_preference(self, engine, small_scorer):
@@ -57,7 +59,9 @@ class TestDispatch:
 
     def test_refine_both_returns_all_parts(self, engine, small_scorer):
         s = scenario(small_scorer, seed=143)
-        answer = engine.refine_both(s.query, [m.oid for m in s.missing])
+        answer = engine.refine_both(
+            s.query, [m.oid for m in s.missing], initial_result=small_scorer.top_k(s.query)
+        )
         assert answer.explanation is not None
         assert answer.preference is not None
         assert answer.keyword is not None
@@ -65,7 +69,9 @@ class TestDispatch:
 
     def test_best_model_picks_lower_penalty(self, engine, small_scorer):
         s = scenario(small_scorer, seed=144)
-        answer = engine.refine_both(s.query, [m.oid for m in s.missing])
+        answer = engine.refine_both(
+            s.query, [m.oid for m in s.missing], initial_result=small_scorer.top_k(s.query)
+        )
         if answer.best_model == "preference adjustment":
             assert answer.preference.penalty <= answer.keyword.penalty
         else:
@@ -75,7 +81,9 @@ class TestDispatch:
         from repro.whynot.engine import WhyNotAnswer
 
         s = scenario(small_scorer, seed=145)
-        explanation = engine.explain(s.query, [m.oid for m in s.missing])
+        explanation = engine.explain(
+            s.query, [m.oid for m in s.missing], initial_result=small_scorer.top_k(s.query)
+        )
         assert WhyNotAnswer(explanation).best_model is None
         pref = engine.refine_preference(s.query, [m.oid for m in s.missing])
         assert (

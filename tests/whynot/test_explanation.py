@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.scoring import Scorer
+from repro.paper import ScanExplanationGenerator
 from repro.whynot.errors import NotMissingError
 from repro.whynot.explanation import ExplanationGenerator, MissingReason
 
@@ -26,18 +27,18 @@ def generator(small_scorer):
 class TestExplanationContent:
     def test_rank_matches_scorer(self, small_scorer, generator):
         s = scenario(small_scorer)
-        explanation = generator.explain(s.query, s.missing)
+        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
         for obj_explanation, missing in zip(explanation.explanations, s.missing):
             assert obj_explanation.rank == small_scorer.rank_of(missing, s.query)
 
     def test_worst_rank_is_r_m_q(self, small_scorer, generator):
         s = scenario(small_scorer, seed=101, missing_count=2)
-        explanation = generator.explain(s.query, s.missing)
+        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
         assert explanation.worst_rank == small_scorer.worst_rank(s.missing, s.query)
 
     def test_counts_match_linear_scan(self, small_scorer, generator):
         s = scenario(small_scorer, seed=102)
-        explanation = generator.explain(s.query, s.missing)
+        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
         missing = s.missing[0]
         entry = explanation.explanations[0]
         distance = missing.loc.distance_to(s.query.loc)
@@ -57,12 +58,12 @@ class TestExplanationContent:
 
     def test_index_and_scan_generators_agree(self, small_scorer):
         with_view = ExplanationGenerator(small_scorer)
-        without_view = ExplanationGenerator(
+        without_view = ScanExplanationGenerator(
             Scorer(small_scorer.database, use_kernel=False)
         )
         s = scenario(small_scorer, seed=103)
-        a = with_view.explain(s.query, s.missing).explanations[0]
-        b = without_view.explain(s.query, s.missing).explanations[0]
+        a = with_view.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        b = without_view.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
         assert (a.closer_objects, a.more_similar_objects) == (
             b.closer_objects, b.more_similar_objects,
         )
@@ -70,19 +71,19 @@ class TestExplanationContent:
 
     def test_ranks_behind(self, small_scorer, generator):
         s = scenario(small_scorer, seed=104)
-        entry = generator.explain(s.query, s.missing).explanations[0]
+        entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
         assert entry.ranks_behind == entry.rank - s.query.k
 
     def test_narrative_mentions_key_numbers(self, small_scorer, generator):
         s = scenario(small_scorer, seed=105)
-        entry = generator.explain(s.query, s.missing).explanations[0]
+        entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
         text = entry.narrative()
         assert f"#{entry.rank}" in text
         assert "Reason:" in text
 
     def test_full_narrative_suggests_a_model(self, small_scorer, generator):
         s = scenario(small_scorer, seed=106)
-        explanation = generator.explain(s.query, s.missing)
+        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
         assert explanation.suggested_model in (
             "preference adjustment", "keyword adaption",
         )
@@ -93,7 +94,7 @@ class TestReasonClassification:
     def test_reasons_are_consistent_with_components(self, small_scorer, generator):
         for seed in range(110, 118):
             s = scenario(small_scorer, seed=seed)
-            explanation = generator.explain(s.query, s.missing)
+            explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
             entry = explanation.explanations[0]
             kth = entry.kth_breakdown
             assert kth is not None
@@ -115,12 +116,12 @@ class TestErrors:
         q = random_queries(small_scorer.database, 1, seed=119, k=5)[0]
         top = small_scorer.top_k(q)
         with pytest.raises(NotMissingError):
-            generator.explain(q, [top.entries[0].obj])
+            generator.explain(q, [top.entries[0].obj], result=top)
 
     def test_empty_missing_rejected(self, small_scorer, generator):
         q = random_queries(small_scorer.database, 1, seed=120, k=5)[0]
         with pytest.raises(ValueError):
-            generator.explain(q, [])
+            generator.explain(q, [], result=small_scorer.top_k(q))
 
     def test_cached_result_reused(self, small_scorer, generator):
         s = scenario(small_scorer, seed=121)

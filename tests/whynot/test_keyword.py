@@ -4,8 +4,9 @@ Central contracts:
 
 1. **Containment:** the refined query's result contains every missing
    object.
-2. **Exactness of bound-and-prune:** the KcR-tree path returns exactly
-   the same refined keyword set and penalty as the exhaustive-scan
+2. **Exactness of bound-and-prune:** the served scan-index arm and the
+   paper's KcR-tree descent (:mod:`repro.paper`) return exactly the
+   same refined keyword set and penalty as the exhaustive-scan
    baseline — pruning must never change the answer, only the work.
 3. **Optimality:** no candidate in the enumeration space has a lower
    Eqn. (4) penalty (established via the exhaustive baseline).
@@ -15,7 +16,7 @@ import pytest
 
 from repro.core.topk import BruteForceTopK
 from repro.index.kcrtree import KcRTree
-from repro.whynot.baselines import exhaustive_keyword_adapter
+from repro.paper import ExhaustiveKeywordAdapter, KcRTreeKeywordAdapter
 from repro.whynot.errors import NotMissingError
 from repro.whynot.keyword import KeywordAdapter
 
@@ -33,12 +34,12 @@ def scenarios(scorer, *, count, k, missing_count=1, seed=80):
 
 @pytest.fixture(scope="module")
 def adapter(small_scorer, small_kcrtree):
-    return KeywordAdapter(small_scorer, small_kcrtree)
+    return KcRTreeKeywordAdapter(small_scorer, small_kcrtree)
 
 
 @pytest.fixture(scope="module")
 def baseline(small_scorer):
-    return exhaustive_keyword_adapter(small_scorer)
+    return ExhaustiveKeywordAdapter(small_scorer)
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ class TestContainment:
             assert all(result.contains(m) for m in scenario.missing)
 
     def test_medium_database(self, medium_scorer, medium_kcrtree):
-        adapter = KeywordAdapter(medium_scorer, medium_kcrtree)
+        adapter = KcRTreeKeywordAdapter(medium_scorer, medium_kcrtree)
         oracle = BruteForceTopK(medium_scorer)
         for scenario in scenarios(medium_scorer, count=2, k=10, seed=82):
             refinement = adapter.refine(scenario.query, scenario.missing)
@@ -164,36 +165,29 @@ class TestGuardsAndErrors:
         with pytest.raises(ValueError):
             adapter.refine(q, [])
 
-    def test_non_jaccard_model_rejected_with_tree_bounds(self, small_db, small_kcrtree):
-        from repro.core.scoring import Scorer
-        from repro.text.similarity import CosineTfIdfSimilarity
-
-        cosine = CosineTfIdfSimilarity(
-            small_db.keyword_document_frequencies(), len(small_db)
-        )
-        scorer = Scorer(small_db, text_model=cosine)
-        with pytest.raises(ValueError, match="Jaccard"):
-            KeywordAdapter(scorer, small_kcrtree, use_bounds=True)
-
-    def test_kernel_free_scorer_needs_a_tree_for_bounds(self, small_db, small_kcrtree):
+    def test_kernel_free_scorer_takes_a_reference_arm(self, small_db, small_kcrtree):
         from repro.core.scoring import Scorer
 
         scorer = Scorer(small_db, use_kernel=False)
         with pytest.raises(ValueError, match="columnar kernel"):
             KeywordAdapter(scorer)
-        assert KeywordAdapter(scorer, small_kcrtree).index is small_kcrtree
-        assert KeywordAdapter(scorer, use_bounds=False).index is None
+        assert KcRTreeKeywordAdapter(scorer, small_kcrtree).index is small_kcrtree
+        scenario = scenarios(scorer, count=1, k=5, seed=96)[0]
+        refinement = ExhaustiveKeywordAdapter(scorer).refine(
+            scenario.query, scenario.missing
+        )
+        assert refinement.method == "exhaustive-scan"
 
     def test_mismatched_database_rejected(self, small_scorer, medium_kcrtree):
         with pytest.raises(ValueError):
-            KeywordAdapter(small_scorer, medium_kcrtree)
+            KcRTreeKeywordAdapter(small_scorer, medium_kcrtree)
 
     def test_candidate_budget_validated(self, small_scorer, small_kcrtree):
         with pytest.raises(ValueError):
-            KeywordAdapter(small_scorer, small_kcrtree, candidate_budget=0)
+            KcRTreeKeywordAdapter(small_scorer, small_kcrtree, candidate_budget=0)
 
     def test_max_edit_count_limits_search(self, small_scorer, small_kcrtree):
-        capped = KeywordAdapter(small_scorer, small_kcrtree, max_edit_count=1)
+        capped = KcRTreeKeywordAdapter(small_scorer, small_kcrtree, max_edit_count=1)
         scenario = scenarios(small_scorer, count=1, k=5, seed=95)[0]
         refinement = capped.refine(scenario.query, scenario.missing)
         assert refinement.delta_doc <= 1

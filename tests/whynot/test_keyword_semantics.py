@@ -13,14 +13,14 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.index.kcrtree import KcRTree
-from repro.whynot.keyword import KeywordAdapter
+from repro.paper import KcRTreeKeywordAdapter
 
 
 def make_adapter(objects):
     db = SpatialDatabase(objects, dataspace=Rect(0, 0, 1, 1))
     scorer = Scorer(db)
     tree = KcRTree.build(db, max_entries=3, min_entries=1)
-    return db, scorer, KeywordAdapter(scorer, tree)
+    return db, scorer, KcRTreeKeywordAdapter(scorer, tree)
 
 
 class TestDeletionIsOptimal:

@@ -6,9 +6,10 @@ Central contracts:
    object (Definition 2 requires it).
 2. **Optimality:** no alternative weight — sampled densely or taken from
    the exhaustive crossover set — achieves a lower Eqn. (3) penalty.
-3. **Consistency:** the linear-scan ablation returns the same answer as
-   the dual-space R-tree path, and the sweep's incremental ranks agree
-   with from-scratch ranking.
+3. **Consistency:** the paper's dual-space R-tree arm and the linear-scan
+   ablation (:mod:`repro.paper`) return the served levelled view's
+   answer, and the sweep's incremental ranks agree with from-scratch
+   ranking.
 """
 
 import math
@@ -24,6 +25,12 @@ from repro.core.topk import BruteForceTopK
 from repro.whynot.context import WhyNotContext
 from repro.whynot.errors import NotMissingError
 from repro.whynot.penalty import PreferencePenalty
+from repro.paper import (
+    DualIndexPreferenceAdjuster,
+    LinearPreferenceAdjuster,
+    SamplingPreferenceAdjuster,
+    ranks_at_weights,
+)
 from repro.whynot.preference import PreferenceAdjuster
 
 from tests.conftest import random_queries
@@ -56,7 +63,7 @@ def exact_optimum_by_enumeration(scorer, query, missing, lam):
     missing_duals = [by_oid[m.oid] for m in missing]
 
     initial_worst = max(
-        PreferenceAdjuster._ranks_at_weights(query.weights, missing_duals, duals).values()
+        ranks_at_weights(query.weights, missing_duals, duals).values()
     )
     penalty = PreferencePenalty(query, initial_worst, lam)
 
@@ -77,7 +84,7 @@ def exact_optimum_by_enumeration(scorer, query, missing, lam):
     for w in sorted(candidate_ws):
         weights = query.weights if w == query.ws else Weights.from_spatial(w)
         worst = max(
-            PreferenceAdjuster._ranks_at_weights(weights, missing_duals, duals).values()
+            ranks_at_weights(weights, missing_duals, duals).values()
         )
         best = min(best, penalty(worst, weights))
     return best
@@ -126,7 +133,6 @@ class TestOptimality:
             assert refinement.penalty <= oracle + 1e-9
 
     def test_beats_dense_sampling(self, small_scorer):
-        from repro.whynot.baselines import SamplingPreferenceAdjuster
 
         adjuster = PreferenceAdjuster(small_scorer)
         sampler = SamplingPreferenceAdjuster(small_scorer, samples=500)
@@ -154,7 +160,6 @@ class TestOptimality:
         from repro.core.geometry import Point, Rect
         from repro.core.objects import SpatialDatabase, SpatialObject
         from repro.core.query import SpatialKeywordQuery
-        from repro.whynot.baselines import SamplingPreferenceAdjuster
 
         objects = [
             SpatialObject(0, Point(2.0**-49, 0.0), frozenset({"t0"})),
@@ -226,12 +231,13 @@ class TestReportedFields:
 
 
 class TestAblationsAndErrors:
-    def test_linear_scan_equals_dual_index(self, small_scorer):
-        indexed = PreferenceAdjuster(small_scorer, use_dual_index=True)
-        linear = PreferenceAdjuster(small_scorer, use_dual_index=False)
+    @pytest.mark.parametrize("reference", [DualIndexPreferenceAdjuster, LinearPreferenceAdjuster])
+    def test_reference_arms_equal_the_view(self, small_scorer, reference):
+        indexed = PreferenceAdjuster(small_scorer)
+        other = reference(small_scorer)
         for scenario in scenarios(small_scorer, count=4, k=5, seed=70):
             a = indexed.refine(scenario.query, scenario.missing)
-            b = linear.refine(scenario.query, scenario.missing)
+            b = other.refine(scenario.query, scenario.missing)
             assert a.penalty == pytest.approx(b.penalty, abs=1e-12)
             assert a.refined_query.k == b.refined_query.k
             assert a.refined_query.ws == pytest.approx(b.refined_query.ws)
@@ -293,17 +299,20 @@ class TestRankWalk:
     intervals read (:class:`repro.whynot.context.RankWalk`)."""
 
     @pytest.mark.parametrize(
-        "use_kernel, use_dual_index", [(True, True), (False, True), (True, False)]
+        "use_kernel, arm",
+        [
+            (True, PreferenceAdjuster),
+            (False, DualIndexPreferenceAdjuster),
+            (True, LinearPreferenceAdjuster),
+        ],
     )
-    def test_fewer_candidates_than_the_window_walk_to_both_ends(
-        self, use_kernel, use_dual_index
-    ):
+    def test_fewer_candidates_than_the_window_walk_to_both_ends(self, use_kernel, arm):
         """No candidate can be dominated by 16 others, so the front walks
         both sides to their ends, and answers as the exhaustive sweep."""
         db, query, missing = few_crossings()
         scorer = Scorer(db, use_kernel=use_kernel)
-        adjuster = PreferenceAdjuster(scorer, use_dual_index=use_dual_index)
-        context = WhyNotContext(scorer, query, missing, indexed=use_dual_index)
+        adjuster = arm(scorer)
+        context = adjuster._new_context(query, missing)
         for lam in (0.1, 0.5, 0.9):
             got = adjuster.refine(query, missing, lam=lam, context=context)
             want = reference_refine(adjuster, query, missing, lam=lam)
@@ -316,7 +325,7 @@ class TestRankWalk:
         assert sum(w < query.ws for w in levels) == 2 and len(levels) == 5
         assert walk.total == len(full.weights) == 6 < adjuster._verification_window
         assert walk.walked(-math.inf) == full  # walked already: reads nothing
-        if context.view is not None:
+        if arm is PreferenceAdjuster:
             assert scorer.kernel.stats.dual_view_events == walk.total
 
     def test_missing_objects_walks_stop_at_different_weights(self, small_scorer):

@@ -113,9 +113,11 @@ class TestViableIntervals:
             assert any(lo - 1e-12 <= w <= hi + 1e-12 for lo, hi in intervals)
 
     def test_linear_and_indexed_paths_agree(self, small_scorer):
+        from repro.paper import LinearPreferenceAdjuster
+
         s = scenario(small_scorer, seed=221)
-        indexed = PreferenceAdjuster(small_scorer, use_dual_index=True)
-        linear = PreferenceAdjuster(small_scorer, use_dual_index=False)
+        indexed = PreferenceAdjuster(small_scorer)
+        linear = LinearPreferenceAdjuster(small_scorer)
         assert indexed.viable_weight_intervals(
             s.query, s.missing[0]
         ) == linear.viable_weight_intervals(s.query, s.missing[0])

@@ -42,7 +42,7 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.index.kcrtree import KcRTree
-from repro.whynot.keyword import KeywordAdapter
+from repro.paper import KcRTreeKeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
 SQRT2 = math.sqrt(2.0)
@@ -227,7 +227,7 @@ class TestHandComputedKeyword:
 
     def test_adaption_finds_hand_computed_optimum(self, scorer, db, query):
         tree = KcRTree.build(db, max_entries=3, min_entries=1)
-        adapter = KeywordAdapter(scorer, tree)
+        adapter = KcRTreeKeywordAdapter(scorer, tree)
         refinement = adapter.refine(query, [db.get(2)], lam=0.5)
         assert refinement.refined_query.doc == frozenset({"a", "b", "c", "d"})
         assert refinement.delta_doc == 2
@@ -247,7 +247,7 @@ class TestHandComputedKeyword:
 
     def test_refined_query_puts_o2_first(self, scorer, db, query):
         tree = KcRTree.build(db, max_entries=3, min_entries=1)
-        adapter = KeywordAdapter(scorer, tree)
+        adapter = KcRTreeKeywordAdapter(scorer, tree)
         refinement = adapter.refine(query, [db.get(2)], lam=0.5)
         result = scorer.top_k(refinement.refined_query)
         assert result.entries[0].obj.oid == 2

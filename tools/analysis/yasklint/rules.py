@@ -494,3 +494,54 @@ def check_cache_entry_mutation(file: File) -> Iterator[Violation]:
                         "QueryExecutor/WhyNotExecutor",
                     )
                     break
+
+
+# ---------------------------------------------------------------------------
+# YASK108 — the served packages import neither the trees nor the references
+
+_REFERENCE_PACKAGES = ("repro.index", "repro.paper")
+
+
+def _is_reference_module(name: str) -> bool:
+    return any(
+        name == package or name.startswith(package + ".")
+        for package in _REFERENCE_PACKAGES
+    )
+
+
+@register(
+    "YASK108",
+    "repro.core, repro.whynot and repro.service import neither repro.index "
+    "nor repro.paper, at module level or inside a function",
+    Scope(include=("*repro/core/*", "*repro/whynot/*", "*repro/service/*")),
+)
+def check_served_imports(file: File) -> Iterator[Violation]:
+    """The served engine answers each question one way, on the scorer's
+    kernel; the paper's tree descents and ablations live in
+    ``repro.paper`` over the ``repro.index`` trees (Section 3.3).
+
+    A served module importing either package — even lazily, inside a
+    function — puts a second arm back on the serving path, where no
+    served request exercises it and the parity suites stop guarding
+    which arm answered.  Reference code depends on the served classes,
+    never the other way round.
+    """
+    for node in ast.walk(file.tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names = [node.module] + [
+                f"{node.module}.{alias.name}" for alias in node.names
+            ]
+        else:
+            continue
+        for name in names:
+            if _is_reference_module(name):
+                yield _violation(
+                    file,
+                    node,
+                    "YASK108",
+                    f"served module imports {name}; the paper's trees and "
+                    "reference arms stay out of core/, whynot/ and service/",
+                )
+                break

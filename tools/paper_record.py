@@ -46,15 +46,21 @@ from repro.bench.workloads import QueryWorkload, generate_whynot_scenarios
 from repro.core.geometry import Point
 from repro.core.query import QueryResult, SpatialKeywordQuery
 from repro.core.scoring import Scorer
-from repro.core.topk import BestFirstTopK, BruteForceTopK
+from repro.core.topk import BruteForceTopK
 from repro.datasets.generators import SyntheticDatasetBuilder
 from repro.datasets.hotels import GRAND_VICTORIA, hong_kong_hotels
 from repro.index.kcrtree import KcRTree
 from repro.index.setrtree import SetRTree
+from repro.paper import (
+    BestFirstTopK,
+    DualIndexPreferenceAdjuster,
+    ExhaustiveKeywordAdapter,
+    KcRTreeKeywordAdapter,
+    LinearPreferenceAdjuster,
+    SamplingPreferenceAdjuster,
+)
 from repro.service.api import YaskEngine
-from repro.whynot.baselines import SamplingPreferenceAdjuster, exhaustive_keyword_adapter
 from repro.whynot.context import WhyNotContext
-from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 
 RECORD = Path(__file__).resolve().parent.parent / "tests" / "golden" / "paper_record.json"
@@ -198,8 +204,8 @@ def e4(scorer, scenarios) -> dict[str, Any]:
 
 
 def e5(scorer, kcrtree, scenarios) -> dict[str, Any]:
-    adapter = KeywordAdapter(scorer, kcrtree)
-    baseline = exhaustive_keyword_adapter(scorer)
+    adapter = KcRTreeKeywordAdapter(scorer, kcrtree)
+    baseline = ExhaustiveKeywordAdapter(scorer)
     pairs = []
     for scenario in scenarios:
         pruned = adapter.refine(scenario.query, scenario.missing)
@@ -238,7 +244,7 @@ def e6(scorer, kcrtree, scenarios) -> dict[str, Any]:
         for lam in LAMBDAS
     }
     adjuster = PreferenceAdjuster(scorer)
-    adapter = KeywordAdapter(scorer, kcrtree)
+    adapter = KcRTreeKeywordAdapter(scorer, kcrtree)
     contexts = [WhyNotContext(scorer, s.query, s.missing) for s in scenarios]
     synthetic = {
         str(lam): [
@@ -273,7 +279,7 @@ def e7() -> list[dict[str, Any]]:
                 PreferenceAdjuster(scorer).refine(scenario.query, scenario.missing)
             ),
             "keyword": _keyword(
-                KeywordAdapter(scorer, kcr).refine(scenario.query, scenario.missing)
+                KcRTreeKeywordAdapter(scorer, kcr).refine(scenario.query, scenario.missing)
             ),
         })
     return rows
@@ -295,16 +301,16 @@ def e8(database, scorer, setrtree, scenarios) -> dict[str, Any]:
         "fanout": fanout,
         "crossovers": {
             label: _preference(
-                PreferenceAdjuster(scorer, use_dual_index=use_index).refine(
-                    scenario.query, scenario.missing
-                )
+                adjuster(scorer).refine(scenario.query, scenario.missing)
             )
-            for use_index, label in ((True, "dual_view"), (False, "linear_scan"))
+            for adjuster, label in (
+                (PreferenceAdjuster, "dual_view"), (LinearPreferenceAdjuster, "linear_scan")
+            )
         },
         # The paper's two range queries over a dual R-tree: the set path
         # has no levelled view to answer them.
         "dual_rtree": _preference(
-            PreferenceAdjuster(Scorer(database, use_kernel=False)).refine(
+            DualIndexPreferenceAdjuster(Scorer(database, use_kernel=False)).refine(
                 scenario.query, scenario.missing
             )
         ),
