@@ -1,26 +1,11 @@
-"""The paper's reference arms, kept beside the served engine.
+"""The paper's algorithms (Section 3.3), kept as references.
 
-The served engine answers each question one way: top-k by an indexed
-scan of the scorer's columnar kernel, keyword adaption by capped scans
-of that index, preference adjustment and explanations over the
-kernel's levelled dual view.  The paper (Section 3.3) describes the
-SetR-tree, KcR-tree and dual R-tree algorithms those paths reproduce
-answer for answer; its figures (E2–E8), the ablations (E8, E11) and the
-parity oracles run them here:
-
-* :class:`BestFirstTopK` — best-first top-k over a SetR-tree;
-* :class:`KcRTreeKeywordAdapter`, :class:`ExhaustiveKeywordAdapter` —
-  keyword adaption by KcR-tree bound and prune, and by full scans;
-* :class:`DualIndexPreferenceAdjuster`, :class:`LinearPreferenceAdjuster`
-  — the weight sweep over a dual R-tree's range queries, and over a
-  linear scan; :class:`SamplingPreferenceAdjuster` — the sampling
-  baseline;
-* :class:`ViewlessContext`, :class:`ScanExplanationGenerator` — the
-  why-not context over every object's dual point, and the explanation
-  counted by two database scans.
-
-Each also runs on the set path (``Scorer(use_kernel=False)``), which
-the served classes refuse.
+The served engine answers each question one way, on the scorer's
+kernel.  The SetR-tree, KcR-tree and dual R-tree algorithms it
+reproduces answer for answer, and the baselines they are compared
+with, are these classes; E2–E8, the E8/E11 ablations and the parity
+suites run them.  Each also runs on the set path
+(``Scorer(use_kernel=False)``), which the served classes refuse.
 """
 
 from repro.paper.context import ScanExplanationGenerator, ViewlessContext

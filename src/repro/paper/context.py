@@ -1,11 +1,9 @@
 """The why-not context without a dual view, and the explanation's two scans.
 
-The served :class:`~repro.whynot.context.WhyNotContext` reads the
-kernel's levelled dual view.  The paper's reference arms work from
-every object's dual point instead (Section 3.3: "transform each object
-into a segment in a two-dimensional weight plane"), which also serves a
-scorer on the set path (``Scorer(use_kernel=False)``) and missing
-objects that are not the database's own copies.
+The reference arms work from every object's dual point (Section 3.3:
+"transform each object into a segment in a two-dimensional weight
+plane"), on the set path too and for missing objects that are not the
+database's own copies.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ class ViewlessContext(WhyNotContext):
         self._dual_of: dict[int, DualPoint] | None = None
         super().__init__(scorer, query, missing)
 
-    def _check(self) -> None:
+    def _check_served(self) -> None:
         """Any scorer and any missing objects will do."""
 
     def reweighted(self, query: SpatialKeywordQuery) -> "ViewlessContext":

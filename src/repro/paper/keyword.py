@@ -1,25 +1,13 @@
 """The keyword adaption's reference arms (Section 3.3 and [6]).
 
-The served :class:`~repro.whynot.keyword.KeywordAdapter` ranks each
-capped candidate keyword set with one indexed scan of the kernel.
-These classes rank them as the paper describes, and as the baseline it
-is compared with, and serve the set path too:
-
-* :class:`KcRTreeKeywordAdapter` — "we generate the candidate query
-  keyword sets and then traverse the KcR-tree starting from the root.
-  For each candidate refined keyword set q'.doc, we maintain its
-  penalty upper and lower bounds according to the ranking bounds
-  derived from KcR-tree nodes."  It accumulates guaranteed beaters (a
-  rank lower bound) and abandons the candidate as soon as the bound
-  crosses the cap, resolving nodes to exact counts only where the node
-  bounds straddle the missing object's score.  The node-level count
-  bounds come from the KcR-tree payload of Fig. 2 (keyword-count map +
-  ``cnt``, plus the min/max doc length reconstruction detail) combined
-  with MINDIST/MAXDIST on the node MBR;
-* :class:`ExhaustiveKeywordAdapter` — every candidate's worst rank by a
-  full database scan (the E5 baseline).
-
-Both return the served adapter's ranks, so its prunes and refined query.
+The served :class:`~repro.whynot.keyword.KeywordAdapter` ranks a capped
+candidate with indexed scans of the kernel.  :class:`KcRTreeKeywordAdapter`
+ranks it as the paper does: "traverse the KcR-tree starting from the
+root ... we maintain its penalty upper and lower bounds according to the
+ranking bounds derived from KcR-tree nodes", from Fig. 2's keyword-count
+maps and the node MBRs.  :class:`ExhaustiveKeywordAdapter` scans the
+whole database per candidate (the E5 baseline).  Both return the served
+adapter's ranks, so its prunes and refined query.
 """
 
 from __future__ import annotations
@@ -33,7 +21,6 @@ from repro.core.scoring import Scorer, outranks
 from repro.index.kcrtree import KcRTree, KcSummary
 from repro.index.rtree import RTreeNode
 from repro.paper.context import ViewlessContext, set_path_scorer
-from repro.text.similarity import JACCARD
 from repro.whynot.context import WhyNotContext
 from repro.whynot.keyword import AdaptionStats, KeywordAdapter
 
@@ -236,39 +223,31 @@ class KcRTreeKeywordAdapter(ExhaustiveKeywordAdapter):
 
 
 class _FullRanker:
-    """Candidate-set scoring with shared spatial proximities.
+    """Candidate-set scoring for the tree descent and the full scan.
 
-    Every candidate keyword set shares the query's spatial term, so the
-    proximities are computed once per refine run.  With a columnar
-    kernel on the scorer they live in its row-indexed column and each
+    With a columnar kernel on the scorer, the query's proximities are
+    read once per refine run into a row-indexed column and each
     candidate is encoded to a bitmask ``DocContext``: ``TSim`` per
     object is then bit arithmetic, and a whole leaf or the whole
-    database is counted in one kernel call.  On the set path an
-    oid-keyed dict and Jaccard ``similarity`` calls apply.  Both paths
-    produce identical floats.
+    database is counted in one kernel call.  On the set path Eqn. (1)
+    is evaluated per object.  Both paths produce identical floats.
     """
 
     __slots__ = (
-        "_scorer", "_ws", "_wt", "_loc", "_kernel", "_prox", "_proximity",
+        "_scorer", "_query", "_ws", "_wt", "_loc", "_kernel", "_prox",
         "_candidate", "_ctx", "_leaf_rows", "_node_bounds",
     )
 
     def __init__(self, scorer: Scorer, query: SpatialKeywordQuery) -> None:
         self._scorer = scorer
+        self._query = query
         self._ws = query.ws
         self._wt = query.wt
         self._loc = query.loc
         self._kernel = scorer.kernel
-        if self._kernel is not None:
-            self._prox = self._kernel.proximities(query)
-            self._proximity: dict[int, float] | None = None
-        else:
-            self._prox = None
-            self._proximity = {
-                obj.oid: 1.0 - scorer.sdist(obj, query)
-                for obj in scorer.database
-            }
-        self._candidate: AbstractSet[str] | None = None
+        self._prox = None if self._kernel is None else self._kernel.proximities(query)
+        #: The query under the bound candidate keyword set.
+        self._candidate = query
         self._ctx = None
         #: Per-refinement memos keyed by ``id(node)``: a leaf's kernel
         #: rows, a node's (min, max) proximity.
@@ -277,7 +256,7 @@ class _FullRanker:
 
     def set_candidate(self, candidate: AbstractSet[str]) -> None:
         """Bind the candidate keyword set subsequent scores are under."""
-        self._candidate = candidate
+        self._candidate = self._query.with_doc(candidate)
         if self._kernel is not None:
             self._ctx = self._kernel.doc_context(candidate)
 
@@ -286,8 +265,7 @@ class _FullRanker:
         if self._ctx is not None:
             row = self._kernel.row_of(obj.oid)
             return self._ws * self._prox[row] + self._wt * self._ctx.tsim_row(row)
-        tsim = JACCARD.similarity(obj.doc, self._candidate)
-        return self._ws * self._proximity[obj.oid] + self._wt * tsim
+        return self._scorer.score(obj, self._candidate)
 
     def node_proximity_bounds(
         self, index: KcRTree, node: RTreeNode[SpatialObject]

@@ -1,24 +1,13 @@
 """The preference sweep's reference arms (Section 3.3 and [5]).
 
-The served :class:`~repro.whynot.preference.PreferenceAdjuster` finds
-each missing object's crossing lines in the kernel's levelled dual
-view.  These classes find them as the paper describes, from every
-object's dual point, and serve the set path too:
-
-* :class:`DualIndexPreferenceAdjuster` — "we use two range queries to
-  find the segments that intersect with the missing objects' segments",
-  over an R-tree of the dual points (:class:`DualSpaceIndex`);
-* :class:`LinearPreferenceAdjuster` — the same two queries by a linear
-  scan (the E8 and E11 ablation);
-* :class:`SamplingPreferenceAdjuster` — the sampling strategy in the
-  style of He & Lo's top-k why-not answering [8], which [5] uses as its
-  comparison point: probe a grid of weight vectors, rank the missing
-  objects at each probe and keep the cheapest refined query found.
-  Sampling is approximate — it only finds the optimum when a probe lands
-  in the optimal rank interval — and its cost grows linearly with the
-  probe count (experiment E4).
-
-The sweep arms return what the served one returns, float for float.
+The served :class:`~repro.whynot.preference.PreferenceAdjuster` reads
+crossing lines off the kernel's levelled dual view.
+:class:`DualIndexPreferenceAdjuster` finds them as the paper does, "two
+range queries" over an R-tree of every object's dual point, and
+:class:`LinearPreferenceAdjuster` by a linear scan (the E8/E11
+ablation); both return the served answer float for float.
+:class:`SamplingPreferenceAdjuster` is the grid-sampling baseline of
+[8] that [5] compares with (E4): approximate, and linear in its probes.
 """
 
 from __future__ import annotations

@@ -6,18 +6,10 @@ of query processing, we pop up the first element in Q and report it as
 a result if it is an object; otherwise, we unfold it and put its
 children into Q.  The process continues until k objects are retrieved."
 
-:class:`BestFirstTopK` implements exactly that loop against any index
-exposing ``root`` / node structure and a ``score_upper_bound(node, q)``
-method (the SetR-tree).  It is the paper's engine, kept as a reference:
-the served engine answers top-k with
-:class:`~repro.core.topk.KernelTopK`, one indexed scan of the scorer's
-columnar kernel, and the E3/E7/E8 experiments time this one.
-
-Its result order is the brute-force one — score descending, then object
-id ascending — which the priority queue enforces by expanding nodes
-*before* emitting equal-priority objects: an object leaves the queue
-only when no unexpanded node could still contain a
-better-or-tied-with-smaller-id competitor.
+:class:`BestFirstTopK` runs that loop over any index with a ``root`` and
+a ``score_upper_bound(node, q)`` (the SetR-tree); E3, E7 and E8 time it.
+Its order is the brute-force one (score descending, then oid): at equal
+priority a node is expanded before an object is reported.
 """
 
 from __future__ import annotations
@@ -50,20 +42,12 @@ class SpatioTextualIndex(Protocol):
 
 @dataclass(slots=True)
 class SearchStats:
-    """Work counters of the most recent best-first search.
-
-    ``nodes_expanded`` against ``len(index)`` is the pruning-power metric
-    the E3/E8 benchmarks report.
-    """
+    """Work counters of the most recent best-first search: the
+    pruning-power metrics the E3/E8 benchmarks report."""
 
     nodes_expanded: int = 0
     objects_scored: int = 0
     heap_pushes: int = 0
-
-    def reset(self) -> None:
-        self.nodes_expanded = 0
-        self.objects_scored = 0
-        self.heap_pushes = 0
 
 
 class BestFirstTopK:
@@ -89,7 +73,7 @@ class BestFirstTopK:
         return self._scorer
 
     def search(self, query: SpatialKeywordQuery) -> QueryResult:
-        self.stats.reset()
+        self.stats = SearchStats()
         root = self._index.root
         selected: list[SpatialObject] = []
         if root.rect is None:

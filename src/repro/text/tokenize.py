@@ -100,8 +100,8 @@ def vocabulary(documents: Iterable[Iterable[str]]) -> frozenset[str]:
 def document_frequencies(documents: Sequence[Iterable[str]]) -> dict[str, int]:
     """Return keyword → number of documents containing it.
 
-    Needed by the cosine/tf-idf model (:mod:`repro.text.similarity`) and
-    by the dataset generators to verify the Zipf shape of synthetic
+    Needed by the query workloads' frequency-biased keyword draws and by
+    the dataset generators to verify the Zipf shape of synthetic
     vocabularies.
     """
     frequencies: dict[str, int] = {}

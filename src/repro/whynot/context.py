@@ -250,9 +250,9 @@ class WhyNotContext:
         self.walks: list[RankWalk | None] = [None] * len(self.missing)
         #: The preference front, ``(w, worst rank)`` pairs (likewise).
         self.front: tuple[tuple[float, int], ...] | None = None
-        self._check()
+        self._check_served()
 
-    def _check(self) -> None:
+    def _check_served(self) -> None:
         served_scorer(self.scorer, "ViewlessContext")
         foreign = [obj.oid for obj in self.missing if obj not in self.scorer.database]
         if foreign:

@@ -69,7 +69,7 @@ class WhyNotAnswer:
 
 
 class WhyNotEngine:
-    """Server-side why-not engine over one database and text model.
+    """Server-side why-not engine over one database.
 
     Every module reads the scorer's columnar kernel (the scan index and
     the levelled dual view), so the scorer needs one; the paper's tree

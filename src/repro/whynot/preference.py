@@ -256,9 +256,11 @@ class PreferenceAdjuster:
         for index, walk in enumerate(context.walks):
             if walk is None:
                 m = context.missing_duals[index]
-                start = 1 + view.strictly_above_at_zero(m.oid) + view.permanent_ties_smaller(m.oid)
+                runs = view.crossing_runs(m.oid, ws)
+                above = view.strictly_above_at_zero(m.oid)
+                ties = view.permanent_ties_smaller(m.oid)
                 context.walks[index] = RankWalk(
-                    m, ws, view.crossing_runs(m.oid, ws), start, view.count_events
+                    m, ws, runs, 1 + above + ties, view.count_events
                 )
         return cast("list[RankWalk]", context.walks)  # every slot filled
 

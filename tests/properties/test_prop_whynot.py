@@ -29,7 +29,6 @@ from repro.paper import (
     SamplingPreferenceAdjuster,
     ranks_at_weights,
 )
-from repro.whynot.context import WhyNotContext
 from repro.whynot.keyword import KeywordAdapter
 from repro.whynot.preference import PreferenceAdjuster
 

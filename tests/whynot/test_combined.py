@@ -8,8 +8,8 @@ preference adjustment in both orders and returns the cheaper result.
 import pytest
 
 from repro.core.topk import BruteForceTopK
-from repro.whynot.combined import CombinedRefiner
 from repro.paper import KcRTreeKeywordAdapter
+from repro.whynot.combined import CombinedRefiner
 from repro.whynot.preference import PreferenceAdjuster
 
 

@@ -7,8 +7,8 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import Scorer
 from repro.index.kcrtree import KcRTree
-from repro.whynot.explanation import ExplanationGenerator, MissingReason
 from repro.paper import KcRTreeKeywordAdapter
+from repro.whynot.explanation import ExplanationGenerator, MissingReason
 from repro.whynot.preference import PreferenceAdjuster
 
 
@@ -28,7 +28,8 @@ class TestReasonClassificationCases:
         ])
         generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
-        entry = generator.explain(query, [db.get(0)], result=scorer.top_k(query)).explanations[0]
+        result = scorer.top_k(query)
+        entry = generator.explain(query, [db.get(0)], result=result).explanations[0]
         assert entry.reason is MissingReason.TOO_FAR
 
     def test_low_relevance_reason(self):
@@ -40,7 +41,8 @@ class TestReasonClassificationCases:
         ])
         generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
-        entry = generator.explain(query, [db.get(0)], result=scorer.top_k(query)).explanations[0]
+        result = scorer.top_k(query)
+        entry = generator.explain(query, [db.get(0)], result=result).explanations[0]
         assert entry.reason is MissingReason.LOW_RELEVANCE
 
     def test_both_reason(self):
@@ -51,7 +53,8 @@ class TestReasonClassificationCases:
         ])
         generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
-        entry = generator.explain(query, [db.get(0)], result=scorer.top_k(query)).explanations[0]
+        result = scorer.top_k(query)
+        entry = generator.explain(query, [db.get(0)], result=result).explanations[0]
         assert entry.reason is MissingReason.BOTH
 
     def test_preference_imbalance_reason(self):
@@ -65,7 +68,8 @@ class TestReasonClassificationCases:
         ])
         generator = ExplanationGenerator(scorer)
         query = SpatialKeywordQuery(Point(0, 0), frozenset({"a", "b"}), 1)
-        entry = generator.explain(query, [db.get(5)], result=scorer.top_k(query)).explanations[0]
+        result = scorer.top_k(query)
+        entry = generator.explain(query, [db.get(5)], result=result).explanations[0]
         assert entry.reason is MissingReason.PREFERENCE_IMBALANCE
 
 
@@ -77,7 +81,8 @@ class TestKeywordAdapterBudget:
             small_scorer, count=1, k=5, missing_count=1, seed=270,
             rank_window=25,
         )[0]
-        budgeted = KcRTreeKeywordAdapter(small_scorer, small_kcrtree, candidate_budget=1
+        budgeted = KcRTreeKeywordAdapter(
+            small_scorer, small_kcrtree, candidate_budget=1
         )
         refinement = budgeted.refine(scenario.query, scenario.missing)
         # Only the zero-edit candidate was examined: pure k-enlargement.
@@ -92,7 +97,8 @@ class TestKeywordAdapterBudget:
             small_scorer, count=1, k=5, missing_count=1, seed=271,
             rank_window=25,
         )[0]
-        budgeted = KcRTreeKeywordAdapter(small_scorer, small_kcrtree, candidate_budget=200
+        budgeted = KcRTreeKeywordAdapter(
+            small_scorer, small_kcrtree, candidate_budget=200
         )
         refinement = budgeted.refine(scenario.query, scenario.missing, lam=1.0)
         assert refinement.stats.candidates_generated <= 200

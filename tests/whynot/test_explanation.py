@@ -24,21 +24,28 @@ def generator(small_scorer):
     return ExplanationGenerator(small_scorer)
 
 
+def explained(generator, scorer, scenario):
+    """``generator``'s explanation of ``scenario`` against the scorer's top-k."""
+    return generator.explain(
+        scenario.query, scenario.missing, result=scorer.top_k(scenario.query)
+    )
+
+
 class TestExplanationContent:
     def test_rank_matches_scorer(self, small_scorer, generator):
         s = scenario(small_scorer)
-        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
+        explanation = explained(generator, small_scorer, s)
         for obj_explanation, missing in zip(explanation.explanations, s.missing):
             assert obj_explanation.rank == small_scorer.rank_of(missing, s.query)
 
     def test_worst_rank_is_r_m_q(self, small_scorer, generator):
         s = scenario(small_scorer, seed=101, missing_count=2)
-        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
+        explanation = explained(generator, small_scorer, s)
         assert explanation.worst_rank == small_scorer.worst_rank(s.missing, s.query)
 
     def test_counts_match_linear_scan(self, small_scorer, generator):
         s = scenario(small_scorer, seed=102)
-        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
+        explanation = explained(generator, small_scorer, s)
         missing = s.missing[0]
         entry = explanation.explanations[0]
         distance = missing.loc.distance_to(s.query.loc)
@@ -62,8 +69,8 @@ class TestExplanationContent:
             Scorer(small_scorer.database, use_kernel=False)
         )
         s = scenario(small_scorer, seed=103)
-        a = with_view.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
-        b = without_view.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        a = explained(with_view, small_scorer, s).explanations[0]
+        b = explained(without_view, small_scorer, s).explanations[0]
         assert (a.closer_objects, a.more_similar_objects) == (
             b.closer_objects, b.more_similar_objects,
         )
@@ -71,19 +78,19 @@ class TestExplanationContent:
 
     def test_ranks_behind(self, small_scorer, generator):
         s = scenario(small_scorer, seed=104)
-        entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        entry = explained(generator, small_scorer, s).explanations[0]
         assert entry.ranks_behind == entry.rank - s.query.k
 
     def test_narrative_mentions_key_numbers(self, small_scorer, generator):
         s = scenario(small_scorer, seed=105)
-        entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        entry = explained(generator, small_scorer, s).explanations[0]
         text = entry.narrative()
         assert f"#{entry.rank}" in text
         assert "Reason:" in text
 
     def test_full_narrative_suggests_a_model(self, small_scorer, generator):
         s = scenario(small_scorer, seed=106)
-        explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
+        explanation = explained(generator, small_scorer, s)
         assert explanation.suggested_model in (
             "preference adjustment", "keyword adaption",
         )
@@ -94,7 +101,7 @@ class TestReasonClassification:
     def test_reasons_are_consistent_with_components(self, small_scorer, generator):
         for seed in range(110, 118):
             s = scenario(small_scorer, seed=seed)
-            explanation = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query))
+            explanation = explained(generator, small_scorer, s)
             entry = explanation.explanations[0]
             kth = entry.kth_breakdown
             assert kth is not None

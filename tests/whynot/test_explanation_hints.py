@@ -25,24 +25,31 @@ def generator(small_scorer):
     )
 
 
+def explained(generator, scorer, scenario):
+    """``generator``'s explanation of ``scenario`` against the scorer's top-k."""
+    return generator.explain(
+        scenario.query, scenario.missing, result=scorer.top_k(scenario.query)
+    )
+
+
 class TestWeightHints:
     def test_intervals_attached_when_adjuster_present(self, small_scorer, generator):
         s = scenario(small_scorer)
-        entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        entry = explained(generator, small_scorer, s).explanations[0]
         assert entry.viable_ws_intervals is not None
         assert entry.fixable_by_weights_alone in (True, False)
 
     def test_intervals_none_without_adjuster(self, small_scorer):
         plain = ExplanationGenerator(small_scorer)
         s = scenario(small_scorer, seed=241)
-        entry = plain.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        entry = explained(plain, small_scorer, s).explanations[0]
         assert entry.viable_ws_intervals is None
         assert entry.fixable_by_weights_alone is None
 
     def test_intervals_match_direct_adjuster_call(self, small_scorer, generator):
         adjuster = PreferenceAdjuster(small_scorer)
         s = scenario(small_scorer, seed=242)
-        entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        entry = explained(generator, small_scorer, s).explanations[0]
         direct = tuple(
             adjuster.viable_weight_intervals(s.query, s.missing[0])
         )
@@ -50,7 +57,7 @@ class TestWeightHints:
 
     def test_narrative_mentions_hint(self, small_scorer, generator):
         s = scenario(small_scorer, seed=243)
-        entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+        entry = explained(generator, small_scorer, s).explanations[0]
         text = entry.narrative()
         if entry.fixable_by_weights_alone:
             assert "Adjusting the spatial weight" in text
@@ -63,7 +70,7 @@ class TestWeightHints:
         adjuster = PreferenceAdjuster(small_scorer)
         for seed in (244, 245, 246):
             s = scenario(small_scorer, seed=seed)
-            entry = generator.explain(s.query, s.missing, result=small_scorer.top_k(s.query)).explanations[0]
+            entry = explained(generator, small_scorer, s).explanations[0]
             refinement = adjuster.refine(s.query, s.missing, lam=1.0)
             if entry.fixable_by_weights_alone:
                 assert refinement.delta_k == 0

@@ -22,15 +22,15 @@ from repro.core.objects import SpatialDatabase, SpatialObject
 from repro.core.query import SpatialKeywordQuery, Weights
 from repro.core.scoring import DualPoint, Scorer
 from repro.core.topk import BruteForceTopK
-from repro.whynot.context import WhyNotContext
-from repro.whynot.errors import NotMissingError
-from repro.whynot.penalty import PreferencePenalty
 from repro.paper import (
     DualIndexPreferenceAdjuster,
     LinearPreferenceAdjuster,
     SamplingPreferenceAdjuster,
     ranks_at_weights,
 )
+from repro.whynot.context import WhyNotContext
+from repro.whynot.errors import NotMissingError
+from repro.whynot.penalty import PreferencePenalty
 from repro.whynot.preference import PreferenceAdjuster
 
 from tests.conftest import random_queries
@@ -231,7 +231,9 @@ class TestReportedFields:
 
 
 class TestAblationsAndErrors:
-    @pytest.mark.parametrize("reference", [DualIndexPreferenceAdjuster, LinearPreferenceAdjuster])
+    @pytest.mark.parametrize(
+        "reference", [DualIndexPreferenceAdjuster, LinearPreferenceAdjuster]
+    )
     def test_reference_arms_equal_the_view(self, small_scorer, reference):
         indexed = PreferenceAdjuster(small_scorer)
         other = reference(small_scorer)
