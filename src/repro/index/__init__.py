@@ -4,9 +4,10 @@
 * :class:`repro.index.setrtree.SetRTree` — intersection/union keyword set
   summaries; drives the paper's best-first top-k search (:mod:`repro.paper`).
 * :class:`repro.index.kcrtree.KcRTree` — keyword-count maps (Fig. 2);
-  serves the keyword-adaption why-not module.
+  drives the paper's keyword adaption (:mod:`repro.paper`).
 * :class:`repro.index.dualspace.DualSpaceIndex` — dual-point R-tree
-  answering the preference module's two range queries.
+  answering the paper's two range queries of the preference sweep
+  (:mod:`repro.paper`).
 """
 
 from repro.index.dualspace import DualSpaceIndex

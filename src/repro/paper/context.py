@@ -27,9 +27,9 @@ def set_path_scorer(scorer: Scorer) -> Scorer:
 class ViewlessContext(WhyNotContext):
     """A :class:`WhyNotContext` over every object's dual point.
 
-    Ranks come from :meth:`Scorer.rank_of` and dual points from
-    :meth:`Scorer.dual_points`, so the missing objects are scored as
-    passed.  Its ``view`` is never read.
+    Initial ranks come from :meth:`Scorer.rank_of`, which scores the
+    missing objects as passed, and dual points from
+    :meth:`Scorer.dual_points`.  Its ``view`` is never read.
     """
 
     __slots__ = ("_duals", "_dual_of")

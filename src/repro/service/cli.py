@@ -71,7 +71,8 @@ def load_dataset(spec: str) -> SpatialDatabase:
     try:
         return load_json(spec)
     except OSError as exc:
-        print(f"yask: cannot read dataset {spec}: {exc.strerror or exc}", file=sys.stderr)
+        reason = exc.strerror or exc
+        print(f"yask: cannot read dataset {spec}: {reason}", file=sys.stderr)
         raise SystemExit(2) from None
     except ValueError as exc:
         print(f"yask: malformed dataset {spec}: {exc}", file=sys.stderr)
